@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast bench bench-smoke bench-udp-smoke bench-des-smoke bench-shard-smoke bench-fault-smoke bench-recovery-smoke bench-replica-smoke bench-chaos-smoke
+.PHONY: test test-fast bench bench-smoke bench-suite-smoke bench-udp-smoke bench-des-smoke bench-shard-smoke bench-fault-smoke bench-recovery-smoke bench-replica-smoke bench-chaos-smoke
 
 ## Tier-1 verification: the full test suite, fail-fast.
 test:
@@ -19,6 +19,13 @@ bench:
 ## seconds.  Does not overwrite BENCH_throughput.json.
 bench-smoke:
 	$(PYTHON) benchmarks/run_bench.py --smoke
+
+## The trusted benchmark (BENCHMARK.json, benchmarks/suite/) in
+## correctness-only mode: one set-up and 0.4 s of each of the seven
+## workloads, every reply checked — durable_mutate reboots from the disk
+## alone and compares with its shadow model — and no timing believed.
+bench-suite-smoke:
+	$(PYTHON) benchmarks/suite/run.py --seed 1 --smoke
 
 ## Tiny multi-process run of the real-wire UDP benchmark: server in its
 ## own OS process over loopback, serial vs 16-in-flight pipelined.

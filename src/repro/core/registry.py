@@ -576,14 +576,21 @@ class ObjectTable:
         with shard.lock:
             return fn(shard.entries)
 
-    def persist(self, number):
-        """Re-log an object's data payload after a server mutated it.
+    def persist(self, number, delta=None):
+        """Log an object's data payload after a server mutated it.
 
         Servers holding durable state inside ``entry.data`` (the
         directory server's name map) call this after each mutation; the
-        UPDATE record is appended under the owning stripe's lock, so it
-        is ordered exactly against create/refresh/destroy and against
+        record is appended under the owning stripe's lock, so it is
+        ordered exactly against create/refresh/destroy and against
         snapshot position capture.  A no-op without a WAL.
+
+        Without ``delta`` the whole payload is re-logged.  ``delta`` is
+        the change alone, in the store codec's delta form (see
+        ``DirectoryCodec``); it must be an idempotent *assignment* —
+        the handler mutated ``entry.data`` before taking this lock, so a
+        concurrent snapshot may already hold the change at a log
+        position before the delta, and recovery replays it on top.
         """
         if self._wal is None:
             return
@@ -592,7 +599,7 @@ class ObjectTable:
             entry = shard.entries.get(number)
             if entry is None:
                 raise NoSuchObject("no object %d on this server" % number)
-            self._wal.log_update(shard.index, number, entry.data)
+            self._wal.log_update(shard.index, number, entry.data, delta)
 
     def log_commit(self, number, src, reply_value, reply_raw):
         """Append a transaction-commit record to ``number``'s stripe log.
@@ -600,7 +607,9 @@ class ObjectTable:
         Taken under the stripe lock for the same reason as
         :meth:`persist`: a commit must never slip between a snapshot's
         entry encoding and its position capture, or truncation would
-        silently drop it.  A no-op without a WAL.
+        silently drop it.  The store writes the calling thread's
+        unflushed blocks with it, so on return the whole transaction is
+        on the medium.  A no-op without a WAL.
         """
         if self._wal is None:
             return

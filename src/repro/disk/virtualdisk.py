@@ -154,7 +154,10 @@ class VirtualDisk:
             raise ValueError(
                 "%d bytes exceed the %d-byte block" % (len(data), self.block_size)
             )
-        padded = bytes(data) + bytes(self.block_size - len(data))
+        if type(data) is bytes and len(data) == self.block_size:
+            padded = data  # immutable and full-size: store it as handed over
+        else:
+            padded = bytes(data) + bytes(self.block_size - len(data))
         with self._lock:
             if self.write_once and block_no in self._written:
                 raise WriteOnceViolation(

@@ -29,6 +29,18 @@ On-disk layout (over a :class:`~repro.disk.virtualdisk.VirtualDisk`):
   capabilities for the lost objects get ``NoSuchObject`` and re-create
   through the retry + re-locate path.
 
+Flush rule: a record always enters its stripe's tail block under the
+stripe lock, and that block is written before the append returns —
+except while the appending thread is inside an ``ObjectServer``
+dispatch (:meth:`DurableStore.begin` / :meth:`~DurableStore.end`).
+There the bytes wait in the tail buffer and reach the medium in *one*
+block write when the transaction's commit record is logged
+(:meth:`DurableStore.log_commit`) or, with no commit to log, at
+:meth:`DurableStore.flush` — in every case before the reply leaves, so
+acked still implies flushed.  A mutation costs what it changed: a
+server that can describe its change logs a small ``OP_DELTA`` record
+instead of the whole row image.
+
 Recovery (:meth:`DurableStore.recover`, driven by
 ``ObjectServer.reboot()``) replays snapshot + log per stripe.  A stripe
 whose tail is *suspect* (bad magic, bad CRC, truncated record, broken
@@ -49,7 +61,7 @@ import zlib
 from repro.core.registry import DEFAULT_SHARDS, ObjectEntry
 from repro.crypto.randomsrc import RandomSource
 from repro.disk.virtualdisk import VirtualDisk
-from repro.errors import DiskFault
+from repro.errors import DiskFault, MalformedCapability
 
 __all__ = ["DurableStore", "StripeLog", "RecoveryReport", "DefaultCodec"]
 
@@ -77,6 +89,13 @@ OP_REFRESH = 2
 OP_DESTROY = 3
 OP_UPDATE = 4  # re-logged row payload (a durable server mutated data)
 OP_COMMIT = 5  # completed transaction: (src, reply port, packed reply)
+OP_DELTA = 6  # a change to a row payload, in the codec's delta form
+
+# Payload heads.  Row records open ``[1B op][3B object number]`` (one
+# big-endian word); a commit's 48-bit reply port packs as 16 + 32 bits.
+_ROW_HEAD = struct.Struct(">I")
+_UPDATE_HEAD = struct.Struct(">II")  # op | number, data length
+_COMMIT_HEAD = struct.Struct(">BQHII")  # op, src, reply port, reply length
 
 
 def _crc(payload):
@@ -117,9 +136,12 @@ def _free_chain(disk, head, stop=NO_BLOCK):
 class StripeLog:
     """One append-only record stream over a chain of disk blocks.
 
-    Appends are buffered per tail block: each record costs one or two
-    whole-block writes (two when it rolls into a fresh block).  The
-    internal lock only orders appends against concurrent
+    Appends are buffered per tail block; :meth:`flush` writes that block
+    whole, and a record that overflows it additionally costs the
+    :meth:`_roll` write of the full old block.  :meth:`append` flushes
+    before it returns unless told not to — the caller then owes the
+    :meth:`flush` (see the module docstring's flush rule).  The internal
+    lock orders appends and flushes against concurrent
     :meth:`tail_position` / :meth:`truncate_front`; callers in the
     object table already hold their stripe lock, which is what makes
     the position capture in a snapshot exact.
@@ -132,6 +154,8 @@ class StripeLog:
         if self.capacity < 1:
             raise ValueError("block size too small for chain blocks")
         self.records_appended = 0
+        # True while the tail buffer holds bytes the medium does not.
+        self._unflushed = False
         if head is None:
             head = disk.allocate()
             self.head = head
@@ -145,8 +169,9 @@ class StripeLog:
             self.tail_used = tail_used
             self._tail_buf = bytearray(disk.read(self.tail))
 
-    def append(self, payload):
-        """Durably append one record (framed, CRC-protected)."""
+    def append(self, payload, flush=True):
+        """Append one record (framed, CRC-protected); on the medium when
+        this returns unless ``flush`` is false."""
         if not payload:
             raise ValueError("cannot append an empty record")
         record = (
@@ -154,19 +179,29 @@ class StripeLog:
             + payload
         )
         with self.lock:
-            view = memoryview(record)
-            while view:
+            while True:
                 space = self.capacity - self.tail_used
-                if space == 0:
-                    self._roll()
-                    space = self.capacity
-                n = min(space, len(view))
                 start = _CHAIN_HEADER.size + self.tail_used
-                self._tail_buf[start:start + n] = view[:n]
-                self.tail_used += n
-                view = view[n:]
-            self._flush_tail()
+                if len(record) <= space:
+                    self._tail_buf[start:start + len(record)] = record
+                    self.tail_used += len(record)
+                    break
+                # Fill the block (with nothing, if it is full) and spill.
+                self._tail_buf[start:start + space] = record[:space]
+                record = record[space:]
+                self._roll()
             self.records_appended += 1
+            if flush:
+                self._flush_tail()
+            else:
+                self._unflushed = True
+
+    def flush(self):
+        """Write the tail block if it holds unflushed bytes (whoever
+        appended them)."""
+        with self.lock:
+            if self._unflushed:
+                self._flush_tail()
 
     def _roll(self):
         """The tail block is full: link in a fresh one.
@@ -187,11 +222,15 @@ class StripeLog:
     def _flush_tail(self):
         _pack_chain_header(self._tail_buf, NO_BLOCK, self.tail_used)
         self.disk.write(self.tail, bytes(self._tail_buf))
+        self._unflushed = False
 
     def tail_position(self):
         """The current append position ``(block, payload offset)`` — the
-        replay position a snapshot records."""
+        replay position a snapshot records.  Flushes first: a recorded
+        position must never lie beyond what is on the medium."""
         with self.lock:
+            if self._unflushed:
+                self._flush_tail()
             return (self.tail, self.tail_used)
 
     def truncate_front(self, new_head):
@@ -270,7 +309,10 @@ def _scan_chain(disk, head, start_offset=0):
             break
         magic, length, crc = _RECORD_HEAD.unpack_from(stream, pos)
         body = pos + _RECORD_HEAD.size
-        if magic != _RECORD_MAGIC or total - body < length:
+        # append() refuses empty records, so a zero length is damage: a
+        # head straddling a _roll whose second block never landed reads
+        # as magic + zeros, which would otherwise CRC-check as "empty".
+        if magic != _RECORD_MAGIC or not length or total - body < length:
             scan.suspect = True
             break
         payload = bytes(stream[body: body + length])
@@ -383,6 +425,11 @@ class DefaultCodec:
             return body == b"\x01"
         raise ValueError("unknown data tag %d" % tag)
 
+    def apply_delta(self, data, raw):
+        """Primitive payloads are re-logged whole; a delta record in
+        their log is a codec mismatch (recovery re-keys the stripe)."""
+        raise ValueError("DefaultCodec payloads have no delta form")
+
 
 class RecoveryReport:
     """What one :meth:`DurableStore.recover` pass found and rebuilt."""
@@ -398,6 +445,11 @@ class RecoveryReport:
         #: re-executing.
         self.commits = {}
         self.blocks_reclaimed = 0
+        #: Recovered commits ``ObjectServer.reboot()`` could not turn
+        #: back into a reply (their retries re-execute), and the last
+        #: such error.
+        self.commits_unreplayable = 0
+        self.commit_error = None
 
     def as_dict(self):
         return {
@@ -406,11 +458,21 @@ class RecoveryReport:
             "suspect_stripes": list(self.suspect_stripes),
             "secrets_regenerated": self.secrets_regenerated,
             "commits": len(self.commits),
+            "commits_unreplayable": self.commits_unreplayable,
             "blocks_reclaimed": self.blocks_reclaimed,
         }
 
     def __repr__(self):
         return "RecoveryReport(%r)" % (self.as_dict(),)
+
+
+class _ThreadState(threading.local):
+    """What one thread owes the store (``__init__`` runs per thread)."""
+
+    def __init__(self):
+        self.depth = 0  # ObjectServer dispatches this thread is inside
+        self.pending = []  # logs it appended to without flushing
+        self.wrote = False  # it logged a mutation since consume_dirty()
 
 
 class DurableStore:
@@ -427,13 +489,19 @@ class DurableStore:
     stripe's lock (that ordering is what makes snapshot positions
     exact); :meth:`snapshot` takes each stripe lock briefly via
     ``ObjectTable.stripe_locked`` and never stops the world.
+
+    Flush contract: outside :meth:`begin` / :meth:`end` every ``log_*``
+    is on the medium when it returns.  Between them (one request's
+    dispatch, on the dispatching thread) records only enter their tail
+    blocks; :meth:`log_commit` or :meth:`flush` then writes each touched
+    block once, and the server calls one of them before any reply.
     """
 
     def __init__(self, disk=None, codec=None, shards=DEFAULT_SHARDS):
         self.disk = disk if disk is not None else VirtualDisk(4096)
         self.codec = codec if codec is not None else DefaultCodec()
         self._lock = threading.Lock()  # serializes snapshot + superblock
-        self._dirty = threading.local()  # per-thread wrote-since-reply flag
+        self._thread = _ThreadState()
         self.snapshots_taken = 0
         self.blocks_reclaimed = 0
         self._pending = None
@@ -601,34 +669,46 @@ class DurableStore:
     # logging (callers hold the owning stripe's lock)
     # ------------------------------------------------------------------
 
-    def log_create(self, shard_index, entry):
-        self._dirty.flag = True
-        self._logs[shard_index].append(self._entry_payload(entry))
+    def _append(self, shard_index, payload):
+        """The one append path for table mutations."""
+        log = self._logs[shard_index]
+        state = self._thread
+        state.wrote = True
+        if state.depth:
+            log.append(payload, flush=False)
+            state.pending.append(log)
+        else:
+            log.append(payload)
 
-    def log_update(self, shard_index, number, data):
-        self._dirty.flag = True
-        data_raw = self.codec.encode(data)
-        self._logs[shard_index].append(
-            bytes([OP_UPDATE])
-            + number.to_bytes(3, "big")
-            + len(data_raw).to_bytes(4, "big")
-            + data_raw
-        )
+    def log_create(self, shard_index, entry):
+        self._append(shard_index, self._entry_payload(entry))
+
+    def log_update(self, shard_index, number, data, delta=None):
+        """Log a row's new payload: the full image, or — when the caller
+        can describe the change in the codec's delta form — just the
+        ``delta`` bytes (``[1B OP_DELTA][3B number]`` + delta, replayed
+        through ``codec.apply_delta``)."""
+        if delta is not None:
+            record = _ROW_HEAD.pack(OP_DELTA << 24 | number) + delta
+        else:
+            data_raw = self.codec.encode(data)
+            record = (
+                _UPDATE_HEAD.pack(OP_UPDATE << 24 | number, len(data_raw))
+                + data_raw
+            )
+        self._append(shard_index, record)
 
     def log_refresh(self, shard_index, number, secret, generation):
-        self._dirty.flag = True
-        self._logs[shard_index].append(
+        self._append(
+            shard_index,
             bytes([OP_REFRESH])
             + number.to_bytes(3, "big")
             + generation.to_bytes(4, "big")
-            + _pack_secret(secret)
+            + _pack_secret(secret),
         )
 
     def log_destroy(self, shard_index, number):
-        self._dirty.flag = True
-        self._logs[shard_index].append(
-            bytes([OP_DESTROY]) + number.to_bytes(3, "big")
-        )
+        self._append(shard_index, _ROW_HEAD.pack(OP_DESTROY << 24 | number))
 
     def consume_dirty(self):
         """True when *this thread* wrote durable state since the last
@@ -637,19 +717,54 @@ class DurableStore:
         requests that actually mutated the table — a pure read or echo
         is idempotent, safe to re-execute after a reboot, and pays no
         WAL write."""
-        flag = getattr(self._dirty, "flag", False)
-        if flag:
-            self._dirty.flag = False
-        return flag
+        state = self._thread
+        wrote = state.wrote
+        if wrote:
+            state.wrote = False
+        return wrote
 
     def log_commit(self, shard_index, src, reply_value, reply_raw):
-        self._logs[shard_index].append(
-            bytes([OP_COMMIT])
-            + int(src).to_bytes(8, "big")
-            + int(reply_value).to_bytes(6, "big")
-            + len(reply_raw).to_bytes(4, "big")
-            + bytes(reply_raw)
+        """Log a transaction's commit record and end its deferral: the
+        blocks this thread left unflushed are written now, the commit's
+        own block last — so the commit never reaches the medium ahead of
+        a mutation it vouches for, and shares one write with those in
+        its stripe."""
+        log = self._logs[shard_index]
+        log.append(
+            _COMMIT_HEAD.pack(
+                OP_COMMIT, src, reply_value >> 32, reply_value & 0xFFFFFFFF,
+                len(reply_raw),
+            ) + reply_raw,
+            flush=False,
         )
+        self.flush(last=log)
+
+    # ------------------------------------------------------------------
+    # the dispatch scope (ObjectServer brackets each handler with it)
+    # ------------------------------------------------------------------
+
+    def begin(self):
+        """This thread enters a request dispatch: its appends now wait
+        in their tail blocks for :meth:`log_commit` / :meth:`flush`."""
+        self._thread.depth += 1
+
+    def end(self):
+        """Leave the dispatch entered by :meth:`begin` (nesting counts).
+        Flushes nothing: whatever is pending stays owed to the medium
+        until the reply path's :meth:`log_commit` or :meth:`flush`."""
+        self._thread.depth -= 1
+
+    def flush(self, last=None):
+        """Write every block this thread appended to without flushing
+        (``last``'s after all the others)."""
+        pending = self._thread.pending
+        if pending:
+            for log in pending:
+                if log is not last:
+                    log.flush()
+            pending.clear()
+        if last is not None:
+            last.flush()
 
     # ------------------------------------------------------------------
     # snapshots
@@ -760,8 +875,9 @@ class DurableStore:
 
     def _apply_record(self, payload, entries, commits, report):
         """Apply one parsed record; False marks the stripe suspect (a
-        CRC-clean record that still fails to decode means tampering or
-        a codec mismatch — either way, re-key the stripe)."""
+        CRC-clean record that still fails to decode — or a delta its
+        codec cannot apply — means tampering or a codec mismatch;
+        either way, re-key the stripe)."""
         try:
             reader = _Reader(payload)
             op = reader.u8()
@@ -800,6 +916,14 @@ class DurableStore:
                 entry = entries.get(number)
                 if entry is not None:
                     entry.data = data
+            elif op == OP_DELTA:
+                # An idempotent state assignment, so replaying it over a
+                # snapshot that already holds the change is a no-op.
+                entry = entries.get(reader.uint(3))
+                if entry is not None:
+                    entry.data = self.codec.apply_delta(
+                        entry.data, payload[reader.pos:]
+                    )
             elif op == OP_COMMIT:
                 src = reader.uint(8)
                 reply_value = reader.uint(6)
@@ -808,7 +932,10 @@ class DurableStore:
                 )
             else:
                 raise ValueError("unknown record op %d" % op)
-        except (ValueError, TypeError, OverflowError):
+        except (ValueError, TypeError, OverflowError, IndexError,
+                struct.error, MalformedCapability):
+            # The last three: a codec unpacking a short or mismatched
+            # payload.
             return False
         report.records_replayed += 1
         return True

@@ -57,11 +57,14 @@ class DeferredReply:
     many transactions are in flight against it.
     """
 
-    __slots__ = ("ctx", "_sent")
+    __slots__ = ("ctx", "_sent", "wrote")
 
     def __init__(self, ctx):
         self.ctx = ctx
         self._sent = False
+        # Durable servers: whether the deferring handler logged a
+        # mutation (set at handler exit; the commit is logged by send()).
+        self.wrote = None
 
     @property
     def sent(self):
@@ -79,7 +82,7 @@ class DeferredReply:
         ctx = self.ctx
         if reply is None:
             reply = ctx.ok()
-        ctx.server._send_reply(ctx.frame, reply)
+        ctx.server._send_reply(ctx.frame, reply, self.wrote)
 
     def error(self, exc):
         """Send an error reply carrying the exception's wire code."""
@@ -539,27 +542,59 @@ class ObjectServer:
             for (src, reply_value), raw in report.commits.items():
                 try:
                     reply = Message.unpack(raw)
-                except Exception:
-                    continue  # an unparsable commit is just not replayable
+                except Exception as exc:
+                    # Not replayable: its retry re-executes.  Counted,
+                    # so a codec drift between incarnations shows.
+                    report.commits_unreplayable += 1
+                    report.commit_error = exc
+                    continue
                 reply = reply._evolve(signature=self._signature_port)
                 self.reply_cache.seed(src, reply_value, reply)
         return report
 
+    def _complete(self, src, request, reply, wrote=None):
+        """The reply tail's durable half, run before the reply leaves —
+        by all three dispatch paths and by :class:`DeferredReply` —
+        whenever the server has a reply cache or a store.
+
+        Order is the crash argument: commit record, then the
+        transaction's block write (``log_commit`` flushes; ``flush``
+        covers a request that logs no commit), and only then the reply
+        cache and — back in the caller — egress.  So a reply a client
+        has seen, or a retry can be replayed, is always on the medium
+        together with the mutation it answers; a power failure inside
+        the write raises out of here with nothing cached and nothing
+        sent.
+
+        Only requests that wrote durable state pay a commit record: an
+        idempotent read or echo re-executes harmlessly after a reboot,
+        so its reply needs no disk-backed dedup — the in-memory reply
+        cache still suppresses duplicates within the incarnation.
+        ``wrote`` carries that fact when the handler ran on another
+        thread or earlier (worker pool, deferred reply); None asks the
+        store about this thread.
+        """
+        reply_value = request.reply.value
+        cached = self.reply_cache is not None and reply_value
+        store = self.store
+        if store is not None:
+            if wrote is None:
+                wrote = store.consume_dirty()
+            if cached and wrote:
+                self._log_commit(src, request, reply)
+            store.flush()
+        if cached:
+            # A pristine copy: egress transforms the outgoing one in place.
+            self.reply_cache.store(src, reply_value, reply._evolve())
+
     def _log_commit(self, src, request, reply):
-        """Append a durable commit record for one replied transaction.
+        """Append the durable commit record for one replied transaction.
 
         Keyed exactly like the reply cache — (src, reply put-port) — and
         appended to the stripe of the object the request named (any
         stripe is semantically fine; recovery merges all of them), under
         that stripe's lock so snapshot truncation can never drop it.
-
-        Only requests that wrote durable state pay this write: an
-        idempotent read or echo re-executes harmlessly after a reboot,
-        so its reply needs no disk-backed dedup — the in-memory reply
-        cache still suppresses duplicates within the incarnation.
         """
-        if not self.store.consume_dirty():
-            return
         capability = request.capability
         if capability is None:
             capability = reply.capability
@@ -584,6 +619,12 @@ class ObjectServer:
         locals and the RequestContext — nothing here writes per-request
         state onto self.
         """
+        store = self.store
+        if store is not None:
+            # Durable: this thread's log appends wait in their tail
+            # blocks from here on, to reach the medium in one write on
+            # the reply path (see _complete).
+            store.begin()
         try:
             if self.authorized_signatures is not None:
                 self._authenticate_sender(request)
@@ -597,11 +638,7 @@ class ObjectServer:
                     % (self.service_name, request.command)
                 )
             reply = handler(ctx)
-            if reply is None:
-                if ctx.deferred is not None:
-                    # The handler took a DeferredReply handle; the
-                    # transaction stays open until it sends.
-                    return None
+            if reply is None and ctx.deferred is None:
                 reply = ctx.ok()
         except AmoebaError as exc:
             reply = RequestContext(self, frame, request).error(exc)
@@ -611,6 +648,15 @@ class ObjectServer:
             reply = RequestContext(self, frame, request).error(
                 AmoebaError("internal error in %s: %s" % (self.service_name, exc))
             )
+        finally:
+            if store is not None:
+                store.end()
+        if reply is None and store is not None:
+            # The handler took a DeferredReply handle and the transaction
+            # stays open until it sends; no reply path follows this
+            # dispatch, so what the handler logged is flushed here.
+            ctx.deferred.wrote = store.consume_dirty()
+            store.flush()
         return reply
 
     def _dedup_admit(self, frame, request):
@@ -693,6 +739,7 @@ class ObjectServer:
         counts = self.request_counts
         signature_port = self._signature_port
         cache = self.reply_cache
+        complete = cache is not None or self.store is not None
         outbox = []
         out_append = outbox.append
         for frame in frames:
@@ -717,12 +764,8 @@ class ObjectServer:
                 continue  # deferred
             if reply.signature is not signature_port:
                 reply = reply._evolve(signature=signature_port)
-            if cache is not None and request.reply.value:
-                # Store a pristine copy *before* the outbox flush
-                # transforms the outgoing one in place.
-                cache.store(frame.src, request.reply.value, reply._evolve())
-                if self.store is not None:
-                    self._log_commit(frame.src, request, reply)
+            if complete:
+                self._complete(frame.src, request, reply)
             out_append((reply, frame.src))
         if outbox:
             # One bulk unicast for the whole run's replies; a node
@@ -797,13 +840,19 @@ class ObjectServer:
                 buckets[key] = bucket = []
             bucket.append((frame, request))
         dispatch = self._dispatch_request
+        store = self.store
 
         def run(bucket):
             out = []
             for frame, request in bucket:
                 reply = dispatch(frame, request)
+                wrote = store.consume_dirty() if store is not None else None
                 if reply is not None:  # None = deferred
-                    out.append((frame, reply))
+                    out.append((frame, reply, wrote))
+            if store is not None:
+                # This (pool) thread's bytes reach the medium before the
+                # dispatching thread logs the commits that vouch for them.
+                store.flush()
             return out
 
         ordered = list(buckets.values())
@@ -822,30 +871,27 @@ class ObjectServer:
             results.append(run(bucket))
         results.extend(future.result() for future in futures)
         if self.sealer is not None:
-            for pairs in results:
-                for frame, reply in pairs:
-                    self._send_reply(frame, reply)
+            for done in results:
+                for frame, reply, wrote in done:
+                    self._send_reply(frame, reply, wrote)
             return
         signature_port = self._signature_port
+        complete = cache is not None or store is not None
         outbox = []
-        for pairs in results:
-            for frame, reply in pairs:
+        for done in results:
+            for frame, reply, wrote in done:
                 if reply.signature is not signature_port:
                     reply = reply._evolve(signature=signature_port)
-                if cache is not None and frame.message.reply.value:
-                    cache.store(
-                        frame.src, frame.message.reply.value, reply._evolve()
-                    )
-                    if self.store is not None:
-                        self._log_commit(frame.src, frame.message, reply)
+                if complete:
+                    self._complete(frame.src, frame.message, reply, wrote)
                 outbox.append((reply, frame.src))
         if outbox:
             with self._egress_lock:
                 self._flush_outbox(outbox)
 
-    def _send_reply(self, frame, reply):
+    def _send_reply(self, frame, reply, wrote=None):
         """Seal, sign, and send one reply (shared by the dispatch loop and
-        :class:`DeferredReply`)."""
+        :class:`DeferredReply`); ``wrote`` as for :meth:`_complete`."""
         if self.sealer is not None and (reply.capability or reply.extra_caps):
             reply = self.sealer.seal_message(reply, frame.src)
         # Replies are signed: the F-box will transform this secret S into
@@ -857,21 +903,15 @@ class ObjectServer:
             # A hand-built handler reply: stamp a private copy, which is
             # then ours to transform in place.
             reply = reply._evolve(signature=self._signature_port)
-        if self.reply_cache is not None:
-            reply_value = frame.message.reply.value
-            if reply_value:
-                # Cache the fully formed (sealed, signed) reply before
-                # put_owned transforms the outgoing copy in place —
-                # deferred replies complete their transaction here too.
-                self.reply_cache.store(
-                    frame.src, reply_value, reply._evolve()
-                )
-                if self.store is not None:
-                    # Durable commit *before* the reply leaves: a retry
-                    # arriving after a crash-and-reboot must find the
-                    # record, or it would re-execute a non-idempotent
-                    # operation whose first reply was already delivered.
-                    self._log_commit(frame.src, frame.message, reply)
+        if self.reply_cache is not None or self.store is not None:
+            # The fully formed (sealed, signed) reply is committed and
+            # cached before put_owned transforms the outgoing copy in
+            # place — deferred replies complete their transaction here
+            # too.  Durable commit *before* the reply leaves: a retry
+            # arriving after a crash-and-reboot must find the record, or
+            # it would re-execute a non-idempotent operation whose first
+            # reply was already delivered.
+            self._complete(frame.src, frame.message, reply, wrote)
         if self._pool is not None:
             # A DeferredReply.send() may run on a pool thread while the
             # dispatching thread is mid-egress; serialize the station.

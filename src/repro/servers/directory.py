@@ -60,7 +60,48 @@ class DirectoryCodec:
     snapshots the name map with one ``list(...)`` call (atomic under
     the GIL), so a handler mutating the directory concurrently can
     never tear the encoding mid-entry.
+
+    Delta form (what ENTER and REMOVE log in place of the whole image):
+    ``[1B tag][2B name length][2B cap length][name utf-8][packed
+    capability]`` — tag 1 *sets* name to the capability, tag 2
+    *deletes* name (cap length 0).  Both are assignments, not
+    insert/remove: applying one twice, or on top of an image that
+    already reflects it, changes nothing.
     """
+
+    _DELTA = struct.Struct(">BHH")
+    _SET, _DELETE = 1, 2
+
+    @classmethod
+    def set_delta(cls, name, capability):
+        raw_name = name.encode("utf-8")
+        raw_cap = capability.pack()
+        return (
+            cls._DELTA.pack(cls._SET, len(raw_name), len(raw_cap))
+            + raw_name + raw_cap
+        )
+
+    @classmethod
+    def delete_delta(cls, name):
+        raw_name = name.encode("utf-8")
+        return cls._DELTA.pack(cls._DELETE, len(raw_name), 0) + raw_name
+
+    def apply_delta(self, data, raw):
+        """Replay one delta onto ``data``; returns the updated payload."""
+        if not isinstance(data, Directory):
+            raise TypeError("directory delta for a %s" % type(data).__name__)
+        tag, name_len, cap_len = self._DELTA.unpack_from(raw)
+        offset = self._DELTA.size
+        if len(raw) != offset + name_len + cap_len:
+            raise ValueError("directory delta length mismatch")
+        name = raw[offset: offset + name_len].decode("utf-8")
+        if tag == self._SET:
+            data.entries[name] = Capability.unpack(raw[offset + name_len:])
+        elif tag == self._DELETE and not cap_len:
+            data.entries.pop(name, None)
+        else:
+            raise ValueError("unknown directory delta tag %d" % tag)
+        return data
 
     def encode(self, data):
         if not isinstance(data, Directory):
@@ -147,8 +188,12 @@ class DirectoryServer(ObjectServer):
             raise BadRequest("ENTER requires the capability to store")
         if name in directory.entries and not ctx.request.size:
             raise NameExists("entry %r already exists" % name)
-        directory.entries[name] = ctx.request.extra_caps[0]
-        self.table.persist(entry.number)
+        stored = ctx.request.extra_caps[0]
+        directory.entries[name] = stored
+        if self.store is not None:
+            self.table.persist(
+                entry.number, delta=DirectoryCodec.set_delta(name, stored)
+            )
         return ctx.ok()
 
     @command(DIR_REMOVE)
@@ -159,7 +204,10 @@ class DirectoryServer(ObjectServer):
         if name not in directory.entries:
             raise NameNotFound("no entry %r in this directory" % name)
         del directory.entries[name]
-        self.table.persist(entry.number)
+        if self.store is not None:
+            self.table.persist(
+                entry.number, delta=DirectoryCodec.delete_delta(name)
+            )
         return ctx.ok()
 
     @command(DIR_LIST)
