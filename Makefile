@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast bench bench-smoke bench-suite-smoke bench-udp-smoke bench-des-smoke bench-shard-smoke bench-fault-smoke bench-recovery-smoke bench-replica-smoke bench-chaos-smoke
+.PHONY: test test-fast loc bench bench-smoke bench-suite-smoke bench-udp-smoke bench-des-smoke bench-shard-smoke bench-fault-smoke bench-recovery-smoke bench-replica-smoke bench-chaos-smoke
 
 ## Tier-1 verification: the full test suite, fail-fast.
 test:
@@ -10,6 +10,16 @@ test:
 ## Quick signal while iterating (no integration-marked tests).
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not integration"
+
+## Lines of src/repro per package and in total — the number ROADMAP
+## asks every refactor PR to report before and after.
+loc:
+	@for package in src/repro/*/; do \
+		case $$package in *__pycache__/) continue;; esac; \
+		printf '%-22s %6d\n' "$$package" "$$(cat $$package*.py | wc -l)"; \
+	done
+	@printf '%-22s %6d\n' "src/repro/*.py" "$$(cat src/repro/*.py | wc -l)"
+	@printf '%-22s %6d\n' "src/repro total" "$$(find src/repro -name '*.py' | xargs cat | wc -l)"
 
 ## Full throughput suite; refreshes BENCH_throughput.json.
 bench:

@@ -1,4 +1,6 @@
-"""Ablations over the design choices DESIGN.md calls out.
+"""Ablations over the design choices the crypto and cache modules make
+(``crypto/feistel.py``, ``crypto/commutative.py``, ``crypto/oneway.py``,
+``softprot/cache.py``; each module's docstring states its choice).
 
 * Feistel round count — why 16 rounds (DES parity) and not fewer/more:
   cost is linear in rounds, avalanche saturates early; 16 is comfortably

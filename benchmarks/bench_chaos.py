@@ -54,6 +54,9 @@ Scenario families
     and healed, all composed over one timeline.
 """
 
+import hashlib
+import json
+import os
 import sys
 
 from repro.crypto.randomsrc import RandomSource
@@ -283,6 +286,18 @@ SCENARIO_MATRIX = (
 )
 
 
+def _run_matrix(seeds_per_family=None):
+    """Every scenario of the matrix, run twice: a list of ``(result,
+    replayed)`` where ``replayed`` says the second run's result dict
+    (trace included) equalled the first's."""
+    runs = []
+    for family, seeds in SCENARIO_MATRIX:
+        for seed in seeds[:seeds_per_family]:
+            result = family(seed)
+            runs.append((result, family(seed) == result))
+    return runs
+
+
 def chaos_matrix(seeds_per_family=None):
     """Run the full scenario matrix, each scenario twice (determinism).
 
@@ -290,24 +305,24 @@ def chaos_matrix(seeds_per_family=None):
     the full matrix — the scenarios are virtual-time, so wall cost is
     compute only — but the knob exists for quick local iteration).
     """
-    chaos = _chaos_api()
-    if chaos is None:
+    if _chaos_api() is None:
         return None
-    scenarios = []
-    for family, seeds in SCENARIO_MATRIX:
-        for seed in seeds[:seeds_per_family]:
-            scenarios.append((family, seed))
-    results = []
-    nondeterministic = []
-    violations = []
-    for family, seed in scenarios:
-        result = family(seed)
-        again = family(seed)
-        if again != result:
-            nondeterministic.append("%s@%d" % (result["name"], seed))
-        for violation in result["violations"]:
-            violations.append("%s@%d: %s" % (result["name"], seed, violation))
-        results.append(result)
+    return _summarise(_run_matrix(seeds_per_family))
+
+
+def _key(result):
+    return "%s@%d" % (result["name"], result["seed"])
+
+
+def _summarise(runs):
+    results = [result for result, _ in runs]
+    nondeterministic = [
+        _key(result) for result, replayed in runs if not replayed
+    ]
+    violations = [
+        "%s: %s" % (_key(r), violation)
+        for r in results for violation in r["violations"]
+    ]
     return {
         "scenarios": len(results),
         "families": len(SCENARIO_MATRIX),
@@ -328,6 +343,66 @@ def chaos_matrix(seeds_per_family=None):
             for r in results
         ],
     }
+
+
+# ----------------------------------------------------------------------
+# the behaviour-preservation oracle
+# ----------------------------------------------------------------------
+
+#: Recorded digests of every scenario's full result.  A refactor must
+#: leave this file byte-identical; a change that means to alter
+#: behaviour regenerates it (``--write-digests``) and says why.
+DIGESTS_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "chaos_digests.json"
+)
+
+
+def _sha256(value):
+    return hashlib.sha256(
+        json.dumps(value, sort_keys=True).encode("utf-8")
+    ).hexdigest()
+
+
+def scenario_digests(results):
+    """``name@seed`` -> the SHA-256 of the whole result dict (trace and
+    fault counters included), plus a short digest per trace entry so a
+    mismatch can name the first entry that moved."""
+    return {
+        _key(r): {
+            "sha256": _sha256(r),
+            "trace": [_sha256(entry)[:12] for entry in r["trace"]],
+        }
+        for r in results
+    }
+
+
+def digest_mismatches(results, recorded):
+    """One line per scenario whose result no longer hashes to what
+    ``recorded`` (a loaded ``chaos_digests.json``) says."""
+    current = scenario_digests(results)
+    lines = ["%s: recorded but no longer in the matrix" % key
+             for key in sorted(set(recorded) - set(current))]
+    for r in results:
+        key = _key(r)
+        want = recorded.get(key)
+        if want is None:
+            lines.append("%s: no recorded digest" % key)
+        elif want["sha256"] != current[key]["sha256"]:
+            lines.append("%s: %s" % (key, _first_difference(
+                r["trace"], current[key]["trace"], want["trace"])))
+    return lines
+
+
+def _first_difference(trace, have, want):
+    for index, (mine, theirs) in enumerate(zip(have, want)):
+        if mine != theirs:
+            return "trace entry %d is now %r" % (index, trace[index])
+    if len(have) > len(want):
+        return "trace grew from %d entries; first new one is %r" % (
+            len(want), trace[len(want)])
+    if len(have) < len(want):
+        return "trace ends after %d of %d entries" % (len(have), len(want))
+    return "trace unchanged; a counter outside it moved"
 
 
 # ----------------------------------------------------------------------
@@ -428,13 +503,18 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="CI mode (same matrix; asserts the bars)")
+    parser.add_argument("--write-digests", action="store_true",
+                        help="record every scenario's result digest in "
+                             "chaos_digests.json instead of checking it")
     args = parser.parse_args(argv)
 
-    matrix = chaos_matrix(**SMOKE_OVERRIDES.get("chaos_matrix", {})
-                          if args.smoke else {})
-    if matrix is None:
+    if _chaos_api() is None:
         print("chaos API absent on this tree; nothing to check")
         return 0
+    runs = _run_matrix(**SMOKE_OVERRIDES.get("chaos_matrix", {})
+                       if args.smoke else {})
+    matrix = _summarise(runs)
+    results = [result for result, _ in runs]
 
     failures = []
     for row in matrix["per_scenario"]:
@@ -450,6 +530,21 @@ def main(argv=None):
         failures.append("invariant violation: %s" % violation)
     for name in matrix["nondeterministic"]:
         failures.append("double run diverged: %s" % name)
+    if args.write_digests:
+        if not failures:
+            with open(DIGESTS_PATH, "w") as handle:
+                json.dump(scenario_digests(results), handle, indent=1,
+                          sort_keys=True)
+                handle.write("\n")
+            print("  wrote %d digests to %s" % (len(results), DIGESTS_PATH))
+    elif not os.path.exists(DIGESTS_PATH):
+        failures.append("no %s; record one with --write-digests"
+                        % os.path.basename(DIGESTS_PATH))
+    else:
+        with open(DIGESTS_PATH) as handle:
+            recorded = json.load(handle)
+        for line in digest_mismatches(results, recorded):
+            failures.append("digest mismatch: %s" % line)
 
     disciplines = chaos_partition_disciplines()
     for discipline, row in sorted(disciplines.items()):

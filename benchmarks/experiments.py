@@ -1,8 +1,9 @@
 """The experiment harness: regenerates every figure/claim of the paper.
 
 The paper (a design paper) has two figures and a set of comparative
-claims rather than numeric tables; this harness runs each experiment from
-DESIGN.md §3 and prints the rows recorded in EXPERIMENTS.md.
+claims rather than numeric tables; this harness runs one experiment per
+figure or claim (the ``EXPERIMENTS`` table at the bottom names them) and
+prints the rows each produces.
 
 Usage:
     python benchmarks/experiments.py            # run everything

@@ -7,8 +7,9 @@ A capability names and protects one object::
 
 The canonical encoding is exactly 128 bits.  Rights-protection scheme 3
 (commutative one-way functions) needs check values the size of a group
-element (~64 bytes), so an *extended* encoding also exists; DESIGN.md
-records this deviation.  Both encodings are self-describing by length.
+element (~64 bytes), so an *extended* encoding also exists — a
+deviation from Fig. 2 that :mod:`repro.crypto.commutative` argues for.
+Both encodings are self-describing by length.
 """
 
 from dataclasses import dataclass, replace

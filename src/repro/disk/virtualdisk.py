@@ -9,9 +9,10 @@ rewritten (and never freed), matching §3.5's constraint that committed
 pages are immutable.
 
 Thread safety: every public operation takes one internal lock, because
-the write-ahead log (:mod:`repro.disk.wal`) appends from an
-``ObjectServer(workers=N)`` pool — allocation, the I/O counters, and the
-block map must not race.  The lock is never held across anything but
+the write-ahead log (:mod:`repro.disk.wal`) appends from whichever
+thread mutates the object table — a station's pump thread, a test's
+writers — and allocation, the I/O counters, and the block map must not
+race.  The lock is never held across anything but
 dict/list work, so it costs one uncontended acquisition per call.
 
 Fault injection: a :class:`~repro.disk.diskfaults.DiskFaultPlan` passed

@@ -233,6 +233,13 @@ class StripeLog:
                 self._flush_tail()
             return (self.tail, self.tail_used)
 
+    def repair_tail(self):
+        """Rewrite the tail block as this log holds it — the clean
+        prefix a torn-tail scan cut it down to, no forward pointer — so
+        the next scan and future appends agree on where the log ends."""
+        with self.lock:
+            self._flush_tail()
+
     def truncate_front(self, new_head):
         """Free every chain block before ``new_head`` (a snapshot just
         made them redundant)."""
@@ -557,12 +564,12 @@ class DurableStore:
                 snap_scan = _scan_chain(self.disk, snap_head)
                 snap_records = snap_scan.records
                 suspect |= snap_scan.suspect
-                reachable.update(snap_scan.kept_blocks)
+                # The whole chain, damaged part included: the stripe's
+                # next checkpoint frees it by walking these same headers.
+                reachable.update(block[0] for block in snap_scan.chain)
             scan = _scan_chain(self.disk, log_head, log_offset)
             suspect |= scan.suspect
             reachable.update(scan.kept_blocks)
-            if scan.suspect and scan.chain:
-                self._truncate_torn(scan)
             if scan.chain:
                 tail_no, tail_used, _ = scan.chain[scan.cut_index]
                 if scan.suspect:
@@ -588,19 +595,6 @@ class DurableStore:
         self.blocks_reclaimed = len(leaked)
         self._pending = pending
         self.needs_recovery = True
-
-    def _truncate_torn(self, scan):
-        """Rewrite the torn chain's last clean block (cleared forward
-        pointer, clean prefix length) and free the damaged tail, so the
-        next scan and future appends agree on where the log ends."""
-        block_no, used, payload = scan.chain[scan.cut_index]
-        buf = bytearray(self.disk.block_size)
-        _pack_chain_header(buf, NO_BLOCK, scan.cut_offset)
-        keep = payload[: scan.cut_offset]
-        buf[_CHAIN_HEADER.size: _CHAIN_HEADER.size + len(keep)] = keep
-        self.disk.write(block_no, bytes(buf))
-        for doomed, _, _ in scan.chain[scan.cut_index + 1:]:
-            self.disk.free(doomed)
 
     def _read_superblock(self, slot):
         raw = self.disk.read(slot)
@@ -834,7 +828,12 @@ class DurableStore:
         parsed record prefix but every restored entry gets a fresh
         secret and a bumped generation — outstanding capabilities for
         those objects fail check validation and must be refreshed, the
-        conservative end of the paper's revocation policy.
+        conservative end of the paper's revocation policy.  Each such
+        stripe is checkpointed before this returns, so the re-keying and
+        the dropped commits stay that way across the *next* crash too;
+        only after that is its torn tail cut off on the medium — a log
+        that scans clean while the old secrets are still the durable
+        ones would quietly undo the revocation.
         """
         if table.shard_count != self.shards:
             raise ValueError(
@@ -869,6 +868,9 @@ class DurableStore:
                     report.secrets_regenerated += 1
             for entry in entries.values():
                 table.restore_entry(entry)
+            if suspect:
+                self.snapshot_stripe(table, index)
+                self._logs[index].repair_tail()
             report.entries_restored += len(entries)
             report.commits.update(commits)
         return report

@@ -13,8 +13,9 @@ benchmarks count both.
 """
 
 import threading
+import time
 
-from repro.core.ports import Port, as_port
+from repro.core.ports import Port, PrivatePort, as_port
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import PortNotLocated
 from repro.ipc import stdops
@@ -231,23 +232,13 @@ class Locator:
         # if a crash is detected while the round trip is in flight, the
         # answer must not resurrect the purged mapping.
         epoch = self.cache.epoch(port)
-        # Local imports to avoid cycle noise (rpc pulls in the transports).
-        from repro.core.ports import PrivatePort
-        from repro.ipc.rpc import _poll_blocking
-
         reply_private = PrivatePort.generate(self.rng)
-        # Hold the wire port listen() returns; the waits below then share
-        # rpc's ``_poll_blocking`` — one feature-detected wait discipline
-        # (SocketNode blocks in wall time; a DES-mode Nic consumes
-        # *virtual* time) instead of a second copy of it here.
+        # The waits below go through the station's ``wait_wire`` — the
+        # one wait discipline rpc uses too (a SocketNode blocks in wall
+        # time; a DES-mode Nic consumes *virtual* time).
         wire_reply = self.node.listen(reply_private)
-        clock = getattr(self.node, "clock", None)
-        if clock is None:
-            import time
-
-            read_clock = time.monotonic
-        else:
-            read_clock = lambda: clock.now  # noqa: E731
+        clock = self.node.clock
+        read_clock = time.monotonic if clock is None else lambda: clock.now
         try:
             probe = Message(
                 command=stdops.LOCATE,
@@ -265,7 +256,7 @@ class Locator:
                     else:
                         until = min(read_clock() + wait, deadline)
                     remaining = until - read_clock()
-                    frame = _poll_blocking(self.node, wire_reply, remaining)
+                    frame = self.node.wait_wire(wire_reply, remaining)
                 if frame is not None:
                     located = self._parse_here(port, frame)
                     if located is None:  # malformed answer; keep waiting

@@ -1,18 +1,29 @@
-"""The transaction primitives (§2.1): blocking and pipelined.
+"""The transaction engine (§2.1) and its scheduling policies.
 
-``trans`` is the whole client-side protocol: pick a fresh reply get-port
-G', listen on it, send the request with G' in the reply field (the F-box
-puts F(G') on the wire), and block for the reply.  A fresh G' per
-transaction means stale replies from earlier transactions land on ports
-nobody listens to — the system needs no sequence numbers.
+The whole client-side protocol is four steps: pick a fresh reply
+get-port G', listen on it, send the request with G' in the reply field
+(the F-box puts F(G') on the wire), and wait for the reply.  A fresh G'
+per transaction means stale replies from earlier transactions land on
+ports nobody listens to — the system needs no sequence numbers.
 
-``trans_many`` / :class:`AsyncTrans` keep the identical per-transaction
-protocol — fresh G' per request, same F-box transformation, same
-signature screening — but split *issue* from *collect*, so N requests can
-be in flight before the first reply is consumed.  On a deferred-delivery
-network (``SimNetwork(synchronous=False)``) the requests genuinely queue
-and pipeline through the event loop; on a synchronous network or over UDP
-sockets the API still works, it just overlaps less.
+That protocol is stated once, in :class:`AsyncTrans`: issue on
+construction, one screened wait loop, retransmit, cancel.  Everything
+else here is a policy on *how transactions are scheduled*, never a
+second copy of the protocol:
+
+* **blocking** — :func:`trans` is submit-then-result;
+* **at-least-once** — a :class:`RetryPolicy` is a schedule of waits,
+  each ending in a retransmission; ``retry=None`` is the empty schedule
+  (zero retransmissions, one wait to the deadline);
+* **replica failover** — :func:`_failover` re-enters the public
+  :func:`trans` / :func:`trans_many` once per candidate machine;
+* **pipelined** — :func:`trans_many` issues every request before it
+  collects the first reply.  Two stations can issue and collect a whole
+  batch at once and get a lane for it (:func:`_issue_batch`, then
+  :func:`_collect_drained` on a deferred-delivery :class:`Nic`,
+  :func:`_collect_queues` on a :class:`SocketNode`), chosen from the
+  station's type and discipline; any other station, and any batch with
+  a retry schedule, rides N engine instances.
 
 Replies may optionally be authenticated against a server's published
 signature image F(S): forged replies (which *are* deliverable, since the
@@ -20,14 +31,12 @@ reply put-port is visible on the wire) then fail the signature comparison
 and are discarded.  This is the digital-signature mechanism of §2.2.
 """
 
-import queue as _queue
 import random
 import time
 
 from repro.core.ports import PORT_BYTES, Port, as_port
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import PartitionSuspected, PortNotLocated, RPCTimeout
-from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 from repro.net.sockets import SocketNode
 
@@ -98,256 +107,18 @@ class RetryPolicy:
         )
 
 
-def trans(
-    node,
-    dest_port,
-    request,
-    rng=None,
-    timeout=2.0,
-    expect_signature=None,
-    dst_machine=None,
-    signature=None,
-    retry=None,
-    locator=None,
-):
-    """Send one request and block for its reply.
-
-    Parameters
-    ----------
-    node:
-        A station (:class:`~repro.net.nic.Nic` or
-        :class:`~repro.net.sockets.SocketNode`).
-    dest_port:
-        The service's public put-port.
-    request:
-        The :class:`~repro.net.message.Message` to send; its ``dest`` and
-        ``reply`` fields are filled in here.
-    expect_signature:
-        The server's published signature image F(S); replies whose
-        signature field differs are discarded as forgeries.
-    dst_machine:
-        Located machine address for unicast (see
-        :class:`~repro.ipc.locate.Locator`); ``None`` lets the admission
-        filters route.
-    signature:
-        The *client's* signature secret (a :class:`PrivatePort`), placed
-        in the signature field for server-side sender authentication.
-    retry:
-        An optional :class:`RetryPolicy` turning the transaction into an
-        at-least-once exchange: the request is retransmitted on backoff
-        expiry (same reply secret each time), still under the one
-        ``timeout`` deadline.  None (the default) keeps the classic
-        send-once semantics and the exact pre-existing hot path.
-    locator:
-        With a replica-set ``dst_machine``, the
-        :class:`~repro.ipc.locate.Locator` (or anything with
-        ``invalidate_member``) to notify when one replica times out —
-        only the dead member is forgotten, never the whole entry.
-
-    When ``dst_machine`` is a :class:`~repro.ipc.replica.ReplicaSet`
-    the transaction becomes replica-aware: candidates are ordered by the
-    set's spread policy (per-object rendezvous affinity when the request
-    carries a capability), each candidate gets an equal slice of the
-    ``timeout`` budget (with any ``retry`` schedule running inside its
-    slice), and an ``RPCTimeout`` fails over to the next replica instead
-    of surfacing.  Only when every member is silent does the timeout
-    propagate.  Because a failover retry reuses the at-least-once
-    machinery, each *replica's* ReplyCache independently suppresses
-    duplicates — the replica that already executed never re-executes.
-
-    Raises
-    ------
-    PortNotLocated
-        No station admitted the request frame (simulated network only),
-        or the replica set has no members.
-    RPCTimeout
-        No (acceptable) reply arrived within ``timeout`` seconds.
-    """
-    rng = rng or _DEFAULT_RNG
-    if getattr(dst_machine, "is_replica_set", False):
-        return _trans_replicated(
-            node, dest_port, request, rng, timeout, expect_signature,
-            dst_machine, signature, retry, locator,
-        )
-    if retry is not None:
-        return _trans_retry(
-            node, as_port(dest_port), request, rng, timeout,
-            expect_signature, dst_machine,
-            as_port(signature) if signature is not None else None, retry,
-        )
-    # The reply secret G' as a bare Port — a fresh 48-bit value per
-    # transaction, exactly what PrivatePort.generate produces, minus a
-    # wrapper the hot path would immediately unwrap again.  Unlike
-    # PrivatePort, Port's repr shows the value, so containment matters:
-    # nothing here logs or reprs it, and put_owned replaces it with
-    # F(G') in place on egress.  (Like any recently one-wayed value it
-    # does transit the F-box image cache — see the cache-retention note
-    # in docs/PERFORMANCE.md.)
-    reply_secret = Port.random(rng)
-    # listen() hands back the wire port F(G'); holding on to it lets the
-    # poll/unlisten below skip re-deriving it.
-    wire_reply = node.listen(reply_secret)
-    try:
-        # One trusted copy: the caller's request was validated when it was
-        # constructed, and every replacement value here is a Port.
-        if signature is None:
-            outgoing = request._evolve(
-                dest=as_port(dest_port), reply=reply_secret, is_reply=False
-            )
-        else:
-            outgoing = request._evolve(
-                dest=as_port(dest_port),
-                reply=reply_secret,
-                signature=as_port(signature),
-                is_reply=False,
-            )
-        # put_owned: `outgoing` is our private copy, never reused after
-        # this call, so the F-box may transform it in place.
-        accepted = node.put_owned(outgoing, dst_machine)
-        if not accepted and dst_machine is None:
-            raise PortNotLocated(
-                "no server is listening on port %r" % as_port(dest_port)
-            )
-        # Fast path first: on the synchronous simulator the reply is
-        # already queued, so no clock reads are needed at all.
-        frame = node.poll_wire(wire_reply)
-        deadline = None
-        # The timeout budget is spent on the station's own clock: wall
-        # time for real wires, *virtual* time on a DES network (where a
-        # wall-clock deadline would be meaningless — the whole wait costs
-        # microseconds of host time).
-        clock = getattr(node, "clock", None)
-        read_clock = time.monotonic if clock is None else lambda: clock.now
-        while True:
-            if frame is None:
-                if deadline is None:
-                    deadline = read_clock() + timeout
-                remaining = deadline - read_clock()
-                frame = _poll_blocking(node, wire_reply, remaining)
-                if frame is None:
-                    raise RPCTimeout(
-                        "no reply within %.3fs from port %r"
-                        % (timeout, as_port(dest_port))
-                    )
-            reply = frame.message
-            if expect_signature is not None and reply.signature != expect_signature:
-                # A forged reply: keep waiting for the genuine one.
-                frame = node.poll_wire(wire_reply)
-                continue
-            return reply
-    finally:
-        node.unlisten_wire(wire_reply)
-
-
-def _poll_blocking(node, wire_port, remaining):
-    """Poll a station: sockets block with a timeout, the simulator pumps.
-
-    Feature-detected once through the station's ``supports_poll_timeout``
-    capability attribute (Nic: False, SocketNode: True) — the old probe
-    caught TypeError around the whole poll, which silently swallowed a
-    genuine TypeError raised *inside* delivery and turned it into a bogus
-    RPCTimeout.
-    """
-    if remaining <= 0:
-        return None
-    if getattr(node, "supports_poll_timeout", False):
-        return node.poll_wire(wire_port, timeout=remaining)
-    # No timeout concept: delivery happens during put() (synchronous) or
-    # during pump() (deferred), never later — drain whatever is still
-    # queued, then the poll's answer is final.
-    pump = getattr(node, "pump", None)
-    if pump is not None:
-        pump()
-    return node.poll_wire(wire_port)
-
-
-def _await_screened(node, wire_reply, expect, until, read_clock, timed):
-    """Wait until ``until`` (on the station's clock) for a reply that
-    passes signature screening; None on expiry.
-
-    On a station without timed polls (the in-process simulators) a dry
-    pump means the reply can no longer arrive *this round*, so the wait
-    returns immediately — retransmission attempts, not wall time, bound
-    the retry loop there.
-    """
-    while True:
-        frame = node.poll_wire(wire_reply)
-        if frame is None:
-            remaining = until - read_clock()
-            if remaining <= 0:
-                return None
-            frame = _poll_blocking(node, wire_reply, remaining)
-            if frame is None:
-                if not timed:
-                    return None
-                continue  # timed poll expired; the remaining check settles it
-        reply = frame.message
-        if expect is None or reply.signature == expect:
-            return reply
-        # A forged reply: discard and keep waiting for the genuine one.
-
-
-def _trans_retry(node, dest, request, rng, timeout, expect_signature,
-                 dst_machine, sig_port, retry):
-    """The at-least-once tail of :func:`trans`.
-
-    Every transmission re-``_evolve``s from the caller's pristine
-    request with the *same* reply secret: the F-box transforms the
-    outgoing copy in place on egress, so re-sending a previous copy
-    would double-one-way its reply/signature fields (the same corruption
-    an intruder replay exhibits), while a fresh secret per attempt would
-    defeat the server's duplicate suppression.
-    """
-    reply_secret = Port.random(rng)
-    wire_reply = node.listen(reply_secret)
-    clock = getattr(node, "clock", None)
-    read_clock = time.monotonic if clock is None else lambda: clock.now
-    timed = getattr(node, "supports_poll_timeout", False)
-
-    def transmit():
-        if sig_port is None:
-            outgoing = request._evolve(
-                dest=dest, reply=reply_secret, is_reply=False
-            )
-        else:
-            outgoing = request._evolve(
-                dest=dest, reply=reply_secret, signature=sig_port,
-                is_reply=False,
-            )
-        accepted = node.put_owned(outgoing, dst_machine)
-        if not accepted and dst_machine is None:
-            raise PortNotLocated(
-                "no server is listening on port %r" % (dest,)
-            )
-
-    try:
-        transmit()
-        transmissions = 1
-        deadline = read_clock() + timeout
-        for wait in retry.waits():
-            until = min(read_clock() + wait, deadline)
-            reply = _await_screened(
-                node, wire_reply, expect_signature, until, read_clock, timed
-            )
-            if reply is not None:
-                return reply
-            if read_clock() >= deadline:
-                break
-            transmit()
-            transmissions += 1
-        # Attempts exhausted (or deadline passed mid-schedule): one final
-        # wait runs the remaining budget down to the deadline itself.
-        reply = _await_screened(
-            node, wire_reply, expect_signature, deadline, read_clock, timed
-        )
-        if reply is not None:
-            return reply
-        raise RPCTimeout(
-            "no reply after %d transmissions within %.3fs from port %r"
-            % (transmissions, timeout, dest)
-        )
-    finally:
-        node.unlisten_wire(wire_reply)
+def _outgoing(request, dest, reply_secret, sig_port):
+    """One private copy of the caller's request, addressed and carrying
+    the reply secret — made afresh for *every* transmission: the F-box
+    transforms the outgoing copy in place on egress, so re-sending a
+    previous copy would double-one-way its reply/signature fields (the
+    same corruption an intruder replay exhibits).  Trusted copy: the
+    request was validated when it was constructed, and every replacement
+    value here is a Port."""
+    outgoing = request._evolve(dest=dest, reply=reply_secret, is_reply=False)
+    if sig_port is not None:
+        outgoing.signature = sig_port
+    return outgoing
 
 
 def _affinity_key(request):
@@ -359,78 +130,65 @@ def _affinity_key(request):
     return capability.object if capability is not None else None
 
 
-def _trans_replicated(node, dest_port, request, rng, timeout,
-                      expect_signature, replicas, signature, retry, locator):
-    """The replica-failover tail of :func:`trans`.
+def _await_reply(node, wire_reply, expect, until, read_clock=None):
+    """The one wait: take frames off a reply port until one passes
+    signature screening or ``until`` (on the station's clock; None means
+    do not wait at all) has passed.  Returns the reply message or None.
 
-    One logical port, N machines: candidates come ordered from the
-    set's spread policy; each gets an equal slice of the timeout budget
-    (a dead replica must not consume the whole deadline), and a timed-out
-    candidate is reported to the locator — which forgets only that
-    member — before the next one is tried.  Each attempt is an ordinary
-    :func:`trans` with a *fresh* reply secret; at-least-once semantics
-    across replicas come from the per-replica ReplyCache contract, not
-    from sharing G' across machines (a reply from a replica we already
-    gave up on must land on a dead port, not be mistaken for the
-    current attempt's answer).
+    A backoff wait is thus a continued wait on the reply port, never a
+    blind sleep.  On a station without timed waits (the in-process
+    simulators) a dry pump means the reply can no longer arrive *this
+    round*, so the wait returns at once — retransmission attempts, not
+    wall time, bound the retry loop there.
     """
-    candidates = replicas.select(_affinity_key(request))
-    if not candidates:
-        raise PortNotLocated(
-            "replica set for port %r has no members" % as_port(dest_port)
-        )
-    slice_timeout = timeout / len(candidates)
-    dest = as_port(dest_port)
-    last_error = None
-    for machine in candidates:
-        try:
-            return trans(
-                node, dest, request, rng=rng, timeout=slice_timeout,
-                expect_signature=expect_signature, dst_machine=machine,
-                signature=signature, retry=retry,
-            )
-        except RPCTimeout as exc:
-            last_error = exc
-            if locator is not None:
-                locator.invalidate_member(dest, machine)
-    if len(candidates) >= 2:
-        # One silent member is a crash; every member of a replicated
-        # pool going silent in one transaction smells like the network,
-        # not the service.
-        raise PartitionSuspected(
-            "no reply from any of %d replicas of port %r within %.3fs"
-            % (len(candidates), dest, timeout)
-        ) from last_error
-    raise RPCTimeout(
-        "no reply from any of %d replicas of port %r within %.3fs"
-        % (len(candidates), dest, timeout)
-    ) from last_error
-
-
-# ----------------------------------------------------------------------
-# pipelined transactions
-# ----------------------------------------------------------------------
+    while True:
+        # Fast path first: on the synchronous simulator the reply is
+        # already queued, so no clock reads are needed at all.
+        frame = node.poll_wire(wire_reply)
+        if frame is None:
+            if until is None:
+                return None
+            remaining = until - read_clock()
+            if remaining <= 0:
+                return None
+            frame = node.wait_wire(wire_reply, remaining)
+            if frame is None:
+                if not node.supports_poll_timeout:
+                    return None
+                continue  # timed wait expired; the remaining check settles it
+        reply = frame.message
+        if expect is None or reply.signature == expect:
+            return reply
+        # A forged reply: discard it, keep waiting for the genuine one.
 
 
 class AsyncTrans:
-    """One in-flight transaction: issued on construction, collected later.
+    """One transaction: issued on construction, collected later.
 
-    The constructor runs the issue half of :func:`trans` — fresh reply
-    secret, GET on it, request evolved and PUT through the F-box — and
+    The constructor runs the issue half of the protocol — fresh reply
+    secret, GET on it, request copied and PUT through the F-box — and
     returns with the transaction in flight.  :meth:`result` runs the
     collect half.  Between the two, any number of sibling transactions
     may be issued on the same station; each holds its own fresh reply
-    port, so replies cannot cross (§2.1's freshness argument, unchanged).
+    port, so replies cannot cross (§2.1's freshness argument).
 
-    ``reply_secret`` is for internal batch issuers (``trans_many`` draws
-    one pooled block of randomness for a whole batch); ordinary callers
-    leave it None and the constructor draws from ``rng``.
+    The reply secret G' is a bare :class:`Port` — a fresh 48-bit value
+    per transaction, exactly what ``PrivatePort.generate`` produces,
+    minus a wrapper the hot path would immediately unwrap again.  Unlike
+    PrivatePort, Port's repr shows the value, so containment matters:
+    nothing here logs or reprs it, and ``put_owned`` replaces it with
+    F(G') in place on egress.  (Like any recently one-wayed value it does
+    transit the F-box image cache — see the cache-retention note in
+    docs/PERFORMANCE.md.)  ``reply_secret`` is for internal batch issuers
+    (``trans_many`` draws one pooled block of randomness for a whole
+    batch); ordinary callers leave it None and the constructor draws
+    from ``rng``.
 
     With ``retry`` (a :class:`RetryPolicy`), :meth:`result` retransmits
     the request on backoff expiry — same reply secret every time, so the
-    server's duplicate suppression sees one transaction — and
-    :meth:`cancel` withdraws the pending retransmit state along with the
-    reply GET.
+    server's duplicate suppression sees one transaction (a fresh secret
+    per attempt would defeat it) — and :meth:`cancel` withdraws the
+    pending retransmit state along with the reply GET.
     """
 
     __slots__ = (
@@ -477,64 +235,58 @@ class AsyncTrans:
         self.expect_signature = expect_signature
         self._reply = None
         self._cancelled = False
-        if retry is not None:
-            # The pristine request and routing are kept so result() can
-            # re-evolve a fresh copy per retransmission (the F-box
-            # transforms each outgoing copy in place on egress).
-            self._waits = retry.waits()
-            self._request = request
-            self._dest = as_port(dest_port)
-            self._dst_machine = dst_machine
-            self._sig_port = (
-                as_port(signature) if signature is not None else None
-            )
-            self._reply_secret = reply_secret
-        else:
-            self._waits = None
-            self._request = None
-        wire_reply = self.wire_reply = node.listen(reply_secret)
+        # The pristine request and routing are kept so every
+        # transmission can take its own copy (see _outgoing).
+        self._request = request
+        self._dest = as_port(dest_port)
+        self._dst_machine = dst_machine
+        self._sig_port = as_port(signature) if signature is not None else None
+        self._reply_secret = reply_secret
+        # listen() hands back the wire port F(G'); holding on to it lets
+        # every poll and the unlisten skip re-deriving it.
+        self.wire_reply = node.listen(reply_secret)
         try:
-            if signature is None:
-                outgoing = request._evolve(
-                    dest=as_port(dest_port), reply=reply_secret, is_reply=False
-                )
-            else:
-                outgoing = request._evolve(
-                    dest=as_port(dest_port),
-                    reply=reply_secret,
-                    signature=as_port(signature),
-                    is_reply=False,
-                )
-            accepted = node.put_owned(outgoing, dst_machine)
-            if not accepted and dst_machine is None:
-                raise PortNotLocated(
-                    "no server is listening on port %r" % as_port(dest_port)
-                )
+            self._transmit()
         except BaseException:
-            node.unlisten_wire(wire_reply)
+            node.unlisten_wire(self.wire_reply)
             raise
+        self._waits = retry.waits() if retry is not None else ()
+
+    def _transmit(self):
+        """Put one copy of the request on the wire — the first, and
+        every retransmission (same reply secret: one transaction as far
+        as the server can tell).  A port-addressed send that no station
+        admits raises, first copy or fifth."""
+        # put_owned: the copy is ours, never reused after this call, so
+        # the F-box may transform it in place.
+        accepted = self.node.put_owned(
+            _outgoing(self._request, self._dest, self._reply_secret,
+                      self._sig_port),
+            self._dst_machine,
+        )
+        if not accepted and self._dst_machine is None:
+            raise PortNotLocated(
+                "no server is listening on port %r" % (self._dest,)
+            )
 
     @property
     def done(self):
         """True once an acceptable reply has been collected."""
         return self._reply is not None
 
-    def _screen(self, frame):
-        """Accept or discard one candidate reply frame; returns the reply
-        message (after signature screening) or None."""
-        expect = self.expect_signature
-        while frame is not None:
-            reply = frame.message
-            if expect is None or reply.signature == expect:
-                self._reply = reply
-                if not self._cancelled:
-                    # cancel() already released the GET; unlistening the
-                    # same wire port twice would tear down a listener a
-                    # later transaction may have re-registered.
-                    self.node.unlisten_wire(self.wire_reply)
-                return reply
-            frame = self.node.poll_wire(self.wire_reply)
-        return None
+    def _await(self, until, read_clock=None):
+        """:func:`_await_reply` on this transaction's reply port; an
+        accepted reply settles the transaction and withdraws its GET."""
+        reply = _await_reply(self.node, self.wire_reply,
+                             self.expect_signature, until, read_clock)
+        if reply is not None:
+            self._reply = reply
+            if not self._cancelled:
+                # cancel() already released the GET; unlistening the
+                # same wire port twice would tear down a listener a
+                # later transaction may have re-registered.
+                self.node.unlisten_wire(self.wire_reply)
+        return reply
 
     def poll(self):
         """Non-blocking: the reply if it has arrived, else None.
@@ -544,125 +296,52 @@ class AsyncTrans:
         """
         if self._reply is not None:
             return self._reply
-        return self._screen(self.node.poll_wire(self.wire_reply))
+        return self._await(None)
 
     def result(self, timeout=2.0):
-        """Collect the reply, driving delivery as needed.
-
-        On a deferred simulator this pumps the event loop; over sockets
-        it blocks on the reply queue.  Raises :class:`RPCTimeout` when no
-        acceptable reply arrives, after withdrawing the reply GET.
+        """Collect the reply, driving delivery as needed: a deferred
+        simulator is pumped, a socket blocks on the reply queue, a DES
+        station consumes virtual time.  Each wait of the retry schedule
+        that expires retransmits, all under the one ``timeout`` deadline
+        (which always wins; backoff never extends it).  Raises
+        :class:`RPCTimeout` when no acceptable reply arrives; the reply
+        GET is withdrawn on every way out.
         """
-        reply = self.poll()
+        reply = self._reply
+        if reply is None:
+            reply = self._await(None)
         if reply is not None:
             return reply
-        node = self.node
-        if self._waits is not None:
-            return self._result_retry(timeout)
-        if getattr(node, "supports_poll_timeout", False):
-            # Same clock discipline as trans(): the budget is wall time
-            # on real wires, virtual time on a DES network.
-            clock = getattr(node, "clock", None)
-            read_clock = time.monotonic if clock is None else lambda: clock.now
-            deadline = read_clock() + timeout
-            while True:
-                remaining = deadline - read_clock()
-                if remaining <= 0:
-                    break
-                frame = node.poll_wire(self.wire_reply, timeout=remaining)
-                if frame is None:
-                    break
-                reply = self._screen(frame)
-                if reply is not None:
-                    return reply
-        else:
-            # Deterministic simulator: pump until the reply lands or no
-            # frames remain — an empty loop means the reply will never
-            # come, so there is nothing to wait out.
-            while True:
-                progressed = node.pump()
-                reply = self.poll()
-                if reply is not None:
-                    return reply
-                if not progressed:
-                    break
-        self.cancel()
-        raise RPCTimeout(
-            "no reply within %.3fs on wire port %r" % (timeout, self.wire_reply)
-        )
-
-    def _result_retry(self, timeout):
-        """The at-least-once arm of :meth:`result` — the first
-        transmission happened at construction; each backoff expiry here
-        retransmits, all under the one ``timeout`` deadline."""
-        node = self.node
-        clock = getattr(node, "clock", None)
+        # The timeout budget is spent on the station's own clock: wall
+        # time for real wires, *virtual* time on a DES network (where a
+        # wall-clock deadline would be meaningless — the whole wait costs
+        # microseconds of host time).
+        clock = self.node.clock
         read_clock = time.monotonic if clock is None else lambda: clock.now
-        timed = getattr(node, "supports_poll_timeout", False)
-        deadline = read_clock() + timeout
         transmissions = 1
-        for wait in self._waits:
-            until = min(read_clock() + wait, deadline)
-            reply = self._await(until, read_clock, timed)
-            if reply is not None:
-                return reply
-            if self._cancelled or read_clock() >= deadline:
-                break
-            self._retransmit()
-            transmissions += 1
-        if not self._cancelled:
-            reply = self._await(deadline, read_clock, timed)
-            if reply is not None:
-                return reply
-        self.cancel()
+        try:
+            deadline = read_clock() + timeout
+            for wait in self._waits:
+                reply = self._await(min(read_clock() + wait, deadline),
+                                    read_clock)
+                if reply is not None:
+                    return reply
+                if self._cancelled or read_clock() >= deadline:
+                    break
+                self._transmit()
+                transmissions += 1
+            # Schedule exhausted (or the deadline passed inside it): one
+            # final wait runs the remaining budget down to the deadline.
+            if not self._cancelled:
+                reply = self._await(deadline, read_clock)
+                if reply is not None:
+                    return reply
+        finally:
+            self.cancel()
         raise RPCTimeout(
-            "no reply after %d transmissions within %.3fs on wire port %r"
-            % (transmissions, timeout, self.wire_reply)
+            "no reply after %d transmissions within %.3fs from port %r"
+            % (transmissions, timeout, self._dest)
         )
-
-    def _await(self, until, read_clock, timed):
-        """Wait until ``until`` for a screened reply; None on expiry (or,
-        on pump-driven stations, as soon as a pump makes no progress)."""
-        node = self.node
-        while True:
-            frame = node.poll_wire(self.wire_reply)
-            if frame is not None:
-                reply = self._screen(frame)
-                if reply is not None:
-                    return reply
-                continue
-            remaining = until - read_clock()
-            if remaining <= 0:
-                return None
-            if timed:
-                frame = node.poll_wire(self.wire_reply, timeout=remaining)
-                if frame is None:
-                    continue  # expired; the remaining check settles it
-                reply = self._screen(frame)
-                if reply is not None:
-                    return reply
-            elif not node.pump():
-                return None
-
-    def _retransmit(self):
-        """Put one more copy of the request on the wire (same reply
-        secret — one transaction as far as the server can tell)."""
-        request = self._request
-        if request is None or self._cancelled or self._reply is not None:
-            return False
-        if self._sig_port is None:
-            outgoing = request._evolve(
-                dest=self._dest, reply=self._reply_secret, is_reply=False
-            )
-        else:
-            outgoing = request._evolve(
-                dest=self._dest,
-                reply=self._reply_secret,
-                signature=self._sig_port,
-                is_reply=False,
-            )
-        self.node.put_owned(outgoing, self._dst_machine)
-        return True
 
     def cancel(self):
         """Withdraw the reply GET and purge pending retransmit state.
@@ -674,8 +353,7 @@ class AsyncTrans:
         cancellation is dropped at the (now silent) wire port instead of
         leaking a listener-index entry.
         """
-        self._waits = None
-        self._request = None
+        self._waits = ()
         if self._cancelled or self._reply is not None:
             return
         self._cancelled = True
@@ -684,6 +362,131 @@ class AsyncTrans:
     def __repr__(self):
         state = "done" if self._reply is not None else "in flight"
         return "AsyncTrans(%s, wire_reply=%r)" % (state, self.wire_reply)
+
+
+def trans(
+    node,
+    dest_port,
+    request,
+    rng=None,
+    timeout=2.0,
+    expect_signature=None,
+    dst_machine=None,
+    signature=None,
+    retry=None,
+    locator=None,
+):
+    """Send one request and block for its reply.
+
+    Parameters
+    ----------
+    node:
+        A station (:class:`~repro.net.nic.Nic`,
+        :class:`~repro.net.sockets.SocketNode`, or anything else that
+        keeps the :class:`~repro.net.nic.Station` contract).
+    dest_port:
+        The service's public put-port.
+    request:
+        The :class:`~repro.net.message.Message` to send; its ``dest`` and
+        ``reply`` fields are filled in here.
+    expect_signature:
+        The server's published signature image F(S); replies whose
+        signature field differs are discarded as forgeries.
+    dst_machine:
+        Located machine address for unicast (see
+        :class:`~repro.ipc.locate.Locator`); ``None`` lets the admission
+        filters route.
+    signature:
+        The *client's* signature secret (a :class:`PrivatePort`), placed
+        in the signature field for server-side sender authentication.
+    retry:
+        An optional :class:`RetryPolicy` turning the transaction into an
+        at-least-once exchange: the request is retransmitted on backoff
+        expiry (same reply secret each time), still under the one
+        ``timeout`` deadline.  None (the default) is the classic
+        send-once transaction.
+    locator:
+        With a replica-set ``dst_machine``, the
+        :class:`~repro.ipc.locate.Locator` (or anything with
+        ``invalidate_member``) to notify when one replica times out —
+        only the dead member is forgotten, never the whole entry.
+
+    When ``dst_machine`` is a :class:`~repro.ipc.replica.ReplicaSet`
+    the transaction becomes replica-aware (see :func:`_failover`): an
+    ``RPCTimeout`` fails over to the next replica instead of surfacing,
+    and only when every member is silent does the timeout propagate.
+
+    Raises
+    ------
+    PortNotLocated
+        No station admitted a port-addressed request frame — the first
+        transmission or a retransmission — or the replica set has no
+        members.
+    RPCTimeout
+        No (acceptable) reply arrived within ``timeout`` seconds.
+    """
+    if getattr(dst_machine, "is_replica_set", False):
+        return _failover(
+            trans, _affinity_key(request), node, dest_port, request, rng,
+            timeout, expect_signature, dst_machine, signature, retry, locator,
+        )
+    return AsyncTrans(
+        node, dest_port, request, rng, expect_signature, dst_machine,
+        signature, None, retry,
+    ).result(timeout)
+
+
+def _failover(attempt, key, node, dest_port, payload, rng, timeout,
+              expect_signature, replicas, signature, retry, locator):
+    """The replica-failover policy of :func:`trans` and
+    :func:`trans_many` (``attempt`` is whichever of the two is failing
+    over; ``payload`` its request or request list).
+
+    One logical port, N machines: candidates come ordered from the
+    set's spread policy (per-object rendezvous affinity when ``key`` is
+    an object number); each gets an equal slice of the timeout budget (a
+    dead replica must not consume the whole deadline, and any ``retry``
+    schedule runs inside its slice), and a timed-out candidate is
+    reported to the locator — which forgets only that member — before
+    the next one is tried.  Each attempt is an ordinary transaction (or
+    batch) with *fresh* reply secrets; at-least-once semantics across
+    replicas come from the per-replica ReplyCache contract, not from
+    sharing G' across machines (a reply from a replica we already gave
+    up on must land on a dead port, not be mistaken for the current
+    attempt's answer).
+    """
+    dest = as_port(dest_port)
+    candidates = replicas.select(key)
+    if not candidates:
+        raise PortNotLocated(
+            "replica set for port %r has no members" % (dest,)
+        )
+    slice_timeout = timeout / len(candidates)
+    last_error = None
+    for machine in candidates:
+        try:
+            return attempt(
+                node, dest, payload, rng=rng, timeout=slice_timeout,
+                expect_signature=expect_signature, dst_machine=machine,
+                signature=signature, retry=retry,
+            )
+        except RPCTimeout as exc:
+            last_error = exc
+            if locator is not None:
+                locator.invalidate_member(dest, machine)
+    # One silent member is a crash; every member of a replicated pool
+    # going silent in one transaction smells like the network, not the
+    # service.
+    error = PartitionSuspected if len(candidates) >= 2 else RPCTimeout
+    raise error(
+        "no reply from any of %d replicas of port %r within %.3fs"
+        % (len(candidates), dest, timeout)
+    ) from last_error
+
+
+# ----------------------------------------------------------------------
+# pipelined transactions
+# ----------------------------------------------------------------------
 
 
 def trans_many(
@@ -708,7 +511,7 @@ def trans_many(
 
     A replica-set ``dst_machine`` binds the whole batch to one replica
     (chosen by the set's spread policy on the first request's object) so
-    the fused lanes keep their single-destination shape; an
+    the batch lanes keep their single-destination shape; an
     ``RPCTimeout`` fails the *batch* over to the next replica, reporting
     the dead member to ``locator`` like :func:`trans` does.
 
@@ -719,85 +522,46 @@ def trans_many(
     requests = list(requests)
     if not requests:
         return []
+    if getattr(dst_machine, "is_replica_set", False):
+        return _failover(
+            trans_many, _affinity_key(requests[0]), node, dest_port,
+            requests, rng, timeout, expect_signature, dst_machine,
+            signature, retry, locator,
+        )
     dest = as_port(dest_port)
     rng = rng or _DEFAULT_RNG
-    if getattr(dst_machine, "is_replica_set", False):
-        candidates = dst_machine.select(_affinity_key(requests[0]))
-        if not candidates:
-            raise PortNotLocated(
-                "replica set for port %r has no members" % (dest,)
-            )
-        slice_timeout = timeout / len(candidates)
-        last_error = None
-        for machine in candidates:
-            try:
-                return trans_many(
-                    node, dest, requests, rng=rng, timeout=slice_timeout,
-                    expect_signature=expect_signature, dst_machine=machine,
-                    signature=signature, retry=retry,
-                )
-            except RPCTimeout as exc:
-                last_error = exc
-                if locator is not None:
-                    locator.invalidate_member(dest, machine)
-        if len(candidates) >= 2:
-            raise PartitionSuspected(
-                "no replies from any of %d replicas of port %r within %.3fs"
-                % (len(candidates), dest, timeout)
-            ) from last_error
-        raise RPCTimeout(
-            "no replies from any of %d replicas of port %r within %.3fs"
-            % (len(candidates), dest, timeout)
-        ) from last_error
+    sig_port = as_port(signature) if signature is not None else None
     secrets = _draw_secrets(rng, len(requests))
-    if retry is not None:
-        # Retransmitting transactions need per-call backoff state; the
-        # fused lanes below are single-shot by construction, so the
-        # batch rides N AsyncTrans instead (still issued before the
-        # first collect — the pipelining survives, only the bulk-issue
-        # fusion is given up).
-        pass
-    elif (
-        type(node) is Nic
-        and type(node.network) is SimNetwork
-        and node.network._loop is not None
-    ):
+    # The batch lanes are single-shot by construction; a retry schedule
+    # needs per-transaction backoff state, so such a batch rides N
+    # engines below (still issued before the first collect — the
+    # pipelining survives, only the bulk issue is given up).
+    collect = None
+    if retry is None:
+        if type(node) is Nic and node.supports_batch_serve:
+            collect = _collect_drained
+        elif type(node) is SocketNode:
+            collect = _collect_queues
+    if collect is not None:
         for _ in range(4):
-            replies = _trans_many_fused(
-                node, dest, requests, secrets, expect_signature,
-                dst_machine, signature,
-            )
-            if replies is not None:
-                return replies
+            wires = _issue_batch(node, dest, requests, secrets, dst_machine,
+                                 sig_port)
+            if wires is not None:
+                return collect(node, wires, dest, expect_signature, timeout)
             # A wire-port collision inside the batch (or with an
             # existing GET).  With 48-bit random ports this is a
             # cosmic-ray case; redrawing fresh secrets resolves it —
             # sharing a sink would cross two transactions' replies.
             secrets = _draw_secrets(rng, len(requests))
         # Randomness is demonstrably broken (four colliding batches);
-        # the sequential path below has exactly trans()'s behavior.
-    elif type(node) is SocketNode:
-        for _ in range(4):
-            replies = _trans_many_sockets(
-                node, dest, requests, secrets, expect_signature,
-                dst_machine, signature, timeout,
-            )
-            if replies is not None:
-                return replies
-            secrets = _draw_secrets(rng, len(requests))
+        # the engines below behave exactly as trans() does.
     calls = []
     try:
         for request, secret in zip(requests, secrets):
             calls.append(
                 AsyncTrans(
-                    node,
-                    dest,
-                    request,
-                    expect_signature=expect_signature,
-                    dst_machine=dst_machine,
-                    signature=signature,
-                    reply_secret=secret,
-                    retry=retry,
+                    node, dest, request, None, expect_signature,
+                    dst_machine, sig_port, secret, retry,
                 )
             )
         return [call.result(timeout) for call in calls]
@@ -820,133 +584,84 @@ def _draw_secrets(rng, n):
     ]
 
 
-def _trans_many_sockets(node, dest, requests, secrets, expect_signature,
-                        dst_machine, signature, timeout):
-    """The batch lane for a :class:`SocketNode` — real pipelining.
-
-    Protocol-identical to N :class:`AsyncTrans` (fresh reply port each,
-    same F-box transformation per message, same signature screening) but
-    issued batchwise: one ``listen_fresh`` admission swap, one
-    ``put_owned_bulk`` burst of datagrams, then the replies are collected
-    in request order from the live reply queues (each transaction keeps
-    its own ``timeout`` budget, like ``AsyncTrans.result``).  While the
-    client blocks on reply *i*, the server is already working on
-    *i+1..N* — which is where the multiplicative win over serial
-    ``trans`` comes from on a real wire.  Returns None on a reply-port
-    collision (caller redraws, exactly like the simulator lane).
+def _issue_batch(node, dest, requests, secrets, dst_machine, sig_port):
+    """The issue half both batch lanes share: protocol-identical to
+    issuing N :class:`AsyncTrans` (fresh reply port each, the same F-box
+    transformation per message) but batchwise — one ``listen_fresh``
+    admission of every reply port, one ``put_owned_bulk`` burst.
+    Returns the wire reply ports, now the collect half's to withdraw, or
+    None on a reply-port collision (nothing listened; caller redraws).
     """
     wires = node.listen_fresh(secrets)
     if wires is None:
         return None
     try:
-        sig_port = as_port(signature) if signature is not None else None
-        outgoing = []
-        for request, secret in zip(requests, secrets):
-            if sig_port is None:
-                outgoing.append(
-                    request._evolve(dest=dest, reply=secret, is_reply=False)
-                )
-            else:
-                outgoing.append(
-                    request._evolve(
-                        dest=dest,
-                        reply=secret,
-                        signature=sig_port,
-                        is_reply=False,
-                    )
-                )
+        outgoing = [
+            _outgoing(request, dest, secret, sig_port)
+            for request, secret in zip(requests, secrets)
+        ]
         accepted = node.put_owned_bulk(outgoing, dst_machine)
         if accepted == 0 and dst_machine is None:
             raise PortNotLocated(
                 "no server is listening on port %r" % (dest,)
             )
+    except BaseException:
+        for wire_reply in wires:
+            node.unlisten_wire(wire_reply)
+        raise
+    return wires
+
+
+def _no_reply(dest):
+    return RPCTimeout(
+        "pipelined transaction got no reply from port %r" % (dest,)
+    )
+
+
+def _collect_queues(node, wires, dest, expect_signature, timeout):
+    """Collect half for a :class:`SocketNode` — real pipelining.
+
+    The replies are awaited in request order with every GET still
+    admitted (each transaction keeps its own ``timeout`` budget, like
+    ``AsyncTrans.result``), and the GETs are withdrawn in one admission
+    swap at the end.  While the client blocks on reply *i*, the server
+    is already working on *i+1..N* — which is where the multiplicative
+    win over serial ``trans`` comes from on a real wire.
+    """
+    clock = time.monotonic
+    try:
         replies = []
-        for sink in node.reply_queues(wires):
-            deadline = time.monotonic() + timeout
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise RPCTimeout(
-                        "pipelined transaction got no reply from port %r"
-                        % (dest,)
-                    )
-                try:
-                    frame = sink.get(timeout=remaining)
-                except _queue.Empty:
-                    raise RPCTimeout(
-                        "pipelined transaction got no reply from port %r"
-                        % (dest,)
-                    ) from None
-                reply = frame.message
-                if (
-                    expect_signature is not None
-                    and reply.signature != expect_signature
-                ):
-                    continue  # a forged reply: keep waiting for the real one
-                replies.append(reply)
-                break
+        for wire_reply in wires:
+            reply = _await_reply(node, wire_reply, expect_signature,
+                                 clock() + timeout, clock)
+            if reply is None:
+                raise _no_reply(dest)
+            replies.append(reply)
         return replies
     finally:
         node.unlisten_wire_many(wires)
 
 
-def _trans_many_fused(node, dest, requests, secrets, expect_signature,
-                      dst_machine, signature):
-    """The batch lane for a Nic on a deferred-delivery SimNetwork.
-
-    Protocol-identical to N AsyncTrans (fresh reply port each, same F-box
-    transformation per message, same signature screening) but issued and
-    collected batchwise: one listen_fresh for all reply ports, one
-    put_owned_bulk onto one ingress queue, one drain, one take_many.
-    Returns None when the batch cannot take the lane (reply-port
-    collision), which sends the caller down the generic path.
-    """
-    wires = node.listen_fresh(secrets)
-    if wires is None:
-        return None
+def _collect_drained(node, wires, dest, expect_signature, timeout):
+    """Collect half for a Nic on a deferred-delivery network: one drain,
+    one ``take_many``.  ``timeout`` buys nothing here — the simulator is
+    deterministic, so after the drain each reply either arrived or never
+    will."""
     try:
-        sig_port = as_port(signature) if signature is not None else None
-        outgoing = []
-        for request, secret in zip(requests, secrets):
-            if sig_port is None:
-                outgoing.append(
-                    request._evolve(dest=dest, reply=secret, is_reply=False)
-                )
-            else:
-                outgoing.append(
-                    request._evolve(
-                        dest=dest,
-                        reply=secret,
-                        signature=sig_port,
-                        is_reply=False,
-                    )
-                )
-        accepted = node.put_owned_bulk(outgoing, dst_machine)
-        if accepted == 0 and dst_machine is None:
-            raise PortNotLocated(
-                "no server is listening on port %r" % (dest,)
-            )
-        # Drain everything in flight: requests, handler replies, and
-        # whatever those spawn.  The simulator is deterministic, so after
-        # the drain each reply either arrived or never will.
-        node.network._loop.pump()
-        replies = []
-        queues = node.take_many(wires)
-        wires = None  # GETs withdrawn; nothing left to clean on a raise
-        for q in queues:
-            frame = q.popleft() if q else None
-            if expect_signature is not None:
-                while frame is not None and (
-                    frame.message.signature != expect_signature
-                ):
-                    frame = q.popleft() if q else None
-            if frame is None:
-                raise RPCTimeout(
-                    "pipelined transaction got no reply from port %r"
-                    % (dest,)
-                )
-            replies.append(frame.message)
-        return replies
+        # Everything in flight: requests, handler replies, and whatever
+        # those spawn.
+        node.pump()
     finally:
-        if wires is not None:
-            node.take_many(wires)
+        queues = node.take_many(wires)  # withdraws every reply GET
+    replies = []
+    for q in queues:
+        frame = q.popleft() if q else None
+        if expect_signature is not None:
+            while frame is not None and (
+                frame.message.signature != expect_signature
+            ):
+                frame = q.popleft() if q else None
+        if frame is None:
+            raise _no_reply(dest)
+        replies.append(frame.message)
+    return replies

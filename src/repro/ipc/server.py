@@ -14,7 +14,6 @@ machines (the network round-robins among listeners on a shared port).
 
 import threading
 from collections import Counter, OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.ports import PrivatePort, as_port
 from repro.core.registry import ObjectTable
@@ -52,7 +51,8 @@ class DeferredReply:
     Obtained via :meth:`RequestContext.defer`.  The dispatch loop sends
     nothing for a deferred request; the server calls :meth:`send` later —
     from another request's handler, after a pump, on a timer — and the
-    reply then takes the identical signing/sealing path a synchronous
+    reply then re-enters the dispatch step at its seal stage
+    (:meth:`ObjectServer._seal_reply`), the identical path a synchronous
     reply takes.  This is what lets one server answer out of order while
     many transactions are in flight against it.
     """
@@ -82,7 +82,11 @@ class DeferredReply:
         ctx = self.ctx
         if reply is None:
             reply = ctx.ok()
-        ctx.server._send_reply(ctx.frame, reply, self.wrote)
+        frame = ctx.frame
+        server = ctx.server
+        server.node.put_owned(
+            server._seal_reply(frame, reply, self.wrote), frame.src
+        )
 
     def error(self, exc):
         """Send an error reply carrying the exception's wire code."""
@@ -269,7 +273,7 @@ class RequestContext:
 
         Uses the trusted ``reply_to`` path (which range-guards the
         handler-supplied numeric fields), with the server's signature
-        secret already stamped — ``_handle_frame`` then skips its own
+        secret already stamped — the seal step then skips its own
         stamping copy.
 
         The returned reply belongs to the dispatch loop, which transforms
@@ -338,7 +342,6 @@ class ObjectServer:
         sealer=None,
         require_sealed=False,
         authorized_signatures=None,
-        workers=0,
         dedup=None,
         store=None,
     ):
@@ -400,21 +403,6 @@ class ObjectServer:
                     sealer.invalidate_object(port, number)
                 )
             )
-        #: Opt-in parallel dispatch: with ``workers >= 2`` the batch
-        #: handler partitions each delivered run by object number and
-        #: hands the partitions to a thread pool.  Frames naming the
-        #: same object always land in the same partition — handlers
-        #: stay single-threaded per object — while distinct objects
-        #: proceed in parallel; replies still leave through the batched
-        #: egress lane on the dispatching thread, so no station is ever
-        #: driven from two threads.
-        self.workers = int(workers)
-        self._pool = None
-        # Serializes node egress when the pool exists: the dispatching
-        # thread's bulk reply lane and a DeferredReply.send() fired from
-        # whichever pool thread ran the triggering handler must not
-        # drive the station at the same time.
-        self._egress_lock = threading.Lock()
         self._commands = {}
         self._collect_commands()
         self._running = False
@@ -453,33 +441,19 @@ class ObjectServer:
     def start(self):
         """Enter the GET loop (register the request handler).
 
-        On a deferred-delivery network the server registers a *batch*
-        handler: the event loop then delivers whole ingress-queue runs,
-        and :meth:`_handle_frames` hoists the per-request mode checks out
-        of the loop.  Socket nodes advertise ``supports_batch_serve``
-        (their pump coalesces each recv burst into one delivery) and get
-        the same batch handler.  Synchronous simulated networks keep the
-        per-frame handler; the dispatch semantics are identical either
-        way.
+        A station that delivers ingress in runs (a deferred or DES
+        network's event loop, a socket pump's recv burst) gets the
+        *batch* handler, whose replies leave in one bulk unicast per
+        run; a synchronous simulated network keeps the per-frame
+        handler.  Both run the same :meth:`_serve_frame` step per
+        request, so the dispatch semantics cannot differ.
         """
-        if self.store is not None and getattr(
-            self.store, "needs_recovery", False
-        ):
+        if self.store is not None and self.store.needs_recovery:
             raise AmoebaError(
                 "the durable store holds un-recovered state; "
                 "call reboot() before start()"
             )
-        if self.workers >= 2 and self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="%s-worker" % type(self).__name__,
-            )
-        network = getattr(self.node, "network", None)
-        if (
-            (network is not None and getattr(network, "loop", None) is not None)
-            or getattr(self.node, "supports_batch_serve", False)
-            or self._pool is not None
-        ):
+        if self.node.supports_batch_serve:
             self.node.serve_batch(self.get_port, self._handle_frames)
         else:
             self.node.serve(self.get_port, self._handle_frame)
@@ -489,9 +463,6 @@ class ObjectServer:
     def stop(self):
         self.node.unlisten(self.get_port)
         self._running = False
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     @property
     def running(self):
@@ -553,9 +524,9 @@ class ObjectServer:
         return report
 
     def _complete(self, src, request, reply, wrote=None):
-        """The reply tail's durable half, run before the reply leaves —
-        by all three dispatch paths and by :class:`DeferredReply` —
-        whenever the server has a reply cache or a store.
+        """The reply tail's durable half, run by :meth:`_seal_reply`
+        before any reply leaves — a deferred one included — whenever the
+        server has a reply cache or a store.
 
         Order is the crash argument: commit record, then the
         transaction's block write (``log_commit`` flushes; ``flush``
@@ -570,9 +541,8 @@ class ObjectServer:
         idempotent read or echo re-executes harmlessly after a reboot,
         so its reply needs no disk-backed dedup — the in-memory reply
         cache still suppresses duplicates within the incarnation.
-        ``wrote`` carries that fact when the handler ran on another
-        thread or earlier (worker pool, deferred reply); None asks the
-        store about this thread.
+        ``wrote`` carries that fact when the handler ran earlier (a
+        deferred reply); None asks the store about this thread.
         """
         reply_value = request.reply.value
         cached = self.reply_cache is not None and reply_value
@@ -608,10 +578,9 @@ class ObjectServer:
     # ------------------------------------------------------------------
 
     def _dispatch_request(self, frame, request):
-        """The dispatch core shared by per-frame and batch delivery:
-        sender auth, unsealing, handler lookup and invocation, and both
-        error arms.  Returns the reply to send, or None when the handler
-        deferred it.
+        """The dispatch core: sender auth, unsealing, handler lookup
+        and invocation, and both error arms.  Returns the reply to send,
+        or None when the handler deferred it.
 
         Re-entrancy: under deferred delivery the event loop may invoke
         this again (for the next queued request) before an earlier reply
@@ -659,266 +628,75 @@ class ObjectServer:
             store.flush()
         return reply
 
-    def _dedup_admit(self, frame, request):
-        """Consult the reply cache for one request copy.
+    def _serve_frame(self, frame):
+        """The one per-request step: admit → count → dispatch → seal.
 
-        Returns True when the caller should execute the request: a cache
-        miss (now marked in-progress), or a request with no reply port —
-        a one-way send is not a transaction and is never deduplicated.
-        A hit replays the cached reply; a busy duplicate is dropped.
+        Returns the reply ready for owned egress to ``frame.src``, or
+        None when nothing is to be sent now (a dropped duplicate, or a
+        handler that deferred its reply).  :meth:`_handle_frame` follows
+        it with one put; :meth:`_handle_frames` loops over it before one
+        bulk egress — batching is the loop, not a second copy.
         """
-        reply_value = request.reply.value
-        if not reply_value:
-            return True
-        verdict, cached = self.reply_cache.begin(frame.src, reply_value)
-        if verdict == "miss":
-            return True
-        if verdict == "hit":
-            self._replay_reply(frame.src, cached)
-        return False
-
-    def _replay_reply(self, src, cached):
-        """Answer a retried transaction from the cache — the handler does
-        not run again.  ``put`` (the *copying* egress transform) leaves
-        the cached reply pristine for further retries."""
-        if self._pool is not None:
-            with self._egress_lock:
-                self.node.put(cached, src)
-        else:
-            self.node.put(cached, src)
-
-    def _handle_frame(self, frame):
         request = frame.message
-        if self.reply_cache is not None and not self._dedup_admit(
-            frame, request
-        ):
-            return
+        cache = self.reply_cache
+        # A request with no reply port is a one-way send, not a
+        # transaction, and is never deduplicated.
+        if cache is not None and request.reply.value:
+            verdict, cached = cache.begin(frame.src, request.reply.value)
+            if verdict == "busy":
+                return None  # the first copy is still executing: drop
+            if verdict == "hit":
+                # Answer the retry from the cache — the handler does not
+                # run again.  Egress transforms its message in place; the
+                # copy leaves the cached reply pristine for further
+                # retries.
+                return cached._evolve()
         if self.count_requests:
             self.request_counts[request.command] += 1
         reply = self._dispatch_request(frame, request)
-        if reply is not None:
-            self._send_reply(frame, reply)
+        if reply is None:
+            return None  # deferred: DeferredReply.send seals it later
+        return self._seal_reply(frame, reply)
 
-    def _handle_frames(self, frames):
-        """Batch dispatch: one ingress-queue run per call.
-
-        Runs the same :meth:`_dispatch_request` core as per-frame
-        delivery — the semantics cannot fork — but hoists the common
-        configuration's reply tail: when there is no sealer (so
-        :meth:`_send_reply` would never seal) the signed replies for the
-        whole run leave in one bulk unicast.  Request counting, when on,
-        is one Counter update per frame, as ever.
-        """
-        pool = self._pool  # snapshot: a racing stop() may null it
-        if pool is not None and len(frames) > 1:
-            # Pool-safe only when every frame's full object set is
-            # knowable from its header capability: a request carrying
-            # extra_caps names *several* objects (a bank transfer's
-            # payee, a directory install's target) and would race the
-            # buckets of the objects it does not key on; a sealed
-            # request's objects are unknown until unsealed.  Either in
-            # the batch means the whole batch dispatches serially below.
-            sealed_matters = self.sealer is not None
-            pool_safe = True
-            for frame in frames:
-                message = frame.message
-                if message.extra_caps or (
-                    sealed_matters and message.sealed_caps
-                ):
-                    pool_safe = False
-                    break
-            if pool_safe:
-                self._handle_frames_parallel(frames, pool)
-                return
-        if self.sealer is not None:
-            for frame in frames:
-                self._handle_frame(frame)
-            return
-        dispatch = self._dispatch_request
-        count = self.count_requests
-        counts = self.request_counts
-        signature_port = self._signature_port
-        cache = self.reply_cache
-        complete = cache is not None or self.store is not None
-        outbox = []
-        out_append = outbox.append
-        for frame in frames:
-            request = frame.message
-            if cache is not None:
-                reply_value = request.reply.value
-                if reply_value:
-                    verdict, cached = cache.begin(frame.src, reply_value)
-                    if verdict == "busy":
-                        continue
-                    if verdict == "hit":
-                        # Replayed replies ride the same bulk egress as
-                        # fresh ones; the evolve copy keeps the cached
-                        # original pristine under the in-place flush
-                        # transform.
-                        out_append((cached._evolve(), frame.src))
-                        continue
-            if count:
-                counts[request.command] += 1
-            reply = dispatch(frame, request)
-            if reply is None:
-                continue  # deferred
-            if reply.signature is not signature_port:
-                reply = reply._evolve(signature=signature_port)
-            if complete:
-                self._complete(frame.src, request, reply)
-            out_append((reply, frame.src))
-        if outbox:
-            # One bulk unicast for the whole run's replies; a node
-            # without the bulk path (sockets) gets them one put at a
-            # time, which is what it would have seen anyway.  With a
-            # pool configured this serial tail still serializes against
-            # pool-thread deferred sends.
-            if self._pool is not None:
-                with self._egress_lock:
-                    self._flush_outbox(outbox)
-            else:
-                self._flush_outbox(outbox)
-
-    def _flush_outbox(self, outbox):
-        bulk = getattr(self.node, "put_owned_unicast_bulk", None)
-        if bulk is not None:
-            bulk(outbox)
-        else:
-            put_owned = self.node.put_owned
-            for reply, src in outbox:
-                put_owned(reply, src)
-
-    def _handle_frames_parallel(self, frames, pool):
-        """Batch dispatch across the worker pool.
-
-        Object affinity: each frame is bucketed by its plaintext
-        capability's object number modulo ``workers``, so two requests
-        naming the same object are always in the same bucket and a
-        bucket runs sequentially on one thread — handlers remain
-        single-threaded per object with no handler-side locking, while
-        requests for distinct objects proceed on other workers (the
-        object table's stripes make the shared lookup path safe).
-        Frames with no plaintext capability share the serial bucket 0.
-        A batch containing any matrix-sealed request never reaches this
-        method at all — :meth:`_handle_frames` dispatches it serially,
-        because a sealed capability's object is unknown until unsealed
-        and could name the same object as a plaintext request in a
-        different bucket, breaking the affinity rule.
-
-        Threading discipline: workers only *compute* replies; request
-        counting happens here before the fan-out, and every reply
-        leaves through this (the dispatching) thread — the bulk unicast
-        lane when no sealer is configured, the seal-and-sign path
-        otherwise — so the station underneath is never driven from two
-        threads at once.
-        """
-        count = self.count_requests
-        counts = self.request_counts
-        workers = self.workers
-        cache = self.reply_cache
-        buckets = {}
-        for frame in frames:
-            request = frame.message
-            if cache is not None:
-                # Dedup on the dispatching thread, before the fan-out:
-                # a duplicate must never reach a bucket while (or after)
-                # its first copy executes on another worker.
-                reply_value = request.reply.value
-                if reply_value:
-                    verdict, cached = cache.begin(frame.src, reply_value)
-                    if verdict == "busy":
-                        continue
-                    if verdict == "hit":
-                        self._replay_reply(frame.src, cached)
-                        continue
-            if count:
-                counts[request.command] += 1
-            capability = request.capability
-            key = 0 if capability is None else capability.object % workers
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = bucket = []
-            bucket.append((frame, request))
-        dispatch = self._dispatch_request
-        store = self.store
-
-        def run(bucket):
-            out = []
-            for frame, request in bucket:
-                reply = dispatch(frame, request)
-                wrote = store.consume_dirty() if store is not None else None
-                if reply is not None:  # None = deferred
-                    out.append((frame, reply, wrote))
-            if store is not None:
-                # This (pool) thread's bytes reach the medium before the
-                # dispatching thread logs the commits that vouch for them.
-                store.flush()
-            return out
-
-        ordered = list(buckets.values())
-        pending = ordered[1:]
-        futures = []
-        try:
-            for bucket in pending:
-                futures.append(pool.submit(run, bucket))
-        except RuntimeError:
-            # The pool was shut down mid-batch (a racing stop()); the
-            # unsubmitted buckets run inline below — still one bucket at
-            # a time, so the per-object affinity rule holds.
-            pass
-        results = [run(ordered[0])]
-        for bucket in pending[len(futures):]:
-            results.append(run(bucket))
-        results.extend(future.result() for future in futures)
-        if self.sealer is not None:
-            for done in results:
-                for frame, reply, wrote in done:
-                    self._send_reply(frame, reply, wrote)
-            return
-        signature_port = self._signature_port
-        complete = cache is not None or store is not None
-        outbox = []
-        for done in results:
-            for frame, reply, wrote in done:
-                if reply.signature is not signature_port:
-                    reply = reply._evolve(signature=signature_port)
-                if complete:
-                    self._complete(frame.src, frame.message, reply, wrote)
-                outbox.append((reply, frame.src))
-        if outbox:
-            with self._egress_lock:
-                self._flush_outbox(outbox)
-
-    def _send_reply(self, frame, reply, wrote=None):
-        """Seal, sign, and send one reply (shared by the dispatch loop and
-        :class:`DeferredReply`); ``wrote`` as for :meth:`_complete`."""
+    def _seal_reply(self, frame, reply, wrote=None):
+        """Seal, sign and complete one reply; returns it ready for owned
+        egress.  ``wrote`` as for :meth:`_complete`."""
         if self.sealer is not None and (reply.capability or reply.extra_caps):
             reply = self.sealer.seal_message(reply, frame.src)
         # Replies are signed: the F-box will transform this secret S into
-        # the published image F(S) on the wire.  The reply is unicast to
-        # the requesting machine (its address came stamped on the frame).
-        # ctx.ok/ctx.error pre-stamp the signature; only hand-built
-        # handler replies still need the extra copy here.
+        # the published image F(S) on the wire.  ctx.ok/ctx.error
+        # pre-stamp the signature; only a hand-built handler reply needs
+        # the private copy here, which is then ours to transform in place.
         if reply.signature is not self._signature_port:
-            # A hand-built handler reply: stamp a private copy, which is
-            # then ours to transform in place.
             reply = reply._evolve(signature=self._signature_port)
         if self.reply_cache is not None or self.store is not None:
             # The fully formed (sealed, signed) reply is committed and
-            # cached before put_owned transforms the outgoing copy in
-            # place — deferred replies complete their transaction here
-            # too.  Durable commit *before* the reply leaves: a retry
-            # arriving after a crash-and-reboot must find the record, or
-            # it would re-execute a non-idempotent operation whose first
-            # reply was already delivered.
+            # cached before egress transforms the outgoing copy in place.
+            # Durable commit *before* the reply leaves: a retry arriving
+            # after a crash-and-reboot must find the record, or it would
+            # re-execute a non-idempotent operation whose first reply
+            # was already delivered.
             self._complete(frame.src, frame.message, reply, wrote)
-        if self._pool is not None:
-            # A DeferredReply.send() may run on a pool thread while the
-            # dispatching thread is mid-egress; serialize the station.
-            with self._egress_lock:
-                self.node.put_owned(reply, frame.src)
-        else:
+        return reply
+
+    def _handle_frame(self, frame):
+        """Per-frame delivery.  The reply is unicast to the requesting
+        machine (its address came stamped on the frame)."""
+        reply = self._serve_frame(frame)
+        if reply is not None:
             self.node.put_owned(reply, frame.src)
+
+    def _handle_frames(self, frames):
+        """Batch delivery: one ingress run per call, one bulk unicast
+        for the whole run's replies (replayed ones included)."""
+        serve = self._serve_frame
+        outbox = []
+        for frame in frames:
+            reply = serve(frame)
+            if reply is not None:
+                outbox.append((reply, frame.src))
+        if outbox:
+            self.node.put_owned_unicast_bulk(outbox)
 
     def _authenticate_sender(self, request):
         if self.authorized_signatures is None:

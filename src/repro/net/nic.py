@@ -14,18 +14,81 @@ registered handler (server request loops).
 """
 
 from collections import deque
+from typing import Any, Optional, Protocol, runtime_checkable
 
 from repro.core.ports import as_port
 from repro.net.fbox import FBox
 
 
+@runtime_checkable
+class Station(Protocol):
+    """What protocol code (:mod:`repro.ipc.rpc`, :mod:`repro.ipc.server`,
+    :mod:`repro.ipc.locate`) may ask of a station — declared once, read
+    as plain attributes, implemented by :class:`Nic` and
+    :class:`~repro.net.sockets.SocketNode`.  A declaration, not a base
+    class: neither station inherits from it."""
+
+    #: The unforgeable machine address the wire stamps on every frame.
+    address: Any
+    #: The VirtualClock that timeouts are spent on, or None for wall time.
+    clock: Optional[Any]
+    #: True when a timed ``wait_wire`` really waits (wall or virtual
+    #: time); False when delivery happens only during put()/pump(), so a
+    #: wait that comes back empty is final however much time remains.
+    supports_poll_timeout: bool
+    #: True when ingress arrives in runs (event-loop queue runs, recv
+    #: bursts): servers then register through ``serve_batch``.
+    supports_batch_serve: bool
+
+    def listen(self, port):
+        """GET(port); returns the wire port F(port)."""
+
+    def unlisten(self, port):
+        """Withdraw a GET by its secret."""
+
+    def unlisten_wire(self, wire_port):
+        """Withdraw a GET by its wire port."""
+
+    def serve(self, port, handler):
+        """GET with ``handler(frame)``."""
+
+    def serve_batch(self, port, handler):
+        """GET with ``handler(frames)``."""
+
+    def on_broadcast(self, handler):
+        """Add a broadcast handler."""
+
+    def poll_wire(self, wire_port):
+        """Next queued frame, or None; never waits."""
+
+    def wait_wire(self, wire_port, remaining):
+        """Block on a wire port for up to ``remaining`` seconds of
+        ``clock``; the frame that arrived, or None."""
+
+    def pump(self):
+        """Drive deferred delivery / flush buffered egress."""
+
+    def put(self, message, dst_machine=None):
+        """PUT through the F-box."""
+
+    def put_owned(self, message, dst_machine=None):
+        """PUT, in place."""
+
+    def put_owned_unicast_bulk(self, pairs):
+        """PUT (message, machine) pairs."""
+
+    def put_broadcast(self, message):
+        """PUT to every station."""
+
+
 class _BatchSink:
     """A server GET whose handler takes a *run* of frames at once.
 
-    Registered by :meth:`Nic.serve_batch`.  Calling it with a single
-    frame (the synchronous network's accept path) forwards a 1-tuple, so
-    batch servers work identically under both delivery disciplines; the
-    event loop detects the type and hands over whole queue runs.
+    Registered by ``serve_batch`` on either station.  Calling it with a
+    single frame (the synchronous network's accept path) forwards a
+    1-tuple, so batch servers work identically under every delivery
+    discipline; the event loop and the socket pump detect the type and
+    hand over whole runs.
     """
 
     __slots__ = ("batch",)
@@ -49,24 +112,28 @@ class Nic:
         share the same F for ports to interoperate).
     """
 
-    #: Capability attribute, checked once by the RPC layer instead of
-    #: probing with TypeError per poll.  Class default False: on the
-    #: synchronous and deferred networks poll_wire takes no timeout — the
-    #: simulator delivers during put()/pump(), never later.  Attaching to
-    #: a DES network overrides it per instance: there a timed poll
-    #: *consumes virtual time*, stepping the event heap until the frame
-    #: arrives or the virtual deadline passes.
+    # The Station attributes follow the network's delivery discipline,
+    # fixed at its construction; these are the synchronous defaults.
+    #: On the synchronous and deferred networks a poll takes no timeout
+    #: — the simulator delivers during put()/pump(), never later.  On a
+    #: DES network (set per instance) a timed poll *consumes virtual
+    #: time*, stepping the event heap until the frame arrives or the
+    #: virtual deadline passes.
     supports_poll_timeout = False
+    #: Deferred and DES delivery (set per instance) hand a lone listener
+    #: whole queue runs, see :meth:`accept_run`.
+    supports_batch_serve = False
 
     def __init__(self, network, fbox=None):
         self.fbox = fbox or FBox()
         self.network = network
         self.address = network.attach(self)
-        #: The network's VirtualClock in DES mode, else None.  Read once
-        #: here — a network's delivery discipline is fixed at construction.
-        self.clock = getattr(network, "clock", None)
+        #: The network's VirtualClock in DES mode, else None.
+        self.clock = network.clock
         if self.clock is not None:
             self.supports_poll_timeout = True
+        if network.loop is not None:
+            self.supports_batch_serve = True
         # One sink per admitted wire port: a deque (client GET, frames
         # queue) or a callable (server GET, frames dispatch immediately).
         # A single dict keeps the admission check and delivery to one
@@ -375,6 +442,19 @@ class Nic:
                 return sink.popleft()
         clock.advance_to(deadline)
         return None
+
+    def wait_wire(self, wire_port, remaining):
+        """Block on a wire port for up to ``remaining`` seconds of this
+        station's clock.  DES: a timed :meth:`poll_wire`.  Otherwise
+        delivery happens during put() (synchronous) or pump() (deferred),
+        never later — drain whatever is still queued, and the poll's
+        answer is then final."""
+        if remaining <= 0:
+            return None
+        if self.supports_poll_timeout:
+            return self.poll_wire(wire_port, remaining)
+        self.pump()
+        return self.poll_wire(wire_port)
 
     def unlisten_wire(self, wire_port):
         """Like :meth:`unlisten`, keyed by the wire port listen() returned."""

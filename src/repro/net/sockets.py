@@ -22,6 +22,7 @@ from collections import deque
 from repro.core.ports import as_port
 from repro.net.fbox import FBox
 from repro.net.message import Message
+from repro.net.nic import _BatchSink
 
 #: Generous datagram cap: a capability-bearing message is well under 1 KiB,
 #: file transfers chunk themselves beneath this.
@@ -56,20 +57,6 @@ CTL_JOIN = b"J"
 CTL_LEAVE = b"L"
 
 
-class _BatchSink:
-    """Admission-snapshot marker wrapping a *batch* request handler.
-
-    The pump groups each ingress burst's admitted frames per batch sink
-    and delivers them as one ``handler(frames)`` call — the socket
-    counterpart of the event loop's coalesced queue runs.
-    """
-
-    __slots__ = ("handler",)
-
-    def __init__(self, handler):
-        self.handler = handler
-
-
 class SocketNode:
     """One station on a real UDP network.
 
@@ -102,20 +89,19 @@ class SocketNode:
       receives.
     """
 
-    #: Capability attribute for the RPC layer: poll_wire accepts a
-    #: timeout here (frames arrive from a real wire at any time).
+    # The :class:`~repro.net.nic.Station` attributes.
+    #: Frames arrive from a real wire at any time, so a timed poll
+    #: really blocks.
     supports_poll_timeout = True
 
-    #: Station-API parity with :class:`~repro.net.nic.Nic`: a SocketNode
-    #: always runs on the wall clock — real datagrams take real time, so
-    #: its blocking polls consume wall seconds, never virtual ones.
-    #: Protocol code (rpc, locate) can therefore ask any station for
-    #: ``node.clock`` and treat None as "timeouts are wall time".
+    #: A SocketNode always runs on the wall clock — real datagrams take
+    #: real time, so its blocking polls consume wall seconds, never
+    #: virtual ones.
     clock = None
 
-    #: Capability attribute for ObjectServer.start(): recv-side batching
-    #: makes batch dispatch (serve_batch + bulk reply egress) profitable
-    #: on this transport.
+    #: The pump coalesces each recv burst into one delivery, which makes
+    #: batch dispatch (serve_batch + bulk reply egress) profitable on
+    #: this transport.
     supports_batch_serve = True
 
     #: Seconds the pump blocks per receive before checking for shutdown
@@ -161,6 +147,12 @@ class SocketNode:
         self._control_handlers = ()
         self.control_sent = 0
         self.control_received = 0
+        #: What the pump dropped instead of dying: exceptions out of a
+        #: control, broadcast or server handler, and datagrams the codec
+        #: refused; ``last_error`` keeps the most recent exception.
+        self.handler_errors = 0
+        self.garbage_dropped = 0
+        self.last_error = None
         self._pump = threading.Thread(target=self._pump_loop, daemon=True)
         self._pump.start()
 
@@ -488,10 +480,12 @@ class SocketNode:
         return wires
 
     def reply_queues(self, wire_ports):
-        """The live queue sinks for a batch of wire ports (collect half
-        of a pipelined issue).  The GETs stay admitted — withdraw with
-        :meth:`unlisten_wire_many` only after the replies are in, so the
-        pump never drops an in-flight reply."""
+        """The live queue sinks for a batch of wire ports.  The GETs
+        stay admitted — withdraw with :meth:`unlisten_wire_many` only
+        after the replies are in, so the pump never drops an in-flight
+        reply.  (``trans_many`` now waits on each wire port through
+        :meth:`wait_wire` instead; the benchmark's tracer still names
+        this method, so it stays until that list can change.)"""
         admission = self._admission
         return [admission.get(wire_port) for wire_port in wire_ports]
 
@@ -577,6 +571,12 @@ class SocketNode:
             )
         except queue.Empty:
             return None
+
+    def wait_wire(self, wire_port, remaining):
+        """Block on a wire port for up to ``remaining`` wall seconds."""
+        if remaining <= 0:
+            return None
+        return self.poll_wire(wire_port, remaining)
 
     def unlisten_wire(self, wire_port):
         """Like :meth:`unlisten`, keyed by the wire port listen() returned."""
@@ -672,13 +672,17 @@ class SocketNode:
                     for handler in self._control_handlers:
                         try:
                             handler(kind, payload, src)
-                        except Exception:
-                            pass  # a crashing handler must not kill the pump
+                        except Exception as exc:
+                            # A crashing handler must not kill the pump.
+                            self._handler_failed(exc)
                     continue
                 try:
                     message = unpack(raw)
-                except Exception:
-                    continue  # garbage datagrams are dropped, like hardware
+                except Exception as exc:
+                    # Garbage datagrams are dropped, like hardware.
+                    self.garbage_dropped += 1
+                    self.last_error = exc
+                    continue
                 # One lock-free snapshot read decides admission/delivery —
                 # re-read per datagram so a listen() a handler just made
                 # admits later datagrams of the same batch.
@@ -693,8 +697,8 @@ class SocketNode:
                         for handler in handlers:
                             try:
                                 handler(frame)
-                            except Exception:
-                                pass
+                            except Exception as exc:
+                                self._handler_failed(exc)
                     continue
                 admitted += 1
                 frame = Frame(src=src, dst_machine=None, message=message)
@@ -713,19 +717,24 @@ class SocketNode:
                 else:
                     try:
                         sink(frame)
-                    except Exception:
-                        pass  # a crashing server must not kill the transport
+                    except Exception as exc:
+                        # A crashing server must not kill the transport.
+                        self._handler_failed(exc)
             if batch_runs is not None:
                 for sink, frames in batch_runs.items():
                     try:
-                        sink.handler(frames)
-                    except Exception:
-                        pass  # a crashing server must not kill the transport
+                        sink.batch(frames)
+                    except Exception as exc:
+                        self._handler_failed(exc)
             batch.clear()
             self.received += admitted
             # Replies the handlers buffered go out with this iteration.
             if self._egress:
                 self.flush_egress()
+
+    def _handler_failed(self, exc):
+        self.handler_errors += 1
+        self.last_error = exc
 
     def close(self):
         self._closed.set()

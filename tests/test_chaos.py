@@ -327,3 +327,43 @@ class TestChaosEngine:
         r.check(*STANDARD_INVARIANTS)
         r.check(no_lost_authority(cap_c, RIGHT_READ))
         assert r.violations == []
+
+
+class TestRecordedDigests:
+    """``benchmarks/chaos_digests.json`` is the behaviour-preservation
+    oracle ``make bench-chaos-smoke`` checks in full; here, that the
+    check itself works, on one scenario."""
+
+    @staticmethod
+    def _bench():
+        import importlib.util
+        import os
+
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "benchmarks", "bench_chaos.py")
+        spec = importlib.util.spec_from_file_location("bench_chaos", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_recorded_scenario_matches_and_a_moved_entry_is_named(self):
+        import json
+
+        bench = self._bench()
+        with open(bench.DIGESTS_PATH) as handle:
+            recorded = json.load(handle)
+        assert len(recorded) == 20
+        result = bench._scn_delegation_chain(61)
+        key = "delegation_chain@61"
+        assert bench.digest_mismatches([result], {key: recorded[key]}) == []
+
+        result["trace"][2][2] = "something else happened"
+        (line,) = bench.digest_mismatches([result], {key: recorded[key]})
+        assert line.startswith(key) and "trace entry 2 is now" in line
+        assert "something else happened" in line
+        result["trace"].pop()
+        (line,) = bench.digest_mismatches([result], {key: recorded[key]})
+        assert "trace entry 2" in line
+        assert bench.digest_mismatches([], {key: recorded[key]}) == [
+            key + ": recorded but no longer in the matrix"
+        ]

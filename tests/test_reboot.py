@@ -245,3 +245,17 @@ class TestDedupAcrossReboot:
             expect_signature=incarnation.signature_image,
         )
         assert client.list(fresh_root) == ["paid"]
+
+        # And a second reboot remembers all of that: the log scans
+        # clean, the dropped commit stays dropped, the pre-crash
+        # capability is still refused and the re-obtained one still works.
+        incarnation.stop()
+        third, report = respawn_on(net, disk, incarnation, seed=100)
+        assert not report.suspect_stripes and not report.commits
+        client = DirectoryClient(
+            client_nic, third.put_port, rng=RandomSource(seed=7),
+            expect_signature=third.signature_image,
+        )
+        with pytest.raises(InvalidCapability):
+            client.list(root)
+        assert client.list(fresh_root) == ["paid"]

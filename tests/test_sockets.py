@@ -318,3 +318,79 @@ class TestSocketTransport:
             timeout=3.0,
         )
         assert client.call(USER_BASE, data=b"udp works").data == b"UDP WORKS"
+
+
+class TestPumpCountsWhatItDrops:
+    """Each arm of the pump that swallows a failure counts it and keeps
+    the last exception — and the pump survives to deliver what follows."""
+
+    @staticmethod
+    def _boom(*args):
+        raise RuntimeError("handler bug")
+
+    @staticmethod
+    def _wait_for(condition):
+        deadline = time.monotonic() + 2.0
+        while not condition() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert condition()
+
+    def _still_delivers(self, server, client):
+        g = PrivatePort(4242)
+        wire = server.listen(g)
+        client.put(Message(dest=wire, data=b"after"),
+                   dst_machine=server.address)
+        frame = server.poll(g, timeout=2.0)
+        assert frame is not None and frame.message.data == b"after"
+
+    def _assert_counted(self, server, client, errors=1, garbage=0):
+        self._wait_for(
+            lambda: server.handler_errors + server.garbage_dropped
+            == errors + garbage
+        )
+        assert server.handler_errors == errors
+        assert server.garbage_dropped == garbage
+        assert server.last_error is not None
+        self._still_delivers(server, client)
+
+    def test_quiet_pump_counts_nothing(self, nodes):
+        server, client = nodes(), nodes()
+        self._still_delivers(server, client)
+        assert (server.handler_errors, server.garbage_dropped,
+                server.last_error) == (0, 0, None)
+
+    def test_control_handler(self, nodes):
+        from repro.net.sockets import CTL_JOIN
+
+        server, client = nodes(), nodes()
+        server.on_control(self._boom)
+        client.send_control(CTL_JOIN, b"x", dst=server.address)
+        self._assert_counted(server, client)
+        assert isinstance(server.last_error, RuntimeError)
+
+    def test_undecodable_datagram(self, nodes):
+        import socket
+
+        server, client = nodes(), nodes()
+        raw_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        raw_sock.sendto(b"not a message", server.address)
+        raw_sock.close()
+        self._assert_counted(server, client, errors=0, garbage=1)
+
+    def test_broadcast_handler(self, nodes):
+        server, client = nodes(), nodes()
+        server.on_broadcast(self._boom)
+        client.put(Message(dest=Port(0xBEEF)), dst_machine=server.address)
+        self._assert_counted(server, client)
+
+    def test_per_frame_server_handler(self, nodes):
+        server, client = nodes(), nodes()
+        wire = server.serve(PrivatePort(31), self._boom)
+        client.put(Message(dest=wire), dst_machine=server.address)
+        self._assert_counted(server, client)
+
+    def test_batch_server_handler(self, nodes):
+        server, client = nodes(), nodes()
+        wire = server.serve_batch(PrivatePort(32), self._boom)
+        client.put(Message(dest=wire), dst_machine=server.address)
+        self._assert_counted(server, client)

@@ -295,6 +295,97 @@ class TestSuspectTails:
         assert (7, 8) not in report.commits
 
 
+    def _tear_a_tail(self):
+        """A stripe holding several objects, its log torn by the next
+        create; the disk is healthy again afterwards."""
+        disk = VirtualDisk(4096)
+        store, table, caps = self._build(disk)
+        disk.faults = DiskFaultPlan(seed=5, torn_at={0})
+        victim = table.create(b"V" * 700)
+        disk.faults = None
+        stripe = table.shard_of(victim.object)
+        held = [c for c in caps if table.shard_of(c.object) == stripe]
+        assert held
+        return disk, stripe, held
+
+    def test_rekeying_survives_a_second_reboot(self):
+        disk, stripe, held = self._tear_a_tail()
+        # An attach that never gets to recover() (a crash in between)
+        # must not leave a log that scans clean over the old secrets.
+        DurableStore(disk, codec=DefaultCodec())
+        _, table1, first = reattach(disk)
+        assert first.suspect_stripes == [stripe]
+        reissued = table1.mint_for(held[0].object)
+
+        _, table2, second = reattach(disk)
+        # Nothing is suspect any more, nothing is re-keyed again — and
+        # the first reboot's revocation is what the medium remembers.
+        assert not second.suspect_stripes
+        assert second.secrets_regenerated == 0
+        for cap in held:
+            with pytest.raises(InvalidCapability):
+                table2.lookup(cap)
+        table2.lookup(reissued)
+
+    def test_dropped_commits_stay_dropped_after_a_second_reboot(self):
+        disk = VirtualDisk(4096)
+        store, table, caps = self._build(disk)
+        table.log_commit(caps[0].object, 7, 8, b"reply")
+        stripe = table.shard_of(caps[0].object)
+        # Tear this very stripe: a big record for an object it owns.
+        disk.faults = DiskFaultPlan(seed=5, torn_at={0})
+        table.persist(caps[0].object, b"V" * 700)
+        disk.faults = None
+
+        _, _, first = reattach(disk)
+        assert first.suspect_stripes == [stripe]
+        assert (7, 8) not in first.commits
+        _, _, second = reattach(disk)
+        assert not second.suspect_stripes
+        assert (7, 8) not in second.commits
+
+    @pytest.mark.parametrize("writes", range(8))
+    def test_power_failure_inside_the_rekeying_restores_no_old_secret(
+        self, writes
+    ):
+        """The first reboot dies after ``writes`` block writes of its
+        re-keying checkpoint; whatever reached the medium, the second
+        reboot must still refuse every pre-crash capability."""
+        disk, stripe, held = self._tear_a_tail()
+        disk.faults = DiskFaultPlan(power_fail_after=writes)
+        try:
+            reattach(disk)
+        except PowerFailure:
+            pass
+        disk.faults.revive()
+        _, table2, report = reattach(disk)
+        for cap in held:
+            with pytest.raises(InvalidCapability):
+                table2.lookup(cap)
+        _, _, third = reattach(disk)
+        assert not third.suspect_stripes
+
+    def test_damaged_snapshot_chain_is_freed_by_the_rekeying_checkpoint(self):
+        disk = VirtualDisk(4096)
+        store = DurableStore(disk, codec=DefaultCodec(), shards=1)
+        table = make_table(store)
+        caps = [table.create(b"x" * 300) for _ in range(8)]
+        store.snapshot(table)
+        used = disk.used_blocks
+        # Flip a byte in the second block of the snapshot chain.
+        second = int.from_bytes(disk.read(store._snapshots[0])[:4], "big")
+        raw = bytearray(disk.read(second))
+        raw[40] ^= 0xFF
+        disk.write(second, bytes(raw))
+
+        store2, table2, report = reattach(disk)
+        assert report.suspect_stripes == [0]
+        with pytest.raises((InvalidCapability, NoSuchObject)):
+            table2.lookup(caps[0])
+        store2.snapshot(table2)           # frees nothing twice
+        assert disk.used_blocks <= used
+
+
 class TestPowerFailure:
     def test_power_fail_mid_snapshot_recovers_old_state(self):
         disk = VirtualDisk(4096)

@@ -534,15 +534,14 @@ class ScriptedDirectoryServer(DirectoryServer):
         return ctx.ok()
 
 
-def server_world(synchronous=True, dedup=True, workers=0,
-                 cls=ScriptedDirectoryServer):
+def server_world(synchronous=True, dedup=True, cls=ScriptedDirectoryServer):
     net = SimNetwork() if synchronous else SimNetwork(
         synchronous=False, auto_drain=False
     )
     disk = RecordingDisk(4096)
     server = cls(
         Nic(net), store=DurableStore(disk, codec=DirectoryCodec()),
-        dedup=dedup, workers=workers, rng=RandomSource(seed=1),
+        dedup=dedup, rng=RandomSource(seed=1),
     ).start()
     client = DirectoryClient(
         Nic(net), server.put_port, rng=RandomSource(seed=2),
@@ -583,48 +582,36 @@ class TestReplyPathOrdering:
         assert events[-1] == ("egress", "put_owned_unicast_bulk")
         assert names_on_medium(disk, root.object) == {"name": target}
 
-    def test_worker_pool_path(self):
-        """Handlers run on pool threads, commits are logged by the
-        dispatching thread: every handler's bytes are on the medium
-        before any commit, every commit before the bulk egress — and
-        every mutating request *gets* a commit."""
-        net, disk, server, client = server_world(
-            synchronous=False, workers=3
-        )
-        try:
-            dirs = [server.create_root() for _ in range(6)]
-            target = server.create_root()
-            for cap in dirs:
-                client.enter(cap, "name", target)
-            events = disk.events
-            record_reply_path(server, events)
-            del events[:]
-            node = client.node
-            flights = [
-                AsyncTrans(
-                    node, server.put_port,
-                    Message(command=DIR_REMOVE, capability=cap, data=b"name"),
-                    rng=RandomSource(seed=10 + i),
-                    expect_signature=server.signature_image,
-                )
-                for i, cap in enumerate(dirs)
-            ]
-            assert [f.result(timeout=5.0).status for f in flights] == [0] * 6
-            order = kinds(events)
-            assert order.count("cache") == 6
-            assert order[-1] == "egress" and order.count("egress") == 1
-            first_cache = order.index("cache")
-            assert "write" in order[:first_cache]
-            # Each cached (= committed) reply was preceded by its write.
-            for i, kind in enumerate(order):
-                if kind == "cache":
-                    assert order[i - 1] == "write"
-            table, report = recover_directories(disk)
-            assert len(report.commits) == 6 + 6  # the enters, the removes
-            for cap in dirs:
-                assert table._entry(cap.object).data.entries == {}
-        finally:
-            server.stop()
+    def test_batch_path_six_in_flight(self):
+        """One delivered run of six mutating requests: every handler's
+        bytes are on the medium before its commit is cached, every
+        commit before the run's one bulk egress — and every mutating
+        request *gets* a commit."""
+        net, disk, server, client = server_world(synchronous=False)
+        dirs = [server.create_root() for _ in range(6)]
+        target = server.create_root()
+        for cap in dirs:
+            client.enter(cap, "name", target)
+        events = disk.events
+        record_reply_path(server, events)
+        del events[:]
+        node = client.node
+        flights = [
+            AsyncTrans(
+                node, server.put_port,
+                Message(command=DIR_REMOVE, capability=cap, data=b"name"),
+                rng=RandomSource(seed=10 + i),
+                expect_signature=server.signature_image,
+            )
+            for i, cap in enumerate(dirs)
+        ]
+        assert [f.result(timeout=5.0).status for f in flights] == [0] * 6
+        assert kinds(events) == ["write", "cache"] * 6 + ["egress"]
+        assert events[-1] == ("egress", "put_owned_unicast_bulk")
+        table, report = recover_directories(disk)
+        assert len(report.commits) == 6 + 6  # the enters, the removes
+        for cap in dirs:
+            assert table._entry(cap.object).data.entries == {}
 
     def test_dedup_off_flushes_before_egress(self):
         net, disk, server, client = server_world(dedup=None)

@@ -1,19 +1,19 @@
-"""Tests for the ObjectServer worker pool (sharded multi-worker dispatch).
+"""Batch dispatch: one ingress run per ``_handle_frames`` call.
 
-The pool is opt-in (``workers=N``): each delivered batch is partitioned
-by object number, partitions run on pool threads, and requests naming
-the same object never run concurrently — handlers stay single-threaded
-per object with no locking of their own, while the object table's lock
-stripes make the shared validation path safe.
+These tests were written against ``ObjectServer(workers=N)``.  The pool
+is gone; what they checked that was not about threads — every reply of a
+batch correct, exact request counts, revocation and deferred replies
+inside a batch, sealed and multi-capability requests in a batch — they
+now check on the one dispatch path that is left.  The file and test
+names are the historical ones, kept so the ids stay stable.
 """
 
 import threading
-import time
 
 import pytest
 
 from repro.crypto.randomsrc import RandomSource
-from repro.errors import STATUS_OK
+from repro.errors import STATUS_OK, PortNotLocated
 from repro.ipc import stdops
 from repro.ipc.rpc import trans, trans_many
 from repro.ipc.server import ObjectServer, command
@@ -23,13 +23,12 @@ from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 
 OP_RECORD = USER_BASE
-OP_SLOW = USER_BASE + 1
 
 
 class RecordingServer(ObjectServer):
-    """Echoes, while recording per-object concurrency."""
+    """Echoes, while recording concurrency and the threads it ran on."""
 
-    service_name = "worker pool probe"
+    service_name = "batch dispatch probe"
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -64,24 +63,11 @@ class RecordingServer(ObjectServer):
         finally:
             self._exit(entry.number)
 
-    @command(OP_SLOW)
-    def _slow(self, ctx):
-        entry, _ = ctx.lookup()
-        self._enter(entry.number)
-        try:
-            # Long enough that pool threads overlap (sleep drops the GIL).
-            time.sleep(0.002)
-            return ctx.ok(data=ctx.request.data)
-        finally:
-            self._exit(entry.number)
-
 
 @pytest.fixture
 def world():
     net = SimNetwork(synchronous=False, auto_drain=False)
-    server = RecordingServer(
-        Nic(net), rng=RandomSource(seed=3), workers=4
-    ).start()
+    server = RecordingServer(Nic(net), rng=RandomSource(seed=3)).start()
     client = Nic(net)
     return net, server, client
 
@@ -103,26 +89,6 @@ class TestWorkerPool:
         )
         assert [r.data for r in replies] == [r.data for r in requests]
         assert all(r.status == STATUS_OK for r in replies)
-
-    def test_same_object_never_concurrent(self, world):
-        net, server, client = world
-        caps = [server.table.create("obj-%d" % i) for i in range(8)]
-        requests = [
-            Message(command=OP_SLOW, capability=caps[i % len(caps)], data=b"x")
-            for i in range(32)
-        ]
-        replies = trans_many(
-            client, server.put_port, requests, RandomSource(seed=5), timeout=30.0
-        )
-        assert len(replies) == 32
-        # The affinity invariant: no object's handler ever ran while
-        # another invocation for the same object was still in flight.
-        assert server.max_active_by_object
-        assert max(server.max_active_by_object.values()) == 1
-        # Distinct objects did overlap (sleep drops the GIL, so with 4
-        # workers and 8 objects the partitions interleave).
-        assert server.max_active_global >= 2
-        assert len(server.handled_threads) >= 2
 
     def test_capability_less_frames_share_serial_bucket(self, world):
         net, server, client = world
@@ -155,50 +121,20 @@ class TestWorkerPool:
     def test_stop_shuts_pool_down_and_restart_works(self, world):
         net, server, client = world
         cap = server.table.create("x")
-        pool = server._pool
-        assert pool is not None
+        request = Message(command=OP_RECORD, capability=cap, data=b"again")
         server.stop()
-        assert server._pool is None
+        with pytest.raises(PortNotLocated):
+            trans(client, server.put_port, request, RandomSource(seed=8))
         server.start()
-        reply = trans(
-            client,
-            server.put_port,
-            Message(command=OP_RECORD, capability=cap, data=b"again"),
-            RandomSource(seed=8),
-        )
+        reply = trans(client, server.put_port, request, RandomSource(seed=8))
         assert reply.data == b"again"
-        server.stop()
-
-    def test_single_frame_batches_skip_the_pool(self):
-        """On a synchronous network every delivery is a batch of one;
-        the pool must not add overhead (or thread hops) to that path."""
-        net = SimNetwork()
-        server = RecordingServer(
-            Nic(net), rng=RandomSource(seed=9), workers=4
-        ).start()
-        client = Nic(net)
-        cap = server.table.create("solo")
-        reply = trans(
-            client,
-            server.put_port,
-            Message(command=OP_RECORD, capability=cap, data=b"one"),
-            RandomSource(seed=10),
-        )
-        assert reply.data == b"one"
-        assert server.handled_threads == {threading.get_ident()}
-        server.stop()
-
-    def test_workers_disabled_by_default(self):
-        net = SimNetwork()
-        server = RecordingServer(Nic(net), rng=RandomSource(seed=11)).start()
-        assert server._pool is None
         server.stop()
 
 
 class TestWorkerPoolWithStdOps:
     def test_refresh_under_pool_revokes(self, world):
-        """STD_REFRESH dispatched through the pool still revokes: the
-        old capability fails afterwards, the fresh one works."""
+        """STD_REFRESH dispatched inside a batch still revokes: the old
+        capability fails afterwards, the fresh one works."""
         net, server, client = world
         cap = server.table.create("precious")
         rng = RandomSource(seed=12)
@@ -224,11 +160,10 @@ class TestWorkerPoolWithStdOps:
 
 class TestSealedBatchesStaySerial:
     def test_mixed_sealed_and_plaintext_batch_keeps_object_affinity(self):
-        """Regression: a sealed request's object is unknown until
-        unsealed, so a batch mixing sealed and plaintext requests must
-        be dispatched serially — otherwise a sealed WRITE for object k
-        (serial bucket) and a plaintext WRITE for object k (bucket
-        k mod workers) could run concurrently."""
+        """A batch mixing sealed and plaintext requests for the same
+        objects: every reply correct (the sealed ones sealed again for
+        the client), all on the delivering thread, one after another —
+        and, with a sealer configured, still one bulk egress."""
         from repro.softprot.cache import (
             ClientCapabilityCache,
             ServerCapabilityCache,
@@ -245,8 +180,11 @@ class TestSealedBatchesStaySerial:
                 matrix.view(server_nic.address),
                 server_cache=ServerCapabilityCache(),
             ),
-            workers=4,
         ).start()
+        bulk_sizes = []
+        bulk = server_nic.put_owned_unicast_bulk
+        server_nic.put_owned_unicast_bulk = lambda pairs: (
+            bulk_sizes.append(len(pairs)), bulk(pairs))[1]
         client_nic = Nic(net)
         client_sealer = CapabilitySealer(
             matrix.view(client_nic.address),
@@ -256,7 +194,7 @@ class TestSealedBatchesStaySerial:
         requests = []
         for i in range(16):
             plain = Message(
-                command=OP_SLOW, capability=caps[i % 4], data=b"p%d" % i
+                command=OP_RECORD, capability=caps[i % 4], data=b"p%d" % i
             )
             if i % 2:
                 requests.append(
@@ -269,52 +207,48 @@ class TestSealedBatchesStaySerial:
             server.put_port,
             requests,
             RandomSource(seed=22),
-            timeout=60.0,
         )
-        assert len(replies) == 16
+        assert [r.data for r in replies] == [b"p%d" % i for i in range(16)]
         assert all(r.status == STATUS_OK for r in replies)
-        # Serial dispatch: never two handlers in flight, one thread only.
+        assert bulk_sizes == [16]
+        # Never two handlers in flight, one thread only.
         assert server.max_active_global == 1
         assert max(server.max_active_by_object.values()) == 1
-        assert len(server.handled_threads) == 1
+        assert server.handled_threads == {threading.get_ident()}
         server.stop()
 
 
 class TestMultiObjectRequestsStaySerial:
     def test_batch_with_extra_caps_dispatches_serially(self):
-        """Regression: a request carrying extra_caps names several
-        objects (a bank transfer's payee, a directory install's target),
-        so bucketing it by its header capability alone would let it race
-        the buckets of the objects it does not key on.  Any such frame
-        makes the whole batch serial."""
+        """Requests carrying extra_caps (a bank transfer's payee, a
+        directory install's target) name several objects; a batch of
+        them is answered in order, one handler at a time."""
         net = SimNetwork(synchronous=False, auto_drain=False)
-        server = RecordingServer(
-            Nic(net), rng=RandomSource(seed=30), workers=4
-        ).start()
+        server = RecordingServer(Nic(net), rng=RandomSource(seed=30)).start()
         client = Nic(net)
         caps = [server.table.create("obj-%d" % i) for i in range(4)]
         requests = []
         for i in range(16):
-            changes = {"command": OP_SLOW, "capability": caps[i % 4],
+            changes = {"command": OP_RECORD, "capability": caps[i % 4],
                        "data": b"m%d" % i}
             if i % 3 == 0:
                 changes["extra_caps"] = (caps[(i + 1) % 4],)
             requests.append(Message(**changes))
         replies = trans_many(
             client, server.put_port, requests, RandomSource(seed=31),
-            timeout=60.0,
         )
-        assert len(replies) == 16
+        assert [r.data for r in replies] == [b"m%d" % i for i in range(16)]
         assert all(r.status == STATUS_OK for r in replies)
         assert server.max_active_global == 1
-        assert len(server.handled_threads) == 1
+        assert server.handled_threads == {threading.get_ident()}
         server.stop()
 
 
 class TestDeferredRepliesUnderPool:
     def test_park_and_release_from_pool_threads(self):
-        """DeferredReply.send() fired from a pool thread serializes
-        against the dispatching thread's egress; all replies arrive."""
+        """DeferredReply.send() fired from a later handler of the same
+        batch: the parked replies leave ahead of the batch's bulk
+        egress, and all replies arrive."""
         OP_PARK = USER_BASE + 7
         OP_RELEASE = USER_BASE + 8
 
@@ -338,36 +272,29 @@ class TestDeferredRepliesUnderPool:
                     self.parked.pop(0).send()
                 return ctx.ok(data=b"released")
 
-            @command(OP_SLOW)
-            def _slow(self, ctx):
+            @command(OP_RECORD)
+            def _echo(self, ctx):
                 ctx.lookup()
-                time.sleep(0.002)
                 return ctx.ok(data=ctx.request.data)
 
         net = SimNetwork(synchronous=False, auto_drain=False)
-        server = ParkingServer(
-            Nic(net), rng=RandomSource(seed=32), workers=4
-        ).start()
+        server = ParkingServer(Nic(net), rng=RandomSource(seed=32)).start()
         client = Nic(net)
         cap = server.table.create("lot")
-        # Same object throughout: parks and the release share a bucket,
-        # so the parked handles exist before the release handler runs —
-        # and its sends fire on that pool thread mid-batch.
+        # The parked handles exist before the release handler runs, and
+        # its sends fire mid-batch.
         requests = [
             Message(command=OP_PARK, capability=cap),
             Message(command=OP_PARK, capability=cap),
             Message(command=OP_RELEASE, capability=cap),
         ]
-        # A second object's slow traffic keeps another worker inside the
-        # bulk-egress window at the same time.
         other = server.table.create("busy")
         requests += [
-            Message(command=OP_SLOW, capability=other, data=b"x")
+            Message(command=OP_RECORD, capability=other, data=b"x")
             for _ in range(5)
         ]
         replies = trans_many(
             client, server.put_port, requests, RandomSource(seed=33),
-            timeout=60.0,
         )
         assert len(replies) == 8
         assert all(r.status == STATUS_OK for r in replies)
