@@ -12,7 +12,9 @@ test-fast:
 	$(PYTHON) -m pytest -x -q -m "not integration"
 
 ## Lines of src/repro per package and in total — the number ROADMAP
-## asks every refactor PR to report before and after.
+## asks every refactor PR to report before and after — and net/ + ipc/
+## against the 7300 this round started with and ROADMAP item 3's bar of
+## 20 % fewer (<= 5840).
 loc:
 	@for package in src/repro/*/; do \
 		case $$package in *__pycache__/) continue;; esac; \
@@ -20,6 +22,9 @@ loc:
 	done
 	@printf '%-22s %6d\n' "src/repro/*.py" "$$(cat src/repro/*.py | wc -l)"
 	@printf '%-22s %6d\n' "src/repro total" "$$(find src/repro -name '*.py' | xargs cat | wc -l)"
+	@wire=$$(cat src/repro/net/*.py src/repro/ipc/*.py | wc -l); \
+		printf '%-22s %6d  (round start 7300, item-3 bar <= 5840: %d to go)\n' \
+		"net/ + ipc/" "$$wire" "$$((wire - 5840))"
 
 ## Full throughput suite; refreshes BENCH_throughput.json.
 bench:

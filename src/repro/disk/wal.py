@@ -477,9 +477,12 @@ class _ThreadState(threading.local):
     """What one thread owes the store (``__init__`` runs per thread)."""
 
     def __init__(self):
-        self.depth = 0  # ObjectServer dispatches this thread is inside
+        # One "logged a mutation" flag per ObjectServer dispatch this
+        # thread is inside, innermost last: a handler that transacts
+        # into another server on the same store nests them.
+        self.open = []
         self.pending = []  # logs it appended to without flushing
-        self.wrote = False  # it logged a mutation since consume_dirty()
+        self.wrote = False  # the flag of the dispatch that ended last
 
 
 class DurableStore:
@@ -667,8 +670,8 @@ class DurableStore:
         """The one append path for table mutations."""
         log = self._logs[shard_index]
         state = self._thread
-        state.wrote = True
-        if state.depth:
+        if state.open:
+            state.open[-1] = True
             log.append(payload, flush=False)
             state.pending.append(log)
         else:
@@ -705,16 +708,17 @@ class DurableStore:
         self._append(shard_index, _ROW_HEAD.pack(OP_DESTROY << 24 | number))
 
     def consume_dirty(self):
-        """True when *this thread* wrote durable state since the last
-        call.  A handler runs start to finish on one thread, so the
-        server's reply path uses this to log commit records only for
-        requests that actually mutated the table — a pure read or echo
-        is idempotent, safe to re-execute after a reboot, and pays no
-        WAL write."""
+        """True when the dispatch this thread left last (:meth:`end`)
+        logged a mutation; asked once, by that dispatch's reply path.
+        The server logs commit records only for requests that actually
+        mutated the table — a pure read or echo is idempotent, safe to
+        re-execute after a reboot, and pays no WAL write.  The flag
+        belongs to the dispatch, not the thread: a nested request's
+        reply path must not take (and so lose) what the handler around
+        it wrote before calling out."""
         state = self._thread
         wrote = state.wrote
-        if wrote:
-            state.wrote = False
+        state.wrote = False
         return wrote
 
     def log_commit(self, shard_index, src, reply_value, reply_raw):
@@ -740,13 +744,15 @@ class DurableStore:
     def begin(self):
         """This thread enters a request dispatch: its appends now wait
         in their tail blocks for :meth:`log_commit` / :meth:`flush`."""
-        self._thread.depth += 1
+        self._thread.open.append(False)
 
     def end(self):
         """Leave the dispatch entered by :meth:`begin` (nesting counts).
         Flushes nothing: whatever is pending stays owed to the medium
-        until the reply path's :meth:`log_commit` or :meth:`flush`."""
-        self._thread.depth -= 1
+        until the reply path's :meth:`log_commit` or :meth:`flush`;
+        whether it logged anything is kept for :meth:`consume_dirty`."""
+        state = self._thread
+        state.wrote = state.open.pop()
 
     def flush(self, last=None):
         """Write every block this thread appended to without flushing

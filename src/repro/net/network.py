@@ -44,25 +44,28 @@ class Frame(NamedTuple):
 class SimNetwork:
     """The shared medium connecting every NIC in one simulated system.
 
-    Three delivery disciplines share all the routing machinery:
+    Every frame takes one path: :meth:`send` stamps the source, shows
+    the frame to the taps and (on a faulty wire) passes it through the
+    fault plan; the routing index answers whether any station admits it
+    — that verdict is ``send``'s return value; ``_schedule`` decides
+    *when* it is delivered; ``_deliver`` re-checks admission and severed
+    links against the live state and hands it to the taker.  The three
+    delivery disciplines are the three answers to *when*:
 
-    * ``synchronous=True`` (default) — the original recursive model:
-      ``send`` delivers straight into the destination's admission filter,
-      so a server handler runs (and replies) before the sender's ``put``
-      returns.  Exactly one transaction is ever in flight.
-    * ``synchronous=False`` — deferred delivery through an
-      :class:`~repro.net.sched.EventLoop`: ``send`` is an O(1) enqueue
-      (admission is pre-checked against the routing index so the return
-      value keeps its meaning) and frames are dispatched by ``pump()``.
-      With ``auto_drain=True`` (the default) every top-level ``send``
-      drains the loop before returning, so blocking clients behave as in
+    * ``synchronous=True`` (default) — now: ``send`` recurses straight
+      into the taker's admission filter, so a server handler runs (and
+      replies) before the sender's ``put`` returns.  Exactly one
+      transaction is ever in flight.
+    * ``synchronous=False`` — when ``pump()`` reaches it: ``send`` is an
+      O(1) enqueue on an :class:`~repro.net.sched.EventLoop`.  With
+      ``auto_drain=True`` (the default) every top-level ``send`` drains
+      the loop before returning, so blocking clients behave as in
       synchronous mode while all traffic still flows through real queues;
       ``auto_drain=False`` leaves pumping to the caller, which is what
       pipelined clients use to keep many transactions in flight.
     * ``clock=VirtualClock()`` (optionally with
-      ``latency=LatencyModel(rtt_ms=2.8)``) — virtual-clock discrete-event
-      mode: ``send`` schedules the frame's *arrival instant* on a
-      :class:`~repro.net.sched.VirtualTimeLoop` and ``pump()`` delivers
+      ``latency=LatencyModel(rtt_ms=2.8)``) — at its *arrival instant* on
+      a :class:`~repro.net.sched.VirtualTimeLoop`: ``pump()`` delivers
       events in arrival order, advancing simulated time.  Blocking polls
       (``Nic.poll(timeout=...)``) consume virtual time, never wall time,
       so 1986-era RTTs — and the latency amortization that makes
@@ -234,7 +237,7 @@ class SimNetwork:
             self._round_robin.pop(wire_port, None)
 
     # ------------------------------------------------------------------
-    # wire primitives
+    # the pipeline: send -> admit -> schedule(when) -> deliver
     # ------------------------------------------------------------------
 
     def send(self, src_nic, message, dst_machine=None):
@@ -242,8 +245,20 @@ class SimNetwork:
 
         The source address comes from the NIC object itself, never from
         the caller — this is the §2.4 unforgeability assumption.  Returns
-        True if some NIC accepted the frame (in deferred mode: if some
-        NIC's admission filter *would* take it, per the routing index).
+        True if some NIC accepted the frame (in deferred and DES mode: if
+        some NIC's admission filter *would* take it, per the routing
+        index); False means exactly one thing under every discipline:
+        nobody admits the port.
+
+        A frame can be *admitted, then lost* — to a full ingress queue,
+        or to the fault plan (the verdict is computed for the pristine
+        frame, before the plan fires).  That loss is silent at the
+        sender, like a real network dropping a frame in a full buffer:
+        ``send`` still returns True and the loss shows up only in
+        ``frames_dropped`` / ``dropped_overflow`` / the plan's counters
+        and as a missing reply.  Each copy the plan lets through
+        (duplicates, corrupted replacements, released held-back frames)
+        is scheduled like any other frame.
         """
         frame = Frame(src_nic.address, dst_machine, message)
         self.frames_sent += 1
@@ -251,28 +266,51 @@ class SimNetwork:
             for tap in self._taps:
                 tap(frame)
         if self._faults is not None:
-            return self._send_faulty(frame)
-        if self._loop is not None:
-            if self._clock is not None:
-                return self._send_des(frame)
-            return self._send_deferred(frame)
-        if dst_machine is not None:
-            # Located unicast, inlined from _route: one dict hit.
-            nic = self._nics.get(dst_machine)
-            delivered = nic is not None and nic.accept(frame)
-        else:
-            delivered = self._route(frame)
-        if delivered:
-            self.frames_delivered += 1
-        else:
-            self.frames_dropped += 1
-        return delivered
+            admitted = self._admits(frame)
+            des = self._clock is not None
+            for out, extra in self._faults.apply(frame, des=des):
+                self._schedule(out, extra)
+            return admitted
+        if self._loop is None:
+            return self._deliver(frame)  # _schedule's "now", one call less
+        return self._schedule(frame)
 
-    def _send_deferred(self, frame):
-        """Deferred-mode tail of :meth:`send`: pre-check admission against
-        the routing index (which mirrors the filters exactly), enqueue in
-        O(1), and — under auto-drain — pump the loop before returning so
-        blocking callers keep their synchronous-mode behavior.
+    def _admits(self, frame):
+        """Would any station take this frame?  One routing-index lookup
+        (the index mirrors the admission filters exactly)."""
+        if frame.dst_machine is not None:
+            nic = self._nics.get(frame.dst_machine)
+            return nic is not None and frame.message.dest in nic._sinks
+        return frame.message.dest in self._listeners
+
+    def _schedule(self, frame, extra=0.0):
+        """Decide *when* one frame is delivered — the only place the
+        disciplines differ (see the class docstring) — and return the
+        admission verdict.
+
+        The DES arm has no auto-drain: delivery *requires* simulated time
+        to pass, and only a blocking waiter (``poll(timeout=...)``) or an
+        explicit ``pump()`` may advance the clock.  ``extra`` is a
+        fault-injected delay in virtual seconds; the plan hands the
+        untimed disciplines 0.0 and models lateness by hold-back.
+        """
+        loop = self._loop
+        if loop is None:
+            return self._deliver(frame)
+        if self._clock is None:
+            admitted = self._enqueue(frame, loop)
+            if admitted and self._auto_drain and not loop._draining:
+                loop.pump()
+            return admitted
+        if not self._admits(frame):
+            self.frames_dropped += 1
+            return False
+        loop.schedule(frame, extra=extra)
+        return True
+
+    def _enqueue(self, frame, loop):
+        """Deferred-mode admit + express-or-queue, O(1); returns the
+        admission verdict.
 
         Express lane: while the loop is draining, a unicast frame whose
         sink is a passive queue (a client blocked in GET — the shape of
@@ -283,31 +321,15 @@ class SimNetwork:
         so expressing it skips one enqueue/dispatch round trip per reply
         without changing anything a client can observe — including the
         ``max_queue_depth`` bound, which is enforced against the sink.
-
-        Overflow is a *silent* loss at the sender, like a real network
-        dropping a frame in a full buffer: send() still returns True (the
-        port is admitted), the loss shows up in ``frames_dropped`` /
-        ``dropped_overflow`` and as a missing reply.  False still means
-        exactly what it means in synchronous mode: nobody admits the
-        port.
+        The lane does not fire while any link is cut: a queued frame
+        meets the severed-link check in :meth:`_deliver`, an expressed
+        one would bypass it.
         """
-        loop = self._loop
         dest = frame.message.dest
-        if frame.dst_machine is not None:
-            faults = self._faults
-            if (faults is not None and faults.has_partitions
-                    and faults.link_severed(frame.src, frame.dst_machine)):
-                # A cut that lands while a drain is in progress must
-                # also stop express-lane deliveries; queued frames are
-                # culled by the pump itself.
-                faults.note_partition_drop(frame.src, frame.dst_machine)
-                self.frames_dropped += 1
-                return True  # admitted at send time, lost on the cut link
-            nic = self._nics.get(frame.dst_machine)
-            if nic is None:
-                self.frames_dropped += 1
-                return False
-            sink = nic._sinks.get(dest)
+        dst = frame.dst_machine
+        if dst is not None:
+            nic = self._nics.get(dst)
+            sink = nic._sinks.get(dest) if nic is not None else None
             if sink is None:
                 self.frames_dropped += 1
                 return False
@@ -316,6 +338,7 @@ class SimNetwork:
                 and type(sink) is deque
                 and dest.value not in loop._queues
                 and (not loop.max_depth or len(sink) < loop.max_depth)
+                and (self._faults is None or not self._faults.has_partitions)
             ):
                 # The _queues guard keeps per-port FIFO order: if earlier
                 # frames for this port are still scheduled, this one must
@@ -328,96 +351,57 @@ class SimNetwork:
             self.frames_dropped += 1
             return False
         if not loop.enqueue(frame):
-            self.frames_dropped += 1
-            return True  # admitted, then lost to a full queue
-        if self._auto_drain and not loop._draining:
-            loop.pump()
+            self.frames_dropped += 1  # admitted, then lost to a full queue
         return True
 
-    def _send_des(self, frame):
-        """DES-mode tail of :meth:`send`: pre-check admission against the
-        routing index (so the return value keeps its synchronous-mode
-        meaning — False iff nobody admits the port), then schedule the
-        frame's arrival instant on the virtual-time loop.
+    def _deliver(self, frame):
+        """Hand one frame over *now* and count it — the arrival half of
+        every discipline (``send`` when synchronous, the pump's per-frame
+        turn, a DES event's instant).
 
-        There is no auto-drain here: delivery *requires* simulated time
-        to pass, and only a blocking waiter (``poll(timeout=...)``) or an
-        explicit ``pump()`` may advance the clock.  A frame whose taker
-        withdraws while it is in flight is dropped at its arrival instant
-        (``dropped_dead``), like a packet addressed to a dead host.
+        Admission is re-checked against the live filters, and severed
+        links bind here a second time: a frame in flight when the cut
+        landed is lost on arrival, like a wire yanked mid-transit.
+
+        A port-addressed frame physically reaches every station (taps
+        model that); the listener index answers "who admits this port" in
+        one lookup instead of a scan of every NIC's filter.  Several
+        reachable machines listening on one port (a multi-server service)
+        take turns, like a hardware arbiter would.
         """
-        if frame.dst_machine is not None:
-            nic = self._nics.get(frame.dst_machine)
-            if nic is None or frame.message.dest not in nic._sinks:
-                self.frames_dropped += 1
-                return False
-        elif frame.message.dest not in self._listeners:
-            self.frames_dropped += 1
-            return False
-        self._loop.schedule(frame)
-        return True
-
-    def _send_faulty(self, frame):
-        """Fault-injection tail of :meth:`send`.
-
-        The return value is the *admission* verdict for the pristine
-        frame — computed before the plan fires, so a frame the plan then
-        drops is "admitted, then lost", exactly the contract queue
-        overflow already has: the sender cannot tell a lossy wire from a
-        full buffer.  Each surviving copy (duplicates, corrupted
-        replacements, released held-back frames) is dispatched through
-        the frame's normal discipline path.
-        """
-        admitted = self._admits(frame)
-        des = self._clock is not None
-        for out, extra in self._faults.apply(frame, des=des):
-            self._dispatch_faulty(out, extra)
-        return admitted
-
-    def _admits(self, frame):
-        """Would any station take this frame?  One routing-index lookup."""
-        if frame.dst_machine is not None:
-            nic = self._nics.get(frame.dst_machine)
-            return nic is not None and frame.message.dest in nic._sinks
-        return frame.message.dest in self._listeners
-
-    def _dispatch_faulty(self, frame, extra):
-        """Put one post-fault frame on its discipline's delivery path."""
-        if self._clock is not None:
-            if self._admits(frame):
-                self._loop.schedule(frame, extra=extra)
-            else:
-                self.frames_dropped += 1
-            return
-        if self._loop is not None:
-            self._send_deferred(frame)
-            return
-        if self._deliver_frame(frame):
-            self.frames_delivered += 1
-        else:
-            self.frames_dropped += 1
-
-    def _deliver_frame(self, frame):
-        """Deliver one frame *now*, re-checking admission against the live
-        filters — the dispatch arm shared by the virtual-time loop.  The
-        port-addressed case mirrors :meth:`_route` (single-listener fast
-        path, round-robin arbiter for replicated services)."""
+        faults = self._faults
+        partitioned = faults is not None and faults.has_partitions
         dst = frame.dst_machine
+        nic = None
         if dst is not None:
-            faults = self._faults
-            if (faults is not None and faults.has_partitions
-                    and faults.link_severed(frame.src, dst)):
-                # The frame was in flight when the cut landed: lost at
-                # its arrival instant, like a wire yanked mid-transit.
+            if partitioned and faults.link_severed(frame.src, dst):
                 faults.note_partition_drop(frame.src, dst)
-                return False
-            nic = self._nics.get(dst)
-            return nic is not None and nic.accept(frame)
-        return self._route(frame)
+            else:
+                nic = self._nics.get(dst)
+        else:
+            dest = frame.message.dest
+            takers = self._listeners.get(dest)
+            if takers and partitioned:
+                src = frame.src
+                takers = [a for a in takers if not faults.link_severed(src, a)]
+                if not takers:
+                    faults.note_partition_drop(src, None)
+            if takers:
+                if len(takers) == 1:
+                    nic = self._nics[takers[0]]
+                else:
+                    start = self._round_robin.get(dest, 0)
+                    self._round_robin[dest] = start + 1
+                    nic = self._nics[takers[start % len(takers)]]
+        if nic is not None and nic.accept(frame):
+            self.frames_delivered += 1
+            return True
+        self.frames_dropped += 1
+        return False
 
     def _deliver_broadcast(self, frame):
-        """Deliver one broadcast frame to every other station's handlers —
-        the arrival half of a DES-mode :meth:`broadcast`."""
+        """Deliver one broadcast frame to every other station's handlers
+        and count the takers — :meth:`_deliver` for broadcasts."""
         stations = self._sorted_stations
         if stations is None:
             stations = self._sorted_stations = sorted(self._nics.items())
@@ -455,10 +439,12 @@ class SimNetwork:
         if not messages:
             return 0
         loop = self._loop
-        if loop is None or self._faults is not None:
-            # Synchronous network (no queue to batch onto) or a faulty
-            # wire (every frame must pass the plan individually, in send
-            # order): per-frame delivery keeps the respective semantics.
+        if (loop is None or self._clock is not None
+                or self._faults is not None):
+            # Synchronous network (no queue to batch onto), DES (one
+            # arrival instant per frame) or a faulty wire (every frame
+            # must pass the plan individually, in send order): per-frame
+            # send keeps the respective semantics.
             accepted = 0
             for message in messages:
                 if self.send(src_nic, message, dst_machine):
@@ -471,27 +457,11 @@ class SimNetwork:
             for frame in frames:
                 for tap in self._taps:
                     tap(frame)
-        dest = messages[0].dest
-        if dst_machine is not None:
-            nic = self._nics.get(dst_machine)
-            admitted = nic is not None and dest in nic._sinks
-        else:
-            admitted = dest in self._listeners
-        if not admitted:
+        if not self._admits(frames[0]):
             self.frames_dropped += len(frames)
             return 0
-        if self._clock is not None:
-            # DES mode: one admission verdict for the batch, one arrival
-            # instant per frame (equal delays arrive at the same instant
-            # and deliver in send order — the heap breaks ties by
-            # schedule sequence).
-            schedule = loop.schedule
-            for frame in frames:
-                schedule(frame)
-            return len(frames)
-        enqueued = loop.enqueue_bulk(dest, frames)
-        if enqueued != len(frames):
-            self.frames_dropped += len(frames) - enqueued
+        enqueued = loop.enqueue_bulk(messages[0].dest, frames)
+        self.frames_dropped += len(frames) - enqueued
         return len(frames)
 
     def send_unicast_bulk(self, src_nic, pairs):
@@ -500,7 +470,8 @@ class SimNetwork:
 
         Per-frame behavior is exactly :meth:`send`'s (source stamping,
         taps, counters, express-or-enqueue in deferred mode); the batch
-        only hoists the per-call setup.  Returns the number accepted.
+        only hoists the per-call setup and drains once.  Returns the
+        number accepted.
         """
         loop = self._loop
         if (loop is None or self._taps or self._clock is not None
@@ -514,72 +485,15 @@ class SimNetwork:
                     accepted += 1
             return accepted
         src = src_nic.address
-        nics = self._nics
-        queues = loop._queues
-        express = loop._draining
-        max_depth = loop.max_depth
+        enqueue = self._enqueue
         admitted = 0
-        count = 0
-        delivered = 0
         for message, dst in pairs:
-            count += 1
-            frame = Frame(src, dst, message)
-            nic = nics.get(dst)
-            if nic is None:
-                continue
-            dest = message.dest
-            sink = nic._sinks.get(dest)
-            if sink is None:
-                continue
-            admitted += 1
-            if (
-                express
-                and type(sink) is deque
-                and dest.value not in queues
-                and (not max_depth or len(sink) < max_depth)
-            ):
-                # The express lane of _send_deferred, hoisted.
-                sink.append(frame)
-                nic.received += 1
-                delivered += 1
-            elif not loop.enqueue(frame):
-                # Admitted, then lost to a full queue — a silent drop at
-                # the sender, visible only in the counters.
-                self.frames_dropped += 1
-        self.frames_sent += count
-        self.frames_delivered += delivered
-        self.frames_dropped += count - admitted
+            if enqueue(Frame(src, dst, message), loop):
+                admitted += 1
+        self.frames_sent += len(pairs)
         if self._auto_drain and not loop._draining:
             loop.pump()
         return admitted
-
-    def _route(self, frame):
-        # Unicast frames are handled inline by send(); only port-addressed
-        # frames reach here.
-        # Port-addressed frame: every station sees it; the admission
-        # filters decide.  The listener index answers "who admits this
-        # port" in one lookup — physically every station still receives
-        # the frame (taps above model that), the index only replaces the
-        # per-frame scan of every NIC's filter.  If several machines
-        # listen on the same port (a multi-server service), rotate among
-        # them like a hardware arbiter would.
-        dest = frame.message.dest
-        takers = self._listeners.get(dest)
-        if not takers:
-            return False
-        faults = self._faults
-        if faults is not None and faults.has_partitions:
-            src = frame.src
-            reachable = [a for a in takers if not faults.link_severed(src, a)]
-            if not reachable:
-                faults.note_partition_drop(src, None)
-                return False
-            takers = reachable
-        if len(takers) == 1:
-            return self._nics[takers[0]].accept(frame)
-        start = self._round_robin.get(dest, 0)
-        self._round_robin[dest] = start + 1
-        return self._nics[takers[start % len(takers)]].accept(frame)
 
     def broadcast(self, src_nic, message):
         """Deliver a frame to every station's broadcast handler (LOCATE).
@@ -608,24 +522,7 @@ class SimNetwork:
             for out, extra in copies:
                 self._loop.schedule(out, broadcast=True, extra=extra)
             return len(self._nics) - (src_nic.address in self._nics)
-        stations = self._sorted_stations
-        if stations is None:
-            stations = self._sorted_stations = sorted(self._nics.items())
-        count = 0
-        src = src_nic.address
-        faults = self._faults
-        partitioned = faults is not None and faults.has_partitions
-        for out, _ in copies:
-            for addr, nic in stations:
-                if addr == src:
-                    continue
-                if partitioned and faults.link_severed(src, addr):
-                    faults.note_partition_drop(src, addr)
-                    continue
-                if nic.accept_broadcast(out):
-                    count += 1
-        self.frames_delivered += count
-        return count
+        return sum([self._deliver_broadcast(out) for out, _ in copies])
 
     # ------------------------------------------------------------------
     # deferred-mode scheduling

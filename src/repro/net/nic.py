@@ -348,39 +348,19 @@ class Nic:
 
     def accept_run(self, dest, frames):
         """Deliver a run of same-port frames (called only by the event
-        loop when this station is the port's lone listener).
+        loop, which has just found this station to be the port's lone
+        listener with a sink that takes whole runs — per-frame handlers
+        go through :meth:`accept`).
 
-        The batch mirror of :meth:`accept`: queue sinks take the whole
-        run in one extend, batch sinks get it as a single call, and
-        per-frame handlers re-resolve the sink each frame so a handler
-        that withdraws its GET mid-run loses the remainder exactly as it
-        would frame-by-frame.  Returns the number delivered.
+        The batch mirror of :meth:`accept`: a queue sink takes the whole
+        run in one extend, a batch sink gets it as a single call.
         """
-        sink = self._sinks.get(dest)
-        if sink is None:
-            return 0
-        count = len(frames)
+        sink = self._sinks[dest]
+        self.received += len(frames)
         if type(sink) is deque:
             sink.extend(frames)
-            self.received += count
-            return count
-        if type(sink) is _BatchSink:
-            self.received += count
+        else:
             sink.batch(frames)
-            return count
-        delivered = 0
-        sinks = self._sinks
-        for frame in frames:
-            sink = sinks.get(dest)
-            if sink is None:
-                break
-            self.received += 1
-            delivered += 1
-            if type(sink) is deque:
-                sink.append(frame)
-            else:
-                sink(frame)
-        return delivered
 
     def accept_broadcast(self, frame):
         """Deliver a broadcast frame to the kernel handlers, if any."""

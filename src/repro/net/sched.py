@@ -178,22 +178,17 @@ class EventLoop:
         self._draining = True
         dispatched = 0
         dead = 0
-        delivered = 0
         ready = self._ready
         queues = self._queues
         network = self.network
         nics = network._nics
         listeners = network._listeners
-        round_robin = network._round_robin
         faults = network._faults
+        deliver = network._deliver
         try:
             while ready and (budget is None or dispatched < budget):
                 dest = ready.popleft()
                 q = queues[dest]
-                # Severed-link state is re-read every turn: a handler
-                # may cut or heal a link mid-drain, and queued frames
-                # must honor the topology at *dispatch* time.
-                partitioned = faults is not None and faults.has_partitions
                 # Run coalescing: when this is the only pending port and
                 # its lone listener is taking port-addressed frames, the
                 # head run is drained as one delivery — the software
@@ -201,28 +196,25 @@ class EventLoop:
                 # driver per interrupt.  With other ports pending, or a
                 # replicated service on the port, strict one-frame-per-
                 # turn rotation (and the round-robin arbiter) applies.
-                # Under an active partition the run's frames may have
-                # different (severed or live) source links, so the
-                # per-frame arm applies.
+                # While any link is cut (re-read every turn: a handler
+                # may cut or heal mid-drain) the run's frames may have
+                # different (severed or live) source links, so each goes
+                # through _deliver's check.
+                partitioned = faults is not None and faults.has_partitions
                 if not ready and not partitioned and q[0].dst_machine is None:
                     wire = q[0].message.dest
                     takers = listeners.get(wire)
+                    sink = None
                     if takers is not None and len(takers) == 1:
                         nic = nics[takers[0]]
                         sink = nic._sinks.get(wire)
-                        # Coalesce only for sinks that take the whole run
-                        # in one hand-over (a passive queue, or a batch
-                        # handler that owns every frame it is given) — a
-                        # per-frame handler that raised mid-run would
-                        # otherwise lose the popped remainder, breaking
-                        # the "remaining frames still queued" abort
-                        # semantics.
-                        coalesce = (
-                            type(sink) is deque or type(sink) is _BatchSink
-                        )
-                    else:
-                        coalesce = False
-                    if coalesce:
+                    # Coalesce only for sinks that take the whole run in
+                    # one hand-over (a passive queue, or a batch handler
+                    # that owns every frame it is given) — a per-frame
+                    # handler that raised mid-run would otherwise lose
+                    # the popped remainder, breaking the "remaining
+                    # frames still queued" abort semantics.
+                    if type(sink) is deque or type(sink) is _BatchSink:
                         limit = (
                             len(q)
                             if budget is None
@@ -241,15 +233,11 @@ class EventLoop:
                             del queues[dest]
                         dispatched += len(run)
                         try:
-                            got = nic.accept_run(wire, run)
-                        except BaseException:
-                            # A raising batch handler owns the frames it
-                            # was handed (as in synchronous delivery);
-                            # account them before propagating.
-                            delivered += len(run)
-                            raise
-                        delivered += got
-                        dead += len(run) - got
+                            nic.accept_run(wire, run)
+                        finally:
+                            # Counted even if a batch handler raises: it
+                            # owns every frame it was handed.
+                            network.frames_delivered += len(run)
                         continue
                 # Rotation: one frame per pending port per turn.
                 frame = q.popleft()
@@ -261,46 +249,12 @@ class EventLoop:
                     # fresh queue and a fresh rotation slot.
                     del queues[dest]
                 dispatched += 1
-                # Deliver, re-checking admission against the live
-                # filters.  The port-addressed arm mirrors
-                # SimNetwork._route exactly (single-listener fast path,
-                # round-robin arbiter for replicated services) with the
-                # index dicts held in locals across the whole drain.
-                dst = frame.dst_machine
-                if dst is not None:
-                    if partitioned and faults.link_severed(frame.src, dst):
-                        faults.note_partition_drop(frame.src, dst)
-                        ok = False
-                    else:
-                        nic = nics.get(dst)
-                        ok = nic is not None and nic.accept(frame)
-                else:
-                    wire = frame.message.dest
-                    takers = listeners.get(wire)
-                    if takers and partitioned:
-                        src = frame.src
-                        takers = [a for a in takers
-                                  if not faults.link_severed(src, a)]
-                        if not takers:
-                            faults.note_partition_drop(src, None)
-                    if not takers:
-                        ok = False
-                    elif len(takers) == 1:
-                        ok = nics[takers[0]].accept(frame)
-                    else:
-                        start = round_robin.get(wire, 0)
-                        round_robin[wire] = start + 1
-                        ok = nics[takers[start % len(takers)]].accept(frame)
-                if ok:
-                    delivered += 1
-                else:
+                if not deliver(frame):
                     dead += 1
         finally:
             self._draining = False
             self.dispatched += dispatched
             self.dropped_dead += dead
-            network.frames_delivered += delivered
-            network.frames_dropped += dead
         return dispatched
 
     def run(self):
@@ -548,11 +502,8 @@ class VirtualTimeLoop:
         if kind:
             network._deliver_broadcast(payload)
             return True
-        if network._deliver_frame(payload):
-            network.frames_delivered += 1
-        else:
+        if not network._deliver(payload):
             self.dropped_dead += 1
-            network.frames_dropped += 1
         return True
 
     def pump(self, budget=None, until=None):
@@ -599,6 +550,7 @@ class VirtualTimeLoop:
         self.scheduled = 0
         self.dispatched = 0
         self.dropped_dead = 0
+        self.timers_fired = 0
 
     def __repr__(self):
         return "VirtualTimeLoop(now=%.6f, pending=%d)" % (

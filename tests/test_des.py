@@ -130,6 +130,24 @@ class TestVirtualTimeDelivery:
         assert net.loop.dropped_dead == 1
         assert net.frames_dropped == 1
 
+    def test_reset_stats_zeroes_every_counter(self, world):
+        net, _, client = world
+        receiver = Nic(net)
+        wire = receiver.listen(Port(780))
+        net.loop.call_at(0.001, lambda: None)
+        assert client.put(Message(dest=wire, command=1))
+        assert client.put(Message(dest=wire, command=2))
+        net.detach(receiver.address)
+        net.pump()
+        scheduler = net.stats()["scheduler"]
+        assert (scheduler["scheduled"], scheduler["dispatched"],
+                scheduler["dropped_dead"], scheduler["timers_fired"]) == (
+            2, 2, 2, 1)
+        net.reset_stats()
+        scheduler = net.stats()["scheduler"]
+        assert scheduler.pop("virtual_now") == net.clock.now  # time stays
+        assert set(scheduler.values()) == {0}
+
     def test_timed_poll_consumes_virtual_not_wall_time(self, world):
         net, _, client = world
         client.listen(Port(555))

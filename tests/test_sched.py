@@ -168,6 +168,75 @@ class TestDeferredDelivery:
         assert b.poll(Port(5)).src == a.address
 
 
+class TestOverflowContract:
+    """Admitted, then lost — stated once for every way onto the wire: a
+    frame beyond ``max_queue_depth`` still counts as accepted (the port
+    *is* admitted) and costs ``frames_dropped`` and ``dropped_overflow``
+    one each; nothing else tells the sender."""
+
+    DEPTH, EXTRA = 4, 3
+
+    @staticmethod
+    def offer(way, nic, wire, dst, count):
+        """Put ``count`` numbered frames on the wire through one of
+        SimNetwork's three ingress methods; returns how many it took."""
+        messages = [Message(dest=wire, data=bytes([i])) for i in range(count)]
+        if way == "send":
+            return sum(nic.put(m, dst) for m in messages)
+        if way == "send_bulk":
+            return nic.put_owned_bulk(messages, dst)
+        return nic.put_owned_unicast_bulk([(m, dst) for m in messages])
+
+    @staticmethod
+    def received(nic, wire):
+        frames = iter(lambda: nic.poll_wire(wire), None)
+        return [frame.message.data[0] for frame in frames]
+
+    @pytest.mark.parametrize("way", ["send", "send_bulk", "send_unicast_bulk"])
+    def test_queue_at_its_bound(self, way):
+        net = SimNetwork(synchronous=False, auto_drain=False,
+                         max_queue_depth=self.DEPTH)
+        a, b = Nic(net), Nic(net)
+        wire = b.listen(Port(5))
+        offered = self.DEPTH + self.EXTRA
+        assert self.offer(way, a, wire, b.address, offered) == offered
+        assert net.frames_sent == offered
+        assert net.loop.dropped_overflow == self.EXTRA
+        assert net.frames_dropped == self.EXTRA
+        assert net.run() == self.DEPTH
+        assert net.frames_delivered == self.DEPTH
+        # The tail is what was lost.
+        assert self.received(b, wire) == list(range(self.DEPTH))
+
+    @pytest.mark.parametrize("way", ["send", "send_unicast_bulk"])
+    def test_express_lane_sink_at_its_bound(self, way):
+        """Replies sent from inside a drain go straight into the waiting
+        client's queue — up to the bound.  The next ones line up on the
+        port's ingress queue, and only what overflows *that* is lost."""
+        net = SimNetwork(synchronous=False, auto_drain=False,
+                         max_queue_depth=self.DEPTH)
+        server, client = Nic(net), Nic(net)
+        reply_wire = client.listen(Port(6))
+        offered = 2 * self.DEPTH + self.EXTRA
+        took = []
+
+        def handler(frame):
+            took.append(self.offer(way, server, reply_wire, client.address,
+                                   offered))
+            # DEPTH expressed (delivered already), DEPTH queued.
+            assert net.frames_delivered == self.DEPTH
+            assert net.loop.depth(reply_wire) == self.DEPTH
+
+        wire = server.serve(PrivatePort(7), handler)
+        assert Nic(net).put(Message(dest=wire))
+        net.run()
+        assert took == [offered]
+        assert net.loop.dropped_overflow == self.EXTRA
+        assert net.frames_dropped == self.EXTRA
+        assert net.frames_delivered == 1 + 2 * self.DEPTH
+        assert self.received(client, reply_wire) == list(range(2 * self.DEPTH))
+
+
 class TestAutoDrainCompat:
     def test_blocking_trans_unchanged(self):
         net = SimNetwork(synchronous=False)  # auto_drain defaults on

@@ -497,6 +497,7 @@ class TestDeltaRecords:
 OP_NOTE_DEFER = USER_BASE + 40
 OP_RELEASE = USER_BASE + 41
 OP_NESTED = USER_BASE + 42
+OP_WRITE_THEN_CALL = USER_BASE + 43
 
 
 class ScriptedDirectoryServer(DirectoryServer):
@@ -505,6 +506,7 @@ class ScriptedDirectoryServer(DirectoryServer):
 
     parked = None
     inner = None  # (nic, request) the nested handler sends
+    executions = 0  # runs of the write-then-call handler
 
     def _note(self, entry, name):
         stored = self.table.mint_for(entry.number)
@@ -531,6 +533,16 @@ class ScriptedDirectoryServer(DirectoryServer):
         nic, request = self.inner
         assert trans(nic, self.put_port, request).status == 0
         self._note(entry, "outer-after")
+        return ctx.ok()
+
+    @command(OP_WRITE_THEN_CALL)
+    def _write_then_call(self, ctx):
+        """Every write comes *before* the nested call."""
+        entry, _ = ctx.lookup()
+        self._note(entry, "outer-before")
+        self.executions += 1
+        nic, request = self.inner
+        assert trans(nic, self.put_port, request).status == 0
         return ctx.ok()
 
 
@@ -682,6 +694,58 @@ class TestReplyPathOrdering:
         ]
         assert list(table._entry(other.object).data.entries) == ["inner"]
         assert len(report.commits) == 2
+
+    def test_nested_read_does_not_take_the_outer_commit(self):
+        """The outer handler writes, then transacts into a server on the
+        same store, on its own thread; the inner request only reads.
+        The commit record belongs to the outer request — with it on the
+        medium a retry after a reboot is replayed, without it the
+        non-idempotent handler would run a second time."""
+        net, disk, server, client = server_world()
+        root, other, target = (server.create_root() for _ in range(3))
+        client.enter(other, "there", target)
+        server.inner = (
+            Nic(net),
+            Message(command=DIR_LOOKUP, capability=other, data=b"there"),
+        )
+        secret = Port.random(RandomSource(seed=8))
+        request = Message(command=OP_WRITE_THEN_CALL, capability=root)
+
+        def issue(to):
+            return AsyncTrans(
+                client.node, to.put_port, request, reply_secret=secret,
+                expect_signature=to.signature_image,
+            ).result(timeout=2.0)
+
+        events = disk.events
+        record_reply_path(server, events)
+        del events[:]
+        assert issue(server).status == 0
+        assert kinds(events) == [
+            "write", "cache", "egress",  # inner: flushes root's record early
+            "write", "cache", "egress",  # outer: its commit
+        ]
+        table, report = recover_directories(disk)
+        assert list(table._entry(root.object).data.entries) == ["outer-before"]
+        node = client.node
+        assert (node.address, node.fbox.listen_port(secret).value) in (
+            report.commits)
+        # A read logs no commit of its own.
+        inner_src = server.inner[0].address
+        assert [key for key in report.commits if key[0] == inner_src] == []
+        assert len(report.commits) == 2  # the set-up enter, the outer
+
+        server.stop()
+        reborn = ScriptedDirectoryServer(
+            Nic(net), get_port=server.get_port, rng=RandomSource(seed=3),
+            store=DurableStore(disk, codec=DirectoryCodec()), dedup=True,
+        )
+        reborn.reboot()
+        reborn.start()
+        assert issue(reborn).status == 0
+        stats = reborn.reply_cache.stats()
+        assert (stats["hits"], stats["misses"]) == (1, 0)  # replayed
+        assert reborn.executions == 0
 
     def test_power_failure_in_the_write_sends_and_caches_nothing(self):
         net, disk, server, client = server_world()
