@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast loc bench bench-smoke bench-suite-smoke bench-udp-smoke bench-des-smoke bench-shard-smoke bench-fault-smoke bench-recovery-smoke bench-replica-smoke bench-chaos-smoke
+.PHONY: test test-fast loc bench bench-smoke bench-suite-smoke bench-compare bench-udp-smoke bench-des-smoke bench-shard-smoke bench-fault-smoke bench-recovery-smoke bench-replica-smoke bench-chaos-smoke
 
 ## Tier-1 verification: the full test suite, fail-fast.
 test:
@@ -41,6 +41,14 @@ bench-smoke:
 ## alone and compares with its shadow model — and no timing believed.
 bench-suite-smoke:
 	$(PYTHON) benchmarks/suite/run.py --seed 1 --smoke
+
+## The honest before/after (benchmarks/suite/README.md): ten alternating
+## pairs of the tree at BASE against this one, every workload and metric,
+## ~45 min on an otherwise idle box.  BASE is a checkout of the parent,
+## e.g. `git archive <parent> | tar -x -C /root/scratch/parent`.
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<tree>"; exit 2; }
+	$(PYTHON) benchmarks/suite/compare.py --pairs 10 --tree-a $(BASE) --tree-b .
 
 ## Tiny multi-process run of the real-wire UDP benchmark: server in its
 ## own OS process over loopback, serial vs 16-in-flight pipelined.

@@ -210,7 +210,7 @@ class Capability:
 
     def __repr__(self):
         return "Capability(port=%012x, object=%d, rights=%s, check=%s…)" % (
-            self.port.value,
+            self.port,
             self.object,
             format(int(self.rights), "08b"),
             self.check[:4].hex(),

@@ -20,6 +20,8 @@ from repro.util.bits import mask
 #: Bytes occupied by a port on the wire (Fig. 2: 48 bits).
 PORT_BYTES = PORT_BITS // 8
 
+_PORT_MAX = mask(PORT_BITS)
+
 #: Wire-decode intern table, ``6 wire bytes -> Port``; dropped wholesale
 #: when full, like the F-box image cache (fresh reply ports are random,
 #: so the table would otherwise grow one dead entry per transaction).
@@ -27,30 +29,42 @@ _INTERN_MAX = 1 << 16
 _interned = {}
 
 
-@dataclass(frozen=True, order=True)
-class Port:
-    """A public 48-bit port value (a put-port, or any wire port field)."""
+class Port(int):
+    """A public 48-bit port value (a put-port, or any wire port field).
 
-    value: int
+    A port *is* the integer it denotes: hashing, equality and ordering
+    are ``int``'s own, in C, because ports key every hot table on the
+    wire path (admission sinks, the routing index, event-loop queues,
+    F-image, reply and locate caches).  So ``Port(5) == 5`` is true and
+    ``{Port(5): x}[5]`` finds ``x`` — a recovered commit record's plain
+    integer and the retry's reply port name the same reply-cache entry.
+    It also makes the null port falsy, so ``cache.get(port) or compute()``
+    is a trap (test ``is None``); ``port.is_null`` is the supported
+    spelling of the null test.  Instances carry no state of their own
+    (``__slots__ = ()``): tens of thousands of interned ports stay
+    int-sized.
+    """
 
-    def __post_init__(self):
-        if not 0 <= self.value <= mask(PORT_BITS):
+    __slots__ = ()
+
+    def __new__(cls, value):
+        if not 0 <= value <= _PORT_MAX:
             raise ValueError(
-                "port value %#x outside the %d-bit space" % (self.value, PORT_BITS)
+                "port value %#x outside the %d-bit space" % (value, PORT_BITS)
             )
+        return int.__new__(cls, value)
 
-    def to_bytes(self):
-        """Big-endian wire encoding, exactly :data:`PORT_BYTES` long.
+    #: The port as a plain ``int`` (read-only; kept for callers that
+    #: predate ``Port`` being one).
+    value = property(int.__int__)
 
-        Cached on the instance: ports are immutable 48-bit values and hot
-        paths (pack, F-box egress) re-encode the same dest/signature ports
-        on every frame.
+    def to_bytes(self, length=PORT_BYTES, byteorder="big", *, signed=False):
+        """Big-endian wire encoding, :data:`PORT_BYTES` long by default.
+
+        Shadows ``int.to_bytes`` and keeps its signature, so code that
+        treats a port as the int it is still works.
         """
-        wire = self.__dict__.get("_wire")
-        if wire is None:
-            wire = self.value.to_bytes(PORT_BYTES, "big")
-            object.__setattr__(self, "_wire", wire)
-        return wire
+        return int.to_bytes(self, length, byteorder, signed=signed)
 
     @classmethod
     def from_bytes(cls, data):
@@ -66,34 +80,27 @@ class Port:
 
         The per-frame decode path: ``Message.unpack`` and
         ``Capability.unpack`` hand this exact-length slices of a validated
-        frame, so the length check and ``__post_init__`` range check (any
-        6 bytes are < 2**48) are both skipped.  Equal wire images yield
-        the *same* ``Port`` object — identity comparisons against
-        ``NULL_PORT`` and repeated service ports are pointer checks, and
-        the interned instance arrives with its ``to_bytes`` image cached.
+        frame, so the length check and the range check (any 6 bytes are
+        < 2**48) are both skipped.  Equal wire images yield the *same*
+        ``Port`` object — identity comparisons against ``NULL_PORT`` and
+        repeated service ports are pointer checks.
         """
         port = _interned.get(data)
         if port is None:
-            port = cls.__new__(cls)
-            object.__setattr__(port, "value", int.from_bytes(data, "big"))
-            object.__setattr__(port, "_wire", data)
+            port = int.__new__(cls, int.from_bytes(data, "big"))
             if len(_interned) >= _INTERN_MAX:
                 _interned.clear()
                 _interned[_NULL_WIRE] = NULL_PORT
             _interned[data] = port
         return port
 
-    @classmethod
-    def _unchecked(cls, value):
-        """Wrap a value known to be in range, skipping ``__post_init__``.
-
-        For trusted producers only: the one-way function masks its output
-        to PORT_BITS and the random source draws exactly PORT_BITS, so
-        re-validating their results on the per-frame path buys nothing.
-        """
-        port = cls.__new__(cls)
-        object.__setattr__(port, "value", value)
-        return port
+    # ``Port._unchecked(value)``: wrap a value known to be in range,
+    # skipping the range check — ``int.__new__(cls, value)`` with no
+    # Python frame in between.  For trusted producers only: the one-way
+    # function masks its output to PORT_BITS and the random source draws
+    # exactly PORT_BITS, so re-validating their results on the per-frame
+    # path buys nothing.
+    _unchecked = classmethod(int.__new__)
 
     @classmethod
     def random(cls, rng=None):
@@ -107,23 +114,10 @@ class Port:
 
     @property
     def is_null(self):
-        return self.value == 0
-
-    # Ports key every hot dict on the wire path (admission sinks, the
-    # routing index, F-image caches).  The dataclass-generated
-    # __hash__/__eq__ build a (value,) tuple per call; these single-field
-    # versions do not, and dataclass() leaves explicitly defined ones
-    # alone.  Equal ports still hash equally, so the contract holds.
-    def __hash__(self):
-        return hash(self.value)
-
-    def __eq__(self, other):
-        if other.__class__ is Port:
-            return self.value == other.value
-        return NotImplemented
+        return self == 0
 
     def __repr__(self):
-        return "Port(%012x)" % self.value
+        return "Port(%012x)" % self
 
 
 #: The all-zero port, used for unused header fields.
@@ -147,7 +141,7 @@ class PrivatePort:
     secret: int
 
     def __post_init__(self):
-        if not 0 <= self.secret <= mask(PORT_BITS):
+        if not 0 <= self.secret <= _PORT_MAX:
             raise ValueError("secret outside the %d-bit port space" % PORT_BITS)
 
     @classmethod

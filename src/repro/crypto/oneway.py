@@ -72,8 +72,10 @@ class OneWayFunction:
             raise ValueError(
                 "input %#x outside the %d-bit domain" % (value, self.width_bits)
             )
+        # int.to_bytes, not value.to_bytes: the F-box hands in Ports,
+        # whose own to_bytes is a Python-level wrapper.
         digest = hashlib.sha256(
-            self._int_prefix + value.to_bytes(self._in_bytes, "big")
+            self._int_prefix + int.to_bytes(value, self._in_bytes, "big")
         ).digest()
         return int.from_bytes(digest, "big") & self._mask
 

@@ -183,4 +183,4 @@ class ServiceClient:
         self.call(stdops.STD_TOUCH, capability=capability)
 
     def __repr__(self):
-        return "ServiceClient(port=%012x)" % self.put_port.value
+        return "ServiceClient(port=%012x)" % self.put_port

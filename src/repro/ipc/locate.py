@@ -89,16 +89,16 @@ class ShardedLocationCache:
         self._epochs = [0] * shards
 
     def _index(self, port):
-        return port.value & self._mask
+        return port & self._mask
 
     def get(self, port):
         """The cached machine for ``port``, or None.  Lock-free."""
-        return self._shards[port.value & self._mask].get(port)
+        return self._shards[port & self._mask].get(port)
 
     def epoch(self, port):
         """The owning stripe's invalidation epoch.  Lock-free; snapshot
         it *before* starting a locate and hand it to :meth:`put`."""
-        return self._epochs[port.value & self._mask]
+        return self._epochs[port & self._mask]
 
     def put(self, port, machine, epoch=None):
         """Install a mapping; with ``epoch``, only if the owning stripe
@@ -156,7 +156,7 @@ class ShardedLocationCache:
         return sum(len(shard) for shard in self._shards)
 
     def __contains__(self, port):
-        return port in self._shards[port.value & self._mask]
+        return port in self._shards[port & self._mask]
 
     @property
     def shard_count(self):

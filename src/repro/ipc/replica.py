@@ -820,7 +820,7 @@ class ReplicatedObjectServer:
 
     def __repr__(self):
         return "ReplicatedObjectServer(port=%012x, replicas=%d)" % (
-            self.put_port.value, len(self.servers),
+            self.put_port, len(self.servers),
         )
 
 

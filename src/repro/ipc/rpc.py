@@ -67,7 +67,8 @@ class RetryPolicy:
     blind sleep: a reply landing mid-backoff is taken immediately.
     """
 
-    __slots__ = ("attempts", "rto", "cap", "multiplier", "jitter", "_rng")
+    __slots__ = ("attempts", "rto", "cap", "multiplier", "jitter", "_rng",
+                 "_ladder")
 
     def __init__(self, attempts=4, rto=0.05, cap=1.0, multiplier=2.0,
                  jitter=0.1, seed=0):
@@ -85,21 +86,24 @@ class RetryPolicy:
         self.multiplier = multiplier
         self.jitter = jitter
         self._rng = random.Random(seed)
+        # The un-jittered schedule is the same for every transaction.
+        self._ladder = ladder = []
+        wait = rto
+        for _ in range(attempts):
+            ladder.append(wait)
+            wait = min(wait * multiplier, cap)
 
     def waits(self):
         """One transaction's backoff schedule: ``attempts`` waits, each
         the pause before the next retransmission.  Jitter is drawn from
-        the policy's seeded RNG per call, so concurrent transactions
-        sharing a policy get different (but reproducible) schedules."""
-        out = []
-        wait = self.rto
-        for _ in range(self.attempts):
-            w = wait
-            if self.jitter:
-                w *= 1.0 + self._rng.random() * self.jitter
-            out.append(w)
-            wait = min(wait * self.multiplier, self.cap)
-        return out
+        the policy's seeded RNG per call — one draw per wait, in order —
+        so concurrent transactions sharing a policy get different (but
+        reproducible) schedules."""
+        jitter = self.jitter
+        if not jitter:
+            return list(self._ladder)
+        draw = self._rng.random
+        return [wait * (1.0 + draw() * jitter) for wait in self._ladder]
 
     def __repr__(self):
         return "RetryPolicy(attempts=%d, rto=%g, cap=%g, multiplier=%g)" % (

@@ -137,7 +137,7 @@ class ReplyCache:
             raise ValueError("cache bounds must be at least 1")
         self.per_client = per_client
         self.clients = clients
-        # src -> OrderedDict[reply_value -> Message | _IN_PROGRESS],
+        # src -> OrderedDict[reply port -> Message | _IN_PROGRESS],
         # both levels in LRU order.
         self._clients = OrderedDict()
         self._lock = threading.Lock()
@@ -146,7 +146,7 @@ class ReplyCache:
         self.busy_drops = 0
         self.evictions = 0
 
-    def begin(self, src, reply_value):
+    def begin(self, src, reply_port):
         """Admit one request copy; returns ``(verdict, cached_reply)``.
 
         ``"miss"`` — first sighting; the entry is marked in-progress and
@@ -164,22 +164,22 @@ class ReplyCache:
                 self._clients[src] = client = OrderedDict()
             else:
                 self._clients.move_to_end(src)
-            cached = client.get(reply_value)
+            cached = client.get(reply_port)
             if cached is None:
                 if len(client) >= self.per_client:
                     client.popitem(last=False)
                     self.evictions += 1
-                client[reply_value] = _IN_PROGRESS
+                client[reply_port] = _IN_PROGRESS
                 self.misses += 1
                 return ("miss", None)
             if cached is _IN_PROGRESS:
                 self.busy_drops += 1
                 return ("busy", None)
-            client.move_to_end(reply_value)
+            client.move_to_end(reply_port)
             self.hits += 1
             return ("hit", cached)
 
-    def store(self, src, reply_value, reply):
+    def store(self, src, reply_port, reply):
         """Complete a transaction: future duplicates replay ``reply``.
 
         A no-op unless the entry is still present (it may have been
@@ -188,10 +188,10 @@ class ReplyCache:
         """
         with self._lock:
             client = self._clients.get(src)
-            if client is not None and reply_value in client:
-                client[reply_value] = reply
+            if client is not None and reply_port in client:
+                client[reply_port] = reply
 
-    def seed(self, src, reply_value, reply):
+    def seed(self, src, reply_port, reply):
         """Install a *completed* entry directly — no begin() preceded it.
 
         Reboot recovery uses this: transactions whose commit record
@@ -208,19 +208,19 @@ class ReplyCache:
                 self._clients[src] = client = OrderedDict()
             else:
                 self._clients.move_to_end(src)
-            if reply_value not in client and len(client) >= self.per_client:
+            if reply_port not in client and len(client) >= self.per_client:
                 client.popitem(last=False)
                 self.evictions += 1
-            client[reply_value] = reply
-            client.move_to_end(reply_value)
+            client[reply_port] = reply
+            client.move_to_end(reply_port)
 
-    def forget(self, src, reply_value):
+    def forget(self, src, reply_port):
         """Withdraw an entry (e.g. an in-progress marker whose deferred
         reply was abandoned), so a future retry re-executes."""
         with self._lock:
             client = self._clients.get(src)
             if client is not None:
-                client.pop(reply_value, None)
+                client.pop(reply_port, None)
 
     def stats(self):
         """Cache counters as a dict (stable keys for benchmarks)."""
@@ -510,7 +510,7 @@ class ObjectServer:
             raise AmoebaError("reboot() must run on an empty object table")
         report = self.store.recover(self.table, rng=self.rng)
         if self.reply_cache is not None:
-            for (src, reply_value), raw in report.commits.items():
+            for (src, reply_port), raw in report.commits.items():
                 try:
                     reply = Message.unpack(raw)
                 except Exception as exc:
@@ -520,7 +520,7 @@ class ObjectServer:
                     report.commit_error = exc
                     continue
                 reply = reply._evolve(signature=self._signature_port)
-                self.reply_cache.seed(src, reply_value, reply)
+                self.reply_cache.seed(src, reply_port, reply)
         return report
 
     def _complete(self, src, request, reply, wrote=None):
@@ -544,8 +544,9 @@ class ObjectServer:
         ``wrote`` carries that fact when the handler ran earlier (a
         deferred reply); None asks the store about this thread.
         """
-        reply_value = request.reply.value
-        cached = self.reply_cache is not None and reply_value
+        reply_port = request.reply
+        # A null reply port (int 0, so falsy) marks a one-way send.
+        cached = self.reply_cache is not None and reply_port
         store = self.store
         if store is not None:
             if wrote is None:
@@ -555,7 +556,7 @@ class ObjectServer:
             store.flush()
         if cached:
             # A pristine copy: egress transforms the outgoing one in place.
-            self.reply_cache.store(src, reply_value, reply._evolve())
+            self.reply_cache.store(src, reply_port, reply._evolve())
 
     def _log_commit(self, src, request, reply):
         """Append the durable commit record for one replied transaction.
@@ -571,7 +572,7 @@ class ObjectServer:
         # A matrix-sealed capability's object number is opaque; stripe 0
         # then hosts the record, which recovery is indifferent to.
         number = getattr(capability, "object", 0) if capability is not None else 0
-        self.table.log_commit(number, src, request.reply.value, reply.pack())
+        self.table.log_commit(number, src, request.reply, reply.pack())
 
     # ------------------------------------------------------------------
     # dispatch
@@ -639,10 +640,11 @@ class ObjectServer:
         """
         request = frame.message
         cache = self.reply_cache
-        # A request with no reply port is a one-way send, not a
-        # transaction, and is never deduplicated.
-        if cache is not None and request.reply.value:
-            verdict, cached = cache.begin(frame.src, request.reply.value)
+        # A request with no reply port (the null port is int 0, so
+        # falsy) is a one-way send, not a transaction, and is never
+        # deduplicated.
+        if cache is not None and request.reply:
+            verdict, cached = cache.begin(frame.src, request.reply)
             if verdict == "busy":
                 return None  # the first copy is still executing: drop
             if verdict == "hit":
@@ -789,6 +791,6 @@ class ObjectServer:
     def __repr__(self):
         return "%s(port=%012x, objects=%d)" % (
             type(self).__name__,
-            self.put_port.value,
+            self.put_port,
             len(self.table),
         )

@@ -78,7 +78,7 @@ class Machine:
         remote machine, the parent can create the child wherever it wants
         to" (§3.1).
         """
-        port = remote_port or self.memory_port
+        port = self.memory_port if remote_port is None else remote_port
         kwargs.setdefault("rng", self.rng)
         kwargs.setdefault("locator", self.locator)
         return MemoryClient(self.nic, port, **kwargs)

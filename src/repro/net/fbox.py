@@ -35,29 +35,28 @@ class FBox:
         # validation; a plain callable F goes through the checked
         # constructor (None here selects that path in one_way).
         self._f_raw = getattr(self._f, "raw", None)
-        # value -> Port(F(value)).  Sound to memoize: F is deterministic
+        # port -> Port(F(port)).  Sound to memoize: F is deterministic
         # over the 48-bit port space and Port objects are immutable.  The
         # hot path one-ways the same value repeatedly (a transaction's
         # reply secret is one-wayed by listen, egress, poll and unlisten),
         # and the cache also skips re-constructing the Port wrapper.
-        self._images = {NULL_PORT.value: NULL_PORT}
+        self._images = {NULL_PORT: NULL_PORT}
 
     def one_way(self, port):
         """F applied to a single port value (F-box primitive)."""
-        value = port.value
-        image = self._images.get(value)
+        image = self._images.get(port)
         if image is not None:
             return image
         raw = self._f_raw
         if raw is not None:
             # _unchecked is sound here: OneWayFunction masks its output.
-            image = Port._unchecked(raw(value))
+            image = Port._unchecked(raw(port))
         else:
-            image = Port(self._f(value))
+            image = Port(self._f(port))
         if len(self._images) >= _IMAGE_CACHE_MAX:
             self._images.clear()
-            self._images[NULL_PORT.value] = NULL_PORT
-        self._images[value] = image
+            self._images[NULL_PORT] = NULL_PORT
+        self._images[port] = image
         return image
 
     def transform_egress(self, message):
@@ -85,10 +84,13 @@ class FBox:
         images = self._images
         reply = fields["reply"]
         signature = fields["signature"]
-        # Ports are always truthy, so `or` falls through only on a miss.
-        fields["reply"] = images.get(reply.value) or self.one_way(reply)
+        # `is None`, never `or`: the null port's image is the null port,
+        # which is falsy — and most requests carry a null signature.
+        image = images.get(reply)
+        fields["reply"] = self.one_way(reply) if image is None else image
+        image = images.get(signature)
         fields["signature"] = (
-            images.get(signature.value) or self.one_way(signature)
+            self.one_way(signature) if image is None else image
         )
         return message
 
@@ -104,16 +106,15 @@ class FBox:
         raw = self._f_raw
         if len(images) + len(ports) >= _IMAGE_CACHE_MAX:
             images.clear()
-            images[NULL_PORT.value] = NULL_PORT
+            images[NULL_PORT] = NULL_PORT
         if raw is None:
             return [self.one_way(port) for port in ports]
         unchecked = Port._unchecked
         out = []
         for port in ports:
-            value = port.value
-            image = images.get(value)
+            image = images.get(port)
             if image is None:
-                images[value] = image = unchecked(raw(value))
+                images[port] = image = unchecked(raw(port))
             out.append(image)
         return out
 

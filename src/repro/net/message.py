@@ -51,7 +51,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.core.capability import Capability, validate_packed_length
-from repro.core.ports import NULL_PORT, Port
+from repro.core.ports import NULL_PORT, PORT_BYTES, Port
 from repro.errors import BadRequest
 
 _MAGIC = b"AM"
@@ -70,10 +70,11 @@ HEADER_BYTES = _FIXED.size
 # message a client sends to one service, while everything after it
 # (reply, signature, command, ...) varies per transaction.  pack()
 # therefore prebuilds the constant prefix once per (dest, flags) pair
-# and reuses it for every later send to that destination — and since
-# :meth:`Port.to_bytes` memoizes its wire form, the cache key is the
-# *same* bytes object on every repeat send, so its hash is computed once
-# (CPython caches bytes hashes) and the probe is a single dict hit.
+# and reuses it for every later send to that destination.  The cache
+# key is the destination port itself (an int: hashed and compared in
+# C), so a repeat send never encodes ``dest`` at all.  The reply and
+# signature fields, fresh per transaction, are encoded with the C-level
+# ``int.to_bytes``; ``Port.to_bytes()`` is a Python wrapper around it.
 _PREFIX = struct.Struct(">2sBB6s")
 _TAIL = struct.Struct(">6s6sHHQIHI")
 _PREFIX_BYTES = _PREFIX.size
@@ -150,14 +151,14 @@ class Message:
         caplen = len(cap_bytes)
         data = self.data
         extra_caps = self.extra_caps
-        dest_wire = self.dest.to_bytes()
+        dest = self.dest
         templates = _TEMPLATES[flags]
-        prefix = templates.get(dest_wire)
+        prefix = templates.get(dest)
         if prefix is None:
             if len(templates) >= _TEMPLATE_LIMIT:
                 templates.clear()
-            prefix = templates[dest_wire] = _PREFIX.pack(
-                _MAGIC, _VERSION, flags, dest_wire
+            prefix = templates[dest] = _PREFIX.pack(
+                _MAGIC, _VERSION, flags, dest.to_bytes()
             )
         if extra_caps:
             packed_extras = [cap.pack() for cap in extra_caps]
@@ -169,13 +170,15 @@ class Message:
                 body.append(packed)
             body.append(data)
             tail = _TAIL.pack(
-                self.reply.to_bytes(), self.signature.to_bytes(),
+                int.to_bytes(self.reply, PORT_BYTES, "big"),
+                int.to_bytes(self.signature, PORT_BYTES, "big"),
                 self.command, self.status, self.offset, self.size,
                 caplen, datalen,
             )
             return b"".join((prefix, tail, cap_bytes, *body))
         tail = _TAIL.pack(
-            self.reply.to_bytes(), self.signature.to_bytes(),
+            int.to_bytes(self.reply, PORT_BYTES, "big"),
+            int.to_bytes(self.signature, PORT_BYTES, "big"),
             self.command, self.status, self.offset, self.size,
             caplen, 1 + len(data),
         )
@@ -388,7 +391,7 @@ class Message:
         kind = "reply" if self.is_reply else "request"
         return "Message(%s, dest=%012x, cmd=%d, status=%d, %d data bytes)" % (
             kind,
-            self.dest.value,
+            self.dest,
             self.command,
             self.status,
             len(self.data),

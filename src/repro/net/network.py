@@ -117,8 +117,6 @@ class SimNetwork:
         # through register_listener/unregister_listener, so port-addressed
         # delivery is one dict lookup instead of a scan of every station.
         self._listeners = {}
-        # Reverse index for O(ports-of-machine) cleanup on detach.
-        self._ports_by_addr = {}
         # Wire statistics, reset via reset_stats().
         self.frames_sent = 0
         self.frames_delivered = 0
@@ -133,7 +131,6 @@ class SimNetwork:
         """Attach a NIC and assign its (unforgeable) machine address."""
         address = next(self._addresses)
         self._nics[address] = nic
-        self._ports_by_addr[address] = set()
         self._sorted_stations = None
         return address
 
@@ -145,10 +142,13 @@ class SimNetwork:
         registered with ``owner=address`` — long simulations with churn
         must not accumulate state for dead stations.
         """
-        self._nics.pop(address, None)
+        nic = self._nics.pop(address, None)
         self._sorted_stations = None
-        for port in self._ports_by_addr.pop(address, ()):
-            self._drop_listener(address, port)
+        if nic is not None:
+            # The index mirrors admission, so the departing station's
+            # own sinks are exactly its index entries.
+            for port in nic._sinks:
+                self._drop_listener(address, port)
         for tap in self._tap_owners.pop(address, ()):
             if tap in self._taps:
                 self._taps.remove(tap)
@@ -163,10 +163,8 @@ class SimNetwork:
 
     def register_listener(self, address, wire_port):
         """Record that ``address`` has a GET outstanding for ``wire_port``."""
-        ports = self._ports_by_addr.get(address)
-        if ports is None:
+        if address not in self._nics:
             return  # detached machine; nothing to route to
-        ports.add(wire_port)
         takers = self._listeners.get(wire_port)
         if takers is None:
             self._listeners[wire_port] = [address]
@@ -175,9 +173,6 @@ class SimNetwork:
 
     def unregister_listener(self, address, wire_port):
         """Withdraw a GET registration (port unlistened or server stopped)."""
-        ports = self._ports_by_addr.get(address)
-        if ports is not None:
-            ports.discard(wire_port)
         # Inlined fast path for the overwhelmingly common case — the
         # port's only listener (a transaction's reply port) going away.
         takers = self._listeners.get(wire_port)
@@ -191,12 +186,10 @@ class SimNetwork:
     def register_listeners(self, address, wire_ports):
         """Batch :meth:`register_listener` — one call for a pipelined
         client's whole set of fresh reply ports."""
-        ports = self._ports_by_addr.get(address)
-        if ports is None:
+        if address not in self._nics:
             return  # detached machine; nothing to route to
         listeners = self._listeners
         for wire_port in wire_ports:
-            ports.add(wire_port)
             takers = listeners.get(wire_port)
             if takers is None:
                 listeners[wire_port] = [address]
@@ -206,12 +199,9 @@ class SimNetwork:
     def unregister_listeners(self, address, wire_ports):
         """Batch :meth:`unregister_listener`, same single-listener fast
         path per port."""
-        ports = self._ports_by_addr.get(address)
         listeners = self._listeners
         round_robin = self._round_robin
         for wire_port in wire_ports:
-            if ports is not None:
-                ports.discard(wire_port)
             takers = listeners.get(wire_port)
             if takers is None:
                 continue
@@ -336,7 +326,7 @@ class SimNetwork:
             if (
                 loop._draining
                 and type(sink) is deque
-                and dest.value not in loop._queues
+                and dest not in loop._queues
                 and (not loop.max_depth or len(sink) < loop.max_depth)
                 and (self._faults is None or not self._faults.has_partitions)
             ):

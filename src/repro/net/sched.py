@@ -102,13 +102,8 @@ class EventLoop:
     # ------------------------------------------------------------------
 
     def enqueue(self, frame):
-        """Queue one admitted frame; O(1).  False means an overflow drop.
-
-        Queues are keyed by the wire port's integer value (ports hash
-        through a Python-level ``__hash__``; their 48-bit values hash in
-        C), an internal detail — every public surface takes Ports.
-        """
-        dest = frame.message.dest.value
+        """Queue one admitted frame; O(1).  False means an overflow drop."""
+        dest = frame.message.dest
         queues = self._queues
         q = queues.get(dest)
         if q is None:
@@ -136,7 +131,6 @@ class EventLoop:
         count = len(frames)
         if count == 0:
             return 0
-        dest = dest.value
         queues = self._queues
         q = queues.get(dest)
         if q is None:
@@ -202,12 +196,11 @@ class EventLoop:
                 # through _deliver's check.
                 partitioned = faults is not None and faults.has_partitions
                 if not ready and not partitioned and q[0].dst_machine is None:
-                    wire = q[0].message.dest
-                    takers = listeners.get(wire)
+                    takers = listeners.get(dest)
                     sink = None
                     if takers is not None and len(takers) == 1:
                         nic = nics[takers[0]]
-                        sink = nic._sinks.get(wire)
+                        sink = nic._sinks.get(dest)
                     # Coalesce only for sinks that take the whole run in
                     # one hand-over (a passive queue, or a batch handler
                     # that owns every frame it is given) — a per-frame
@@ -233,7 +226,7 @@ class EventLoop:
                             del queues[dest]
                         dispatched += len(run)
                         try:
-                            nic.accept_run(wire, run)
+                            nic.accept_run(dest, run)
                         finally:
                             # Counted even if a batch handler raises: it
                             # owns every frame it was handed.
@@ -272,7 +265,7 @@ class EventLoop:
 
     def depth(self, wire_port):
         """Queue depth for one wire port (0 if nothing is pending)."""
-        q = self._queues.get(getattr(wire_port, "value", wire_port))
+        q = self._queues.get(wire_port)
         return len(q) if q is not None else 0
 
     def stats(self):

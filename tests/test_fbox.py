@@ -37,6 +37,36 @@ class TestEgress:
         assert out.reply == NULL_PORT
         assert out.signature == NULL_PORT
 
+    def test_null_fields_take_the_cache_hit_arm(self):
+        # The null port is falsy (Port is an int), so the egress cache
+        # probe must test `is None`: a null reply or signature is a hit
+        # whose image is NULL_PORT itself — no call into F, and no
+        # detour through one_way() either.
+        f_calls, slow_arm = [], []
+
+        def f(value):
+            f_calls.append(value)
+            return default_oneway()(value)
+
+        fbox = FBox(oneway=f)
+        one_way = fbox.one_way
+        fbox.one_way = lambda port: slow_arm.append(port) or one_way(port)
+        for message in (
+            Message(dest=Port(1)),
+            Message(dest=Port(1), reply=Port(0), signature=Port(0)),
+        ):
+            for out in (
+                fbox.transform_egress(message),
+                fbox.transform_egress_owned(message),
+            ):
+                assert out.reply is NULL_PORT
+                assert out.signature is NULL_PORT
+        assert f_calls == [] and slow_arm == []
+        # A non-null field still goes through F exactly once.
+        out = fbox.transform_egress(Message(dest=Port(1), reply=Port(456)))
+        assert out.signature is NULL_PORT
+        assert f_calls == [456] and slow_arm == [Port(456)]
+
     def test_original_not_mutated(self):
         message = Message(reply=Port(456))
         FBox().transform_egress(message)

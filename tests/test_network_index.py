@@ -7,6 +7,8 @@ index entries, round-robin counters, or owned taps may survive the
 machine or GET they belong to.
 """
 
+import pytest
+
 from repro.core.ports import Port, PrivatePort
 from repro.crypto.randomsrc import RandomSource
 from repro.ipc.rpc import trans, trans_many
@@ -153,7 +155,37 @@ class TestLeakPruning:
             net.detach(nic.address)
         assert net._listeners == {}
         assert net._round_robin == {}
-        assert net._ports_by_addr.keys() == {a.address}
+        assert net.addresses() == [a.address]
+
+    @pytest.mark.parametrize("synchronous", [True, False])
+    def test_detach_with_live_gets_then_send(self, synchronous):
+        # detach() prunes the index from the departing station's own
+        # sinks: a queue GET, a handler GET and a GET shared with a
+        # survivor all go, and nothing routes to the dead machine after.
+        net = SimNetwork(synchronous=synchronous)
+        sender, doomed, survivor = Nic(net), Nic(net), Nic(net)
+        handled = []
+        queue_wire = doomed.listen(Port(11))
+        serve_wire = doomed.serve(Port(12), handled.append)
+        shared_wire = doomed.listen(Port(13))
+        assert survivor.listen(Port(13)) == shared_wire
+        fresh = doomed.listen_fresh([Port(14), Port(15)])
+        net.detach(doomed.address)
+        assert net._listeners == {shared_wire: [survivor.address]}
+        for wire in (queue_wire, serve_wire, *fresh):
+            assert sender.put(Message(dest=wire)) is False
+            assert sender.put(Message(dest=wire), doomed.address) is False
+        for _ in range(3):
+            assert sender.put(Message(dest=shared_wire)) is True
+        assert net.frames_dropped == 8
+        assert net.frames_delivered == 3
+        assert handled == [] and doomed.received == 0
+        assert survivor.pending(Port(13)) == 3
+        assert net._round_robin == {}
+        # A dead station's later GETs and withdrawals touch nothing.
+        doomed.listen(Port(16))
+        doomed.unlisten(Port(13))
+        assert net._listeners == {shared_wire: [survivor.address]}
 
     def test_detach_removes_owned_taps(self):
         net = SimNetwork()

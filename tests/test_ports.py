@@ -1,5 +1,8 @@
 """Tests for ports and the get/put relationship P = F(G)."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -43,9 +46,17 @@ class TestPort:
         assert Port(1) < Port(2)
         assert len({Port(1), Port(1), Port(2)}) == 2
 
-    def test_to_bytes_cached_on_instance(self):
+    def test_to_bytes_default_and_int_signature(self):
+        # Port.to_bytes shadows int.to_bytes: the wire form is the
+        # default, and the inherited (length, byteorder) call still works.
         port = Port(0xABCDEF)
-        assert port.to_bytes() is port.to_bytes()
+        assert port.to_bytes() == b"\x00\x00\x00\xab\xcd\xef"
+        assert port.to_bytes() == int.to_bytes(port, 6, "big")
+        assert port.to_bytes(8, "big") == (0xABCDEF).to_bytes(8, "big")
+        assert port.to_bytes(4, "little") == (0xABCDEF).to_bytes(4, "little")
+        assert port.to_bytes(length=4, byteorder="big", signed=True) == (
+            (0xABCDEF).to_bytes(4, "big", signed=True)
+        )
 
     def test_from_wire_interns(self):
         wire = Port(0x123456789ABC).to_bytes()
@@ -65,6 +76,77 @@ class TestPort:
     def test_from_wire_matches_from_bytes(self, value):
         wire = Port(value).to_bytes()
         assert Port.from_wire(wire) == Port.from_bytes(wire) == Port(value)
+
+
+class TestPortIsAnInt:
+    """A port is the 48-bit integer it denotes (``class Port(int)``)."""
+
+    def test_hash_and_eq_are_ints_own(self):
+        # No Python frame per dict probe: the slots are inherited.
+        assert Port.__hash__ is int.__hash__
+        assert Port.__eq__ is int.__eq__
+        assert Port.__lt__ is int.__lt__
+
+    def test_no_instance_state(self):
+        port = Port(7)
+        assert not hasattr(port, "__dict__")
+        with pytest.raises(AttributeError):
+            port.cached = b"x"
+        with pytest.raises(AttributeError):
+            port.value = 8
+        assert Port.from_wire(b"\x00\x00\x00\x00\x01\x02").__class__ is Port
+        assert not hasattr(Port._unchecked(9), "__dict__")
+
+    def test_value_is_a_plain_int(self):
+        assert type(Port(7).value) is int
+        assert Port(7).value == 7
+
+    def test_equals_and_indexes_as_its_integer(self):
+        assert Port(5) == 5 and 5 == Port(5)
+        assert hash(Port(5)) == hash(5)
+        assert {Port(5): "x"}[5] == "x"
+        assert {5: "x"}[Port(5)] == "x"
+        assert Port(5) != Port(6) and Port(5) != 6
+
+    def test_ordering_is_numeric(self):
+        ports = [Port(3), Port(1 << 47), Port(0), Port(2)]
+        assert sorted(ports) == [Port(0), Port(2), Port(3), Port(1 << 47)]
+        assert Port(1) < 2 <= Port(2)
+
+    def test_null_port_is_falsy(self):
+        # The trap `x or default` walks into; is_null is the spelling.
+        assert bool(NULL_PORT) is False
+        assert bool(Port(1)) is True
+        assert NULL_PORT.is_null and not Port(1).is_null
+
+    def test_unchecked_skips_only_the_range_check(self):
+        port = Port._unchecked(0xABC)
+        assert type(port) is Port and port == Port(0xABC)
+        assert repr(port) == "Port(000000000abc)"
+
+    def test_range_check_is_inclusive_of_the_top_port(self):
+        # test_bounds covers the rejections; the constructor still runs
+        # them now that construction is int.__new__.
+        assert Port((1 << 48) - 1) == (1 << 48) - 1
+        with pytest.raises(ValueError):
+            Port((1 << 48) + 5)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_keeps_the_type(self, protocol):
+        port = Port(0x123456789ABC)
+        clone = pickle.loads(pickle.dumps(port, protocol))
+        assert type(clone) is Port and clone == port
+
+    def test_copy_keeps_the_type(self):
+        port = Port(0x123456789ABC)
+        for clone in (copy.copy(port), copy.deepcopy(port), copy.deepcopy([port])[0]):
+            assert type(clone) is Port and clone == port
+
+    def test_arithmetic_leaves_the_type(self):
+        # Shard selection and wire packing compute on ports; results are
+        # plain ints, never out-of-range "ports".
+        assert type(Port(5) & 3) is int
+        assert type(Port(5) >> 1) is int
 
 
 class TestPrivatePort:

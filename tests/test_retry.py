@@ -15,6 +15,8 @@ The retry contracts:
   of unicasting at a dead machine.
 """
 
+import random
+
 import pytest
 
 from repro.crypto.randomsrc import RandomSource
@@ -72,6 +74,40 @@ class TestRetryPolicy:
         assert RetryPolicy(attempts=8, rto=0.1, jitter=0.25,
                            seed=3).waits() == waits
         assert policy.waits() != waits
+
+    @pytest.mark.parametrize("config", [
+        dict(),
+        dict(attempts=8, rto=0.1, cap=0.5, multiplier=2.0, jitter=0.25, seed=3),
+        dict(attempts=5, rto=0.003, cap=10.0, multiplier=1.7, jitter=0.0),
+        dict(attempts=0, jitter=0.5, seed=9),
+        dict(attempts=12, rto=0.05, cap=0.05, multiplier=1.0, jitter=1e-3,
+             seed=11),
+    ])
+    def test_waits_match_the_reference_loop_bit_for_bit(self, config):
+        # waits() precomputes the un-jittered ladder; the schedule (and
+        # the RNG draw order seeded runs depend on) must be exactly what
+        # the per-call loop produced.
+        def reference_waits(policy, rng):
+            out = []
+            wait = policy.rto
+            for _ in range(policy.attempts):
+                w = wait
+                if policy.jitter:
+                    w *= 1.0 + rng.random() * policy.jitter
+                out.append(w)
+                wait = min(wait * policy.multiplier, policy.cap)
+            return out
+
+        policy = RetryPolicy(**config)
+        rng = random.Random(config.get("seed", 0))
+        for _ in range(200):
+            got = policy.waits()
+            assert got == reference_waits(policy, rng)
+            got.append(None)  # a caller's list, never the shared ladder
+        # No draw at all without jitter: the RNG stream is untouched.
+        if not policy.jitter:
+            assert policy._rng.getstate() == random.Random(
+                config.get("seed", 0)).getstate()
 
 
 class TestTransRetry:
