@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast loc bench bench-smoke bench-suite-smoke bench-compare bench-udp-smoke bench-des-smoke bench-shard-smoke bench-fault-smoke bench-recovery-smoke bench-replica-smoke bench-chaos-smoke
+.PHONY: test test-fast loc bench bench-smoke bench-suite-smoke bench-compare bench-ab bench-udp-smoke bench-des-smoke bench-shard-smoke bench-fault-smoke bench-recovery-smoke bench-replica-smoke bench-chaos-smoke
 
 ## Tier-1 verification: the full test suite, fail-fast.
 test:
@@ -49,6 +49,28 @@ bench-suite-smoke:
 bench-compare:
 	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<tree>"; exit 2; }
 	$(PYTHON) benchmarks/suite/compare.py --pairs 10 --tree-a $(BASE) --tree-b .
+
+## A quick A/B of ONE workload while iterating: PAIRS alternating contract
+## runs of BASE's src/ and this tree's (this directory's benchmark code on
+## both sides), cpu_us_per_trans and p50_us side by side — 3.5 minutes at
+## the default 8 pairs.  A reading, not evidence: bench-compare is that.
+PAIRS ?= 8
+bench-ab:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || \
+		{ echo "usage: make bench-ab WORKLOAD=<name> BASE=<tree> [PAIRS=8]"; exit 2; }
+	@printf '%-4s %12s %12s %12s %12s\n' pair base_cpu_us this_cpu_us base_p50_us this_p50_us
+	@run() { $(PYTHON) benchmarks/suite/run.py --workload $(WORKLOAD) \
+			--seconds 12 --trace 0 --src $$1 | tail -1 | $(PYTHON) -c \
+			'import json, sys; m = json.load(sys.stdin)["metrics"]; print("%.2f %.2f" % (m["cpu_us_per_trans"]["value"], m["p50_us"]["value"]))'; }; \
+	for pair in $$(seq 1 $(PAIRS)); do \
+		if [ $$((pair % 2)) -eq 1 ]; then \
+			base=$$(run $(BASE)/src); this=$$(run src); \
+		else \
+			this=$$(run src); base=$$(run $(BASE)/src); \
+		fi; \
+		printf '%-4d %12s %12s %12s %12s\n' $$pair \
+			$${base% *} $${this% *} $${base#* } $${this#* }; \
+	done
 
 ## Tiny multi-process run of the real-wire UDP benchmark: server in its
 ## own OS process over loopback, serial vs 16-in-flight pipelined.

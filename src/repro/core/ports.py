@@ -129,6 +129,25 @@ _NULL_WIRE = NULL_PORT.to_bytes()
 _interned[_NULL_WIRE] = NULL_PORT
 
 
+def draw_ports(rng, n):
+    """``n`` fresh ports from one pooled randomness read — the same
+    values, in the same order, as ``n`` :meth:`Port.random` draws on a
+    seeded source, for one call into it instead of ``n``.
+
+    Any 6 bytes are below 2**48, so the range check is skipped; a source
+    that returns the wrong number of bytes fails here instead.
+    """
+    raw = rng.bytes(PORT_BYTES * n)
+    if len(raw) != PORT_BYTES * n:
+        raise ValueError("random source returned a short read")
+    unchecked = Port._unchecked
+    from_bytes = int.from_bytes
+    return [
+        unchecked(from_bytes(raw[i:i + PORT_BYTES], "big"))
+        for i in range(0, len(raw), PORT_BYTES)
+    ]
+
+
 @dataclass(frozen=True)
 class PrivatePort:
     """A secret port value: a server get-port G, or a signature secret S.

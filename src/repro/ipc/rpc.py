@@ -4,7 +4,10 @@ The whole client-side protocol is four steps: pick a fresh reply
 get-port G', listen on it, send the request with G' in the reply field
 (the F-box puts F(G') on the wire), and wait for the reply.  A fresh G'
 per transaction means stale replies from earlier transactions land on
-ports nobody listens to — the system needs no sequence numbers.
+ports nobody listens to — the system needs no sequence numbers.  The
+first two steps are one station call, ``listen_reply``: the station
+draws and images reply ports a block at a time and deals each once, so
+the freshness is the paper's and only the cost is shared.
 
 That protocol is stated once, in :class:`AsyncTrans`: issue on
 construction, one screened wait loop, retransmit, cancel.  Everything
@@ -34,7 +37,7 @@ and are discarded.  This is the digital-signature mechanism of §2.2.
 import random
 import time
 
-from repro.core.ports import PORT_BYTES, Port, as_port
+from repro.core.ports import as_port, draw_ports
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import PartitionSuspected, PortNotLocated, RPCTimeout
 from repro.net.nic import Nic
@@ -182,11 +185,14 @@ class AsyncTrans:
     PrivatePort, Port's repr shows the value, so containment matters:
     nothing here logs or reprs it, and ``put_owned`` replaces it with
     F(G') in place on egress.  (Like any recently one-wayed value it does
-    transit the F-box image cache — see the cache-retention note in
-    docs/PERFORMANCE.md.)  ``reply_secret`` is for internal batch issuers
-    (``trans_many`` draws one pooled block of randomness for a whole
-    batch); ordinary callers leave it None and the constructor draws
-    from ``rng``.
+    transit the F-box image cache, and before that it waits — imaged,
+    not listened on — in the station's reply pool; see the
+    cache-retention note in docs/PERFORMANCE.md.)  ``reply_secret`` is
+    for internal batch issuers (``trans_many`` draws one pooled block of
+    randomness for a whole batch) and takes the plain ``listen``;
+    ordinary callers leave it None and the station deals a pair from its
+    pool for ``rng`` (``listen_reply``) — after the replica pick, so a
+    refused destination draws and listens nothing.
 
     With ``retry`` (a :class:`RetryPolicy`), :meth:`result` retransmits
     the request on backoff expiry — same reply secret every time, so the
@@ -221,8 +227,6 @@ class AsyncTrans:
         reply_secret=None,
         retry=None,
     ):
-        if reply_secret is None:
-            reply_secret = Port.random(rng or _DEFAULT_RNG)
         if getattr(dst_machine, "is_replica_set", False):
             # A pipelined issue binds to one replica up front — failover
             # mid-flight is the blocking path's job — but the spread
@@ -245,10 +249,15 @@ class AsyncTrans:
         self._dest = as_port(dest_port)
         self._dst_machine = dst_machine
         self._sig_port = as_port(signature) if signature is not None else None
+        # Last, so that arguments refused above leave no GET behind.
+        # Either GET hands back the wire port F(G'); holding on to it
+        # lets every poll and the unlisten skip re-deriving it.
+        if reply_secret is None:
+            reply_secret, self.wire_reply = node.listen_reply(
+                rng or _DEFAULT_RNG)
+        else:
+            self.wire_reply = node.listen(reply_secret)
         self._reply_secret = reply_secret
-        # listen() hands back the wire port F(G'); holding on to it lets
-        # every poll and the unlisten skip re-deriving it.
-        self.wire_reply = node.listen(reply_secret)
         try:
             self._transmit()
         except BaseException:
@@ -535,7 +544,7 @@ def trans_many(
     dest = as_port(dest_port)
     rng = rng or _DEFAULT_RNG
     sig_port = as_port(signature) if signature is not None else None
-    secrets = _draw_secrets(rng, len(requests))
+    secrets = draw_ports(rng, len(requests))
     # The batch lanes are single-shot by construction; a retry schedule
     # needs per-transaction backoff state, so such a batch rides N
     # engines below (still issued before the first collect — the
@@ -556,7 +565,7 @@ def trans_many(
             # existing GET).  With 48-bit random ports this is a
             # cosmic-ray case; redrawing fresh secrets resolves it —
             # sharing a sink would cross two transactions' replies.
-            secrets = _draw_secrets(rng, len(requests))
+            secrets = draw_ports(rng, len(requests))
         # Randomness is demonstrably broken (four colliding batches);
         # the engines below behave exactly as trans() does.
     calls = []
@@ -573,19 +582,6 @@ def trans_many(
         for call in calls:
             call.cancel()
         raise
-
-
-def _draw_secrets(rng, n):
-    """N fresh reply secrets from one pooled randomness read."""
-    raw = rng.bytes(PORT_BYTES * n)
-    if len(raw) != PORT_BYTES * n:
-        raise ValueError("random source returned a short read")
-    return [
-        Port._unchecked(
-            int.from_bytes(raw[i * PORT_BYTES:(i + 1) * PORT_BYTES], "big")
-        )
-        for i in range(n)
-    ]
 
 
 def _issue_batch(node, dest, requests, secrets, dst_machine, sig_port):

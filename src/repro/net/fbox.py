@@ -37,9 +37,11 @@ class FBox:
         self._f_raw = getattr(self._f, "raw", None)
         # port -> Port(F(port)).  Sound to memoize: F is deterministic
         # over the 48-bit port space and Port objects are immutable.  The
-        # hot path one-ways the same value repeatedly (a transaction's
-        # reply secret is one-wayed by listen, egress, poll and unlisten),
-        # and the cache also skips re-constructing the Port wrapper.
+        # hot path asks for the same image repeatedly (a transaction's
+        # reply secret is imaged once, in its station's pool refill or
+        # its batch's listen_fresh, and egress finds it here for the
+        # first copy and every retransmission), and the cache also skips
+        # re-constructing the Port wrapper.
         self._images = {NULL_PORT: NULL_PORT}
 
     def one_way(self, port):

@@ -16,8 +16,20 @@ registered handler (server request loops).
 from collections import deque
 from typing import Any, Optional, Protocol, runtime_checkable
 
-from repro.core.ports import as_port
+from repro.core.ports import as_port, draw_ports
 from repro.net.fbox import FBox
+
+#: Fresh reply ports are drawn and imaged this many at a time (see
+#: :func:`refill_reply_pool`).  A constant, not a knob: 16 is where the
+#: batch pays and the tail it costs is still small (docs/PERFORMANCE.md
+#: has the 4 / 8 / 16 / 32 ablation).  It must divide 400: the suite's
+#: traced-echo test counts one F per transaction over such a window.
+REPLY_BLOCK = 16
+
+#: Randomness sources a station keeps a pool for.  Two or three clients
+#: with their own source commonly share one station; past this many the
+#: pools are dropped wholesale, like every other cache on the wire path.
+_REPLY_SOURCES_MAX = 8
 
 
 @runtime_checkable
@@ -42,6 +54,10 @@ class Station(Protocol):
 
     def listen(self, port):
         """GET(port); returns the wire port F(port)."""
+
+    def listen_reply(self, rng):
+        """GET on a fresh port drawn from ``rng``; returns the pair
+        ``(secret, wire port)``."""
 
     def unlisten(self, port):
         """Withdraw a GET by its secret."""
@@ -79,6 +95,26 @@ class Station(Protocol):
 
     def put_broadcast(self, message):
         """PUT to every station."""
+
+
+def refill_reply_pool(pools, rng, fbox):
+    """A new block of fresh reply pairs ``(G', F(G'))`` for ``rng``'s slot
+    in a station's ``pools``: one pooled randomness read and one F-box
+    batch instead of :data:`REPLY_BLOCK` draws and one-way calls — the
+    same secrets in the same order as that many ``Port.random(rng)``.
+
+    The pairs are *imaged, not admitted*: no sink and no routing-index
+    entry exists for one until ``listen_reply`` deals it, so a frame for
+    an undealt wire port is refused like any other unknown port.  The
+    list is reversed so that dealing in draw order is ``pop()``.
+    """
+    secrets = draw_ports(rng, REPLY_BLOCK)
+    pool = list(zip(secrets, fbox.one_way_batch(secrets)))
+    pool.reverse()
+    if len(pools) >= _REPLY_SOURCES_MAX and rng not in pools:
+        pools.clear()
+    pools[rng] = pool
+    return pool
 
 
 class _BatchSink:
@@ -139,6 +175,8 @@ class Nic:
         # A single dict keeps the admission check and delivery to one
         # lookup each on the per-frame path.
         self._sinks = {}
+        # Randomness source -> undealt (G', F(G')) pairs, see listen_reply.
+        self._reply_pools = {}
         self._broadcast_handlers = []
         #: Per-NIC counters (frames in/out) for experiments.
         self.sent = 0
@@ -244,6 +282,31 @@ class Nic:
             self._sinks[wire_port] = deque()
             self.network.register_listener(self.address, wire_port)
         return wire_port
+
+    def listen_reply(self, rng):
+        """GET on a fresh port: the client's opening move of every
+        transaction (§2.1).  Returns ``(G', F(G'))`` — the secret for the
+        request's reply field and the wire port now admitted, with the
+        queue sink and index entry :meth:`listen` would have made.
+
+        The pair comes from this station's pool for ``rng``, refilled a
+        block at a time (:func:`refill_reply_pool`); each is dealt once,
+        so a transaction's G' is as fresh as if drawn on the spot.  A
+        pair whose wire port already has a GET is skipped, never shared
+        — sharing a sink would cross two transactions' replies.
+        """
+        pool = self._reply_pools.get(rng)
+        sinks = self._sinks
+        while True:
+            if not pool:
+                pool = refill_reply_pool(self._reply_pools, rng, self.fbox)
+            pair = pool.pop()
+            wire_port = pair[1]
+            if wire_port not in sinks:
+                break
+        sinks[wire_port] = deque()
+        self.network.register_listener(self.address, wire_port)
+        return pair
 
     def listen_fresh(self, ports):
         """Batch GET on a set of fresh (just-drawn) ports.

@@ -22,7 +22,7 @@ from collections import deque
 from repro.core.ports import as_port
 from repro.net.fbox import FBox
 from repro.net.message import Message
-from repro.net.nic import _BatchSink
+from repro.net.nic import _BatchSink, refill_reply_pool
 
 #: Generous datagram cap: a capability-bearing message is well under 1 KiB,
 #: file transfers chunk themselves beneath this.
@@ -130,6 +130,8 @@ class SocketNode:
         self._handlers = {}
         #: Lock-free admission snapshot: wire port -> Queue | handler.
         self._admission = {}
+        # Randomness source -> undealt (G', F(G')) pairs, see listen_reply.
+        self._reply_pools = {}
         self._peers = []
         self._peer_snapshot = ()
         self._lock = threading.Lock()
@@ -453,6 +455,27 @@ class SocketNode:
                 self._queues[wire_port] = queue.SimpleQueue()
                 self._swap_admission()
         return wire_port
+
+    def listen_reply(self, rng):
+        """GET on a fresh port, the socket counterpart of
+        :meth:`Nic.listen_reply`: one pair dealt from ``rng``'s pool
+        (refilled a block at a time, imaged but not admitted until
+        dealt), one lock hold and one admission swap per deal.  Returns
+        ``(G', F(G'))``."""
+        with self._lock:
+            pool = self._reply_pools.get(rng)
+            queues = self._queues
+            handlers = self._handlers
+            while True:
+                if not pool:
+                    pool = refill_reply_pool(self._reply_pools, rng, self.fbox)
+                pair = pool.pop()
+                wire_port = pair[1]
+                if wire_port not in queues and wire_port not in handlers:
+                    break
+            queues[wire_port] = queue.SimpleQueue()
+            self._swap_admission()
+        return pair
 
     def listen_fresh(self, ports):
         """Batch GET on a set of fresh (just-drawn) reply ports.

@@ -16,7 +16,7 @@ file refunds the paid storage.  Running out of dollars *is* the quota.
 import math
 
 from repro.core.rights import Rights
-from repro.errors import BadRequest
+from repro.errors import BadRequest, PermissionDenied
 from repro.ipc.server import command
 from repro.servers.flatfile import (
     FILE_CREATE,
@@ -65,6 +65,12 @@ class ChargingFlatFileServer(FlatFileServer):
         self.refund_on_destroy = refund_on_destroy
         #: file object id(data) -> (payer capability, total paid).
         self._billing = {}
+        #: Refund transfers that failed for any reason other than a payer
+        #: capability without the deposit right, and the
+        #: ``(payer capability, dollars)`` each still owes — the file is
+        #: gone either way, the debt is not.
+        self.refunds_failed = 0
+        self.refunds_owed = []
 
     def _units(self, nbytes):
         return math.ceil(nbytes / self.charge_unit)
@@ -136,6 +142,11 @@ class ChargingFlatFileServer(FlatFileServer):
                 self.bank_client.transfer(
                     self.revenue_cap, payer_cap, self.currency, paid
                 )
-            except Exception:
+            except PermissionDenied:
                 pass
+            except Exception:
+                # A dead or unreachable bank must not fail the destroy,
+                # and must not cost the payer the money either.
+                self.refunds_failed += 1
+                self.refunds_owed.append((payer_cap, paid))
         super().on_destroy(entry)

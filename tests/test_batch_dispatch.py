@@ -4,8 +4,8 @@ These tests were written against ``ObjectServer(workers=N)``.  The pool
 is gone; what they checked that was not about threads — every reply of a
 batch correct, exact request counts, revocation and deferred replies
 inside a batch, sealed and multi-capability requests in a batch — they
-now check on the one dispatch path that is left.  The file and test
-names are the historical ones, kept so the ids stay stable.
+now check on the one dispatch path that is left.  The class and test
+names are the historical ones.
 """
 
 import threading

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.crypto.randomsrc import RandomSource
-from repro.errors import BadRequest, InsufficientFunds
+from repro.errors import BadRequest, InsufficientFunds, NoSuchObject
+from repro.net.faults import FaultPlan
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 from repro.servers.bank import R_DEPOSIT, R_INSPECT, R_WITHDRAW, BankClient, BankServer
@@ -11,9 +12,8 @@ from repro.servers.charging import ChargingFlatFileServer
 from repro.servers.flatfile import FILE_CREATE, FILE_WRITE, FlatFileClient
 
 
-@pytest.fixture
-def world():
-    net = SimNetwork()
+def build(faults=None):
+    net = SimNetwork(faults=faults)
     server_nic = Nic(net)
     bank = BankServer(Nic(net), rng=RandomSource(seed=1)).start()
     revenue = bank.create_account()
@@ -41,6 +41,11 @@ def world():
     # a real client would keep inspect too.
     pay_cap = bank_client.restrict(wallet, R_WITHDRAW | R_DEPOSIT | R_INSPECT)
     return bank, bank_client, files, file_client, wallet, pay_cap, revenue
+
+
+@pytest.fixture
+def world():
+    return build()
 
 
 class TestCharging:
@@ -114,13 +119,14 @@ class TestRefund:
     def test_destroy_refunds(self, world):
         """'Returning the resource might result in the client getting his
         money back' (disk blocks, unlike typesetter pages)."""
-        _, bank_client, _, file_client, wallet, pay_cap, _ = world
+        _, bank_client, files, file_client, wallet, pay_cap, _ = world
         cap = file_client.call(
             FILE_CREATE, data=b"x" * 2048, extra_caps=(pay_cap,)
         ).capability
         assert bank_client.balance(wallet)["USD"] == 96
         file_client.destroy(cap)
         assert bank_client.balance(wallet)["USD"] == 100
+        assert files.refunds_failed == 0 and files.refunds_owed == []
 
     def test_no_refund_server(self):
         """Typesetter-page mode: refund_on_destroy=False keeps the money."""
@@ -151,3 +157,49 @@ class TestRefund:
         assert bank_client.balance(wallet)["USD"] == 9
         file_client.destroy(cap)
         assert bank_client.balance(wallet)["USD"] == 9  # no refund
+
+
+class TestRefundThatCannotBePaid:
+    """A refund the bank never made is counted and stays owed; it neither
+    fails the destroy nor vanishes (it used to, silently)."""
+
+    def _destroyed_unpaid(self, world, break_bank):
+        bank, bank_client, files, file_client, wallet, pay_cap, _ = world
+        cap = file_client.call(
+            FILE_CREATE, data=b"x" * 2048, extra_caps=(pay_cap,)
+        ).capability
+        assert bank_client.balance(wallet)["USD"] == 96
+        break_bank()
+        file_client.destroy(cap)  # replies OK: nothing raised into it
+        with pytest.raises(NoSuchObject):
+            file_client.size(cap)
+        assert files.refunds_failed == 1
+        assert files.refunds_owed == [(pay_cap, 4)]
+
+    def test_bank_stopped(self, world):
+        bank = world[0]
+        self._destroyed_unpaid(world, bank.stop)
+        bank.start()
+        assert world[1].balance(world[4])["USD"] == 96  # still unpaid
+
+    def test_link_to_the_bank_severed(self):
+        faults = FaultPlan(seed=1)
+        world = build(faults)
+        bank, files = world[0], world[2]
+        self._destroyed_unpaid(
+            world,
+            lambda: faults.sever(files.node.address, bank.node.address),
+        )
+        faults.heal()
+        assert world[1].balance(world[4])["USD"] == 96
+
+    def test_withdraw_only_payer_forfeits(self, world):
+        _, bank_client, files, file_client, wallet, _, _ = world
+        withdraw_only = bank_client.restrict(wallet, R_WITHDRAW)
+        cap = file_client.call(
+            FILE_CREATE, data=b"x" * 2048, extra_caps=(withdraw_only,)
+        ).capability
+        file_client.destroy(cap)
+        assert bank_client.balance(wallet)["USD"] == 96  # no deposit right
+        assert files.refunds_failed == 0
+        assert files.refunds_owed == []

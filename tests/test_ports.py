@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.ports import NULL_PORT, Port, PrivatePort, as_port
+from repro.core.ports import NULL_PORT, Port, PrivatePort, as_port, draw_ports
 from repro.crypto.oneway import default_oneway
 from repro.crypto.randomsrc import RandomSource
 
@@ -194,3 +194,27 @@ class TestAsPort:
     def test_garbage_rejected(self):
         with pytest.raises(TypeError):
             as_port("not a port")
+
+
+class TestDrawPorts:
+    @pytest.mark.parametrize("n", [0, 1, 5, 16, 40])
+    def test_same_ports_in_the_same_order_as_port_random(self, n):
+        pooled, twin = RandomSource(seed=9), RandomSource(seed=9)
+        drawn = draw_ports(pooled, n)
+        assert drawn == [Port.random(twin) for _ in range(n)]
+        assert all(type(port) is Port for port in drawn)
+        # and both sources stand at the same point of the stream
+        assert Port.random(pooled) == Port.random(twin)
+
+    def test_unseeded_source(self):
+        drawn = draw_ports(RandomSource(), 16)
+        assert len(set(drawn)) == 16
+        assert all(type(port) is Port for port in drawn)
+
+    def test_short_read_refused(self):
+        class Short:
+            def bytes(self, n):
+                return b"\x01" * (n - 1)
+
+        with pytest.raises(ValueError, match="short read"):
+            draw_ports(Short(), 4)

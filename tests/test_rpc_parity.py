@@ -314,6 +314,10 @@ class LoopbackStation:
         self._sinks.setdefault(wire_port, [])
         return wire_port
 
+    def listen_reply(self, rng):
+        secret = Port.random(rng)
+        return secret, self.listen(secret)
+
     def unlisten(self, port):
         self.unlisten_wire(self._fbox.listen_port(as_port(port)))
 
