@@ -3,9 +3,10 @@
 Three workloads (stable keys in ``BENCH_throughput.json``):
 
 ``replica_udp_aggregate_4``
-    Aggregate echo throughput of a 4-process :class:`ReplicaPool` over
-    loopback UDP — four client threads, each pinned to one replica —
-    against the same four threads hammering a 1-process pool.
+    Aggregate echo throughput of a 4-process forked
+    :class:`ReplicatedObjectServer` over loopback UDP — four client
+    threads, each pinned to one replica — against the same four threads
+    hammering a 1-process pool.
     ``scaling_x`` is the aggregate ratio.  On a single-CPU CI box the
     ratio stays near 1 (every process shares one core and the syscall
     path is already amortized); on real hardware it approaches N.  The
@@ -39,7 +40,6 @@ from repro.ipc.client import ServiceClient
 from repro.ipc.locate import Locator
 from repro.ipc.replica import (
     ReplicaObjectServer,
-    ReplicaPool,
     ReplicatedObjectServer,
 )
 from repro.ipc.rpc import RetryPolicy, trans, trans_many
@@ -144,9 +144,9 @@ def _pinned_echo_threads(addresses, put_port, expect_signature, n, payload,
 
 def replica_udp_aggregate(replicas=4, n=400, payload=b"payload"):
     """Aggregate N-process pool throughput vs a 1-process pool."""
-    pool = ReplicaPool(
-        replicas=replicas, objects=1, server_factory=EchoReplicaServer,
-        seed=b"bench-aggregate",
+    pool = ReplicatedObjectServer(
+        replicas=replicas, objects=1, server_cls=EchoReplicaServer,
+        rng=RandomSource(b"bench-aggregate"),
     )
     try:
         pooled_s, pooled_n = _pinned_echo_threads(
@@ -154,9 +154,9 @@ def replica_udp_aggregate(replicas=4, n=400, payload=b"payload"):
         )
     finally:
         pool.stop()
-    single = ReplicaPool(
-        replicas=1, objects=1, server_factory=EchoReplicaServer,
-        seed=b"bench-aggregate-single",
+    single = ReplicatedObjectServer(
+        replicas=1, objects=1, server_cls=EchoReplicaServer,
+        rng=RandomSource(b"bench-aggregate-single"),
     )
     try:
         # Same client parallelism (N threads), one server process.
@@ -185,9 +185,9 @@ def replica_kill_failover(replicas=4, client_threads=4, per_thread=24,
         # rotation per client, so every client provably encounters the
         # dead member and fails over.
         per_thread = 2 * replicas + 2
-    pool = ReplicaPool(
-        replicas=replicas, objects=1, server_factory=RecordReplicaServer,
-        seed=b"bench-failover",
+    pool = ReplicatedObjectServer(
+        replicas=replicas, objects=1, server_cls=RecordReplicaServer,
+        rng=RandomSource(b"bench-failover"),
     )
     total = client_threads * per_thread
     pre_kill = per_thread // 2

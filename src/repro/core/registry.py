@@ -89,6 +89,9 @@ class _Shard:
         # acquisition, exactly as the monolithic table did globally.
         self.lock = threading.RLock()
         self.entries = {}
+        # (number, next generation): a recycled number resumes *above*
+        # its last incarnation's generation, so a revocation still in
+        # flight for the old object can never pass the guard on the new.
         self.free_numbers = []
         self.fresh_number = index
         self.step = step
@@ -215,7 +218,9 @@ class ObjectTable:
     # ------------------------------------------------------------------
 
     def _allocate(self):
-        """Reserve an object number; returns ``(shard, number)``.
+        """Reserve an object number; returns ``(shard, number,
+        generation)`` — 0 for a never-used number, one past the previous
+        incarnation's for a recycled one.
 
         Recycled numbers win over fresh ones (each freed number leaves a
         shard-index hint in ``_recycle_hints``); fresh allocation round-
@@ -233,7 +238,7 @@ class ObjectTable:
             shard = self._shards[index]
             with shard.lock:
                 if shard.free_numbers:
-                    return shard, shard.free_numbers.pop()
+                    return (shard, *shard.free_numbers.pop())
             # Stale hint (a racing create claimed the number); keep going.
         shards = self._shards
         count = len(shards)
@@ -243,11 +248,11 @@ class ObjectTable:
             with shard.lock:
                 number = shard.allocate_fresh(self._max_objects)
                 if number is not None:
-                    return shard, number
+                    return shard, number, 0
         for shard in shards:
             with shard.lock:
                 if shard.free_numbers:
-                    return shard, shard.free_numbers.pop()
+                    return (shard, *shard.free_numbers.pop())
         raise NoSuchObject(
             "object table full (%d objects)" % self._max_objects
         )
@@ -261,12 +266,13 @@ class ObjectTable:
         stripe, the secret is drawn outside any lock, and the row is
         installed under the same stripe.
         """
-        shard, number = self._allocate()
+        shard, number, generation = self._allocate()
         secret = self.scheme.new_secret(self._rng)
         entry = ObjectEntry(
             number=number,
             secret=secret,
             data=data,
+            generation=generation,
             lifetime=self.default_lifetime,
         )
         with shard.lock:
@@ -455,8 +461,8 @@ class ObjectTable:
         with shard.lock:
             entry, _ = self.lookup(capability, required)
             del shard.entries[entry.number]
-            shard.free_numbers.append(entry.number)
             generation = entry.generation
+            shard.free_numbers.append((entry.number, generation + 1))
             if self._wal is not None:
                 self._wal.log_destroy(shard.index, entry.number)
         self._recycle_hints.append(shard.index)
@@ -467,7 +473,7 @@ class ObjectTable:
         """Install a revocation decided by a *peer replica*.
 
         The replica control plane is at-least-once: a fan-out
-        CTL_APPLY_REFRESH may arrive twice (retransmission) or late
+        CTL_APPLY record may arrive twice (retransmission) or late
         (after a newer local refresh).  The generation guard makes both
         safe — a secret is installed only if it is strictly newer than
         the live row's, so duplicates and stale deliveries are no-ops.
@@ -491,22 +497,26 @@ class ObjectTable:
         self._notify_revocation(number, generation, shard.index)
         return True
 
-    def apply_destroy(self, number):
+    def apply_destroy(self, number, generation):
         """Remove an object destroyed by a peer replica (idempotent).
 
         No capability validation: the peer already validated the owner
         capability before fanning out, and the control message itself is
-        signature-authenticated at the server layer.  A duplicate or a
-        destroy for an object this replica never had is a no-op.
+        signature-authenticated at the server layer.  ``generation`` is
+        the row's at the peer when it died: a row *newer* than that is a
+        later refresh or — the number having been recycled — another
+        object altogether, and is left alone.  A duplicate or a destroy
+        for an object this replica never had is a no-op.
         Returns True when a row was removed.
         """
         shard = self._shards[number & self._mask]
         with shard.lock:
-            entry = shard.entries.pop(number, None)
-            if entry is None:
+            entry = shard.entries.get(number)
+            if entry is None or entry.generation > generation:
                 return False
-            shard.free_numbers.append(number)
+            del shard.entries[number]
             generation = entry.generation
+            shard.free_numbers.append((number, generation + 1))
             if self._wal is not None:
                 self._wal.log_destroy(shard.index, number)
         self._recycle_hints.append(shard.index)
@@ -548,7 +558,9 @@ class ObjectTable:
                         doomed.append(entry)
                 for entry in doomed:
                     del shard.entries[entry.number]
-                    shard.free_numbers.append(entry.number)
+                    shard.free_numbers.append(
+                        (entry.number, entry.generation + 1)
+                    )
                     if self._wal is not None:
                         self._wal.log_destroy(shard.index, entry.number)
                 expired.extend(doomed)
@@ -631,11 +643,10 @@ class ObjectTable:
 
     def snapshot_entries(self):
         """A consistent-per-stripe copy of every live row, as
-        ``(number, secret, data, generation)`` tuples.  Replica pools use
-        this to seed N forked processes from one populated table —
-        capabilities minted against the template then validate on every
-        replica.  Each stripe is locked exactly once; the snapshot is
-        not atomic across stripes (neither is any client's view)."""
+        ``(number, secret, data, generation)`` tuples — what the chaos
+        engine compares across replicas for convergence.  Each stripe is
+        locked exactly once; the snapshot is not atomic across stripes
+        (neither is any client's view)."""
         rows = []
         for shard in self._shards:
             with shard.lock:

@@ -62,6 +62,7 @@ from repro.core.registry import DEFAULT_SHARDS, ObjectEntry
 from repro.crypto.randomsrc import RandomSource
 from repro.disk.virtualdisk import VirtualDisk
 from repro.errors import DiskFault, MalformedCapability
+from repro.util.record import Reader, pack_secret, unpack_secret
 
 __all__ = ["DurableStore", "StripeLog", "RecoveryReport", "DefaultCodec"]
 
@@ -341,56 +342,6 @@ def _scan_chain(disk, head, start_offset=0):
     return scan
 
 
-class _Reader:
-    """Cursor over one record payload; raises ValueError when short."""
-
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n):
-        end = self.pos + n
-        if end > len(self.buf):
-            raise ValueError("record payload too short")
-        out = self.buf[self.pos: end]
-        self.pos = end
-        return out
-
-    def u8(self):
-        return self.take(1)[0]
-
-    def uint(self, n):
-        return int.from_bytes(self.take(n), "big")
-
-
-def _pack_secret(secret):
-    """Secrets are ints (simple/XOR/commutative schemes) or bytes
-    (encrypted scheme); tag so recovery restores the right type."""
-    if isinstance(secret, bool) or not isinstance(
-        secret, (int, bytes, bytearray)
-    ):
-        raise TypeError("cannot log secret of type %s" % type(secret).__name__)
-    if isinstance(secret, int):
-        raw = secret.to_bytes((secret.bit_length() + 7) // 8 or 1, "big")
-        tag = 0
-    else:
-        raw = bytes(secret)
-        tag = 1
-    return bytes([tag]) + len(raw).to_bytes(2, "big") + raw
-
-
-def _unpack_secret(reader):
-    tag = reader.u8()
-    raw = bytes(reader.take(reader.uint(2)))
-    if tag == 0:
-        return int.from_bytes(raw, "big")
-    if tag == 1:
-        return raw
-    raise ValueError("unknown secret tag %d" % tag)
-
-
 class DefaultCodec:
     """Data codec for the common primitive payloads.
 
@@ -657,7 +608,7 @@ class DurableStore:
             parts.append(b"\xff")
         else:
             parts.append(b"\x01" + int(entry.lifetime).to_bytes(4, "big"))
-        parts.append(_pack_secret(entry.secret))
+        parts.append(pack_secret(entry.secret))
         parts.append(len(data_raw).to_bytes(4, "big"))
         parts.append(data_raw)
         return b"".join(parts)
@@ -701,7 +652,7 @@ class DurableStore:
             bytes([OP_REFRESH])
             + number.to_bytes(3, "big")
             + generation.to_bytes(4, "big")
-            + _pack_secret(secret),
+            + pack_secret(secret),
         )
 
     def log_destroy(self, shard_index, number):
@@ -887,7 +838,7 @@ class DurableStore:
         codec cannot apply — means tampering or a codec mismatch;
         either way, re-key the stripe)."""
         try:
-            reader = _Reader(payload)
+            reader = Reader(payload)
             op = reader.u8()
             if op == OP_ENTRY:
                 number = reader.uint(3)
@@ -898,7 +849,7 @@ class DurableStore:
                     lifetime = reader.uint(4)
                 elif lifetime_tag != 0xFF:
                     raise ValueError("bad lifetime tag")
-                secret = _unpack_secret(reader)
+                secret = unpack_secret(reader)
                 data = self.codec.decode(bytes(reader.take(reader.uint(4))))
                 entries[number] = ObjectEntry(
                     number=number,
@@ -910,7 +861,7 @@ class DurableStore:
             elif op == OP_REFRESH:
                 number = reader.uint(3)
                 generation = reader.uint(4)
-                secret = _unpack_secret(reader)
+                secret = unpack_secret(reader)
                 entry = entries.get(number)
                 if entry is not None:
                     entry.secret = secret

@@ -22,12 +22,18 @@ from repro.ipc import stdops
 from repro.net.message import Message
 
 
-def install_locate_responder(nic):
-    """Make a station answer LOCATE broadcasts for ports it serves.
+def install_locate_responder(nic, answer=None):
+    """Make a station answer LOCATE broadcasts.
 
-    This is kernel functionality: it answers from the NIC's admission
-    table, not from any user process.
+    ``answer(port)`` returns the HERE body, or None to stay silent.  The
+    default is the kernel's "I am here" — the bare port, for any port in
+    the NIC's admission table, not from any user process; a replica pool
+    answers with its whole packed membership instead (and falls silent
+    when its server stops: the broadcast hook cannot be unregistered).
     """
+    if answer is None:
+        def answer(target):
+            return target.to_bytes() if nic.admits(target) else None
 
     def responder(frame):
         message = frame.message
@@ -37,12 +43,13 @@ def install_locate_responder(nic):
             target = Port.from_bytes(message.data)
         except ValueError:
             return
-        if not nic.admits(target):
+        data = answer(target)
+        if data is None:
             return
         here = Message(
             dest=message.reply,
             command=stdops.HERE,
-            data=target.to_bytes(),
+            data=data,
             is_reply=True,
         )
         nic.put(here, dst_machine=frame.src)

@@ -8,10 +8,10 @@ binding plural end to end:
   pool of machine addresses plus a *spread policy* (round-robin, or a
   rendezvous hash on the object number so every client computes the same
   per-object home replica without coordination).
-* :class:`ReplicaRegistry` + :func:`install_replica_locate_responder` —
-  the membership side: replicas join/leave a port's pool, LOCATE
-  broadcasts are answered with the whole pool (wire-compatible with the
-  legacy single-machine HERE).
+* :class:`ReplicaRegistry` — the membership side: replicas join/leave a
+  port's pool, and the pool's LOCATE responder answers broadcasts with
+  the whole membership (wire-compatible with the legacy single-machine
+  HERE).
 * :class:`ReplicaObjectServer` — a full :class:`ObjectServer` data plane
   that additionally *fans out* every revocation (STD_REFRESH,
   STD_DESTROY, aging) to its peer replicas over a signature-
@@ -22,16 +22,17 @@ binding plural end to end:
   application side (:meth:`ObjectTable.apply_refresh` /
   :meth:`~ObjectTable.apply_destroy`) is generation-guarded and
   idempotent, so duplicates and reordering are harmless.
-* :class:`ReplicatedObjectServer` — the in-process (SimNetwork) pool:
-  N replica servers sharing one get-port/signature, objects mirrored at
-  creation.  Deterministic; this is where the fault-injection tests run.
-* :class:`ReplicaPool` — the real thing: N OS processes over loopback
-  UDP (the PR 3 fork pattern), each with a *data* station serving the
-  logical port and a *control* station for outbound fan-out (a server
-  handler runs on its station's pump thread, so a blocking peer
-  transaction must leave through a second station or it would deadlock
-  waiting on its own pump).  Replicas register with the arbiter's
-  registry over the socket control lane (join/leave/health).
+* :class:`ReplicatedObjectServer` — the pool: N replica servers sharing
+  one get-port, signature, scheme and seeded rows.  *Where* they run is
+  an argument, not a second class: given a ``SimNetwork`` the members
+  are stations on it in this process (deterministic; this is where the
+  fault-injection tests run), given none they are forked OS processes
+  over loopback UDP, each with a *data* station serving the logical
+  port and a *control* station for outbound fan-out (a server handler
+  runs on its station's pump thread, so a blocking peer transaction
+  must leave through a second station or it would deadlock waiting on
+  its own pump), registering with the pool's arbiter station over the
+  socket control lane (join/leave/health).
 
 Failover contract (the part clients rely on): ``trans`` against a
 ReplicaSet tries candidates in policy order and fails over on
@@ -44,17 +45,21 @@ across the pool, never double-executed on any one replica.
 import hashlib
 import itertools
 import json
-import struct
 import threading
+import time
 
 from repro.core.ports import PORT_BYTES, Port, PrivatePort, as_port
-from repro.core.registry import ObjectEntry
+from repro.core.registry import ObjectEntry, ObjectTable
+from repro.core.schemes import XorOneWayScheme
 from repro.crypto.randomsrc import RandomSource
-from repro.errors import BadRequest, PortNotLocated, RPCTimeout, SecurityError
+from repro.errors import PortNotLocated, RPCTimeout, SecurityError
 from repro.ipc import stdops
+from repro.ipc.locate import install_locate_responder
 from repro.ipc.rpc import RetryPolicy, trans
 from repro.ipc.server import ObjectServer, command
 from repro.net.message import Message
+from repro.net.nic import Nic
+from repro.util.record import Reader, pack_secret, unpack_secret
 
 #: Spread policies a :class:`ReplicaSet` understands.
 ROUND_ROBIN = "round_robin"
@@ -65,7 +70,8 @@ _POLICY_NAMES = {code: name for name, code in _POLICY_CODES.items()}
 
 
 # ----------------------------------------------------------------------
-# machine / replica-set wire codec
+# wire records (read through repro.util.record.Reader: every framing
+# defect is a ValueError, which each receiver answers by ignoring)
 # ----------------------------------------------------------------------
 #
 # Machines are ints on the simulators and (host, udp_port) pairs over
@@ -85,26 +91,13 @@ def pack_machine(machine):
     return b"\x02" + bytes((len(raw),)) + raw + int(port).to_bytes(2, "big")
 
 
-def _unpack_machine(data, pos):
-    if pos >= len(data):
-        raise ValueError("truncated machine encoding")
-    tag = data[pos]
-    pos += 1
+def read_machine(reader):
+    tag = reader.u8()
     if tag == 0x01:
-        if pos + 8 > len(data):
-            raise ValueError("truncated machine number")
-        return int.from_bytes(data[pos:pos + 8], "big"), pos + 8
+        return reader.uint(8)
     if tag == 0x02:
-        if pos >= len(data):
-            raise ValueError("truncated host length")
-        hlen = data[pos]
-        pos += 1
-        if pos + hlen + 2 > len(data):
-            raise ValueError("truncated host address")
-        host = data[pos:pos + hlen].decode("utf-8")
-        pos += hlen
-        port = int.from_bytes(data[pos:pos + 2], "big")
-        return (host, port), pos + 2
+        host = bytes(reader.take(reader.u8())).decode("utf-8")
+        return host, reader.uint(2)
     raise ValueError("unknown machine tag %d" % tag)
 
 
@@ -118,34 +111,21 @@ def pack_here_payload(port, replicas):
     members = tuple(replicas)
     if len(members) > 255:
         raise ValueError("replica set too large to encode")
-    parts = [
-        port.to_bytes(),
-        bytes((_POLICY_CODES[replicas.policy],)),
-        bytes((len(members),)),
-    ]
-    parts.extend(pack_machine(m) for m in members)
-    return b"".join(parts)
+    head = bytes((_POLICY_CODES[replicas.policy], len(members)))
+    return port.to_bytes() + head + b"".join(map(pack_machine, members))
 
 
 def unpack_here_payload(data):
     """Inverse of :func:`pack_here_payload`; raises ValueError on any
     framing defect (the locator then ignores the answer)."""
-    if len(data) < PORT_BYTES + 2:
-        raise ValueError("HERE payload too short for a replica set")
-    port = Port.from_bytes(data[:PORT_BYTES])
-    policy_code = data[PORT_BYTES]
-    count = data[PORT_BYTES + 1]
-    policy = _POLICY_NAMES.get(policy_code)
-    if policy is None:
-        raise ValueError("unknown spread policy code %d" % policy_code)
-    members = []
-    pos = PORT_BYTES + 2
-    for _ in range(count):
-        machine, pos = _unpack_machine(data, pos)
-        members.append(machine)
-    if pos != len(data):
-        raise ValueError("trailing bytes after replica set")
-    return port, ReplicaSet(members, policy=policy)
+    reader = Reader(data)
+    port = Port.from_bytes(reader.take(PORT_BYTES))
+    code = reader.u8()
+    if code not in _POLICY_NAMES:
+        raise ValueError("unknown spread policy code %d" % code)
+    members = [read_machine(reader) for _ in range(reader.u8())]
+    reader.end()
+    return port, ReplicaSet(members, policy=_POLICY_NAMES[code])
 
 
 def pack_membership(port, machine):
@@ -154,65 +134,27 @@ def pack_membership(port, machine):
 
 
 def unpack_membership(payload):
-    if len(payload) < PORT_BYTES + 1:
-        raise ValueError("membership payload too short")
-    port = Port.from_bytes(payload[:PORT_BYTES])
-    machine, pos = _unpack_machine(payload, PORT_BYTES)
-    if pos != len(payload):
-        raise ValueError("trailing bytes after membership record")
+    reader = Reader(payload)
+    port = Port.from_bytes(reader.take(PORT_BYTES))
+    machine = read_machine(reader)
+    reader.end()
     return port, machine
 
 
-# Scheme secrets are ints (check-field schemes) or raw bytes (encrypted
-# rights); the refresh fan-out has to carry either.
-def _pack_secret(secret):
-    if isinstance(secret, int):
-        width = max(1, (secret.bit_length() + 7) // 8)
-        return b"\x01" + width.to_bytes(2, "big") + secret.to_bytes(width, "big")
-    raw = bytes(secret)
-    return b"\x02" + len(raw).to_bytes(2, "big") + raw
+def pack_revocation(number, generation, secret=None):
+    """The one fan-out record: which object, at which generation, and
+    the new secret (an int for the check-field schemes, raw bytes for
+    encrypted rights) when it was refreshed — none when it was destroyed."""
+    head = number.to_bytes(4, "big") + generation.to_bytes(4, "big")
+    return head if secret is None else head + pack_secret(secret)
 
 
-def _unpack_secret(data, pos):
-    if pos + 3 > len(data):
-        raise ValueError("truncated secret encoding")
-    tag = data[pos]
-    width = int.from_bytes(data[pos + 1:pos + 3], "big")
-    pos += 3
-    if pos + width > len(data):
-        raise ValueError("truncated secret body")
-    body = data[pos:pos + width]
-    pos += width
-    if tag == 0x01:
-        return int.from_bytes(body, "big"), pos
-    if tag == 0x02:
-        return bytes(body), pos
-    raise ValueError("unknown secret tag %d" % tag)
-
-
-_REVOKE_HEAD = struct.Struct(">II")  # object number, generation
-
-
-def pack_refresh_payload(number, generation, secret):
-    return _REVOKE_HEAD.pack(number, generation) + _pack_secret(secret)
-
-
-def unpack_refresh_payload(data):
-    number, generation = _REVOKE_HEAD.unpack_from(data)
-    secret, pos = _unpack_secret(data, _REVOKE_HEAD.size)
-    if pos != len(data):
-        raise ValueError("trailing bytes after refresh payload")
+def unpack_revocation(data):
+    reader = Reader(data)
+    number, generation = reader.uint(4), reader.uint(4)
+    secret = unpack_secret(reader) if reader.pos < len(data) else None
+    reader.end()
     return number, generation, secret
-
-
-def pack_destroy_payload(number, generation):
-    return _REVOKE_HEAD.pack(number, generation)
-
-
-def unpack_destroy_payload(data):
-    if len(data) != _REVOKE_HEAD.size:
-        raise ValueError("bad destroy payload length")
-    return _REVOKE_HEAD.unpack(data)
 
 
 # ----------------------------------------------------------------------
@@ -322,77 +264,59 @@ class ReplicaRegistry:
             raise ValueError("unknown spread policy %r" % (policy,))
         self.default_policy = policy
         self._lock = threading.Lock()
-        self._members = {}   # port -> list of machines (join order)
+        # port -> {machine: suspected}, in join order.  Suspected means
+        # unreachable (a partition symptom, NOT a crash): suspicion is
+        # advisory — the member keeps its membership (and its generation
+        # state) and is merely steered around until unsuspected or
+        # re-joined.
+        self._members = {}
         self._policies = {}  # port -> policy override
-        # port -> set of machines suspected unreachable (a partition
-        # symptom, NOT a crash): suspicion is advisory — the member
-        # keeps its membership (and its generation state) and is merely
-        # steered around until unsuspected or re-joined.
-        self._suspects = {}
 
     def join(self, port, machine, policy=None):
         port = as_port(port)
         with self._lock:
-            members = self._members.setdefault(port, [])
-            if machine not in members:
-                members.append(machine)
+            # A (re)join is proof of reachability, and keeps its place.
+            self._members.setdefault(port, {})[machine] = False
             if policy is not None:
                 self._policies[port] = policy
-            # A (re)join is proof of reachability.
-            suspects = self._suspects.get(port)
-            if suspects is not None:
-                suspects.discard(machine)
         return machine
 
     def leave(self, port, machine):
         port = as_port(port)
         with self._lock:
-            members = self._members.get(port)
-            if members is None or machine not in members:
+            members = self._members.get(port, ())
+            if machine not in members:
                 return False
-            members.remove(machine)
+            del members[machine]
             if not members:
                 del self._members[port]
-            suspects = self._suspects.get(port)
-            if suspects is not None:
-                suspects.discard(machine)
-                if not suspects:
-                    del self._suspects[port]
         return True
 
     def suspect(self, port, machine):
         """Mark a *member* as unreachable-but-not-evicted.  Unknown
         machines are ignored (suspicion cannot invent members)."""
-        port = as_port(port)
         with self._lock:
-            members = self._members.get(port)
-            if members is None or machine not in members:
+            members = self._members.get(as_port(port), ())
+            if machine not in members:
                 return False
-            self._suspects.setdefault(port, set()).add(machine)
+            members[machine] = True
         return True
 
     def unsuspect(self, port, machine):
         """Clear one suspicion (the member answered again)."""
-        port = as_port(port)
         with self._lock:
-            suspects = self._suspects.get(port)
-            if suspects is None or machine not in suspects:
+            members = self._members.get(as_port(port), {})
+            if not members.get(machine):
                 return False
-            suspects.discard(machine)
-            if not suspects:
-                del self._suspects[port]
+            members[machine] = False
         return True
 
     def suspected(self, port):
         """The currently-suspected members of ``port`` (a fresh tuple,
         in join order)."""
-        port = as_port(port)
         with self._lock:
-            suspects = self._suspects.get(port)
-            if not suspects:
-                return ()
-            return tuple(m for m in self._members.get(port, ())
-                         if m in suspects)
+            members = self._members.get(as_port(port), {})
+            return tuple(m for m, suspect in members.items() if suspect)
 
     def members(self, port):
         with self._lock:
@@ -410,13 +334,11 @@ class ReplicaRegistry:
             members = self._members.get(port)
             if not members:
                 return None
-            policy = self._policies.get(port, self.default_policy)
-            suspects = self._suspects.get(port)
-            if suspects:
-                trusted = tuple(m for m in members if m not in suspects)
-                if trusted:
-                    return ReplicaSet(trusted, policy=policy)
-            return ReplicaSet(tuple(members), policy=policy)
+            trusted = tuple(m for m, suspect in members.items() if not suspect)
+            return ReplicaSet(
+                trusted or tuple(members),
+                policy=self._policies.get(port, self.default_policy),
+            )
 
     def ports(self):
         with self._lock:
@@ -425,42 +347,6 @@ class ReplicaRegistry:
     def __len__(self):
         with self._lock:
             return len(self._members)
-
-
-def install_replica_locate_responder(nic, registry, alive=None):
-    """Answer LOCATE broadcasts with the port's *whole replica pool*.
-
-    The replica-aware counterpart of
-    :func:`repro.ipc.locate.install_locate_responder`: instead of "I am
-    here", the answer is the packed replica set from ``registry``.
-    ``alive`` (an optional zero-argument callable) gates the responder —
-    a stopped replica must fall silent even though its broadcast hook
-    cannot be unregistered.
-    """
-
-    def responder(frame):
-        message = frame.message
-        if message.command != stdops.LOCATE:
-            return
-        if alive is not None and not alive():
-            return
-        try:
-            target = Port.from_bytes(message.data)
-        except ValueError:
-            return
-        replicas = registry.replica_set(target)
-        if replicas is None or not len(replicas):
-            return
-        here = Message(
-            dest=message.reply,
-            command=stdops.HERE,
-            data=pack_here_payload(target, replicas),
-            is_reply=True,
-        )
-        nic.put(here, dst_machine=frame.src)
-
-    nic.on_broadcast(responder)
-    return responder
 
 
 def install_membership_handler(node, registry):
@@ -552,35 +438,37 @@ class ReplicaObjectServer(ObjectServer):
         #: (machine, op, number) triples that exhausted their retries.
         self.fanout_sent = 0
         self.fanout_failures = []
-        # Full (peer, opcode, payload, op_name, number) records of those
-        # same failures, kept until reconcile() re-delivers them — the
-        # repair queue a healed partition is drained through.
+        # (peer, record) for each of those same failures, kept until
+        # reconcile() re-delivers them — the repair queue a healed
+        # partition is drained through.
         self._fanout_pending = []
 
     # -- outbound fan-out ----------------------------------------------
 
-    def _fan_out(self, opcode, payload, op_name, number):
-        """Tell every peer to apply one revocation; at-least-once per
-        peer, failures recorded rather than raised — the *local*
+    def _fan_out(self, op_name, entry, secret=None):
+        """Tell every peer to apply one revocation of ``entry``'s object
+        (``secret`` for a refresh, none for a destruction); at-least-once
+        per peer, failures recorded rather than raised — the *local*
         revocation has already happened and must be reported to the
         client regardless (the capability is dead here; a lagging peer
         is a liveness problem, not a correctness rollback)."""
+        record = pack_revocation(entry.number, entry.generation, secret)
         for peer in self.peers:
-            if self._send_control(peer, opcode, payload):
+            if self._send_control(peer, record):
                 self.fanout_sent += 1
             else:
-                self.fanout_failures.append((peer, op_name, number))
-                self._fanout_pending.append(
-                    (peer, opcode, payload, op_name, number)
-                )
+                self.fanout_failures.append((peer, op_name, entry.number))
+                self._fanout_pending.append((peer, record))
 
-    def _send_control(self, peer, opcode, payload):
-        request = Message(command=opcode, data=payload)
+    def _send_control(self, peer, record):
+        """One CTL_APPLY transaction; True only when the peer *obeyed* —
+        an error reply (its handler raised, or it refused our signature)
+        is as much a failed delivery as silence."""
         try:
-            trans(
+            reply = trans(
                 self.control_node,
                 self.put_port,
-                request,
+                Message(command=stdops.CTL_APPLY, data=record),
                 rng=self.rng,
                 timeout=self.fanout_timeout,
                 expect_signature=self.control_image,
@@ -590,25 +478,24 @@ class ReplicaObjectServer(ObjectServer):
             )
         except (RPCTimeout, PortNotLocated):
             return False
-        return True
+        return reply.status == 0
 
     def reconcile(self):
         """Re-drive every fan-out that failed (e.g. across a partition).
 
-        The peer-side CTL_APPLY handlers are generation-guarded and
+        The peer-side CTL_APPLY handler is generation-guarded and
         idempotent, so re-delivery after heal is safe however many times
         it takes.  Still-unreachable peers stay queued for the next
         call.  Returns the number of repairs delivered.
         ``fanout_failures`` is left intact as the historical record."""
         pending, self._fanout_pending = self._fanout_pending, []
         repaired = 0
-        for record in pending:
-            peer, opcode, payload, _op_name, _number = record
-            if self._send_control(peer, opcode, payload):
+        for peer, record in pending:
+            if self._send_control(peer, record):
                 self.fanout_sent += 1
                 repaired += 1
             else:
-                self._fanout_pending.append(record)
+                self._fanout_pending.append((peer, record))
         return repaired
 
     @property
@@ -618,32 +505,21 @@ class ReplicaObjectServer(ObjectServer):
 
     @command(stdops.STD_REFRESH)
     def _std_refresh(self, ctx):
-        if ctx.capability is None:
-            raise BadRequest("REFRESH requires a capability")
-        fresh = self.table.refresh(ctx.capability, required=self.admin_rights)
-        entry = self.table._entry(fresh.object)
-        self._fan_out(
-            stdops.CTL_APPLY_REFRESH,
-            pack_refresh_payload(entry.number, entry.generation, entry.secret),
-            "refresh",
-            entry.number,
-        )
-        return ctx.ok(capability=fresh)
+        reply = super()._std_refresh(ctx)
+        entry = self.table._entry(reply.capability.object)
+        self._fan_out("refresh", entry, entry.secret)
+        return reply
 
     @command(stdops.STD_DESTROY)
     def _std_destroy(self, ctx):
-        if ctx.capability is None:
-            raise BadRequest("DESTROY requires a capability")
-        entry, _ = self.table.lookup(ctx.capability, self.admin_rights)
-        self.on_destroy(entry)
-        self.table.destroy(ctx.capability, required=self.admin_rights)
-        self._fan_out(
-            stdops.CTL_APPLY_DESTROY,
-            pack_destroy_payload(entry.number, entry.generation),
-            "destroy",
-            entry.number,
+        # The row is gone once super() returns, so hold it first; a
+        # missing capability is super()'s to refuse.
+        entry = None if ctx.capability is None else self.table._entry(
+            ctx.capability.object
         )
-        return ctx.ok()
+        reply = super()._std_destroy(ctx)
+        self._fan_out("destroy", entry)
+        return reply
 
     def sweep(self):
         """Aging is a revocation too: expiries propagate to the peers
@@ -651,34 +527,22 @@ class ReplicaObjectServer(ObjectServer):
         both sides expire the same object)."""
         expired = super().sweep()
         for entry in expired:
-            self._fan_out(
-                stdops.CTL_APPLY_DESTROY,
-                pack_destroy_payload(entry.number, entry.generation),
-                "age",
-                entry.number,
-            )
+            self._fan_out("age", entry)
         return expired
 
     # -- inbound control commands --------------------------------------
 
-    def _authorize_control(self, ctx):
+    @command(stdops.CTL_APPLY)
+    def _ctl_apply(self, ctx):
         if ctx.request.signature != self.control_image:
             raise SecurityError(
                 "replica control requires the service signature"
             )
-
-    @command(stdops.CTL_APPLY_REFRESH)
-    def _ctl_apply_refresh(self, ctx):
-        self._authorize_control(ctx)
-        number, generation, secret = unpack_refresh_payload(ctx.request.data)
-        applied = self.table.apply_refresh(number, secret, generation)
-        return ctx.ok(data=b"\x01" if applied else b"\x00")
-
-    @command(stdops.CTL_APPLY_DESTROY)
-    def _ctl_apply_destroy(self, ctx):
-        self._authorize_control(ctx)
-        number, _generation = unpack_destroy_payload(ctx.request.data)
-        applied = self.table.apply_destroy(number)
+        number, generation, secret = unpack_revocation(ctx.request.data)
+        if secret is None:
+            applied = self.table.apply_destroy(number, generation)
+        else:
+            applied = self.table.apply_refresh(number, secret, generation)
         return ctx.ok(data=b"\x01" if applied else b"\x00")
 
     @command(stdops.CTL_HEALTH)
@@ -697,32 +561,32 @@ class ReplicaObjectServer(ObjectServer):
 
 
 # ----------------------------------------------------------------------
-# the in-process pool (SimNetwork)
+# the pool, and the two places its members can run
 # ----------------------------------------------------------------------
 
 
 class ReplicatedObjectServer:
-    """N replica servers on one simulated network, one logical port.
+    """N replica servers behind one logical port.
 
-    The coordinator draws the shared secrets (get-port G, signature S),
-    builds one :class:`ReplicaObjectServer` per replica on its own
-    station, cross-wires the peer lists, registers every member in a
-    :class:`ReplicaRegistry`, and installs a replica-aware locate
-    responder on each station (any survivor can answer for the pool).
+    The pool draws the shared secrets (get-port G, then signature S),
+    keeps a *template* object table whose rows every member is seeded
+    with (``objects`` of them, holding ``payload``; their owner
+    capabilities are ``capabilities``), builds the members through its
+    placement, and answers LOCATE with the whole membership from its
+    :class:`ReplicaRegistry`.  With a ``network`` the members are
+    stations on it in this process (``servers``); with none they are
+    forked OS processes over loopback UDP, found through ``arbiter`` —
+    the station a client connects to and broadcasts LOCATE at.
 
-    :meth:`create` mints objects on replica 0 and mirrors the row to the
-    others, so one capability validates everywhere — the replicated-
-    state story here is "shared secret, mirrored rows", which is all the
-    paper's capability checks need; data mutation consistency is the
-    *service's* problem, as it is in Amoeba.
+    The replicated-state story is "shared secret, mirrored rows", which
+    is all the paper's capability checks need; data mutation consistency
+    is the *service's* problem, as it is in Amoeba.
     """
 
-    def __init__(self, network, replicas=4, scheme=None, rng=None,
+    def __init__(self, network=None, replicas=4, scheme=None, rng=None,
                  policy=ROUND_ROBIN, server_cls=ReplicaObjectServer,
-                 registry=None, fanout_retry=None, fanout_timeout=2.0,
-                 server_kwargs=None):
-        from repro.net.nic import Nic
-
+                 fanout_retry=None, fanout_timeout=2.0, server_kwargs=None,
+                 objects=0, payload=b""):
         if replicas < 1:
             raise ValueError("a replicated service needs at least one replica")
         self.network = network
@@ -731,36 +595,36 @@ class ReplicatedObjectServer:
         self.signature = PrivatePort.generate(self.rng)
         self.put_port = self.get_port.public
         self.policy = policy
-        self.registry = registry if registry is not None else ReplicaRegistry()
-        kwargs = dict(server_kwargs or ())
-        scheme_obj = scheme
-        if scheme_obj is None:
-            from repro.core.schemes import XorOneWayScheme
+        self.scheme = scheme if scheme is not None else XorOneWayScheme()
+        self.registry = ReplicaRegistry(policy=policy)
+        self.table = ObjectTable(self.scheme, self.put_port, self.rng)
+        self.capabilities = [self.table.create(payload) for _ in range(objects)]
+        self._server_cls = server_cls
+        self._server_kwargs = dict(
+            server_kwargs or (), scheme=self.scheme, get_port=self.get_port,
+            signature=self.signature, fanout_retry=fanout_retry,
+            fanout_timeout=fanout_timeout,
+        )
+        self.servers = []    # the members that live in this process
+        self.arbiter = None  # the forked members' rendezvous station
+        self.placement = _Forked() if network is None else _InProcess()
+        self.addresses = self.placement.launch(self, replicas)
 
-            scheme_obj = XorOneWayScheme()
-        self.scheme = scheme_obj
-        self.servers = []
-        for _ in range(replicas):
-            node = Nic(network)
-            server = server_cls(
-                node,
-                scheme=self.scheme,
-                rng=self.rng,
-                get_port=self.get_port,
-                signature=self.signature,
-                fanout_retry=fanout_retry,
-                fanout_timeout=fanout_timeout,
-                **kwargs,
-            )
-            self.servers.append(server)
-        machines = [server.node.address for server in self.servers]
-        for server, machine in zip(self.servers, machines):
-            server.peers = [m for m in machines if m != machine]
-            self.registry.join(self.put_port, machine, policy=policy)
-            install_replica_locate_responder(
-                server.node, self.registry,
-                alive=lambda s=server: s.running,
-            )
+    def _replica(self, node, control_node=None, rng=None):
+        """What a replica *is*, wherever it runs: one server on ``node``
+        sharing the pool's G, S and scheme, seeded with its rows."""
+        server = self._server_cls(
+            node, control_node=control_node, rng=rng or self.rng,
+            **self._server_kwargs,
+        )
+        for capability in self.capabilities:
+            _mirror(self.table._entry(capability.object), server.table)
+        return server
+
+    def _here(self, port):
+        """The LOCATE answer: the packed membership, or None (silence)."""
+        replicas = self.registry.replica_set(port)
+        return None if replicas is None else pack_here_payload(port, replicas)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -770,46 +634,59 @@ class ReplicatedObjectServer:
         return self
 
     def stop(self):
-        for server in self.servers:
-            if server.running:
-                server.stop()
+        self.placement.stop(self)
 
-    def kill(self, index, leave_registry=False):
+    def kill(self, index):
         """Crash one replica: it stops serving and answering, but stays
-        in the registry by default — clients are supposed to *discover*
-        the death through timeout and failover, exactly like a real
-        crash.  ``leave_registry=True`` models a graceful drain."""
-        server = self.servers[index]
-        if server.running:
-            server.stop()
-        if leave_registry:
-            self.registry.leave(self.put_port, server.node.address)
-        return server
+        in the registry — clients are supposed to *discover* the death
+        through timeout and failover, exactly like a real crash."""
+        return self.placement.kill(self, index)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.stop()
+        return False
 
     # -- objects --------------------------------------------------------
 
     def create(self, data, rights=None):
-        """Create an object on every replica; one owner capability."""
+        """Create an object on every replica in this process (forked
+        ones take their rows at the fork: ``objects=``); one owner
+        capability."""
         primary = self.servers[0].table
         if rights is None:
             capability = primary.create(data)
         else:
             capability = primary.create(data, rights)
-        entry = primary._entry(capability.object)
         for server in self.servers[1:]:
-            server.table.restore_entry(
-                ObjectEntry(
-                    number=entry.number,
-                    secret=entry.secret,
-                    data=data,
-                    generation=entry.generation,
-                    lifetime=entry.lifetime,
-                )
-            )
+            _mirror(primary._entry(capability.object), server.table)
         return capability
 
+    # -- membership -----------------------------------------------------
+
     def replica_set(self):
-        return self.registry.replica_set(self.put_port)
+        """The pool as clients see it (from the registry)."""
+        replicas = self.registry.replica_set(self.put_port)
+        if replicas is None:
+            raise PortNotLocated("no replicas joined the pool")
+        return replicas
+
+    def health(self, index, timeout=1.0):
+        """Is member ``index`` answering?  (Forked: a control-lane ping
+        to its data station, answered by the child's pump.)"""
+        return self.placement.alive(self, index, timeout)
+
+    def probe(self, index, timeout=1.0):
+        """Health-check one replica and update the registry's suspicion
+        state: a silent member is *suspected* (steered around, never
+        evicted — its generation state is intact behind the partition),
+        an answering one unsuspected.  Returns the verdict."""
+        alive = self.health(index, timeout)
+        mark = self.registry.unsuspect if alive else self.registry.suspect
+        mark(self.put_port, self.addresses[index])
+        return alive
 
     def reconcile(self):
         """Re-drive failed revocation fan-outs on every live replica —
@@ -820,51 +697,77 @@ class ReplicatedObjectServer:
 
     def __repr__(self):
         return "ReplicatedObjectServer(port=%012x, replicas=%d)" % (
-            self.put_port, len(self.servers),
+            self.put_port, len(self.addresses),
         )
 
 
-# ----------------------------------------------------------------------
-# the OS-process pool (loopback UDP)
-# ----------------------------------------------------------------------
+def _mirror(entry, table):
+    """Install a copy of one row in another member's table."""
+    table.restore_entry(ObjectEntry(
+        number=entry.number, secret=entry.secret, data=entry.data,
+        generation=entry.generation, lifetime=entry.lifetime,
+    ))
 
 
-def _run_replica_child(conn, index, get_port, signature, scheme, seed_rows,
-                       server_factory, buffer_egress):
-    """Child process body (entered via fork): two stations + one server.
+class _InProcess:
+    """Members are stations on the pool's ``SimNetwork``, created in
+    replica order; each answers LOCATE for the pool while it runs (any
+    survivor can), and falls silent when stopped."""
 
-    Handshake: send (data_address) → receive (peer data addresses,
-    arbiter address) → JOIN over the control lane → send "ready" →
-    serve until the parent sends "stop" (or the process is killed).
+    def launch(self, pool, replicas):
+        for _ in range(replicas):
+            pool.servers.append(pool._replica(Nic(pool.network)))
+        machines = [server.node.address for server in pool.servers]
+        for server, machine in zip(pool.servers, machines):
+            server.peers = [m for m in machines if m != machine]
+            pool.registry.join(pool.put_port, machine)
+            install_locate_responder(
+                server.node,
+                lambda port, s=server: pool._here(port) if s.running else None,
+            )
+        return machines
+
+    def kill(self, pool, index):
+        server = pool.servers[index]
+        if server.running:
+            server.stop()
+        return server
+
+    def stop(self, pool):
+        for index in range(len(pool.servers)):
+            self.kill(pool, index)
+
+    def alive(self, pool, index, _timeout):
+        return pool.servers[index].running
+
+
+#: How long the forking parent waits on each step of a child's start-up.
+_HANDSHAKE_S = 10.0
+
+
+def _serve_forked(pool, index, conn):
+    """Child process body (entered via fork): two stations + one replica.
+
+    Handshake: send (data address) → receive (every data address, the
+    arbiter's) → JOIN over the control lane → send "ready" → serve
+    until the parent sends "stop" (or dies: EOF).
     """
     from repro.net.sockets import CTL_JOIN, SocketNode
 
-    data_node = SocketNode(buffer_egress=buffer_egress)
+    data_node = SocketNode(buffer_egress=True)
     control_node = SocketNode()
-    server = server_factory(
-        data_node,
-        control_node=control_node,
-        scheme=scheme,
-        get_port=get_port,
-        signature=signature,
-        rng=RandomSource(b"replica-%d" % index),
-    )
-    for number, secret, data, generation in seed_rows:
-        server.table.restore_entry(
-            ObjectEntry(
-                number=number, secret=secret, data=data, generation=generation,
-            )
-        )
-    server.start()
+    server = pool._replica(
+        data_node, control_node, RandomSource(b"replica-%d" % index)
+    ).start()
     conn.send(data_node.address)
-    peers, arbiter = conn.recv()
-    server.peers = [peer for peer in peers if peer != data_node.address]
-    control_node.send_control(
-        CTL_JOIN, pack_membership(server.put_port, data_node.address), arbiter
-    )
-    conn.send("ready")
     try:
-        conn.recv()  # blocks until "stop" (or EOF when the parent dies)
+        peers, arbiter = conn.recv()
+        server.peers = [peer for peer in peers if peer != data_node.address]
+        control_node.send_control(
+            CTL_JOIN, pack_membership(pool.put_port, data_node.address), arbiter
+        )
+        conn.send("ready")
+        conn.recv()
     except EOFError:
         pass
     server.stop()
@@ -872,143 +775,94 @@ def _run_replica_child(conn, index, get_port, signature, scheme, seed_rows,
     control_node.close()
 
 
-class ReplicaPool:
-    """N OS processes serving one logical port over loopback UDP.
+class _Forked:
+    """Members are forked OS processes over loopback UDP — each builds
+    its stations *after* the fork (threads do not survive one) from the
+    pool object the fork snapshot handed it.  Membership flows over the
+    socket control lane to the parent's arbiter station; ``kill`` is a
+    SIGKILL mid-flight, the failover scenario's crash."""
 
-    The parent populates a *template* object table (shared scheme,
-    get-port, signature), snapshots its rows, and forks the children —
-    each builds fresh stations post-fork (threads do not survive a
-    fork), restores the rows, and serves.  Membership flows over the
-    socket control lane to the parent's arbiter station, whose registry
-    backs a replica-aware LOCATE responder; a client that connects to
-    the arbiter and broadcasts LOCATE gets the whole pool back.
-
-    ``kill(i)`` SIGKILLs a replica mid-flight — the failover scenario's
-    crash. ``health(i)`` is a control-lane ping answered by the child's
-    pump.
-    """
-
-    def __init__(self, replicas=4, objects=1, payload=b"",
-                 server_factory=ReplicaObjectServer, scheme=None, rng=None,
-                 policy=ROUND_ROBIN, buffer_egress=True, seed=b"replica-pool"):
-        import multiprocessing
-
-        from repro.core.registry import ObjectTable
-        from repro.net.sockets import SocketNode
-
-        if replicas < 1:
-            raise ValueError("a pool needs at least one replica")
-        self.rng = rng or RandomSource(seed)
-        self.get_port = PrivatePort.generate(self.rng)
-        self.signature = PrivatePort.generate(self.rng)
-        self.put_port = self.get_port.public
-        self.policy = policy
-        scheme_obj = scheme
-        if scheme_obj is None:
-            from repro.core.schemes import XorOneWayScheme
-
-            scheme_obj = XorOneWayScheme()
-        self.scheme = scheme_obj
-        # Template table: rows and owner capabilities drawn once in the
-        # parent, inherited by every child through the fork snapshot.
-        self.table = ObjectTable(scheme_obj, self.put_port, self.rng)
-        self.capabilities = [
-            self.table.create(payload) for _ in range(objects)
-        ]
-        seed_rows = self.table.snapshot_entries()
-        ctx = multiprocessing.get_context("fork")
+    def __init__(self):
         self.processes = []
         self.pipes = []
+
+    def launch(self, pool, replicas):
+        try:
+            return self._launch(pool, replicas)
+        except BaseException:
+            for proc in self.processes:
+                proc.kill()
+            self.stop(pool)
+            raise
+
+    def _launch(self, pool, replicas):
+        import multiprocessing
+
+        from repro.net.sockets import SocketNode
+
+        ctx = multiprocessing.get_context("fork")
         for index in range(replicas):
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
-                target=_run_replica_child,
-                args=(child_conn, index, self.get_port, self.signature,
-                      scheme_obj, seed_rows, server_factory, buffer_egress),
+                target=_serve_forked, args=(pool, index, child_conn),
                 daemon=True,
             )
             proc.start()
             child_conn.close()
             self.processes.append(proc)
             self.pipes.append(parent_conn)
-        self.addresses = [conn.recv() for conn in self.pipes]
+        addresses = [self._hear(i, "its address") for i in range(replicas)]
         # Arbiter after the forks: its pump thread must not exist in the
         # children (threads die at fork; a pre-fork station would leave
         # the children inheriting its dead locks).
-        self.registry = ReplicaRegistry(policy=policy)
-        self.arbiter = SocketNode()
-        install_membership_handler(self.arbiter, self.registry)
-        install_replica_locate_responder(self.arbiter, self.registry)
-        arbiter_addr = self.arbiter.address
+        pool.arbiter = SocketNode()
+        install_membership_handler(pool.arbiter, pool.registry)
+        install_locate_responder(pool.arbiter, pool._here)
         for conn in self.pipes:
-            conn.send((list(self.addresses), arbiter_addr))
-        for conn in self.pipes:
-            assert conn.recv() == "ready"
+            conn.send((addresses, pool.arbiter.address))
+        for index in range(replicas):
+            self._hear(index, '"ready"')
         # JOINs travel the real control lane; wait for all of them.
-        import time as _time
+        deadline = time.monotonic() + _HANDSHAKE_S
+        while len(pool.registry.members(pool.put_port)) < replicas:
+            if time.monotonic() > deadline:
+                raise RuntimeError(
+                    "only %d of %d replicas joined the arbiter"
+                    % (len(pool.registry.members(pool.put_port)), replicas)
+                )
+            time.sleep(0.01)
+        return addresses
 
-        deadline = _time.monotonic() + 5.0
-        while (
-            len(self.registry.members(self.put_port)) < replicas
-            and _time.monotonic() < deadline
-        ):
-            _time.sleep(0.01)
-        self.killed = set()
+    def _hear(self, index, what):
+        """The next message from child ``index``, or a RuntimeError that
+        names the child and the step of the handshake it never reached."""
+        conn = self.pipes[index]
+        try:
+            if conn.poll(_HANDSHAKE_S):
+                return conn.recv()
+        except EOFError:
+            pass
+        raise RuntimeError("replica %d did not send %s" % (index, what))
 
-    def replica_set(self):
-        """The pool as clients see it (from the arbiter's registry)."""
-        replicas = self.registry.replica_set(self.put_port)
-        if replicas is None:
-            raise PortNotLocated("no replicas joined the pool")
-        return replicas
-
-    def health(self, index, timeout=1.0):
-        """Control-lane ping to one replica's data station."""
-        return probe_liveness(self.arbiter, self.addresses[index], timeout)
-
-    def probe(self, index, timeout=1.0):
-        """Health-check one replica and update the registry's suspicion
-        state: a silent member is *suspected* (steered around, never
-        evicted — its generation state is intact behind the partition),
-        an answering one unsuspected.  Returns the ping verdict."""
-        alive = self.health(index, timeout)
-        machine = self.addresses[index]
-        if alive:
-            self.registry.unsuspect(self.put_port, machine)
-        else:
-            self.registry.suspect(self.put_port, machine)
-        return alive
-
-    def kill(self, index, leave_registry=False):
-        """SIGKILL one replica (the crash in the failover scenario).
-        The registry keeps the member unless ``leave_registry`` — death
-        is for the clients to discover."""
+    def kill(self, pool, index):
         proc = self.processes[index]
         proc.kill()
         proc.join(timeout=5.0)
-        self.killed.add(index)
-        if leave_registry:
-            self.registry.leave(self.put_port, self.addresses[index])
 
-    def stop(self):
-        for index, (proc, conn) in enumerate(zip(self.processes, self.pipes)):
-            if index in self.killed:
-                conn.close()
-                continue
-            try:
-                conn.send("stop")
-            except (BrokenPipeError, OSError):
-                pass
-            proc.join(timeout=5.0)
+    def stop(self, pool):
+        for proc, conn in zip(self.processes, self.pipes):
             if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=2.0)
+                try:
+                    conn.send("stop")
+                except OSError:
+                    pass
+                proc.join(timeout=5.0)
+                if proc.is_alive():
+                    proc.terminate()
+                    proc.join(timeout=2.0)
             conn.close()
-        self.arbiter.close()
+        if pool.arbiter is not None:
+            pool.arbiter.close()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.stop()
-        return False
+    def alive(self, pool, index, timeout):
+        return probe_liveness(pool.arbiter, pool.addresses[index], timeout)

@@ -32,12 +32,10 @@ LOCATE = 10
 HERE = 11
 
 #: Replica control plane (server-to-server, signature-authenticated):
-#: install a revocation decided by a peer replica of the same logical
-#: service.  Payload: object number, new generation, tagged new secret.
-CTL_APPLY_REFRESH = 40
-
-#: Peer-decided destruction; payload: object number, generation.
-CTL_APPLY_DESTROY = 41
+#: apply a revocation decided by a peer replica of the same logical
+#: service.  Payload: object number, generation, then the tagged new
+#: secret for a refresh — or nothing, for a destruction.
+CTL_APPLY = 40
 
 #: Liveness/introspection probe answered by any replica with a small
 #: JSON stats blob (objects held, dedup counters, fan-out failures).

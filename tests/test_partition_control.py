@@ -1,4 +1,4 @@
-"""ReplicaPool membership (JOIN/LEAVE/PING) under partition-and-heal.
+"""Forked replica-pool membership (JOIN/LEAVE/PING) under partition-and-heal.
 
 The control-lane half of the partition story: a pool member that goes
 silent behind a network cut is *suspected* — steered around by the
@@ -9,7 +9,7 @@ the suspicion and the member is back in rotation with that state
 untouched.
 
 Covers the registry's suspicion contract as units, and a real
-fork-per-replica :class:`ReplicaPool` over loopback UDP whose arbiter
+fork-per-replica :class:`ReplicatedObjectServer` over loopback UDP whose arbiter
 drops ingress from one member via a :class:`FaultPlan` partition
 (`sever(src=member)` — the arbiter's side of the cut).
 """
@@ -84,10 +84,10 @@ class TestPoolPartitionAndHeal:
         member, and walk the full suspect -> steer-around -> heal ->
         rejoin cycle, asserting the member's generation state survived
         the whole episode."""
-        from repro.ipc.replica import ReplicaPool
+        from repro.ipc.replica import ReplicatedObjectServer
         from repro.net.sockets import SocketNode
 
-        pool = ReplicaPool(replicas=3, objects=1, payload=b"part")
+        pool = ReplicatedObjectServer(replicas=3, objects=1, payload=b"part")
         client_node = SocketNode()
         plan = FaultPlan(seed=1)
         try:

@@ -35,13 +35,11 @@ from repro.ipc.replica import (
     pack_here_payload,
     pack_machine,
     pack_membership,
-    _unpack_machine,
-    pack_destroy_payload,
-    pack_refresh_payload,
-    unpack_destroy_payload,
+    pack_revocation,
+    read_machine,
     unpack_here_payload,
     unpack_membership,
-    unpack_refresh_payload,
+    unpack_revocation,
 )
 from repro.ipc.rpc import RetryPolicy, trans
 from repro.ipc.server import command
@@ -49,6 +47,7 @@ from repro.net.faults import FaultPlan, FaultSpec
 from repro.net.message import Message
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
+from repro.util.record import Reader
 
 
 # ----------------------------------------------------------------------
@@ -139,21 +138,24 @@ class TestReplicaSet:
 
 class TestWireCodecs:
     def test_machine_round_trip_int(self):
-        raw = pack_machine(123456)
-        machine, pos = _unpack_machine(raw, 0)
-        assert machine == 123456 and pos == len(raw)
+        reader = Reader(pack_machine(123456))
+        assert read_machine(reader) == 123456
+        reader.end()
 
     def test_machine_round_trip_address(self):
-        raw = pack_machine(("127.0.0.1", 54321))
-        machine, pos = _unpack_machine(raw, 0)
-        assert machine == ("127.0.0.1", 54321) and pos == len(raw)
+        reader = Reader(pack_machine(("127.0.0.1", 54321)))
+        assert read_machine(reader) == ("127.0.0.1", 54321)
+        reader.end()
 
     def test_machine_truncation_rejected(self):
         raw = pack_machine(("localhost", 80))
+        for cut in range(len(raw)):
+            with pytest.raises(ValueError):
+                read_machine(Reader(raw[:cut]))
         with pytest.raises(ValueError):
-            _unpack_machine(raw[:-1], 0)
+            read_machine(Reader(pack_machine(7)[:-1]))
         with pytest.raises(ValueError):
-            _unpack_machine(b"\x09", 0)
+            read_machine(Reader(b"\x09"))  # unknown tag
 
     @pytest.mark.parametrize("policy", [ROUND_ROBIN, RENDEZVOUS])
     def test_here_payload_round_trip(self, policy):
@@ -175,30 +177,65 @@ class TestWireCodecs:
         payload = pack_here_payload(Port(1), ReplicaSet([2, 3]))
         with pytest.raises(ValueError):
             unpack_here_payload(payload + b"\x00")
+        for cut in range(len(payload)):
+            with pytest.raises(ValueError):
+                unpack_here_payload(payload[:cut])
+        unknown_policy = bytearray(payload)
+        unknown_policy[6] = 9
         with pytest.raises(ValueError):
-            unpack_here_payload(payload[:-1])
+            unpack_here_payload(bytes(unknown_policy))
 
     def test_membership_round_trip(self):
         port = Port(42)
         raw = pack_membership(port, ("127.0.0.1", 6000))
         back_port, machine = unpack_membership(raw)
         assert back_port == port and machine == ("127.0.0.1", 6000)
+        assert unpack_membership(pack_membership(port, 9)) == (port, 9)
         with pytest.raises(ValueError):
             unpack_membership(raw + b"!")
+        with pytest.raises(ValueError):
+            unpack_membership(raw[:-1])
 
     def test_refresh_payload_round_trip_int_secret(self):
-        raw = pack_refresh_payload(7, 3, 0xDEADBEEF)
-        assert unpack_refresh_payload(raw) == (7, 3, 0xDEADBEEF)
+        raw = pack_revocation(7, 3, 0xDEADBEEF)
+        assert unpack_revocation(raw) == (7, 3, 0xDEADBEEF)
+        assert unpack_revocation(pack_revocation(7, 3, 0)) == (7, 3, 0)
 
     def test_refresh_payload_round_trip_bytes_secret(self):
-        raw = pack_refresh_payload(7, 3, b"\x00" * 16)
-        assert unpack_refresh_payload(raw) == (7, 3, b"\x00" * 16)
+        raw = pack_revocation(7, 3, b"\x00" * 16)
+        assert unpack_revocation(raw) == (7, 3, b"\x00" * 16)
 
     def test_destroy_payload_round_trip(self):
-        raw = pack_destroy_payload(9, 2)
-        assert unpack_destroy_payload(raw) == (9, 2)
+        raw = pack_revocation(9, 2)
+        assert unpack_revocation(raw) == (9, 2, None)
         with pytest.raises(ValueError):
-            unpack_destroy_payload(raw + b"\x00")
+            unpack_revocation(raw + b"\x00")
+
+    def test_short_or_mistagged_revocation_is_value_error(self):
+        """Every framing defect of the fan-out record is ValueError —
+        never the ``struct.error`` a short head used to raise — so the
+        one ``except`` at the dispatch boundary covers them all."""
+        raw = pack_revocation(7, 3, 0xDEADBEEF)
+        for cut in range(len(raw)):
+            if cut == 8:
+                continue  # exactly the head: a well-formed destroy
+            with pytest.raises(ValueError):
+                unpack_revocation(raw[:cut])
+        with pytest.raises(ValueError):
+            unpack_revocation(raw + b"\x00")
+        unknown_tag = bytearray(raw)
+        unknown_tag[8] = 9
+        with pytest.raises(ValueError):
+            unpack_revocation(bytes(unknown_tag))
+
+    def test_the_wire_secret_is_the_logs_secret(self):
+        """One tagged secret for the replica wire and the write-ahead
+        log: same module, same bytes."""
+        from repro.disk import wal
+        from repro.util import record
+
+        assert wal.pack_secret is record.pack_secret
+        assert pack_revocation(1, 2, 5)[8:] == record.pack_secret(5)
 
 
 # ----------------------------------------------------------------------
@@ -264,8 +301,8 @@ class TestApplyRevocation:
     def test_apply_destroy_is_idempotent(self):
         table = self._table()
         cap = table.create(b"x")
-        assert table.apply_destroy(cap.object) is True
-        assert table.apply_destroy(cap.object) is False
+        assert table.apply_destroy(cap.object, 0) is True
+        assert table.apply_destroy(cap.object, 0) is False
         with pytest.raises(NoSuchObject):
             table.lookup(cap)
 
@@ -275,8 +312,29 @@ class TestApplyRevocation:
         fired = []
         table.on_revocation(lambda *args: fired.append(args))
         table.apply_refresh(cap.object, 0x9, 1)
-        table.apply_destroy(cap.object)
+        table.apply_destroy(cap.object, 1)
         assert len(fired) == 2
+
+    def test_apply_destroy_refuses_a_row_newer_than_the_record(self):
+        table = self._table()
+        cap = table.create(b"x")
+        fresh = table.refresh(cap)  # generation 1
+        assert table.apply_destroy(cap.object, 0) is False
+        table.lookup(fresh)
+        assert table.apply_destroy(cap.object, 1) is True
+
+    def test_a_recycled_number_resumes_above_its_last_generation(self):
+        table = self._table()
+        first = table.create(b"x")
+        assert table._entry(first.object).generation == 0  # fresh: 0
+        table.destroy(table.refresh(first))  # dies at generation 1
+        second = table.create(b"y")
+        assert second.object == first.object
+        assert table._entry(second.object).generation == 2
+        # What was still in flight for the first object bounces off.
+        assert table.apply_refresh(second.object, 0xBAD, 1) is False
+        assert table.apply_destroy(second.object, 1) is False
+        assert table.lookup(second)[0].data == b"y"
 
 
 # ----------------------------------------------------------------------
@@ -460,14 +518,12 @@ class TestReplicatedService:
         assert set(cached) == live
 
     def test_control_commands_require_service_signature(self, sim_pool):
-        from repro.ipc.replica import pack_destroy_payload as destroy_payload
-
         net, pool, _client, _locator = sim_pool
         cap = pool.create(b"payload")
         intruder = Nic(net)
         forged = Message(
-            command=stdops.CTL_APPLY_DESTROY,
-            data=destroy_payload(cap.object, 0),
+            command=stdops.CTL_APPLY,
+            data=pack_revocation(cap.object, 0),
         )
         reply = trans(
             intruder,
@@ -500,6 +556,98 @@ class TestReplicatedService:
             with pytest.raises(InvalidCapability):
                 server.table.lookup(cap)
             server.table.lookup(fresh)
+
+
+def _ask(net, pool, command, capability, member, seed):
+    """One transaction with one member of ``pool``, asked directly."""
+    return trans(
+        Nic(net), pool.put_port,
+        Message(command=command, capability=capability),
+        rng=RandomSource(seed), timeout=1.0,
+        expect_signature=pool.signature.public,
+        dst_machine=pool.servers[member].node.address,
+    )
+
+
+class TestTheGuardSurvivesRecycling:
+    """§2.3 regression: a freed object number's next incarnation used
+    to restart at generation 0, so a refresh or destroy still queued for
+    ``reconcile()`` passed the generation guard *on the new object*."""
+
+    @pytest.fixture
+    def pair(self):
+        net = SimNetwork(synchronous=True)
+        pool = ReplicatedObjectServer(
+            net, replicas=2, rng=RandomSource(7),
+            fanout_retry=RetryPolicy(attempts=1, rto=0.01, cap=0.01, seed=1),
+            fanout_timeout=0.05,
+        ).start()
+        yield net, pool
+        pool.stop()
+
+    def test_a_queued_refresh_cannot_land_on_the_numbers_next_object(
+            self, pair):
+        net, pool = pair
+        old = pool.create(b"old")
+        pool.kill(1)  # peer 1 dark: the refresh fan-out is queued
+        fresh = _ask(net, pool, stdops.STD_REFRESH, old, 0, 1).capability
+        pool.servers[1].start()
+        assert _ask(net, pool, stdops.STD_DESTROY, fresh, 0, 2).status == 0
+        new = pool.create(b"new")
+        assert new.object == old.object  # the number was recycled
+        assert pool.reconcile() == 1  # delivered, and refused by the guard
+        for member in range(2):
+            for dead in (old, fresh):
+                status = _ask(
+                    net, pool, stdops.STD_TOUCH, dead, member, 3).status
+                assert status == InvalidCapability.code
+            assert _ask(
+                net, pool, stdops.STD_TOUCH, new, member, 4).status == 0
+            assert pool.servers[member].table.lookup(new)[0].data == b"new"
+
+    def test_a_queued_destroy_cannot_delete_the_numbers_next_object(
+            self, pair):
+        net, pool = pair
+        old = pool.create(b"old")
+        pool.kill(1)  # peer 1 dark: the destroy fan-out is queued
+        assert _ask(net, pool, stdops.STD_DESTROY, old, 0, 1).status == 0
+        pool.servers[1].start()
+        new = pool.create(b"new")
+        assert new.object == old.object
+        assert pool.reconcile() == 1
+        for member in range(2):
+            assert _ask(
+                net, pool, stdops.STD_TOUCH, new, member, 2).status == 0
+            status = _ask(net, pool, stdops.STD_TOUCH, old, member, 3).status
+            assert status == InvalidCapability.code
+
+
+class TestARefusedFanOutIsAFailure:
+    def test_an_error_reply_is_queued_for_reconcile(self, sim_pool, monkeypatch):
+        """Regression: ``_send_control`` used to discard the peer's
+        reply, so a peer whose handler raised was counted as told and
+        the revoked capability lived on there, with nothing queued."""
+        net, pool, _client, _locator = sim_pool
+        cap = pool.create(b"payload")
+        origin, lagging = pool.servers[0], pool.servers[1]
+
+        def broken(*args):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(lagging.table, "apply_refresh", broken)
+        fresh = _ask(net, pool, stdops.STD_REFRESH, cap, 0, 1).capability
+        assert origin.fanout_sent == 2  # the two peers that obeyed
+        assert origin.fanout_pending == 1
+        assert origin.fanout_failures == [
+            (lagging.node.address, "refresh", cap.object)
+        ]
+        lagging.table.lookup(cap)  # still valid there: not yet told
+        monkeypatch.undo()
+        assert pool.reconcile() == 1
+        assert origin.fanout_pending == 0
+        with pytest.raises(InvalidCapability):
+            lagging.table.lookup(cap)
+        lagging.table.lookup(fresh)
 
 
 class TestFanOutUnderFaults:
@@ -681,10 +829,9 @@ class TestReplicaPoolUDP:
         the wire, revocation fans out across OS processes, and a
         SIGKILLed replica is survived by failover with only the dead
         member forgotten."""
-        from repro.ipc.replica import ReplicaPool
         from repro.net.sockets import SocketNode
 
-        pool = ReplicaPool(replicas=3, objects=1, payload=b"udp")
+        pool = ReplicatedObjectServer(replicas=3, objects=1, payload=b"udp")
         client_node = SocketNode()
         try:
             assert len(pool.registry.members(pool.put_port)) == 3
@@ -740,3 +887,35 @@ class TestReplicaPoolUDP:
         finally:
             client_node.close()
             pool.stop()
+
+
+class _SecondChildFails(ReplicaObjectServer):
+    """Raises in whichever forked child is second to build its server."""
+
+    built = None  # a multiprocessing.Value, shared across the forks
+
+    def __init__(self, *args, **kwargs):
+        with self.built.get_lock():
+            self.built.value += 1
+            if self.built.value == 2:
+                raise RuntimeError("this replica cannot start")
+        super().__init__(*args, **kwargs)
+
+
+@pytest.mark.integration
+class TestForkedPoolThatCannotStart:
+    def test_constructor_raises_in_bounded_time_and_leaves_no_child(self):
+        """Regression: the handshake was an ``assert`` (gone under
+        ``-O``), a short pool was returned silently after 5 s, and a
+        failure leaked the children and the arbiter's socket."""
+        import multiprocessing
+        import time
+
+        _SecondChildFails.built = multiprocessing.Value("i", 0)
+        began = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"replica \d did not send"):
+            ReplicatedObjectServer(replicas=3, server_cls=_SecondChildFails)
+        assert time.monotonic() - began < 8.0
+        assert _SecondChildFails.built.value == 3  # two of them did start
+        assert multiprocessing.active_children() == []
+

@@ -283,7 +283,7 @@ class TestFlushRule:
             lambda table, cap: table.refresh(cap),
             lambda table, cap: table.destroy(cap),
             lambda table, cap: table.apply_refresh(cap.object, 12345, 9),
-            lambda table, cap: table.apply_destroy(cap.object),
+            lambda table, cap: table.apply_destroy(cap.object, 0),
             lambda table, cap: table.age(),
             lambda table, cap: table.persist(cap.object),
         ],
