@@ -18,7 +18,7 @@ test-fast:
 ## WIRE_LOC_MAX, the figure the last PR left.  A PR that shrinks them
 ## lowers the number; one that must grow them raises it in the same diff
 ## and says why in CHANGES.md.
-WIRE_LOC_MAX := 6719
+WIRE_LOC_MAX := 6415
 loc:
 	@for package in src/repro/*/; do \
 		case $$package in *__pycache__/) continue;; esac; \
@@ -60,6 +60,10 @@ bench-compare:
 ## runs of BASE's src/ and this tree's (this directory's benchmark code on
 ## both sides), cpu_us_per_trans and p50_us side by side — 3.5 minutes at
 ## the default 8 pairs.  A reading, not evidence: bench-compare is that.
+## With BASE=<ablation tree> — a copy of this checkout with one lane
+## edited out of its src/ (docs/PERFORMANCE.md "Lanes" lists the edit for
+## each) — it is the lane-trial reading: the base column is what the
+## workload costs *without* the lane.
 PAIRS ?= 8
 bench-ab:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || \

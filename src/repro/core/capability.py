@@ -36,34 +36,6 @@ _MIN_EXTENDED_CHECK = 8
 _EXTENDED_HEADER = PORT_BYTES + OBJECT_BYTES + 1 + 2  # + 2-byte check length
 
 
-def validate_packed_length(buf, start, length):
-    """Check that ``buf[start:start+length]`` frames one packed capability.
-
-    Pure length arithmetic — no objects are built.  Raises exactly the
-    :class:`~repro.errors.MalformedCapability` that :meth:`Capability.unpack`
-    would raise for the same slice, which is what lets ``Message.unpack``
-    validate a frame eagerly while materializing its capabilities lazily:
-    after this passes, ``unpack`` on the slice cannot fail (ports decode
-    from fixed 6-byte fields, any byte is a valid ``Rights``).
-    """
-    if length == CAPABILITY_BYTES:
-        return
-    if length < _EXTENDED_HEADER:
-        raise MalformedCapability("capability too short: %d bytes" % length)
-    head = start + _EXTENDED_HEADER
-    check_len = (buf[head - 2] << 8) | buf[head - 1]
-    if check_len < _MIN_EXTENDED_CHECK:
-        raise MalformedCapability(
-            "extended check length %d below minimum %d"
-            % (check_len, _MIN_EXTENDED_CHECK)
-        )
-    if length != _EXTENDED_HEADER + check_len:
-        raise MalformedCapability(
-            "capability length %d does not match declared check length %d"
-            % (length, check_len)
-        )
-
-
 @dataclass(frozen=True)
 class Capability:
     """An unforgeable-in-practice reference to one object on one server.
@@ -124,11 +96,9 @@ class Capability:
     def _trusted(cls, port, obj, rights, check):
         """Build a capability skipping the ``__post_init__`` range checks.
 
-        Only for wire decoding of *pre-validated* frames: the caller
-        guarantees ``obj`` came from a 3-byte field, ``rights`` is a
-        :class:`Rights`, and ``check`` is bytes of a validated length
-        (``Message.unpack`` checks the framing arithmetic eagerly even
-        when it materializes the object lazily).
+        Only for wire decoding: the caller guarantees ``obj`` came from
+        a 3-byte field, ``rights`` is a :class:`Rights`, and ``check`` is
+        bytes of a validated length.
         """
         cap = cls.__new__(cls)
         object.__setattr__(cap, "port", port)

@@ -633,13 +633,19 @@ class ObjectTable:
         """Install a recovered row, bypassing the WAL (recovery must not
         re-log what it replays).  Fresh-number allocation is advanced
         past the recovered number so post-reboot creates cannot collide
-        with rows that were live before the crash."""
+        with rows that were live before the crash, and a number this
+        table had freed (a peer's destroy applied here, the recycled
+        number then mirrored back) comes off the free list, so a later
+        local create cannot pop it and overwrite the row."""
         number = entry.number
         shard = self._shards[number & self._mask]
         with shard.lock:
             shard.entries[number] = entry
             if shard.fresh_number <= number:
                 shard.fresh_number = number + shard.step
+            shard.free_numbers[:] = [
+                freed for freed in shard.free_numbers if freed[0] != number
+            ]
 
     def snapshot_entries(self):
         """A consistent-per-stripe copy of every live row, as

@@ -623,8 +623,8 @@ def _collect_queues(node, wires, dest, expect_signature, timeout):
 
     The replies are awaited in request order with every GET still
     admitted (each transaction keeps its own ``timeout`` budget, like
-    ``AsyncTrans.result``), and the GETs are withdrawn in one admission
-    swap at the end.  While the client blocks on reply *i*, the server
+    ``AsyncTrans.result``), and the GETs are withdrawn together at the
+    end.  While the client blocks on reply *i*, the server
     is already working on *i+1..N* — which is where the multiplicative
     win over serial ``trans`` comes from on a real wire.
     """

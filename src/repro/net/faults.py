@@ -70,7 +70,7 @@ import threading
 from repro.core.capability import PORT_BYTES as _CAP_PORT_BYTES
 from repro.net.message import Message
 
-__all__ = ["FaultSpec", "FaultPlan", "LossyFBox", "faulty_sendto"]
+__all__ = ["FaultSpec", "FaultPlan", "faulty_sendto"]
 
 
 class FaultSpec:
@@ -497,17 +497,3 @@ def faulty_sendto(sock_sendto, plan):
         return sent
 
     return sendto
-
-
-class LossyFBox:
-    """Deprecated-name guard: the lossy seam is :func:`faulty_sendto`.
-
-    Kept so stale imports fail with a message instead of an
-    AttributeError deep in a benchmark run.
-    """
-
-    def __init__(self, *a, **k):
-        raise TypeError(
-            "faults are injected per datagram via SocketNode(faults=plan) "
-            "/ faulty_sendto, not by wrapping the FBox"
-        )

@@ -63,12 +63,14 @@ class SocketNode:
     Concurrency notes (the pump thread receives while any number of
     client threads send):
 
-    * **Admission is a lock-free snapshot.**  ``_admission`` maps wire
-      port → sink (a ``queue.SimpleQueue`` for client GETs, a callable
-      for server GETs) and is *replaced wholesale* — never mutated —
-      under ``_lock`` by listen/serve/unlisten.  Readers (the pump thread's
-      per-datagram lookup, ``poll_wire``) just read the attribute: no
-      lock round-trip on the per-datagram path.
+    * **Admission is one table.**  ``_sinks`` maps wire port → sink (a
+      ``queue.SimpleQueue`` for a client GET, a callable or a
+      ``_BatchSink`` for a server GET), as on :class:`~repro.net.nic.Nic`.
+      The invariant: writers (listen/serve/unlisten) hold ``_lock``; no
+      reader iterates the table; each reader (the pump's per-datagram
+      lookup, ``poll_wire``, ``reply_queues``) makes exactly one
+      ``dict.get`` per port, which CPython makes atomic against any
+      one write: it sees the table before or after it, never between.
     * **Peers are a snapshot tuple**, rebuilt by ``connect`` so
       port-addressed sends iterate it without taking the lock.
     * **Egress may be coalesced.**  With ``buffer_egress=True``, ``put``
@@ -126,13 +128,10 @@ class SocketNode:
             self._sendto = self._sock.sendto
         self.recv_batch = recv_batch
         self.address = self._sock.getsockname()
-        self._queues = {}
-        self._handlers = {}
-        #: Lock-free admission snapshot: wire port -> Queue | handler.
-        self._admission = {}
+        #: Wire port -> SimpleQueue | handler | _BatchSink (class docstring).
+        self._sinks = {}
         # Randomness source -> undealt (G', F(G')) pairs, see listen_reply.
         self._reply_pools = {}
-        self._peers = []
         self._peer_snapshot = ()
         self._lock = threading.Lock()
         self._closed = threading.Event()
@@ -165,13 +164,12 @@ class SocketNode:
     def connect(self, peer_address):
         """Add a peer for port-addressed sends (poor man's broadcast).
 
-        Rebuilds the immutable peer snapshot so senders never take the
+        Replaces the immutable peer snapshot so senders never take the
         lock.
         """
         with self._lock:
-            if peer_address not in self._peers:
-                self._peers.append(peer_address)
-                self._peer_snapshot = tuple(self._peers)
+            if peer_address not in self._peer_snapshot:
+                self._peer_snapshot += (peer_address,)
 
     # ------------------------------------------------------------------
     # egress
@@ -190,88 +188,6 @@ class SocketNode:
         if len(raw) > MAX_DATAGRAM:
             raise ValueError("message of %d bytes exceeds datagram cap" % len(raw))
         return raw
-
-    def put(self, message, dst_machine=None):
-        """Transform through the F-box and transmit as a UDP datagram.
-
-        With ``dst_machine`` (a ``(host, port)`` pair) the frame is
-        unicast; otherwise it is offered to every connected peer and their
-        admission filters decide — the loopback stand-in for a broadcast
-        segment.
-        """
-        raw = self._pack_for_wire(message, self.fbox.transform_egress)
-        self.sent += 1
-        if self.buffer_egress:
-            self._egress.append((raw, dst_machine))
-            if len(self._egress) >= self.flush_every:
-                self.flush_egress()
-            return True if dst_machine is not None else bool(self._peer_snapshot)
-        if dst_machine is not None:
-            self._sendto(raw, dst_machine)
-            return True
-        peers = self._peer_snapshot
-        for peer in peers:
-            self._sendto(raw, peer)
-        return bool(peers)
-
-    # Same signature as Nic.put_owned; serialisation makes the copy
-    # question moot here, so the plain path is reused.
-    put_owned = put
-
-    def put_broadcast(self, message):
-        """Offer a frame to every connected peer — the loopback stand-in
-        for a broadcast segment (station-API parity with
-        :meth:`Nic.put_broadcast`; LOCATE rides this)."""
-        return self.put(message, None)
-
-    def on_broadcast(self, handler):
-        """Register ``handler(frame)`` for frames no admission sink
-        claims.  On a real segment a broadcast is just a datagram every
-        station receives; on loopback the closest analogue is "arrived
-        but addressed to no GET here" — which is exactly what a LOCATE
-        probe looks like to a responder.  Handlers filter by command."""
-        with self._lock:
-            self._broadcast_handlers = self._broadcast_handlers + (handler,)
-        return handler
-
-    # ------------------------------------------------------------------
-    # control-plane lane (join/leave/health)
-    # ------------------------------------------------------------------
-
-    def send_control(self, kind, payload=b"", dst=None):
-        """Transmit one control datagram (``kind`` is a single byte).
-
-        Bypasses the egress buffer deliberately: membership and health
-        traffic must not queue behind a data burst.  Without ``dst`` the
-        datagram is offered to every connected peer.
-        """
-        if len(kind) != 1:
-            raise ValueError("control kind must be a single byte")
-        raw = _CTL_MAGIC + kind + payload
-        if len(raw) > MAX_DATAGRAM:
-            raise ValueError("control payload exceeds datagram cap")
-        self.control_sent += 1
-        if dst is not None:
-            self._sendto(raw, dst)
-            return True
-        peers = self._peer_snapshot
-        for peer in peers:
-            self._sendto(raw, peer)
-        return bool(peers)
-
-    def on_control(self, handler):
-        """Register ``handler(kind, payload, src)`` for inbound control
-        datagrams; runs on the pump thread.  Returns the handler so a
-        caller can later :meth:`off_control` it."""
-        with self._lock:
-            self._control_handlers = self._control_handlers + (handler,)
-        return handler
-
-    def off_control(self, handler):
-        with self._lock:
-            self._control_handlers = tuple(
-                h for h in self._control_handlers if h is not handler
-            )
 
     def _send_run(self, raws, dst):
         """Send a run of packed frames to one destination, coalesced.
@@ -311,6 +227,61 @@ class SocketNode:
         if parts:
             sendto(_AGG_MAGIC + b"".join(parts), dst)
 
+    def _targets(self, dst):
+        """Unicast, or every connected peer — the loopback stand-in for
+        a broadcast segment, whose admission filters decide."""
+        return (dst,) if dst is not None else self._peer_snapshot
+
+    def _transmit(self, raws, dst):
+        """Send a run of packed datagrams to ``dst`` or, without one, to
+        every connected peer; true when anyone was offered them."""
+        targets = self._targets(dst)
+        for target in targets:
+            self._send_run(raws, target)
+        return bool(targets)
+
+    def _transmit_runs(self, pairs):
+        """Transmit packed ``(raw, dst)`` pairs in order.  Consecutive
+        same-destination datagrams share aggregate carriers (runs are
+        consecutive, so ordering per destination is untouched): a
+        server's burst of replies to one pipelined client is one
+        syscall."""
+        run = []
+        run_dst = None
+        for raw, dst in pairs:
+            if run and dst != run_dst:
+                self._transmit(run, run_dst)
+                run = []
+            run_dst = dst
+            run.append(raw)
+        if run:
+            self._transmit(run, run_dst)
+
+    def put(self, message, dst_machine=None):
+        """Transform through the F-box and transmit as a UDP datagram.
+
+        With ``dst_machine`` (a ``(host, port)`` pair) the frame is
+        unicast; otherwise it is offered to every connected peer.
+        """
+        raw = self._pack_for_wire(message, self.fbox.transform_egress)
+        self.sent += 1
+        if not self.buffer_egress:
+            return self._transmit((raw,), dst_machine)
+        self._egress.append((raw, dst_machine))
+        if len(self._egress) >= self.flush_every:
+            self.flush_egress()
+        return bool(self._targets(dst_machine))
+
+    # Same signature as Nic.put_owned; serialisation makes the copy
+    # question moot here, so the plain path is reused.
+    put_owned = put
+
+    def put_broadcast(self, message):
+        """Offer a frame to every connected peer — the loopback stand-in
+        for a broadcast segment (station-API parity with
+        :meth:`Nic.put_broadcast`; LOCATE rides this)."""
+        return self.put(message, None)
+
     def put_owned_bulk(self, messages, dst_machine=None):
         """Transform a batch of privately built messages in place and
         transmit — the egress half of a pipelined issue over sockets.
@@ -325,104 +296,36 @@ class SocketNode:
             self.flush_egress()
         transform = self.fbox.transform_egress_owned
         pack = self._pack_for_wire
-        peers = self._peer_snapshot
         raws = [pack(message, transform) for message in messages]
         self.sent += len(raws)
-        if raws:
-            if dst_machine is not None:
-                self._send_run(raws, dst_machine)
-            else:
-                for peer in peers:
-                    self._send_run(raws, peer)
-        return len(raws) if (dst_machine is not None or peers) else 0
+        return len(raws) if self._transmit(raws, dst_machine) else 0
 
     def put_owned_unicast_bulk(self, pairs):
         """Transmit a batch of privately built unicast (message, machine)
         pairs — a batch server's reply egress.  Each message is F-box
-        transformed in place exactly as :meth:`put_owned` would;
-        consecutive same-destination replies share aggregate carriers."""
+        transformed in place exactly as :meth:`put_owned` would."""
         if self._egress:
             self.flush_egress()
         transform = self.fbox.transform_egress_owned
         pack = self._pack_for_wire
-        count = 0
-        run = []
-        run_dst = None
-        for message, dst in pairs:
-            raw = pack(message, transform)
-            count += 1
-            if dst != run_dst and run:
-                self._send_run(run, run_dst)
-                run = []
-            run_dst = dst
-            run.append(raw)
-        if run:
-            self._send_run(run, run_dst)
-        self.sent += count
-        return count
-
-    def put_many(self, messages, dst_machine=None):
-        """Transform and transmit a batch in one pass.
-
-        Amortizes the per-call bookkeeping (peer snapshot read, counter
-        updates) across the batch; each message still goes through the
-        full F-box transform and size check.  Returns the number of
-        messages offered to at least one destination.
-        """
-        if self._egress:
-            # Earlier buffered datagrams must not be overtaken by this
-            # batch — same-sender ordering is part of the buffering
-            # contract.
-            self.flush_egress()
-        transform = self.fbox.transform_egress
-        pack = self._pack_for_wire
-        sendto = self._sendto
-        peers = self._peer_snapshot
-        count = 0
-        for message in messages:
-            raw = pack(message, transform)
-            count += 1
-            if dst_machine is not None:
-                sendto(raw, dst_machine)
-            else:
-                for peer in peers:
-                    sendto(raw, peer)
-        self.sent += count
-        return count if (dst_machine is not None or peers) else 0
+        packed = [(pack(message, transform), dst) for message, dst in pairs]
+        # Counted before they leave, as in put: whoever holds a reply
+        # and then reads ``sent`` sees that reply counted.
+        self.sent += len(packed)
+        self._transmit_runs(packed)
+        return len(packed)
 
     def flush_egress(self):
-        """Send every buffered datagram; returns how many went out.
-
-        Consecutive same-destination datagrams leave coalesced in
-        aggregate carriers (runs are consecutive, so ordering per
-        destination is untouched); a server's burst of replies to one
-        pipelined client is one syscall.
-        """
+        """Send every buffered datagram; returns how many went out."""
         egress = self._egress
-        flushed = 0
-        run = []
-        run_dst = None
+        drained = []
         while True:
             try:
-                raw, dst = egress.popleft()
+                drained.append(egress.popleft())
             except IndexError:
                 break
-            if run and dst != run_dst:
-                self._flush_run(run, run_dst)
-                run = []
-            run_dst = dst
-            run.append(raw)
-            flushed += 1
-        if run:
-            self._flush_run(run, run_dst)
-        return flushed
-
-    def _flush_run(self, raws, dst):
-        if dst is not None:
-            self._send_run(raws, dst)
-        else:
-            for peer in self._peer_snapshot:
-                self._send_run(raws, peer)
+        self._transmit_runs(drained)
+        return len(drained)
 
     def pump(self, budget=None):
         """Station-API parity with :class:`~repro.net.nic.Nic`: ingress is
@@ -431,50 +334,67 @@ class SocketNode:
         return self.flush_egress()
 
     # ------------------------------------------------------------------
-    # ingress
+    # control-plane lane (join/leave/health)
     # ------------------------------------------------------------------
 
-    def _swap_admission(self):
-        """Rebuild the lock-free admission snapshot (callers hold _lock).
+    def send_control(self, kind, payload=b"", dst=None):
+        """Transmit one control datagram (``kind`` is a single byte).
 
-        The dict is built fresh and swapped in with one attribute store
-        (atomic under the GIL), so the pump thread either sees the old
-        snapshot or the new one — never a half-mutated dict.
+        Bypasses the egress buffer deliberately: membership and health
+        traffic must not queue behind a data burst.  Without ``dst`` the
+        datagram is offered to every connected peer.
         """
-        combined = dict(self._queues)
-        combined.update(self._handlers)
-        self._admission = combined
+        if len(kind) != 1:
+            raise ValueError("control kind must be a single byte")
+        raw = _CTL_MAGIC + kind + payload
+        if len(raw) > MAX_DATAGRAM:
+            raise ValueError("control payload exceeds datagram cap")
+        self.control_sent += 1
+        return self._transmit((raw,), dst)
+
+    def on_control(self, handler):
+        """Register ``handler(kind, payload, src)`` for inbound control
+        datagrams; runs on the pump thread.  Returns the handler so a
+        caller can later :meth:`off_control` it."""
+        with self._lock:
+            self._control_handlers = self._control_handlers + (handler,)
+        return handler
+
+    def off_control(self, handler):
+        with self._lock:
+            self._control_handlers = tuple(
+                h for h in self._control_handlers if h is not handler
+            )
+
+    # ------------------------------------------------------------------
+    # ingress
+    # ------------------------------------------------------------------
 
     def listen(self, port):
         wire_port = self.fbox.listen_port(as_port(port))
         with self._lock:
-            if wire_port not in self._queues:
+            if wire_port not in self._sinks:
                 # SimpleQueue: C-implemented, a fraction of queue.Queue's
                 # construction and handoff cost — and a GET sink needs
                 # none of Queue's task tracking.
-                self._queues[wire_port] = queue.SimpleQueue()
-                self._swap_admission()
+                self._sinks[wire_port] = queue.SimpleQueue()
         return wire_port
 
     def listen_reply(self, rng):
         """GET on a fresh port, the socket counterpart of
         :meth:`Nic.listen_reply`: one pair dealt from ``rng``'s pool
         (refilled a block at a time, imaged but not admitted until
-        dealt), one lock hold and one admission swap per deal.  Returns
-        ``(G', F(G'))``."""
+        dealt) under one lock hold.  Returns ``(G', F(G'))``."""
         with self._lock:
             pool = self._reply_pools.get(rng)
-            queues = self._queues
-            handlers = self._handlers
+            sinks = self._sinks
             while True:
                 if not pool:
                     pool = refill_reply_pool(self._reply_pools, rng, self.fbox)
                 pair = pool.pop()
-                wire_port = pair[1]
-                if wire_port not in queues and wire_port not in handlers:
+                if pair[1] not in sinks:
                     break
-            queues[wire_port] = queue.SimpleQueue()
-            self._swap_admission()
+            sinks[pair[1]] = queue.SimpleQueue()
         return pair
 
     def listen_fresh(self, ports):
@@ -482,24 +402,19 @@ class SocketNode:
 
         The socket counterpart of :meth:`Nic.listen_fresh`: every port is
         one-wayed in one F-box batch and admitted under a single lock
-        acquisition and admission swap, instead of one rebuild per
-        transaction.  Returns the wire ports, or None when any wire port
+        acquisition.  Returns the wire ports, or None when any wire port
         collides with an existing GET or another port of the batch
         (callers fall back to issuing one at a time — sharing a sink
         would cross two transactions' replies).
         """
         wires = self.fbox.one_way_batch(ports)
         with self._lock:
-            queues = self._queues
-            handlers = self._handlers
-            if len(set(wires)) != len(wires):
+            sinks = self._sinks
+            fresh = set(wires)
+            if len(fresh) != len(wires) or not sinks.keys().isdisjoint(fresh):
                 return None
             for wire_port in wires:
-                if wire_port in queues or wire_port in handlers:
-                    return None
-            for wire_port in wires:
-                queues[wire_port] = queue.SimpleQueue()
-            self._swap_admission()
+                sinks[wire_port] = queue.SimpleQueue()
         return wires
 
     def reply_queues(self, wire_ports):
@@ -509,21 +424,14 @@ class SocketNode:
         reply.  (``trans_many`` now waits on each wire port through
         :meth:`wait_wire` instead; the benchmark's tracer still names
         this method, so it stays until that list can change.)"""
-        admission = self._admission
-        return [admission.get(wire_port) for wire_port in wire_ports]
+        sinks = self._sinks
+        return [sinks.get(wire_port) for wire_port in wire_ports]
 
     def unlisten_wire_many(self, wire_ports):
-        """Withdraw a batch of GETs with one admission swap."""
+        """Withdraw a batch of GETs under one lock hold."""
         with self._lock:
-            changed = False
             for wire_port in wire_ports:
-                if (
-                    self._queues.pop(wire_port, None) is not None
-                    or self._handlers.pop(wire_port, None) is not None
-                ):
-                    changed = True
-            if changed:
-                self._swap_admission()
+                self._sinks.pop(wire_port, None)
 
     def unlisten(self, port):
         self.unlisten_wire(self.fbox.listen_port(as_port(port)))
@@ -537,10 +445,9 @@ class SocketNode:
         """
         wire_port = self.fbox.listen_port(as_port(port))
         with self._lock:
-            backlog = self._queues.pop(wire_port, None)
-            self._handlers[wire_port] = handler
-            self._swap_admission()
-        while backlog is not None:
+            backlog = self._sinks.get(wire_port)
+            self._sinks[wire_port] = handler
+        while type(backlog) is queue.SimpleQueue:
             try:
                 frame = backlog.get_nowait()
             except queue.Empty:
@@ -555,24 +462,20 @@ class SocketNode:
         ``batch_handler(frames)`` call (arrival order preserved), so a
         pipelined client's 16 requests cost one dispatch preamble and —
         with :meth:`put_owned_unicast_bulk` — one reply burst.  Backlog
-        queued by an earlier listen() is delivered as its own batch.
+        queued by an earlier listen() arrives frame by frame, each a
+        batch of one, as on :meth:`Nic.serve_batch`.
         """
-        wire_port = self.fbox.listen_port(as_port(port))
-        sink = _BatchSink(batch_handler)
+        return self.serve(port, _BatchSink(batch_handler))
+
+    def on_broadcast(self, handler):
+        """Register ``handler(frame)`` for frames no admission sink
+        claims.  On a real segment a broadcast is just a datagram every
+        station receives; on loopback the closest analogue is "arrived
+        but addressed to no GET here" — which is exactly what a LOCATE
+        probe looks like to a responder.  Handlers filter by command."""
         with self._lock:
-            backlog = self._queues.pop(wire_port, None)
-            self._handlers[wire_port] = sink
-            self._swap_admission()
-        if backlog is not None:
-            frames = []
-            while True:
-                try:
-                    frames.append(backlog.get_nowait())
-                except queue.Empty:
-                    break
-            if frames:
-                batch_handler(frames)
-        return wire_port
+            self._broadcast_handlers = self._broadcast_handlers + (handler,)
+        return handler
 
     def poll(self, port, timeout=None):
         """Next admitted frame for GET(port), blocking up to ``timeout``."""
@@ -581,7 +484,7 @@ class SocketNode:
 
     def poll_wire(self, wire_port, timeout=None):
         """Like :meth:`poll`, keyed by the wire port listen() returned."""
-        sink = self._admission.get(wire_port)
+        sink = self._sinks.get(wire_port)
         if type(sink) is not queue.SimpleQueue:
             return None
         if self._egress:
@@ -604,10 +507,7 @@ class SocketNode:
     def unlisten_wire(self, wire_port):
         """Like :meth:`unlisten`, keyed by the wire port listen() returned."""
         with self._lock:
-            q = self._queues.pop(wire_port, None)
-            h = self._handlers.pop(wire_port, None)
-            if q is not None or h is not None:
-                self._swap_admission()
+            self._sinks.pop(wire_port, None)
 
     # ------------------------------------------------------------------
     # pump thread
@@ -706,10 +606,10 @@ class SocketNode:
                     self.garbage_dropped += 1
                     self.last_error = exc
                     continue
-                # One lock-free snapshot read decides admission/delivery —
-                # re-read per datagram so a listen() a handler just made
-                # admits later datagrams of the same batch.
-                sink = self._admission.get(message.dest)
+                # One lookup decides admission and delivery — made per
+                # datagram, so a listen() a handler just made admits
+                # later datagrams of the same batch.
+                sink = self._sinks.get(message.dest)
                 if sink is None:
                     # Frames for ports nobody GETs here go to the
                     # broadcast fallback (a LOCATE probe is exactly such

@@ -1,7 +1,8 @@
 """Wire-format parity: the fast codec must be byte-identical to the old one.
 
-The lean ``Message.pack`` (single-pass buffer) and trusted-constructor
-``unpack`` are pure optimizations — the wire format is frozen.  The
+The lean ``Message.pack`` (one struct call, one join) and
+trusted-constructor ``unpack`` are pure optimizations — the wire format
+is frozen.  The
 reference implementation below is a verbatim transliteration of the
 pre-fast-lane codec (intermediate byte joins, public constructor); these
 property tests drive both over the full message space, including the
@@ -223,53 +224,50 @@ class TestPackParity:
 
 
 # ----------------------------------------------------------------------
-# lazy-unpack parity: materialization order must never matter
+# unpack parity: one eager pass, a plain Message out
 # ----------------------------------------------------------------------
 
-_BODY_FIELDS = ("capability", "extra_caps", "data", "sealed_caps")
 _ALL_FIELDS = (
     "dest", "reply", "signature", "command", "status", "offset", "size",
-    "is_reply",
-) + _BODY_FIELDS
+    "capability", "data", "is_reply", "extra_caps", "sealed_caps",
+)
 
 
 class TestLazyUnpackParity:
+    """(The name predates PR 18: unpack was lazy about the body then.)"""
+
     @given(messages, st.permutations(_ALL_FIELDS))
     @settings(max_examples=300)
     def test_any_access_order_matches_reference(self, message, order):
         """Field-by-field equality against the frozen reference codec,
-        with the lazy body materialized in an arbitrary access order."""
+        read in an arbitrary order."""
         raw = reference_pack(message)
-        lazy = Message.unpack(raw)
+        decoded = Message.unpack(raw)
         expected = reference_unpack(raw)
         for name in order:
-            assert getattr(lazy, name) == getattr(expected, name), name
+            assert getattr(decoded, name) == getattr(expected, name), name
+
+    @given(messages)
+    @settings(max_examples=200)
+    def test_unpack_returns_a_plain_message(self, message):
+        """No subclass, no descriptor, nothing deferred: the decoded
+        message is exactly a ``Message`` and every field already sits in
+        its instance dict."""
+        decoded = Message.unpack(reference_pack(message))
+        assert type(decoded) is Message
+        assert tuple(decoded.__dict__) == _ALL_FIELDS
+        assert type(decoded.data) is bytes
 
     @given(messages)
     @settings(max_examples=200)
     def test_pack_without_touching_matches_frame(self, message):
-        """Repacking an untouched lazy message reproduces the frame."""
+        """Repacking an untouched decoded message reproduces the frame."""
         raw = reference_pack(message)
         assert Message.unpack(raw).pack() == raw
 
-    @given(messages)
-    @settings(max_examples=200)
-    def test_body_stays_lazy_until_touched(self, message):
-        """unpack decodes the header eagerly and nothing else; the first
-        body access materializes every body field at once."""
-        lazy = Message.unpack(message.pack())
-        for name in _BODY_FIELDS:
-            assert name not in lazy.__dict__
-        assert "_wire" in lazy.__dict__
-        lazy.data  # touch
-        for name in _BODY_FIELDS:
-            assert name in lazy.__dict__
-        assert "_wire" not in lazy.__dict__
-
     def test_framing_errors_are_eager(self):
-        """Every error a frame can produce raises from unpack itself —
-        materialization must never fail (servers route/reply from the
-        header before touching the body)."""
+        """Every error a frame can produce raises from unpack itself
+        (servers route/reply from the header before touching the body)."""
         import pytest
 
         from repro.errors import MalformedCapability
@@ -287,21 +285,20 @@ class TestLazyUnpackParity:
             Message.unpack(bytes(raw))
 
     def test_mutation_after_unpack_reflected_in_pack(self):
-        """A lazy message is still an ordinary mutable Message: writes
-        land in the instance and the next pack serialises them."""
-        lazy = Message.unpack(Message(dest=Port(5), data=b"old").pack())
-        lazy.data = b"new"
-        assert Message.unpack(lazy.pack()).data == b"new"
+        """A decoded message is an ordinary mutable Message: writes land
+        in the instance and the next pack serialises them."""
+        decoded = Message.unpack(Message(dest=Port(5), data=b"old").pack())
+        decoded.data = b"new"
+        assert Message.unpack(decoded.pack()).data == b"new"
 
     def test_evolve_on_lazy_message(self):
-        """_evolve with header changes keeps the body lazy; a body-field
-        change materializes first instead of raising the stray-key error."""
+        """_evolve on a decoded message takes header and body changes
+        alike, and leaves the source untouched."""
         source = Message(dest=Port(5), reply=Port(6), data=b"payload")
-        lazy = Message.unpack(source.pack())
-        clone = lazy._evolve(dest=Port(9))
-        assert "data" not in lazy.__dict__  # header change stayed lazy
+        decoded = Message.unpack(source.pack())
+        clone = decoded._evolve(dest=Port(9))
         assert clone.dest == Port(9) and clone.data == b"payload"
-        lazy2 = Message.unpack(source.pack())
-        clone2 = lazy2._evolve(data=b"swapped")
+        clone2 = decoded._evolve(data=b"swapped")
         assert clone2.data == b"swapped"
         assert clone2.dest == source.dest
+        assert decoded == source

@@ -24,7 +24,7 @@ from repro.errors import RPCTimeout
 from repro.ipc.rpc import RetryPolicy, trans
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import STD_INFO, USER_BASE
-from repro.net.faults import FaultPlan, FaultSpec, LossyFBox, faulty_sendto
+from repro.net.faults import FaultPlan, FaultSpec, faulty_sendto
 from repro.net.message import Message
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
@@ -62,10 +62,6 @@ class TestSpecValidation:
             FaultPlan(corrupt_field="payload")
         with pytest.raises(ValueError):
             FaultPlan(delay_ms=-1)
-
-    def test_lossy_fbox_name_is_dead(self):
-        with pytest.raises(TypeError):
-            LossyFBox()
 
 
 class TestDropSemantics:

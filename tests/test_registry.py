@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.core.ports import Port
-from repro.core.registry import ObjectTable
+from repro.core.registry import ObjectEntry, ObjectTable
 from repro.core.rights import ALL_RIGHTS, Rights
 from repro.core.schemes import scheme_by_name
 from repro.crypto.randomsrc import RandomSource
@@ -143,6 +143,23 @@ class TestDestroy:
         table.create("new")
         with pytest.raises(InvalidCapability):
             table.lookup(cap)
+
+    def test_restored_row_takes_its_number_off_the_free_list(self, table):
+        """A replica applied a peer's destroy, then had the recycled
+        number mirrored back (``restore_entry``): a later local create
+        must not pop that number and overwrite the live row."""
+        doomed = table.create("doomed")
+        table.destroy(doomed)
+        secret = table.scheme.new_secret(RandomSource(seed=5))
+        table.restore_entry(ObjectEntry(
+            number=doomed.object, secret=secret, data="mirrored",
+            generation=1,
+        ))
+        fresh = table.create("local")
+        assert fresh.object != doomed.object
+        assert table.data(table.mint_for(doomed.object)) == "mirrored"
+        assert table.data(fresh) == "local"
+        assert len(table) == 2
 
     def test_destroy_requires_rights(self, table):
         cap = table.create("x")

@@ -73,13 +73,13 @@ class World:
         """Every GET the client has out, and (simulators) every index
         entry beyond the server's own."""
         if self.net is None:
-            return set(self.client._admission)
+            return set(self.client._sinks)
         return set(self.client._sinks) | (set(self.net._listeners)
                                           - {self.port})
 
     def admitted(self, wire_port):
         if self.net is None:
-            return wire_port in self.client._admission
+            return wire_port in self.client._sinks
         return (self.client.admits(wire_port)
                 or wire_port in self.net._listeners)
 
@@ -158,7 +158,7 @@ class TestPreImagedIsNotPreListened:
             w.client.on_broadcast(lambda frame: unclaimed.set())
             w.server.put(probe, w.client.address)
             assert unclaimed.wait(5.0)
-            assert undealt[0] not in w.client._admission
+            assert undealt[0] not in w.client._sinks
 
     def test_dealing_admits_exactly_the_dealt_pair(self, world, station):
         w = world(station)

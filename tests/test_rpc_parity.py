@@ -87,7 +87,7 @@ class World:
     def reply_gets(self):
         """Every GET outstanding beyond the server's own."""
         if self.net is None:
-            return dict(self.client._admission)
+            return dict(self.client._sinks)
         ports = set(self.net._listeners) - {self.port}
         return ports | set(self.client._sinks)
 

@@ -110,17 +110,6 @@ class TestSocketTransport:
         with SocketNode() as node:
             assert node.address[1] > 0
 
-    def test_put_many_batch(self, nodes):
-        server, client = nodes(), nodes()
-        g = PrivatePort(6)
-        wire = server.listen(g)
-        batch = [Message(dest=wire, data=b"b%d" % i) for i in range(5)]
-        assert client.put_many(batch, dst_machine=server.address) == 5
-        got = sorted(
-            server.poll(g, timeout=2.0).message.data for _ in range(5)
-        )
-        assert got == [b"b%d" % i for i in range(5)]
-
     def test_peer_snapshot_updates_on_connect(self, nodes):
         server, client = nodes(), nodes()
         assert client._peer_snapshot == ()
@@ -132,9 +121,9 @@ class TestSocketTransport:
         server = nodes()
         g = PrivatePort(6)
         wire = server.listen(g)
-        assert wire in server._admission
+        assert wire in server._sinks
         server.unlisten(g)
-        assert wire not in server._admission
+        assert wire not in server._sinks
 
     def test_buffered_egress_rpc(self):
         with SocketNode(buffer_egress=True) as server, \
@@ -182,11 +171,10 @@ class TestSocketTransport:
         n = server.recv_batch + 18  # spans at least two ingress batches
         reply_secret = PrivatePort(777)
         reply_wire = client.listen(reply_secret)
-        client.put_many(
-            [Message(dest=wire, reply=Port(reply_secret.secret),
-                     data=b"m%03d" % i) for i in range(n)],
-            dst_machine=server.address,
-        )
+        for i in range(n):
+            client.put(Message(dest=wire, reply=Port(reply_secret.secret),
+                               data=b"m%03d" % i),
+                       dst_machine=server.address)
         got = set()
         for _ in range(n):
             frame = client.poll_wire(reply_wire, timeout=5.0)
@@ -249,12 +237,17 @@ class TestSocketTransport:
         wires = node.listen_fresh(secrets)
         assert wires is not None and len(wires) == 8
         for wire in wires:
-            assert wire in node._admission
+            assert wire in node._sinks
         # Re-registering the same fresh ports must refuse (collision).
         assert node.listen_fresh(secrets) is None
+        # So must a batch that repeats a port or overlaps one live GET,
+        # and a refused batch admits nothing.
+        assert node.listen_fresh([Port(300), Port(300)]) is None
+        assert node.listen_fresh([Port(301), secrets[0]]) is None
+        assert set(node._sinks) == set(wires)
         node.unlisten_wire_many(wires)
         for wire in wires:
-            assert wire not in node._admission
+            assert wire not in node._sinks
 
     def test_trans_many_pipelined_over_sockets(self, nodes):
         """The socket fused lane: replies in request order over real UDP."""
@@ -273,7 +266,7 @@ class TestSocketTransport:
                              dst_machine=server.address, timeout=5.0)
         assert [r.data for r in replies] == [b"REQ-%02d" % i for i in range(16)]
         # No admission residue: every reply GET was withdrawn.
-        assert client._queues == {}
+        assert client._sinks == {}
 
     def test_serve_batch_coalesces_bursts(self, nodes):
         """serve_batch delivers each ingress burst as one handler call."""
@@ -294,6 +287,107 @@ class TestSocketTransport:
         # The aggregated burst arrived in far fewer handler calls than
         # frames (one, unless the pump raced the carrier boundary).
         assert len(batches) < n
+
+    def test_serve_batch_takes_over_a_listen_backlog(self, nodes):
+        """Frames queued by an earlier listen() are the server's backlog:
+        serve_batch drains them into the batch handler (each a batch of
+        one, as on Nic) and later traffic goes to the handler directly."""
+        server, client = nodes(), nodes()
+        g = PrivatePort(7)
+        wire = server.listen(g)
+        for i in range(3):
+            client.put(Message(dest=wire, data=b"early%d" % i),
+                       dst_machine=server.address)
+        deadline = time.monotonic() + 5.0
+        while server._sinks[wire].qsize() < 3:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        seen = []
+        assert server.serve_batch(
+            g, lambda frames: seen.extend(f.message.data for f in frames)
+        ) == wire
+        assert seen == [b"early0", b"early1", b"early2"]
+        client.put(Message(dest=wire, data=b"late"), dst_machine=server.address)
+        while len(seen) < 4:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert seen[3] == b"late"
+        assert server.handler_errors == 0
+
+    def test_buffered_put_then_bulk_arrives_in_send_order(self):
+        """Same-sender ordering: a datagram still in the egress buffer
+        leaves before a bulk burst issued after it."""
+        with SocketNode(buffer_egress=True) as sender, \
+                SocketNode() as receiver:
+            g = PrivatePort(4)
+            wire = receiver.listen(g)
+            sender.put(Message(dest=wire, data=b"first"),
+                       dst_machine=receiver.address)
+            assert len(sender._egress) == 1  # still buffered
+            assert sender.put_owned_bulk(
+                [Message(dest=wire, data=b"bulk%d" % i) for i in range(4)],
+                dst_machine=receiver.address,
+            ) == 4
+            got = [receiver.poll(g, timeout=5.0).message.data
+                   for _ in range(5)]
+            assert got == [b"first", b"bulk0", b"bulk1", b"bulk2", b"bulk3"]
+
+    def test_admission_table_under_concurrent_listeners(self, nodes):
+        """Four threads listen_reply / unlisten_wire in a loop while a
+        peer floods a served port: the pump's one lookup per datagram
+        never trips over a writer, every flooded frame is delivered, and
+        the table ends with the served port alone."""
+        import sys
+        import threading
+
+        server, client = nodes(), nodes()
+        served = []
+        wire = server.serve(PrivatePort(11), served.append)
+        stop = threading.Event()
+        errors = []
+
+        def churn(seed):
+            rng = RandomSource(seed=seed)
+            try:
+                while not stop.is_set():
+                    _, reply_wire = server.listen_reply(rng)
+                    assert server.poll_wire(reply_wire) is None
+                    server.unlisten_wire(reply_wire)
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=churn, args=(seed,))
+                   for seed in range(4)]
+        flood = 400
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for start in range(0, flood, 16):
+                # Paced in bursts so the loopback receive buffer never
+                # overflows: a frame the kernel drops is not the pump's.
+                client.put_owned_bulk(
+                    [Message(dest=wire, data=b"%d" % i)
+                     for i in range(start, start + 16)],
+                    dst_machine=server.address,
+                )
+                deadline = time.monotonic() + 5.0
+                while len(served) < start + 16:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=5.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert server._pump.is_alive()
+        assert (server.handler_errors, server.garbage_dropped) == (0, 0)
+        assert [f.message.data for f in served] == [
+            b"%d" % i for i in range(flood)]
+        assert set(server._sinks) == {wire}
 
     def test_object_server_over_sockets(self, nodes):
         from repro.ipc.client import ServiceClient
