@@ -172,11 +172,9 @@ class ObjectTable:
         self._fresh_cursor = itertools.count()
         self._recycle_hints = deque()
         # Callbacks fired after a secret dies (refresh/destroy/age) with
-        # (port, object number, generation, shard index) — e.g. a sealer
-        # purging its §2.4 capability caches so a revoked capability's
-        # sealed form cannot be served from cache.  Fired outside every
-        # stripe lock; the shard index identifies the stripe that owned
-        # the object, so sharded caches can target their sweep.
+        # (port, object number, generation) — e.g. a sealer purging its
+        # §2.4 capability caches so a revoked capability's sealed form
+        # cannot be served from cache.  Fired outside every stripe lock.
         self._revocation_listeners = []
 
     # ------------------------------------------------------------------
@@ -404,22 +402,20 @@ class ObjectTable:
     # ------------------------------------------------------------------
 
     def on_revocation(self, callback):
-        """Register ``callback(port, number, generation, shard)`` to fire
+        """Register ``callback(port, number, generation)`` to fire
         after a secret dies — :meth:`refresh` (generation bumped),
         :meth:`destroy` (object gone), or an :meth:`age` expiry.  This is
         the hook that keeps the §2.4 capability caches honest: an
         :class:`ObjectServer` with a sealer wires it to
         :meth:`~repro.softprot.matrix.CapabilitySealer.invalidate_object`,
         so a revoked capability's cached (sealed, source) triple cannot
-        outlive the secret it was minted under.  ``shard`` is the stripe
-        index that owned the object (``shard_of(number)``), so sharded
-        caches can target the owning partition instead of sweeping.
-        Callbacks run outside every stripe lock."""
+        outlive the secret it was minted under.  Callbacks run outside
+        every stripe lock."""
         self._revocation_listeners.append(callback)
 
-    def _notify_revocation(self, number, generation, shard_index):
+    def _notify_revocation(self, number, generation):
         for callback in self._revocation_listeners:
-            callback(self.port, number, generation, shard_index)
+            callback(self.port, number, generation)
 
     def refresh(self, capability, required=ALL_RIGHTS):
         """Revoke every outstanding capability for an object.
@@ -445,7 +441,7 @@ class ObjectTable:
             generation = entry.generation
             if self._wal is not None:
                 self._wal.log_refresh(shard.index, number, secret, generation)
-        self._notify_revocation(number, generation, shard.index)
+        self._notify_revocation(number, generation)
         rights_field, check = self.scheme.mint(secret, ALL_RIGHTS)
         return Capability(
             port=self.port,
@@ -466,7 +462,7 @@ class ObjectTable:
             if self._wal is not None:
                 self._wal.log_destroy(shard.index, entry.number)
         self._recycle_hints.append(shard.index)
-        self._notify_revocation(entry.number, generation, shard.index)
+        self._notify_revocation(entry.number, generation)
         return entry.data
 
     def apply_refresh(self, number, secret, generation):
@@ -494,7 +490,7 @@ class ObjectTable:
             entry.verified.clear()
             if self._wal is not None:
                 self._wal.log_refresh(shard.index, number, secret, generation)
-        self._notify_revocation(number, generation, shard.index)
+        self._notify_revocation(number, generation)
         return True
 
     def apply_destroy(self, number, generation):
@@ -520,7 +516,7 @@ class ObjectTable:
             if self._wal is not None:
                 self._wal.log_destroy(shard.index, number)
         self._recycle_hints.append(shard.index)
-        self._notify_revocation(number, generation, shard.index)
+        self._notify_revocation(number, generation)
         return True
 
     def age(self, on_expire=None):
@@ -565,11 +561,10 @@ class ObjectTable:
                         self._wal.log_destroy(shard.index, entry.number)
                 expired.extend(doomed)
         for entry in expired:
-            shard_index = entry.number & self._mask
-            self._recycle_hints.append(shard_index)
+            self._recycle_hints.append(entry.number & self._mask)
             if on_expire is not None:
                 on_expire(entry)
-            self._notify_revocation(entry.number, entry.generation, shard_index)
+            self._notify_revocation(entry.number, entry.generation)
         return expired
 
     # ------------------------------------------------------------------

@@ -58,85 +58,69 @@ def install_locate_responder(nic, answer=None):
     return responder
 
 
-class ShardedLocationCache:
-    """The (port, machine) map, partitioned into lock-striped shards.
+class LocationCache:
+    """The (port, machine) map: one dict, read without a lock.
 
     The locate cache is read-mostly: every transaction may consult it,
     while writes happen only on a LOCATE miss (one broadcast round trip
     away) and invalidations only when a server crashes or migrates.
-    Reads are therefore lock-free — one dict probe on the owning shard,
-    safe against concurrent writers because shard dicts are only ever
-    mutated under that shard's lock and CPython dict reads are atomic —
-    and writers (:meth:`put`, :meth:`invalidate`) take only the owning
-    stripe, so invalidating one port never stalls lookups, or other
-    invalidations, elsewhere.
+    :meth:`get` is therefore one lock-free dict probe — safe because the
+    dict is only ever mutated under the lock the writers share and
+    CPython dict reads are atomic.
 
-    **Invalidation epochs.**  A locate is a broadcast round trip; its
+    **Invalidation epoch.**  A locate is a broadcast round trip; its
     ``put`` can land long after the HERE frame was sent.  If a crash is
     detected in that window, a plain put would *resurrect* the mapping
     the invalidation just purged — the client then re-sends to a dead
-    machine until someone notices again.  Each stripe therefore carries
-    an epoch counter, bumped by every :meth:`invalidate` /
-    :meth:`invalidate_member`; a caller snapshots :meth:`epoch` before
-    broadcasting and passes it to :meth:`put`, which discards the write
-    (returning False) when the stripe has been invalidated since.
-    Values may be a single machine address or a replica set (any object
-    with an ``is_replica_set`` attribute, see
+    machine until someone notices again.  Every :meth:`invalidate` /
+    :meth:`invalidate_member`, of any port, therefore bumps
+    :attr:`epoch`; a caller snapshots it before broadcasting and passes
+    it to :meth:`put`, which discards the write (returning False) when
+    anything has been invalidated since — an invalidation of a
+    *different* port costs the racing locate one uncached answer, never
+    a wrong one.  Values may be a single machine address or a replica
+    set (any object with an ``is_replica_set`` attribute, see
     :class:`repro.ipc.replica.ReplicaSet`).
     """
 
-    def __init__(self, shards=8):
-        if shards < 1 or shards & (shards - 1):
-            raise ValueError("shards must be a power of two >= 1")
-        self._shards = [{} for _ in range(shards)]
-        self._locks = [threading.Lock() for _ in range(shards)]
-        self._mask = shards - 1
-        # Per-stripe invalidation epochs.  Mutated only under the stripe
-        # lock; read lock-free (int loads are atomic) by epoch().
-        self._epochs = [0] * shards
-
-    def _index(self, port):
-        return port & self._mask
+    def __init__(self):
+        self._machines = {}
+        self._lock = threading.Lock()
+        #: Invalidations so far.  Mutated only under the lock; read
+        #: lock-free (int loads are atomic).  Snapshot it *before*
+        #: starting a locate and hand it to :meth:`put`.
+        self.epoch = 0
 
     def get(self, port):
         """The cached machine for ``port``, or None.  Lock-free."""
-        return self._shards[port & self._mask].get(port)
-
-    def epoch(self, port):
-        """The owning stripe's invalidation epoch.  Lock-free; snapshot
-        it *before* starting a locate and hand it to :meth:`put`."""
-        return self._epochs[port & self._mask]
+        return self._machines.get(port)
 
     def put(self, port, machine, epoch=None):
-        """Install a mapping; with ``epoch``, only if the owning stripe
-        has not been invalidated since that snapshot was taken.  Returns
-        True when the mapping was stored."""
-        index = self._index(port)
-        with self._locks[index]:
-            if epoch is not None and epoch != self._epochs[index]:
+        """Install a mapping; with ``epoch``, only if nothing has been
+        invalidated since that snapshot was taken.  Returns True when
+        the mapping was stored."""
+        with self._lock:
+            if epoch is not None and epoch != self.epoch:
                 return False
-            self._shards[index][port] = machine
+            self._machines[port] = machine
         return True
 
     def invalidate(self, port):
-        """Per-shard invalidation: drops one mapping under one stripe
-        and advances the stripe's epoch, so in-flight locates started
-        before this point cannot resurrect the mapping."""
-        index = self._index(port)
-        with self._locks[index]:
-            self._shards[index].pop(port, None)
-            self._epochs[index] += 1
+        """Drop one mapping and advance the epoch, so in-flight locates
+        started before this point cannot resurrect the mapping."""
+        with self._lock:
+            self._machines.pop(port, None)
+            self.epoch += 1
 
     def invalidate_member(self, port, machine):
         """Forget one *replica* of a cached replica set, keeping the
         survivors — failover should not blind the client to the replicas
         that are still answering.  A single-machine mapping equal to
-        ``machine`` is dropped whole.  Advances the stripe epoch either
-        way (the set shape changed; a slow in-flight locate may carry
-        the dead member).  Returns True when anything changed."""
-        index = self._index(port)
-        with self._locks[index]:
-            value = self._shards[index].get(port)
+        ``machine`` is dropped whole.  Advances the epoch either way
+        (the set shape changed; a slow in-flight locate may carry the
+        dead member).  Returns True when anything changed."""
+        with self._lock:
+            value = self._machines.get(port)
             if value is None:
                 return False
             if getattr(value, "is_replica_set", False):
@@ -144,67 +128,45 @@ class ShardedLocationCache:
                     return False
                 survivors = value.without(machine)
                 if len(survivors):
-                    self._shards[index][port] = survivors
+                    self._machines[port] = survivors
                 else:
-                    del self._shards[index][port]
+                    del self._machines[port]
             elif value == machine:
-                del self._shards[index][port]
+                del self._machines[port]
             else:
                 return False
-            self._epochs[index] += 1
+            self.epoch += 1
         return True
 
     def clear(self):
-        for index, shard in enumerate(self._shards):
-            with self._locks[index]:
-                shard.clear()
+        with self._lock:
+            self._machines.clear()
 
     def __len__(self):
-        return sum(len(shard) for shard in self._shards)
+        return len(self._machines)
 
     def __contains__(self, port):
-        return port in self._shards[port & self._mask]
-
-    @property
-    def shard_count(self):
-        return len(self._shards)
+        return port in self._machines
 
 
 class Locator:
-    """Resolve put-ports to machine addresses, with a sharded cache."""
+    """Resolve put-ports to machine addresses, through a LocationCache."""
 
-    def __init__(self, node, rng=None, cache_shards=8):
+    def __init__(self, node, rng=None):
         self.node = node
         self.rng = rng or RandomSource()
-        self.cache = ShardedLocationCache(shards=cache_shards)
-        # Experiment counters: per-stripe (hits, misses) tuples replaced
-        # wholesale, partitioned like the cache itself, with no lock —
-        # the hit path stays as lock-free as the cache read it follows.
-        # A reader always sees a coherent pair (one reference load,
-        # never a torn hits-without-its-misses mix); two locates racing
-        # on the *same* stripe can lose an increment, the same
-        # best-effort accounting the old `hits += 1` counters had.
-        self._stripe_counts = [(0, 0)] * self.cache.shard_count
+        self.cache = LocationCache()
+        #: Experiment counters, bumped with no lock — the hit path stays
+        #: as lock-free as the cache read it follows; two locates racing
+        #: can lose an increment (best-effort accounting).
+        self.hits = 0
+        self.misses = 0
         # Ports whose whole replica pool went silent (PartitionSuspected):
         # the next locate() skips the warm cache and re-broadcasts, which
         # is how a healed partition is *observed* rather than waited out.
         self._suspected = set()
         #: Broadcasts forced by a partition suspicion (experiment counter).
         self.suspicion_probes = 0
-
-    @property
-    def hits(self):
-        return sum(counts[0] for counts in self._stripe_counts)
-
-    @property
-    def misses(self):
-        return sum(counts[1] for counts in self._stripe_counts)
-
-    def _count(self, port, hit):
-        counts = self._stripe_counts
-        index = self.cache._index(port)
-        hits, misses = counts[index]
-        counts[index] = (hits + 1, misses) if hit else (hits, misses + 1)
 
     def locate(self, port, timeout=1.0, retries=2):
         """Return the machine address serving ``port``.
@@ -227,18 +189,18 @@ class Locator:
         cached = self.cache.get(port)
         if cached is not None:
             if port not in self._suspected:
-                self._count(port, hit=True)
+                self.hits += 1
                 return cached
             # Suspected partition: the cached mapping may be stale on
             # the far side of a cut.  Fall through to a fresh broadcast
             # — a HERE answer proves the pool reachable again and
             # clears the suspicion.
             self.suspicion_probes += 1
-        self._count(port, hit=False)
-        # Snapshot the stripe's invalidation epoch *before* broadcasting:
-        # if a crash is detected while the round trip is in flight, the
+        self.misses += 1
+        # Snapshot the invalidation epoch *before* broadcasting: if a
+        # crash is detected while the round trip is in flight, the
         # answer must not resurrect the purged mapping.
-        epoch = self.cache.epoch(port)
+        epoch = self.cache.epoch
         reply_private = PrivatePort.generate(self.rng)
         # The waits below go through the station's ``wait_wire`` — the
         # one wait discipline rpc uses too (a SocketNode blocks in wall
@@ -311,8 +273,7 @@ class Locator:
         return as_port(port) in self._suspected
 
     def invalidate(self, port):
-        """Forget a cached location (server crashed or migrated); only
-        the owning cache shard is touched."""
+        """Forget a cached location (server crashed or migrated)."""
         self.cache.invalidate(as_port(port))
 
     def invalidate_member(self, port, machine):

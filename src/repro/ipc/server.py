@@ -146,6 +146,20 @@ class ReplyCache:
         self.busy_drops = 0
         self.evictions = 0
 
+    def _client(self, src):
+        """Find or admit this client's LRU and make it the most recent;
+        admission evicts the oldest client at the bound.  Caller holds
+        ``_lock``."""
+        client = self._clients.get(src)
+        if client is None:
+            if len(self._clients) >= self.clients:
+                self._clients.popitem(last=False)
+                self.evictions += 1
+            self._clients[src] = client = OrderedDict()
+        else:
+            self._clients.move_to_end(src)
+        return client
+
     def begin(self, src, reply_port):
         """Admit one request copy; returns ``(verdict, cached_reply)``.
 
@@ -156,14 +170,7 @@ class ReplyCache:
         request; drop it.
         """
         with self._lock:
-            client = self._clients.get(src)
-            if client is None:
-                if len(self._clients) >= self.clients:
-                    self._clients.popitem(last=False)
-                    self.evictions += 1
-                self._clients[src] = client = OrderedDict()
-            else:
-                self._clients.move_to_end(src)
+            client = self._client(src)
             cached = client.get(reply_port)
             if cached is None:
                 if len(client) >= self.per_client:
@@ -200,14 +207,7 @@ class ReplyCache:
         reply instead of re-executing.  Same LRU bounds as live entries.
         """
         with self._lock:
-            client = self._clients.get(src)
-            if client is None:
-                if len(self._clients) >= self.clients:
-                    self._clients.popitem(last=False)
-                    self.evictions += 1
-                self._clients[src] = client = OrderedDict()
-            else:
-                self._clients.move_to_end(src)
+            client = self._client(src)
             if reply_port not in client and len(client) >= self.per_client:
                 client.popitem(last=False)
                 self.evictions += 1
@@ -395,11 +395,9 @@ class ObjectServer:
             # Revocation hygiene: when a secret dies (REFRESH, DESTROY,
             # aging) the sealer's §2.4 caches must drop that object's
             # triples, or a replayed sealed blob keeps short-circuiting
-            # decryption with the revoked capability.  The fan-out names
-            # the owning table stripe; the caches compute their own
-            # partition from (port, number).
+            # decryption with the revoked capability.
             self.table.on_revocation(
-                lambda port, number, _generation, _shard: (
+                lambda port, number, _generation: (
                     sealer.invalidate_object(port, number)
                 )
             )

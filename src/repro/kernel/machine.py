@@ -39,6 +39,9 @@ class Machine:
         self.locator = Locator(self.nic, self.rng)
         #: Service announcements heard on the wire: name -> Announcement.
         self.heard_announcements = {}
+        #: ANNOUNCE broadcasts that would not parse, and the last reason.
+        self.announcements_dropped = 0
+        self.last_error = None
         self.nic.on_broadcast(self._on_announce)
         self.memory_server = None
         if with_memory_server:
@@ -104,7 +107,9 @@ class Machine:
             return
         try:
             announcement = Announcement.unpack(frame.message.data)
-        except Exception:
+        except Exception as exc:
+            self.announcements_dropped += 1
+            self.last_error = exc
             return
         self.heard_announcements[announcement.name] = announcement
 

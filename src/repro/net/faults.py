@@ -145,6 +145,8 @@ class FaultPlan:
         self.injected_duplicates = 0
         self.injected_corruptions = 0
         self.corrupt_unparseable = 0
+        self.corrupt_unpackable = 0
+        self.last_error = None
         self.injected_delays = 0
         self.injected_reorders = 0
         self.partition_drops = 0
@@ -160,6 +162,7 @@ class FaultPlan:
             "injected_duplicates": self.injected_duplicates,
             "injected_corruptions": self.injected_corruptions,
             "corrupt_unparseable": self.corrupt_unparseable,
+            "corrupt_unpackable": self.corrupt_unpackable,
             "injected_delays": self.injected_delays,
             "injected_reorders": self.injected_reorders,
             "partition_drops": self.partition_drops,
@@ -308,7 +311,6 @@ class FaultPlan:
             self._link_count(src, dst, "corruptions")
             corrupted = self._corrupt_message(frame.message)
             if corrupted is None:
-                self.corrupt_unparseable += 1
                 return []
             frame = frame._replace(message=corrupted)
         extra = 0.0
@@ -363,7 +365,6 @@ class FaultPlan:
                 self._link_count(src, None, "corruptions")
                 corrupted = self._corrupt_message(frame.message)
                 if corrupted is None:
-                    self.corrupt_unparseable += 1
                     return []
                 frame = frame._replace(message=corrupted)
             extra = 0.0
@@ -382,15 +383,22 @@ class FaultPlan:
             return out
 
     def _corrupt_message(self, message):
-        """Flip one bit of the packed frame; None when it no longer parses."""
+        """Flip one bit of the packed frame.  None — the frame is lost —
+        when the flipped frame no longer parses (``corrupt_unparseable``)
+        or, a sender's bug rather than the wire's noise, when the message
+        would not pack in the first place (``corrupt_unpackable``)."""
         try:
             raw = bytearray(message.pack())
-        except Exception:
+        except Exception as exc:
+            self.corrupt_unpackable += 1
+            self.last_error = exc
             return None
         self._flip(raw)
         try:
             return Message.unpack(bytes(raw))
-        except Exception:
+        except Exception as exc:
+            self.corrupt_unparseable += 1
+            self.last_error = exc
             return None
 
     def _flip(self, raw):

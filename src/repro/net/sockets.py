@@ -14,7 +14,6 @@ the simulator remains the reference for security experiments.
 """
 
 import queue
-import select
 import socket
 import threading
 from collections import deque
@@ -81,14 +80,12 @@ class SocketNode:
       ``flush_every`` pending datagrams, and on ``close``.  Buffering
       changes *when* bytes leave, never *what* leaves — every datagram
       still went through the F-box transform in ``put``.
-    * **Ingress is batched.**  After the blocking receive that starts a
-      pump iteration, the pump drains up to ``recv_batch - 1`` further
-      datagrams non-blocking, dispatches the whole burst, and flushes
-      buffered egress once — so a pipelined client's burst of requests
-      becomes one batch of handler calls and one reply flush, mirroring
-      the egress coalescing on the receive side.  Admission, ordering,
-      and drop behaviour per datagram are identical to one-at-a-time
-      receives.
+    * **A carrier is a batch.**  One pump iteration is one ``recvfrom``:
+      its frames (one, or every inner frame of an ``AB1`` carrier) are
+      dispatched in arrival order — a ``serve_batch`` sink gets its share
+      as one handler call — and buffered egress is flushed once.
+      Admission, ordering, and drop behaviour per frame are those of
+      one-datagram-each receives.
     """
 
     # The :class:`~repro.net.nic.Station` attributes.
@@ -101,17 +98,17 @@ class SocketNode:
     #: virtual ones.
     clock = None
 
-    #: The pump coalesces each recv burst into one delivery, which makes
+    #: The pump delivers each carrier's frames as one batch, which makes
     #: batch dispatch (serve_batch + bulk reply egress) profitable on
     #: this transport.
     supports_batch_serve = True
 
     #: Seconds the pump blocks per receive before checking for shutdown
-    #: and buffered egress; also restored after each non-blocking drain.
+    #: and buffered egress.
     _POLL_INTERVAL = 0.1
 
     def __init__(self, fbox=None, bind_host="127.0.0.1", buffer_egress=False,
-                 flush_every=32, recv_batch=32, faults=None):
+                 flush_every=32, faults=None):
         self.fbox = fbox or FBox()
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind((bind_host, 0))
@@ -126,7 +123,6 @@ class SocketNode:
             self._sendto = faulty_sendto(self._sock.sendto, faults)
         else:
             self._sendto = self._sock.sendto
-        self.recv_batch = recv_batch
         self.address = self._sock.getsockname()
         #: Wire port -> SimpleQueue | handler | _BatchSink (class docstring).
         self._sinks = {}
@@ -458,7 +454,7 @@ class SocketNode:
     def serve_batch(self, port, batch_handler):
         """Register a *batch* request handler; it runs on the pump thread.
 
-        Each pump iteration's ingress burst for this port arrives as one
+        Each received carrier's frames for this port arrive as one
         ``batch_handler(frames)`` call (arrival order preserved), so a
         pipelined client's 16 requests cost one dispatch preamble and —
         with :meth:`put_owned_unicast_bulk` — one reply burst.  Backlog
@@ -519,10 +515,9 @@ class SocketNode:
         QueueType = queue.SimpleQueue
         sock = self._sock
         unpack = Message.unpack
-        batch = []
         while not self._closed.is_set():
             try:
-                batch.append(sock.recvfrom(MAX_DATAGRAM + 1))
+                datagram, src = sock.recvfrom(MAX_DATAGRAM + 1)
             except socket.timeout:
                 # Idle tick: anything a handler buffered since the last
                 # datagram still has to leave the machine.
@@ -531,46 +526,27 @@ class SocketNode:
                 continue
             except OSError:
                 break
-            # Drain whatever else has already arrived, without blocking:
-            # a zero-timeout select probes readability (the timeout is a
-            # socket-wide attribute shared with concurrent senders, so
-            # toggling it here would turn their blocking sendto calls
-            # into spurious BlockingIOErrors), and a readable socket
-            # makes the recvfrom return at once.  The burst a pipelined
-            # client or a coalescing sender put on the wire is dispatched
-            # as one batch with one egress flush at the end.
-            limit = self.recv_batch
-            if limit > 1:
-                try:
-                    while (
-                        len(batch) < limit
-                        and select.select([sock], [], [], 0)[0]
-                    ):
-                        batch.append(sock.recvfrom(MAX_DATAGRAM + 1))
-                except OSError:
-                    pass  # socket closing mid-drain; outer loop notices
-            # Split aggregate carriers back into individual frames; each
+            # Split an aggregate carrier back into individual frames; each
             # inner frame then takes the identical unpack/admission path
             # a plain datagram takes.  A truncated carrier tail is
             # dropped like any other garbage datagram.
-            expanded = []
-            for raw, src in batch:
-                if raw[:_AGG_HEADER] != _AGG_MAGIC:
-                    expanded.append((raw, src))
-                    continue
+            if datagram[:_AGG_HEADER] != _AGG_MAGIC:
+                expanded = [datagram]
+            else:
+                expanded = []
                 pos = _AGG_HEADER
-                end = len(raw)
+                end = len(datagram)
                 while pos + 4 <= end:
-                    flen = int.from_bytes(raw[pos:pos + 4], "big")
+                    flen = int.from_bytes(datagram[pos:pos + 4], "big")
                     pos += 4
                     if pos + flen > end:
                         break
-                    expanded.append((raw[pos:pos + flen], src))
+                    expanded.append(datagram[pos:pos + flen])
                     pos += flen
             admitted = 0
             batch_runs = None
             faults = self.faults
-            for raw, src in expanded:
+            for raw in expanded:
                 if (faults is not None and faults.has_partitions
                         and faults.link_severed(src, None)):
                     # Ingress half of a severed link: the plan only sees
@@ -608,7 +584,7 @@ class SocketNode:
                     continue
                 # One lookup decides admission and delivery — made per
                 # datagram, so a listen() a handler just made admits
-                # later datagrams of the same batch.
+                # later frames of the same carrier.
                 sink = self._sinks.get(message.dest)
                 if sink is None:
                     # Frames for ports nobody GETs here go to the
@@ -629,7 +605,7 @@ class SocketNode:
                 if kind is QueueType:
                     sink.put(frame)
                 elif kind is _BatchSink:
-                    # Coalesce this burst's frames into one handler call.
+                    # Coalesce this carrier's frames into one handler call.
                     if batch_runs is None:
                         batch_runs = {}
                     run = batch_runs.get(sink)
@@ -649,7 +625,6 @@ class SocketNode:
                         sink.batch(frames)
                     except Exception as exc:
                         self._handler_failed(exc)
-            batch.clear()
             self.received += admitted
             # Replies the handlers buffered go out with this iteration.
             if self._egress:

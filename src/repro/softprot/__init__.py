@@ -8,7 +8,9 @@ the full §2.4 stack:
 * :mod:`~repro.softprot.matrix` — the conceptual key matrix M and the
   capability sealer that encrypts capabilities per (source, destination);
 * :mod:`~repro.softprot.cache` — the hashed capability caches that avoid
-  re-running the cipher on every message;
+  re-running the cipher on every message: one bounded LRU map under one
+  lock each, with an exact per-object index so revocation drops one
+  object's triples without a sweep;
 * :mod:`~repro.softprot.boot` — the public-key bootstrap that a freshly
   booted machine uses to establish matrix keys and authenticate servers;
 * :mod:`~repro.softprot.linkcrypt` — the link-level-encryption
@@ -20,7 +22,6 @@ from repro.softprot.cache import (
     ClientCapabilityCache,
     LruCache,
     ServerCapabilityCache,
-    ShardedLruCache,
 )
 from repro.softprot.linkcrypt import LinkCryptNode
 from repro.softprot.matrix import CapabilitySealer, KeyMatrix, MachineKeyView
@@ -35,5 +36,4 @@ __all__ = [
     "LruCache",
     "MachineKeyView",
     "ServerCapabilityCache",
-    "ShardedLruCache",
 ]

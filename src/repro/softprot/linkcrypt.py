@@ -41,6 +41,9 @@ class LinkCryptNode:
         self.nic = nic
         self.rng = rng or RandomSource()
         self._line_keys = {}
+        #: Line carriers that would not decrypt, and the last reason.
+        self.line_drops = 0
+        self.last_error = None
         #: The secret this node's link endpoint listens on.
         self.link_port = PrivatePort.generate(self.rng)
         nic.serve(self.link_port, self._receive_carrier)
@@ -88,8 +91,11 @@ class LinkCryptNode:
         _, cipher = entry
         try:
             inner = Message.unpack(cipher.decrypt(frame.message.data))
-        except Exception:
-            return  # wrong key or corrupted line traffic: drop, like hardware
+        except Exception as exc:
+            # Wrong key or corrupted line traffic: drop, like hardware.
+            self.line_drops += 1
+            self.last_error = exc
+            return
         # Re-inject through the normal admission path so listeners,
         # handlers, and RPC behave exactly as on a plaintext segment.
         self.nic.accept(Frame(src=frame.src, dst_machine=None, message=inner))

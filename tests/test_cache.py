@@ -1,5 +1,8 @@
 """Tests for the LRU capability caches of §2.4."""
 
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
 from repro.core.capability import Capability
 from repro.core.ports import Port
 from repro.core.rights import Rights
@@ -102,10 +105,10 @@ class TestCapabilityCaches:
 
 class TestConcurrency:
     def test_evictions_race_request_path_safely(self):
-        """Regression: revocation (evict_where) fires from the table's
+        """Regression: revocation (forget_object) fires from the table's
         calling thread while the request path keeps hitting get/put on
         the same cache — the OrderedDict must be locked, or eviction
-        iterates a dict another thread is resizing."""
+        relinks a dict another thread is resizing."""
         import threading
 
         cache = ServerCapabilityCache(max_entries=256)
@@ -140,93 +143,24 @@ class TestConcurrency:
         assert not rev.is_alive() and not req.is_alive()
 
 
-class TestShardedLruCache:
-    def test_basic_map_surface(self):
-        from repro.softprot.cache import ShardedLruCache
-
-        cache = ShardedLruCache(max_entries=512, shards=8)
-        for i in range(40):
-            cache.put("key-%d" % i, i)
-        assert len(cache) == 40
-        assert cache.get("key-7") == 7
-        assert "key-7" in cache and "missing" not in cache
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_shard_count_must_be_power_of_two(self):
-        import pytest
-
-        from repro.softprot.cache import ShardedLruCache
-
-        with pytest.raises(ValueError):
-            ShardedLruCache(shards=6)
-        with pytest.raises(ValueError):
-            ShardedLruCache(shards=0)
-        with pytest.raises(ValueError):
-            ShardedLruCache(max_entries=0)
-
-    def test_stats_aggregate_across_shards(self):
-        from repro.softprot.cache import ShardedLruCache
-
-        cache = ShardedLruCache(max_entries=64, shards=4)
-        for i in range(20):
-            cache.put(i, i)
-        hits = sum(1 for i in range(20) if cache.get(i) is not None)
-        misses = sum(1 for i in range(100, 110) if cache.get(i) is None)
-        assert cache.stats() == (hits, misses) == (20, 10)
-        assert cache.hits == 20 and cache.misses == 10
-        assert cache.hit_rate == 20 / 30
-
-    def test_capacity_is_split_per_stripe(self):
-        from repro.softprot.cache import ShardedLruCache
-
-        cache = ShardedLruCache(max_entries=16, shards=4)
-        for i in range(200):
-            cache.put(i, i)
-        assert len(cache) <= 16
-
-
-class TestShardedClientCache:
-    def test_forget_object_sweeps_only_the_owning_stripe(self):
-        cache = ClientCapabilityCache(max_entries=256, shards=8)
-        # Two objects guaranteed to live on different stripes.
-        a, b = 0, 1
-        while cache._object_shard(Port(1), a) == cache._object_shard(Port(1), b):
-            b += 1
-        for dst in range(5):
-            cache.remember(cap(a), dst, b"sealed-a-%d" % dst)
-            cache.remember(cap(b), dst, b"sealed-b-%d" % dst)
-        # Foreign stripes must not even be visited, let alone swept.
-        owning = cache._object_shard(Port(1), a)
-        for index, shard in enumerate(cache._shards):
-            if index != owning:
-                shard.evict_where = _must_not_be_called
-        assert cache.forget_object(Port(1), a) == 5
-        for index, shard in enumerate(cache._shards):
-            if index != owning:
-                del shard.evict_where  # restore the class method
-        assert cache.lookup(cap(a), 0) is None
-        assert cache.lookup(cap(b), 0) == b"sealed-b-0"
-
-    def test_triples_for_one_object_colocate(self):
-        cache = ClientCapabilityCache(max_entries=256, shards=8)
-        for dst in range(10):
-            cache.remember(cap(3), dst, b"s%d" % dst)
-        indices = {
-            cache.shard_index((cap(3), dst)) for dst in range(10)
-        }
-        assert len(indices) == 1
-
-
-def _must_not_be_called(predicate):  # pragma: no cover - failure path
-    raise AssertionError("swept a stripe that does not own the object")
+def index_mirrors_map(cache):
+    """The per-object index is exact: the same keys as the map, each
+    filed under its own capability's (port, object), no empty set."""
+    filed = set().union(*cache._keys_of.values())
+    assert filed == set(cache._entries)
+    for owner, keys in cache._keys_of.items():
+        assert keys
+        for key in keys:
+            value = cache._entries[key]
+            capability = key[0] if cache._capability_in_key else value
+            assert (capability.port, capability.object) == owner
 
 
 class TestShardedServerCache:
     def test_forget_object_uses_stripe_hints(self):
-        cache = ServerCapabilityCache(max_entries=256, shards=8)
-        # Spread object 5's triples over several stripes (placement is by
-        # sealed-blob hash), then forget: every one must go.
+        # (Id kept from the striped cache.)  Object 5's triples have
+        # unrelated ciphertext keys; the index finds every one.
+        cache = ServerCapabilityCache(max_entries=256)
         for src in range(12):
             cache.remember(b"sealed-5-%d" % src, src, cap(5))
         for src in range(12):
@@ -239,18 +173,33 @@ class TestShardedServerCache:
             cache.lookup(b"sealed-9-%d" % src, src) == cap(9)
             for src in range(12)
         )
-        # The hint was consumed: a second forget knows there is nothing.
+        # The index entry was consumed: a second forget finds nothing.
         assert cache.forget_object(Port(1), 5) == 0
+        index_mirrors_map(cache)
 
     def test_forget_object_without_hints_still_correct(self):
-        # A tiny hint limit forces the degraded sweep-every-stripe mode.
-        cache = ServerCapabilityCache(max_entries=1, shards=2)
+        # (Id kept.)  LRU displacement leaves an exact index: the eight
+        # displaced objects are gone from it, not left as stale entries.
+        cache = ServerCapabilityCache(max_entries=1)
         for n in range(8):
             cache.remember(b"sealed-%d" % n, 0, cap(n))
-        assert not cache._hints_complete
         cache.remember(b"sealed-last", 0, cap(42))
+        assert cache._keys_of == {(Port(1), 42): {(b"sealed-last", 0)}}
+        assert cache.forget_object(Port(1), 7) == 0  # displaced earlier
         assert cache.forget_object(Port(1), 42) == 1
         assert cache.lookup(b"sealed-last", 0) is None
+        assert not cache._keys_of and len(cache) == 0
+
+    def test_overwrite_refiles_under_the_new_object(self):
+        # One sealed blob re-learned as a different object's capability:
+        # the old object's index entry must not keep pointing at it.
+        cache = ServerCapabilityCache(max_entries=4)
+        cache.remember(b"blob", 0, cap(1))
+        cache.remember(b"blob", 0, cap(2))
+        index_mirrors_map(cache)
+        assert cache.forget_object(Port(1), 1) == 0
+        assert cache.lookup(b"blob", 0) == cap(2)
+        assert cache.forget_object(Port(1), 2) == 1
 
 
 class TestShardedConcurrency:
@@ -260,8 +209,8 @@ class TestShardedConcurrency:
         triples and never disturb a neighbour's."""
         import threading
 
-        client_cache = ClientCapabilityCache(max_entries=1024, shards=8)
-        server_cache = ServerCapabilityCache(max_entries=1024, shards=8)
+        client_cache = ClientCapabilityCache(max_entries=1024)
+        server_cache = ServerCapabilityCache(max_entries=1024)
         n_threads = 8
         rounds = 150
         barrier = threading.Barrier(n_threads)
@@ -295,20 +244,92 @@ class TestShardedConcurrency:
             t.join(timeout=60.0)
         assert not errors
         assert not any(t.is_alive() for t in threads)
+        index_mirrors_map(client_cache)
+        index_mirrors_map(server_cache)
 
 
 class TestServerCacheClear:
     def test_clear_resets_hints_and_undegrades(self):
-        """Regression: clear() must wipe the hint table too — stale
-        hints both leak memory and push the table toward permanent
-        sweep-every-stripe degradation."""
-        cache = ServerCapabilityCache(max_entries=1, shards=2)
+        """(Id kept.)  clear() must empty the index with the map — a
+        stale index entry would leak and name keys no longer cached."""
+        cache = ServerCapabilityCache(max_entries=4)
         for n in range(8):
             cache.remember(b"sealed-%d" % n, 0, cap(n))
-        assert not cache._hints_complete  # degraded by the tiny limit
         cache.clear()
         assert len(cache) == 0
-        assert cache._hints_complete and not cache._hints
+        assert not cache._keys_of
         cache.remember(b"fresh", 0, cap(3))
         assert cache.forget_object(Port(1), 3) == 1
-        assert cache.forget_object(Port(1), 3) == 0  # hint consumed
+        assert cache.forget_object(Port(1), 3) == 0  # index entry consumed
+
+
+class CapabilityCacheMachine(RuleBasedStateMachine):
+    """remember / lookup / forget_object / clear on a tiny cache against
+    a naive model: an insertion-ordered dict trimmed from the old end,
+    with forget_object as the O(entries) sweep the index replaces."""
+
+    cache_cls = None  # set by the two subclasses below
+
+    def __init__(self):
+        super().__init__()
+        self.cache = self.cache_cls(max_entries=3)
+        self.model = {}  # key -> (value, capability), oldest first
+
+    def _triple(self, number, machine, blob):
+        capability = cap(number)
+        sealed = b"sealed-%d" % blob
+        if self.cache_cls is ClientCapabilityCache:
+            return (capability, machine), sealed, capability
+        return (sealed, machine), capability, capability
+
+    @rule(number=st.integers(0, 3), machine=st.integers(0, 2),
+          blob=st.integers(0, 3))
+    def remember(self, number, machine, blob):
+        key, value, capability = self._triple(number, machine, blob)
+        self.cache.remember(key[0], key[1], value)
+        self.model.pop(key, None)
+        self.model[key] = (value, capability)
+        while len(self.model) > 3:
+            del self.model[next(iter(self.model))]
+
+    @rule(number=st.integers(0, 3), machine=st.integers(0, 2),
+          blob=st.integers(0, 3))
+    def lookup(self, number, machine, blob):
+        key, _, _ = self._triple(number, machine, blob)
+        expected = self.model.get(key)
+        assert self.cache.lookup(*key) == (expected and expected[0])
+        if expected is not None:
+            self.model[key] = self.model.pop(key)  # now most recent
+
+    @rule(number=st.integers(0, 3))
+    def forget_object(self, number):
+        doomed = [key for key, (_, capability) in self.model.items()
+                  if capability.object == number]
+        for key in doomed:
+            del self.model[key]
+        assert self.cache.forget_object(Port(1), number) == len(doomed)
+
+    @rule()
+    def clear(self):
+        self.cache.clear()
+        self.model.clear()
+
+    @invariant()
+    def index_and_map_agree_with_the_model(self):
+        index_mirrors_map(self.cache)
+        assert len(self.cache) <= self.cache.max_entries
+        assert list(self.cache._entries.items()) == [
+            (key, value) for key, (value, _) in self.model.items()
+        ]
+
+
+class ClientCacheMachine(CapabilityCacheMachine):
+    cache_cls = ClientCapabilityCache
+
+
+class ServerCacheMachine(CapabilityCacheMachine):
+    cache_cls = ServerCapabilityCache
+
+
+TestClientCacheAgainstModel = ClientCacheMachine.TestCase
+TestServerCacheAgainstModel = ServerCacheMachine.TestCase

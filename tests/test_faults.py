@@ -245,6 +245,25 @@ class TestCorruption:
         total = plan.injected_corruptions
         assert plan.corrupt_unparseable <= total
 
+    def test_frame_that_will_not_pack_is_counted_apart(self):
+        """A message that cannot be serialised is the sender's bug, not
+        wire noise: the frame is lost like any unparseable one, but on
+        its own counter, with the reason kept."""
+        from repro.net.network import Frame
+
+        plan = FaultPlan(seed=1, corrupt=1.0)
+        # Sealed and plaintext capabilities at once: pack() refuses.
+        unpackable = Message(sealed_caps=b"blob", extra_caps=(object(),))
+        assert plan.apply(Frame(src=1, dst_machine=2, message=unpackable)) == []
+        assert plan.apply_broadcast(
+            Frame(src=1, dst_machine=None, message=unpackable)) == []
+        assert plan.corrupt_unpackable == 2
+        assert plan.corrupt_unparseable == 0
+        assert plan.stats()["corrupt_unpackable"] == 2
+        assert plan.last_error is not None
+        plan.reset_stats()
+        assert plan.corrupt_unpackable == 0 and plan.last_error is None
+
     def test_corrupted_capability_never_validates(self):
         """Fuzz over seeded plans: a single-bit flip in the validated
         capability region must never produce a status-0 reply."""
@@ -311,7 +330,7 @@ class TestStats:
         assert set(plan.stats()) == {
             "frames_seen", "injected_drops", "injected_duplicates",
             "injected_corruptions", "corrupt_unparseable",
-            "injected_delays", "injected_reorders",
+            "corrupt_unpackable", "injected_delays", "injected_reorders",
             "partition_drops", "by_link",
         }
 

@@ -74,6 +74,10 @@ class TestConfidentiality:
         wire = b.nic.listen(g)
         a.put(Message(dest=wire, data=b"x"), dst_machine=b.nic.address)
         assert b.nic.poll(g) is None
+        # Dropped like hardware would, but counted, with the reason kept.
+        assert b.line_drops == 1
+        assert b.last_error is not None
+        assert a.line_drops == 0
 
     def test_carrier_from_unknown_machine_ignored(self, linked):
         net, a, b = linked

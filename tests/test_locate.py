@@ -231,13 +231,14 @@ class TestLocatedUnicast:
 
 
 class TestShardedLocationCache:
-    """The locate cache is a sharded read-mostly map: lock-free reads,
-    stripe-local writes and invalidations."""
+    """(Id kept from the striped cache.)  The locate cache is one
+    read-mostly map: lock-free reads, writes and invalidations under
+    one lock, one invalidation epoch."""
 
     def test_put_get_invalidate(self):
-        from repro.ipc.locate import ShardedLocationCache
+        from repro.ipc.locate import LocationCache
 
-        cache = ShardedLocationCache(shards=8)
+        cache = LocationCache()
         ports = [Port(1000 + i) for i in range(32)]
         for i, port in enumerate(ports):
             cache.put(port, i)
@@ -246,33 +247,49 @@ class TestShardedLocationCache:
         cache.invalidate(ports[5])
         assert cache.get(ports[5]) is None
         assert len(cache) == 31
-        # Neighbours — same stripe or not — are untouched.
-        assert cache.get(ports[5 + 8]) == 13  # same stripe (value & mask)
+        # Neighbours are untouched.
+        assert cache.get(ports[5 + 8]) == 13
         assert cache.get(ports[6]) == 6
 
-    def test_shard_count_must_be_power_of_two(self):
-        from repro.ipc.locate import ShardedLocationCache
+    def test_any_invalidation_refuses_an_older_snapshot(self, world):
+        """One epoch for the whole table: a put carrying a snapshot taken
+        before an invalidation of a *different* port is refused — and the
+        locate that raced it still returns its answer, uncached."""
+        from repro.ipc.locate import LocationCache
 
-        with pytest.raises(ValueError):
-            ShardedLocationCache(shards=5)
+        cache = LocationCache()
+        epoch = cache.epoch
+        cache.invalidate(Port(8))
+        assert cache.put(Port(7), 99, epoch=epoch) is False
+        assert cache.get(Port(7)) is None
+        assert cache.put(Port(7), 99, epoch=cache.epoch) is True
+
+        net, server_nic, wire, locator = world
+        bystander = Nic(net)
+        # A crash elsewhere is detected while the broadcast is in flight.
+        bystander.on_broadcast(lambda frame: locator.invalidate(Port(8)))
+        assert locator.locate(wire) == server_nic.address
+        assert locator.cache.get(wire) is None
+        assert locator.locate(wire) == server_nic.address  # asks again
+        assert (locator.hits, locator.misses) == (0, 2)
 
     def test_contains_and_clear(self):
-        from repro.ipc.locate import ShardedLocationCache
+        from repro.ipc.locate import LocationCache
 
-        cache = ShardedLocationCache(shards=4)
+        cache = LocationCache()
         cache.put(Port(7), 1)
         assert Port(7) in cache and Port(8) not in cache
         cache.clear()
         assert len(cache) == 0 and Port(7) not in cache
 
     def test_concurrent_readers_and_invalidators(self):
-        """Read-mostly discipline: lock-free gets race stripe-locked
+        """Read-mostly discipline: lock-free gets race locked
         puts/invalidations without errors or wrong answers."""
         import threading
 
-        from repro.ipc.locate import ShardedLocationCache
+        from repro.ipc.locate import LocationCache
 
-        cache = ShardedLocationCache(shards=8)
+        cache = LocationCache()
         ports = [Port(2000 + i) for i in range(64)]
         for i, port in enumerate(ports):
             cache.put(port, i)

@@ -72,3 +72,7 @@ class TestAnnouncements:
         sender = Machine(net, rng=RandomSource(seed=2))
         sender.nic.put_broadcast(Message(command=ANNOUNCE, data=b"\xff"))
         assert listener.heard_announcements == {}
+        # Dropped, but counted, with the parse error kept.
+        assert listener.announcements_dropped == 1
+        assert listener.last_error is not None
+        assert sender.announcements_dropped == 0

@@ -211,7 +211,7 @@ class TestRevokeThenReplay:
         )
         # Mirror ObjectServer's wiring: the table announces dead secrets.
         table.on_revocation(
-            lambda port, number, _gen, _shard: server.invalidate_object(
+            lambda port, number, _gen: server.invalidate_object(
                 port, number
             )
         )
@@ -244,7 +244,7 @@ class TestRevokeThenReplay:
             default_lifetime=1,
         )
         table.on_revocation(
-            lambda port, number, _gen, _shard: server.invalidate_object(
+            lambda port, number, _gen: server.invalidate_object(
                 port, number
             )
         )

@@ -380,14 +380,15 @@ class TestSharding:
 
     def test_revocation_callback_carries_shard_index(self, table):
         seen = []
+        # (Id kept.)  The hook names the object, not its table stripe.
         table.on_revocation(
-            lambda port, number, generation, shard: seen.append(
-                (port, number, generation, shard)
+            lambda port, number, generation: seen.append(
+                (port, number, generation)
             )
         )
         cap = table.create("x")
         table.refresh(cap)
-        assert seen == [(PORT, cap.object, 1, table.shard_of(cap.object))]
+        assert seen == [(PORT, cap.object, 1)]
 
     def test_age_expiry_carries_shard_index(self):
         table = ObjectTable(
@@ -397,14 +398,15 @@ class TestSharding:
             default_lifetime=1,
         )
         seen = []
+        # (Id kept.)  One callback per expired object, from any stripe.
         table.on_revocation(
-            lambda _port, number, _gen, shard: seen.append((number, shard))
+            lambda port, number, generation: seen.append(
+                (port, number, generation)
+            )
         )
         caps = [table.create(i) for i in range(20)]
         table.age()
-        assert sorted(seen) == sorted(
-            (c.object, table.shard_of(c.object)) for c in caps
-        )
+        assert sorted(seen) == sorted((PORT, c.object, 0) for c in caps)
 
 
 class TestVerifiedMemo:
@@ -650,11 +652,11 @@ class TestRevocationFanOutSharded:
         matrix = KeyMatrix(rng=RandomSource(seed=57))
         client = CapabilitySealer(
             matrix.view(1),
-            client_cache=ClientCapabilityCache(max_entries=1024, shards=8),
+            client_cache=ClientCapabilityCache(max_entries=1024),
         )
         server = CapabilitySealer(
             matrix.view(2),
-            server_cache=ServerCapabilityCache(max_entries=1024, shards=8),
+            server_cache=ServerCapabilityCache(max_entries=1024),
         )
         table = ObjectTable(
             scheme_by_name("xor-oneway"), PORT, rng=RandomSource(seed=58)
@@ -662,7 +664,7 @@ class TestRevocationFanOutSharded:
         # Mirror the full wiring: the server purges its own caches via the
         # table hook; the client purges on learning of the revocation.
         table.on_revocation(
-            lambda port, number, _gen, _shard: (
+            lambda port, number, _gen: (
                 server.invalidate_object(port, number),
                 client.invalidate_object(port, number),
             )
@@ -716,10 +718,10 @@ class TestRevocationFanOutSharded:
 
         matrix = KeyMatrix(rng=RandomSource(seed=59))
         client = CapabilitySealer(
-            matrix.view(1), client_cache=ClientCapabilityCache(shards=8)
+            matrix.view(1), client_cache=ClientCapabilityCache()
         )
         sealer = CapabilitySealer(
-            matrix.view(2), server_cache=ServerCapabilityCache(shards=8)
+            matrix.view(2), server_cache=ServerCapabilityCache()
         )
         table = ObjectTable(
             scheme_by_name("xor-oneway"),
@@ -728,7 +730,7 @@ class TestRevocationFanOutSharded:
             default_lifetime=2,
         )
         table.on_revocation(
-            lambda port, number, _gen, _shard: sealer.invalidate_object(
+            lambda port, number, _gen: sealer.invalidate_object(
                 port, number
             )
         )

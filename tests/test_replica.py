@@ -24,7 +24,7 @@ from repro.errors import (
 )
 from repro.ipc import stdops
 from repro.ipc.client import ServiceClient
-from repro.ipc.locate import Locator, ShardedLocationCache
+from repro.ipc.locate import LocationCache, Locator
 from repro.ipc.replica import (
     RENDEZVOUS,
     ROUND_ROBIN,
@@ -344,38 +344,38 @@ class TestApplyRevocation:
 
 class TestLocationCacheEpochs:
     def test_put_with_stale_epoch_is_discarded(self):
-        cache = ShardedLocationCache(shards=4)
+        cache = LocationCache()
         port = Port(7)
-        epoch = cache.epoch(port)
+        epoch = cache.epoch
         cache.invalidate(port)  # crash detected while locate in flight
         assert cache.put(port, 99, epoch=epoch) is False
         assert cache.get(port) is None
 
     def test_put_with_current_epoch_lands(self):
-        cache = ShardedLocationCache(shards=4)
+        cache = LocationCache()
         port = Port(7)
-        assert cache.put(port, 99, epoch=cache.epoch(port)) is True
+        assert cache.put(port, 99, epoch=cache.epoch) is True
         assert cache.get(port) == 99
 
     def test_invalidate_member_keeps_survivors_and_bumps_epoch(self):
-        cache = ShardedLocationCache(shards=4)
+        cache = LocationCache()
         port = Port(3)
         cache.put(port, ReplicaSet([1, 2, 3]))
-        epoch = cache.epoch(port)
+        epoch = cache.epoch
         assert cache.invalidate_member(port, 2) is True
         assert list(cache.get(port)) == [1, 3]
-        assert cache.epoch(port) == epoch + 1
+        assert cache.epoch == epoch + 1
         assert cache.invalidate_member(port, 2) is False
 
     def test_invalidate_last_member_drops_mapping(self):
-        cache = ShardedLocationCache(shards=4)
+        cache = LocationCache()
         port = Port(3)
         cache.put(port, ReplicaSet([1]))
         assert cache.invalidate_member(port, 1) is True
         assert cache.get(port) is None
 
     def test_invalidate_member_on_single_machine_mapping(self):
-        cache = ShardedLocationCache(shards=4)
+        cache = LocationCache()
         port = Port(3)
         cache.put(port, 42)
         assert cache.invalidate_member(port, 41) is False
@@ -388,7 +388,7 @@ class TestLocationCacheEpochs:
         round trip is in flight*, then the locate's put arrives.  The
         put must lose — a resurrected mapping would point every
         subsequent send at the dead machine."""
-        cache = ShardedLocationCache(shards=2)
+        cache = LocationCache()
         port = Port(11)
         rounds = 200
         resurrections = []
@@ -398,7 +398,7 @@ class TestLocationCacheEpochs:
 
         def locator_side():
             for _ in range(rounds):
-                epoch = cache.epoch(port)  # snapshot, then "broadcast"
+                epoch = cache.epoch  # snapshot, then "broadcast"
                 snapshotted.wait()
                 invalidated.wait()         # crash detected in between
                 stored = cache.put(port, "stale-machine", epoch=epoch)
@@ -889,15 +889,18 @@ class TestReplicaPoolUDP:
             pool.stop()
 
 
-class _SecondChildFails(ReplicaObjectServer):
-    """Raises in whichever forked child is second to build its server."""
+class _ThirdChildFails(ReplicaObjectServer):
+    """Raises in whichever forked child is *last* of three to build its
+    server: the parent tears every child down the moment it hears EOF
+    from the failing one, so only a failure in the last builder leaves
+    the count below a fact rather than a race."""
 
     built = None  # a multiprocessing.Value, shared across the forks
 
     def __init__(self, *args, **kwargs):
         with self.built.get_lock():
             self.built.value += 1
-            if self.built.value == 2:
+            if self.built.value == 3:
                 raise RuntimeError("this replica cannot start")
         super().__init__(*args, **kwargs)
 
@@ -911,11 +914,11 @@ class TestForkedPoolThatCannotStart:
         import multiprocessing
         import time
 
-        _SecondChildFails.built = multiprocessing.Value("i", 0)
+        _ThirdChildFails.built = multiprocessing.Value("i", 0)
         began = time.monotonic()
         with pytest.raises(RuntimeError, match=r"replica \d did not send"):
-            ReplicatedObjectServer(replicas=3, server_cls=_SecondChildFails)
+            ReplicatedObjectServer(replicas=3, server_cls=_ThirdChildFails)
         assert time.monotonic() - began < 8.0
-        assert _SecondChildFails.built.value == 3  # two of them did start
+        assert _ThirdChildFails.built.value == 3  # two of them did start
         assert multiprocessing.active_children() == []
 

@@ -157,10 +157,10 @@ class TestSocketTransport:
             assert got == [b"w0", b"w1", b"w2"]
 
     def test_recv_batch_round_trip(self, nodes):
-        """A burst larger than one recv batch is drained, dispatched, and
-        answered over the real loopback wire."""
+        """(Id kept.)  A burst of 50 lone datagrams — one pump iteration
+        each, no carrier — round-trips in order over the real loopback
+        wire."""
         server, client = nodes(), nodes()
-        assert server.recv_batch > 1  # batching is on by default
         g = PrivatePort(9)
 
         def handler(frame):
@@ -168,19 +168,19 @@ class TestSocketTransport:
                        dst_machine=frame.src)
 
         wire = server.serve(g, handler)
-        n = server.recv_batch + 18  # spans at least two ingress batches
+        n = 50
         reply_secret = PrivatePort(777)
         reply_wire = client.listen(reply_secret)
         for i in range(n):
             client.put(Message(dest=wire, reply=Port(reply_secret.secret),
                                data=b"m%03d" % i),
                        dst_machine=server.address)
-        got = set()
+        got = []
         for _ in range(n):
             frame = client.poll_wire(reply_wire, timeout=5.0)
             assert frame is not None
-            got.add(frame.message.data)
-        assert got == {(b"m%03d" % i)[::-1] for i in range(n)}
+            got.append(frame.message.data)
+        assert got == [(b"m%03d" % i)[::-1] for i in range(n)]
 
     def test_put_owned_bulk_aggregates(self, nodes):
         """A bulk burst travels in aggregate carriers yet every inner
