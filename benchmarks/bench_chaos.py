@@ -10,12 +10,13 @@ seed, runs **twice**, and the two result dicts (trace included) must be
 bit-identical — the determinism-by-double-run contract every DES
 harness in this repo shares.
 
-Workloads (stable keys in ``BENCH_throughput.json``)
-----------------------------------------------------
+Arms (keys in ``BENCH_invariants.json``)
+----------------------------------------
 ``chaos_matrix``
     The seeded scenario matrix: 7 families x 2-3 seeds = 20 scenarios,
     every invariant checked continuously and at quiesce, zero
-    violations tolerated, every scenario deterministic by double run.
+    violations tolerated, every scenario deterministic by double run
+    and hashing to its line of ``chaos_digests.json``.
 ``chaos_partition_disciplines``
     The partition primitive demonstrated on all three delivery
     disciplines (synchronous, deferred event loop, DES): a transaction
@@ -57,28 +58,32 @@ Scenario families
 import hashlib
 import json
 import os
-import sys
 
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import PermissionDenied, RPCTimeout
+from repro.ipc.rpc import trans
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
+from repro.net.faults import FaultPlan
 from repro.net.message import Message
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
-
-
-def _chaos_api():
-    """The chaos-engine API, or None on source trees that predate it."""
-    try:
-        from repro.net.faults import FaultPlan
-
-        if not hasattr(FaultPlan, "sever"):
-            return None
-        from repro.testing import chaos
-    except ImportError:
-        return None
-    return chaos
+from repro.net.sched import LatencyModel, VirtualClock
+from repro.testing.chaos import (
+    CMD_GET,
+    CMD_INCR,
+    RIGHT_READ,
+    RIGHT_WRITE,
+    STANDARD_INVARIANTS,
+    ScenarioRunner,
+    acked_implies_executed,
+    conservation,
+    durability,
+    effectively_once,
+    no_intruder_executions,
+    no_lost_authority,
+    no_phantom_authority,
+)
 
 
 # ----------------------------------------------------------------------
@@ -87,13 +92,6 @@ def _chaos_api():
 
 
 def _scn_partition_revocation_fanout(seed):
-    from repro.testing.chaos import (
-        STANDARD_INVARIANTS,
-        ScenarioRunner,
-        no_lost_authority,
-        no_phantom_authority,
-    )
-
     r = ScenarioRunner("partition_revocation_fanout", seed)
     old_cap = r.capability
     state = {"fresh": None}
@@ -113,8 +111,6 @@ def _scn_partition_revocation_fanout(seed):
 
 
 def _scn_kill_primary_mid_storm(seed):
-    from repro.testing.chaos import STANDARD_INVARIANTS, ScenarioRunner
-
     r = ScenarioRunner("kill_primary_mid_storm", seed, client_timeout=0.8)
     r.at(0.20, "burst", lambda: r.burst(r.client_machine, drop=0.3))
     r.at(0.30, "kill_r0", lambda: r.kill_replica(0))
@@ -127,13 +123,6 @@ def _scn_kill_primary_mid_storm(seed):
 
 
 def _scn_asymmetric_partition(seed):
-    from repro.testing.chaos import (
-        STANDARD_INVARIANTS,
-        ScenarioRunner,
-        acked_implies_executed,
-        effectively_once,
-    )
-
     r = ScenarioRunner("asymmetric_partition", seed, client_timeout=0.6)
 
     def cut_ack_path():
@@ -153,13 +142,6 @@ def _scn_asymmetric_partition(seed):
 
 
 def _scn_power_fail_during_partition(seed):
-    from repro.testing.chaos import (
-        ScenarioRunner,
-        conservation,
-        durability,
-        effectively_once,
-    )
-
     r = ScenarioRunner("power_fail_during_partition", seed,
                        replicas=1, durable=True, client_timeout=0.6,
                        retry_attempts=2)
@@ -178,14 +160,6 @@ def _scn_power_fail_during_partition(seed):
 
 
 def _scn_intruder_replay_mid_partition(seed):
-    from repro.testing.chaos import (
-        STANDARD_INVARIANTS,
-        ScenarioRunner,
-        no_intruder_executions,
-        no_lost_authority,
-        no_phantom_authority,
-    )
-
     r = ScenarioRunner("intruder_replay_mid_partition", seed)
     old_cap = r.capability
     state = {"fresh": None}
@@ -206,16 +180,6 @@ def _scn_intruder_replay_mid_partition(seed):
 
 
 def _scn_delegation_chain(seed):
-    from repro.testing.chaos import (
-        CMD_GET,
-        CMD_INCR,
-        RIGHT_READ,
-        RIGHT_WRITE,
-        STANDARD_INVARIANTS,
-        ScenarioRunner,
-        no_lost_authority,
-    )
-
     r = ScenarioRunner("delegation_chain", seed)
     alice = r._make_client("alice")
     bob = r._make_client("bob")
@@ -251,14 +215,6 @@ def _scn_delegation_chain(seed):
 
 
 def _scn_drop_burst_partition(seed):
-    from repro.testing.chaos import (
-        STANDARD_INVARIANTS,
-        ScenarioRunner,
-        acked_implies_executed,
-        conservation,
-        effectively_once,
-    )
-
     r = ScenarioRunner("drop_burst_partition", seed, drop=0.05,
                        client_timeout=0.8)
     r.at(0.15, "burst",
@@ -286,28 +242,61 @@ SCENARIO_MATRIX = (
 )
 
 
-def _run_matrix(seeds_per_family=None):
+def _run_matrix():
     """Every scenario of the matrix, run twice: a list of ``(result,
     replayed)`` where ``replayed`` says the second run's result dict
     (trace included) equalled the first's."""
     runs = []
     for family, seeds in SCENARIO_MATRIX:
-        for seed in seeds[:seeds_per_family]:
+        for seed in seeds:
             result = family(seed)
             runs.append((result, family(seed) == result))
     return runs
 
 
-def chaos_matrix(seeds_per_family=None):
-    """Run the full scenario matrix, each scenario twice (determinism).
+def chaos_matrix():
+    """Run the full scenario matrix, each scenario twice (determinism),
+    and hold every result against its recorded digest.  CI smoke keeps
+    the full matrix: the scenarios are virtual-time, so wall cost is
+    compute only."""
+    runs = _run_matrix()
+    summary = _summarise(runs)
+    recorded = {}  # no file: every scenario reads "no recorded digest"
+    if os.path.exists(DIGESTS_PATH):
+        with open(DIGESTS_PATH) as handle:
+            recorded = json.load(handle)
+    summary["digest_mismatches"] = digest_mismatches(
+        [result for result, _ in runs], recorded)
+    return summary
 
-    ``seeds_per_family`` trims each family's seed tuple (CI smoke keeps
-    the full matrix — the scenarios are virtual-time, so wall cost is
-    compute only — but the knob exists for quick local iteration).
-    """
-    if _chaos_api() is None:
-        return None
-    return _summarise(_run_matrix(seeds_per_family))
+
+def check_matrix(result):
+    failures = []
+    if result["scenarios"] < 20:
+        failures.append("only %d scenarios (< 20 bar)" % result["scenarios"])
+    for violation in result["violations"]:
+        failures.append("invariant violation: %s" % violation)
+    for name in result["nondeterministic"]:
+        failures.append("double run diverged: %s" % name)
+    for line in result["digest_mismatches"]:
+        failures.append("digest mismatch: %s" % line)
+    return failures
+
+
+def write_digests():
+    """Record every scenario's result digest in ``chaos_digests.json`` —
+    for a change that *means* to alter behaviour, and says why.  Refuses
+    (returning the failures) while the matrix itself does not hold."""
+    runs = _run_matrix()
+    summary = _summarise(runs)
+    summary["digest_mismatches"] = []
+    failures = check_matrix(summary)
+    if not failures:
+        with open(DIGESTS_PATH, "w") as handle:
+            json.dump(scenario_digests([result for result, _ in runs]),
+                      handle, indent=1, sort_keys=True)
+            handle.write("\n")
+    return failures
 
 
 def _key(result):
@@ -351,7 +340,8 @@ def _summarise(runs):
 
 #: Recorded digests of every scenario's full result.  A refactor must
 #: leave this file byte-identical; a change that means to alter
-#: behaviour regenerates it (``--write-digests``) and says why.
+#: behaviour regenerates it (``run_bench.py --write-digests``) and says
+#: why.
 DIGESTS_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "chaos_digests.json"
 )
@@ -419,8 +409,6 @@ class _EchoServer(ObjectServer):
 
 
 def _discipline_world(discipline, plan):
-    from repro.net.sched import LatencyModel, VirtualClock
-
     if discipline == "des":
         net = SimNetwork(
             clock=VirtualClock(),
@@ -436,8 +424,6 @@ def _discipline_world(discipline, plan):
 
 
 def _echo_once(client, server, payload, timeout=0.25):
-    from repro.ipc.rpc import trans
-
     reply = trans(
         client,
         server.put_port,
@@ -450,11 +436,6 @@ def _echo_once(client, server, payload, timeout=0.25):
 
 def chaos_partition_disciplines():
     """Sever/heal on all three disciplines: ok -> timeout -> ok again."""
-    chaos = _chaos_api()
-    if chaos is None:
-        return None
-    from repro.net.faults import FaultPlan
-
     out = {}
     for discipline in ("synchronous", "deferred", "des"):
         plan = FaultPlan(seed=5)
@@ -479,96 +460,21 @@ def chaos_partition_disciplines():
     return out
 
 
-#: Registry merged into run_bench.py's workload table.
-WORKLOADS = {
-    "chaos_matrix": chaos_matrix,
-    "chaos_partition_disciplines": chaos_partition_disciplines,
-}
-
-#: CI-sized overrides, same shape as bench_throughput.SMOKE_OVERRIDES.
-#: The matrix is virtual-time, so smoke keeps all 20 scenarios.
-SMOKE_OVERRIDES = {}
-
-
-def main(argv=None):
-    """Stand-alone entry point (``make bench-chaos-smoke``).
-
-    Runs the matrix and the disciplines arm and *asserts* the
-    acceptance bars: >= 20 scenarios, zero invariant violations, every
-    scenario bit-identical across its double run, and the partition
-    primitive severing and healing on all three delivery disciplines.
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI mode (same matrix; asserts the bars)")
-    parser.add_argument("--write-digests", action="store_true",
-                        help="record every scenario's result digest in "
-                             "chaos_digests.json instead of checking it")
-    args = parser.parse_args(argv)
-
-    if _chaos_api() is None:
-        print("chaos API absent on this tree; nothing to check")
-        return 0
-    runs = _run_matrix(**SMOKE_OVERRIDES.get("chaos_matrix", {})
-                       if args.smoke else {})
-    matrix = _summarise(runs)
-    results = [result for result, _ in runs]
-
+def check_disciplines(result):
     failures = []
-    for row in matrix["per_scenario"]:
-        print("  %-32s seed=%-3d acked=%3d failed=%3d pdrops=%3d %8.3fs virt"
-              % (row["name"], row["seed"], row["acked"], row["failed"],
-                 row["partition_drops"], row["virtual_seconds"]))
-    print("  %d scenarios / %d families, %d acked, %d failed ops"
-          % (matrix["scenarios"], matrix["families"],
-             matrix["acked"], matrix["failed"]))
-    if matrix["scenarios"] < 20:
-        failures.append("only %d scenarios (< 20 bar)" % matrix["scenarios"])
-    for violation in matrix["violations"]:
-        failures.append("invariant violation: %s" % violation)
-    for name in matrix["nondeterministic"]:
-        failures.append("double run diverged: %s" % name)
-    if args.write_digests:
-        if not failures:
-            with open(DIGESTS_PATH, "w") as handle:
-                json.dump(scenario_digests(results), handle, indent=1,
-                          sort_keys=True)
-                handle.write("\n")
-            print("  wrote %d digests to %s" % (len(results), DIGESTS_PATH))
-    elif not os.path.exists(DIGESTS_PATH):
-        failures.append("no %s; record one with --write-digests"
-                        % os.path.basename(DIGESTS_PATH))
-    else:
-        with open(DIGESTS_PATH) as handle:
-            recorded = json.load(handle)
-        for line in digest_mismatches(results, recorded):
-            failures.append("digest mismatch: %s" % line)
-
-    disciplines = chaos_partition_disciplines()
-    for discipline, row in sorted(disciplines.items()):
-        verdict = (row["before_cut_ok"] and row["cut_timed_out"]
-                   and row["healed_ok"])
-        print("  partition on %-12s %s (pdrops=%d)"
-              % (discipline, "ok/cut/healed" if verdict else "BROKEN",
-                 row["partition_drops"]))
-        if not verdict:
+    for discipline, row in sorted(result.items()):
+        if not (row["before_cut_ok"] and row["cut_timed_out"]
+                and row["healed_ok"]):
             failures.append(
                 "partition primitive broken on %s: %r" % (discipline, row))
         if row["partition_drops"] <= 0:
             failures.append("no partition drops counted on %s" % discipline)
-
-    if failures:
-        print("FAILURES:")
-        for failure in failures:
-            print("  - %s" % failure)
-        return 1
-    print("chaos bars hold: %d deterministic scenarios, 0 violations, "
-          "partition severs/heals on all 3 disciplines"
-          % matrix["scenarios"])
-    return 0
+    return failures
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+#: name -> (workload, check(result) -> [failures], CI-sized kwargs).
+ARMS = {
+    "chaos_matrix": (chaos_matrix, check_matrix, {}),
+    "chaos_partition_disciplines": (chaos_partition_disciplines,
+                                    check_disciplines, {}),
+}

@@ -5,12 +5,13 @@ protocol stack over a seeded :class:`~repro.net.faults.FaultPlan` and
 measure what the at-least-once layer (:class:`~repro.ipc.rpc.RetryPolicy`
 client-side, :class:`~repro.ipc.server.ReplyCache` server-side) buys:
 
-Workloads (stable keys in ``BENCH_throughput.json``)
-----------------------------------------------------
+Arms (keys in ``BENCH_invariants.json``)
+----------------------------------------
 ``fault_goodput_sweep``
     Retried echo transactions at 0/5/10/20% frame loss; goodput is
-    completed transactions per frame on the wire.  The smoke bar:
-    goodput at 10% loss stays >= 50% of lossless.
+    completed transactions per frame on the wire — a count over a
+    seeded wire, so it repeats exactly.  The bar: goodput at 10% loss
+    stays >= 50% of lossless.
 ``fault_des_lossy``
     The DES virtual-clock wire at 10% loss + 1% duplication — the
     determinism-by-double-run contract must hold *with* faults, and
@@ -30,16 +31,23 @@ Workloads (stable keys in ``BENCH_throughput.json``)
     payee's balance must equal the completed count *exactly* and money
     must be conserved (zero double-executions).
 
-All arms are seeded end to end; the fault path is fully off by default
-elsewhere, so the perfect-wire benchmarks are untouched.
+All arms are seeded end to end and report counts and virtual time
+only — what the same traffic costs in CPU is the suite's
+``lossy_failover``.
 """
 
 from repro.crypto.randomsrc import RandomSource
+from repro.errors import InvalidCapability, NoSuchObject, RPCTimeout
+from repro.ipc.locate import Locator, install_locate_responder
+from repro.ipc.rpc import AsyncTrans, RetryPolicy, trans
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
+from repro.net.faults import FaultPlan
 from repro.net.message import Message
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
+from repro.net.sched import LatencyModel, VirtualClock
+from repro.servers.bank import BankClient, BankServer
 
 PAPER_RTT_MS = 2.8
 
@@ -52,26 +60,12 @@ class EchoServer(ObjectServer):
         return ctx.ok(data=ctx.request.data)
 
 
-def _fault_api():
-    """The fault/retry API, or None on source trees that predate it."""
-    try:
-        from repro.ipc.rpc import RetryPolicy
-        from repro.net.faults import FaultPlan
-    except ImportError:
-        return None
-    return FaultPlan, RetryPolicy
-
-
 # ----------------------------------------------------------------------
 # goodput vs loss
 # ----------------------------------------------------------------------
 
 
 def _goodput_point(n, loss, seed):
-    from repro.errors import RPCTimeout
-    from repro.ipc.rpc import RetryPolicy, trans
-    from repro.net.faults import FaultPlan
-
     plan = FaultPlan(seed=seed, drop=loss)
     net = SimNetwork(faults=plan)
     server = EchoServer(Nic(net), rng=RandomSource(seed=1), dedup=True).start()
@@ -100,8 +94,6 @@ def _goodput_point(n, loss, seed):
 
 def fault_goodput_sweep(n=300, loss_points=(0.0, 0.05, 0.10, 0.20), seed=17):
     """Retried echo goodput (completed per wire frame) across loss rates."""
-    if _fault_api() is None:
-        return None
     points = [_goodput_point(n, loss, seed) for loss in loss_points]
     lossless = points[0]["goodput"]
     for point in points:
@@ -119,10 +111,6 @@ def fault_goodput_sweep(n=300, loss_points=(0.0, 0.05, 0.10, 0.20), seed=17):
 
 
 def _des_lossy_run(n, drop, duplicate, seed):
-    from repro.ipc.rpc import RetryPolicy, trans
-    from repro.net.faults import FaultPlan
-    from repro.net.sched import LatencyModel, VirtualClock
-
     plan = FaultPlan(seed=seed, drop=drop, duplicate=duplicate,
                      delay=0.05, delay_ms=1.0)
     net = SimNetwork(clock=VirtualClock(),
@@ -141,12 +129,7 @@ def _des_lossy_run(n, drop, duplicate, seed):
 
 def fault_des_lossy(n=200, drop=0.10, duplicate=0.01, seed=23):
     """10% loss + 1% duplication on the DES wire, double-run checked."""
-    if _fault_api() is None:
-        return None
-    try:
-        virtual, stats = _des_lossy_run(n, drop, duplicate, seed)
-    except ImportError:
-        return None
+    virtual, stats = _des_lossy_run(n, drop, duplicate, seed)
     again = _des_lossy_run(n, drop, duplicate, seed)
     return {
         "transactions": n,
@@ -168,17 +151,9 @@ def fault_des_lossy(n=200, drop=0.10, duplicate=0.01, seed=23):
 def fault_retry_storm(clients=8, per_client=40, depth=16, seed=29):
     """A fleet bursts into a bounded-queue deferred network; overflow
     drops requests and the at-least-once layer recovers all of them."""
-    if _fault_api() is None:
-        return None
-    from repro.ipc.rpc import AsyncTrans, RetryPolicy
-    from repro.net.faults import FaultPlan
-
     plan = FaultPlan(seed=seed, drop=0.05)
-    try:
-        net = SimNetwork(synchronous=False, max_queue_depth=depth,
-                         auto_drain=False, faults=plan)
-    except TypeError:
-        return None
+    net = SimNetwork(synchronous=False, max_queue_depth=depth,
+                     auto_drain=False, faults=plan)
     server = EchoServer(Nic(net), rng=RandomSource(seed=1), dedup=True).start()
     server.count_requests = False
     stations = [Nic(net) for _ in range(clients)]
@@ -221,14 +196,6 @@ def fault_crash_recovery(n_pre=25, n_post=25, seed=31):
     account capability is rejected by the regenerated object table, and
     a re-opened account completes the session.
     """
-    if _fault_api() is None:
-        return None
-    from repro.errors import InvalidCapability, NoSuchObject, RPCTimeout
-    from repro.ipc.locate import Locator, install_locate_responder
-    from repro.ipc.rpc import RetryPolicy
-    from repro.net.faults import FaultPlan
-    from repro.servers.bank import BankClient, BankServer
-
     net = SimNetwork(faults=FaultPlan(seed=seed, drop=0.02))
     server = BankServer(Nic(net), rng=RandomSource(seed=1), dedup=True).start()
     install_locate_responder(server.node)
@@ -299,12 +266,6 @@ def fault_crash_recovery(n_pre=25, n_post=25, seed=31):
 def fault_bank_effectively_once(n=10_000, drop=0.10, duplicate=0.01, seed=37):
     """The acceptance arm: n retried transfers under loss + duplication
     with server-side dedup; the payee balance must equal n exactly."""
-    if _fault_api() is None:
-        return None
-    from repro.ipc.rpc import RetryPolicy
-    from repro.net.faults import FaultPlan
-    from repro.servers.bank import BankClient, BankServer
-
     plan = FaultPlan(seed=seed, drop=drop, duplicate=duplicate)
     net = SimNetwork(faults=plan)
     server = BankServer(Nic(net), rng=RandomSource(seed=1), dedup=True).start()
@@ -315,14 +276,10 @@ def fault_bank_effectively_once(n=10_000, drop=0.10, duplicate=0.01, seed=37):
                         retry=RetryPolicy(attempts=12, seed=seed))
     central = server.create_account({"USD": n}, mint_right=True)
     alice = client.open_account()
-    import time
-
-    start = time.perf_counter()
     completed = 0
     for _ in range(n):
         client.transfer(central, alice, "USD", 1)
         completed += 1
-    elapsed = time.perf_counter() - start
     balance = client.balance(alice)["USD"]
     conserved = server.total_in_circulation("USD") == n
     cache = server.reply_cache.stats()
@@ -339,116 +296,54 @@ def fault_bank_effectively_once(n=10_000, drop=0.10, duplicate=0.01, seed=37):
         "dedup_busy_drops": cache["busy_drops"],
         "injected_drops": plan.injected_drops,
         "injected_duplicates": plan.injected_duplicates,
-        "seconds": round(elapsed, 3),
-        "transfers_per_sec": round(completed / elapsed, 1) if elapsed else None,
     }
 
 
-#: Registry merged into run_bench.py's workload table.
-WORKLOADS = {
-    "fault_goodput_sweep": fault_goodput_sweep,
-    "fault_des_lossy": fault_des_lossy,
-    "fault_retry_storm": fault_retry_storm,
-    "fault_crash_recovery": fault_crash_recovery,
-    "fault_bank_effectively_once": fault_bank_effectively_once,
-}
-
-#: CI-sized overrides, same shape as bench_throughput.SMOKE_OVERRIDES.
-SMOKE_OVERRIDES = {
-    "fault_goodput_sweep": {"n": 120},
-    "fault_des_lossy": {"n": 80},
-    "fault_retry_storm": {"clients": 4, "per_client": 25},
-    "fault_crash_recovery": {"n_pre": 10, "n_post": 10},
-    "fault_bank_effectively_once": {"n": 1_500},
-}
+def check_goodput(result):
+    at_ten = [p for p in result["points"] if p["loss"] == 0.10]
+    if at_ten and at_ten[0]["vs_lossless"] < 0.5:
+        return ["goodput at 10%% loss is %.2fx lossless (< 0.5x bar)"
+                % at_ten[0]["vs_lossless"]]
+    return []
 
 
-def main(argv=None):
-    """Stand-alone entry point (``make bench-fault-smoke``).
+def check_des_lossy(result):
+    return [] if result["deterministic"] else ["lossy DES double run diverged"]
 
-    Runs all five arms and *asserts* the robustness acceptance bars:
-    the lossy DES arm is deterministic by double run, goodput at 10%
-    loss stays >= 50% of lossless, the retry storm loses frames to the
-    bounded queue yet completes every transaction, crash recovery
-    succeeds, and the transfer arm is exactly-once.  Never writes
-    ``BENCH_throughput.json`` (that is ``run_bench.py``'s job).
-    """
-    import argparse
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized iteration counts")
-    args = parser.parse_args(argv)
-    results = {}
-    for name, workload in WORKLOADS.items():
-        kwargs = SMOKE_OVERRIDES.get(name, {}) if args.smoke else {}
-        result = workload(**kwargs)
-        if result is None:
-            print("  %-28s skipped (API absent)" % name)
-            continue
-        results[name] = result
-    if not results:
-        print("fault API absent on this tree; nothing to check")
-        return 0
-
+def check_retry_storm(result):
     failures = []
-    sweep = results.get("fault_goodput_sweep")
-    if sweep:
-        for point in sweep["points"]:
-            print("  goodput @ %4.0f%% loss        %8.4f  (%.2fx lossless)"
-                  % (point["loss"] * 100, point["goodput"],
-                     point["vs_lossless"]))
-        at_ten = [p for p in sweep["points"] if p["loss"] == 0.10]
-        if at_ten and at_ten[0]["vs_lossless"] < 0.5:
-            failures.append(
-                "goodput at 10%% loss is %.2fx lossless (< 0.5x bar)"
-                % at_ten[0]["vs_lossless"])
-
-    lossy = results.get("fault_des_lossy")
-    if lossy:
-        print("  %-28s %10.3f virtual ms/trans  (%s)"
-              % ("fault_des_lossy", lossy["virtual_ms_per_trans"],
-                 "deterministic" if lossy["deterministic"]
-                 else "NON-DETERMINISTIC"))
-        if not lossy["deterministic"]:
-            failures.append("lossy DES double run diverged")
-
-    storm = results.get("fault_retry_storm")
-    if storm:
-        print("  %-28s %d/%d completed, %d overflow drops"
-              % ("fault_retry_storm", storm["completed"],
-                 storm["transactions"], storm["dropped_overflow"]))
-        if storm["completed"] != storm["transactions"]:
-            failures.append("retry storm lost %d transactions"
-                            % (storm["transactions"] - storm["completed"]))
-        if storm["dropped_overflow"] == 0:
-            failures.append("retry storm never overflowed the queue "
-                            "(not a storm)")
-
-    crash = results.get("fault_crash_recovery")
-    if crash:
-        print("  %-28s %s" % ("fault_crash_recovery",
-                              "recovered" if crash["recovered"]
-                              else "FAILED to recover"))
-        if not crash["recovered"]:
-            failures.append("crash recovery failed: %r" % (crash,))
-
-    bank = results.get("fault_bank_effectively_once")
-    if bank:
-        print("  %-28s %d transfers, balance %d, %d dedup hits  (%s)"
-              % ("fault_bank_effectively_once", bank["completed"],
-                 bank["payee_balance"], bank["dedup_hits"],
-                 "exactly-once" if bank["exactly_once"]
-                 else "DOUBLE-EXECUTED"))
-        if not bank["exactly_once"]:
-            failures.append("transfer arm was not exactly-once")
-
-    for failure in failures:
-        print("FAIL: %s" % failure)
-    return 1 if failures else 0
+    if result["completed"] != result["transactions"]:
+        failures.append("retry storm lost %d transactions"
+                        % (result["transactions"] - result["completed"]))
+    if result["dropped_overflow"] == 0:
+        failures.append("retry storm never overflowed the queue (not a storm)")
+    return failures
 
 
-if __name__ == "__main__":
-    import sys
+def check_crash_recovery(result):
+    if result["recovered"]:
+        return []
+    return ["crash recovery failed: %r" % (result,)]
 
-    sys.exit(main())
+
+def check_effectively_once(result):
+    if result["exactly_once"]:
+        return []
+    return ["a transfer double-executed or was lost: %d completed, payee "
+            "balance %d, conserved=%s" % (result["completed"],
+                                          result["payee_balance"],
+                                          result["conserved"])]
+
+
+#: name -> (workload, check(result) -> [failures], CI-sized kwargs).
+ARMS = {
+    "fault_goodput_sweep": (fault_goodput_sweep, check_goodput, {"n": 120}),
+    "fault_des_lossy": (fault_des_lossy, check_des_lossy, {"n": 80}),
+    "fault_retry_storm": (fault_retry_storm, check_retry_storm,
+                          {"clients": 4, "per_client": 25}),
+    "fault_crash_recovery": (fault_crash_recovery, check_crash_recovery,
+                             {"n_pre": 10, "n_post": 10}),
+    "fault_bank_effectively_once": (fault_bank_effectively_once,
+                                    check_effectively_once, {"n": 1_500}),
+}

@@ -1,299 +1,163 @@
-"""Entry point for the throughput benchmark suite.
+"""The invariant and virtual-time arms, and the committed trajectory.
 
-Runs the workloads in :mod:`bench_throughput` and writes
-``BENCH_throughput.json`` with stable keys, so successive PRs can diff
-perf numbers mechanically (the convention recorded in ``CHANGES.md``:
-commit the refreshed JSON whenever a PR claims a wire-path speedup).
+The instrument for *speed* is ``benchmarks/suite/`` (``BENCHMARK.json``).
+This is the other half: the arms whose verdict is an invariant, a count
+over a seeded wire, or virtual time — quantities that repeat exactly, on
+any host, at any load — each with a ``check(result) -> [failures]`` the
+run asserts.  No arm here reports a wall-clock figure.
 
-Usage::
+Usage (``PYTHONPATH=src``; ``make`` sets it)::
 
-    PYTHONPATH=src python benchmarks/run_bench.py                 # current tree
-    PYTHONPATH=src python benchmarks/run_bench.py \
-        --baseline-src /path/to/old/checkout/src                  # + comparison
-    PYTHONPATH=src python benchmarks/run_bench.py --pytest        # also run the
-                                                                  # pytest-benchmark suite
+    python benchmarks/run_bench.py --smoke                 # every arm, CI-sized
+    python benchmarks/run_bench.py --smoke --only des,fault
+    python benchmarks/run_bench.py                         # full size; writes
+                                                           # BENCH_invariants.json
+    python benchmarks/run_bench.py --history BENCH_suite.json
+    python benchmarks/run_bench.py --write-digests         # re-record the chaos oracle
 
-With ``--baseline-src`` the same workload code is executed in a
-subprocess against the older source tree, and the output gains
-``baseline`` and ``speedup`` sections.  The two headline speedups are
-``echo_round_trip`` (trans/sec) and ``routing_50_machines`` (frames/sec).
+A full run of every family writes ``BENCH_invariants.json``: no clock
+and no host in it, so the committed file is byte-identical run to run
+and a diff in it is a change in behaviour.  A smoke or partial run
+writes nothing.  ``--history FILE`` runs no arm: it distils the stamped
+result file that ``benchmarks/suite/run.py --out FILE`` wrote into one
+``bench_history/v2`` line — stamp plus the median of every end-to-end
+metric on every workload — and appends it to ``BENCH_history.jsonl``
+(``make bench`` does all three steps in order).
 """
 
 import argparse
+import importlib
 import json
 import os
-import subprocess
+import statistics
 import sys
 import time
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _REPO = os.path.dirname(_HERE)
 
-SCHEMA = "bench_throughput/v1"
-
-#: Append-only run log: one JSON line per run_bench.py invocation, so
-#: perf history survives BENCH_throughput.json being overwritten in
-#: place.  Smoke runs are recorded too (flagged), since CI is where
-#: most runs happen.
+INVARIANTS = os.path.join(_REPO, "BENCH_invariants.json")
 HISTORY = os.path.join(_REPO, "BENCH_history.jsonl")
+HISTORY_SCHEMA = "bench_history/v2"
+
+#: ``--only`` name -> the module whose ``ARMS`` table it runs; each
+#: ``make bench-<name>-smoke`` is ``--smoke --only <name>``.
+FAMILIES = ("des", "shard", "fault", "recovery", "replica", "chaos")
+
+#: What a v2 history row copies from the suite's stamp.
+STAMP_KEYS = ("git_sha", "git_dirty", "nproc", "python", "seed", "seconds",
+              "calibration_ns", "calib_ref_ns")
 
 
-def append_history(report, smoke, path=HISTORY):
-    entry = {
-        "ts": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "smoke": bool(smoke),
-    }
-    entry.update(report)
-    with open(path, "a") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+def _module(family):
+    if _HERE not in sys.path:  # imported, not run: the arms import each other
+        sys.path.insert(0, _HERE)
+    return importlib.import_module("bench_" + family)
 
 
-def run_workloads(smoke=False):
-    from bench_chaos import SMOKE_OVERRIDES as CHAOS_SMOKE_OVERRIDES
-    from bench_chaos import WORKLOADS as CHAOS_WORKLOADS
-    from bench_des import SMOKE_OVERRIDES as DES_SMOKE_OVERRIDES
-    from bench_des import WORKLOADS as DES_WORKLOADS
-    from bench_fault import SMOKE_OVERRIDES as FAULT_SMOKE_OVERRIDES
-    from bench_fault import WORKLOADS as FAULT_WORKLOADS
-    from bench_recovery import SMOKE_OVERRIDES as RECOVERY_SMOKE_OVERRIDES
-    from bench_recovery import WORKLOADS as RECOVERY_WORKLOADS
-    from bench_replica import SMOKE_OVERRIDES as REPLICA_SMOKE_OVERRIDES
-    from bench_replica import WORKLOADS as REPLICA_WORKLOADS
-    from bench_shard import SMOKE_OVERRIDES as SHARD_SMOKE_OVERRIDES
-    from bench_shard import WORKLOADS as SHARD_WORKLOADS
-    from bench_throughput import SMOKE_OVERRIDES, WORKLOADS
-    from bench_udp import SMOKE_OVERRIDES as UDP_SMOKE_OVERRIDES
-    from bench_udp import WORKLOADS as UDP_WORKLOADS
-
-    workloads = dict(WORKLOADS)
-    workloads.update(UDP_WORKLOADS)
-    workloads.update(DES_WORKLOADS)
-    workloads.update(SHARD_WORKLOADS)
-    workloads.update(FAULT_WORKLOADS)
-    workloads.update(RECOVERY_WORKLOADS)
-    workloads.update(REPLICA_WORKLOADS)
-    workloads.update(CHAOS_WORKLOADS)
-    overrides = dict(SMOKE_OVERRIDES)
-    overrides.update(UDP_SMOKE_OVERRIDES)
-    overrides.update(DES_SMOKE_OVERRIDES)
-    overrides.update(SHARD_SMOKE_OVERRIDES)
-    overrides.update(FAULT_SMOKE_OVERRIDES)
-    overrides.update(RECOVERY_SMOKE_OVERRIDES)
-    overrides.update(REPLICA_SMOKE_OVERRIDES)
-    overrides.update(CHAOS_SMOKE_OVERRIDES)
-    results = {}
-    for name, workload in workloads.items():
-        kwargs = overrides.get(name, {}) if smoke else {}
-        result = workload(**kwargs)
-        if result is not None:  # None = API absent on this source tree
+def run_arms(families, smoke):
+    """Run and check every arm of ``families``; returns ``(results,
+    failures)`` with each failure prefixed by its arm's name."""
+    results, failures = {}, []
+    for family in families:
+        for name, (workload, check, smoke_kwargs) in _module(family).ARMS.items():
+            result = workload(**(smoke_kwargs if smoke else {}))
+            found = check(result)
+            print("  %-28s %s" % (name, "FAIL" if found else "ok"))
             results[name] = result
-    _derive_ratios(results)
-    return results
+            failures.extend("%s: %s" % (name, failure) for failure in found)
+    return results, failures
 
 
-def _derive_ratios(results):
-    """In-run comparison keys: pipelined vs the same run's serial echo."""
-    pipelined = results.get("pipelined_16_inflight")
-    echo = results.get("echo_round_trip")
-    if pipelined and echo:
-        serial = echo.get("trans_per_sec")
-        if serial:
-            pipelined["vs_serial_echo_x"] = round(
-                pipelined["trans_per_sec"] / serial, 2
-            )
-            primitive = pipelined.get("primitive_trans_per_sec")
-            if primitive:
-                pipelined["primitive_vs_serial_echo_x"] = round(
-                    primitive / serial, 2
-                )
-    udp_pipelined = results.get("udp_pipelined_16_inflight")
-    udp_echo = results.get("udp_echo_round_trip")
-    if udp_pipelined and udp_echo:
-        serial = udp_echo.get("trans_per_sec")
-        if serial:
-            udp_pipelined["vs_udp_serial_x"] = round(
-                udp_pipelined["trans_per_sec"] / serial, 2
-            )
-    des_pipelined = results.get("des_pipelined_16_inflight")
-    des_echo = results.get("des_echo_round_trip")
-    if des_pipelined and des_echo:
-        serial = des_echo.get("virtual_ms_per_trans")
-        if serial:
-            # Virtual-time amortization: one 2.8 ms RTT per serial trans
-            # vs one RTT per 16-deep batch (>= 8x by the acceptance bar).
-            des_pipelined["vs_des_serial_x"] = round(
-                serial / des_pipelined["virtual_ms_per_trans"], 2
-            )
+def _contract():
+    with open(os.path.join(_REPO, "BENCHMARK.json")) as handle:
+        listed = json.load(handle)
+    return ([w["name"] for w in listed["workloads"]],
+            [m["name"] for m in listed["end_to_end"]])
 
 
-def run_in_tree(src_dir, smoke=False):
-    """Run the same workloads against another source tree, in a subprocess."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_dir
-    argv = [sys.executable, os.path.abspath(__file__), "--emit-raw"]
-    if smoke:
-        argv.append("--smoke")
-    out = subprocess.run(
-        argv,
-        env=env,
-        cwd=_HERE,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(out.stdout)
+def history_row(suite_result):
+    """The ``bench_history/v2`` line for one ``suite/run.py --out`` file:
+    where it came from and, per ``BENCHMARK.json`` workload, the median
+    of each end-to-end metric (over the file's runs, when it holds more
+    than one).  Raises ``ValueError`` for a result that must not enter
+    the trajectory: a smoke run, a wrong output, a missing number."""
+    stamp = suite_result["stamp"]
+    if stamp["smoke"]:
+        raise ValueError("a smoke run's timings are not comparable; "
+                         "no history row for it")
+    workloads, metrics = _contract()
+    medians = {}
+    for workload in workloads:
+        entries = [run[workload] for run in suite_result["runs"]
+                   if workload in run]
+        if not entries:
+            raise ValueError("the result has no %s" % workload)
+        if not all(entry["correct"] for entry in entries):
+            raise ValueError("%s gave wrong outputs; its timings mean "
+                             "nothing" % workload)
+        medians[workload] = {
+            metric: statistics.median(
+                entry["end_to_end"][metric]["value"] for entry in entries)
+            for metric in metrics
+        }
+    row = {"schema": HISTORY_SCHEMA,
+           "ts": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
+    row.update((key, stamp[key]) for key in STAMP_KEYS)
+    row["medians"] = medians
+    return row
 
 
-def speedups(current, baseline):
-    """The headline ratios; >1.0 means the current tree is faster."""
-    ratios = {}
-    try:
-        ratios["echo_round_trip_x"] = round(
-            current["echo_round_trip"]["trans_per_sec"]
-            / baseline["echo_round_trip"]["trans_per_sec"],
-            2,
-        )
-    except (KeyError, ZeroDivisionError):
-        pass
-    try:
-        ratios["routing_50_machines_x"] = round(
-            current["routing_50_machines"]["frames_per_sec"]
-            / baseline["routing_50_machines"]["frames_per_sec"],
-            2,
-        )
-    except (KeyError, ZeroDivisionError):
-        pass
-    try:
-        ratios["contended_lookup_8t_x"] = round(
-            current["contended_lookup_8t"]["lookups_per_sec"]
-            / baseline["contended_lookup_8t"]["lookups_per_sec"],
-            2,
-        )
-    except (KeyError, ZeroDivisionError):
-        pass
-    return ratios
+def append_history(suite_path, history_path=HISTORY):
+    with open(suite_path) as handle:
+        row = history_row(json.load(handle))
+    with open(history_path, "a") as handle:
+        handle.write(json.dumps(row, sort_keys=True) + "\n")
+    return row
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--json",
-        default=os.path.join(_REPO, "BENCH_throughput.json"),
-        help="output path (default: BENCH_throughput.json at the repo root)",
-    )
-    parser.add_argument(
-        "--baseline-src",
-        default=None,
-        help="src/ directory of an older checkout to compare against",
-    )
-    parser.add_argument(
-        "--baseline-label",
-        default=None,
-        help="label recorded for the baseline tree (e.g. a commit hash)",
-    )
-    parser.add_argument(
-        "--emit-raw",
-        action="store_true",
-        help="print raw workload results as JSON to stdout and exit "
-        "(used internally for --baseline-src subruns)",
-    )
-    parser.add_argument(
-        "--pytest",
-        action="store_true",
-        help="also run the pytest-benchmark suite over bench_throughput.py",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="fast mode for CI: tiny iteration counts that prove the "
-        "harness runs end to end; results are printed, and written to "
-        "--json only when that flag is passed explicitly",
-    )
+    parser.add_argument("--smoke", action="store_true",
+                        help="CI-sized arms; asserts the same bars, "
+                             "writes nothing")
+    parser.add_argument("--only", default=",".join(FAMILIES),
+                        help="comma-separated families to run (of %s)"
+                             % ", ".join(FAMILIES))
+    parser.add_argument("--history", metavar="SUITE_RESULT",
+                        help="run nothing; append the v2 line for this "
+                             "suite/run.py --out file to BENCH_history.jsonl")
+    parser.add_argument("--write-digests", action="store_true",
+                        help="run the chaos matrix and record its digests "
+                             "in chaos_digests.json instead of checking them")
     args = parser.parse_args(argv)
-    json_is_default = args.json == parser.get_default("json")
 
-    sys.path.insert(0, _HERE)
-    if args.emit_raw:
-        json.dump(run_workloads(smoke=args.smoke), sys.stdout)
-        return 0
-
-    current = run_workloads(smoke=args.smoke)
-    report = {
-        "schema": SCHEMA,
-        "python": "%d.%d.%d" % sys.version_info[:3],
-        "current": current,
-    }
-    if args.baseline_src:
+    if args.history:
         try:
-            baseline = run_in_tree(args.baseline_src, smoke=args.smoke)
-        except subprocess.CalledProcessError as exc:
-            sys.stderr.write(
-                "baseline run against %r failed:\n%s\n"
-                % (args.baseline_src, exc.stderr or exc.stdout)
-            )
-            return 2
-        report["baseline"] = baseline
-        if args.baseline_label:
-            report["baseline_label"] = args.baseline_label
-        report["speedup"] = speedups(current, baseline)
-
-    append_history(report, smoke=args.smoke)
-    if args.smoke and json_is_default:
-        print("smoke mode: results not written (pass --json to keep them)")
+            row = append_history(args.history)
+        except ValueError as refused:
+            print("refused: %s" % refused)
+            return 1
+        print("appended %s @ %s%s to %s" % (
+            row["schema"], row["git_sha"][:12],
+            " (dirty)" if row["git_dirty"] else "", HISTORY))
+        return 0
+    if args.write_digests:
+        failures = _module("chaos").write_digests()
     else:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print("wrote %s" % args.json)
-    print("appended %s" % HISTORY)
-    for name, result in sorted(current.items()):
-        headline = result.get("trans_per_sec") or result.get("frames_per_sec")
-        if headline:
-            print("  %-24s %12.0f /sec" % (name, headline))
-    pipelined = current.get("pipelined_16_inflight", {})
-    for key in ("vs_serial_echo_x", "primitive_vs_serial_echo_x"):
-        if key in pipelined:
-            print("  %-24s %11.2fx" % (key, pipelined[key]))
-    udp_pipelined = current.get("udp_pipelined_16_inflight", {})
-    if "vs_udp_serial_x" in udp_pipelined:
-        print("  %-24s %11.2fx" % ("vs_udp_serial_x", udp_pipelined["vs_udp_serial_x"]))
-    des_pipelined = current.get("des_pipelined_16_inflight", {})
-    if "vs_des_serial_x" in des_pipelined:
-        print("  %-24s %11.2fx" % ("vs_des_serial_x", des_pipelined["vs_des_serial_x"]))
-    fault_bank = current.get("fault_bank_effectively_once", {})
-    if fault_bank:
-        print(
-            "  %-24s %s (%d dedup hits)"
-            % (
-                "fault_bank_exactly_once",
-                "yes" if fault_bank.get("exactly_once") else "NO",
-                fault_bank.get("dedup_hits", 0),
-            )
-        )
-    contended = current.get("contended_lookup_8t", {})
-    if "lookups_per_sec" in contended:
-        print(
-            "  %-24s %12.0f /sec"
-            % ("contended_lookup_8t", contended["lookups_per_sec"])
-        )
-    flood = current.get("flood_drop_vs_backpressure", {})
-    if "dropped_overflow" in flood:
-        print(
-            "  %-24s %5d dropped, recovery %.2fx"
-            % (
-                "flood_drop_vs_backpr.",
-                flood["dropped_overflow"],
-                flood["post_flood_ratio"],
-            )
-        )
-    for name, ratio in sorted(report.get("speedup", {}).items()):
-        print("  %-24s %11.2fx" % (name, ratio))
-
-    if args.pytest:
-        import pytest
-
-        return pytest.main([os.path.join(_HERE, "bench_throughput.py"), "-q"])
-    return 0
+        families = [name for name in args.only.split(",") if name]
+        unknown = sorted(set(families) - set(FAMILIES))
+        if unknown:
+            parser.error("no such family: %s" % ", ".join(unknown))
+        results, failures = run_arms(families, args.smoke)
+        if not failures and not args.smoke and set(families) == set(FAMILIES):
+            with open(INVARIANTS, "w") as handle:
+                json.dump(results, handle, indent=1, sort_keys=True)
+                handle.write("\n")
+            print("wrote %s" % INVARIANTS)
+    for failure in failures:
+        print("FAIL: %s" % failure)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -68,7 +68,7 @@ def main():
     # --- the quota bites ---------------------------------------------------
     try:
         alice_files.call(FILE_WRITE, capability=doc, offset=0,
-                         data=b"x" * (100 * 512), extra_caps=(pay,))
+                         data=b"x" * (90 * 512), extra_caps=(pay,))
     except InsufficientFunds as exc:
         print("quota exceeded: %s" % exc)
 

@@ -433,7 +433,6 @@ class _ThreadState(threading.local):
         # into another server on the same store nests them.
         self.open = []
         self.pending = []  # logs it appended to without flushing
-        self.wrote = False  # the flag of the dispatch that ended last
 
 
 class DurableStore:
@@ -658,20 +657,6 @@ class DurableStore:
     def log_destroy(self, shard_index, number):
         self._append(shard_index, _ROW_HEAD.pack(OP_DESTROY << 24 | number))
 
-    def consume_dirty(self):
-        """True when the dispatch this thread left last (:meth:`end`)
-        logged a mutation; asked once, by that dispatch's reply path.
-        The server logs commit records only for requests that actually
-        mutated the table — a pure read or echo is idempotent, safe to
-        re-execute after a reboot, and pays no WAL write.  The flag
-        belongs to the dispatch, not the thread: a nested request's
-        reply path must not take (and so lose) what the handler around
-        it wrote before calling out."""
-        state = self._thread
-        wrote = state.wrote
-        state.wrote = False
-        return wrote
-
     def log_commit(self, shard_index, src, reply_value, reply_raw):
         """Log a transaction's commit record and end its deferral: the
         blocks this thread left unflushed are written now, the commit's
@@ -698,12 +683,16 @@ class DurableStore:
         self._thread.open.append(False)
 
     def end(self):
-        """Leave the dispatch entered by :meth:`begin` (nesting counts).
+        """Leave the dispatch entered by :meth:`begin` (nesting counts);
+        returns True when it logged a mutation.  The server logs commit
+        records only for those — a pure read or echo is idempotent, safe
+        to re-execute after a reboot, and pays no WAL write — and the
+        flag is that one dispatch's: the caller hands it to its own
+        reply path, so a nested request's reply cannot take (and lose)
+        what the handler around it wrote before calling out.
         Flushes nothing: whatever is pending stays owed to the medium
-        until the reply path's :meth:`log_commit` or :meth:`flush`;
-        whether it logged anything is kept for :meth:`consume_dirty`."""
-        state = self._thread
-        state.wrote = state.open.pop()
+        until the reply path's :meth:`log_commit` or :meth:`flush`."""
+        return self._thread.open.pop()
 
     def flush(self, last=None):
         """Write every block this thread appended to without flushing

@@ -143,10 +143,11 @@ def _await_reply(node, wire_reply, expect, until, read_clock=None):
     do not wait at all) has passed.  Returns the reply message or None.
 
     A backoff wait is thus a continued wait on the reply port, never a
-    blind sleep.  On a station without timed waits (the in-process
-    simulators) a dry pump means the reply can no longer arrive *this
-    round*, so the wait returns at once — retransmission attempts, not
-    wall time, bound the retry loop there.
+    blind sleep.  A ``wait_wire`` that comes back empty is final on
+    every station — the budget is spent, or (the synchronous and
+    deferred simulators) a dry pump means the reply can no longer arrive
+    *this round*, so retransmission attempts, not wall time, bound the
+    retry loop there.
     """
     while True:
         # Fast path first: on the synchronous simulator the reply is
@@ -155,14 +156,10 @@ def _await_reply(node, wire_reply, expect, until, read_clock=None):
         if frame is None:
             if until is None:
                 return None
-            remaining = until - read_clock()
-            if remaining <= 0:
-                return None
-            frame = node.wait_wire(wire_reply, remaining)
+            # No budget left is an empty wait too.
+            frame = node.wait_wire(wire_reply, until - read_clock())
             if frame is None:
-                if not node.supports_poll_timeout:
-                    return None
-                continue  # timed wait expired; the remaining check settles it
+                return None
         reply = frame.message
         if expect is None or reply.signature == expect:
             return reply

@@ -521,7 +521,7 @@ class ObjectServer:
                 self.reply_cache.seed(src, reply_port, reply)
         return report
 
-    def _complete(self, src, request, reply, wrote=None):
+    def _complete(self, src, request, reply, wrote):
         """The reply tail's durable half, run by :meth:`_seal_reply`
         before any reply leaves — a deferred one included — whenever the
         server has a reply cache or a store.
@@ -539,16 +539,15 @@ class ObjectServer:
         idempotent read or echo re-executes harmlessly after a reboot,
         so its reply needs no disk-backed dedup — the in-memory reply
         cache still suppresses duplicates within the incarnation.
-        ``wrote`` carries that fact when the handler ran earlier (a
-        deferred reply); None asks the store about this thread.
+        ``wrote`` is that fact, as ``DurableStore.end()`` returned it
+        when the handler left its dispatch — just now, or earlier for a
+        deferred reply.
         """
         reply_port = request.reply
         # A null reply port (int 0, so falsy) marks a one-way send.
         cached = self.reply_cache is not None and reply_port
         store = self.store
         if store is not None:
-            if wrote is None:
-                wrote = store.consume_dirty()
             if cached and wrote:
                 self._log_commit(src, request, reply)
             store.flush()
@@ -578,8 +577,8 @@ class ObjectServer:
 
     def _dispatch_request(self, frame, request):
         """The dispatch core: sender auth, unsealing, handler lookup
-        and invocation, and both error arms.  Returns the reply to send,
-        or None when the handler deferred it.
+        and invocation, both error arms, and the seal.  Returns the reply
+        ready for owned egress, or None when the handler deferred it.
 
         Re-entrancy: under deferred delivery the event loop may invoke
         this again (for the next queued request) before an earlier reply
@@ -588,6 +587,7 @@ class ObjectServer:
         state onto self.
         """
         store = self.store
+        wrote = None
         if store is not None:
             # Durable: this thread's log appends wait in their tail
             # blocks from here on, to reach the medium in one write on
@@ -618,14 +618,17 @@ class ObjectServer:
             )
         finally:
             if store is not None:
-                store.end()
-        if reply is None and store is not None:
-            # The handler took a DeferredReply handle and the transaction
-            # stays open until it sends; no reply path follows this
-            # dispatch, so what the handler logged is flushed here.
-            ctx.deferred.wrote = store.consume_dirty()
-            store.flush()
-        return reply
+                wrote = store.end()
+        if reply is None:
+            if store is not None:
+                # The handler took a DeferredReply handle and the
+                # transaction stays open until it sends; no reply path
+                # follows this dispatch, so what the handler logged is
+                # flushed here.
+                ctx.deferred.wrote = wrote
+                store.flush()
+            return None
+        return self._seal_reply(frame, reply, wrote)
 
     def _serve_frame(self, frame):
         """The one per-request step: admit → count → dispatch → seal.
@@ -653,12 +656,10 @@ class ObjectServer:
                 return cached._evolve()
         if self.count_requests:
             self.request_counts[request.command] += 1
-        reply = self._dispatch_request(frame, request)
-        if reply is None:
-            return None  # deferred: DeferredReply.send seals it later
-        return self._seal_reply(frame, reply)
+        # None when the handler deferred: DeferredReply.send seals later.
+        return self._dispatch_request(frame, request)
 
-    def _seal_reply(self, frame, reply, wrote=None):
+    def _seal_reply(self, frame, reply, wrote):
         """Seal, sign and complete one reply; returns it ready for owned
         egress.  ``wrote`` as for :meth:`_complete`."""
         if self.sealer is not None and (reply.capability or reply.extra_caps):

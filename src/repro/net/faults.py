@@ -179,6 +179,12 @@ class FaultPlan:
             kinds = self._by_link[link] = {}
         kinds[kind] = kinds.get(kind, 0) + 1
 
+    def _injected(self, kind, src, dst):
+        """Count one injected fault: its kind's total and its link's."""
+        total = "injected_" + kind
+        setattr(self, total, getattr(self, total) + 1)
+        self._link_count(src, dst, kind)
+
     # ------------------------------------------------------------------
     # partitions
     # ------------------------------------------------------------------
@@ -246,8 +252,14 @@ class FaultPlan:
         """Count one frame lost to a severed link (for delivery-time
         enforcement points that discover the cut outside the plan)."""
         with self._lock:
-            self.partition_drops += 1
-            self._link_count(src, dst, "partition")
+            self._cut(src, dst)
+
+    def _cut(self, src, dst):
+        """A severed link transmits nothing: count the loss (caller
+        holds the lock) and return what goes out."""
+        self.partition_drops += 1
+        self._link_count(src, dst, "partition")
+        return []
 
     def _spec(self, src, dst):
         links = self.links
@@ -278,61 +290,64 @@ class FaultPlan:
             self.frames_seen += 1
             src, dst = frame.src, frame.dst_machine
             if self._severed and self.link_severed(src, dst):
-                # A cut link transmits nothing: no fault rolls, and held
-                # frames stay held (they release behind a frame that
-                # actually reaches a live link).
-                self.partition_drops += 1
-                self._link_count(src, dst, "partition")
-                return []
+                # No fault rolls, and held frames stay held (they
+                # release behind a frame that actually reaches a live
+                # link).
+                return self._cut(src, dst)
             spec = self._spec(src, dst)
             if spec.silent and not self._held:
                 return [(frame, 0.0)]
-            out = self._decide(frame, spec, des)
+            out = self._decide(frame, spec, src, dst, des, True,
+                               self._corrupt_frame)
             if self._held and (out or not self._is_held(frame)):
                 # Any frame actually going out drags the held backlog
                 # onto the wire behind it.
-                released = self._held
+                out.extend(self._held)
                 self._held = []
-                out.extend(released)
             return out
 
     def _is_held(self, frame):
         return any(f is frame for f, _ in self._held)
 
-    def _decide(self, frame, spec, des):
+    def _decide(self, item, spec, src, dst, timed, holdable, corrupt):
+        """The one fault roll, for every carrier: drop → corrupt → delay
+        → duplicate → reorder, each drawn only when ``spec`` arms it and
+        the carrier can suffer it (caller holds the lock).  Returns the
+        ``[(item, extra_delay_seconds), ...]`` to transmit now; an item
+        held back goes to ``_held`` instead.
+
+        ``timed``: the wire has a clock, so a delay is extra seconds and
+        each copy of a duplicate gets its own arrival instant; otherwise
+        lateness is hold-back.  ``holdable``: the item may wait in
+        ``_held`` (a broadcast may not, so untimed it is never delayed,
+        and it is never reordered).  ``corrupt(item)`` flips one bit and
+        returns the damaged item, or None when it is lost outright.
+        """
         rng = self._rng
-        src, dst = frame.src, frame.dst_machine
         if spec.drop and rng.random() < spec.drop:
-            self.injected_drops += 1
-            self._link_count(src, dst, "drops")
+            self._injected("drops", src, dst)
             return []
         if spec.corrupt and rng.random() < spec.corrupt:
-            self.injected_corruptions += 1
-            self._link_count(src, dst, "corruptions")
-            corrupted = self._corrupt_message(frame.message)
-            if corrupted is None:
+            self._injected("corruptions", src, dst)
+            item = corrupt(item)
+            if item is None:
                 return []
-            frame = frame._replace(message=corrupted)
         extra = 0.0
-        if spec.delay and rng.random() < spec.delay:
-            self.injected_delays += 1
-            self._link_count(src, dst, "delays")
-            if des:
-                extra = self.delay_ms / 1000.0 * (0.5 + rng.random())
-            else:
-                self._held.append((frame, 0.0))
+        if (spec.delay and (timed or holdable)
+                and rng.random() < spec.delay):
+            self._injected("delays", src, dst)
+            if not timed:
+                self._held.append((item, 0.0))
                 return []
-        copies = [(frame, extra)]
+            extra = self.delay_ms / 1000.0 * (0.5 + rng.random())
+        copies = [(item, extra)]
         if spec.duplicate and rng.random() < spec.duplicate:
-            self.injected_duplicates += 1
-            self._link_count(src, dst, "duplicates")
-            if des:
-                copies.append((frame, self.delay_ms / 1000.0 * rng.random()))
-            else:
-                copies.append((frame, 0.0))
-        if spec.reorder and rng.random() < spec.reorder:
-            self.injected_reorders += 1
-            self._link_count(src, dst, "reorders")
+            self._injected("duplicates", src, dst)
+            copies.append(
+                (item, self.delay_ms / 1000.0 * rng.random() if timed else 0.0)
+            )
+        if holdable and spec.reorder and rng.random() < spec.reorder:
+            self._injected("reorders", src, dst)
             self._held.extend(copies)
             return []
         return copies
@@ -349,38 +364,16 @@ class FaultPlan:
                 # Only a full egress cut silences a broadcast at the
                 # transmitter; pairwise cuts bind per station at
                 # delivery time.
-                self.partition_drops += 1
-                self._link_count(src, None, "partition")
-                return []
+                return self._cut(src, None)
             spec = self._spec(src, None)
             if spec.silent:
                 return [(frame, 0.0)]
-            rng = self._rng
-            if spec.drop and rng.random() < spec.drop:
-                self.injected_drops += 1
-                self._link_count(src, None, "drops")
-                return []
-            if spec.corrupt and rng.random() < spec.corrupt:
-                self.injected_corruptions += 1
-                self._link_count(src, None, "corruptions")
-                corrupted = self._corrupt_message(frame.message)
-                if corrupted is None:
-                    return []
-                frame = frame._replace(message=corrupted)
-            extra = 0.0
-            if des and spec.delay and rng.random() < spec.delay:
-                self.injected_delays += 1
-                self._link_count(src, None, "delays")
-                extra = self.delay_ms / 1000.0 * (0.5 + rng.random())
-            out = [(frame, extra)]
-            if spec.duplicate and rng.random() < spec.duplicate:
-                self.injected_duplicates += 1
-                self._link_count(src, None, "duplicates")
-                dup_extra = extra
-                if des:
-                    dup_extra += self.delay_ms / 1000.0 * rng.random()
-                out.append((frame, dup_extra))
-            return out
+            return self._decide(frame, spec, src, None, des, False,
+                                self._corrupt_frame)
+
+    def _corrupt_frame(self, frame):
+        corrupted = self._corrupt_message(frame.message)
+        return None if corrupted is None else frame._replace(message=corrupted)
 
     def _corrupt_message(self, message):
         """Flip one bit of the packed frame.  None — the frame is lost —
@@ -430,54 +423,25 @@ class FaultPlan:
 
     def apply_datagram(self, raw, src=None, dst=None):
         """Fault one packed datagram; returns the list of payloads to
-        actually transmit.  Corruption flips a bit without re-parsing
-        (the receiving node's unpack is the checksum); delay and reorder
-        both hold the datagram back behind the next send — a UDP wrapper
-        has no timers to be late with."""
+        actually transmit.  The decisions are an untimed frame's, roll
+        for roll; corruption flips a bit without re-parsing (the
+        receiving node's unpack is the checksum); delay and reorder both
+        hold the datagram back behind the next send — a UDP wrapper has
+        no timers to be late with."""
         with self._lock:
             self.frames_seen += 1
             if self._severed and self.link_severed(src, dst):
-                self.partition_drops += 1
-                self._link_count(src, dst, "partition")
-                return []
+                return self._cut(src, dst)
             spec = self._spec(src, dst)
-            held = None
-            if self._held:
-                held = [payload for payload, _ in self._held]
-                self._held = []
-            out = self._decide_datagram(raw, spec, src, dst)
-            if held:
-                out.extend(held)
-            return out
+            held, self._held = self._held, []
+            out = self._decide(raw, spec, src, dst, False, True,
+                               self._corrupt_datagram)
+            return [payload for payload, _ in out + held]
 
-    def _decide_datagram(self, raw, spec, src, dst):
-        rng = self._rng
-        if spec.drop and rng.random() < spec.drop:
-            self.injected_drops += 1
-            self._link_count(src, dst, "drops")
-            return []
-        if spec.corrupt and rng.random() < spec.corrupt:
-            self.injected_corruptions += 1
-            self._link_count(src, dst, "corruptions")
-            flipped = bytearray(raw)
-            self._flip(flipped)
-            raw = bytes(flipped)
-        out = [raw]
-        if spec.duplicate and rng.random() < spec.duplicate:
-            self.injected_duplicates += 1
-            self._link_count(src, dst, "duplicates")
-            out.append(raw)
-        if spec.delay and rng.random() < spec.delay:
-            self.injected_delays += 1
-            self._link_count(src, dst, "delays")
-            self._held.extend((payload, 0.0) for payload in out)
-            return []
-        if spec.reorder and rng.random() < spec.reorder:
-            self.injected_reorders += 1
-            self._link_count(src, dst, "reorders")
-            self._held.extend((payload, 0.0) for payload in out)
-            return []
-        return out
+    def _corrupt_datagram(self, raw):
+        flipped = bytearray(raw)
+        self._flip(flipped)
+        return bytes(flipped)
 
     def __repr__(self):
         return "FaultPlan(seed=%r, default=%r, links=%d, seen=%d)" % (

@@ -44,10 +44,6 @@ class Station(Protocol):
     address: Any
     #: The VirtualClock that timeouts are spent on, or None for wall time.
     clock: Optional[Any]
-    #: True when a timed ``wait_wire`` really waits (wall or virtual
-    #: time); False when delivery happens only during put()/pump(), so a
-    #: wait that comes back empty is final however much time remains.
-    supports_poll_timeout: bool
     #: True when ingress arrives in runs (event-loop queue runs, recv
     #: bursts): servers then register through ``serve_batch``.
     supports_batch_serve: bool
@@ -79,7 +75,10 @@ class Station(Protocol):
 
     def wait_wire(self, wire_port, remaining):
         """Block on a wire port for up to ``remaining`` seconds of
-        ``clock``; the frame that arrived, or None."""
+        ``clock``; the frame that arrived, or None — and None is final:
+        the budget is spent (the clock stands at the deadline, a socket
+        blocked that long) or nothing more can arrive (a simulator that
+        delivers only during put()/pump() has drained)."""
 
     def pump(self):
         """Drive deferred delivery / flush buffered egress."""
@@ -150,12 +149,6 @@ class Nic:
 
     # The Station attributes follow the network's delivery discipline,
     # fixed at its construction; these are the synchronous defaults.
-    #: On the synchronous and deferred networks a poll takes no timeout
-    #: — the simulator delivers during put()/pump(), never later.  On a
-    #: DES network (set per instance) a timed poll *consumes virtual
-    #: time*, stepping the event heap until the frame arrives or the
-    #: virtual deadline passes.
-    supports_poll_timeout = False
     #: Deferred and DES delivery (set per instance) hand a lone listener
     #: whole queue runs, see :meth:`accept_run`.
     supports_batch_serve = False
@@ -166,8 +159,6 @@ class Nic:
         self.address = network.attach(self)
         #: The network's VirtualClock in DES mode, else None.
         self.clock = network.clock
-        if self.clock is not None:
-            self.supports_poll_timeout = True
         if network.loop is not None:
             self.supports_batch_serve = True
         # One sink per admitted wire port: a deque (client GET, frames
@@ -488,16 +479,17 @@ class Nic:
 
     def wait_wire(self, wire_port, remaining):
         """Block on a wire port for up to ``remaining`` seconds of this
-        station's clock.  DES: a timed :meth:`poll_wire`.  Otherwise
-        delivery happens during put() (synchronous) or pump() (deferred),
-        never later — drain whatever is still queued, and the poll's
-        answer is then final."""
+        station's clock.  DES: a timed :meth:`poll_wire`, which consumes
+        *virtual* time — it steps the event heap until the frame arrives
+        or leaves the clock at the deadline.  Otherwise delivery happens
+        during put() (synchronous) or pump() (deferred), never later —
+        drain whatever is still queued, and the poll's answer is then
+        final."""
         if remaining <= 0:
             return None
-        if self.supports_poll_timeout:
-            return self.poll_wire(wire_port, remaining)
-        self.pump()
-        return self.poll_wire(wire_port)
+        if self.clock is None:
+            self.pump()
+        return self.poll_wire(wire_port, remaining)
 
     def unlisten_wire(self, wire_port):
         """Like :meth:`unlisten`, keyed by the wire port listen() returned."""

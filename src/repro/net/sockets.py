@@ -89,10 +89,6 @@ class SocketNode:
     """
 
     # The :class:`~repro.net.nic.Station` attributes.
-    #: Frames arrive from a real wire at any time, so a timed poll
-    #: really blocks.
-    supports_poll_timeout = True
-
     #: A SocketNode always runs on the wall clock — real datagrams take
     #: real time, so its blocking polls consume wall seconds, never
     #: virtual ones.
@@ -495,9 +491,8 @@ class SocketNode:
             return None
 
     def wait_wire(self, wire_port, remaining):
-        """Block on a wire port for up to ``remaining`` wall seconds."""
-        if remaining <= 0:
-            return None
+        """Block on a wire port for up to ``remaining`` wall seconds
+        (none left: whatever is already queued)."""
         return self.poll_wire(wire_port, remaining)
 
     def unlisten_wire(self, wire_port):

@@ -111,6 +111,8 @@ class ChargingFlatFileServer(FlatFileServer):
     @command(FILE_WRITE)
     def _write(self, ctx):
         entry, _ = ctx.lookup(Rights(R_WRITE))
+        if len(ctx.request.data) > MAX_TRANSFER:
+            raise BadRequest("transfer larger than %d bytes" % MAX_TRANSFER)
         f = entry.data
         new_end = ctx.request.offset + len(ctx.request.data)
         if new_end > f.size:
@@ -125,8 +127,6 @@ class ChargingFlatFileServer(FlatFileServer):
             paid = self._charge(payer_cap, f.size, new_end)
             if billing is not None:
                 billing[1] += paid
-        if len(ctx.request.data) > MAX_TRANSFER:
-            raise BadRequest("transfer larger than %d bytes" % MAX_TRANSFER)
         f.write(ctx.request.offset, ctx.request.data)
         return ctx.ok(size=f.size)
 

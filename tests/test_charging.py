@@ -9,7 +9,9 @@ from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 from repro.servers.bank import R_DEPOSIT, R_INSPECT, R_WITHDRAW, BankClient, BankServer
 from repro.servers.charging import ChargingFlatFileServer
-from repro.servers.flatfile import FILE_CREATE, FILE_WRITE, FlatFileClient
+from repro.servers.flatfile import (
+    FILE_CREATE, FILE_WRITE, MAX_TRANSFER, FlatFileClient,
+)
 
 
 def build(faults=None):
@@ -93,11 +95,12 @@ class TestQuota:
         cap = file_client.call(
             FILE_CREATE, data=b"", extra_caps=(pay_cap,)
         ).capability
-        # Wallet holds 98 dollars = 49 more units of 1024 bytes.
+        # Wallet holds 98 dollars = 49 more units of 1024 bytes; the
+        # write ends at 60 units (one transfer carries at most 48).
         with pytest.raises(InsufficientFunds):
             file_client.call(
-                FILE_WRITE, capability=cap, offset=0,
-                data=b"x" * (60 * 1024 - 1), extra_caps=(pay_cap,),
+                FILE_WRITE, capability=cap, offset=20 * 1024,
+                data=b"x" * (40 * 1024 - 1), extra_caps=(pay_cap,),
             )
 
     def test_quota_failure_writes_nothing(self, world):
@@ -107,12 +110,26 @@ class TestQuota:
         ).capability
         try:
             file_client.call(
-                FILE_WRITE, capability=cap, offset=0,
-                data=b"x" * (60 * 1024 - 1), extra_caps=(pay_cap,),
+                FILE_WRITE, capability=cap, offset=20 * 1024,
+                data=b"x" * (40 * 1024 - 1), extra_caps=(pay_cap,),
             )
         except InsufficientFunds:
             pass
         assert file_client.size(cap) == 0
+
+    def test_refused_oversized_write_costs_nothing(self, world):
+        _, bank_client, _, file_client, wallet, pay_cap, _ = world
+        cap = file_client.call(
+            FILE_CREATE, data=b"x", extra_caps=(pay_cap,)
+        ).capability
+        before = bank_client.balance(wallet)["USD"]
+        with pytest.raises(BadRequest):
+            file_client.call(
+                FILE_WRITE, capability=cap, offset=0,
+                data=b"x" * (MAX_TRANSFER + 1), extra_caps=(pay_cap,),
+            )
+        assert bank_client.balance(wallet)["USD"] == before
+        assert file_client.size(cap) == 1
 
 
 class TestRefund:

@@ -194,7 +194,9 @@ class TestBlockingPollFeatureDetection:
     into a bogus PortNotLocated."""
 
     def test_delivery_typeerror_propagates(self):
-        net = SimNetwork()
+        from repro.net.sched import VirtualClock
+
+        net = SimNetwork(clock=VirtualClock())  # the station that waits
         client_nic = Nic(net)
         locator = Locator(client_nic, rng=RandomSource(seed=26))
 
@@ -204,7 +206,6 @@ class TestBlockingPollFeatureDetection:
             return None  # fast path: nothing queued yet
 
         client_nic.poll_wire = poisoned_poll_wire
-        client_nic.supports_poll_timeout = True
         with pytest.raises(TypeError, match="genuine bug"):
             locator.locate(Port(0xF00D), timeout=0.1)
 

@@ -134,24 +134,18 @@ class TestTrans:
 
 
 class TestPollBlockingFeatureDetect:
-    """_poll_blocking keys off the supports_poll_timeout capability
-    attribute; the old TypeError probe swallowed genuine TypeErrors
-    raised inside delivery and misreported them as RPCTimeout."""
+    """The wait asks the station to wait and never probes how: an old
+    TypeError probe swallowed genuine TypeErrors raised inside delivery
+    and misreported them as RPCTimeout."""
 
-    def test_nic_declares_no_timeout_support(self, net):
-        assert Nic(net).supports_poll_timeout is False
-
-    def test_socketnode_declares_timeout_support(self):
-        from repro.net.sockets import SocketNode
-
-        assert SocketNode.supports_poll_timeout is True
-
-    def test_delivery_typeerror_propagates(self, net):
+    def test_delivery_typeerror_propagates(self):
         # A station whose timed poll path itself raises TypeError (a real
         # bug) must surface that bug, not a bogus timeout.
-        class BuggyNode(Nic):
-            supports_poll_timeout = True
+        from repro.net.sched import VirtualClock
 
+        net = SimNetwork(clock=VirtualClock())  # the Nic that polls timed
+
+        class BuggyNode(Nic):
             def poll_wire(self, wire_port, timeout=None):
                 if timeout is not None:
                     raise TypeError("broken delivery internals")

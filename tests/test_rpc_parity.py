@@ -13,13 +13,17 @@ Also here: the station contract (what rpc, server and locate may ask of
 a station) and the one rule for a retransmission that finds no listener.
 """
 
+import time
+
 import pytest
 
 from repro.core.ports import Port, PrivatePort, as_port
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import PartitionSuspected, PortNotLocated, RPCTimeout
 from repro.ipc.replica import ReplicaSet
-from repro.ipc.rpc import AsyncTrans, RetryPolicy, trans, trans_many
+from repro.ipc.rpc import (
+    AsyncTrans, RetryPolicy, _await_reply, trans, trans_many,
+)
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
 from repro.net.fbox import FBox
@@ -299,7 +303,6 @@ class LoopbackStation:
     shared dict standing in for the wire."""
 
     clock = None
-    supports_poll_timeout = False
     supports_batch_serve = False
 
     def __init__(self, wire):
@@ -381,14 +384,61 @@ class TestStationContract:
             assert isinstance(node, Station)
         deferred = discipline != "synchronous"
         assert node.supports_batch_serve is deferred
-        assert node.supports_poll_timeout is (discipline == "des")
         assert (node.clock is not None) is (discipline == "des")
 
     def test_socket_node_keeps_it(self, world):
         node = world("udp").client
         assert isinstance(node, Station)
-        assert node.supports_batch_serve and node.supports_poll_timeout
+        assert node.supports_batch_serve
         assert node.clock is None
+
+    @pytest.mark.parametrize("kind", STATIONS + ("loopback",))
+    def test_an_empty_timed_wait_is_final(self, world, kind):
+        """``wait_wire`` coming back empty has spent the budget (DES: the
+        clock stands at the deadline; a socket blocked that long) or
+        drained all there was, so the one wait asks once and gives up —
+        it does not look at what kind of station it is on."""
+        if kind == "loopback":
+            node = LoopbackStation({})
+        else:
+            node = world(kind).client
+        wire = node.listen(PrivatePort(0xE4971))
+        clock = node.clock
+        read_clock = time.monotonic if clock is None else lambda: clock.now
+        asked = []
+        wait_wire = node.wait_wire
+
+        def counted(wire_port, remaining):
+            asked.append(remaining)
+            return wait_wire(wire_port, remaining)
+
+        node.wait_wire = counted
+        budget = 0.05
+        start = read_clock()
+        reply = _await_reply(node, wire, None, start + budget, read_clock)
+        spent = read_clock() - start
+        assert reply is None
+        assert len(asked) == 1 and 0 < asked[0] <= budget
+        if kind == "des":
+            assert spent == pytest.approx(budget)
+        elif kind == "udp":
+            assert budget * 0.9 <= spent < budget + 1.0  # a loaded box
+        else:
+            assert spent < budget  # nothing to wait for: drained, final
+
+    def test_a_get_withdrawn_mid_wait_ends_the_wait(self, world):
+        """A SocketNode whose reply GET is gone answers a timed wait at
+        once; the wait used to spin on it until the deadline."""
+        node = world("udp").client
+        wire = node.listen(PrivatePort(0xE4972))
+        node.unlisten_wire(wire)
+        polls = []
+        poll_wire = node.poll_wire
+        node.poll_wire = lambda *args: polls.append(args) or poll_wire(*args)
+        start = time.monotonic()
+        assert _await_reply(node, wire, None, start + 0.2,
+                            time.monotonic) is None
+        assert len(polls) == 2  # the fast path, then the one timed wait
 
     def test_the_loopback_station_is_only_the_contract(self):
         public = {n for n in dir(LoopbackStation) if not n.startswith("_")}
