@@ -146,7 +146,7 @@ def _scn_power_fail_during_partition(seed):
                        replicas=1, durable=True, client_timeout=0.6,
                        retry_attempts=2)
     r.at(0.20, "partition_client", r.partition_client)
-    r.at(0.35, "power_fail", lambda: r.power_fail(after_writes=9))
+    r.at(0.35, "power_fail", lambda: r.power_fail(after_writes=1))
     r.at(0.55, "heal_client", r.heal_client)
     r.continuously(effectively_once, conservation)
     r.run_ops(8, spacing=0.06)

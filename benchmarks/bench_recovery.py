@@ -1,18 +1,18 @@
 """Durability arms: what the write-ahead log recovers.
 
 PR 8 gave object tables a life across reboots — every create/refresh/
-destroy is appended to a per-stripe log on a virtual disk, snapshots
-truncate the logs, and ``ObjectServer.reboot()`` replays the disk into
-a new incarnation.  These arms check that layer's counts; what it costs
+destroy is appended to a log on a virtual disk, snapshots truncate the
+log, and ``ObjectServer.reboot()`` replays the disk into a new
+incarnation.  These arms check that layer's counts; what it costs
 per transaction is the suite's ``durable_mutate``.
 
 Arms (keys in ``BENCH_invariants.json``)
 ----------------------------------------
 ``recovery_time_vs_size``
-    Kill a durable table at several sizes (half the state in snapshots,
-    half in log tails) and replay the disk into a fresh one: every entry
-    must come back, and the records replayed and blocks in use are
-    reported per size.
+    Kill a durable table at several sizes (half the state in the
+    snapshot, half in the log's tail) and replay the disk into a fresh
+    one: every entry must come back, and the records replayed and blocks
+    in use are reported per size.
 ``recovery_kill_reboot``
     The acceptance scenario on the DES virtual-clock wire with seeded
     frame loss *and* seeded disk faults: a durable directory server
@@ -52,9 +52,9 @@ def _recovery_point(size, seed):
     disk = VirtualDisk(max(1024, size * 2))
     store = DurableStore(disk, codec=DefaultCodec())
     table = ObjectTable(scheme, port, rng=RandomSource(seed=seed),
-                        wal=store, shards=store.shards)
+                        wal=store)
     caps = [table.create("object-%06d" % i) for i in range(size)]
-    # Half the state lives in snapshots, half in log tails — the
+    # Half the state lives in the snapshot, half in the log's tail — the
     # realistic mixture a crash interrupts.
     if size >= 2:
         store.snapshot(table)
@@ -63,7 +63,7 @@ def _recovery_point(size, seed):
 
     cold = DurableStore(disk, codec=DefaultCodec())
     rebuilt = ObjectTable(scheme, port, rng=RandomSource(seed=seed + 1),
-                          wal=cold, shards=cold.shards)
+                          wal=cold)
     report = cold.recover(rebuilt, rng=RandomSource(seed=seed + 2))
     return {
         "entries": size,
@@ -104,8 +104,8 @@ def _kill_reboot_run(n_pre, n_post, seed):
     for i in range(n_pre):
         client.create_directory(root, "pre-%04d" % i)
 
-    # Power fails mid-snapshot: some stripes checkpointed, some not,
-    # a half-written snapshot chain left on the disk.
+    # Power fails mid-snapshot: a half-written snapshot chain is left
+    # on the disk, linked into nothing.
     disk.faults = DiskFaultPlan(power_fail_after=7)
     power_failed = False
     try:
@@ -126,8 +126,8 @@ def _kill_reboot_run(n_pre, n_post, seed):
     respawn.count_requests = False
     client.expect_signature = respawn.signature_image
 
-    # Old capabilities from clean stripes keep working; the retried,
-    # non-idempotent writes must land exactly once each.
+    # Old capabilities keep working (a power failure re-keys nothing);
+    # the retried, non-idempotent writes must land exactly once each.
     for i in range(n_post):
         client.create_directory(root, "post-%04d" % i)
     listing = client.list(root)
@@ -138,7 +138,7 @@ def _kill_reboot_run(n_pre, n_post, seed):
         "post_crash_creates": n_post,
         "power_failed_mid_snapshot": power_failed,
         "entries_recovered": report.entries_restored,
-        "suspect_stripes": list(report.suspect_stripes),
+        "suspect": report.suspect,
         "commits_recovered": len(report.commits),
         "blocks_reclaimed": report.blocks_reclaimed,
         "final_entries": len(listing),

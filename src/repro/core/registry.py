@@ -9,42 +9,33 @@ Revocation works exactly as the paper describes: "ask the server to change
 the random number stored in its internal table and return a new
 capability"; every outstanding capability for the object dies instantly.
 
-Sharding
---------
-The table is partitioned into a power-of-two number of lock-striped
-shards, keyed by object number (``shard = number & (shards - 1)``).  The
-paper's design is embarrassingly parallel — each request names exactly
-one object and touches exactly one row — so every per-object operation
-(:meth:`lookup`, :meth:`refresh`, :meth:`destroy`, :meth:`restrict`,
-:meth:`mint_for`) acquires exactly one stripe, and :meth:`create` draws
-from per-shard allocation counters (object numbers congruent to the
-shard index mod the shard count), so no operation ever takes a global
-lock.  Cross-shard operations (:meth:`age`, :meth:`numbers`) sweep
-stripe by stripe instead of stopping the world.
+Locking
+-------
+One re-entrant lock guards the whole table — the ``entries`` dict, the
+fresh-number counter and the free list.  Every operation takes it for
+dict and counter work only: the one expensive step, the scheme's
+one-way-function ``verify``, runs *outside* it (see :meth:`lookup`), and
+the revocation listeners fire after it is released.  (The table was
+striped 16 ways until PR 21; docs/PERFORMANCE.md "Removed" has the
+measurements that retired the stripes.)
 
 Each entry additionally memoizes its verified (rights, check) pairs —
 the server-side half of §2.4's "hashed cache of capabilities that they
 have been using frequently": a repeat lookup of an already-validated
-capability costs one stripe acquisition and two dict probes instead of a
+capability costs one lock acquisition and two dict probes instead of a
 one-way-function evaluation.  The memo can never outlive the secret it
-was computed from: :meth:`refresh` clears it under the same stripe that
+was computed from: :meth:`refresh` clears it under the same hold that
 replaces the secret, and :meth:`destroy`/:meth:`age` drop the entry
 (memo and all) outright.
 """
 
-import itertools
 import threading
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.capability import OBJECT_BITS, Capability
 from repro.core.rights import ALL_RIGHTS, NO_RIGHTS, Rights
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import NoSuchObject, PermissionDenied
-
-#: Default stripe count: enough that 8–16 worker threads rarely collide
-#: on a stripe, small enough that a full sweep is still cheap.
-DEFAULT_SHARDS = 16
 
 #: Bound on each entry's verified-pair memo.  An object realistically
 #: circulates as its owner capability plus a handful of restricted
@@ -69,46 +60,12 @@ class ObjectEntry:
     lifetime: object = None
     #: Verified (rights, check) -> effective Rights memo for the *current*
     #: secret (§2.4 server-side capability cache).  Mutated only under the
-    #: owning shard's stripe; cleared whenever the secret is replaced.
+    #: table lock; cleared whenever the secret is replaced.
     verified: dict = field(default_factory=dict, repr=False)
 
 
-class _Shard:
-    """One stripe: a lock, its entries, and its slice of the number space.
-
-    Shard ``k`` of ``n`` owns every object number congruent to ``k``
-    (mod ``n``); ``fresh_number``/``step`` walk that residue class so
-    allocation needs no coordination with other shards.
-    """
-
-    __slots__ = ("index", "lock", "entries", "free_numbers", "fresh_number", "step")
-
-    def __init__(self, index, step):
-        self.index = index
-        # RLock: refresh/destroy validate (lookup) and mutate under one
-        # acquisition, exactly as the monolithic table did globally.
-        self.lock = threading.RLock()
-        self.entries = {}
-        # (number, next generation): a recycled number resumes *above*
-        # its last incarnation's generation, so a revocation still in
-        # flight for the old object can never pass the guard on the new.
-        self.free_numbers = []
-        self.fresh_number = index
-        self.step = step
-
-    def allocate_fresh(self, max_objects):
-        """Next never-used number in this stripe's residue class, or None
-        when the stripe's slice of ``max_objects`` is exhausted.  Caller
-        holds the stripe."""
-        number = self.fresh_number
-        if number >= max_objects:
-            return None
-        self.fresh_number = number + self.step
-        return number
-
-
 class ObjectTable:
-    """Lock-striped, thread-safe object table bound to one scheme and port.
+    """Thread-safe object table bound to one scheme and port.
 
     Parameters
     ----------
@@ -120,9 +77,7 @@ class ObjectTable:
     rng:
         Randomness source for object secrets (seedable for tests).
     max_objects:
-        Capacity bound across all shards (the 24-bit space by default).
-    shards:
-        Power-of-two stripe count.  1 reproduces the monolithic table.
+        Capacity bound (the 24-bit space by default).
     """
 
     def __init__(
@@ -132,20 +87,12 @@ class ObjectTable:
         rng=None,
         max_objects=1 << OBJECT_BITS,
         default_lifetime=None,
-        shards=DEFAULT_SHARDS,
         wal=None,
     ):
         if max_objects < 1 or max_objects > (1 << OBJECT_BITS):
             raise ValueError("max_objects must be in [1, 2**24]")
         if default_lifetime is not None and default_lifetime < 1:
             raise ValueError("default_lifetime must be >= 1 sweeps")
-        if shards < 1 or shards & (shards - 1):
-            raise ValueError("shards must be a power of two >= 1")
-        if wal is not None and wal.shards != shards:
-            raise ValueError(
-                "durable store has %d stripes but the table has %d shards"
-                % (wal.shards, shards)
-            )
         self.scheme = scheme
         self.port = port
         self._rng = rng or RandomSource()
@@ -157,127 +104,85 @@ class ObjectTable:
         self.default_lifetime = default_lifetime
         #: Optional write-ahead log (:class:`~repro.disk.wal.DurableStore`
         #: duck type): every mutation that survives this table's process —
-        #: create, refresh, destroy, aging expiry — is appended to the
-        #: owning stripe's log *under the stripe lock the mutation already
-        #: holds*, so durability adds no cross-shard serialization.
+        #: create, refresh, destroy, aging expiry — is appended to it
+        #: *under the table lock the mutation already holds*, so log order
+        #: is mutation order.
         self._wal = wal
-        self._shards = [_Shard(i, shards) for i in range(shards)]
-        self._mask = shards - 1
-        # Round-robin cursor for fresh allocation (itertools.count is a
-        # single C call, atomic under concurrent create()s) and a queue
-        # of shard-index hints, one per freed number, so create() reuses
-        # recycled numbers first — preserving the monolithic table's
-        # allocate-from-the-free-list-before-minting behavior — without
-        # any cross-shard lock.
-        self._fresh_cursor = itertools.count()
-        self._recycle_hints = deque()
+        # RLock: refresh/destroy validate (lookup) and mutate under one
+        # acquisition.
+        self._lock = threading.RLock()
+        self._entries = {}
+        #: One past the highest object number ever issued.  Fresh numbers
+        #: come from here and it only ever rises — a checkpoint records
+        #: it and recovery restores it (:meth:`raise_high_water`), so a
+        #: reboot can never hand out, at generation 0, a number some dead
+        #: object once carried at a higher one.
+        self.high_water = 0
+        # (number, next generation): a recycled number resumes *above*
+        # its last incarnation's generation, so a revocation still in
+        # flight for the old object can never pass the guard on the new.
+        # Volatile: the numbers freed before a reboot are not reissued
+        # after it (a leak of number space, never a reuse).
+        self._free = []
         # Callbacks fired after a secret dies (refresh/destroy/age) with
         # (port, object number, generation) — e.g. a sealer purging its
         # §2.4 capability caches so a revoked capability's sealed form
-        # cannot be served from cache.  Fired outside every stripe lock.
+        # cannot be served from cache.  Fired outside the table lock.
         self._revocation_listeners = []
 
-    # ------------------------------------------------------------------
-    # shard topology
-    # ------------------------------------------------------------------
-
-    @property
-    def shard_count(self):
-        return len(self._shards)
-
-    def shard_of(self, number):
-        """The stripe index owning ``number`` (``number & (shards-1)``)."""
-        return number & self._mask
-
-    def shard_sizes(self):
-        """Per-shard entry counts (a racy snapshot; for experiments)."""
-        return [len(shard.entries) for shard in self._shards]
-
     def __len__(self):
-        return sum(len(shard.entries) for shard in self._shards)
+        return len(self._entries)
 
     def __contains__(self, number):
-        return number in self._shards[number & self._mask].entries
+        return number in self._entries
 
     def numbers(self):
-        """Snapshot of the allocated object numbers.
-
-        Stripe-by-stripe: each shard is locked just long enough to copy
-        its key view; no instant exists at which the whole table is
-        locked."""
-        collected = []
-        for shard in self._shards:
-            with shard.lock:
-                collected.extend(shard.entries)
-        return sorted(collected)
+        """Snapshot of the allocated object numbers, sorted."""
+        with self._lock:
+            return sorted(self._entries)
 
     # ------------------------------------------------------------------
     # allocation
     # ------------------------------------------------------------------
 
     def _allocate(self):
-        """Reserve an object number; returns ``(shard, number,
-        generation)`` — 0 for a never-used number, one past the previous
-        incarnation's for a recycled one.
-
-        Recycled numbers win over fresh ones (each freed number leaves a
-        shard-index hint in ``_recycle_hints``); fresh allocation round-
-        robins across stripes so concurrent creators land on different
-        locks.  Only when every stripe's slice is exhausted — and a last
-        free-list scan finds nothing a racing destroy gave back — is the
-        table full.
-        """
-        hints = self._recycle_hints
-        while True:
-            try:
-                index = hints.popleft()
-            except IndexError:
-                break
-            shard = self._shards[index]
-            with shard.lock:
-                if shard.free_numbers:
-                    return (shard, *shard.free_numbers.pop())
-            # Stale hint (a racing create claimed the number); keep going.
-        shards = self._shards
-        count = len(shards)
-        start = next(self._fresh_cursor)
-        for i in range(count):
-            shard = shards[(start + i) & self._mask]
-            with shard.lock:
-                number = shard.allocate_fresh(self._max_objects)
-                if number is not None:
-                    return shard, number, 0
-        for shard in shards:
-            with shard.lock:
-                if shard.free_numbers:
-                    return (shard, *shard.free_numbers.pop())
-        raise NoSuchObject(
-            "object table full (%d objects)" % self._max_objects
-        )
+        """Reserve an object number (caller holds the lock); returns
+        ``(number, generation)`` — a freed number, one past its previous
+        incarnation's generation, ahead of a never-used one at 0."""
+        if self._free:
+            return self._free.pop()
+        number = self.high_water
+        if number >= self._max_objects:
+            raise NoSuchObject(
+                "object table full (%d objects)" % self._max_objects
+            )
+        self.high_water = number + 1
+        return number, 0
 
     def create(self, data, rights=ALL_RIGHTS):
         """Create an object and mint its first capability.
 
         The returned capability is the object's *owner* capability; the
         paper's servers always mint with all rights and let callers derive
-        weaker ones.  No global lock: the number is reserved under one
-        stripe, the secret is drawn outside any lock, and the row is
-        installed under the same stripe.
+        weaker ones.
         """
-        shard, number, generation = self._allocate()
-        secret = self.scheme.new_secret(self._rng)
-        entry = ObjectEntry(
-            number=number,
-            secret=secret,
-            data=data,
-            generation=generation,
-            lifetime=self.default_lifetime,
-        )
-        with shard.lock:
-            shard.entries[number] = entry
+        with self._lock:
+            number, generation = self._allocate()
+            secret = self.scheme.new_secret(self._rng)
+            entry = self._entries[number] = ObjectEntry(
+                number, secret, data, generation,
+                lifetime=self.default_lifetime,
+            )
             if self._wal is not None:
-                self._wal.log_create(shard.index, entry)
-        rights_field, check = self.scheme.mint(secret, Rights(rights))
+                self._wal.log_create(entry)
+        return self._capability(
+            number, self.scheme.mint(secret, Rights(rights))
+        )
+
+    def _capability(self, number, minted):
+        """This table's capability for ``number`` around a scheme's
+        ``(rights field, check field)`` pair."""
+        rights_field, check = minted
         return Capability(
             port=self.port, object=number, rights=rights_field, check=check
         )
@@ -289,10 +194,10 @@ class ObjectTable:
     def _entry(self, number):
         """The live row for ``number`` (no validation — server internals
         like the bank's conservation sum reach for rows they already
-        know exist).  One shard dict probe, no lock: CPython dict reads
-        are atomic against the stripe-locked writers."""
+        know exist).  One dict probe, no lock: CPython dict reads are
+        atomic against the locked writers."""
         try:
-            return self._shards[number & self._mask].entries[number]
+            return self._entries[number]
         except KeyError:
             raise NoSuchObject("no object %d on this server" % number) from None
 
@@ -305,27 +210,25 @@ class ObjectTable:
         of ``required``.  This is the single enforcement point every server
         operation funnels through.
 
-        Locking: exactly one stripe — the one owning the object number —
-        is ever acquired.  A (rights, check) pair already proven against
-        the *live* secret hits the entry's verified memo and returns
-        under a single acquisition with no crypto at all.  On a miss the
-        scheme's verify (the expensive one-way function) deliberately
-        runs *outside* the stripe, and the liveness bookkeeping runs back
-        *under* it — ``touches`` is a read-modify-write and ``lifetime``
-        races with :meth:`age`, so mutating them unlocked lost touches
-        and could resurrect an entry a concurrent :meth:`destroy`/sweep
-        had already removed.  If the entry changed while verify ran (a
-        racing refresh or destroy-and-recreate), the stale verdict is
-        discarded and the capability is re-validated against the live
-        secret.
+        Locking: a (rights, check) pair already proven against the *live*
+        secret hits the entry's verified memo and returns under a single
+        acquisition with no crypto at all.  On a miss the scheme's verify
+        (the expensive one-way function) deliberately runs *outside* the
+        lock, and the liveness bookkeeping runs back *under* it —
+        ``touches`` is a read-modify-write and ``lifetime`` races with
+        :meth:`age`, so mutating them unlocked lost touches and could
+        resurrect an entry a concurrent :meth:`destroy`/sweep had already
+        removed.  If the entry changed while verify ran (a racing refresh
+        or destroy-and-recreate), the stale verdict is discarded and the
+        capability is re-validated against the live secret.
         """
         number = capability.object
-        shard = self._shards[number & self._mask]
+        entries = self._entries
         if type(required) is not Rights:
             required = Rights(required)
         memo_key = (capability.rights, capability.check)
-        with shard.lock:
-            entry = shard.entries.get(number)
+        with self._lock:
+            entry = entries.get(number)
             if entry is None:
                 raise NoSuchObject(
                     "no object %d on this server" % number
@@ -350,8 +253,8 @@ class ObjectTable:
                     "capability grants %s but operation requires %s"
                     % (bin(int(effective)), bin(int(required)))
                 )
-            with shard.lock:
-                live = shard.entries.get(number)
+            with self._lock:
+                live = entries.get(number)
                 if live is None:
                     raise NoSuchObject(
                         "no object %d on this server" % number
@@ -381,21 +284,10 @@ class ObjectTable:
         fewer rights."
         """
         number = capability.object
-        shard = self._shards[number & self._mask]
-        with shard.lock:
-            entry = shard.entries.get(number)
-            if entry is None:
-                raise NoSuchObject("no object %d on this server" % number)
-            secret = entry.secret
-        rights_field, check = self.scheme.restrict(
-            secret, capability.rights, capability.check, Rights(keep_mask)
-        )
-        return Capability(
-            port=self.port,
-            object=number,
-            rights=rights_field,
-            check=check,
-        )
+        return self._capability(number, self.scheme.restrict(
+            self._entry(number).secret,
+            capability.rights, capability.check, Rights(keep_mask),
+        ))
 
     # ------------------------------------------------------------------
     # revocation
@@ -410,7 +302,7 @@ class ObjectTable:
         :meth:`~repro.softprot.matrix.CapabilitySealer.invalidate_object`,
         so a revoked capability's cached (sealed, source) triple cannot
         outlive the secret it was minted under.  Callbacks run outside
-        every stripe lock."""
+        the table lock."""
         self._revocation_listeners.append(callback)
 
     def _notify_revocation(self, number, generation):
@@ -425,44 +317,35 @@ class ObjectTable:
         the RIGHTS field"; callers pass the server's chosen mask as
         ``required`` (default: demand the full owner capability).
 
-        The stripe is held across validate-and-replace (re-entrantly
+        The lock is held across validate-and-replace (re-entrantly
         through :meth:`lookup`), and the verified memo is cleared under
         that same hold — no window exists in which the old secret's
         proven pairs could bless a capability of the new generation.
         """
-        number = capability.object
-        shard = self._shards[number & self._mask]
-        with shard.lock:
+        with self._lock:
             entry, _ = self.lookup(capability, required)
-            entry.secret = self.scheme.new_secret(self._rng)
+            secret = entry.secret = self.scheme.new_secret(self._rng)
             entry.generation += 1
             entry.verified.clear()
-            secret = entry.secret
-            generation = entry.generation
+            number, generation = entry.number, entry.generation
             if self._wal is not None:
-                self._wal.log_refresh(shard.index, number, secret, generation)
+                self._wal.log_refresh(number, secret, generation)
         self._notify_revocation(number, generation)
-        rights_field, check = self.scheme.mint(secret, ALL_RIGHTS)
-        return Capability(
-            port=self.port,
-            object=number,
-            rights=rights_field,
-            check=check,
-        )
+        return self._capability(number, self.scheme.mint(secret, ALL_RIGHTS))
+
+    def _remove(self, entry):
+        """Drop a row, free its number, log it (caller holds the lock)."""
+        del self._entries[entry.number]
+        self._free.append((entry.number, entry.generation + 1))
+        if self._wal is not None:
+            self._wal.log_destroy(entry.number)
 
     def destroy(self, capability, required=ALL_RIGHTS):
         """Validate and remove an object, recycling its number."""
-        number = capability.object
-        shard = self._shards[number & self._mask]
-        with shard.lock:
+        with self._lock:
             entry, _ = self.lookup(capability, required)
-            del shard.entries[entry.number]
-            generation = entry.generation
-            shard.free_numbers.append((entry.number, generation + 1))
-            if self._wal is not None:
-                self._wal.log_destroy(shard.index, entry.number)
-        self._recycle_hints.append(shard.index)
-        self._notify_revocation(entry.number, generation)
+            self._remove(entry)
+        self._notify_revocation(entry.number, entry.generation)
         return entry.data
 
     def apply_refresh(self, number, secret, generation):
@@ -477,19 +360,18 @@ class ObjectTable:
         also a no-op (a racing destroy won), returning False.
 
         Like :meth:`refresh`, the verified memo is cleared under the same
-        stripe hold that swaps the secret, and the revocation listeners
-        (the §2.4 cache purge) fire after the stripe is released.
+        hold that swaps the secret, and the revocation listeners (the
+        §2.4 cache purge) fire after the lock is released.
         """
-        shard = self._shards[number & self._mask]
-        with shard.lock:
-            entry = shard.entries.get(number)
+        with self._lock:
+            entry = self._entries.get(number)
             if entry is None or generation <= entry.generation:
                 return False
             entry.secret = secret
             entry.generation = generation
             entry.verified.clear()
             if self._wal is not None:
-                self._wal.log_refresh(shard.index, number, secret, generation)
+                self._wal.log_refresh(number, secret, generation)
         self._notify_revocation(number, generation)
         return True
 
@@ -505,18 +387,12 @@ class ObjectTable:
         for an object this replica never had is a no-op.
         Returns True when a row was removed.
         """
-        shard = self._shards[number & self._mask]
-        with shard.lock:
-            entry = shard.entries.get(number)
+        with self._lock:
+            entry = self._entries.get(number)
             if entry is None or entry.generation > generation:
                 return False
-            del shard.entries[number]
-            generation = entry.generation
-            shard.free_numbers.append((number, generation + 1))
-            if self._wal is not None:
-                self._wal.log_destroy(shard.index, number)
-        self._recycle_hints.append(shard.index)
-        self._notify_revocation(number, generation)
+            self._remove(entry)
+        self._notify_revocation(number, entry.generation)
         return True
 
     def age(self, on_expire=None):
@@ -532,36 +408,24 @@ class ObjectTable:
         run a background client that touches everything still reachable
         by name, then call age(); what remains unproven is garbage.
 
-        The sweep is stripe-by-stripe: each shard's stripe is taken
-        exactly once, and that single continuous hold covers both the
-        decrement pass and the expiry pass — a concurrent refresh or
-        touch (which needs the same stripe) therefore cannot interleave
-        between an entry's decrement and its removal, so no stale
-        snapshot can ever expire a row whose lifetime was just reset.
-        Lookups on the other shards proceed while this stripe sweeps;
-        ``on_expire`` and the revocation fan-out run after the stripe
-        is released.
+        One continuous hold covers both the decrement pass and the
+        expiry pass — a concurrent refresh or touch (which needs the
+        same lock) therefore cannot interleave between an entry's
+        decrement and its removal, so no stale snapshot can ever expire
+        a row whose lifetime was just reset.  ``on_expire`` and the
+        revocation fan-out run after the lock is released.
         """
         expired = []
-        for shard in self._shards:
-            with shard.lock:
-                doomed = []
-                for entry in shard.entries.values():
-                    if entry.lifetime is None:
-                        continue
-                    entry.lifetime -= 1
-                    if entry.lifetime <= 0:
-                        doomed.append(entry)
-                for entry in doomed:
-                    del shard.entries[entry.number]
-                    shard.free_numbers.append(
-                        (entry.number, entry.generation + 1)
-                    )
-                    if self._wal is not None:
-                        self._wal.log_destroy(shard.index, entry.number)
-                expired.extend(doomed)
+        with self._lock:
+            for entry in self._entries.values():
+                if entry.lifetime is None:
+                    continue
+                entry.lifetime -= 1
+                if entry.lifetime <= 0:
+                    expired.append(entry)
+            for entry in expired:
+                self._remove(entry)
         for entry in expired:
-            self._recycle_hints.append(entry.number & self._mask)
             if on_expire is not None:
                 on_expire(entry)
             self._notify_revocation(entry.number, entry.generation)
@@ -571,26 +435,26 @@ class ObjectTable:
     # durability hooks (no-ops without a write-ahead log)
     # ------------------------------------------------------------------
 
-    def stripe_locked(self, index, fn):
-        """Run ``fn(entries)`` while holding stripe ``index``'s lock.
+    def locked(self, fn):
+        """Run ``fn(entries)`` while holding the table lock.
 
-        This is the snapshot primitive: the durable store encodes a
-        stripe's rows *and* captures the log's replay position under a
-        single continuous hold, which is what proves every log record
-        before the position redundant with the snapshot.
+        This is the snapshot primitive: the durable store encodes the
+        rows, reads :attr:`high_water` *and* captures the log's replay
+        position under a single continuous hold, which is what proves
+        every log record before the position redundant with the
+        snapshot.
         """
-        shard = self._shards[index]
-        with shard.lock:
-            return fn(shard.entries)
+        with self._lock:
+            return fn(self._entries)
 
     def persist(self, number, delta=None):
         """Log an object's data payload after a server mutated it.
 
         Servers holding durable state inside ``entry.data`` (the
         directory server's name map) call this after each mutation; the
-        record is appended under the owning stripe's lock, so it is
-        ordered exactly against create/refresh/destroy and against
-        snapshot position capture.  A no-op without a WAL.
+        record is appended under the table lock, so it is ordered
+        exactly against create/refresh/destroy and against snapshot
+        position capture.  A no-op without a WAL.
 
         Without ``delta`` the whole payload is re-logged.  ``delta`` is
         the change alone, in the store codec's delta form (see
@@ -601,61 +465,55 @@ class ObjectTable:
         """
         if self._wal is None:
             return
-        shard = self._shards[number & self._mask]
-        with shard.lock:
-            entry = shard.entries.get(number)
-            if entry is None:
-                raise NoSuchObject("no object %d on this server" % number)
-            self._wal.log_update(shard.index, number, entry.data, delta)
+        with self._lock:
+            self._wal.log_update(number, self._entry(number).data, delta)
 
-    def log_commit(self, number, src, reply_value, reply_raw):
-        """Append a transaction-commit record to ``number``'s stripe log.
+    def log_commit(self, src, reply_value, reply_raw):
+        """Append a transaction-commit record to the log.
 
-        Taken under the stripe lock for the same reason as
+        Taken under the table lock for the same reason as
         :meth:`persist`: a commit must never slip between a snapshot's
         entry encoding and its position capture, or truncation would
-        silently drop it.  The store writes the calling thread's
-        unflushed blocks with it, so on return the whole transaction is
-        on the medium.  A no-op without a WAL.
+        silently drop it.  The store writes everything still unflushed
+        with it, so on return the whole transaction is on the medium.
+        A no-op without a WAL.
         """
         if self._wal is None:
             return
-        shard = self._shards[number & self._mask]
-        with shard.lock:
-            self._wal.log_commit(shard.index, src, reply_value, reply_raw)
+        with self._lock:
+            self._wal.log_commit(src, reply_value, reply_raw)
 
     def restore_entry(self, entry):
         """Install a recovered row, bypassing the WAL (recovery must not
-        re-log what it replays).  Fresh-number allocation is advanced
-        past the recovered number so post-reboot creates cannot collide
-        with rows that were live before the crash, and a number this
-        table had freed (a peer's destroy applied here, the recycled
-        number then mirrored back) comes off the free list, so a later
-        local create cannot pop it and overwrite the row."""
+        re-log what it replays).  The high-water mark is raised past the
+        recovered number so later creates cannot collide with it, and a
+        number this table had freed (a peer's destroy applied here, the
+        recycled number then mirrored back) comes off the free list, so
+        a later local create cannot pop it and overwrite the row."""
         number = entry.number
-        shard = self._shards[number & self._mask]
-        with shard.lock:
-            shard.entries[number] = entry
-            if shard.fresh_number <= number:
-                shard.fresh_number = number + shard.step
-            shard.free_numbers[:] = [
-                freed for freed in shard.free_numbers if freed[0] != number
+        with self._lock:
+            self._entries[number] = entry
+            self.raise_high_water(number + 1)
+            self._free[:] = [
+                freed for freed in self._free if freed[0] != number
             ]
 
+    def raise_high_water(self, mark):
+        """Never issue a number below ``mark`` as fresh (recovery hands
+        in what the dead incarnation's checkpoint and log recorded)."""
+        with self._lock:
+            if self.high_water < mark:
+                self.high_water = mark
+
     def snapshot_entries(self):
-        """A consistent-per-stripe copy of every live row, as
-        ``(number, secret, data, generation)`` tuples — what the chaos
-        engine compares across replicas for convergence.  Each stripe is
-        locked exactly once; the snapshot is not atomic across stripes
-        (neither is any client's view)."""
-        rows = []
-        for shard in self._shards:
-            with shard.lock:
-                rows.extend(
-                    (e.number, e.secret, e.data, e.generation)
-                    for e in shard.entries.values()
-                )
-        return rows
+        """A consistent copy of every live row, as ``(number, secret,
+        data, generation)`` tuples — what the chaos engine compares
+        across replicas for convergence."""
+        with self._lock:
+            return [
+                (e.number, e.secret, e.data, e.generation)
+                for e in self._entries.values()
+            ]
 
     def mint_for(self, number, rights=ALL_RIGHTS):
         """Mint a capability for an existing object *without* validation.
@@ -665,13 +523,6 @@ class ObjectTable:
         the memory server minting a process capability after MAKE PROCESS
         is exactly this).  Never expose this over the wire.
         """
-        shard = self._shards[number & self._mask]
-        with shard.lock:
-            entry = shard.entries.get(number)
-            if entry is None:
-                raise NoSuchObject("no object %d on this server" % number)
-            secret = entry.secret
-        rights_field, check = self.scheme.mint(secret, Rights(rights))
-        return Capability(
-            port=self.port, object=number, rights=rights_field, check=check
-        )
+        return self._capability(number, self.scheme.mint(
+            self._entry(number).secret, Rights(rights)
+        ))

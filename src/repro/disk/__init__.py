@@ -4,12 +4,12 @@ give object tables a life across reboots."""
 
 from repro.disk.diskfaults import DiskFaultPlan
 from repro.disk.virtualdisk import VirtualDisk
-from repro.disk.wal import DurableStore, RecoveryReport, StripeLog
+from repro.disk.wal import ChainLog, DurableStore, RecoveryReport
 
 __all__ = [
     "VirtualDisk",
     "DiskFaultPlan",
     "DurableStore",
     "RecoveryReport",
-    "StripeLog",
+    "ChainLog",
 ]

@@ -1,27 +1,28 @@
-"""Per-stripe write-ahead logging and reboot recovery for object tables.
+"""Write-ahead logging and reboot recovery for object tables.
 
 Every server's :class:`~repro.core.registry.ObjectTable` dies with its
-process; this module gives it a disk life.  The design follows the
-table's own sharding: **one append-only log per stripe**, so ``create``
-/ ``refresh`` / ``destroy`` append under the stripe lock the operation
-already holds and logging never serializes cross-shard traffic.
-Periodic per-stripe snapshots bound each log's length — a snapshot
-encodes the stripe's rows and captures the log's *replay position*
-under one stripe acquisition, commits the new superblock, and only then
-frees the log blocks before that position.  Nothing acked is ever lost
-by truncation, and no instant exists at which the whole table is
-locked.
+process; this module gives it a disk life.  There is **one append-only
+log**: ``create`` / ``refresh`` / ``destroy`` append under the table
+lock the operation already holds, so log order is mutation order.
+Periodic snapshots bound the log's length — a snapshot encodes the
+table's rows and captures the log's *replay position* under one hold of
+the table lock, commits the new superblock, and only then frees the log
+blocks before that position (every block write happens outside the
+hold).  Nothing acked is ever lost by truncation.
 
 On-disk layout (over a :class:`~repro.disk.virtualdisk.VirtualDisk`):
 
 * **Superblock** — dual slots at blocks 0 and 1, written alternately
   with a monotonically increasing epoch and a CRC; the highest *valid*
   epoch wins at attach, so a torn superblock write simply loses to the
-  previous commit.  Per stripe it records the snapshot chain head, the
-  log chain head, and the replay offset within that head block.
-* **Block chains** — each snapshot and each log is a singly linked
-  chain: ``[4B next | 0xFFFFFFFF][2B used]`` then payload.  Records
-  span block boundaries, so block size never bounds record size.
+  previous commit.  It records the snapshot chain head, the log chain
+  head, the replay offset within that head block, and the table's
+  *high-water mark* — one past the highest object number ever issued,
+  so a reboot never re-issues a dead object's number from scratch.
+* **Block chains** — the snapshot and the log are each a singly linked
+  chain: ``[4B next | 0xFFFFFFFF][2B used][2B header crc]`` then
+  payload.  Records span block boundaries, so block size never bounds
+  record size.
 * **Records** — ``[1B magic 0xA5][4B length][4B crc32]`` + payload.
   The CRC is what detects a *torn* tail; a whole lost block at the tail
   is deliberately undetectable (the log is shorter but clean) and
@@ -29,42 +30,47 @@ On-disk layout (over a :class:`~repro.disk.virtualdisk.VirtualDisk`):
   capabilities for the lost objects get ``NoSuchObject`` and re-create
   through the retry + re-locate path.
 
-Flush rule: a record always enters its stripe's tail block under the
-stripe lock, and that block is written before the append returns —
-except while the appending thread is inside an ``ObjectServer``
-dispatch (:meth:`DurableStore.begin` / :meth:`~DurableStore.end`).
-There the bytes wait in the tail buffer and reach the medium in *one*
-block write when the transaction's commit record is logged
+Flush rule: a record always enters the log's tail block under the table
+lock, and that block is written before the append returns — except
+while the appending thread is inside an ``ObjectServer`` dispatch
+(:meth:`DurableStore.begin` / :meth:`~DurableStore.end`).  There the
+bytes wait in the tail buffer and reach the medium in *one* block write
+when the transaction's commit record is logged
 (:meth:`DurableStore.log_commit`) or, with no commit to log, at
 :meth:`DurableStore.flush` — in every case before the reply leaves, so
-acked still implies flushed.  A mutation costs what it changed: a
-server that can describe its change logs a small ``OP_DELTA`` record
-instead of the whole row image.
+acked still implies flushed, and the commit can never reach the medium
+ahead of a mutation it vouches for: they are one stream, in append
+order.  A flush that spills past the tail block writes the new blocks
+first and the old tail — whose forward pointer is what makes them
+reachable — *last* (:meth:`ChainLog._flush_tail`), so a power failure
+leaves the whole group on the medium or none of it, never a torn tail.
+A mutation costs what it changed: a server that can describe its change
+logs a small ``OP_DELTA`` record instead of the whole row image.
 
 Recovery (:meth:`DurableStore.recover`, driven by
-``ObjectServer.reboot()``) replays snapshot + log per stripe.  A stripe
-whose tail is *suspect* (bad magic, bad CRC, truncated record, broken
-chain) keeps its parsed prefix but has every secret regenerated and
-every generation bumped — exactly the paper's revocation move: when the
-server cannot prove its table wasn't tampered with, it re-keys, old
-capabilities fail §2.2 check validation, and clients refresh.  Commit
-records (server-side dedup state, see ``ObjectServer``) are replayed
-only from clean stripes; a suspect stripe's transactions re-execute,
-which is coherent because their effects are exactly what the torn tail
-lost.
+``ObjectServer.reboot()``) replays snapshot + log.  A *suspect* medium
+(bad magic, bad CRC, truncated record, broken chain — what a torn
+sector leaves, never a plain power failure) keeps its parsed prefix but
+has every secret regenerated and every generation bumped — exactly the
+paper's revocation move: when the server cannot prove its table wasn't
+tampered with, it re-keys, old capabilities fail §2.2 check validation,
+and clients refresh.  Commit records (server-side dedup state, see
+``ObjectServer``) are replayed only from a clean log; after a suspect
+one the transactions re-execute, which is coherent because their
+effects are exactly what the torn tail lost.
 """
 
 import struct
 import threading
 import zlib
 
-from repro.core.registry import DEFAULT_SHARDS, ObjectEntry
+from repro.core.registry import ObjectEntry
 from repro.crypto.randomsrc import RandomSource
 from repro.disk.virtualdisk import VirtualDisk
 from repro.errors import DiskFault, MalformedCapability
 from repro.util.record import Reader, pack_secret, unpack_secret
 
-__all__ = ["DurableStore", "StripeLog", "RecoveryReport", "DefaultCodec"]
+__all__ = ["DurableStore", "ChainLog", "RecoveryReport", "DefaultCodec"]
 
 #: "No block" sentinel in chain next-pointers and snapshot heads.
 NO_BLOCK = 0xFFFFFFFF
@@ -72,7 +78,7 @@ NO_BLOCK = 0xFFFFFFFF
 # Chain block header: next block, used payload bytes, and a 16-bit CRC
 # over those six bytes.  The header CRC is what keeps a *torn* header
 # from being believed: without it a garbage ``next`` could walk a scan
-# into some other stripe's live blocks — and tail truncation would then
+# into the other chain's live blocks — and tail truncation would then
 # free blocks it does not own.
 _CHAIN_HEADER = struct.Struct(">IHH")
 _RECORD_HEAD = struct.Struct(">BII")  # magic, payload length, crc32
@@ -80,9 +86,10 @@ _RECORD_MAGIC = 0xA5
 
 _SB_SLOTS = (0, 1)
 _SB_MAGIC = b"AWAL"
-_SB_VERSION = 1
-_SB_HEAD = struct.Struct(">4sBBQI")  # magic, version, shards, epoch, crc
-_SB_STRIPE = struct.Struct(">III")  # snapshot head, log head, replay offset
+_SB_VERSION = 2  # 1 had a record per stripe and no high-water mark
+# magic, version, chain count (always 1), epoch, crc; then snapshot
+# head, log head, replay offset, high-water mark.
+_SB = struct.Struct(">4sBBQIIIII")
 
 # Record operation tags.
 OP_ENTRY = 1  # full row image: create *and* snapshot records
@@ -121,31 +128,27 @@ def _free_chain(disk, head, stop=NO_BLOCK):
     Stops (leaking, for the attach-time reclaimer) rather than freeing
     through a block whose header does not verify.
     """
-    freed = 0
     block_no = head
     while block_no != stop and block_no != NO_BLOCK:
-        raw = disk.read(block_no)
-        nxt, _, ok = _parse_chain_header(raw)
+        nxt, _, ok = _parse_chain_header(disk.read(block_no))
         disk.free(block_no)
-        freed += 1
         if not ok:
             break
         block_no = nxt
-    return freed
 
 
-class StripeLog:
+class ChainLog:
     """One append-only record stream over a chain of disk blocks.
 
     Appends are buffered per tail block; :meth:`flush` writes that block
-    whole, and a record that overflows it additionally costs the
-    :meth:`_roll` write of the full old block.  :meth:`append` flushes
-    before it returns unless told not to — the caller then owes the
-    :meth:`flush` (see the module docstring's flush rule).  The internal
-    lock orders appends and flushes against concurrent
-    :meth:`tail_position` / :meth:`truncate_front`; callers in the
-    object table already hold their stripe lock, which is what makes
-    the position capture in a snapshot exact.
+    whole, and a record that overflows it additionally costs one write
+    of each full block left behind.  :meth:`append` flushes before it
+    returns unless told not to — the caller then owes the :meth:`flush`
+    (see the module docstring's flush rule).  The internal lock orders
+    appends and flushes against concurrent :meth:`tail_position` /
+    :meth:`truncate_front`; callers in the object table already hold
+    the table lock, which is what makes the position capture in a
+    snapshot exact.
     """
 
     def __init__(self, disk, head=None, tail=None, tail_used=0):
@@ -157,18 +160,20 @@ class StripeLog:
         self.records_appended = 0
         # True while the tail buffer holds bytes the medium does not.
         self._unflushed = False
+        # Full blocks rolled out of since the last flush, oldest first,
+        # as (block, image) — the first is the block the medium still
+        # holds as the tail.
+        self._spilled = []
         if head is None:
-            head = disk.allocate()
-            self.head = head
-            self.tail = head
+            self.head = self.tail = disk.allocate()
             self.tail_used = 0
             self._tail_buf = bytearray(disk.block_size)
             self._flush_tail()  # an unwritten head must not scan as torn
         else:
             self.head = head
-            self.tail = tail if tail is not None else head
+            self.tail = tail
             self.tail_used = tail_used
-            self._tail_buf = bytearray(disk.read(self.tail))
+            self._tail_buf = bytearray(disk.read(tail))
 
     def append(self, payload, flush=True):
         """Append one record (framed, CRC-protected); on the medium when
@@ -192,10 +197,9 @@ class StripeLog:
                 record = record[space:]
                 self._roll()
             self.records_appended += 1
+            self._unflushed = True
             if flush:
                 self._flush_tail()
-            else:
-                self._unflushed = True
 
     def flush(self):
         """Write the tail block if it holds unflushed bytes (whoever
@@ -205,24 +209,29 @@ class StripeLog:
                 self._flush_tail()
 
     def _roll(self):
-        """The tail block is full: link in a fresh one.
-
-        The old tail is written *with* its forward pointer before the
-        new block ever exists on disk; a crash between the two writes
-        leaves a pointer to an unwritten block, which the scanner reads
-        as zeros — an invalid pointer (block 0 is a superblock slot) —
-        and treats as a torn tail, truncating cleanly.
-        """
+        """The tail block is full: set it aside, forward pointer and
+        all, for :meth:`_flush_tail` to write, and carry on in a fresh
+        one.  Nothing reaches the medium here."""
         new = self.disk.allocate()
         _pack_chain_header(self._tail_buf, new, self.capacity)
-        self.disk.write(self.tail, bytes(self._tail_buf))
+        self._spilled.append((self.tail, bytes(self._tail_buf)))
         self.tail = new
         self.tail_used = 0
         self._tail_buf = bytearray(self.disk.block_size)
 
     def _flush_tail(self):
+        """Write the tail block, then any blocks spilled out of since
+        the last flush, newest first — so the one the medium already
+        holds as the tail, whose new forward pointer is what links the
+        rest in, goes *last*.  Power failing between any two of these
+        writes leaves the previous clean chain plus unreachable blocks
+        (the attach-time reclaimer frees them): the group lands whole or
+        not at all."""
         _pack_chain_header(self._tail_buf, NO_BLOCK, self.tail_used)
         self.disk.write(self.tail, bytes(self._tail_buf))
+        for block_no, image in reversed(self._spilled):
+            self.disk.write(block_no, image)
+        del self._spilled[:]
         self._unflushed = False
 
     def tail_position(self):
@@ -246,7 +255,7 @@ class StripeLog:
         made them redundant)."""
         with self.lock:
             old_head, self.head = self.head, new_head
-        return _free_chain(self.disk, old_head, stop=new_head)
+        _free_chain(self.disk, old_head, stop=new_head)
 
 
 class _ChainScan:
@@ -318,8 +327,9 @@ def _scan_chain(disk, head, start_offset=0):
         magic, length, crc = _RECORD_HEAD.unpack_from(stream, pos)
         body = pos + _RECORD_HEAD.size
         # append() refuses empty records, so a zero length is damage: a
-        # head straddling a _roll whose second block never landed reads
-        # as magic + zeros, which would otherwise CRC-check as "empty".
+        # head straddling two blocks whose second was lost by the device
+        # reads as magic + zeros, which would otherwise CRC-check as
+        # "empty".
         if magic != _RECORD_MAGIC or not length or total - body < length:
             scan.suspect = True
             break
@@ -385,7 +395,7 @@ class DefaultCodec:
 
     def apply_delta(self, data, raw):
         """Primitive payloads are re-logged whole; a delta record in
-        their log is a codec mismatch (recovery re-keys the stripe)."""
+        their log is a codec mismatch (recovery re-keys the table)."""
         raise ValueError("DefaultCodec payloads have no delta form")
 
 
@@ -395,10 +405,15 @@ class RecoveryReport:
     def __init__(self):
         self.entries_restored = 0
         self.records_replayed = 0
-        self.suspect_stripes = []
+        #: The medium could not be trusted (see the module docstring):
+        #: every restored secret was regenerated, every commit dropped.
+        self.suspect = False
         self.secrets_regenerated = 0
-        #: (src, reply port value) -> packed reply bytes, from clean
-        #: stripes only; ``ObjectServer.reboot()`` seeds its ReplyCache
+        #: One past the highest object number the medium has ever seen
+        #: issued; the table's fresh numbers resume from here.
+        self.high_water = 0
+        #: (src, reply port value) -> packed reply bytes, from a clean
+        #: log only; ``ObjectServer.reboot()`` seeds its ReplyCache
         #: from these so retries straddling the crash replay instead of
         #: re-executing.
         self.commits = {}
@@ -413,8 +428,9 @@ class RecoveryReport:
         return {
             "entries_restored": self.entries_restored,
             "records_replayed": self.records_replayed,
-            "suspect_stripes": list(self.suspect_stripes),
+            "suspect": self.suspect,
             "secrets_regenerated": self.secrets_regenerated,
+            "high_water": self.high_water,
             "commits": len(self.commits),
             "commits_unreplayable": self.commits_unreplayable,
             "blocks_reclaimed": self.blocks_reclaimed,
@@ -432,7 +448,6 @@ class _ThreadState(threading.local):
         # thread is inside, innermost last: a handler that transacts
         # into another server on the same store nests them.
         self.open = []
-        self.pending = []  # logs it appended to without flushing
 
 
 class DurableStore:
@@ -440,24 +455,24 @@ class DurableStore:
 
     Constructing on a blank disk *formats* it (reserving the two
     superblock slots); constructing on a disk that carries a valid
-    superblock *attaches*, scanning every chain and holding the parsed
+    superblock *attaches*, scanning both chains and holding the parsed
     state until :meth:`recover` replays it into a table — until then
     ``needs_recovery`` is True and ``ObjectServer.start()`` refuses to
     serve, so un-recovered state can never be silently overwritten.
 
-    Concurrency contract: the table calls ``log_*`` under the owning
-    stripe's lock (that ordering is what makes snapshot positions
-    exact); :meth:`snapshot` takes each stripe lock briefly via
-    ``ObjectTable.stripe_locked`` and never stops the world.
+    Concurrency contract: the table calls ``log_*`` under its lock (that
+    ordering is what makes the snapshot position exact);
+    :meth:`snapshot` takes the same lock once, via
+    ``ObjectTable.locked``, to encode the rows, and writes outside it.
 
     Flush contract: outside :meth:`begin` / :meth:`end` every ``log_*``
     is on the medium when it returns.  Between them (one request's
-    dispatch, on the dispatching thread) records only enter their tail
-    blocks; :meth:`log_commit` or :meth:`flush` then writes each touched
-    block once, and the server calls one of them before any reply.
+    dispatch, on the dispatching thread) records only enter the tail
+    block; :meth:`log_commit` or :meth:`flush` then writes it once, and
+    the server calls one of them before any reply.
     """
 
-    def __init__(self, disk=None, codec=None, shards=DEFAULT_SHARDS):
+    def __init__(self, disk=None, codec=None):
         self.disk = disk if disk is not None else VirtualDisk(4096)
         self.codec = codec if codec is not None else DefaultCodec()
         self._lock = threading.Lock()  # serializes snapshot + superblock
@@ -465,132 +480,103 @@ class DurableStore:
         self.snapshots_taken = 0
         self.blocks_reclaimed = 0
         self._pending = None
-        if self.disk.is_written(_SB_SLOTS[0]) or self.disk.is_written(
-            _SB_SLOTS[1]
-        ):
+        if any(self.disk.is_written(slot) for slot in _SB_SLOTS):
             self._attach()
         else:
-            self._format(shards)
+            self._format()
 
     # ------------------------------------------------------------------
     # format / attach
     # ------------------------------------------------------------------
 
-    def _format(self, shards):
-        if shards < 1 or shards > 255 or shards & (shards - 1):
-            raise ValueError("shards must be a power of two in [1, 255]")
-        # Two superblock slots, one log head per stripe, and at least a
-        # little room for snapshot chains.
-        if self.disk.n_blocks < len(_SB_SLOTS) + 2 * shards:
+    def _format(self):
+        # Two superblock slots, the log's head block, and at least one
+        # block of room for a snapshot chain.
+        if self.disk.n_blocks < len(_SB_SLOTS) + 2:
             raise ValueError(
-                "disk too small: %d stripes need at least %d blocks"
-                % (shards, len(_SB_SLOTS) + 2 * shards)
+                "disk too small: a store needs at least %d blocks"
+                % (len(_SB_SLOTS) + 2)
             )
-        self.shards = shards
         for slot in _SB_SLOTS:
             self.disk.reserve(slot)
         self.epoch = 0
-        self._logs = [StripeLog(self.disk) for _ in range(shards)]
-        self._snapshots = [NO_BLOCK] * shards
-        self._positions = [(log.head, 0) for log in self._logs]
+        self._log = ChainLog(self.disk)
+        self._snapshot = NO_BLOCK
+        self._position = (self._log.head, 0)
+        self._high_water = 0
         self.needs_recovery = False
         self._commit_superblock()
 
     def _attach(self):
-        best = None
-        for slot in _SB_SLOTS:
-            parsed = self._read_superblock(slot)
-            if parsed is not None and (best is None or parsed[0] > best[0]):
-                best = parsed
-        if best is None:
+        valid = list(filter(None, map(self._read_superblock, _SB_SLOTS)))
+        if not valid:
             raise DiskFault("no valid superblock on this disk")
-        self.epoch, self.shards, stripes = best
+        # The highest epoch wins (tuples compare epoch first).
+        (self.epoch, snap_head, log_head, log_offset,
+         self._high_water) = max(valid)
         reachable = set(_SB_SLOTS)
-        self._logs = []
-        self._snapshots = []
-        self._positions = []
-        pending = []
-        for snap_head, log_head, log_offset in stripes:
-            suspect = False
-            snap_records = []
-            if snap_head != NO_BLOCK:
-                snap_scan = _scan_chain(self.disk, snap_head)
-                snap_records = snap_scan.records
-                suspect |= snap_scan.suspect
-                # The whole chain, damaged part included: the stripe's
-                # next checkpoint frees it by walking these same headers.
-                reachable.update(block[0] for block in snap_scan.chain)
-            scan = _scan_chain(self.disk, log_head, log_offset)
-            suspect |= scan.suspect
-            reachable.update(scan.kept_blocks)
-            if scan.chain:
-                tail_no, tail_used, _ = scan.chain[scan.cut_index]
-                if scan.suspect:
-                    tail_used = scan.cut_offset
-                log = StripeLog(
-                    self.disk, head=log_head, tail=tail_no, tail_used=tail_used
-                )
-            else:
-                # The head block itself was unusable: start a fresh log.
-                log = StripeLog(self.disk)
-                log_head = log.head
-                log_offset = 0
-                reachable.add(log.head)
-            self._logs.append(log)
-            self._snapshots.append(snap_head)
-            self._positions.append((log_head, log_offset))
-            pending.append((snap_records, scan.records, suspect))
-        # A power-failed snapshot can leave blocks allocated but linked
-        # into nothing the superblock knows; reclaim them.
+        suspect = False
+        records = []
+        if snap_head != NO_BLOCK:
+            snap_scan = _scan_chain(self.disk, snap_head)
+            records = snap_scan.records
+            suspect = snap_scan.suspect
+            # The whole chain, damaged part included: the next
+            # checkpoint frees it by walking these same headers.
+            reachable.update(block[0] for block in snap_scan.chain)
+        scan = _scan_chain(self.disk, log_head, log_offset)
+        suspect |= scan.suspect
+        reachable.update(scan.kept_blocks)
+        if scan.chain:
+            tail_no, tail_used, _ = scan.chain[scan.cut_index]
+            if scan.suspect:
+                tail_used = scan.cut_offset
+            self._log = ChainLog(
+                self.disk, head=log_head, tail=tail_no, tail_used=tail_used
+            )
+        else:
+            # The head block itself was unusable: start a fresh log.
+            self._log = ChainLog(self.disk)
+            log_head = self._log.head
+            log_offset = 0
+            reachable.add(log_head)
+        self._snapshot = snap_head
+        self._position = (log_head, log_offset)
+        # A power failure can leave blocks allocated but linked into
+        # nothing the superblock knows — a half-written snapshot, a
+        # flush group whose linking write never happened; reclaim them.
         leaked = self.disk.allocated_blocks() - reachable
         for block_no in sorted(leaked):
             self.disk.free(block_no)
         self.blocks_reclaimed = len(leaked)
-        self._pending = pending
+        self._pending = (records + scan.records, suspect)
         self.needs_recovery = True
 
     def _read_superblock(self, slot):
-        raw = self.disk.read(slot)
+        """``(epoch, snapshot head, log head, replay offset, high-water
+        mark)``, or None for a slot that is not a superblock this store
+        can read — which includes one that counts other than one chain
+        (an older format's disk; attach then refuses with DiskFault)."""
         try:
-            magic, version, shards, epoch, crc = _SB_HEAD.unpack_from(raw)
+            magic, version, count, epoch, crc, *state = _SB.unpack_from(
+                self.disk.read(slot)
+            )
         except struct.error:
             return None
-        if magic != _SB_MAGIC or version != _SB_VERSION:
+        if (magic, version, count) != (_SB_MAGIC, _SB_VERSION, 1):
             return None
-        if shards < 1 or shards > 255 or shards & (shards - 1):
+        if _crc(_SB.pack(magic, version, count, epoch, 0, *state)) != crc:
             return None
-        length = _SB_HEAD.size + _SB_STRIPE.size * shards
-        if length > len(raw):
-            return None
-        body = bytearray(raw[:length])
-        body[_SB_HEAD.size - 4: _SB_HEAD.size] = b"\x00\x00\x00\x00"
-        if _crc(bytes(body)) != crc:
-            return None
-        stripes = []
-        offset = _SB_HEAD.size
-        for _ in range(shards):
-            stripes.append(_SB_STRIPE.unpack_from(raw, offset))
-            offset += _SB_STRIPE.size
-        return (epoch, shards, stripes)
+        return (epoch, *state)
 
     def _commit_superblock(self):
         self.epoch += 1
-        body = bytearray(_SB_HEAD.size + _SB_STRIPE.size * self.shards)
-        offset = _SB_HEAD.size
-        for i in range(self.shards):
-            pos_block, pos_offset = self._positions[i]
-            _SB_STRIPE.pack_into(
-                body, offset, self._snapshots[i], pos_block, pos_offset
-            )
-            offset += _SB_STRIPE.size
-        _SB_HEAD.pack_into(
-            body, 0, _SB_MAGIC, _SB_VERSION, self.shards, self.epoch, 0
+        head = (_SB_MAGIC, _SB_VERSION, 1, self.epoch)
+        state = (self._snapshot, *self._position, self._high_water)
+        crc = _crc(_SB.pack(*head, 0, *state))
+        self.disk.write(
+            _SB_SLOTS[self.epoch % 2], _SB.pack(*head, crc, *state)
         )
-        crc = _crc(bytes(body))
-        _SB_HEAD.pack_into(
-            body, 0, _SB_MAGIC, _SB_VERSION, self.shards, self.epoch, crc
-        )
-        self.disk.write(_SB_SLOTS[self.epoch % 2], bytes(body))
 
     # ------------------------------------------------------------------
     # record payloads
@@ -613,24 +599,22 @@ class DurableStore:
         return b"".join(parts)
 
     # ------------------------------------------------------------------
-    # logging (callers hold the owning stripe's lock)
+    # logging (callers hold the table lock)
     # ------------------------------------------------------------------
 
-    def _append(self, shard_index, payload):
+    def _append(self, payload):
         """The one append path for table mutations."""
-        log = self._logs[shard_index]
-        state = self._thread
-        if state.open:
-            state.open[-1] = True
-            log.append(payload, flush=False)
-            state.pending.append(log)
+        open_dispatches = self._thread.open
+        if open_dispatches:
+            open_dispatches[-1] = True
+            self._log.append(payload, flush=False)
         else:
-            log.append(payload)
+            self._log.append(payload)
 
-    def log_create(self, shard_index, entry):
-        self._append(shard_index, self._entry_payload(entry))
+    def log_create(self, entry):
+        self._append(self._entry_payload(entry))
 
-    def log_update(self, shard_index, number, data, delta=None):
+    def log_update(self, number, data, delta=None):
         """Log a row's new payload: the full image, or — when the caller
         can describe the change in the codec's delta form — just the
         ``delta`` bytes (``[1B OP_DELTA][3B number]`` + delta, replayed
@@ -643,35 +627,30 @@ class DurableStore:
                 _UPDATE_HEAD.pack(OP_UPDATE << 24 | number, len(data_raw))
                 + data_raw
             )
-        self._append(shard_index, record)
+        self._append(record)
 
-    def log_refresh(self, shard_index, number, secret, generation):
+    def log_refresh(self, number, secret, generation):
         self._append(
-            shard_index,
             bytes([OP_REFRESH])
             + number.to_bytes(3, "big")
             + generation.to_bytes(4, "big")
-            + pack_secret(secret),
+            + pack_secret(secret)
         )
 
-    def log_destroy(self, shard_index, number):
-        self._append(shard_index, _ROW_HEAD.pack(OP_DESTROY << 24 | number))
+    def log_destroy(self, number):
+        self._append(_ROW_HEAD.pack(OP_DESTROY << 24 | number))
 
-    def log_commit(self, shard_index, src, reply_value, reply_raw):
+    def log_commit(self, src, reply_value, reply_raw):
         """Log a transaction's commit record and end its deferral: the
-        blocks this thread left unflushed are written now, the commit's
-        own block last — so the commit never reaches the medium ahead of
-        a mutation it vouches for, and shares one write with those in
-        its stripe."""
-        log = self._logs[shard_index]
-        log.append(
+        commit joins whatever the log holds unflushed — the mutations it
+        vouches for, appended before it — and all of it is written now,
+        in the one block write they share."""
+        self._log.append(
             _COMMIT_HEAD.pack(
                 OP_COMMIT, src, reply_value >> 32, reply_value & 0xFFFFFFFF,
                 len(reply_raw),
-            ) + reply_raw,
-            flush=False,
+            ) + reply_raw
         )
-        self.flush(last=log)
 
     # ------------------------------------------------------------------
     # the dispatch scope (ObjectServer brackets each handler with it)
@@ -679,7 +658,7 @@ class DurableStore:
 
     def begin(self):
         """This thread enters a request dispatch: its appends now wait
-        in their tail blocks for :meth:`log_commit` / :meth:`flush`."""
+        in the tail block for :meth:`log_commit` / :meth:`flush`."""
         self._thread.open.append(False)
 
     def end(self):
@@ -694,73 +673,51 @@ class DurableStore:
         until the reply path's :meth:`log_commit` or :meth:`flush`."""
         return self._thread.open.pop()
 
-    def flush(self, last=None):
-        """Write every block this thread appended to without flushing
-        (``last``'s after all the others)."""
-        pending = self._thread.pending
-        if pending:
-            for log in pending:
-                if log is not last:
-                    log.flush()
-            pending.clear()
-        if last is not None:
-            last.flush()
+    def flush(self):
+        """Write whatever the log holds unflushed."""
+        self._log.flush()
 
     # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
 
     def snapshot(self, table):
-        """Snapshot every stripe, one at a time — never stop-the-world."""
-        for index in range(self.shards):
-            self.snapshot_stripe(table, index)
+        """Checkpoint the table and truncate the log.
 
-    def snapshot_stripe(self, table, index):
-        """Checkpoint one stripe and truncate its log.
-
-        The entry encodings and the log's replay position are captured
-        under a single stripe acquisition, so every record before the
-        position is provably redundant with the snapshot; the position
-        itself only becomes authoritative when the superblock commits,
-        and the old blocks are freed strictly after that — a power
-        failure at any instant leaves either the old complete state or
-        the new complete state.
+        The row encodings, the table's high-water mark and the log's
+        replay position are captured under a single hold of the table
+        lock, so every record before the position is provably redundant
+        with the snapshot; every block write happens after the hold is
+        released.  The position only becomes authoritative when the
+        superblock commits, and the old blocks are freed strictly after
+        that — a power failure at any instant leaves either the old
+        complete state or the new complete state.
         """
         if self.needs_recovery:
             raise RuntimeError(
                 "the store holds un-recovered state; a snapshot now "
-                "would truncate logs that were never replayed — call "
+                "would truncate a log that was never replayed — call "
                 "recover() first"
             )
-        if table.shard_count != self.shards:
-            raise ValueError(
-                "table has %d shards but the store was formatted with %d"
-                % (table.shard_count, self.shards)
-            )
-        log = self._logs[index]
-
         def grab(entries):
             payloads = [self._entry_payload(e) for e in entries.values()]
-            return payloads, log.tail_position()
+            return payloads, table.high_water, self._log.tail_position()
 
         with self._lock:
-            payloads, (pos_block, pos_offset) = table.stripe_locked(
-                index, grab
-            )
+            payloads, high_water, position = table.locked(grab)
+            new_head = NO_BLOCK
             if payloads:
-                snap = StripeLog(self.disk)
+                snap = ChainLog(self.disk)
                 for payload in payloads:
                     snap.append(payload)
                 new_head = snap.head
-            else:
-                new_head = NO_BLOCK
-            old_snap = self._snapshots[index]
-            self._snapshots[index] = new_head
-            self._positions[index] = (pos_block, pos_offset)
+            old_snap, self._snapshot = self._snapshot, new_head
+            self._position = position
+            self._high_water = high_water
             self._commit_superblock()
             if old_snap != NO_BLOCK:
                 _free_chain(self.disk, old_snap)
-            log.truncate_front(pos_block)
+            self._log.truncate_front(position[0])
             self.snapshots_taken += 1
 
     # ------------------------------------------------------------------
@@ -770,62 +727,57 @@ class DurableStore:
     def recover(self, table, rng=None):
         """Replay the attached state into an (empty) object table.
 
-        Returns a :class:`RecoveryReport`.  Suspect stripes keep their
+        Returns a :class:`RecoveryReport`.  A suspect medium keeps its
         parsed record prefix but every restored entry gets a fresh
-        secret and a bumped generation — outstanding capabilities for
-        those objects fail check validation and must be refreshed, the
-        conservative end of the paper's revocation policy.  Each such
-        stripe is checkpointed before this returns, so the re-keying and
-        the dropped commits stay that way across the *next* crash too;
-        only after that is its torn tail cut off on the medium — a log
-        that scans clean while the old secrets are still the durable
-        ones would quietly undo the revocation.
+        secret and a bumped generation — outstanding capabilities fail
+        check validation and must be refreshed, the conservative end of
+        the paper's revocation policy.  The table is then checkpointed
+        before this returns, so the re-keying and the dropped commits
+        stay that way across the *next* crash too; only after that is
+        the torn tail cut off on the medium — a log that scans clean
+        while the old secrets are still the durable ones would quietly
+        undo the revocation.
+
+        The table's high-water mark resumes from the highest the medium
+        vouches for — the last checkpoint's, raised by every row image
+        replayed since — so a number whose object died before the crash
+        is never issued again from generation 0 (the free list itself is
+        not durable: those numbers are leaked, not reused).
         """
-        if table.shard_count != self.shards:
-            raise ValueError(
-                "table has %d shards but the store was formatted with %d"
-                % (table.shard_count, self.shards)
-            )
         report = RecoveryReport()
         report.blocks_reclaimed = self.blocks_reclaimed
         pending, self._pending = self._pending, None
         self.needs_recovery = False
         if pending is None:
             return report
-        rng = rng or RandomSource()
-        scheme = table.scheme
-        for index, (snap_records, log_records, suspect) in enumerate(pending):
-            entries = {}
-            commits = {}
-            clean = True
-            for payload in snap_records:
-                clean &= self._apply_record(payload, entries, commits, report)
-            for payload in log_records:
-                clean &= self._apply_record(payload, entries, commits, report)
-            if not clean:
+        records, suspect = pending
+        report.high_water = self._high_water
+        entries = {}
+        for payload in records:
+            if not self._apply_record(payload, entries, report):
                 suspect = True
-            if suspect:
-                report.suspect_stripes.append(index)
-                commits = {}
-                for entry in entries.values():
-                    entry.secret = scheme.new_secret(rng)
-                    entry.generation += 1
-                    entry.verified.clear()
-                    report.secrets_regenerated += 1
+        if suspect:
+            report.suspect = True
+            report.commits.clear()
+            rng = rng or RandomSource()
             for entry in entries.values():
-                table.restore_entry(entry)
-            if suspect:
-                self.snapshot_stripe(table, index)
-                self._logs[index].repair_tail()
-            report.entries_restored += len(entries)
-            report.commits.update(commits)
+                entry.secret = table.scheme.new_secret(rng)
+                entry.generation += 1
+                report.secrets_regenerated += 1
+        for entry in entries.values():
+            table.restore_entry(entry)
+        table.raise_high_water(report.high_water)
+        if suspect:
+            self.snapshot(table)
+            self._log.repair_tail()
+        report.entries_restored = len(entries)
         return report
 
-    def _apply_record(self, payload, entries, commits, report):
-        """Apply one parsed record; False marks the stripe suspect (a
+    def _apply_record(self, payload, entries, report):
+        """Apply one parsed record; False marks the medium suspect (a
         CRC-clean record that still fails to decode — or a delta its
         codec cannot apply — means tampering or a codec mismatch;
-        either way, re-key the stripe)."""
+        either way, re-key the table)."""
         try:
             reader = Reader(payload)
             op = reader.u8()
@@ -847,6 +799,7 @@ class DurableStore:
                     generation=generation,
                     lifetime=lifetime,
                 )
+                report.high_water = max(report.high_water, number + 1)
             elif op == OP_REFRESH:
                 number = reader.uint(3)
                 generation = reader.uint(4)
@@ -855,7 +808,6 @@ class DurableStore:
                 if entry is not None:
                     entry.secret = secret
                     entry.generation = generation
-                    entry.verified.clear()
             elif op == OP_DESTROY:
                 entries.pop(reader.uint(3), None)
             elif op == OP_UPDATE:
@@ -875,7 +827,7 @@ class DurableStore:
             elif op == OP_COMMIT:
                 src = reader.uint(8)
                 reply_value = reader.uint(6)
-                commits[(src, reply_value)] = bytes(
+                report.commits[(src, reply_value)] = bytes(
                     reader.take(reader.uint(4))
                 )
             else:
@@ -895,11 +847,8 @@ class DurableStore:
     def stats(self):
         """Store counters (stable keys for the benchmarks)."""
         return {
-            "shards": self.shards,
             "epoch": self.epoch,
-            "records_appended": sum(
-                log.records_appended for log in self._logs
-            ),
+            "records_appended": self._log.records_appended,
             "snapshots_taken": self.snapshots_taken,
             "disk_writes": self.disk.writes,
             "disk_reads": self.disk.reads,
@@ -908,6 +857,4 @@ class DurableStore:
         }
 
     def __repr__(self):
-        return "DurableStore(shards=%d, epoch=%d, %r)" % (
-            self.shards, self.epoch, self.disk,
-        )
+        return "DurableStore(epoch=%d, %r)" % (self.epoch, self.disk)

@@ -384,13 +384,9 @@ class ObjectServer:
         #: on, every replied transaction additionally logs a commit
         #: record, extending duplicate suppression across reboots.
         self.store = store
-        if store is not None:
-            self.table = ObjectTable(
-                self.scheme, self.put_port, self.rng,
-                wal=store, shards=store.shards,
-            )
-        else:
-            self.table = ObjectTable(self.scheme, self.put_port, self.rng)
+        self.table = ObjectTable(
+            self.scheme, self.put_port, self.rng, wal=store
+        )
         if sealer is not None:
             # Revocation hygiene: when a secret dies (REFRESH, DESTROY,
             # aging) the sealer's §2.4 caches must drop that object's
@@ -471,11 +467,11 @@ class ObjectServer:
     # ------------------------------------------------------------------
 
     def checkpoint(self):
-        """Snapshot every object-table stripe and truncate its log.
+        """Snapshot the object table and truncate its log.
 
-        Run this periodically (a sweep timer, every N requests); each
-        stripe is checkpointed under its own brief stripe acquisition,
-        so service never stops.
+        Run this periodically (a sweep timer, every N requests): the
+        rows are encoded under one hold of the table lock and written
+        outside it.
         """
         if self.store is None:
             raise AmoebaError("checkpoint() requires a durable store")
@@ -488,12 +484,13 @@ class ObjectServer:
         the old disk (the attaching :class:`~repro.disk.wal.DurableStore`
         scans snapshot + log), keep the old ``get_port`` so the old
         put-port still locates, and call ``reboot()`` before
-        ``start()``.  Recovery replays every stripe into the table;
-        stripes with a suspect log tail come back with regenerated
-        secrets and bumped generations, so their outstanding
-        capabilities fail §2.2 check validation — clients see
-        ``InvalidCapability``/``NoSuchObject`` and re-acquire through
-        the retry + re-locate path, exactly the revocation policy.
+        ``start()``.  Recovery replays snapshot + log into the table;
+        after a suspect log tail (a torn sector) every row comes back
+        with a regenerated secret and a bumped generation, so
+        outstanding capabilities fail §2.2 check validation — clients
+        see ``InvalidCapability``/``NoSuchObject`` and re-acquire
+        through the retry + re-locate path, exactly the revocation
+        policy.
 
         With dedup enabled, recovered commit records re-seed the reply
         cache (re-stamped with *this* incarnation's signature secret,
@@ -549,27 +546,12 @@ class ObjectServer:
         store = self.store
         if store is not None:
             if cached and wrote:
-                self._log_commit(src, request, reply)
+                # Keyed exactly like the reply cache: (src, reply port).
+                self.table.log_commit(src, reply_port, reply.pack())
             store.flush()
         if cached:
             # A pristine copy: egress transforms the outgoing one in place.
             self.reply_cache.store(src, reply_port, reply._evolve())
-
-    def _log_commit(self, src, request, reply):
-        """Append the durable commit record for one replied transaction.
-
-        Keyed exactly like the reply cache — (src, reply put-port) — and
-        appended to the stripe of the object the request named (any
-        stripe is semantically fine; recovery merges all of them), under
-        that stripe's lock so snapshot truncation can never drop it.
-        """
-        capability = request.capability
-        if capability is None:
-            capability = reply.capability
-        # A matrix-sealed capability's object number is opaque; stripe 0
-        # then hosts the record, which recovery is indifferent to.
-        number = getattr(capability, "object", 0) if capability is not None else 0
-        self.table.log_commit(number, src, request.reply, reply.pack())
 
     # ------------------------------------------------------------------
     # dispatch
@@ -589,8 +571,8 @@ class ObjectServer:
         store = self.store
         wrote = None
         if store is not None:
-            # Durable: this thread's log appends wait in their tail
-            # blocks from here on, to reach the medium in one write on
+            # Durable: this thread's log appends wait in the tail
+            # block from here on, to reach the medium in one write on
             # the reply path (see _complete).
             store.begin()
         try:

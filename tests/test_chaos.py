@@ -309,6 +309,20 @@ class TestChaosEngine:
         r.check(effectively_once)
         assert any("re-executed" in v for v in r.violations)
 
+    def test_a_power_failure_that_misses_its_checkpoint_is_an_error(self):
+        """A fault instant tuned for a longer checkpoint must not turn
+        its scenario into a silent no-op."""
+        r = ScenarioRunner("power", seed=4, replicas=1, durable=True)
+        r.run_ops(2)
+        with pytest.raises(ValueError, match="outlived the checkpoint"):
+            r.power_fail(after_writes=9)
+        r = ScenarioRunner("power", seed=4, replicas=1, durable=True)
+        r.run_ops(2)
+        r.power_fail(after_writes=1)
+        assert r.reboot_server().entries_restored == 1
+        assert [detail for _t, kind, detail in r.result()["trace"]
+                if kind == "power_fail"] == ["mid_checkpoint=True"]
+
     def test_delegation_chain_survives_partition_and_heal(self):
         # A -> B -> C, each hop restricting rights, with a replica out
         # and back *between* the hops: exactly read survives at C.

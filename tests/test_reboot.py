@@ -2,8 +2,8 @@
 
 A durable :class:`DirectoryServer` is killed and a new incarnation is
 booted on the same disk.  The table comes back, old capabilities pass
-§2.2 check validation (unless their stripe's log tail was suspect, in
-which case they are *cleanly* rejected), and — the PR 8 satellite — a
+§2.2 check validation (unless the log's tail was suspect, in which case
+they are *cleanly* rejected), and — the PR 8 satellite — a
 retried non-idempotent request that straddles the restart must not
 double-execute and must not replay a stale pre-crash reply.
 """
@@ -103,7 +103,7 @@ class TestRebootProtocol:
 
         incarnation, report = respawn_on(net, disk, server)
         assert report.entries_restored == 2
-        assert not report.suspect_stripes
+        assert not report.suspect
         client2 = DirectoryClient(
             client_nic, incarnation.put_port, rng=RandomSource(seed=5),
             expect_signature=incarnation.signature_image,
@@ -141,11 +141,9 @@ class TestDedupAcrossReboot:
     """The straddle: request executed, reply lost, server dies, client
     retries against the next incarnation."""
 
-    def _straddle(self, disk_faults=None, fillers=0):
+    def _straddle(self):
         plan, net, disk, server, client_nic = durable_world()
         root = server.create_root()
-        for i in range(fillers):
-            server.table.create(Directory())
         target = server.table.create(Directory())
 
         # Drop the server->client reply: the request executes and the
@@ -200,33 +198,28 @@ class TestDedupAcrossReboot:
         assert client.list(root) == ["paid"]
 
     def test_suspect_stripe_rejects_stale_retry_cleanly(self):
-        """A torn log tail in the root's stripe: the pre-crash commit is
-        *dropped* (never replay a reply whose stripe is suspect) and the
+        """(Id kept.)  A torn log tail: the pre-crash commit is
+        *dropped* (never replay a reply from a suspect log) and the
         root capability's secret is regenerated — the retry is rejected
         with InvalidCapability instead of double-executing or replaying
         a possibly-inconsistent cached reply."""
-        # Fillers push the next creates back into the root's stripe
-        # (object numbers are allocated round-robin over 16 stripes).
-        plan, net, disk, server, client_nic, root, at = self._straddle(
-            fillers=14
-        )
-        assert server.table.shard_of(root.object) == 0
+        plan, net, disk, server, client_nic, root, at = self._straddle()
 
-        # Tear the next log write in stripe 0: a directory whose encoded
-        # form spans blocks forces a mid-record roll write.
-        disk.faults = DiskFaultPlan(seed=5, torn_at={0})
+        # Tear a log write: a directory whose encoded form spans blocks
+        # spills, and the second write of the group is a full block —
+        # the tear lands mid-record and nothing later heals it.
+        disk.faults = DiskFaultPlan(seed=5, torn_at={1})
         big = Directory()
         big.entries["n" * 600] = root
-        victim = server.table.create(big)
-        assert server.table.shard_of(victim.object) == 0
+        server.table.create(big)
         disk.faults = None
 
         server.stop()
         del plan.links[(server.node.address, client_nic.address)]
 
         incarnation, report = respawn_on(net, disk, server)
-        assert report.suspect_stripes == [0]
-        assert not report.commits      # suspect stripe commits dropped
+        assert report.suspect
+        assert not report.commits      # a suspect log's commits: dropped
 
         at.expect_signature = incarnation.signature_image
         reply = at.result(timeout=2.0)
@@ -251,7 +244,7 @@ class TestDedupAcrossReboot:
         # capability is still refused and the re-obtained one still works.
         incarnation.stop()
         third, report = respawn_on(net, disk, incarnation, seed=100)
-        assert not report.suspect_stripes and not report.commits
+        assert not report.suspect and not report.commits
         client = DirectoryClient(
             client_nic, third.put_port, rng=RandomSource(seed=7),
             expect_signature=third.signature_image,

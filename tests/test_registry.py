@@ -336,41 +336,22 @@ class TestSchemeIntegration:
 
 
 class TestSharding:
-    """The lock-striped table: partitioning, allocation, and sweeps."""
+    """(Class and ids kept from the lock-striped table.)  Allocation and
+    the revocation hook on the one-lock table."""
 
     def test_shard_topology(self, table):
-        assert table.shard_count == 16
-        for number in range(64):
-            assert table.shard_of(number) == number % 16
-
-    def test_shard_count_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            ObjectTable(scheme_by_name("simple"), PORT, shards=3)
-        with pytest.raises(ValueError):
-            ObjectTable(scheme_by_name("simple"), PORT, shards=0)
-
-    def test_single_shard_degenerates_to_monolithic(self):
-        table = ObjectTable(
-            scheme_by_name("xor-oneway"),
-            PORT,
-            rng=RandomSource(seed=50),
-            shards=1,
-        )
-        caps = [table.create(i) for i in range(8)]
-        assert [c.object for c in caps] == list(range(8))
-        assert table.shard_of(caps[5].object) == 0
-
-    def test_creates_spread_across_shards(self, table):
-        caps = [table.create(i) for i in range(32)]
-        sizes = table.shard_sizes()
-        assert sum(sizes) == 32
-        assert sizes == [2] * 16  # round-robin: two objects per stripe
-        assert sorted(c.object for c in caps) == table.numbers()
+        # (Id kept.)  The whole topology now: one number space, handed
+        # out sequentially from 0, one free list.
+        caps = [table.create(i) for i in range(64)]
+        assert [c.object for c in caps] == list(range(64))
+        assert table.numbers() == list(range(64))
+        assert table.high_water == 64
 
     def test_shard_sizes_and_len_agree(self, table):
+        # (Id kept.)
         for i in range(10):
             table.create(i)
-        assert sum(table.shard_sizes()) == len(table) == 10
+        assert len(table.numbers()) == len(table) == 10
 
     def test_recycled_number_preferred_over_fresh(self, table):
         caps = [table.create(i) for i in range(5)]
@@ -380,7 +361,7 @@ class TestSharding:
 
     def test_revocation_callback_carries_shard_index(self, table):
         seen = []
-        # (Id kept.)  The hook names the object, not its table stripe.
+        # (Id kept.)  The hook names the object and nothing else.
         table.on_revocation(
             lambda port, number, generation: seen.append(
                 (port, number, generation)
@@ -398,7 +379,7 @@ class TestSharding:
             default_lifetime=1,
         )
         seen = []
-        # (Id kept.)  One callback per expired object, from any stripe.
+        # (Id kept.)  One callback per expired object.
         table.on_revocation(
             lambda port, number, generation: seen.append(
                 (port, number, generation)
@@ -485,10 +466,15 @@ class TestVerifiedMemo:
 
 
 class TestShardedAging:
-    """age() sweeps stripe by stripe — no stop-the-world lock — and a
-    sweep can never expire an entry out from under a concurrent refresh."""
+    """(Class id kept.)  age() is one hold of the table lock, so a sweep
+    can never expire an entry out from under a concurrent refresh."""
 
-    def test_age_proceeds_shard_by_shard_while_one_stripe_is_held(self):
+    def test_refresh_cannot_interleave_inside_a_sweep(self):
+        """A refresh is in flight — validated, holding the lock, drawing
+        its new secret — when a sweep starts.  The sweep must wait for
+        it and then see the lifetime the refresh reset; and a refresh
+        that arrives *while* the sweep holds the lock must find its
+        entry either untouched or gone, never decremented-but-alive."""
         scheme = scheme_by_name("xor-oneway")
         armed = threading.Event()
         entered = threading.Event()
@@ -497,6 +483,7 @@ class TestShardedAging:
         class GatedScheme(type(scheme)):
             def new_secret(self, rng):
                 if armed.is_set():
+                    armed.clear()  # gate one draw only
                     entered.set()
                     gate.wait(timeout=10.0)
                 return super().new_secret(rng)
@@ -507,7 +494,6 @@ class TestShardedAging:
             rng=RandomSource(seed=53),
             default_lifetime=2,
         )
-        # One object per stripe: numbers 0..15 land on shards 0..15.
         caps = [table.create(i) for i in range(16)]
         table.age()  # every lifetime now 1
         armed.set()
@@ -516,27 +502,42 @@ class TestShardedAging:
             target=lambda: refreshed.append(table.refresh(caps[15]))
         )
         refresher.start()
-        assert entered.wait(timeout=10.0)  # stripe 15 is now held
+        assert entered.wait(timeout=10.0)  # the refresh holds the lock
         expired_box = []
         ager = threading.Thread(target=lambda: expired_box.append(table.age()))
         ager.start()
-        # The sweep finishes shards 0..14 while stripe 15 is held by the
-        # in-flight refresh: those objects expire without waiting.
-        deadline = time.time() + 10.0
-        while time.time() < deadline and any(n in table for n in range(15)):
-            time.sleep(0.001)
-        assert not any(n in table for n in range(15))
-        assert ager.is_alive()  # blocked on stripe 15, not on a global lock
+        # One lock: the sweep has not decremented anything while the
+        # refresh is inside its hold.
+        time.sleep(0.05)
+        assert ager.is_alive() and len(table) == 16
+        assert all(table._entry(n).lifetime == 1 for n in range(15))
+        # A second refresh, queued behind the sweep.
+        late = []
+
+        def late_refresh():
+            try:
+                late.append(table.refresh(caps[3]))
+            except NoSuchObject as exc:
+                late.append(exc)
+
+        late_refresher = threading.Thread(target=late_refresh)
+        late_refresher.start()
         gate.set()
-        refresher.join(timeout=10.0)
-        ager.join(timeout=10.0)
-        assert not refresher.is_alive() and not ager.is_alive()
+        for thread in (refresher, ager, late_refresher):
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
         # The refreshed object survived the sweep: its refresh (a use)
         # reset the lifetime the sweep then decremented to 1, not 0.
-        assert 15 in table
-        entry, _ = table.lookup(refreshed[0])
-        assert entry.generation == 1
-        assert sorted(e.number for e in expired_box[0]) == list(range(15))
+        assert table._entry(15).lifetime == 1
+        assert table.lookup(refreshed[0])[0].generation == 1
+        # The late refresh ran wholly before or wholly after the sweep.
+        if isinstance(late[0], NoSuchObject):
+            expected = set(range(15))
+        else:
+            expected = set(range(15)) - {3}
+            assert table.lookup(late[0])[0].generation == 1
+        assert {e.number for e in expired_box[0]} == expected
+        assert set(table.numbers()) == set(range(16)) - expected
 
     def test_concurrent_sweeps_and_touches_never_misfire(self):
         table = ObjectTable(
@@ -594,7 +595,7 @@ class TestShardedAging:
 class TestConcurrentShardedOps:
     def test_eight_thread_mixed_storm(self):
         """8 threads × disjoint objects: create/lookup/refresh/destroy
-        storms over distinct stripes must neither error nor cross wires."""
+        storms must neither error nor cross wires."""
         table = ObjectTable(
             scheme_by_name("xor-oneway"), PORT, rng=RandomSource(seed=56)
         )
@@ -640,7 +641,7 @@ class TestConcurrentShardedOps:
 class TestRevocationFanOutSharded:
     def test_eight_thread_refresh_destroy_age_purge_sealer_caches(self):
         """The full wiring under concurrency: refresh/destroy/age on
-        shard k fires the fan-out which purges the sealer's §2.4 caches
+        an object fires the fan-out which purges the sealer's §2.4 caches
         for that object only — from 8 threads at once, with a control
         object proving nothing else is swept."""
         from repro.softprot.cache import (

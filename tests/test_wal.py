@@ -1,11 +1,14 @@
 """Tests for the write-ahead log / snapshot store behind object tables.
 
 The durability contract (ISSUE PR 8): every create/refresh/destroy is
-logged under the stripe lock it already holds; snapshots truncate the
-log without stopping the world; a reboot on the same disk rebuilds the
-table, and any stripe whose log tail is suspect gets fresh secrets so
-capabilities minted before the crash fail the §2.2 check cleanly.
+logged under the table lock it already holds; snapshots truncate the
+log; a reboot on the same disk rebuilds the table, and a suspect log
+tail gets every row fresh secrets so capabilities minted before the
+crash fail the §2.2 check cleanly.  (One log since PR 21; test ids that
+say "stripe" are kept from the 16-chain store.)
 """
+
+import zlib
 
 import pytest
 
@@ -15,18 +18,20 @@ from repro.core.schemes import scheme_by_name
 from repro.crypto.randomsrc import RandomSource
 from repro.disk.diskfaults import DiskFaultPlan
 from repro.disk.virtualdisk import VirtualDisk
-from repro.disk.wal import DefaultCodec, DurableStore, StripeLog
-from repro.errors import InvalidCapability, NoSuchObject, PowerFailure
+from repro.disk.wal import ChainLog, DefaultCodec, DurableStore
+from repro.errors import (
+    DiskFault,
+    InvalidCapability,
+    NoSuchObject,
+    PowerFailure,
+)
 
 PORT = Port(0x0D15C0FFEE00)
 SCHEME = scheme_by_name("xor-oneway")
 
 
 def make_table(store, seed=44):
-    return ObjectTable(
-        SCHEME, PORT, rng=RandomSource(seed=seed),
-        wal=store, shards=store.shards,
-    )
+    return ObjectTable(SCHEME, PORT, rng=RandomSource(seed=seed), wal=store)
 
 
 def reattach(disk):
@@ -47,11 +52,13 @@ def bare_disk(n_blocks, block_size=128):
 
 
 class TestStripeLog:
+    """(Class id kept: the class under test is ChainLog now.)"""
+
     def test_append_and_scan_round_trip(self):
         from repro.disk.wal import _scan_chain
 
         disk = bare_disk(64)
-        log = StripeLog(disk)
+        log = ChainLog(disk)
         payloads = [b"alpha", b"beta" * 40, b"g" * 500]
         for p in payloads:
             log.append(p)
@@ -63,7 +70,7 @@ class TestStripeLog:
         from repro.disk.wal import _scan_chain
 
         disk = bare_disk(64)
-        log = StripeLog(disk)
+        log = ChainLog(disk)
         log.append(b"old")
         block, offset = log.tail_position()
         log.append(b"new one")
@@ -73,7 +80,7 @@ class TestStripeLog:
 
     def test_empty_payload_rejected(self):
         disk = bare_disk(8)
-        log = StripeLog(disk)
+        log = ChainLog(disk)
         with pytest.raises(ValueError):
             log.append(b"")
 
@@ -82,7 +89,8 @@ class TestFormatAndAttach:
     def test_fresh_disk_is_formatted(self):
         store = DurableStore(VirtualDisk(256))
         assert not store.needs_recovery
-        assert store.stats()["used_blocks"] >= store.shards
+        # Two superblock slots and the log's head block.
+        assert store.stats()["used_blocks"] == 3
 
     def test_attach_sets_needs_recovery(self):
         disk = VirtualDisk(1024)
@@ -93,21 +101,27 @@ class TestFormatAndAttach:
         assert attached.needs_recovery
 
     def test_recover_validates_shard_count(self):
-        disk = VirtualDisk(1024)
-        DurableStore(disk, shards=16)
-        attached = DurableStore(disk)
-        bad = ObjectTable(SCHEME, PORT, rng=RandomSource(seed=1), shards=4)
-        with pytest.raises(ValueError):
-            attached.recover(bad)
+        """(Id kept.)  The count byte is still written — as 1 — and a
+        superblock that counts anything else is refused at attach."""
+        from repro.disk.wal import _SB
 
-    def test_table_rejects_mismatched_store(self):
-        store = DurableStore(VirtualDisk(256), shards=16)
-        with pytest.raises(ValueError):
-            ObjectTable(SCHEME, PORT, wal=store, shards=4)
+        disk = VirtualDisk(64)
+        store = DurableStore(disk)
+        fields = list(_SB.unpack_from(disk.read(store.epoch % 2)))
+        assert fields[2] == 1
+        for count in (0, 2, 16):
+            fields[2], fields[4] = count, 0
+            fields[4] = zlib.crc32(_SB.pack(*fields))  # a *valid* CRC
+            for slot in (0, 1):
+                disk.write(slot, _SB.pack(*fields))
+            with pytest.raises(DiskFault):
+                DurableStore(disk)
 
     def test_too_small_disk_rejected(self):
+        # Two superblock slots, the log's head, one block of snapshot.
         with pytest.raises(ValueError):
-            DurableStore(VirtualDisk(4))
+            DurableStore(VirtualDisk(3))
+        DurableStore(VirtualDisk(4))
 
 
 class TestRecovery:
@@ -124,7 +138,7 @@ class TestRecovery:
 
         store2, table2, report = reattach(disk)
         assert report.entries_restored == 48
-        assert not report.suspect_stripes
+        assert not report.suspect
 
         for i, cap in enumerate(caps):
             if i in (7, 13):
@@ -149,6 +163,51 @@ class TestRecovery:
         numbers = {c.object for c in old} | {c.object for c in new}
         assert len(numbers) == 80
 
+    @pytest.mark.parametrize(
+        "checkpoint", [False, True], ids=["from-the-log", "checkpointed"]
+    )
+    def test_a_reboot_never_reissues_a_dead_objects_number(self, checkpoint):
+        """Regression: recovery used to restart the fresh counter past
+        the highest *live* number, so a number whose object died at
+        generation 3 came back at generation 0 — and a stale revocation
+        for the dead object then passed the generation guard on the new
+        one, locking its owner out."""
+        disk = VirtualDisk(1024)
+        store = DurableStore(disk, codec=DefaultCodec())
+        table = make_table(store)
+        cap = [table.create(i) for i in range(3)][2]
+        for _ in range(3):
+            cap = table.refresh(cap)
+        stale_secret = table._entry(2).secret
+        table.destroy(cap)               # number 2 dies at generation 3
+        if checkpoint:
+            store.snapshot(table)
+
+        _, table2, report = reattach(disk)
+        assert report.high_water == table2.high_water == 3
+        reborn = [table2.create("new-%d" % i) for i in range(20)]
+        # Above every number the dead incarnation ever used: the free
+        # list is not durable, so 2 is leaked rather than reused.
+        assert sorted(c.object for c in reborn) == list(range(3, 23))
+        assert not table2.apply_refresh(2, stale_secret, 3)
+        for new in reborn:
+            table2.lookup(new)
+
+    def test_row_images_in_the_log_raise_the_high_water_mark(self):
+        disk = VirtualDisk(1024)
+        store = DurableStore(disk, codec=DefaultCodec())
+        table = make_table(store)
+        table.create("kept")
+        store.snapshot(table)            # the superblock says 1
+        late = [table.create("late-%d" % i) for i in range(3)]
+        for cap in late:
+            table.destroy(cap)
+
+        _, table2, report = reattach(disk)
+        assert report.entries_restored == 1
+        assert report.high_water == 4
+        assert table2.create("next").object == 4
+
     def test_snapshot_truncates_log_and_survives(self):
         disk = VirtualDisk(4096)
         store = DurableStore(disk, codec=DefaultCodec())
@@ -157,10 +216,9 @@ class TestRecovery:
         before = store.stats()["used_blocks"]
         store.snapshot(table)
         post = [table.create("post-%d" % i) for i in range(8)]
-        # One snapshot() pass checkpoints each stripe individually.
-        assert store.stats()["snapshots_taken"] == store.shards
+        assert store.stats()["snapshots_taken"] == 1
         # Snapshot + truncation must not leak the old log blocks.
-        assert store.stats()["used_blocks"] <= before + 3 * store.shards
+        assert store.stats()["used_blocks"] <= before + 3
 
         _, table2, report = reattach(disk)
         assert report.entries_restored == 40
@@ -188,14 +246,14 @@ class TestRecovery:
             store.snapshot(table)
             sizes.append(store.stats()["used_blocks"])
         # Disk footprint must not grow round over round once steady.
-        assert max(sizes[2:]) <= sizes[1] + store.shards
+        assert max(sizes[2:]) <= sizes[1] + 1
 
     def test_commits_recovered_from_clean_log(self):
         disk = VirtualDisk(2048)
         store = DurableStore(disk, codec=DefaultCodec())
         table = make_table(store)
         cap = table.create("acct")
-        table.log_commit(cap.object, 0xBEEF, 0xF00D, b"reply-bytes")
+        table.log_commit(0xBEEF, 0xF00D, b"reply-bytes")
 
         _, _, report = reattach(disk)
         assert report.commits == {(0xBEEF, 0xF00D): b"reply-bytes"}
@@ -207,9 +265,9 @@ class TestRecovery:
         store = DurableStore(disk, codec=DefaultCodec())
         table = make_table(store)
         cap = table.create("acct")
-        table.log_commit(cap.object, 1, 2, b"old")
+        table.log_commit(1, 2, b"old")
         store.snapshot(table)
-        table.log_commit(cap.object, 3, 4, b"young")
+        table.log_commit(3, 4, b"young")
 
         _, _, report = reattach(disk)
         assert report.commits == {(3, 4): b"young"}
@@ -236,36 +294,34 @@ class TestSuspectTails:
     def test_torn_tail_regenerates_stripe_secrets(self):
         disk = VirtualDisk(4096)
         store, table, caps = self._build(disk)
-        # A >1-block record guarantees the roll write (ordinal 0 after
-        # arming) tears mid-record; a small record can survive a tear
-        # that lands beyond its end inside the flushed block.
-        disk.faults = DiskFaultPlan(seed=5, torn_at={0})
+        # A >1-block record spills: the group's first write (ordinal 0
+        # after arming) is the new tail, which a tear beyond the
+        # record's end leaves intact and any later append rewrites;
+        # ordinal 1 is a *full* block — the old tail, written last to
+        # link the rest in, or the block before it — so the tear lands
+        # mid-record and nothing ever heals it.
+        disk.faults = DiskFaultPlan(seed=5, torn_at={1})
         victim = table.create(b"V" * 700)
-        stripe = table.shard_of(victim.object)
 
         _, table2, report = reattach(disk)
-        assert report.suspect_stripes == [stripe]
-        assert report.secrets_regenerated >= 1
+        assert report.suspect
+        assert report.secrets_regenerated == len(caps)
         with pytest.raises((NoSuchObject, InvalidCapability)):
             table2.lookup(victim)
-        clean = [c for c in caps if table.shard_of(c.object) != stripe]
-        suspect = [c for c in caps if table.shard_of(c.object) == stripe]
-        for cap in clean:
-            table2.lookup(cap)            # untouched stripes keep secrets
-        for cap in suspect:
+        for cap in caps:
             with pytest.raises(InvalidCapability):
-                table2.lookup(cap)        # suspect stripe: fresh secrets
+                table2.lookup(cap)        # the whole table is re-keyed
 
     def test_torn_tail_repaired_on_reattach(self):
         disk = VirtualDisk(4096)
         store, table, _ = self._build(disk)
-        disk.faults = DiskFaultPlan(seed=5, torn_at={0})
+        disk.faults = DiskFaultPlan(seed=5, torn_at={1})
         table.create(b"V" * 700)
         disk.faults = None
 
         reattach(disk)                    # truncates the torn tail
         _, _, second = reattach(disk)     # must now scan clean
-        assert not second.suspect_stripes
+        assert not second.suspect
 
     def test_lost_tail_is_consistent_but_older(self):
         disk = VirtualDisk(4096)
@@ -276,7 +332,7 @@ class TestSuspectTails:
         _, table2, report = reattach(disk)
         # A lost whole-block write is undetectable by design: the state
         # is simply older.  No stripe goes suspect, old caps still work.
-        assert not report.suspect_stripes
+        assert not report.suspect
         for cap in caps:
             table2.lookup(cap)
         with pytest.raises((NoSuchObject, InvalidCapability)):
@@ -285,42 +341,38 @@ class TestSuspectTails:
     def test_suspect_stripe_drops_its_commits(self):
         disk = VirtualDisk(4096)
         store, table, _ = self._build(disk)
-        disk.faults = DiskFaultPlan(seed=5, torn_at={0})
+        disk.faults = DiskFaultPlan(seed=5, torn_at={1})
         victim = table.create(b"V" * 700)
-        table.log_commit(victim.object, 7, 8, b"reply")
-        stripe = table.shard_of(victim.object)
+        table.log_commit(7, 8, b"reply")
 
         _, _, report = reattach(disk)
-        assert report.suspect_stripes == [stripe]
+        assert report.suspect
         assert (7, 8) not in report.commits
 
 
     def _tear_a_tail(self):
-        """A stripe holding several objects, its log torn by the next
+        """A table holding several objects, its log torn by the next
         create; the disk is healthy again afterwards."""
         disk = VirtualDisk(4096)
         store, table, caps = self._build(disk)
-        disk.faults = DiskFaultPlan(seed=5, torn_at={0})
-        victim = table.create(b"V" * 700)
+        disk.faults = DiskFaultPlan(seed=5, torn_at={1})
+        table.create(b"V" * 700)
         disk.faults = None
-        stripe = table.shard_of(victim.object)
-        held = [c for c in caps if table.shard_of(c.object) == stripe]
-        assert held
-        return disk, stripe, held
+        return disk, caps
 
     def test_rekeying_survives_a_second_reboot(self):
-        disk, stripe, held = self._tear_a_tail()
+        disk, held = self._tear_a_tail()
         # An attach that never gets to recover() (a crash in between)
         # must not leave a log that scans clean over the old secrets.
         DurableStore(disk, codec=DefaultCodec())
         _, table1, first = reattach(disk)
-        assert first.suspect_stripes == [stripe]
+        assert first.suspect
         reissued = table1.mint_for(held[0].object)
 
         _, table2, second = reattach(disk)
         # Nothing is suspect any more, nothing is re-keyed again — and
         # the first reboot's revocation is what the medium remembers.
-        assert not second.suspect_stripes
+        assert not second.suspect
         assert second.secrets_regenerated == 0
         for cap in held:
             with pytest.raises(InvalidCapability):
@@ -330,18 +382,16 @@ class TestSuspectTails:
     def test_dropped_commits_stay_dropped_after_a_second_reboot(self):
         disk = VirtualDisk(4096)
         store, table, caps = self._build(disk)
-        table.log_commit(caps[0].object, 7, 8, b"reply")
-        stripe = table.shard_of(caps[0].object)
-        # Tear this very stripe: a big record for an object it owns.
-        disk.faults = DiskFaultPlan(seed=5, torn_at={0})
+        table.log_commit(7, 8, b"reply")
+        disk.faults = DiskFaultPlan(seed=5, torn_at={1})
         table.persist(caps[0].object, b"V" * 700)
         disk.faults = None
 
         _, _, first = reattach(disk)
-        assert first.suspect_stripes == [stripe]
+        assert first.suspect
         assert (7, 8) not in first.commits
         _, _, second = reattach(disk)
-        assert not second.suspect_stripes
+        assert not second.suspect
         assert (7, 8) not in second.commits
 
     @pytest.mark.parametrize("writes", range(8))
@@ -351,7 +401,7 @@ class TestSuspectTails:
         """The first reboot dies after ``writes`` block writes of its
         re-keying checkpoint; whatever reached the medium, the second
         reboot must still refuse every pre-crash capability."""
-        disk, stripe, held = self._tear_a_tail()
+        disk, held = self._tear_a_tail()
         disk.faults = DiskFaultPlan(power_fail_after=writes)
         try:
             reattach(disk)
@@ -363,23 +413,23 @@ class TestSuspectTails:
             with pytest.raises(InvalidCapability):
                 table2.lookup(cap)
         _, _, third = reattach(disk)
-        assert not third.suspect_stripes
+        assert not third.suspect
 
     def test_damaged_snapshot_chain_is_freed_by_the_rekeying_checkpoint(self):
         disk = VirtualDisk(4096)
-        store = DurableStore(disk, codec=DefaultCodec(), shards=1)
+        store = DurableStore(disk, codec=DefaultCodec())
         table = make_table(store)
         caps = [table.create(b"x" * 300) for _ in range(8)]
         store.snapshot(table)
         used = disk.used_blocks
         # Flip a byte in the second block of the snapshot chain.
-        second = int.from_bytes(disk.read(store._snapshots[0])[:4], "big")
+        second = int.from_bytes(disk.read(store._snapshot)[:4], "big")
         raw = bytearray(disk.read(second))
         raw[40] ^= 0xFF
         disk.write(second, bytes(raw))
 
         store2, table2, report = reattach(disk)
-        assert report.suspect_stripes == [0]
+        assert report.suspect
         with pytest.raises((InvalidCapability, NoSuchObject)):
             table2.lookup(caps[0])
         store2.snapshot(table2)           # frees nothing twice

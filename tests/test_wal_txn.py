@@ -6,11 +6,16 @@ These tests pin the rules that make that safe:
 
 * acked implies flushed, on every dispatch path and for deferred replies;
 * delta records are idempotent assignments (a snapshot may already hold
-  the change) and an undecodable one re-keys its stripe;
+  the change) and an undecodable one re-keys the table;
 * a snapshot never records a replay position beyond the medium;
 * a crash at *any* write — power failure or torn sector — recovers a
   prefix of the issued operations with every acked one in it, and a
-  retry of the in-flight transaction replays or executes, never both.
+  retry of the in-flight transaction replays or executes, never both;
+  a plain power failure never leaves a suspect tail (PR 21: a flush
+  that spills writes the linking block last), so it re-keys nothing.
+
+(One log since PR 21; test ids that say "stripe" are kept from the
+16-chain store.)
 """
 
 import random
@@ -30,9 +35,9 @@ from repro.disk.diskfaults import DiskFaultPlan
 from repro.disk.virtualdisk import VirtualDisk
 from repro.disk.wal import (
     OP_ENTRY,
+    ChainLog,
     DefaultCodec,
     DurableStore,
-    StripeLog,
     _scan_chain,
 )
 from repro.errors import (
@@ -44,11 +49,12 @@ from repro.errors import (
 )
 from repro.ipc.rpc import AsyncTrans, trans
 from repro.ipc.server import command
-from repro.ipc.stdops import USER_BASE
+from repro.ipc.stdops import STD_DESTROY, STD_REFRESH, USER_BASE
 from repro.net.message import Message
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 from repro.servers.directory import (
+    DIR_CREATE,
     DIR_ENTER,
     DIR_LOOKUP,
     DIR_REMOVE,
@@ -77,26 +83,20 @@ def clone_disk(disk):
 def recover_directories(disk):
     """Recover a clone of ``disk``; returns ``(table, report)``."""
     store = DurableStore(clone_disk(disk), codec=DirectoryCodec())
-    table = ObjectTable(
-        SCHEME, PORT, rng=RandomSource(seed=99),
-        wal=store, shards=store.shards,
-    )
+    table = ObjectTable(SCHEME, PORT, rng=RandomSource(seed=99), wal=store)
     return table, store.recover(table, rng=RandomSource(seed=1234))
 
 
 def names_on_medium(disk, number):
     """The directory ``number``'s entries as the medium alone has them."""
     table, report = recover_directories(disk)
-    assert not report.suspect_stripes
+    assert not report.suspect
     return dict(table._entry(number).data.entries)
 
 
 def directory_table(disk):
     store = DurableStore(disk, codec=DirectoryCodec())
-    table = ObjectTable(
-        SCHEME, PORT, rng=RandomSource(seed=44),
-        wal=store, shards=store.shards,
-    )
+    table = ObjectTable(SCHEME, PORT, rng=RandomSource(seed=44), wal=store)
     return store, table
 
 
@@ -140,7 +140,7 @@ def kinds(events):
 
 
 # ----------------------------------------------------------------------
-# StripeLog / DurableStore: the flush rule itself
+# ChainLog / DurableStore: the flush rule itself
 # ----------------------------------------------------------------------
 
 
@@ -176,15 +176,16 @@ class TestFlushRule:
         store.flush()  # nothing left owed
         assert disk.writes == before + 1
 
-    def test_commit_writes_its_own_block_last(self):
-        """A commit must not reach the medium ahead of a mutation it
-        vouches for in another stripe."""
+    def test_two_object_transaction_is_one_write_and_a_spill_links_last(self):
+        """Mutations and the commit that vouches for them are one stream
+        in append order, so the commit cannot reach the medium ahead of
+        them: a transaction touching two objects is one block write.
+        One that spills past the tail block writes the new blocks first
+        and the old tail, whose pointer links them in, last."""
         disk = RecordingDisk(1024)
         store, table = directory_table(disk)
         caps = [table.create(Directory()) for _ in range(2)]
         target = table.create(Directory())
-        first, second = (table.shard_of(c.object) for c in caps)
-        assert first != second
         del disk.events[:]
         store.begin()
         for cap in caps:
@@ -192,36 +193,68 @@ class TestFlushRule:
             table.persist(
                 cap.object, delta=DirectoryCodec.set_delta("n", target)
             )
-        # The commit goes to the *first* stripe, appended to before the
-        # second: its block must still be written after the second's.
-        table.log_commit(caps[0].object, 7, 8, b"reply")
+        table.log_commit(7, 8, b"reply")
         store.end()
-        blocks = [block for _, block in disk.events]
-        assert blocks == [
-            store._logs[second].tail, store._logs[first].tail
-        ]
+        assert disk.events == [("write", store._log.tail)]
         recovered, report = recover_directories(disk)
         assert report.commits == {(7, 8): b"reply"}
+        for cap in caps:
+            assert recovered._entry(cap.object).data.entries == {"n": target}
 
-    def test_roll_writes_full_old_tail_before_new_block_exists(self):
-        disk = VirtualDisk(64, block_size=128)
+        # The same transaction, big enough to spill over two blocks.
+        old_tail = store._log.tail
+        del disk.events[:]
+        store.begin()
+        for cap in caps:
+            name = cap.object.to_bytes(1, "big").hex() * 300
+            table._entry(cap.object).data.entries[name] = target
+            table.persist(
+                cap.object, delta=DirectoryCodec.set_delta(name, target)
+            )
+        assert disk.events == []  # a roll writes nothing by itself
+        # Power fails before the linking write: the medium holds the
+        # previous clean chain, nothing suspect, two blocks to reclaim.
+        disk.faults = DiskFaultPlan(power_fail_after=2)
+        with pytest.raises(PowerFailure):
+            table.log_commit(9, 10, b"second")
+        blocks = [block for _, block in disk.events]
+        assert len(blocks) == 2 and blocks[0] == store._log.tail
+        assert old_tail not in blocks
+        recovered, report = recover_directories(disk)
+        assert not report.suspect and report.blocks_reclaimed == 2
+        assert report.commits == {(7, 8): b"reply"}
+        # Power back: the flush goes through, the old tail last.
+        disk.faults = None
+        store.end()
+        store.flush()
+        assert disk.events[-1] == ("write", old_tail)
+        recovered, report = recover_directories(disk)
+        assert sorted(report.commits) == [(7, 8), (9, 10)]
+        for cap in caps:
+            assert len(recovered._entry(cap.object).data.entries) == 2
+
+    def test_roll_writes_nothing_until_the_flush_links_it_in_last(self):
+        disk = RecordingDisk(64, block_size=128)
         disk.reserve(0)
         disk.reserve(1)
-        log = StripeLog(disk)
+        log = ChainLog(disk)
         old_tail = log.tail
-        log.append(b"x" * 100, flush=False)
+        log.append(b"x" * 100)
+        del disk.events[:]
         log.append(b"y" * 100, flush=False)  # rolls
         assert log.tail != old_tail
-        assert not disk.is_written(log.tail)
-        raw = disk.read(old_tail)
-        nxt, used = struct.unpack_from(">IH", raw)
-        assert (nxt, used) == (log.tail, log.capacity)
-        # What is on the medium scans as a torn tail, not as garbage.
+        assert disk.events == [] and not disk.is_written(log.tail)
+        # What is on the medium is the previous clean chain.
         scan = _scan_chain(disk, log.head)
-        assert scan.records == [b"x" * 100] and scan.suspect
+        assert scan.records == [b"x" * 100] and not scan.suspect
         log.flush()
+        assert disk.events == [("write", log.tail), ("write", old_tail)]
+        nxt, used = struct.unpack_from(">IH", disk.read(old_tail))
+        assert (nxt, used) == (log.tail, log.capacity)
         scan = _scan_chain(disk, log.head)
         assert scan.records == [b"x" * 100, b"y" * 100] and not scan.suspect
+        log.flush()  # nothing left owed
+        assert len(disk.events) == 2
 
     def test_record_head_straddling_a_lost_roll_is_not_an_empty_record(self):
         """Two bytes of the next record's head fit the old block: magic
@@ -230,10 +263,13 @@ class TestFlushRule:
         disk = VirtualDisk(64, block_size=128)
         disk.reserve(0)
         disk.reserve(1)
-        log = StripeLog(disk)
+        log = ChainLog(disk)
         first = b"f" * (log.capacity - 9 - 2)
         log.append(first)
-        log.append(b"second", flush=False)  # rolls; new block unwritten
+        # Rolls; the device loses the new block and keeps the old tail,
+        # now pointing at it.
+        disk.faults = DiskFaultPlan(lost_at={0})
+        log.append(b"second")
         scan = _scan_chain(disk, log.head)
         assert scan.records == [first] and scan.suspect
         assert (scan.cut_index, scan.cut_offset) == (0, log.capacity - 2)
@@ -242,7 +278,7 @@ class TestFlushRule:
         disk = VirtualDisk(64, block_size=128)
         disk.reserve(0)
         disk.reserve(1)
-        log = StripeLog(disk)
+        log = ChainLog(disk)
         log.append(b"unflushed", flush=False)
         block, offset = log.tail_position()
         _, used = struct.unpack_from(">IH", disk.read(block), 0)
@@ -266,7 +302,7 @@ class TestFlushRule:
         crashed = clone_disk(disk)  # power cut: the flush never happens
 
         store2, table2 = directory_table(crashed)
-        assert not store2.recover(table2).suspect_stripes
+        assert not store2.recover(table2).suspect
         entries = table2._entry(cap.object).data.entries
         assert list(entries) == ["first"]
         entries["second"] = target
@@ -295,23 +331,18 @@ class TestFlushRule:
         store = DurableStore(disk, codec=DefaultCodec())
         table = ObjectTable(
             SCHEME, PORT, rng=RandomSource(seed=44), wal=store,
-            shards=store.shards, default_lifetime=1,
+            default_lifetime=1,
         )
         cap = table.create("payload")
         table._entry(cap.object).data = "changed"
         mutate(table, cap)
-        live = table._shards[table.shard_of(cap.object)].entries.get(
-            cap.object
-        )
+        live = table._entries.get(cap.object)
         store2 = DurableStore(clone_disk(disk), codec=DefaultCodec())
         table2 = ObjectTable(
-            SCHEME, PORT, rng=RandomSource(seed=1), wal=store2,
-            shards=store2.shards,
+            SCHEME, PORT, rng=RandomSource(seed=1), wal=store2
         )
         store2.recover(table2)
-        found = table2._shards[table2.shard_of(cap.object)].entries.get(
-            cap.object
-        )
+        found = table2._entries.get(cap.object)
         if live is None:
             assert found is None
         else:
@@ -320,8 +351,8 @@ class TestFlushRule:
             )
 
     def test_two_threads_one_stripe_each_flush_covers_its_bytes(self):
-        """Lost-update stress: threads inside dispatches append to one
-        stripe; after each thread's own flush returns, its record is on
+        """Lost-update stress: threads inside dispatches append to the
+        one log; after each thread's own flush returns, its record is on
         the medium (another thread's write may have carried it)."""
         disk = VirtualDisk(4096)
         store, table = directory_table(disk)
@@ -342,10 +373,6 @@ class TestFlushRule:
                     )
                     store.end()
                     store.flush()
-                    # White box: after *this* thread's flush nothing it
-                    # appended may still be owed to the medium.
-                    if store._thread.pending:
-                        errors.append("pending after flush")
             except Exception as exc:  # pragma: no cover - reported below
                 errors.append(exc)
 
@@ -403,23 +430,18 @@ class TestDeltaRecords:
         table.persist(cap.object, delta=DirectoryCodec.delete_delta("gone"))
 
         recovered, report = recover_directories(disk)
-        assert report.records_replayed >= 2 and not report.suspect_stripes
+        assert report.records_replayed >= 2 and not report.suspect
         assert recovered._entry(cap.object).data.entries == {"kept": keep}
 
     def test_delta_for_a_destroyed_object_is_skipped(self):
         disk = VirtualDisk(1024)
         store, table = directory_table(disk)
         cap = table.create(Directory())
-        shard = table.shard_of(cap.object)
-        store.log_update(
-            shard, cap.object, None, DirectoryCodec.delete_delta("x")
-        )
+        store.log_update(cap.object, None, DirectoryCodec.delete_delta("x"))
         table.destroy(cap)
-        store.log_update(
-            shard, cap.object, None, DirectoryCodec.delete_delta("x")
-        )
+        store.log_update(cap.object, None, DirectoryCodec.delete_delta("x"))
         recovered, report = recover_directories(disk)
-        assert cap.object not in recovered and not report.suspect_stripes
+        assert cap.object not in recovered and not report.suspect
 
     @pytest.mark.parametrize(
         "delta",
@@ -436,12 +458,11 @@ class TestDeltaRecords:
         disk = VirtualDisk(1024)
         store, table = directory_table(disk)
         cap = table.create(Directory())
-        shard = table.shard_of(cap.object)
-        store._logs[shard].append(
+        store._log.append(
             bytes([6]) + cap.object.to_bytes(3, "big") + delta
         )
         recovered, report = recover_directories(disk)
-        assert report.suspect_stripes == [shard]
+        assert report.suspect
         assert report.secrets_regenerated == 1
         with pytest.raises(InvalidCapability):
             recovered.lookup(cap)
@@ -450,18 +471,15 @@ class TestDeltaRecords:
         disk = VirtualDisk(1024)
         store = DurableStore(disk, codec=DefaultCodec())
         table = ObjectTable(
-            SCHEME, PORT, rng=RandomSource(seed=44), wal=store,
-            shards=store.shards,
+            SCHEME, PORT, rng=RandomSource(seed=44), wal=store
         )
         cap = table.create("text")
         table.persist(cap.object, delta=b"anything")
         store2 = DurableStore(clone_disk(disk), codec=DefaultCodec())
         table2 = ObjectTable(
-            SCHEME, PORT, rng=RandomSource(seed=1), wal=store2,
-            shards=store2.shards,
+            SCHEME, PORT, rng=RandomSource(seed=1), wal=store2
         )
-        report = store2.recover(table2)
-        assert report.suspect_stripes == [table.shard_of(cap.object)]
+        assert store2.recover(table2).suspect
 
     @pytest.mark.parametrize("keep", [3, 5, 9, 20, 27])
     def test_truncated_directory_image_is_suspect_not_a_traceback(self, keep):
@@ -473,18 +491,17 @@ class TestDeltaRecords:
         directory = Directory()
         directory.entries["name"] = table.create(Directory())
         cap = table.create(directory)
-        shard = table.shard_of(cap.object)
         entry = table._entry(cap.object)
         image = DirectoryCodec().encode(directory)[:keep]
         secret = entry.secret.to_bytes(8, "big")
-        store._logs[shard].append(
+        store._log.append(
             bytes([OP_ENTRY]) + cap.object.to_bytes(3, "big")
             + (0).to_bytes(4, "big") + b"\xff"
             + b"\x00" + len(secret).to_bytes(2, "big") + secret
             + len(image).to_bytes(4, "big") + image
         )
         recovered, report = recover_directories(disk)
-        assert report.suspect_stripes == [shard]
+        assert report.suspect
         assert report.secrets_regenerated >= 1
         with pytest.raises(InvalidCapability):
             recovered.lookup(cap)
@@ -607,6 +624,8 @@ class TestReplyPathOrdering:
         events = disk.events
         record_reply_path(server, events)
         del events[:]
+        log = server.store._log
+        first = log.tail
         node = client.node
         flights = [
             AsyncTrans(
@@ -618,7 +637,15 @@ class TestReplyPathOrdering:
             for i, cap in enumerate(dirs)
         ]
         assert [f.result(timeout=5.0).status for f in flights] == [0] * 6
-        assert kinds(events) == ["write", "cache"] * 6 + ["egress"]
+        # One write per request — except the second, whose bytes spill
+        # out of the log's tail block: the new block, then the old tail
+        # that links it in.
+        second = log.tail
+        assert second != first
+        assert [e if e[0] == "write" else e[0] for e in events] == [
+            ("write", first), "cache",
+            ("write", second), ("write", first), "cache",
+        ] + [("write", second), "cache"] * 4 + ["egress"]
         assert events[-1] == ("egress", "put_owned_unicast_bulk")
         table, report = recover_directories(disk)
         assert len(report.commits) == 6 + 6  # the enters, the removes
@@ -682,11 +709,12 @@ class TestReplyPathOrdering:
         del events[:]
         client.call(OP_NESTED, capability=root)
         # The inner transaction's reply left only after a write (which
-        # may carry the outer's first record early — harmless); the
-        # outer's second record and commit follow in the outer's own.
+        # carries the outer's first record early, being ahead of it in
+        # the one stream — harmless); the outer's second record and
+        # commit follow in the outer's own.
         assert kinds(events) == [
-            "write", "write", "cache", "egress",  # inner: root's, then its own
-            "write", "cache", "egress",           # outer
+            "write", "cache", "egress",  # inner
+            "write", "cache", "egress",  # outer
         ]
         table, report = recover_directories(disk)
         assert sorted(table._entry(root.object).data.entries) == [
@@ -774,7 +802,7 @@ class TestRebootObservability:
         net, disk, server, client = server_world(cls=DirectoryServer)
         root, target = server.create_root(), server.create_root()
         client.enter(root, "good", target)
-        server.table.log_commit(root.object, 77, 88, b"not a message")
+        server.table.log_commit(77, 88, b"not a message")
         server.stop()
         reborn = DirectoryServer(
             Nic(net), store=DurableStore(disk, codec=DirectoryCodec()),
@@ -794,30 +822,48 @@ class TestRebootObservability:
 # ----------------------------------------------------------------------
 
 SWEEP_SEED = 20260930
-SWEEP_BLOCK = 256  # small blocks (the superblock needs 210 B): many rolls
+SWEEP_BLOCK = 256  # small blocks: many rolls
+#: The set-up creates the root (0) and the target (1); the script keeps
+#: at most one *scratch* directory alive, so until a reboot it is always
+#: this number — freed by a destroy, recycled by the next create.
+SCRATCH = 2
 
 
-def sweep_script(seed=SWEEP_SEED, length=36):
-    """A seeded ENTER / REMOVE / LOOKUP / checkpoint sequence, and the
-    shadow directory after every prefix of it."""
+def sweep_script(seed=SWEEP_SEED, length=80):
+    """A seeded sequence of ENTER / REMOVE / LOOKUP on the root
+    directory, DIR_CREATE / STD_REFRESH / STD_DESTROY on a scratch
+    directory (a create after a destroy recycles the freed number) and
+    checkpoints — and the shadow state after every prefix of it:
+    ``(names in the root, the scratch row as (number, generation) or
+    None)``."""
     rng = random.Random(seed)
-    ops, states, shadow = [], [{}], {}
+    ops, names, scratch, next_generation = [], {}, None, 0
+    states = [({}, None)]
     for i in range(length):
         roll = rng.random()
         if i and i % 9 == 0:
             op = ("checkpoint", None)
-        elif shadow and roll < 0.3:
-            op = ("remove", rng.choice(sorted(shadow)))
-        elif shadow and roll < 0.5:
-            op = ("lookup", rng.choice(sorted(shadow)))
+        elif roll < 0.3:
+            if scratch is None:
+                op = ("create", None)
+                scratch = (SCRATCH, next_generation)
+            elif rng.random() < 0.6:
+                op = ("refresh", None)
+                scratch = (SCRATCH, scratch[1] + 1)
+            else:
+                op = ("destroy", None)
+                next_generation = scratch[1] + 1
+                scratch = None
+        elif names and roll < 0.5:
+            op = ("remove", rng.choice(sorted(names)))
+            del names[op[1]]
+        elif names and roll < 0.65:
+            op = ("lookup", rng.choice(sorted(names)))
         else:
             op = ("enter", "n%02d" % i)
-        if op[0] == "enter":
-            shadow[op[1]] = True
-        elif op[0] == "remove":
-            del shadow[op[1]]
+            names[op[1]] = True
         ops.append(op)
-        states.append(dict(shadow))
+        states.append((dict(names), scratch))
     return ops, states
 
 
@@ -835,12 +881,22 @@ class SweepWorld:
         ).start()
         self.root = self.server.create_root()
         self.target = self.server.create_root()
+        #: The live scratch directory's capability, and every scratch
+        #: capability since refreshed away or destroyed.
+        self.scratch = None
+        self.revoked = []
         self.client_nic = Nic(self.net)
         self.secrets = RandomSource(seed=7)
+        self.incarnations = 0
         self.setup_writes = self.disk.writes
 
     def request(self, op):
         kind, name = op
+        if kind == "create":
+            return Message(command=DIR_CREATE)
+        if kind in ("refresh", "destroy"):
+            opcode = STD_REFRESH if kind == "refresh" else STD_DESTROY
+            return Message(command=opcode, capability=self.scratch)
         if kind == "enter":
             return Message(
                 command=DIR_ENTER, capability=self.root,
@@ -857,6 +913,15 @@ class SweepWorld:
         )
         return flight.result(timeout=2.0)
 
+    def settle(self, op, reply):
+        """Fold an acknowledged operation into what the client holds."""
+        assert reply.status == 0
+        if op[0] in ("refresh", "destroy"):
+            self.revoked.append(self.scratch)
+            self.scratch = None
+        if op[0] in ("create", "refresh"):
+            self.scratch = reply.capability
+
     def run(self, ops):
         """Issue ``ops`` until one dies with the power; returns
         ``(index of the op in flight or None, its reply secret)``."""
@@ -866,7 +931,7 @@ class SweepWorld:
                 if op[0] == "checkpoint":
                     self.server.checkpoint()
                 else:
-                    assert self.issue(self.server, op, secret).status == 0
+                    self.settle(op, self.issue(self.server, op, secret))
             except PowerFailure:
                 return index, secret
         return None, None
@@ -874,25 +939,54 @@ class SweepWorld:
     def reboot(self):
         self.server.stop()
         self.disk.faults = None
-        reborn = DirectoryServer(
+        # A seed of its own per incarnation: two that drew the same
+        # stream would mint the same "fresh" secret in successive
+        # refreshes, and a capability revoked by one validate again.
+        self.incarnations += 1
+        self.server = DirectoryServer(
             Nic(self.net), get_port=self.server.get_port,
-            rng=RandomSource(seed=99),
+            rng=RandomSource(seed=98 + self.incarnations),
             store=DurableStore(self.disk, codec=DirectoryCodec()),
             dedup=True,
         )
-        report = reborn.reboot()
-        reborn.start()
-        return reborn, report
+        report = self.server.reboot()
+        self.server.start()
+        return self.server, report
 
-    def recovered_names(self, server):
-        """Names in the root directory, or None when it did not survive."""
-        try:
-            fresh = server.table.mint_for(self.root.object)
-        except NoSuchObject:
+    def recovered_state(self, server):
+        """``(names in the root directory, the scratch row as (number,
+        generation) or None)`` — or None when the root did not survive."""
+        table = server.table
+        if self.root.object not in table:
             return None
-        return dict.fromkeys(
-            server.table.lookup(fresh)[0].data.entries, True
+        names = dict.fromkeys(table._entry(self.root.object).data.entries, True)
+        scratch = [
+            (number, table._entry(number).generation)
+            for number in table.numbers()
+            if number not in (self.root.object, self.target.object)
+        ]
+        assert len(scratch) <= 1
+        return names, (scratch[0] if scratch else None)
+
+    def rows(self, server):
+        return sorted(
+            (number, secret, generation, dict(data.entries))
+            for number, secret, data, generation
+            in server.table.snapshot_entries()
         )
+
+    def check_capabilities(self, server, scratch=True):
+        """What the client holds still validates — nothing was re-keyed
+        — and what was refreshed away or destroyed stays refused."""
+        table = server.table
+        held = [self.root, self.target]
+        if scratch and self.scratch is not None:
+            held.append(self.scratch)
+        for capability in held:
+            table.lookup(capability)
+        for capability in self.revoked:
+            with pytest.raises((InvalidCapability, NoSuchObject)):
+                table.lookup(capability)
 
 
 def _sweep_length():
@@ -908,12 +1002,28 @@ SWEEP_WRITES = _sweep_length()
 class TestCrashPointSweep:
     def test_the_script_exercises_what_it_should(self):
         ops, states = sweep_script()
-        kinds_seen = {op[0] for op in ops}
-        assert kinds_seen == {"enter", "remove", "lookup", "checkpoint"}
+        kinds_seen = [op[0] for op in ops]
+        assert set(kinds_seen) == {
+            "enter", "remove", "lookup", "checkpoint",
+            "create", "refresh", "destroy",
+        }
+        # Some create follows a destroy: it recycles the freed number,
+        # one past the dead incarnation's generation.
+        assert any(
+            before is None and scratch is not None and scratch[1] > 0
+            for (_, before), (_, scratch) in zip(states, states[1:])
+        )
         # One write per mutation plus rolls and checkpoints — far fewer
         # than the two-plus per mutation of separate update and commit.
-        mutations = sum(op[0] in ("enter", "remove") for op in ops)
+        mutations = sum(
+            kind not in ("lookup", "checkpoint") for kind in kinds_seen
+        )
         assert mutations < SWEEP_WRITES
+        # The uncrashed run matches the shadow model, recycling included.
+        world = SweepWorld()
+        assert world.run(ops) == (None, None)
+        assert world.recovered_state(world.server) == states[-1]
+        world.check_capabilities(world.server)
 
     @pytest.mark.parametrize("ordinal", range(SWEEP_WRITES))
     def test_power_failure_at_every_write(self, ordinal):
@@ -924,42 +1034,53 @@ class TestCrashPointSweep:
         assert index is not None, "write %d never happened" % ordinal
         op = ops[index]
         reborn, report = world.reboot()
-        names = world.recovered_names(reborn)
+        # A flush group lands whole or not at all (the linking block is
+        # written last), so no power failure leaves a torn tail: nothing
+        # is suspect, nothing is re-keyed.
+        assert not report.suspect and report.secrets_regenerated == 0
+        state = world.recovered_state(reborn)
 
         # (i) + (ii): every acked operation is there, and what is there
         # is a prefix of what was issued — the in-flight operation
         # landed whole or not at all.
-        assert names in (states[index], states[index + 1])
-        if op[0] == "checkpoint":
-            assert names == states[index]
-            return
-        landed = names == states[index + 1] and states[index] != names
-        root_stripe = reborn.table.shard_of(world.root.object)
-        assert set(report.suspect_stripes) <= {root_stripe}
+        assert state in (states[index], states[index + 1])
+        world.check_capabilities(reborn, scratch=False)
 
-        # (iii): retry the very same transaction.
-        reply = world.issue(reborn, op, secret)
-        stats = reborn.reply_cache.stats()
-        if report.suspect_stripes:
-            # (iv) the commit straddled a _roll and only the old block
-            # made it: a torn tail, so the stripe is re-keyed and the
-            # retry is refused cleanly — whether or not the delta was in
-            # the block that landed, it cannot be applied twice.
-            assert reply.status == InvalidCapability.code
+        # A second reboot straight after the first is a fixed point.
+        rows = world.rows(reborn)
+        reborn, second = world.reboot()
+        assert not second.suspect and second.commits == report.commits
+        assert world.rows(reborn) == rows
+        assert second.high_water == report.high_water
+        if op[0] == "checkpoint":
+            assert state == states[index]
+            world.check_capabilities(reborn)
             return
+        landed = state == states[index + 1] and states[index] != state
+
+        # (iii): retry the very same transaction — it is replayed, or
+        # runs for the first time, and never both.
+        reply = world.issue(reborn, op, secret)
         assert reply.status not in (NameExists.code, NameNotFound.code)
-        assert reply.status == 0
+        world.settle(op, reply)
+        stats = reborn.reply_cache.stats()
         if landed:
             assert (stats["hits"], stats["misses"]) == (1, 0)  # replayed
         else:
             assert (stats["hits"], stats["misses"]) == (0, 1)  # first run
-        assert world.recovered_names(reborn) == states[index + 1]
+        expected = states[index + 1]
+        if op[0] == "create" and not landed:
+            # The free list died with the old incarnation: the number is
+            # the first never used, not the one a dead object carried.
+            expected = (expected[0], (report.high_water, 0))
+        assert world.recovered_state(reborn) == expected
+        world.check_capabilities(reborn)
 
     @pytest.mark.parametrize("ordinal", range(SWEEP_WRITES))
     def test_torn_write_at_every_write(self, ordinal):
         """The device acks a torn sector and the server carries on to
         the end of the script, then dies.  Either a later write of the
-        same block healed the tear, or recovery finds it: the stripe is
+        same block healed the tear, or recovery finds it: the table is
         suspect, old capabilities are refused, what survives is a prefix
         — and never a traceback."""
         ops, states = sweep_script()
@@ -967,24 +1088,31 @@ class TestCrashPointSweep:
         world.disk.faults = DiskFaultPlan(seed=ordinal, torn_at={ordinal})
         assert world.run(ops) == (None, None)
         reborn, report = world.reboot()
-        names = world.recovered_names(reborn)
+        state = world.recovered_state(reborn)
         probe = world.issue(reborn, ("lookup", "absent"), Port.random(
             world.secrets))
-        root_stripe = reborn.table.shard_of(world.root.object)
-        if root_stripe not in report.suspect_stripes:
-            assert names == states[-1]
+        if not report.suspect:
+            assert state == states[-1]
             assert probe.status == NameNotFound.code
+            world.check_capabilities(reborn)
             return
-        assert names is None or names in states
+        assert state is None or state[0] in [names for names, _ in states]
         assert probe.status in (InvalidCapability.code, NoSuchObject.code)
-        if names is not None:
+        # Every pre-crash capability is refused.
+        held = [world.root, world.target] + world.revoked
+        if world.scratch is not None:
+            held.append(world.scratch)
+        for capability in held:
+            with pytest.raises((InvalidCapability, NoSuchObject)):
+                reborn.table.lookup(capability)
+        if state is not None:
             # Service continues under a re-obtained capability.
             fresh = reborn.table.mint_for(world.root.object)
             client = DirectoryClient(
                 world.client_nic, reborn.put_port, rng=RandomSource(seed=6),
                 expect_signature=reborn.signature_image,
             )
-            assert sorted(client.list(fresh)) == sorted(names)
+            assert sorted(client.list(fresh)) == sorted(state[0])
 
 
 # ----------------------------------------------------------------------
@@ -997,6 +1125,9 @@ STEPS = st.lists(
     st.one_of(
         st.tuples(st.just("enter"), st.sampled_from(NAMES)),
         st.tuples(st.just("remove"), st.sampled_from(NAMES)),
+        st.tuples(st.just("create"), st.none()),
+        st.tuples(st.just("refresh"), st.none()),
+        st.tuples(st.just("destroy"), st.none()),
         st.tuples(st.just("checkpoint"), st.none()),
         st.tuples(st.just("reboot"), st.none()),
         st.tuples(st.just("power"), st.integers(0, 4)),
@@ -1012,9 +1143,12 @@ class TestGeneratedSequences:
     )
     @given(STEPS)
     def test_directory_matches_a_dict_across_crashes(self, steps):
+        """The model: the root's names as a dict, and at most one
+        scratch directory as ``(number, generation)`` — created,
+        refreshed, destroyed and re-created like the sweep's."""
         world = SweepWorld()
-        server = world.server
-        model = {}
+        names, scratch = {}, None
+        last_generation = {}  # number -> the highest its rows ever had
 
         client_seeds = iter(range(100, 200))
 
@@ -1027,50 +1161,84 @@ class TestGeneratedSequences:
                 expect_signature=server.signature_image,
             )
 
-        def reboot(power_failed=False):
-            nonlocal server
-            world.server = server
+        def reboot():
+            # No power cut leaves a torn tail, so nothing is ever
+            # re-keyed: the capabilities in hand stay good.
             server, report = world.reboot()
-            # Only a power cut between a _roll and the block after it
-            # leaves a torn tail; the stripe is then re-keyed, so carry
-            # on under a re-obtained capability either way.
-            assert power_failed or not report.suspect_stripes
-            world.root = server.table.mint_for(world.root.object)
+            assert not report.suspect and not report.secrets_regenerated
             return client_for(server)
 
-        client = client_for(server)
+        def matches(state, expected):
+            return state == expected or (
+                # A create lands on whatever number the table picks.
+                expected[1] == "new" and state[0] == expected[0]
+                and state[1] is not None
+            )
+
+        client = client_for(world.server)
         for kind, arg in steps:
             if kind == "power":
                 # Power fails ``arg`` writes from now; whatever was in
                 # flight then may or may not have landed.
                 world.disk.faults = DiskFaultPlan(power_fail_after=arg)
                 continue
+            if kind in ("refresh", "destroy") and scratch is None:
+                continue
+            if kind == "create" and scratch is not None:
+                continue
+            before, after = (names, scratch), (dict(names), scratch)
+            acked = True
             try:
                 if kind == "enter":
+                    after[0][arg] = True
                     client.enter(world.root, arg, world.target,
                                  overwrite=True)
-                    model[arg] = True
                 elif kind == "remove":
-                    if arg in model:
+                    if after[0].pop(arg, None):
                         client.remove(world.root, arg)
-                        del model[arg]
                     else:
                         with pytest.raises(NameNotFound):
                             client.remove(world.root, arg)
+                elif kind == "create":
+                    after = (names, "new")
+                    world.settle((kind,), client.call(DIR_CREATE))
+                elif kind == "refresh":
+                    after = (names, (scratch[0], scratch[1] + 1))
+                    world.settle((kind,), client.call(
+                        STD_REFRESH, capability=world.scratch))
+                elif kind == "destroy":
+                    after = (names, None)
+                    world.settle((kind,), client.call(
+                        STD_DESTROY, capability=world.scratch))
                 elif kind == "checkpoint":
-                    server.checkpoint()
+                    world.server.checkpoint()
                 else:
                     client = reboot()
             except PowerFailure:
-                client = reboot(power_failed=True)
-                names = world.recovered_names(server)
-                undecided = dict(model)
-                if kind == "enter":
-                    undecided[arg] = True
-                elif kind == "remove":
-                    undecided.pop(arg, None)
-                assert names in (model, undecided)
-                model = names
-            assert world.recovered_names(server) == model
+                acked = False
+                client = reboot()
+            state = world.recovered_state(world.server)
+            assert matches(state, after) or (
+                not acked and matches(state, before)
+            )
+            if state[1] != scratch:
+                if not acked:
+                    # It landed but its reply never arrived: re-obtain
+                    # what the reply carried.
+                    if world.scratch is not None:
+                        world.revoked.append(world.scratch)
+                    world.scratch = state[1] and (
+                        world.server.table.mint_for(state[1][0])
+                    )
+                if state[1] is not None:
+                    # The guard that keeps a dead object's revocation
+                    # off a new one, reboots or not: a number's rows
+                    # only ever rise in generation.
+                    number, generation = state[1]
+                    assert generation > last_generation.get(number, -1)
+                    last_generation[number] = generation
+            names, scratch = state
+            world.check_capabilities(world.server)
         client = reboot()
-        assert sorted(client.list(world.root)) == sorted(model)
+        assert sorted(client.list(world.root)) == sorted(names)
+        world.check_capabilities(world.server)
