@@ -20,8 +20,17 @@ same numbers on any host, at any load.
     by the acceptance bar (measured: 16x — one RTT buys the whole batch);
     each side runs twice and ``deterministic`` records that the second,
     identically seeded run reproduced the first bit for bit.
+
+``des_retention``
+    What a station keeps is what it listens on, not how long it has run:
+    every station serves an echo port and runs more blocking
+    transactions than ``PORT_CACHE_MAX`` against its neighbour, and
+    afterwards holds at most the bound in F-box images, no sink but its
+    served port, and the network no index entry but the servers'.
+    ``retained_entries`` is the count of everything left, seed-exact.
 """
 
+from repro.core.ports import PORT_CACHE_MAX
 from repro.crypto.randomsrc import RandomSource
 from repro.ipc.rpc import trans, trans_many
 from repro.ipc.server import ObjectServer, command
@@ -102,10 +111,60 @@ def check_amortization(result):
     return failures
 
 
+def des_retention(stations=20, transactions=2200, seed=42):
+    """``stations`` x ``transactions`` blocking round trips on one DES
+    wire, then a census of every table a transaction writes to."""
+    net = SimNetwork(clock=VirtualClock(),
+                     latency=LatencyModel(rtt_ms=PAPER_RTT_MS, seed=seed))
+    nics = [Nic(net) for _ in range(stations)]
+    servers = [EchoServer(nic, rng=RandomSource(seed=seed + i)).start()
+               for i, nic in enumerate(nics)]
+    rngs = [RandomSource(seed=seed + stations + i) for i in range(stations)]
+    request = Message(command=USER_BASE, data=b"payload")
+    for _ in range(transactions):
+        for i, nic in enumerate(nics):
+            trans(nic, servers[(i + 1) % stations].put_port, request, rngs[i])
+    served = {server.put_port for server in servers}
+    images = [len(nic.fbox._images) for nic in nics]
+    pooled = sum(len(pool) for nic in nics
+                 for pool in nic._reply_pools.values())
+    stray_sinks = sum(len(set(nic._sinks) - served) for nic in nics)
+    stray_listeners = len(set(net._listeners) - served)
+    return {
+        "stations": stations,
+        "transactions_each": transactions,
+        "seed": seed,
+        "bound": PORT_CACHE_MAX,
+        "image_entries_max": max(images),
+        "stray_sinks": stray_sinks,
+        "stray_listeners": stray_listeners,
+        "round_robin_entries": len(net._round_robin),
+        "retained_entries": (
+            sum(images) + pooled + sum(len(nic._sinks) for nic in nics)
+            + len(net._listeners) + len(net._round_robin)),
+    }
+
+
+def check_retention(result):
+    failures = []
+    if result["transactions_each"] <= result["bound"]:
+        failures.append("%d transactions a station never fill a cache of %d"
+                        % (result["transactions_each"], result["bound"]))
+    if result["image_entries_max"] > result["bound"]:
+        failures.append("a station holds %d F-box images, over the bound %d"
+                        % (result["image_entries_max"], result["bound"]))
+    for table in ("stray_sinks", "stray_listeners", "round_robin_entries"):
+        if result[table]:
+            failures.append("%d %s left behind" % (result[table], table))
+    return failures
+
+
 #: name -> (workload, check(result) -> [failures], CI-sized kwargs).  The
 #: numbers are virtual (host speed does not move them), so the smoke
 #: sizes exist only to bound CI wall time, not to fight noise.
 ARMS = {
     "des_amortization": (des_amortization, check_amortization,
                          {"n": 64, "batches": 8}),
+    "des_retention": (des_retention, check_retention,
+                      {"stations": 3, "transactions": 1100}),
 }

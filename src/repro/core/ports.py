@@ -22,11 +22,13 @@ PORT_BYTES = PORT_BITS // 8
 
 _PORT_MAX = mask(PORT_BITS)
 
-#: Wire-decode intern table, ``6 wire bytes -> Port``; dropped wholesale
-#: when full, like the F-box image cache (fresh reply ports are random,
-#: so the table would otherwise grow one dead entry per transaction).
-_INTERN_MAX = 1 << 16
-_interned = {}
+#: Bound on both per-frame port caches, the wire-decode intern table
+#: below and each F-box's image cache: a transaction leaves one
+#: single-use entry (its fresh reply port) in each and <= 3 keys a
+#: station are ever hit again (``docs/PERFORMANCE.md`` "Station memory").
+#: A full table is dropped wholesale by *rebinding* to a fresh dict born
+#: with its null seed, never ``clear()``: no thread sees one without it.
+PORT_CACHE_MAX = 1 << 10
 
 
 class Port(int):
@@ -41,8 +43,7 @@ class Port(int):
     It also makes the null port falsy, so ``cache.get(port) or compute()``
     is a trap (test ``is None``); ``port.is_null`` is the supported
     spelling of the null test.  Instances carry no state of their own
-    (``__slots__ = ()``): tens of thousands of interned ports stay
-    int-sized.
+    (``__slots__ = ()``): every interned port stays int-sized.
     """
 
     __slots__ = ()
@@ -85,12 +86,12 @@ class Port(int):
         ``Port`` object — identity comparisons against ``NULL_PORT`` and
         repeated service ports are pointer checks.
         """
+        global _interned
         port = _interned.get(data)
         if port is None:
             port = int.__new__(cls, int.from_bytes(data, "big"))
-            if len(_interned) >= _INTERN_MAX:
-                _interned.clear()
-                _interned[_NULL_WIRE] = NULL_PORT
+            if len(_interned) >= PORT_CACHE_MAX:
+                _interned = {_NULL_WIRE: NULL_PORT}
             _interned[data] = port
         return port
 
@@ -123,10 +124,10 @@ class Port(int):
 #: The all-zero port, used for unused header fields.
 NULL_PORT = Port(0)
 
-#: Seed the intern table so every decoded null field IS ``NULL_PORT`` —
-#: the single hottest identity comparison on the wire path.
+#: The intern table, ``6 wire bytes -> Port``, seeded so every decoded
+#: null field IS ``NULL_PORT`` — the hottest identity test on the wire.
 _NULL_WIRE = NULL_PORT.to_bytes()
-_interned[_NULL_WIRE] = NULL_PORT
+_interned = {_NULL_WIRE: NULL_PORT}
 
 
 def draw_ports(rng, n):

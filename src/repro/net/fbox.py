@@ -15,12 +15,8 @@ simulated NIC is built around, with the same can't-bypass guarantee
 because :class:`~repro.net.nic.Nic` offers no path to the wire around it.
 """
 
-from repro.core.ports import NULL_PORT, Port
+from repro.core.ports import NULL_PORT, PORT_CACHE_MAX, Port
 from repro.crypto.oneway import default_oneway
-
-#: Port-image cache bound; dropped wholesale when full (see
-#: ``docs/PERFORMANCE.md`` — recomputing F is cheap, bookkeeping is not).
-_IMAGE_CACHE_MAX = 1 << 16
 
 
 class FBox:
@@ -36,29 +32,32 @@ class FBox:
         # constructor (None here selects that path in one_way).
         self._f_raw = getattr(self._f, "raw", None)
         # port -> Port(F(port)).  Sound to memoize: F is deterministic
-        # over the 48-bit port space and Port objects are immutable.  The
-        # hot path asks for the same image repeatedly (a transaction's
-        # reply secret is imaged once, in its station's pool refill or
-        # its batch's listen_fresh, and egress finds it here for the
-        # first copy and every retransmission), and the cache also skips
-        # re-constructing the Port wrapper.
+        # over the 48-bit port space and Port objects are immutable.  A
+        # transaction's reply secret is imaged once, in its station's
+        # pool refill or its batch's listen_fresh, and egress finds it
+        # here for the first copy and every retransmission.  Bounded by
+        # PORT_CACHE_MAX and then dropped wholesale by rebinding to a
+        # fresh dict born with the null seed — never clear(), so a
+        # thread still holding the old dict keeps a complete one.
         self._images = {NULL_PORT: NULL_PORT}
 
     def one_way(self, port):
         """F applied to a single port value (F-box primitive)."""
-        image = self._images.get(port)
+        images = self._images
+        image = images.get(port)
         if image is not None:
             return image
+        if not port:  # the F-box passes null header fields through
+            return NULL_PORT
         raw = self._f_raw
         if raw is not None:
             # _unchecked is sound here: OneWayFunction masks its output.
             image = Port._unchecked(raw(port))
         else:
             image = Port(self._f(port))
-        if len(self._images) >= _IMAGE_CACHE_MAX:
-            self._images.clear()
-            self._images[NULL_PORT] = NULL_PORT
-        self._images[port] = image
+        if len(images) >= PORT_CACHE_MAX:
+            self._images = images = {NULL_PORT: NULL_PORT}
+        images[port] = image
         return image
 
     def transform_egress(self, message):
@@ -106,9 +105,8 @@ class FBox:
         """
         images = self._images
         raw = self._f_raw
-        if len(images) + len(ports) >= _IMAGE_CACHE_MAX:
-            images.clear()
-            images[NULL_PORT] = NULL_PORT
+        if len(images) + len(ports) >= PORT_CACHE_MAX:
+            self._images = images = {NULL_PORT: NULL_PORT}
         if raw is None:
             return [self.one_way(port) for port in ports]
         unchecked = Port._unchecked

@@ -13,6 +13,7 @@ The DES invariants under test:
   that died in flight drop like packets to a dead host.
 """
 
+import random
 import time
 
 import pytest
@@ -24,6 +25,7 @@ from repro.ipc.locate import Locator, install_locate_responder
 from repro.ipc.rpc import trans, trans_many
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
+from repro.net.faults import FaultPlan
 from repro.net.message import Message
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
@@ -147,6 +149,42 @@ class TestVirtualTimeDelivery:
         scheduler = net.stats()["scheduler"]
         assert scheduler.pop("virtual_now") == net.clock.now  # time stays
         assert set(scheduler.values()) == {0}
+
+    @pytest.mark.parametrize("carrier", ("broadcast", "unicast"))
+    def test_a_delayed_and_duplicated_frame_arrives_at_two_instants(
+            self, carrier):
+        """The duplicate is the wire's second copy of the frame *as
+        transmitted*, with a jitter of its own: it arrives ``jitter``
+        after the undisturbed instant, not ``delay + jitter`` — so it
+        may overtake the delayed original.  One rule for unicast frames
+        and broadcasts (a broadcast's copy waited out the delay as well
+        before the fault plane had one ``_decide``)."""
+        seed, delay_ms = 5, 4.0
+        net = SimNetwork(
+            clock=VirtualClock(), latency=LatencyModel(rtt_ms=RTT_MS),
+            faults=FaultPlan(seed=seed, delay=1.0, duplicate=1.0,
+                             delay_ms=delay_ms))
+        sender, receiver = Nic(net), Nic(net)
+        heard = []
+
+        def hear(frame):
+            heard.append(net.clock.now)
+
+        if carrier == "broadcast":
+            receiver.on_broadcast(hear)
+            sender.put_broadcast(Message(command=1))
+        else:
+            sender.put(Message(dest=receiver.serve(Port(781), hear)))
+        net.pump()
+        twin = random.Random(seed)
+        twin.random()  # the delay roll
+        delay = delay_ms / 1000.0 * (0.5 + twin.random())
+        twin.random()  # the duplicate roll
+        jitter = delay_ms / 1000.0 * twin.random()
+        assert jitter < delay  # this seed: the copy overtakes
+        assert heard == pytest.approx([RTT / 2 + jitter, RTT / 2 + delay])
+        assert net.stats()["faults"]["injected_delays"] == 1
+        assert net.stats()["faults"]["injected_duplicates"] == 1
 
     def test_timed_poll_consumes_virtual_not_wall_time(self, world):
         net, _, client = world

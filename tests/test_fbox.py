@@ -1,9 +1,28 @@
 """Tests for the F-box transformation (Fig. 1)."""
 
+import sys
+import threading
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.core.ports import NULL_PORT, Port, PrivatePort
 from repro.crypto.oneway import default_oneway
+from repro.crypto.randomsrc import RandomSource
+from repro.ipc.rpc import trans
+from repro.ipc.stdops import USER_BASE
 from repro.net.fbox import FBox
 from repro.net.message import Message
+from repro.net.sockets import SocketNode
+
+#: What a null header field must never become on the wire.
+F_OF_NULL = Port(default_oneway()(0))
+
+
+def f(value):
+    """The reference: F for any port but the null one, which passes."""
+    return Port(default_oneway()(value)) if value else NULL_PORT
 
 
 class TestOneWay:
@@ -97,3 +116,163 @@ class TestListenPort:
         fbox = FBox()
         p = Port(5)
         assert fbox.one_way(fbox.one_way(p)) != fbox.one_way(p)
+
+
+class WatchedFBox(FBox):
+    """An F-box that remembers every dict ``_images`` was ever bound to."""
+
+    tables = ()
+
+    @property
+    def _images(self):
+        return self.tables[-1]
+
+    @_images.setter
+    def _images(self, table):
+        self.tables += (table,)
+
+
+small_ports = st.integers(min_value=0, max_value=12).map(Port)
+steps = st.one_of(
+    st.tuples(st.just("one_way"), small_ports),
+    st.tuples(st.just("one_way_batch"), st.lists(small_ports, max_size=10)),
+    st.tuples(st.sampled_from(("transform_egress", "transform_egress_owned")),
+              small_ports, small_ports),
+)
+
+
+class TestTheCacheBound:
+    """The image cache holds at most ``PORT_CACHE_MAX`` entries and is
+    then dropped wholesale.  A flush must not be observable: same
+    images, null stays null, from whichever thread and at any instant."""
+
+    def test_a_flush_never_shows_a_table_without_its_null_seed(
+            self, port_cache_max):
+        # Pump-thread replies and client sends share a SocketNode's
+        # F-box.  This is the second thread, placed at the one instant
+        # that used to matter: inside the flush, after ``clear()`` and
+        # before the re-seed, where a null field missed, was computed
+        # as F(0) and went out on the wire.
+        fbox = FBox()
+        mid_flush = []
+
+        class Probing(dict):
+            def clear(self):
+                super().clear()
+                out = fbox.transform_egress_owned(Message(dest=Port(1)))
+                mid_flush.append((out.reply, out.signature))
+
+        def arm():  # a flush may have rebound the table to a plain dict
+            fbox._images = Probing(fbox._images)
+
+        with port_cache_max(4):
+            for value in range(1, 13):
+                arm()
+                fbox.one_way(Port(value))
+                arm()
+                fbox.one_way_batch([Port(100 + value), Port(200 + value)])
+        assert mid_flush == [(NULL_PORT, NULL_PORT)] * len(mid_flush)
+        assert len(fbox._images) <= 4  # it did flush
+        out = fbox.transform_egress(Message(dest=Port(1)))
+        assert out.reply is NULL_PORT and out.signature is NULL_PORT
+
+    def test_null_is_a_rule_and_the_seed_only_its_fast_path(self):
+        fbox = FBox()
+        fbox._images = {}
+        out = fbox.transform_egress(Message(dest=Port(1)))
+        assert out.reply is NULL_PORT and out.signature is NULL_PORT
+        assert fbox.one_way(0) is NULL_PORT
+        assert NULL_PORT not in fbox._images  # passed through, not stored
+
+    @given(st.integers(min_value=1, max_value=8), st.booleans(),
+           st.lists(steps, max_size=40))
+    def test_any_interleaving_at_any_bound(self, port_cache_max, bound,
+                                           plain_callable, script):
+        oneway = (lambda value: default_oneway()(value)) \
+            if plain_callable else None
+        with port_cache_max(bound):
+            fbox = WatchedFBox(oneway)
+            for name, *args in script:
+                if name == "one_way":
+                    assert fbox.one_way(args[0]) == f(args[0])
+                elif name == "one_way_batch":
+                    assert fbox.one_way_batch(args[0]) == [
+                        f(port) for port in args[0]]
+                else:
+                    out = getattr(fbox, name)(
+                        Message(dest=Port(1), reply=args[0],
+                                signature=args[1]))
+                    assert (out.dest, out.reply, out.signature) == (
+                        Port(1), f(args[0]), f(args[1]))
+                for table in fbox.tables:
+                    assert table[NULL_PORT] is NULL_PORT
+                    assert all(image == f(port)
+                               for port, image in table.items())
+
+    @pytest.mark.integration
+    def test_two_threads_on_one_socket_node_never_send_f_of_null(
+            self, port_cache_max):
+        """Each node serves (replies leave on its pump thread) and is the
+        other's client (requests leave on a thread of ours), so two
+        threads transform through each F-box while it flushes every few
+        frames.  A request's null signature and a reply's two null
+        fields must reach the wire null, every time."""
+        nodes = [SocketNode(), SocketNode()]
+        service = PrivatePort(0x5E41CE)
+        datagrams = []
+        errors = []
+
+        def serve(node):
+            def echo(frame):
+                request = frame.message
+                node.put(request.reply_to(data=request.data.upper()),
+                         frame.src)
+
+            sendto = node._sendto
+
+            def recording(raw, dst):
+                datagrams.append(raw)
+                return sendto(raw, dst)
+
+            node._sendto = recording
+            return node.serve(service, echo)
+
+        def client(node, peer, port, seed):
+            rng = RandomSource(seed=seed)
+            request = Message(command=USER_BASE, data=b"ping")
+            try:
+                for _ in range(400):
+                    reply = trans(node, port, request, rng, timeout=10.0,
+                                  dst_machine=peer.address)
+                    assert reply.data == b"PING"
+                    assert reply.reply is NULL_PORT
+                    assert reply.signature is NULL_PORT
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with port_cache_max(4):
+                port = [serve(node) for node in nodes][0]
+                threads = [
+                    threading.Thread(target=client,
+                                     args=(nodes[0], nodes[1], port, 1)),
+                    threading.Thread(target=client,
+                                     args=(nodes[1], nodes[0], port, 2)),
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            for node in nodes:
+                node._closed.set()
+            for node in nodes:
+                node.close()
+        assert not errors
+        assert len(datagrams) == 1600
+        poisoned = [raw for raw in datagrams if F_OF_NULL.to_bytes() in raw]
+        assert not poisoned

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.ports import NULL_PORT, Port, PrivatePort, as_port, draw_ports
+from repro.core import ports as ports_module
+from repro.core.ports import (
+    NULL_PORT, PORT_CACHE_MAX, Port, PrivatePort, as_port, draw_ports,
+)
 from repro.crypto.oneway import default_oneway
 from repro.crypto.randomsrc import RandomSource
 
@@ -71,6 +74,32 @@ class TestPort:
         # checks: every decoded all-zero field IS the singleton.
         assert Port.from_bytes(b"\x00" * 6) is NULL_PORT
         assert Port.from_wire(b"\x00" * 6) is NULL_PORT
+
+    def test_the_intern_table_is_bounded_and_a_flush_is_unobservable(self):
+        # Fresh reply ports are single-use: ten times the bound of them
+        # may not leave more than the bound behind, and the flushes on
+        # the way change nothing a decoder can see.
+        rng = RandomSource(seed=3)
+        for port in draw_ports(rng, 10 * PORT_CACHE_MAX):
+            wire = port.to_bytes()
+            assert Port.from_wire(wire) == port
+            assert Port.from_wire(bytes(wire)) is Port.from_wire(wire)
+            assert len(ports_module._interned) <= PORT_CACHE_MAX
+        assert Port.from_wire(b"\x00" * 6) is NULL_PORT
+
+    def test_every_intern_table_is_born_with_the_null_seed(
+            self, port_cache_max):
+        # A flush rebinds the table and never empties one, so a decoder
+        # on another thread cannot find the seed missing.
+        tables = {}
+        with port_cache_max(4):
+            for value in range(1, 40):
+                assert Port.from_wire(Port(value).to_bytes()) == value
+                tables[id(ports_module._interned)] = ports_module._interned
+                assert Port.from_wire(b"\x00" * 6) is NULL_PORT
+        assert len(tables) > 10
+        assert all(table[b"\x00" * 6] is NULL_PORT
+                   for table in tables.values())
 
     @given(port_values)
     def test_from_wire_matches_from_bytes(self, value):

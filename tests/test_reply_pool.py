@@ -235,6 +235,42 @@ class TestPoolsAreKeyedBySource:
 
 
 @pytest.mark.parametrize("station", STATIONS)
+class TestAFlushBetweenRefillAndDeal:
+    def test_costs_a_recompute_and_yields_the_same_wire_port(
+            self, world, station, port_cache_max):
+        """A pool keeps each pair's image itself; the F-box's cache is
+        only where egress looks first.  A second source's refill fills
+        the cache past its bound while the first source's pairs wait
+        undealt: their transactions recompute F(G') at egress — the
+        port that was listened on — and complete."""
+        w = world(station)
+        f_calls = []
+        raw = w.client.fbox._f_raw
+
+        def counted(value):
+            f_calls.append(value)
+            return raw(value)
+
+        w.client.fbox._f_raw = counted
+        first, second = RandomSource(seed=11), RandomSource(seed=12)
+        with port_cache_max(REPLY_BLOCK + 4):
+            trans(w.client, w.port, PING, first, dst_machine=w.to)
+            assert len(f_calls) == REPLY_BLOCK  # imaged by the block
+            trans(w.client, w.port, PING, second, dst_machine=w.to)
+            assert len(f_calls) == 2 * REPLY_BLOCK  # ... and flushed
+            for n in range(1, 4):
+                reply = trans(w.client, w.port, PING, first,
+                              dst_machine=w.to)
+                assert reply.data == b"PING"
+                assert len(f_calls) == 2 * REPLY_BLOCK + n
+        mine = predicted(11, 4)
+        assert f_calls[-3:] == mine[1:]
+        assert w.reply_ports == [F(g) for g in
+                                 mine[:1] + predicted(12, 1) + mine[1:]]
+        assert not w.gets()
+
+
+@pytest.mark.parametrize("station", STATIONS)
 class TestNothingIsLeftBehind:
     def test_two_hundred_mixed_transactions_return_to_baseline(
             self, world, station):

@@ -26,10 +26,11 @@ from repro.ipc.rpc import (
 )
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
+from repro.net.faults import FaultPlan
 from repro.net.fbox import FBox
 from repro.net.message import Message
 from repro.net.network import Frame, SimNetwork
-from repro.net.nic import Nic, Station
+from repro.net.nic import REPLY_BLOCK, Nic, Station
 from repro.net.sched import LatencyModel, VirtualClock
 from repro.net.sockets import SocketNode
 
@@ -48,22 +49,24 @@ class World:
     """A client, a raw request handler on a server station, and two
     stations that serve nothing (the "dead" machines)."""
 
-    def __init__(self, kind, behaviour="echo"):
+    def __init__(self, kind, behaviour="echo", faults=None):
         self.kind = kind
         self.behaviour = behaviour
         if kind == "udp":
             self.net = None
-            self.nodes = [SocketNode() for _ in range(4)]
+            self.nodes = [SocketNode(faults=faults) for _ in range(4)]
             self.nodes[1].connect(self.nodes[0].address)
         else:
             if kind == "des":
                 self.net = SimNetwork(
-                    clock=VirtualClock(), latency=LatencyModel(rtt_ms=2.0)
+                    clock=VirtualClock(), latency=LatencyModel(rtt_ms=2.0),
+                    faults=faults,
                 )
             else:
                 self.net = SimNetwork(
                     synchronous=(kind == "synchronous"),
                     auto_drain=(kind != "deferred-manual"),
+                    faults=faults,
                 )
             self.nodes = [Nic(self.net) for _ in range(4)]
         self.server, self.client = self.nodes[:2]
@@ -109,8 +112,8 @@ class World:
 def world():
     made = []
 
-    def make(kind, behaviour="echo"):
-        made.append(World(kind, behaviour))
+    def make(kind, behaviour="echo", faults=None):
+        made.append(World(kind, behaviour, faults))
         return made[-1]
 
     yield make
@@ -257,6 +260,43 @@ def test_failover_is_one_policy(world, station, retry):
         assert forgotten == [(w.port, w.dead[0])]
         assert not w.reply_gets()
         assert w.frames() - before == wasted + 2 * len(replies)
+
+
+@pytest.mark.parametrize("lane", ("blocking", "pipelined", "retried"))
+@pytest.mark.parametrize("station", STATIONS)
+def test_a_port_cache_flush_every_few_frames_costs_no_transaction(
+        world, station, lane, port_cache_max):
+    """Both port caches bounded at 4 — the F-box images and, on UDP, the
+    decode intern table are dropped every few frames — and three times
+    that many transactions per lane, from two alternating randomness
+    sources so that one source's refill flushes the other's undealt
+    images.  The retried lane runs under a lossy, duplicating wire: a
+    retransmission after a flush recomputes the same F(G')."""
+    lossy = lane == "retried"
+    faults = FaultPlan(seed=22, drop=0.2, duplicate=0.1) if lossy else None
+    w = world(station, faults=faults)
+    retry = RetryPolicy(attempts=12, rto=0.01, cap=0.02, jitter=0) \
+        if lossy else None
+    sources = [RandomSource(seed=6), RandomSource(seed=7)]
+    genuine = (USER_BASE, 0, b"PING", SIGNATURE.public, True)
+    with port_cache_max(4):
+        for i in range(3 * 4):
+            kwargs = dict(timeout=5.0, expect_signature=SIGNATURE.public,
+                          dst_machine=w.live, retry=retry)
+            if lane == "pipelined":
+                replies = trans_many(w.client, w.port, [REQUEST] * BATCH,
+                                     sources[i % 2], **kwargs)
+            else:
+                replies = [trans(w.client, w.port, REQUEST, sources[i % 2],
+                                 **kwargs)]
+            assert [seen(reply) for reply in replies] == (
+                [genuine] * len(replies))
+            assert not w.reply_gets()
+    if lossy:
+        assert faults.injected_drops and faults.injected_duplicates
+    for node in w.nodes:
+        # a pool refill images its block whole, whatever the bound
+        assert len(node.fbox._images) <= REPLY_BLOCK + 1
 
 
 # ----------------------------------------------------------------------

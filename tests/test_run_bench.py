@@ -118,6 +118,11 @@ PLANTED = {
          "pipelined: identically-seeded reruns diverged"),
         (_set(("vs_serial_x",), 7.9), "7.90x below the 8x bar"),
     ],
+    "des_retention": [
+        (_set(("image_entries_max",), 1025), "1025 F-box images, over"),
+        (_set(("transactions_each",), 1024), "never fill a cache of 1024"),
+        (_set(("stray_listeners",), 2), "2 stray_listeners left behind"),
+    ],
     "flood_drop_vs_backpressure": [
         (_set(("drop", "dropped_overflow"), 0), "dropped nothing"),
         (_set(("drop", "peak_depth"), 300), "exceeded its 256 bound"),
