@@ -21,9 +21,9 @@ test-fast:
 ## the same diff and says why in CHANGES.md.  benchmarks/*.py (the
 ## harness outside the suite: 3879 lines before PR 20) is held to
 ## BENCH_LOC_MAX the same way.
-WIRE_LOC_MAX := 6286
-SRC_LOC_MAX := 13876
-BENCH_LOC_MAX := 2237
+WIRE_LOC_MAX := 6243
+SRC_LOC_MAX := 13833
+BENCH_LOC_MAX := 2252
 loc:
 	@for package in src/repro/*/; do \
 		case $$package in *__pycache__/) continue;; esac; \

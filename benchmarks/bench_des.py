@@ -26,7 +26,9 @@ same numbers on any host, at any load.
     every station serves an echo port and runs more blocking
     transactions than ``PORT_CACHE_MAX`` against its neighbour, and
     afterwards holds at most the bound in F-box images, no sink but its
-    served port, and the network no index entry but the servers'.
+    served port, and the network no index entry but the servers' —
+    nor *during* a transaction: ``index_entries_in_flight_max`` is the
+    index as the echo handler sees it, the caller's reply GET still out.
     ``retained_entries`` is the count of everything left, seed-exact.
 """
 
@@ -49,9 +51,13 @@ AMORTIZATION_BAR = 8.0
 
 class EchoServer(ObjectServer):
     service_name = "des bench echo"
+    #: des_retention's set of routing-index sizes seen mid-transaction.
+    index_sizes = None
 
     @command(USER_BASE)
     def _echo(self, ctx):
+        if self.index_sizes is not None:
+            self.index_sizes.add(len(self.node.network._listeners))
         return ctx.ok(data=ctx.request.data)
 
 
@@ -121,6 +127,9 @@ def des_retention(stations=20, transactions=2200, seed=42):
                for i, nic in enumerate(nics)]
     rngs = [RandomSource(seed=seed + stations + i) for i in range(stations)]
     request = Message(command=USER_BASE, data=b"payload")
+    index_sizes = set()
+    for server in servers:
+        server.index_sizes = index_sizes
     for _ in range(transactions):
         for i, nic in enumerate(nics):
             trans(nic, servers[(i + 1) % stations].put_port, request, rngs[i])
@@ -136,6 +145,7 @@ def des_retention(stations=20, transactions=2200, seed=42):
         "seed": seed,
         "bound": PORT_CACHE_MAX,
         "image_entries_max": max(images),
+        "index_entries_in_flight_max": max(index_sizes),
         "stray_sinks": stray_sinks,
         "stray_listeners": stray_listeners,
         "round_robin_entries": len(net._round_robin),
@@ -153,6 +163,11 @@ def check_retention(result):
     if result["image_entries_max"] > result["bound"]:
         failures.append("a station holds %d F-box images, over the bound %d"
                         % (result["image_entries_max"], result["bound"]))
+    if result["index_entries_in_flight_max"] != result["stations"]:
+        failures.append("the index held %d entries mid-transaction, not the "
+                        "%d served ports" % (
+                            result["index_entries_in_flight_max"],
+                            result["stations"]))
     for table in ("stray_sinks", "stray_listeners", "round_robin_entries"):
         if result[table]:
             failures.append("%d %s left behind" % (result[table], table))

@@ -279,22 +279,16 @@ class RequestContext:
         The returned reply belongs to the dispatch loop, which transforms
         it in place on egress; handlers must return it, not retain it.
         """
-        changes = {"data": data, "signature": self.server._signature_port}
-        if capability is not None:
-            changes["capability"] = capability
-        if offset:
-            changes["offset"] = offset
-        if size:
-            changes["size"] = size
-        if extra_caps:
-            changes["extra_caps"] = tuple(extra_caps)
-        return self.request.reply_to(**changes)
+        return self.request.reply_to(
+            data, 0, capability, offset, size,
+            tuple(extra_caps) if extra_caps else (),
+            self.server._signature_port,
+        )
 
     def error(self, exc):
         """Build an error reply carrying the exception's wire code."""
         return self.request.reply_to(
-            status=error_to_code(exc),
-            data=str(exc).encode("utf-8"),
+            str(exc).encode("utf-8"), error_to_code(exc),
             signature=self.server._signature_port,
         )
 

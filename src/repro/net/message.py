@@ -239,52 +239,43 @@ class Message:
         butter.  Runs full validation, since the changes may be hostile."""
         return replace(self, **changes)
 
-    def reply_to(self, **changes):
-        """Build a reply template addressed to this request's reply port.
+    def reply_to(self, data=b"", status=0, capability=None, offset=0, size=0,
+                 extra_caps=(), signature=NULL_PORT, sealed_caps=b""):
+        """Build a reply addressed to this request's reply port, echoing
+        its command.
 
         The reply port in a received request is already the one-way image
         F(G'), i.e. a put-port the responder can use directly.  This is a
-        trusted path: the request was validated on construction and the
-        changes come from server code, so only the cheap str coercion of
-        ``data`` is kept.
+        trusted path: the request was validated on construction, so the
+        reply's fields are written straight down, in dataclass field
+        order (``tests/test_message.py`` holds the two together).  The
+        numeric parameters are where handler-supplied values enter it;
+        they are guarded so a buggy handler gets a ValueError here
+        (inside the dispatch loop's try) instead of a corrupt reply or a
+        struct.error after it — one test for the all-defaults hot case.
         """
-        # _REPLY_DEFAULTS is snapshotted from a real default Message at
-        # import time, so a field added to the dataclass later is
-        # automatically present here with its declared default.
-        fields = dict(_REPLY_DEFAULTS)
-        fields["dest"] = self.reply
-        fields["command"] = self.command
-        if changes:
-            fields.update(changes)
-            if len(fields) != len(_REPLY_DEFAULTS):
-                # A stray key grew the dict: a typo'd kwarg, which the
-                # old Message(**fields) path would have rejected too.
-                raise TypeError(
-                    "unknown message field(s): %s"
-                    % ", ".join(sorted(set(changes) - set(_REPLY_DEFAULTS)))
-                )
-            # The numeric fields are the one place handler-supplied values
-            # enter this trusted path; guard them so a buggy handler gets
-            # a ValueError here (inside the dispatch loop's try) instead
-            # of a corrupt reply or a struct.error after it.  All three
-            # checks are skipped in the all-defaults hot case.
-            command = fields["command"]
-            if command and not 0 <= command < (1 << 16):
-                raise ValueError("command %d outside u16" % command)
-            status = fields["status"]
-            if status and not 0 <= status < (1 << 16):
+        if status or offset or size:
+            if not 0 <= status < (1 << 16):
                 raise ValueError("status %d outside u16" % status)
-            offset = fields["offset"]
-            if offset and not 0 <= offset < (1 << 64):
+            if not 0 <= offset < (1 << 64):
                 raise ValueError("offset %d outside u64" % offset)
-            size = fields["size"]
-            if size and not 0 <= size < (1 << 32):
+            if not 0 <= size < (1 << 32):
                 raise ValueError("size %d outside u32" % size)
-            data = fields["data"]
-            if isinstance(data, str):
-                fields["data"] = data.encode("utf-8")
         reply = Message.__new__(Message)
-        reply.__dict__ = fields
+        reply.__dict__ = {
+            "dest": self.reply,
+            "reply": NULL_PORT,
+            "signature": signature,
+            "command": self.command,
+            "status": status,
+            "offset": offset,
+            "size": size,
+            "capability": capability,
+            "data": data.encode("utf-8") if isinstance(data, str) else data,
+            "is_reply": True,
+            "extra_caps": extra_caps,
+            "sealed_caps": sealed_caps,
+        }
         return reply
 
     def __repr__(self):
@@ -296,10 +287,3 @@ class Message:
             self.status,
             len(self.data),
         )
-
-
-#: The canonical field defaults for a reply template (see reply_to),
-#: taken from an actual default-constructed Message so the set of fields
-#: can never drift from the dataclass definition.
-_REPLY_DEFAULTS = dict(Message().__dict__)
-_REPLY_DEFAULTS["is_reply"] = True

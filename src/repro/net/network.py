@@ -46,7 +46,8 @@ class SimNetwork:
 
     Every frame takes one path: :meth:`send` stamps the source, shows
     the frame to the taps and (on a faulty wire) passes it through the
-    fault plan; the routing index answers whether any station admits it
+    fault plan; the routing index — or, for a port it does not list,
+    the stations' own filters — answers whether any station admits it
     — that verdict is ``send``'s return value; ``_schedule`` decides
     *when* it is delivered; ``_deliver`` re-checks admission and severed
     links against the live state and hands it to the taker.  The three
@@ -109,13 +110,15 @@ class SimNetwork:
                 None if synchronous else EventLoop(self, max_queue_depth)
             )
         self._auto_drain = auto_drain
-        # Cached sorted [(address, nic), ...] for broadcast; invalidated
-        # on attach/detach instead of re-sorted per LOCATE.
+        # Cached sorted [(address, nic), ...], see _stations().
         self._sorted_stations = None
         # Routing index: wire port -> sorted [machine address, ...] of
-        # stations with a GET outstanding for it.  NICs keep it current
-        # through register_listener/unregister_listener, so port-addressed
-        # delivery is one dict lookup instead of a scan of every station.
+        # the stations with a listen()/serve() GET outstanding for it, so
+        # a request finds its servers in one lookup.  Invariant: indexed
+        # <=> such a GET is outstanding; admitted <=> some station holds
+        # a sink.  A transaction's fresh reply port is admitted and never
+        # indexed — its reply comes by unicast — and a port-addressed
+        # frame for a port not listed here asks the stations (_holders).
         self._listeners = {}
         # Wire statistics, reset via reset_stats().
         self.frames_sent = 0
@@ -145,10 +148,10 @@ class SimNetwork:
         nic = self._nics.pop(address, None)
         self._sorted_stations = None
         if nic is not None:
-            # The index mirrors admission, so the departing station's
-            # own sinks are exactly its index entries.
+            # Its index entries are among its own sinks (the rest are
+            # reply ports, which were never indexed).
             for port in nic._sinks:
-                self._drop_listener(address, port)
+                self.unregister_listener(address, port)
         for tap in self._tap_owners.pop(address, ()):
             if tap in self._taps:
                 self._taps.remove(tap)
@@ -162,7 +165,7 @@ class SimNetwork:
     # ------------------------------------------------------------------
 
     def register_listener(self, address, wire_port):
-        """Record that ``address`` has a GET outstanding for ``wire_port``."""
+        """Record that ``address`` serves ``wire_port`` (idempotent)."""
         if address not in self._nics:
             return  # detached machine; nothing to route to
         takers = self._listeners.get(wire_port)
@@ -172,47 +175,9 @@ class SimNetwork:
             insort(takers, address)
 
     def unregister_listener(self, address, wire_port):
-        """Withdraw a GET registration (port unlistened or server stopped)."""
-        # Inlined fast path for the overwhelmingly common case — the
-        # port's only listener (a transaction's reply port) going away.
-        takers = self._listeners.get(wire_port)
-        if takers is not None and len(takers) == 1:
-            if takers[0] == address:
-                del self._listeners[wire_port]
-                self._round_robin.pop(wire_port, None)
-            return
-        self._drop_listener(address, wire_port)
-
-    def register_listeners(self, address, wire_ports):
-        """Batch :meth:`register_listener` — one call for a pipelined
-        client's whole set of fresh reply ports."""
-        if address not in self._nics:
-            return  # detached machine; nothing to route to
-        listeners = self._listeners
-        for wire_port in wire_ports:
-            takers = listeners.get(wire_port)
-            if takers is None:
-                listeners[wire_port] = [address]
-            elif address not in takers:
-                insort(takers, address)
-
-    def unregister_listeners(self, address, wire_ports):
-        """Batch :meth:`unregister_listener`, same single-listener fast
-        path per port."""
-        listeners = self._listeners
-        round_robin = self._round_robin
-        for wire_port in wire_ports:
-            takers = listeners.get(wire_port)
-            if takers is None:
-                continue
-            if len(takers) == 1:
-                if takers[0] == address:
-                    del listeners[wire_port]
-                    round_robin.pop(wire_port, None)
-                continue
-            self._drop_listener(address, wire_port)
-
-    def _drop_listener(self, address, wire_port):
+        """Withdraw a registration (port unlistened, server stopped or
+        machine detached); a reply port was never registered and finds
+        nothing here."""
         takers = self._listeners.get(wire_port)
         if takers is None:
             return
@@ -221,8 +186,8 @@ class SimNetwork:
         except ValueError:
             return
         if not takers:
-            # Last listener gone: drop the index entry and the round-robin
-            # counter so per-transaction reply ports cannot accumulate.
+            # Last listener gone: the round-robin counter goes with the
+            # index entry.
             del self._listeners[wire_port]
             self._round_robin.pop(wire_port, None)
 
@@ -236,9 +201,9 @@ class SimNetwork:
         The source address comes from the NIC object itself, never from
         the caller — this is the §2.4 unforgeability assumption.  Returns
         True if some NIC accepted the frame (in deferred and DES mode: if
-        some NIC's admission filter *would* take it, per the routing
-        index); False means exactly one thing under every discipline:
-        nobody admits the port.
+        some NIC's admission filter *would* take it, see :meth:`_admits`);
+        False means exactly one thing under every discipline: nobody
+        admits the port.
 
         A frame can be *admitted, then lost* — to a full ingress queue,
         or to the fault plan (the verdict is computed for the pristine
@@ -265,13 +230,28 @@ class SimNetwork:
             return self._deliver(frame)  # _schedule's "now", one call less
         return self._schedule(frame)
 
+    def _stations(self):
+        """Sorted ``[(address, nic), ...]``, cached between attach and
+        detach."""
+        stations = self._sorted_stations
+        if stations is None:
+            stations = self._sorted_stations = sorted(self._nics.items())
+        return stations
+
+    def _holders(self, wire_port):
+        """Sorted addresses of the stations whose filter admits a port
+        the index does not list — the paper's wire: the frame reaches
+        every station and each F-box decides for itself (§2.2)."""
+        return [a for a, nic in self._stations() if wire_port in nic._sinks]
+
     def _admits(self, frame):
-        """Would any station take this frame?  One routing-index lookup
-        (the index mirrors the admission filters exactly)."""
+        """Would any station take this frame?  One lookup for a unicast
+        or a served port; otherwise the stations are asked."""
+        dest = frame.message.dest
         if frame.dst_machine is not None:
             nic = self._nics.get(frame.dst_machine)
-            return nic is not None and frame.message.dest in nic._sinks
-        return frame.message.dest in self._listeners
+            return nic is not None and dest in nic._sinks
+        return dest in self._listeners or bool(self._holders(dest))
 
     def _schedule(self, frame, extra=0.0):
         """Decide *when* one frame is delivered — the only place the
@@ -337,7 +317,7 @@ class SimNetwork:
                 nic.received += 1
                 self.frames_delivered += 1
                 return True
-        elif dest not in self._listeners:
+        elif dest not in self._listeners and not self._holders(dest):
             self.frames_dropped += 1
             return False
         if not loop.enqueue(frame):
@@ -354,10 +334,12 @@ class SimNetwork:
         landed is lost on arrival, like a wire yanked mid-transit.
 
         A port-addressed frame physically reaches every station (taps
-        model that); the listener index answers "who admits this port" in
-        one lookup instead of a scan of every NIC's filter.  Several
-        reachable machines listening on one port (a multi-server service)
-        take turns, like a hardware arbiter would.
+        model that); for a served port the index answers "who admits
+        this" in one lookup instead of a scan of every NIC's filter, and
+        several reachable machines serving one port (a multi-server
+        service) take turns, like a hardware arbiter would.  No arbiter
+        state is kept for an unindexed port: were two stations ever to
+        hold one reply port, the lowest reachable address takes it.
         """
         faults = self._faults
         partitioned = faults is not None and faults.has_partitions
@@ -370,14 +352,15 @@ class SimNetwork:
                 nic = self._nics.get(dst)
         else:
             dest = frame.message.dest
-            takers = self._listeners.get(dest)
+            served = self._listeners.get(dest)
+            takers = self._holders(dest) if served is None else served
             if takers and partitioned:
                 src = frame.src
                 takers = [a for a in takers if not faults.link_severed(src, a)]
                 if not takers:
                     faults.note_partition_drop(src, None)
             if takers:
-                if len(takers) == 1:
+                if len(takers) == 1 or served is None:
                     nic = self._nics[takers[0]]
                 else:
                     start = self._round_robin.get(dest, 0)
@@ -392,14 +375,11 @@ class SimNetwork:
     def _deliver_broadcast(self, frame):
         """Deliver one broadcast frame to every other station's handlers
         and count the takers — :meth:`_deliver` for broadcasts."""
-        stations = self._sorted_stations
-        if stations is None:
-            stations = self._sorted_stations = sorted(self._nics.items())
         count = 0
         src = frame.src
         faults = self._faults
         partitioned = faults is not None and faults.has_partitions
-        for addr, nic in stations:
+        for addr, nic in self._stations():
             if addr == src:
                 continue
             if partitioned and faults.link_severed(src, addr):

@@ -102,10 +102,10 @@ def refill_reply_pool(pools, rng, fbox):
     batch instead of :data:`REPLY_BLOCK` draws and one-way calls — the
     same secrets in the same order as that many ``Port.random(rng)``.
 
-    The pairs are *imaged, not admitted*: no sink and no routing-index
-    entry exists for one until ``listen_reply`` deals it, so a frame for
-    an undealt wire port is refused like any other unknown port.  The
-    list is reversed so that dealing in draw order is ``pop()``.
+    The pairs are *imaged, not admitted*: no sink exists for one until
+    ``listen_reply`` deals it, so a frame for an undealt wire port is
+    refused like any other unknown port.  The list is reversed so that
+    dealing in draw order is ``pop()``.
     """
     secrets = draw_ports(rng, REPLY_BLOCK)
     pool = list(zip(secrets, fbox.one_way_batch(secrets)))
@@ -264,21 +264,23 @@ class Nic:
         one-ways it unconditionally, which is precisely why knowing a
         put-port P does not let anyone receive the server's traffic.
 
-        The first GET for a port registers it in the network's routing
-        index; the index mirrors :meth:`admits` exactly (registered iff
-        admitted), which is the invariant indexed routing relies on.
+        The port is registered in the network's routing index, which
+        lists exactly the ports with a ``listen``/``serve`` GET
+        outstanding (registering is idempotent); :meth:`admits` is the
+        wider set — every sink, a transaction's reply port included.
         """
         wire_port = self.fbox.listen_port(as_port(port))
         if wire_port not in self._sinks:
             self._sinks[wire_port] = deque()
-            self.network.register_listener(self.address, wire_port)
+        self.network.register_listener(self.address, wire_port)
         return wire_port
 
     def listen_reply(self, rng):
         """GET on a fresh port: the client's opening move of every
         transaction (§2.1).  Returns ``(G', F(G'))`` — the secret for the
         request's reply field and the wire port now admitted, with the
-        queue sink and index entry :meth:`listen` would have made.
+        queue sink :meth:`listen` would have made and nothing beyond this
+        station: the reply comes by unicast, so no routing-index entry.
 
         The pair comes from this station's pool for ``rng``, refilled a
         block at a time (:func:`refill_reply_pool`); each is dealt once,
@@ -296,21 +298,19 @@ class Nic:
             if wire_port not in sinks:
                 break
         sinks[wire_port] = deque()
-        self.network.register_listener(self.address, wire_port)
         return pair
 
     def listen_fresh(self, ports):
         """Batch GET on a set of fresh (just-drawn) ports.
 
         The ingress half of a pipelined issue: one call admits every
-        reply port of a batch, with a single routing-index registration.
-        Each port gets the identical treatment :meth:`listen` gives it —
-        one-wayed through the F-box, a queue sink, an index entry — so
-        the index-mirrors-admission invariant is untouched.  Returns the
-        wire ports, or None if two ports collide (callers then fall back
-        to issuing one at a time; with 48-bit random ports this is a
-        when-the-sun-burns-out case, but silently sharing a sink would
-        cross two transactions' replies).
+        reply port of a batch.  Each port is one-wayed through the F-box
+        and given a queue sink, as :meth:`listen` would — and, being a
+        reply port, no routing-index entry (see :meth:`listen_reply`).
+        Returns the wire ports, or None if two ports collide (callers
+        then fall back to issuing one at a time; with 48-bit random ports
+        this is a when-the-sun-burns-out case, but silently sharing a
+        sink would cross two transactions' replies).
         """
         sinks = self._sinks
         wires = self.fbox.one_way_batch(ports)
@@ -322,7 +322,6 @@ class Nic:
                 return None
             sinks[wire_port] = deque()
             fresh.append(wire_port)
-        self.network.register_listeners(self.address, fresh)
         return wires
 
     def take_many(self, wire_ports):
@@ -330,14 +329,13 @@ class Nic:
 
         The collect half of a pipelined transaction batch: for every wire
         port, its sink deque (or None if it was not listened) — with the
-        GETs withdrawn and the routing index pruned in one batch call.
+        GETs withdrawn.  Reply ports have nothing in the routing index;
+        the intersection finds any port that does in one pass.
         """
         sinks = self._sinks
         taken = [sinks.pop(w, None) for w in wire_ports]
-        self.network.unregister_listeners(
-            self.address,
-            [w for w, sink in zip(wire_ports, taken) if sink is not None],
-        )
+        for served in self.network._listeners.keys() & wire_ports:
+            self.network.unregister_listener(self.address, served)
         return taken
 
     def unlisten(self, port):
@@ -356,8 +354,7 @@ class Nic:
         """
         wire_port = self.fbox.listen_port(as_port(port))
         backlog = self._sinks.get(wire_port)
-        if backlog is None:
-            self.network.register_listener(self.address, wire_port)
+        self.network.register_listener(self.address, wire_port)
         self._sinks[wire_port] = handler
         if type(backlog) is deque:
             while backlog:

@@ -13,13 +13,14 @@ model queueing under heavy traffic.
 
 Semantics
 ---------
-* **Admission is decided at enqueue time** (the routing index mirrors the
-  admission filters exactly, so "would any station take this frame?" is
-  one dict lookup); ``send`` returns that verdict immediately, which
-  keeps ``trans``'s ``PortNotLocated`` behavior identical.  Delivery is
-  **re-checked at dispatch time**: a listener that withdrew its GET (or a
-  machine that detached) between enqueue and pump drops the frame, like a
-  real network losing a packet addressed to a dead host.
+* **Admission is decided at enqueue time** ("would any station take this
+  frame?" is one lookup — the routing index for a served port, the
+  addressed station's filter for a unicast); ``send`` returns that
+  verdict immediately, which keeps ``trans``'s ``PortNotLocated``
+  behavior identical.  Delivery is **re-checked at dispatch time**: a
+  listener that withdrew its GET (or a machine that detached) between
+  enqueue and pump drops the frame, like a real network losing a packet
+  addressed to a dead host.
 * **Per-port ingress queues.**  Every wire port with frames in flight has
   its own FIFO; the pump rotates round-robin across ports, one frame per
   turn, so a flooded port cannot starve the others.  Replicated servers
@@ -187,9 +188,10 @@ class EventLoop:
                 # its lone listener is taking port-addressed frames, the
                 # head run is drained as one delivery — the software
                 # analogue of a NIC handing its whole DMA ring to the
-                # driver per interrupt.  With other ports pending, or a
-                # replicated service on the port, strict one-frame-per-
-                # turn rotation (and the round-robin arbiter) applies.
+                # driver per interrupt.  With other ports pending, a
+                # replicated service on the port or a port the index
+                # does not list, strict one-frame-per-turn rotation
+                # (and _deliver's choice of taker) applies.
                 # While any link is cut (re-read every turn: a handler
                 # may cut or heal mid-drain) the run's frames may have
                 # different (severed or live) source links, so each goes
@@ -390,7 +392,7 @@ class VirtualTimeLoop:
 
     Semantics
     ---------
-    * **Admission is decided at schedule time** against the routing index
+    * **Admission is decided at schedule time**
       (same contract as :class:`EventLoop`), and **re-checked at
       delivery**: a listener that withdrew its GET — or a machine that
       detached — while the frame was "on the wire" drops it

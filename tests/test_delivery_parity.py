@@ -23,7 +23,9 @@ import itertools
 
 import pytest
 
-from repro.core.ports import Port
+from repro.core.ports import Port, PrivatePort, as_port
+from repro.crypto.randomsrc import RandomSource
+from repro.ipc.rpc import AsyncTrans
 from repro.net.faults import FaultPlan
 from repro.net.message import Message
 from repro.net.network import SimNetwork
@@ -41,6 +43,7 @@ ALL = tuple(NETWORKS)
 QUEUED = ("deferred", "des")  # a frame is in flight between send and arrive
 SYNCHRONOUS = ("synchronous",)  # ... and here it has already arrived
 PORT = Port(0x5050)
+SIGNATURE = PrivatePort(0x516A7)  # the server's reply-signing secret S
 ABSENT = 99  # a machine address the network never handed out
 
 
@@ -185,6 +188,57 @@ def broadcast_with_one_pairwise_cut(w):
     w.arrive()                            # to differ under DES: not recorded
 
 
+def forged_and_replayed_replies_by_port_to_a_pooled_reply_port(w):
+    """A transaction's reply GET is a sink on the client's station and
+    nothing on the network: the routing index never lists it.  Frames
+    sent to it by *port* — a forged reply, and a replay of an earlier
+    genuine one — therefore ask the stations, reach the holder, and are
+    refused there by signature; once the GET is withdrawn nobody takes
+    them.  (Deferred: the two frames are the only pending port, so they
+    pass through the pump's coalescing turn.)"""
+    server, client, intruder = w.nics[1:]
+    requests, tapped = [], []
+    server.serve(PORT, requests.append)
+    w.net.add_tap(tapped.append)
+    rng = RandomSource(seed=5)
+    accepted = w.heard[client.address] = []
+
+    def issue():
+        call = AsyncTrans(client, w.wire, w.message(), rng,
+                          expect_signature=SIGNATURE.public)
+        w.arrive()
+        assert call.wire_reply not in w.net._listeners
+        return call, requests.pop()
+
+    def answer(frame):
+        reply = frame.message.reply_to(
+            data=frame.message.data, signature=as_port(SIGNATURE))
+        w.verdicts.append(server.put(reply, frame.src))
+        w.arrive()
+
+    def collect(call):
+        reply = call.poll()
+        accepted.append(reply and reply.data[0])
+
+    first, request = issue()
+    answer(request)
+    collect(first)
+    genuine = tapped[-1].message
+    second, request = issue()
+    forged = request.message.reply_to(data=w.message().data, signature=PORT)
+    replayed = genuine.copy(dest=second.wire_reply)
+    for message in (forged, replayed):
+        w.verdicts.append(intruder.put(message))
+    w.arrive()
+    assert client.received == 3  # both reached the holder ...
+    collect(second)              # ... and neither was accepted
+    answer(request)
+    collect(second)
+    w.verdicts.append(intruder.put(replayed))  # a stale duplicate, by port
+    w.arrive()
+    assert w.net._listeners.keys() == {w.wire} and not client._sinks
+
+
 #: script -> (needs a fault plan, {disciplines: expected outcome}).
 CASES = {
     unicast_to_a_listening_machine: (False, {
@@ -211,6 +265,13 @@ CASES = {
         QUEUED: outcome([True], {1: []}, (1, 0, 1)),
         # Delivered (into the queue the withdrawal then discarded).
         SYNCHRONOUS: outcome([True], {1: []}, (1, 1, 0)),
+    }),
+    forged_and_replayed_replies_by_port_to_a_pooled_reply_port: (False, {
+        # Replies 0 and 1 accepted, nothing in between; of seven frames
+        # (two requests, two genuine replies, forgery, replay, stale
+        # duplicate) only the last finds no taker.
+        ALL: outcome([True, True, True, True, False], {3: [0, None, 1]},
+                     (7, 6, 1)),
     }),
     link_severed_at_send: (True, {
         # The plan swallows it at send: admitted, and not the wire's drop.

@@ -1,5 +1,7 @@
 """Tests for the standard message format and its wire codec."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +9,14 @@ from hypothesis import strategies as st
 from repro.core.capability import Capability
 from repro.core.ports import NULL_PORT, Port
 from repro.core.rights import Rights
+from repro.crypto.randomsrc import RandomSource
 from repro.errors import BadRequest
+from repro.ipc.rpc import trans
+from repro.ipc.server import ObjectServer, command
+from repro.ipc.stdops import USER_BASE
 from repro.net.message import HEADER_BYTES, Message
+from repro.net.network import SimNetwork
+from repro.net.nic import Nic
 
 ports = st.integers(min_value=0, max_value=(1 << 48) - 1).map(Port)
 caps = st.builds(
@@ -33,6 +41,13 @@ messages = st.builds(
     is_reply=st.booleans(),
     extra_caps=st.lists(caps, max_size=3).map(tuple),
 )
+
+CAP = Capability(port=Port(7), object=1, rights=Rights(0xFF), check=b"c" * 6)
+OUT_OF_RANGE = [
+    ("status", -1), ("status", 1 << 16),
+    ("offset", -1), ("offset", 1 << 64),
+    ("size", -1), ("size", 1 << 32),
+]
 
 
 class TestRoundtrip:
@@ -133,6 +148,48 @@ class TestReplyTo:
         request = Message(reply=Port(9), command=3)
         reply = request.reply_to(status=42)
         assert reply.status == 42
+
+    def test_reply_fields_are_the_dataclass_fields_in_order(self):
+        # reply_to writes the reply's __dict__ down as one literal; this
+        # is what keeps that literal and the dataclass from drifting.
+        request = Message(dest=Port(1), reply=Port(9), command=3)
+        names = [f.name for f in dataclasses.fields(Message)]
+        assert list(request.reply_to().__dict__) == names
+        assert list(request.__dict__) == names
+        everything = request.reply_to(
+            "text", 1, CAP, 2, 3, (CAP,), Port(4), b"")
+        assert everything == Message(
+            dest=Port(9), signature=Port(4), command=3, status=1, offset=2,
+            size=3, capability=CAP, data=b"text", is_reply=True,
+            extra_caps=(CAP,))
+        assert request.reply_to() == Message(
+            dest=Port(9), command=3, is_reply=True)
+
+    def test_unknown_keyword_is_a_type_error(self):
+        request = Message(reply=Port(9))
+        for stray in ("statuss", "dest", "command", "is_reply"):
+            with pytest.raises(TypeError):
+                request.reply_to(**{stray: 1})
+
+    @pytest.mark.parametrize("field, value", OUT_OF_RANGE)
+    def test_out_of_range_numbers_are_refused(self, field, value):
+        request = Message(reply=Port(9), command=3)
+        with pytest.raises(ValueError, match=field):
+            request.reply_to(**{field: value})
+
+    @pytest.mark.parametrize("field, value", OUT_OF_RANGE)
+    def test_the_dispatch_loop_answers_them_with_an_error_reply(
+            self, field, value):
+        class Buggy(ObjectServer):
+            @command(USER_BASE)
+            def _bad(self, ctx):
+                return ctx.request.reply_to(**{field: value})
+
+        net = SimNetwork()
+        server = Buggy(Nic(net), rng=RandomSource(seed=1)).start()
+        reply = trans(Nic(net), server.put_port, Message(command=USER_BASE),
+                      RandomSource(seed=2))
+        assert reply.status != 0 and field.encode() in reply.data
 
 
 class TestCopy:

@@ -1,23 +1,32 @@
 """The routing index and its leak guarantees.
 
-Indexed routing replaced the per-frame scan of every NIC; its soundness
-rests on one invariant — a (machine, port) pair is in the index exactly
-when that NIC's admission filter admits the port — and on pruning: no
-index entries, round-robin counters, or owned taps may survive the
-machine or GET they belong to.
+Indexed routing replaced the per-frame scan of every NIC for *served*
+ports; its soundness rests on two invariants — a (machine, port) pair is
+in the index exactly when that NIC has a ``listen``/``serve`` GET
+outstanding for the port, and a frame is admitted exactly when some
+station holds a sink for it (a transaction's reply port is a sink and
+never an index entry) — and on pruning: no index entries, round-robin
+counters, or owned taps may survive the machine or GET they belong to.
 """
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine, invariant, precondition, rule,
+)
 
 from repro.core.ports import Port, PrivatePort
 from repro.crypto.randomsrc import RandomSource
+from repro.errors import PortNotLocated
 from repro.ipc.rpc import trans, trans_many
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
 from repro.net.intruder import Intruder
 from repro.net.message import Message
-from repro.net.network import SimNetwork
+from repro.net.network import Frame, SimNetwork
 from repro.net.nic import Nic
+from repro.net.sched import VirtualClock
 
 
 class Echo(ObjectServer):
@@ -69,6 +78,41 @@ class TestIndexMirrorsAdmission:
         assert net._listeners[wire] == [nic.address]
         nic.unlisten(Port(5))
         assert wire not in net._listeners
+
+
+    @pytest.mark.parametrize("get", ["listen", "serve"])
+    def test_a_served_port_is_indexed_whatever_sink_preceded_it(self, get):
+        # A reply-port sink is not indexed; a listen()/serve() on the
+        # same port must still register it, not take the existing sink
+        # for proof that somebody already did.
+        net = SimNetwork()
+        sender, nic = Nic(net), Nic(net)
+        (wire,) = nic.listen_fresh([Port(5)])
+        assert wire not in net._listeners and nic.admits(wire)
+        if get == "listen":
+            assert nic.listen(Port(5)) == wire
+        else:
+            assert nic.serve(Port(5), lambda frame: None) == wire
+        assert net._listeners[wire] == [nic.address]
+        assert sender.put(Message(dest=wire))
+        nic.unlisten_wire(wire)
+        assert wire not in net._listeners and not nic.admits(wire)
+        assert not sender.put(Message(dest=wire))
+
+    def test_reply_gets_are_admitted_and_never_indexed(self):
+        net = SimNetwork()
+        sender, nic = Nic(net), Nic(net)
+        _, dealt = nic.listen_reply(RandomSource(seed=3))
+        fresh = nic.listen_fresh([Port(6), Port(7)])
+        assert net._listeners == {}
+        for wire in (dealt, *fresh):
+            assert nic.admits(wire)
+            assert sender.put(Message(dest=wire))  # by port: ask the stations
+            assert sender.put(Message(dest=wire), nic.address)
+        assert [len(q) for q in nic.take_many(fresh)] == [2, 2]
+        nic.unlisten_wire(dealt)
+        assert not nic._sinks and net._listeners == {}
+        assert net._round_robin == {}
 
 
 class TestRoutingThroughIndex:
@@ -339,3 +383,185 @@ class TestReplyFieldGuard:
                       RandomSource(seed=2))
         assert reply.status != 0
         assert b"offset" in reply.data
+
+
+# ----------------------------------------------------------------------
+# generated histories against the naive model "scan every station"
+# ----------------------------------------------------------------------
+
+#: A small pool, so that generated GETs collide, stack and share ports.
+PORTS = [Port(21), Port(22), Port(23)]
+STATIONS = st.integers(0, 2)
+PICKS = st.integers(0, 63)  # an index into the wire ports seen so far
+NOBODY = Port(404)
+
+
+class Witness(Echo):
+    """Echo that looks at the index while the caller's reply GET is out:
+    a reply port is listed only if it came from the plain ``listen``
+    (``trans_many`` on a station without a bulk lane issues that way)."""
+
+    @command(USER_BASE)
+    def _echo(self, ctx):
+        unlisted = (ctx.request.data == b"blocking"
+                    or self.node.supports_batch_serve)
+        listed = ctx.request.reply in self.node.network._listeners
+        assert listed != unlisted
+        return ctx.ok(data=ctx.request.data)
+
+
+class IndexMachine(RuleBasedStateMachine):
+    """listen / serve / listen_reply / listen_fresh / unlisten /
+    unlisten_wire / take_many / server start-stop / detach / whole
+    transactions on three stations, against a model that is one dict per
+    station: wire port -> True for a ``listen``/``serve`` GET (indexed)
+    or False for a reply GET (admitted only)."""
+
+    network = staticmethod(SimNetwork)
+
+    def __init__(self):
+        super().__init__()
+        self.net = self.network()
+        self.nics = [Nic(self.net) for _ in range(3)]
+        self.prober = Nic(self.net)  # sends; never listens, never leaves
+        self.servers = [Witness(nic, rng=RandomSource(seed=10 + i))
+                        for i, nic in enumerate(self.nics)]
+        self.rngs = [RandomSource(seed=20 + i) for i in range(3)]
+        self.gets = [{} for _ in self.nics]
+        self.alive = [True] * 3
+        fbox = self.prober.fbox
+        self.seen = [NOBODY] + [fbox.listen_port(p) for p in PORTS] + [
+            server.put_port for server in self.servers]
+
+    def wire(self, pick):
+        return self.seen[pick % len(self.seen)]
+
+    def holders(self, wire):
+        """The naive model's routing: ask every attached station."""
+        return [nic for nic, alive in zip(self.nics, self.alive)
+                if alive and nic.admits(wire)]
+
+    @rule(s=STATIONS, port=st.sampled_from(PORTS), handler=st.booleans())
+    def get(self, s, port, handler):
+        nic = self.nics[s]
+        if handler:
+            wire = nic.serve(port, lambda frame: None)
+        else:
+            wire = nic.listen(port)
+        self.gets[s][wire] = True
+
+    @rule(s=STATIONS)
+    def listen_reply(self, s):
+        _, wire = self.nics[s].listen_reply(self.rngs[s])
+        assert wire not in self.gets[s]
+        self.gets[s][wire] = False
+        self.seen.append(wire)
+
+    @rule(s=STATIONS,
+          ports=st.lists(st.sampled_from(PORTS), min_size=1, max_size=3))
+    def listen_fresh(self, s, ports):
+        nic = self.nics[s]
+        wires = [nic.fbox.listen_port(port) for port in ports]
+        if len(set(wires)) < len(wires) or set(wires) & set(self.gets[s]):
+            assert nic.listen_fresh(ports) is None  # nothing listened
+        else:
+            assert nic.listen_fresh(ports) == wires
+            self.gets[s].update(dict.fromkeys(wires, False))
+
+    @rule(s=STATIONS, port=st.sampled_from(PORTS))
+    def unlisten(self, s, port):
+        nic = self.nics[s]
+        nic.unlisten(port)
+        self.gets[s].pop(nic.fbox.listen_port(port), None)
+
+    @rule(s=STATIONS, pick=PICKS)
+    def unlisten_wire(self, s, pick):
+        self.nics[s].unlisten_wire(self.wire(pick))
+        self.gets[s].pop(self.wire(pick), None)
+
+    @rule(s=STATIONS, picks=st.lists(PICKS, max_size=4))
+    def take_many(self, s, picks):
+        wires = [self.wire(pick) for pick in picks]
+        taken = self.nics[s].take_many(wires)
+        for wire, sink in zip(wires, taken):
+            assert (sink is None) == (self.gets[s].pop(wire, None) is None)
+
+    @rule(s=STATIONS)
+    def start_or_stop(self, s):
+        server = self.servers[s]
+        if server.running:
+            server.stop()
+            self.gets[s].pop(server.put_port, None)
+        else:
+            server.start()
+            self.gets[s][server.put_port] = True
+
+    @precondition(lambda self: sum(self.alive) > 1)
+    @rule(s=STATIONS)
+    def detach(self, s):
+        self.net.detach(self.nics[s].address)
+        self.alive[s] = False
+
+    @rule(pick=PICKS)
+    def probe_by_port(self, pick):
+        wire = self.wire(pick)
+        admitted = bool(self.holders(wire))
+        assert self.prober.put(Message(dest=wire)) is admitted
+        self.net.run()
+
+    @rule(c=STATIONS, t=STATIONS, pipelined=st.booleans())
+    def transact(self, c, t, pipelined):
+        if c == t or not self.alive[c]:
+            return
+        client, port = self.nics[c], self.servers[t].put_port
+        before = dict(self.net._round_robin)
+        data = b"pipelined" if pipelined else b"blocking"
+        request = Message(command=USER_BASE, data=data)
+
+        def call():
+            if pipelined:
+                return trans_many(client, port, [request] * 3, self.rngs[c])
+            return [trans(client, port, request, self.rngs[c])]
+
+        if self.alive[t] and port in self.gets[t]:
+            assert [(r.status, r.data) for r in call()] == (
+                [(0, data)] * (3 if pipelined else 1))
+        else:
+            with pytest.raises(PortNotLocated):
+                call()
+        assert self.net._round_robin == before
+
+    @invariant()
+    def the_index_is_the_served_ports(self):
+        served = {}
+        for nic, gets, alive in zip(self.nics, self.gets, self.alive):
+            for wire, indexed in gets.items():
+                if alive and indexed:
+                    served.setdefault(wire, []).append(nic.address)
+        assert self.net._listeners == served
+        assert set(self.net._round_robin) <= set(served)
+
+    @invariant()
+    def admission_is_a_scan_of_every_station(self):
+        for nic, gets in zip(self.nics, self.gets):
+            assert set(nic._sinks) == set(gets)
+        for wire in self.seen:
+            frame = Frame(self.prober.address, None, Message(dest=wire))
+            assert self.net._admits(frame) is bool(self.holders(wire))
+
+
+class DeferredIndexMachine(IndexMachine):
+    network = staticmethod(lambda: SimNetwork(synchronous=False))
+
+
+class DesIndexMachine(IndexMachine):
+    network = staticmethod(lambda: SimNetwork(clock=VirtualClock()))
+
+
+#: The bounded profile CI runs (the default would be 100 x 50 steps).
+BOUNDED = settings(max_examples=30, stateful_step_count=40, deadline=None)
+for machine in (IndexMachine, DeferredIndexMachine, DesIndexMachine):
+    machine.TestCase.settings = BOUNDED
+TestIndexAgainstModel = IndexMachine.TestCase
+TestIndexAgainstModelDeferred = DeferredIndexMachine.TestCase
+TestIndexAgainstModelDes = DesIndexMachine.TestCase

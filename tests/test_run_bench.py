@@ -122,6 +122,8 @@ PLANTED = {
         (_set(("image_entries_max",), 1025), "1025 F-box images, over"),
         (_set(("transactions_each",), 1024), "never fill a cache of 1024"),
         (_set(("stray_listeners",), 2), "2 stray_listeners left behind"),
+        (_set(("index_entries_in_flight_max",), 21),
+         "held 21 entries mid-transaction, not the 20 served"),
     ],
     "flood_drop_vs_backpressure": [
         (_set(("drop", "dropped_overflow"), 0), "dropped nothing"),
