@@ -62,7 +62,6 @@ import os
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import PermissionDenied, RPCTimeout
 from repro.ipc.rpc import trans
-from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
 from repro.net.faults import FaultPlan
 from repro.net.message import Message
@@ -84,6 +83,8 @@ from repro.testing.chaos import (
     no_lost_authority,
     no_phantom_authority,
 )
+
+from bench_shard import EchoServer
 
 
 # ----------------------------------------------------------------------
@@ -400,14 +401,6 @@ def _first_difference(trace, have, want):
 # ----------------------------------------------------------------------
 
 
-class _EchoServer(ObjectServer):
-    service_name = "chaos bench echo"
-
-    @command(USER_BASE)
-    def _echo(self, ctx):
-        return ctx.ok(data=ctx.request.data)
-
-
 def _discipline_world(discipline, plan):
     if discipline == "des":
         net = SimNetwork(
@@ -418,7 +411,7 @@ def _discipline_world(discipline, plan):
     else:
         net = SimNetwork(synchronous=(discipline == "synchronous"),
                          faults=plan)
-    server = _EchoServer(Nic(net), rng=RandomSource(seed=5)).start()
+    server = EchoServer(Nic(net), rng=RandomSource(seed=5)).start()
     client = Nic(net)
     return net, server, client
 

@@ -40,7 +40,6 @@ from repro.crypto.randomsrc import RandomSource
 from repro.errors import InvalidCapability, NoSuchObject, RPCTimeout
 from repro.ipc.locate import Locator, install_locate_responder
 from repro.ipc.rpc import AsyncTrans, RetryPolicy, trans
-from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
 from repro.net.faults import FaultPlan
 from repro.net.message import Message
@@ -49,15 +48,8 @@ from repro.net.nic import Nic
 from repro.net.sched import LatencyModel, VirtualClock
 from repro.servers.bank import BankClient, BankServer
 
-PAPER_RTT_MS = 2.8
-
-
-class EchoServer(ObjectServer):
-    service_name = "fault bench echo"
-
-    @command(USER_BASE)
-    def _echo(self, ctx):
-        return ctx.ok(data=ctx.request.data)
+from bench_des import PAPER_RTT_MS
+from bench_shard import EchoServer
 
 
 # ----------------------------------------------------------------------

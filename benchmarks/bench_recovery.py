@@ -38,7 +38,7 @@ from repro.servers.directory import (
     DirectoryClient, DirectoryCodec, DirectoryServer,
 )
 
-PAPER_RTT_MS = 2.8
+from bench_des import PAPER_RTT_MS
 
 
 # ----------------------------------------------------------------------

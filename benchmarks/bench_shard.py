@@ -25,7 +25,7 @@ from repro.net.nic import Nic
 
 
 class EchoServer(ObjectServer):
-    service_name = "shard bench echo"
+    service_name = "bench echo"
 
     @command(USER_BASE)
     def _echo(self, ctx):

@@ -4,7 +4,8 @@ The instrument for *speed* is ``benchmarks/suite/`` (``BENCHMARK.json``).
 This is the other half: the arms whose verdict is an invariant, a count
 over a seeded wire, or virtual time — quantities that repeat exactly, on
 any host, at any load — each with a ``check(result) -> [failures]`` the
-run asserts.  No arm here reports a wall-clock figure.
+run asserts (family ``claims``: the paper's own figures and claims).  No
+arm here reports a wall-clock figure.
 
 Usage (``PYTHONPATH=src``; ``make`` sets it)::
 
@@ -15,14 +16,14 @@ Usage (``PYTHONPATH=src``; ``make`` sets it)::
     python benchmarks/run_bench.py --history BENCH_suite.json
     python benchmarks/run_bench.py --write-digests         # re-record the chaos oracle
 
-A full run of every family writes ``BENCH_invariants.json``: no clock
-and no host in it, so the committed file is byte-identical run to run
-and a diff in it is a change in behaviour.  A smoke or partial run
-writes nothing.  ``--history FILE`` runs no arm: it distils the stamped
-result file that ``benchmarks/suite/run.py --out FILE`` wrote into one
-``bench_history/v2`` line — stamp plus the median of every end-to-end
-metric on every workload — and appends it to ``BENCH_history.jsonl``
-(``make bench`` does all three steps in order).
+A full run of every family writes ``BENCH_invariants.json`` and, from
+the claim rows, ``docs/PAPER_MAP.md``: no clock and no host in either,
+so the committed files are byte-identical run to run and a diff is a
+change in behaviour.  A smoke or partial run writes nothing.
+``--history FILE`` runs no arm: it distils the stamped result file that
+``benchmarks/suite/run.py --out FILE`` wrote into one ``bench_history/v2``
+line — stamp plus the median of every end-to-end metric on every workload
+— and appends it to ``BENCH_history.jsonl`` (``make bench``: all three).
 """
 
 import argparse
@@ -37,12 +38,13 @@ _HERE = os.path.dirname(os.path.abspath(__file__))
 _REPO = os.path.dirname(_HERE)
 
 INVARIANTS = os.path.join(_REPO, "BENCH_invariants.json")
+PAPER_MAP = os.path.join(_REPO, "docs", "PAPER_MAP.md")
 HISTORY = os.path.join(_REPO, "BENCH_history.jsonl")
 HISTORY_SCHEMA = "bench_history/v2"
 
 #: ``--only`` name -> the module whose ``ARMS`` table it runs; each
 #: ``make bench-<name>-smoke`` is ``--smoke --only <name>``.
-FAMILIES = ("des", "shard", "fault", "recovery", "replica", "chaos")
+FAMILIES = ("des", "shard", "fault", "recovery", "replica", "chaos", "claims")
 
 #: What a v2 history row copies from the suite's stamp.
 STAMP_KEYS = ("git_sha", "git_dirty", "nproc", "python", "seed", "seconds",
@@ -154,7 +156,9 @@ def main(argv=None):
             with open(INVARIANTS, "w") as handle:
                 json.dump(results, handle, indent=1, sort_keys=True)
                 handle.write("\n")
-            print("wrote %s" % INVARIANTS)
+            with open(PAPER_MAP, "w") as handle:
+                handle.write(_module("claims").paper_map(results))
+            print("wrote %s and %s" % (INVARIANTS, PAPER_MAP))
     for failure in failures:
         print("FAIL: %s" % failure)
     return 1 if failures else 0

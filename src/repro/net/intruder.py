@@ -64,9 +64,6 @@ class Intruder:
         """Sniffed frames that look like client requests."""
         return [f for f in self.captured if not f.message.is_reply]
 
-    def captured_replies(self):
-        return [f for f in self.captured if f.message.is_reply]
-
     # ------------------------------------------------------------------
     # active attacks
     # ------------------------------------------------------------------

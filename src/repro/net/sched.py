@@ -524,10 +524,6 @@ class VirtualTimeLoop:
         """Frames currently in flight on the simulated wire."""
         return len(self._events)
 
-    def next_arrival(self):
-        """The earliest pending arrival instant, or None when idle."""
-        return self._events[0][0] if self._events else None
-
     def stats(self):
         """Scheduler counters as a dict (stable keys for benchmarks)."""
         return {

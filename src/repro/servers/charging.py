@@ -68,12 +68,15 @@ class ChargingFlatFileServer(FlatFileServer):
         #: Refund transfers that failed for any reason other than a payer
         #: capability without the deposit right, and the
         #: ``(payer capability, dollars)`` each still owes — the file is
-        #: gone either way, the debt is not.
-        self.refunds_failed = 0
+        #: gone either way, the debt is not: :meth:`sweep` retries it.
+        self.refunds_failed = self.refunds_paid = 0
         self.refunds_owed = []
 
     def _units(self, nbytes):
         return math.ceil(nbytes / self.charge_unit)
+
+    def _pay(self, source, target, dollars):
+        self.bank_client.transfer(source, target, self.currency, dollars)
 
     def _charge(self, payer_cap, old_size, new_size):
         """Charge for growth from old_size to new_size; returns dollars."""
@@ -83,9 +86,7 @@ class ChargingFlatFileServer(FlatFileServer):
         cost = delta_units * self.price
         # The server is an ordinary bank client; InsufficientFunds from
         # the bank propagates to our client untouched — that is the quota.
-        self.bank_client.transfer(
-            payer_cap, self.revenue_cap, self.currency, cost
-        )
+        self._pay(payer_cap, self.revenue_cap, cost)
         return cost
 
     def _payer_from(self, ctx):
@@ -139,9 +140,7 @@ class ChargingFlatFileServer(FlatFileServer):
             # The payer capability must allow deposits for this to work;
             # a withdraw-only capability simply forfeits the refund.
             try:
-                self.bank_client.transfer(
-                    self.revenue_cap, payer_cap, self.currency, paid
-                )
+                self._pay(self.revenue_cap, payer_cap, paid)
             except PermissionDenied:
                 pass
             except Exception:
@@ -150,3 +149,15 @@ class ChargingFlatFileServer(FlatFileServer):
                 self.refunds_failed += 1
                 self.refunds_owed.append((payer_cap, paid))
         super().on_destroy(entry)
+
+    def sweep(self):
+        """Retry each owed refund, then age the table; a debt leaves
+        ``refunds_owed`` only after its transfer has returned."""
+        for debt in list(self.refunds_owed):
+            try:
+                self._pay(self.revenue_cap, *debt)
+            except Exception:
+                continue  # still owed: the next sweep retries it
+            self.refunds_owed.remove(debt)
+            self.refunds_paid += 1
+        return super().sweep()

@@ -129,10 +129,6 @@ class BlockFile:
         self._blocks = []
         self.size = 0
 
-    @property
-    def block_count(self):
-        return len(self._blocks)
-
 
 class FlatFileServer(ObjectServer):
     """CREATE / READ / WRITE / DESTROY over linear byte files."""

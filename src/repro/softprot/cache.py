@@ -8,11 +8,11 @@ encrypted capability), whereas servers will hash theirs in the form of
 triples: (encrypted capability, source, unencrypted capability)."
 
 Both caches below are those triples, stored in bounded LRU maps with
-hit/miss counters the MATRIX experiment reports.  Each is one map under
-one lock: the critical sections are a few dict operations guarding
-block-cipher calls that cost an order of magnitude more, and lock
-stripes bought nothing under the GIL (docs/PERFORMANCE.md "Removed
-(PR 19)").
+hit/miss counters (the ``claim_matrix_replay_and_cache`` row of
+``benchmarks/bench_claims.py`` runs them).  Each is one map under one
+lock: the critical sections are a few dict operations guarding block-
+cipher calls that cost an order of magnitude more, and lock stripes
+bought nothing under the GIL (docs/PERFORMANCE.md "Removed (PR 19)").
 """
 
 import threading

@@ -199,6 +199,21 @@ class TestRefundThatCannotBePaid:
         bank.start()
         assert world[1].balance(world[4])["USD"] == 96  # still unpaid
 
+    def test_the_next_sweep_pays_exactly_once(self, world):
+        """Bank down at destroy -> up -> one sweep pays the debt, a
+        second pays nothing; while the bank is down a sweep keeps it."""
+        bank, bank_client, files, _, wallet, _, _ = world
+        self._destroyed_unpaid(world, bank.stop)
+        files.sweep()
+        assert len(files.refunds_owed) == 1 and files.refunds_paid == 0
+        bank.start()
+        files.sweep()
+        assert bank_client.balance(wallet)["USD"] == 100
+        assert files.refunds_owed == [] and files.refunds_paid == 1
+        files.sweep()
+        assert bank_client.balance(wallet)["USD"] == 100
+        assert files.refunds_paid == 1 and files.refunds_failed == 1
+
     def test_link_to_the_bank_severed(self):
         faults = FaultPlan(seed=1)
         world = build(faults)

@@ -6,8 +6,9 @@
 * every surviving arm's ``check()`` passes the committed
   ``BENCH_invariants.json`` and turns a planted bad result into a
   failure that names what broke;
-* only a full, passing run of every family writes the invariants file,
-  and nothing that varies run to run goes into it.
+* only a full, passing run of every family writes the invariants file
+  (and ``docs/PAPER_MAP.md`` beside it), and nothing that varies run to
+  run goes into it.
 """
 
 import copy
@@ -183,6 +184,93 @@ PLANTED = {
         (_set(("deferred", "partition_drops"), 0),
          "no partition drops counted on deferred"),
     ],
+    # The claim rows hold (observed, claimed) pairs: plant the observed.
+    "claim_intruder_present": [
+        (_set(("intercepted", 0), 3), "intercepted is 3, not 0"),
+        (_set(("completed", 0), 199), "completed is 199, not 200"),
+    ],
+    "claim_impersonation_campaign": [
+        (_set(("intercepted", 0), 1), "never impersonates the server"),
+    ],
+    "claim_forged_replies": [
+        (_set(("forged_accepted", 0), 100), "forged_accepted is 100, not 0"),
+    ],
+    "claim_stolen_then_revoked": [
+        (_set(("thief_served_after_refresh", 0), 1),
+         "thief_served_after_refresh is 1, not 0"),
+    ],
+    "claim_fig2_layout": [
+        (_set(("guesses_refused", 0), 99_999),
+         "guesses_refused is 99999, not 100000"),
+        (_set(("packed_bits", 0), 136), "packed_bits is 136, not 128"),
+    ],
+    "claim_scheme_tampers": [
+        (_set(("xor-oneway_tampers_rejected", 0), 254),
+         "xor-oneway_tampers_rejected is 254, not 255"),
+    ],
+    "claim_server_restrict": [
+        (_set(("encrypted_frames", 0), 4), "encrypted_frames is 4, not 2"),
+        (_set(("simple_frames", 0), 2),
+         "simple_frames is 2, not 'unsupported'"),
+    ],
+    "claim_client_restrict": [
+        (_set(("frames", 0), 2), "frames is 2, not 0"),
+    ],
+    "claim_exact_copy": [
+        (_set(("copies_served", 0), 3), "copies_served is 3, not 4"),
+    ],
+    "claim_revocation": [
+        (_set(("killed_of_10000_outstanding", 0), 9_999),
+         "killed_of_10000_outstanding is 9999, not 10000"),
+        (_set(("table_rows_for_100_outstanding", 0), 101),
+         "table_rows_for_100_outstanding is 101, not 1"),
+    ],
+    "claim_matrix_replay_and_cache": [
+        (_set(("wrong_source_replays_validated", 0), 1),
+         "wrong_source_replays_validated is 1, not 0"),
+        (_set(("warm_seal_cipher_ops", 0), 1),
+         "warm_seal_cipher_ops is 1, not 0"),
+    ],
+    "claim_boot_handshake": [
+        (_set(("old_boot_replays_refused", 0), 19),
+         "old_boot_replays_refused is 19, not 20"),
+        (_set(("impostor_refused", 0), 0), "impostor_refused is 0, not 1"),
+    ],
+    "claim_link_encrypted_tap": [
+        (_set(("tapped_frames_showing_capability_bytes", 0), 1),
+         "a wiretap sees no capability bytes"),
+    ],
+    "claim_locate_frames": [
+        (_set(("cached_locate_frames", 0), 2000),
+         "cached_locate_frames is 2000, not 0"),
+    ],
+    "claim_process_lifecycle": [
+        (_set(("observer_controls_refused", 0), 1),
+         "observer_controls_refused is 1, not 2"),
+        (_set(("objects_on_parent_machine", 0), 4),
+         "objects_on_parent_machine is 4, not 0"),
+    ],
+    "claim_modular_file_stack": [
+        (_set(("on_blocks_8k_write_frames", 0), 2),
+         "on_blocks_8k_write_frames is 2, not 66"),
+        (_set(("branch_32_pages_copied", 0), 32),
+         "branch_32_pages_copied is 32, not 0"),
+    ],
+    "claim_touch_and_age": [
+        (_set(("collected", 0), 3), "collected is 3, not 2"),
+    ],
+    "claim_unix_facade": [
+        (_set(("requests_to_anything_else", 0), 1),
+         "requests_to_anything_else is 1, not 0"),
+    ],
+    "claim_bank_economy": [
+        (_set(("refused_writes_that_moved_money", 0), 1),
+         "refused_writes_that_moved_money is 1, not 0"),
+        (_set(("usd_in_circulation", 0), 9_997),
+         "usd_in_circulation is 9997, not 10000"),
+        (_set(("refunds_paid_by_sweeps", 0), 2),
+         "refunds_paid_by_sweeps is 2, not 1"),
+    ],
 }
 
 
@@ -245,11 +333,13 @@ class TestMain:
                 return []
 
             return types.SimpleNamespace(
-                ARMS={family + "_arm": (workload, check, {"size": "smoke"})})
+                ARMS={family + "_arm": (workload, check, {"size": "smoke"})},
+                paper_map=lambda results: "%d rows\n" % len(results))
 
         target = tmp_path / "BENCH_invariants.json"
         monkeypatch.setattr(run_bench, "_module", module)
         monkeypatch.setattr(run_bench, "INVARIANTS", str(target))
+        monkeypatch.setattr(run_bench, "PAPER_MAP", str(tmp_path / "MAP.md"))
         return target, switch
 
     def test_a_full_run_writes_the_same_bytes_twice(self, stubbed):
@@ -261,15 +351,16 @@ class TestMain:
         assert set(json.loads(first)) == {
             family + "_arm" for family in run_bench.FAMILIES}
         assert {size for _, size in switch["calls"]} == {"full"}
+        assert (target.parent / "MAP.md").read_text() == "7 rows\n"
 
     def test_smoke_and_partial_runs_write_nothing(self, stubbed):
         target, switch = stubbed
         assert run_bench.main(["--smoke"]) == 0
         assert run_bench.main(["--only", "des,chaos"]) == 0
-        assert not target.exists()
-        assert switch["calls"][:6] == [
+        assert not target.exists() and not (target.parent / "MAP.md").exists()
+        assert switch["calls"][:7] == [
             (family, "smoke") for family in run_bench.FAMILIES]
-        assert switch["calls"][6:] == [("des", "full"), ("chaos", "full")]
+        assert switch["calls"][7:] == [("des", "full"), ("chaos", "full")]
 
     def test_a_failed_check_fails_the_run_by_name(self, stubbed, capsys):
         target, switch = stubbed
