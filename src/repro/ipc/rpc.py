@@ -39,7 +39,7 @@ import time
 
 from repro.core.ports import as_port, draw_ports
 from repro.crypto.randomsrc import RandomSource
-from repro.errors import PartitionSuspected, PortNotLocated, RPCTimeout
+from repro.errors import PartitionSuspected, PortNotLocated, RPCError, RPCTimeout
 from repro.net.nic import Nic
 from repro.net.sockets import SocketNode
 
@@ -186,8 +186,10 @@ class AsyncTrans:
     not listened on — in the station's reply pool; see the
     cache-retention note in docs/PERFORMANCE.md.)  ``reply_secret`` is
     for internal batch issuers (``trans_many`` draws one pooled block of
-    randomness for a whole batch) and takes the plain ``listen``;
-    ordinary callers leave it None and the station deals a pair from its
+    randomness for a whole batch) and is admitted by ``listen_fresh`` —
+    a sink and no routing-index entry; a secret whose wire port already
+    has a GET raises RPCError rather than share that sink.
+    Ordinary callers leave it None and the station deals a pair from its
     pool for ``rng`` (``listen_reply``) — after the replica pick, so a
     refused destination draws and listens nothing.
 
@@ -253,7 +255,10 @@ class AsyncTrans:
             reply_secret, self.wire_reply = node.listen_reply(
                 rng or _DEFAULT_RNG)
         else:
-            self.wire_reply = node.listen(reply_secret)
+            wires = node.listen_fresh((reply_secret,))
+            if wires is None:
+                raise RPCError("the reply port already has a GET")
+            self.wire_reply = wires[0]
         self._reply_secret = reply_secret
         try:
             self._transmit()
@@ -564,7 +569,7 @@ def trans_many(
             # sharing a sink would cross two transactions' replies.
             secrets = draw_ports(rng, len(requests))
         # Randomness is demonstrably broken (four colliding batches);
-        # the engines below behave exactly as trans() does.
+        # the engines below raise if it still collides.
     calls = []
     try:
         for request, secret in zip(requests, secrets):

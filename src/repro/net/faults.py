@@ -62,21 +62,30 @@ The plan is deliberately transport-agnostic: :meth:`apply` works on
 simulator :class:`~repro.net.network.Frame` objects and
 :meth:`apply_datagram` on raw UDP payloads, sharing the same decision
 stream and counters.
+
+The pass verdict: ``_decide`` returns None when no fault fired, and
+:meth:`apply` returns None when, besides, no held frame is released
+behind this one — the caller then sends the frame as a perfect wire
+would.  A frame no fault touches costs one lock, one draw per armed
+fault, no allocation; the draws are a touched frame's, so a seed faults
+the same frames whatever the roll returns.
 """
 
 import random
 import threading
 
 from repro.core.capability import PORT_BYTES as _CAP_PORT_BYTES
-from repro.net.message import Message
+from repro.net.message import HEADER_BYTES, Message
 
 __all__ = ["FaultSpec", "FaultPlan", "faulty_sendto"]
 
 
 class FaultSpec:
-    """Per-link fault probabilities; all default to 0 (a perfect link)."""
+    """Per-link fault probabilities; all default to 0 (a perfect link).
+    Set once: ``silent`` (the spec can never fire, so the roll draws
+    nothing) is computed here."""
 
-    __slots__ = ("drop", "duplicate", "corrupt", "delay", "reorder")
+    __slots__ = ("drop", "duplicate", "corrupt", "delay", "reorder", "silent")
 
     def __init__(self, drop=0.0, duplicate=0.0, corrupt=0.0, delay=0.0,
                  reorder=0.0):
@@ -90,12 +99,7 @@ class FaultSpec:
         self.corrupt = corrupt
         self.delay = delay
         self.reorder = reorder
-
-    @property
-    def silent(self):
-        """True when this spec can never fire (skip all RNG draws)."""
-        return not (self.drop or self.duplicate or self.corrupt
-                    or self.delay or self.reorder)
+        self.silent = not (drop or duplicate or corrupt or delay or reorder)
 
     def __repr__(self):
         return ("FaultSpec(drop=%g, duplicate=%g, corrupt=%g, delay=%g, "
@@ -263,21 +267,15 @@ class FaultPlan:
 
     def _spec(self, src, dst):
         links = self.links
-        if links:
-            spec = links.get((src, dst))
-            if spec is not None:
-                return spec
-            spec = links.get(src)
-            if spec is not None:
-                return spec
-        return self.default
+        return links.get((src, dst)) or links.get(src) or self.default
 
     # ------------------------------------------------------------------
     # simulator frames
     # ------------------------------------------------------------------
 
     def apply(self, frame, des=False):
-        """Fault one frame; returns ``[(frame, extra_delay_seconds), ...]``.
+        """Fault one frame: None when it passes (see the module
+        docstring), else ``[(frame, extra_delay_seconds), ...]``.
 
         The list holds every frame to actually transmit *in order*: it
         may be empty (dropped, or held back), contain a duplicate pair,
@@ -294,25 +292,22 @@ class FaultPlan:
                 # release behind a frame that actually reaches a live
                 # link).
                 return self._cut(src, dst)
-            spec = self._spec(src, dst)
-            if spec.silent and not self._held:
-                return [(frame, 0.0)]
-            out = self._decide(frame, spec, src, dst, des, True,
-                               self._corrupt_frame)
-            if self._held and (out or not self._is_held(frame)):
+            spec = self._spec(src, dst) if self.links else self.default
+            out = None if spec.silent else self._decide(
+                frame, spec, src, dst, des, True)
+            held = self._held
+            if held and (out or not any(f is frame for f, _ in held)):
                 # Any frame actually going out drags the held backlog
                 # onto the wire behind it.
-                out.extend(self._held)
+                out = ([(frame, 0.0)] if out is None else out) + held
                 self._held = []
             return out
 
-    def _is_held(self, frame):
-        return any(f is frame for f, _ in self._held)
-
-    def _decide(self, item, spec, src, dst, timed, holdable, corrupt):
+    def _decide(self, item, spec, src, dst, timed, holdable):
         """The one fault roll, for every carrier: drop → corrupt → delay
         → duplicate → reorder, each drawn only when ``spec`` arms it and
-        the carrier can suffer it (caller holds the lock).  Returns the
+        the carrier can suffer it (caller holds the lock).  Returns None
+        when nothing fired (the item goes out as it came, now), else the
         ``[(item, extra_delay_seconds), ...]`` to transmit now; an item
         held back goes to ``_held`` instead.
 
@@ -320,18 +315,19 @@ class FaultPlan:
         each copy of a duplicate gets its own arrival instant; otherwise
         lateness is hold-back.  ``holdable``: the item may wait in
         ``_held`` (a broadcast may not, so untimed it is never delayed,
-        and it is never reordered).  ``corrupt(item)`` flips one bit and
-        returns the damaged item, or None when it is lost outright.
+        and it is never reordered).
         """
         rng = self._rng
         if spec.drop and rng.random() < spec.drop:
             self._injected("drops", src, dst)
             return []
+        passed = True
         if spec.corrupt and rng.random() < spec.corrupt:
             self._injected("corruptions", src, dst)
-            item = corrupt(item)
+            item = self._corrupt(item)
             if item is None:
                 return []
+            passed = False
         extra = 0.0
         if (spec.delay and (timed or holdable)
                 and rng.random() < spec.delay):
@@ -340,16 +336,18 @@ class FaultPlan:
                 self._held.append((item, 0.0))
                 return []
             extra = self.delay_ms / 1000.0 * (0.5 + rng.random())
-        copies = [(item, extra)]
+            passed = False
+        copies = None
         if spec.duplicate and rng.random() < spec.duplicate:
             self._injected("duplicates", src, dst)
-            copies.append(
-                (item, self.delay_ms / 1000.0 * rng.random() if timed else 0.0)
-            )
+            copies = [(item, extra), (
+                item, self.delay_ms / 1000.0 * rng.random() if timed else 0.0)]
         if holdable and spec.reorder and rng.random() < spec.reorder:
             self._injected("reorders", src, dst)
-            self._held.extend(copies)
+            self._held.extend(copies or ((item, extra),))
             return []
+        if copies is None and not passed:
+            copies = [(item, extra)]
         return copies
 
     def apply_broadcast(self, frame, des=False):
@@ -366,29 +364,30 @@ class FaultPlan:
                 # delivery time.
                 return self._cut(src, None)
             spec = self._spec(src, None)
-            if spec.silent:
-                return [(frame, 0.0)]
-            return self._decide(frame, spec, src, None, des, False,
-                                self._corrupt_frame)
+            out = None if spec.silent else self._decide(
+                frame, spec, src, None, des, False)
+            return [(frame, 0.0)] if out is None else out
 
-    def _corrupt_frame(self, frame):
-        corrupted = self._corrupt_message(frame.message)
-        return None if corrupted is None else frame._replace(message=corrupted)
-
-    def _corrupt_message(self, message):
-        """Flip one bit of the packed frame.  None — the frame is lost —
-        when the flipped frame no longer parses (``corrupt_unparseable``)
-        or, a sender's bug rather than the wire's noise, when the message
-        would not pack in the first place (``corrupt_unpackable``)."""
+    def _corrupt(self, item):
+        """Flip one bit of the packed item.  A datagram goes out flipped
+        (the receiving node's unpack is the checksum); a frame is
+        re-parsed, and lost — None — when it no longer parses
+        (``corrupt_unparseable``) or, a sender's bug rather than the
+        wire's noise, would not pack in the first place
+        (``corrupt_unpackable``)."""
+        if not isinstance(item, tuple):
+            raw = bytearray(item)
+            self._flip(raw)
+            return bytes(raw)
         try:
-            raw = bytearray(message.pack())
+            raw = bytearray(item.message.pack())
         except Exception as exc:
             self.corrupt_unpackable += 1
             self.last_error = exc
             return None
         self._flip(raw)
         try:
-            return Message.unpack(bytes(raw))
+            return item._replace(message=Message.unpack(bytes(raw)))
         except Exception as exc:
             self.corrupt_unparseable += 1
             self.last_error = exc
@@ -409,8 +408,6 @@ class FaultPlan:
             # validates" as an invariant rather than a probability.
             caplen = int.from_bytes(raw[38:40], "big")
             if caplen > _CAP_PORT_BYTES:
-                from repro.net.message import HEADER_BYTES
-
                 index = (HEADER_BYTES + _CAP_PORT_BYTES
                          + rng.randrange(caplen - _CAP_PORT_BYTES))
         if index is None:
@@ -434,14 +431,10 @@ class FaultPlan:
                 return self._cut(src, dst)
             spec = self._spec(src, dst)
             held, self._held = self._held, []
-            out = self._decide(raw, spec, src, dst, False, True,
-                               self._corrupt_datagram)
+            out = self._decide(raw, spec, src, dst, False, True)
+            if out is None:
+                out = [(raw, 0.0)]
             return [payload for payload, _ in out + held]
-
-    def _corrupt_datagram(self, raw):
-        flipped = bytearray(raw)
-        self._flip(flipped)
-        return bytes(flipped)
 
     def __repr__(self):
         return "FaultPlan(seed=%r, default=%r, links=%d, seen=%d)" % (

@@ -207,11 +207,12 @@ class SimNetwork:
 
         A frame can be *admitted, then lost* — to a full ingress queue,
         or to the fault plan (the verdict is computed for the pristine
-        frame, before the plan fires).  That loss is silent at the
+        frame, whatever the plan did to it).  That loss is silent at the
         sender, like a real network dropping a frame in a full buffer:
         ``send`` still returns True and the loss shows up only in
         ``frames_dropped`` / ``dropped_overflow`` / the plan's counters
-        and as a missing reply.  Each copy the plan lets through
+        and as a missing reply.  A frame the plan passes takes the
+        perfect wire's path below; each copy of one it touched
         (duplicates, corrupted replacements, released held-back frames)
         is scheduled like any other frame.
         """
@@ -220,12 +221,18 @@ class SimNetwork:
         if self._taps:
             for tap in self._taps:
                 tap(frame)
-        if self._faults is not None:
-            admitted = self._admits(frame)
-            des = self._clock is not None
-            for out, extra in self._faults.apply(frame, des=des):
-                self._schedule(out, extra)
-            return admitted
+        faults = self._faults
+        if faults is not None:
+            copies = faults.apply(frame, self._clock is not None)
+            if copies is not None or faults._severed:
+                # While a link is cut, _deliver may refuse a frame the
+                # stations admit: the verdict is taken apart.
+                admitted = self._admits(frame)
+                if copies is None:
+                    copies = ((frame, 0.0),)
+                for out, extra in copies:
+                    self._schedule(out, extra)
+                return admitted
         if self._loop is None:
             return self._deliver(frame)  # _schedule's "now", one call less
         return self._schedule(frame)
@@ -308,7 +315,7 @@ class SimNetwork:
                 and type(sink) is deque
                 and dest not in loop._queues
                 and (not loop.max_depth or len(sink) < loop.max_depth)
-                and (self._faults is None or not self._faults.has_partitions)
+                and (self._faults is None or not self._faults._severed)
             ):
                 # The _queues guard keeps per-port FIFO order: if earlier
                 # frames for this port are still scheduled, this one must
@@ -342,7 +349,7 @@ class SimNetwork:
         hold one reply port, the lowest reachable address takes it.
         """
         faults = self._faults
-        partitioned = faults is not None and faults.has_partitions
+        partitioned = faults is not None and faults._severed
         dst = frame.dst_machine
         nic = None
         if dst is not None:
@@ -378,7 +385,7 @@ class SimNetwork:
         count = 0
         src = frame.src
         faults = self._faults
-        partitioned = faults is not None and faults.has_partitions
+        partitioned = faults is not None and faults._severed
         for addr, nic in self._stations():
             if addr == src:
                 continue
@@ -415,11 +422,7 @@ class SimNetwork:
             # arrival instant per frame) or a faulty wire (every frame
             # must pass the plan individually, in send order): per-frame
             # send keeps the respective semantics.
-            accepted = 0
-            for message in messages:
-                if self.send(src_nic, message, dst_machine):
-                    accepted += 1
-            return accepted
+            return sum([self.send(src_nic, m, dst_machine) for m in messages])
         src = src_nic.address
         frames = [Frame(src, dst_machine, m) for m in messages]
         self.frames_sent += len(frames)
@@ -449,11 +452,7 @@ class SimNetwork:
             # Synchronous, tapped, DES, or faulty delivery: per-frame
             # send keeps the respective semantics (recursion, tap order,
             # one arrival instant per reply, or per-frame fault draws).
-            accepted = 0
-            for message, dst in pairs:
-                if self.send(src_nic, message, dst):
-                    accepted += 1
-            return accepted
+            return sum([self.send(src_nic, m, dst) for m, dst in pairs])
         src = src_nic.address
         enqueue = self._enqueue
         admitted = 0
@@ -484,10 +483,8 @@ class SimNetwork:
         for tap in self._taps:
             tap(frame)
         des = self._clock is not None
-        if self._faults is not None:
-            copies = self._faults.apply_broadcast(frame, des=des)
-        else:
-            copies = ((frame, 0.0),)
+        copies = ((frame, 0.0),) if self._faults is None else (
+            self._faults.apply_broadcast(frame, des))
         if des:
             for out, extra in copies:
                 self._loop.schedule(out, broadcast=True, extra=extra)

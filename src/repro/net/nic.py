@@ -55,6 +55,10 @@ class Station(Protocol):
         """GET on a fresh port drawn from ``rng``; returns the pair
         ``(secret, wire port)``."""
 
+    def listen_fresh(self, ports):
+        """GET on fresh ports the caller drew; their wire ports, or None
+        (nothing listened) when one collides."""
+
     def unlisten(self, port):
         """Withdraw a GET by its secret."""
 

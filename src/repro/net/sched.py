@@ -196,7 +196,7 @@ class EventLoop:
                 # may cut or heal mid-drain) the run's frames may have
                 # different (severed or live) source links, so each goes
                 # through _deliver's check.
-                partitioned = faults is not None and faults.has_partitions
+                partitioned = faults is not None and faults._severed
                 if not ready and not partitioned and q[0].dst_machine is None:
                     takers = listeners.get(dest)
                     sink = None

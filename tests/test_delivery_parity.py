@@ -181,6 +181,16 @@ def port_addressed_listener_severed_in_flight(w):
     w.arrive()
 
 
+def port_addressed_taker_cut_off_at_send(w):
+    """The stations admit the port, but the sender's link to the only
+    taker is cut: on the synchronous wire ``_deliver`` refuses the frame
+    inside ``send``, and the verdict must still be the admission's."""
+    w.listen(1)
+    w.faults.sever(1, 2)
+    w.send(0)
+    w.arrive()
+
+
 def broadcast_with_one_pairwise_cut(w):
     w.hear_broadcasts(1, 2, 3)
     w.faults.sever(1, 3)
@@ -289,6 +299,10 @@ CASES = {
         SYNCHRONOUS: outcome([True, True], {1: [0], 2: [1]}, (2, 2, 0),
                                0, {}),
     }),
+    port_addressed_taker_cut_off_at_send: (True, {
+        ALL: outcome([True], {1: []}, (1, 0, 1), 1,
+                     {"1->*": {"partition": 1}}),
+    }),
     broadcast_with_one_pairwise_cut: (True, {
         ALL: outcome([], {1: [0], 2: [], 3: [0]}, (1, 2, 0), 1,
                        {"1->3": {"partition": 1}}),
@@ -306,6 +320,42 @@ def test_same_script_same_outcome(script):
                    if discipline in who]
         assert world.outcome() == want, discipline
         assert world.net.pending == 0
+
+
+# ----------------------------------------------------------------------
+# the send verdict, with and without a plan in the way
+# ----------------------------------------------------------------------
+
+#: plan -> (build it, copies of a frame that reach its taker).  A plan
+#: that fires nothing hands ``send`` a pass and the frame takes the
+#: perfect wire's path; one that fires goes through the copies.
+PLANS = {
+    "no plan": (lambda: None, 1),
+    "silent": (lambda: FaultPlan(seed=3), 1),
+    "armed, never fires": (
+        lambda: FaultPlan(seed=3, drop=1e-12, duplicate=1e-12), 1),
+    "duplicates every frame": (lambda: FaultPlan(seed=3, duplicate=1.0), 2),
+    "drops every frame": (lambda: FaultPlan(seed=3, drop=1.0), 0),
+}
+
+
+@pytest.mark.parametrize("plan", PLANS)
+@pytest.mark.parametrize("discipline", ALL)
+def test_the_send_verdict_is_admission_whatever_the_plan(discipline, plan):
+    build, copies = PLANS[plan]
+    w = World(discipline, build())
+    w.listen(1)
+    w.send(0, to=2)  # 0: unicast to the listener
+    w.send(0)        # 1: by port, served
+    w.send(0, to=3)  # 2: unicast to a station that does not admit it
+    w.verdicts.append(w.nics[0].put(Message(dest=Port(0x404))))  # nobody
+    w.arrive()
+    got = w.outcome()
+    assert got["verdicts"] == [True, True, False, False]
+    assert sorted(got["received"][1]) == [0] * copies + [1] * copies
+    # The plan's drops are not the wire's; each refused copy is.
+    assert got["sent/delivered/dropped"] == (4, 2 * copies, 2 * copies)
+    assert w.net.pending == 0
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,16 @@ The contracts under test:
   (object, rights, check) region either fails to parse or is rejected
   by the object table, fuzzed over many seeded plans;
 * the datagram seam (:meth:`FaultPlan.apply_datagram` /
-  :func:`faulty_sendto`) shares the same decision semantics.
+  :func:`faulty_sendto`) shares the same decision semantics;
+* the roll draws what a naive reading of its documented order draws —
+  same copies, same counters, same RNG state — whatever it hands back
+  (a pass verdict or a list);
+* one plan is safe under threads: every datagram is counted once.
 """
+
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -373,6 +381,190 @@ class TestOneDecisionProcedure:
             assert as_frame == as_datagram
         else:
             assert frames.stats()["by_link"] == datagrams.stats()["by_link"]
+
+
+class NaiveRoll:
+    """The roll as the module docstring states it, written the slow way:
+    one ``random()`` per armed fault in the order drop, corrupt, delay,
+    duplicate, reorder; a flip draws a byte, then a bit; a frame carrier
+    releases the held backlog behind anything it lets out, a datagram
+    behind whatever it does, a broadcast never touches it."""
+
+    def __init__(self, seed, spec, delay_ms):
+        self.rng = random.Random(seed)
+        self.spec, self.delay_ms = spec, delay_ms
+        self.held = []
+        self.counts = dict.fromkeys(
+            ["frames_seen", "corrupt_unparseable"]
+            + ["injected_" + kind for kind in KINDS], 0)
+        self.by_link = {}
+
+    def fires(self, kind, odds, src, dst):
+        if not odds or self.rng.random() >= odds:
+            return False
+        self.counts["injected_" + kind] += 1
+        link = "%s->%s" % tuple("*" if a is None else a for a in (src, dst))
+        kinds = self.by_link.setdefault(link, {})
+        kinds[kind] = kinds.get(kind, 0) + 1
+        return True
+
+    def flip(self, raw):
+        raw = bytearray(raw)
+        raw[self.rng.randrange(len(raw))] ^= 1 << self.rng.randrange(8)
+        return bytes(raw)
+
+    def roll(self, item, src, dst, timed, holdable):
+        spec = self.spec
+        if self.fires("drops", spec.drop, src, dst):
+            return []
+        if self.fires("corruptions", spec.corrupt, src, dst):
+            if isinstance(item, bytes):
+                item = self.flip(item)
+            else:
+                try:
+                    item = item._replace(message=Message.unpack(
+                        self.flip(item.message.pack())))
+                except Exception:
+                    self.counts["corrupt_unparseable"] += 1
+                    return []
+        extra = 0.0
+        if (timed or holdable) and self.fires("delays", spec.delay, src, dst):
+            if not timed:
+                self.held.append((item, 0.0))
+                return []
+            extra = self.delay_ms / 1000.0 * (0.5 + self.rng.random())
+        copies = [(item, extra)]
+        if self.fires("duplicates", spec.duplicate, src, dst):
+            copies.append((item, self.delay_ms / 1000.0 * self.rng.random()
+                           if timed else 0.0))
+        if holdable and self.fires("reorders", spec.reorder, src, dst):
+            self.held += copies
+            return []
+        return copies
+
+    def frame(self, frame, des):
+        self.counts["frames_seen"] += 1
+        out = self.roll(frame, frame.src, frame.dst_machine, des, True)
+        if self.held and (out or all(f is not frame for f, _ in self.held)):
+            out, self.held = out + self.held, []
+        return out
+
+    def broadcast(self, frame, des):
+        self.counts["frames_seen"] += 1
+        return self.roll(frame, frame.src, None, des, False)
+
+    def datagram(self, raw, src, dst):
+        self.counts["frames_seen"] += 1
+        held, self.held = self.held, []
+        return [raw for raw, _ in self.roll(raw, src, dst, False, True) + held]
+
+
+def comparable(out):
+    """Frames carry no equality of their own: compare them packed.  (A
+    datagram carrier hands back bare payloads, the others pairs.)"""
+    def key(item):
+        if isinstance(item, bytes):
+            return item
+        return item.src, item.dst_machine, item.message.pack()
+    return [key(c) if isinstance(c, bytes) else (key(c[0]), c[1])
+            for c in out]
+
+
+class TestDecisionStreamAgainstNaiveRoll:
+    """Pass verdict or list, the plan draws exactly what the naive roll
+    draws, so the seeded outcomes (and the chaos digests) cannot move
+    under a change to what the roll *returns*."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        odds=st.tuples(ODDS, ODDS, ODDS, ODDS, ODDS),
+        carriers=st.sampled_from(
+            [("frame",), ("broadcast",), ("datagram",), ("frame", "broadcast")]),
+        des=st.booleans(),
+        traffic=st.lists(
+            st.tuples(st.integers(0, 1), st.integers(1, 3),
+                      st.one_of(st.none(), st.integers(1, 3)),
+                      st.binary(max_size=16)),
+            min_size=1, max_size=30),
+    )
+    def test_same_copies_counters_and_rng_state(self, seed, odds, carriers,
+                                                des, traffic):
+        spec = FaultSpec(*odds)
+        plan = FaultPlan(seed, *odds)
+        model = NaiveRoll(seed, spec, plan.delay_ms)
+        # A backlog is already held when the traffic starts.
+        backlog = Frame(3, 1, Message(command=USER_BASE, data=b"held"))
+        if carriers == ("datagram",):
+            backlog = backlog.message.pack()
+        plan._held = [(backlog, 0.0)]
+        model.held = [(backlog, 0.0)]
+        for pick, src, dst, data in traffic:
+            carrier = carriers[pick % len(carriers)]
+            message = Message(command=USER_BASE, data=data)
+            if carrier == "datagram":
+                raw = message.pack()
+                got = plan.apply_datagram(raw, src=src, dst=dst)
+                want = model.datagram(raw, src, dst)
+            elif carrier == "broadcast":
+                frame = Frame(src, None, message)
+                got = plan.apply_broadcast(frame, des)
+                want = model.broadcast(frame, des)
+            else:
+                frame = Frame(src, dst, message)
+                got = plan.apply(frame, des)
+                if got is None:  # the pass verdict
+                    got = [(frame, 0.0)]
+                want = model.frame(frame, des)
+            assert comparable(got) == comparable(want)
+        stats = plan.stats()
+        assert stats["by_link"] == model.by_link
+        assert {key: stats[key] for key in model.counts} == model.counts
+        assert comparable(plan._held) == comparable(model.held)
+        assert plan._rng.getstate() == model.rng.getstate()
+
+
+class TestThreadedPlan:
+    def test_eight_threads_through_faulty_sendto_count_every_datagram(self):
+        """The socket transport's seam from eight threads at once: each
+        datagram is seen once and is dropped, sent, or sent twice.  With
+        the GIL this holds even with the plan's lock taken out; the
+        free-threaded CI lane runs it where a lost update would show."""
+        plan = FaultPlan(seed=7, drop=0.1, duplicate=0.1)
+        sent = []
+        sendto = faulty_sendto(lambda raw, dst: sent.append(raw) or len(raw),
+                               plan)
+        threads, each = 8, 400
+        start = threading.Barrier(threads)
+        errors = []
+
+        def worker(n):
+            try:
+                start.wait(timeout=10)
+                for i in range(each):
+                    sendto(b"%d:%d" % (n, i), ("host", n))
+            except Exception as exc:  # surfaced below, not lost
+                errors.append(exc)
+
+        pool = [threading.Thread(target=worker, args=(n,))
+                for n in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert errors == []
+        total = threads * each
+        assert plan.frames_seen == total
+        assert (plan.injected_drops + len(sent) - plan.injected_duplicates
+                == total)
+        assert len(set(sent)) == total - plan.injected_drops
+        assert plan.injected_drops and plan.injected_duplicates
 
 
 class TestStats:

@@ -18,8 +18,8 @@ from hypothesis.stateful import (
 
 from repro.core.ports import Port, PrivatePort
 from repro.crypto.randomsrc import RandomSource
-from repro.errors import PortNotLocated
-from repro.ipc.rpc import trans, trans_many
+from repro.errors import PortNotLocated, RPCError
+from repro.ipc.rpc import AsyncTrans, RetryPolicy, trans, trans_many
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
 from repro.net.intruder import Intruder
@@ -364,6 +364,45 @@ class TestPipelinedTransactions:
         assert len(net._listeners) == 1
         assert len(client._sinks) == 0
 
+    @pytest.mark.parametrize("synchronous", [True, False])
+    def test_an_at_least_once_batch_indexes_only_the_service(self,
+                                                             synchronous):
+        # A retry schedule sends trans_many down its N-engine fallback,
+        # each engine handed its secret: still a sink and nothing else,
+        # while every earlier reply GET of the batch is out.
+        net = SimNetwork(synchronous=synchronous)
+        census = []
+
+        class Census(Echo):
+            @command(USER_BASE)
+            def _echo(self, ctx):
+                census.append(set(net._listeners))
+                return ctx.ok(data=ctx.request.data)
+
+        server = Census(Nic(net), rng=RandomSource(seed=1)).start()
+        service_wire = server.node.fbox.listen_port(
+            Port(server.get_port.secret))
+        client = Nic(net)
+        requests = [Message(command=USER_BASE, data=b"a%d" % i)
+                    for i in range(8)]
+        replies = trans_many(client, server.put_port, requests,
+                             rng=RandomSource(seed=9),
+                             retry=RetryPolicy(attempts=2))
+        assert [r.data for r in replies] == [m.data for m in requests]
+        assert census == [{service_wire}] * 8
+        assert set(net._listeners) == {service_wire} and not client._sinks
+
+    def test_a_handed_secret_that_collides_is_refused_not_shared(self):
+        net = SimNetwork()
+        server = Echo(Nic(net), rng=RandomSource(seed=1)).start()
+        client = Nic(net)
+        wire = client.listen(Port(77))
+        with pytest.raises(RPCError):
+            AsyncTrans(client, server.put_port, Message(command=USER_BASE),
+                       reply_secret=Port(77))
+        assert server.request_counts[USER_BASE] == 0
+        assert set(client._sinks) == {wire} and wire in net._listeners
+
 
 class TestReplyFieldGuard:
     def test_bad_handler_offset_becomes_error_reply(self):
@@ -398,15 +437,11 @@ NOBODY = Port(404)
 
 class Witness(Echo):
     """Echo that looks at the index while the caller's reply GET is out:
-    a reply port is listed only if it came from the plain ``listen``
-    (``trans_many`` on a station without a bulk lane issues that way)."""
+    a reply port is never listed, whichever lane issued it."""
 
     @command(USER_BASE)
     def _echo(self, ctx):
-        unlisted = (ctx.request.data == b"blocking"
-                    or self.node.supports_batch_serve)
-        listed = ctx.request.reply in self.node.network._listeners
-        assert listed != unlisted
+        assert ctx.request.reply not in self.node.network._listeners
         return ctx.ok(data=ctx.request.data)
 
 

@@ -361,6 +361,14 @@ class LoopbackStation:
         secret = Port.random(rng)
         return secret, self.listen(secret)
 
+    def listen_fresh(self, ports):
+        wires = [self._fbox.listen_port(as_port(port)) for port in ports]
+        if len(set(wires)) < len(wires) or set(wires) & set(self._sinks):
+            return None
+        for wire_port in wires:
+            self._sinks[wire_port] = []
+        return wires
+
     def unlisten(self, port):
         self.unlisten_wire(self._fbox.listen_port(as_port(port)))
 
