@@ -37,7 +37,7 @@ and are discarded.  This is the digital-signature mechanism of §2.2.
 import random
 import time
 
-from repro.core.ports import as_port, draw_ports
+from repro.core.ports import Port, as_port, draw_ports
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import PartitionSuspected, PortNotLocated, RPCError, RPCTimeout
 from repro.net.nic import Nic
@@ -119,10 +119,12 @@ def _outgoing(request, dest, reply_secret, sig_port):
     the reply secret — made afresh for *every* transmission: the F-box
     transforms the outgoing copy in place on egress, so re-sending a
     previous copy would double-one-way its reply/signature fields (the
-    same corruption an intruder replay exhibits).  Trusted copy: the
-    request was validated when it was constructed, and every replacement
-    value here is a Port."""
-    outgoing = request._evolve(dest=dest, reply=reply_secret, is_reply=False)
+    same corruption an intruder replay exhibits).  A trusted copy built
+    as ``reply_to`` builds a reply: the request was validated when it
+    was constructed, and every replacement value here is a Port."""
+    outgoing = object.__new__(type(request))
+    outgoing.__dict__ = request.__dict__ | {
+        "dest": dest, "reply": reply_secret, "is_reply": False}
     if sig_port is not None:
         outgoing.signature = sig_port
     return outgoing
@@ -226,7 +228,8 @@ class AsyncTrans:
         reply_secret=None,
         retry=None,
     ):
-        if getattr(dst_machine, "is_replica_set", False):
+        if dst_machine is not None and getattr(
+                dst_machine, "is_replica_set", False):
             # A pipelined issue binds to one replica up front — failover
             # mid-flight is the blocking path's job — but the spread
             # policy still decides *which* one, so a burst of issues
@@ -245,7 +248,7 @@ class AsyncTrans:
         # The pristine request and routing are kept so every
         # transmission can take its own copy (see _outgoing).
         self._request = request
-        self._dest = as_port(dest_port)
+        self._dest = dest_port if type(dest_port) is Port else as_port(dest_port)
         self._dst_machine = dst_machine
         self._sig_port = as_port(signature) if signature is not None else None
         # Last, so that arguments refused above leave no GET behind.
@@ -323,9 +326,15 @@ class AsyncTrans:
         GET is withdrawn on every way out.
         """
         reply = self._reply
-        if reply is None:
-            reply = self._await(None)
         if reply is not None:
+            return reply
+        # Fast path first, _await(None) a frame flatter: on the synchronous
+        # simulator the reply is already queued, so no clock is read.
+        reply = _await_reply(self.node, self.wire_reply, self.expect_signature, None)
+        if reply is not None:
+            self._reply = reply
+            if not self._cancelled:
+                self.node.unlisten_wire(self.wire_reply)
             return reply
         # The timeout budget is spent on the station's own clock: wall
         # time for real wires, *virtual* time on a DES network (where a
@@ -440,7 +449,7 @@ def trans(
     RPCTimeout
         No (acceptable) reply arrived within ``timeout`` seconds.
     """
-    if getattr(dst_machine, "is_replica_set", False):
+    if dst_machine is not None and getattr(dst_machine, "is_replica_set", False):
         return _failover(
             trans, _affinity_key(request), node, dest_port, request, rng,
             timeout, expect_signature, dst_machine, signature, retry, locator,

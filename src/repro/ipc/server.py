@@ -432,9 +432,9 @@ class ObjectServer:
         A station that delivers ingress in runs (a deferred or DES
         network's event loop, a socket pump's recv burst) gets the
         *batch* handler, whose replies leave in one bulk unicast per
-        run; a synchronous simulated network keeps the per-frame
-        handler.  Both run the same :meth:`_serve_frame` step per
-        request, so the dispatch semantics cannot differ.
+        run; a synchronous simulated network gets :meth:`_serve_frame`
+        itself, the per-request step the batch handler loops over, so
+        the dispatch semantics cannot differ.
         """
         if self.store is not None and self.store.needs_recovery:
             raise AmoebaError(
@@ -444,7 +444,7 @@ class ObjectServer:
         if self.node.supports_batch_serve:
             self.node.serve_batch(self.get_port, self._handle_frames)
         else:
-            self.node.serve(self.get_port, self._handle_frame)
+            self.node.serve(self.get_port, self._serve_frame)
         self._running = True
         return self
 
@@ -518,8 +518,8 @@ class ObjectServer:
         server has a reply cache or a store.
 
         Order is the crash argument: commit record, then the
-        transaction's block write (``log_commit`` flushes; ``flush``
-        covers a request that logs no commit), and only then the reply
+        transaction's block write (``log_commit`` writes the group;
+        ``flush`` covers a request that logs no commit), then the reply
         cache and — back in the caller — egress.  So a reply a client
         has seen, or a retry can be replayed, is always on the medium
         together with the mutation it answers; a power failure inside
@@ -542,7 +542,8 @@ class ObjectServer:
             if cached and wrote:
                 # Keyed exactly like the reply cache: (src, reply port).
                 self.table.log_commit(src, reply_port, reply.pack())
-            store.flush()
+            else:
+                store.flush()
         if cached:
             # A pristine copy: egress transforms the outgoing one in place.
             self.reply_cache.store(src, reply_port, reply._evolve())
@@ -551,89 +552,84 @@ class ObjectServer:
     # dispatch
     # ------------------------------------------------------------------
 
-    def _dispatch_request(self, frame, request):
-        """The dispatch core: sender auth, unsealing, handler lookup
-        and invocation, both error arms, and the seal.  Returns the reply
-        ready for owned egress, or None when the handler deferred it.
-
-        Re-entrancy: under deferred delivery the event loop may invoke
-        this again (for the next queued request) before an earlier reply
-        has been dispatched.  Everything per-request therefore lives in
-        locals and the RequestContext — nothing here writes per-request
-        state onto self.
-        """
-        store = self.store
-        wrote = None
-        if store is not None:
-            # Durable: this thread's log appends wait in the tail
-            # block from here on, to reach the medium in one write on
-            # the reply path (see _complete).
-            store.begin()
-        try:
-            if self.authorized_signatures is not None:
-                self._authenticate_sender(request)
-            if request.sealed_caps or self.require_sealed:
-                request = self._unseal_request(frame, request)
-            ctx = RequestContext(self, frame, request)
-            handler = self._commands.get(request.command)
-            if handler is None:
-                raise BadRequest(
-                    "%s does not implement opcode %d"
-                    % (self.service_name, request.command)
-                )
-            reply = handler(ctx)
-            if reply is None and ctx.deferred is None:
-                reply = ctx.ok()
-        except AmoebaError as exc:
-            reply = RequestContext(self, frame, request).error(exc)
-        except Exception as exc:
-            # A crashing handler must not take the server loop down; the
-            # client sees a generic server error, the bug stays server-side.
-            reply = RequestContext(self, frame, request).error(
-                AmoebaError("internal error in %s: %s" % (self.service_name, exc))
-            )
-        finally:
-            if store is not None:
-                wrote = store.end()
-        if reply is None:
-            if store is not None:
-                # The handler took a DeferredReply handle and the
-                # transaction stays open until it sends; no reply path
-                # follows this dispatch, so what the handler logged is
-                # flushed here.
-                ctx.deferred.wrote = wrote
-                store.flush()
-            return None
-        return self._seal_reply(frame, reply, wrote)
-
-    def _serve_frame(self, frame):
-        """The one per-request step: admit → count → dispatch → seal.
-
-        Returns the reply ready for owned egress to ``frame.src``, or
-        None when nothing is to be sent now (a dropped duplicate, or a
-        handler that deferred its reply).  :meth:`_handle_frame` follows
-        it with one put; :meth:`_handle_frames` loops over it before one
-        bulk egress — batching is the loop, not a second copy.
+    def _serve_frame(self, frame, outbox=None):
+        """The one per-request step: admit → count → dispatch (sender
+        auth, unsealing, the handler, both error arms) → seal → egress,
+        at once to ``frame.src`` as the per-frame handler :meth:`start`
+        registers, or into :meth:`_handle_frames`'s ``outbox`` for that
+        run's one bulk egress (batching is the loop, not a second copy).
+        A dropped duplicate or a deferred reply sends nothing now.
+        Re-entrant under deferred delivery: everything per-request lives
+        in locals and the RequestContext.
         """
         request = frame.message
         cache = self.reply_cache
+        verdict = None
         # A request with no reply port (the null port is int 0, so
         # falsy) is a one-way send, not a transaction, and is never
         # deduplicated.
         if cache is not None and request.reply:
-            verdict, cached = cache.begin(frame.src, request.reply)
+            verdict, reply = cache.begin(frame.src, request.reply)
             if verdict == "busy":
-                return None  # the first copy is still executing: drop
-            if verdict == "hit":
-                # Answer the retry from the cache — the handler does not
-                # run again.  Egress transforms its message in place; the
-                # copy leaves the cached reply pristine for further
-                # retries.
-                return cached._evolve()
-        if self.count_requests:
-            self.request_counts[request.command] += 1
-        # None when the handler deferred: DeferredReply.send seals later.
-        return self._dispatch_request(frame, request)
+                return  # the first copy is still executing: drop
+        if verdict == "hit":
+            # Answer the retry from the cache — the handler does not run
+            # again.  Egress transforms its message in place; the copy
+            # leaves the cached reply pristine for further retries.
+            reply = reply._evolve()
+        else:
+            if self.count_requests:
+                self.request_counts[request.command] += 1
+            store = self.store
+            wrote = None
+            if store is not None:
+                # Durable: this thread's log appends wait in the tail
+                # block from here on, to reach the medium in one write
+                # on the reply path (see _complete).
+                store.begin()
+            try:
+                if self.authorized_signatures is not None:
+                    self._authenticate_sender(request)
+                if request.sealed_caps or self.require_sealed:
+                    request = self._unseal_request(frame, request)
+                ctx = RequestContext(self, frame, request)
+                handler = self._commands.get(request.command)
+                if handler is None:
+                    raise BadRequest("%s does not implement opcode %d"
+                                     % (self.service_name, request.command))
+                reply = handler(ctx)
+                if reply is None and ctx.deferred is None:
+                    reply = ctx.ok()
+            except AmoebaError as exc:
+                reply = RequestContext(self, frame, request).error(exc)
+            except Exception as exc:
+                # A crashing handler must not take the server loop down;
+                # the client sees a generic server error, the bug stays
+                # server-side.
+                reply = RequestContext(self, frame, request).error(AmoebaError(
+                    "internal error in %s: %s" % (self.service_name, exc)))
+            finally:
+                if store is not None:
+                    wrote = store.end()
+            if reply is None:
+                if store is not None:
+                    # The handler took a DeferredReply handle and the
+                    # transaction stays open until it sends; no reply
+                    # path follows this dispatch, so what the handler
+                    # logged is flushed here.
+                    ctx.deferred.wrote = wrote
+                    store.flush()
+                return
+            # ctx.ok / ctx.error stamp the signature: with no sealer,
+            # reply cache or store, sealing would change nothing.
+            if (reply.signature is not self._signature_port
+                    or self.sealer is not None or cache is not None
+                    or store is not None):
+                reply = self._seal_reply(frame, reply, wrote)
+        if outbox is None:
+            self.node.put_owned(reply, frame.src)
+        else:
+            outbox.append((reply, frame.src))
 
     def _seal_reply(self, frame, reply, wrote):
         """Seal, sign and complete one reply; returns it ready for owned
@@ -656,22 +652,13 @@ class ObjectServer:
             self._complete(frame.src, frame.message, reply, wrote)
         return reply
 
-    def _handle_frame(self, frame):
-        """Per-frame delivery.  The reply is unicast to the requesting
-        machine (its address came stamped on the frame)."""
-        reply = self._serve_frame(frame)
-        if reply is not None:
-            self.node.put_owned(reply, frame.src)
-
     def _handle_frames(self, frames):
         """Batch delivery: one ingress run per call, one bulk unicast
         for the whole run's replies (replayed ones included)."""
         serve = self._serve_frame
         outbox = []
         for frame in frames:
-            reply = serve(frame)
-            if reply is not None:
-                outbox.append((reply, frame.src))
+            serve(frame, outbox)
         if outbox:
             self.node.put_owned_unicast_bulk(outbox)
 

@@ -493,8 +493,10 @@ class Nic:
         return self.poll_wire(wire_port, remaining)
 
     def unlisten_wire(self, wire_port):
-        """Like :meth:`unlisten`, keyed by the wire port listen() returned."""
-        if self._sinks.pop(wire_port, None) is not None:
+        """Like :meth:`unlisten`, keyed by the wire port listen() returned;
+        only an indexed port (never a reply port) goes on to the index."""
+        if (self._sinks.pop(wire_port, None) is not None
+                and wire_port in self.network._listeners):
             self.network.unregister_listener(self.address, wire_port)
 
     def pending(self, port):

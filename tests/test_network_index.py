@@ -115,6 +115,54 @@ class TestIndexMirrorsAdmission:
         assert net._round_robin == {}
 
 
+class TestUnlistenWire:
+    """``unlisten_wire`` goes on to the routing index only for a port
+    the index lists: a reply port costs it a dict test, nothing more."""
+
+    @staticmethod
+    def spied(net):
+        calls = []
+        unregister = net.unregister_listener
+        net.unregister_listener = (
+            lambda *args: calls.append(args) or unregister(*args))
+        return calls
+
+    def test_a_reply_port_never_reaches_the_index(self):
+        net = SimNetwork()
+        server = Echo(Nic(net), rng=RandomSource(seed=1)).start()
+        client = Nic(net)
+        calls = self.spied(net)
+        _, dealt = client.listen_reply(RandomSource(seed=3))
+        client.unlisten_wire(dealt)
+        for wire in client.listen_fresh([Port(6), Port(7)]):
+            client.unlisten_wire(wire)
+        rng = RandomSource(seed=4)
+        for _ in range(3):
+            trans(client, server.put_port, Message(command=USER_BASE), rng)
+        assert calls == []
+        assert not client._sinks
+
+    def test_a_listened_port_still_deregisters(self):
+        net = SimNetwork()
+        nic = Nic(net)
+        calls = self.spied(net)
+        wire = nic.listen(Port(5))
+        nic.unlisten_wire(wire)
+        assert calls == [(nic.address, wire)]
+        assert wire not in net._listeners and not nic.admits(wire)
+
+    def test_a_port_served_twice_keeps_the_other_station(self):
+        net = SimNetwork()
+        first, second = Nic(net), Nic(net)
+        wire = first.serve(Port(5), lambda frame: None)
+        assert second.serve(Port(5), lambda frame: None) == wire
+        first.unlisten_wire(wire)
+        assert net._listeners[wire] == [second.address]
+        assert second.admits(wire) and not first.admits(wire)
+        second.unlisten_wire(wire)
+        assert wire not in net._listeners
+
+
 class TestRoutingThroughIndex:
     def test_port_addressed_delivery(self):
         net = SimNetwork()
