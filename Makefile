@@ -21,8 +21,8 @@ test-fast:
 ## the same diff and says why in CHANGES.md.  benchmarks/*.py (the
 ## harness outside the suite: 3879 lines before PR 20) is held to
 ## BENCH_LOC_MAX the same way.
-WIRE_LOC_MAX := 6234
-SRC_LOC_MAX := 13831
+WIRE_LOC_MAX := 6231
+SRC_LOC_MAX := 13828
 BENCH_LOC_MAX := 2250
 loc:
 	@for package in src/repro/*/; do \

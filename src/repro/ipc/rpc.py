@@ -114,22 +114,6 @@ class RetryPolicy:
         )
 
 
-def _outgoing(request, dest, reply_secret, sig_port):
-    """One private copy of the caller's request, addressed and carrying
-    the reply secret — made afresh for *every* transmission: the F-box
-    transforms the outgoing copy in place on egress, so re-sending a
-    previous copy would double-one-way its reply/signature fields (the
-    same corruption an intruder replay exhibits).  A trusted copy built
-    as ``reply_to`` builds a reply: the request was validated when it
-    was constructed, and every replacement value here is a Port."""
-    outgoing = object.__new__(type(request))
-    outgoing.__dict__ = request.__dict__ | {
-        "dest": dest, "reply": reply_secret, "is_reply": False}
-    if sig_port is not None:
-        outgoing.signature = sig_port
-    return outgoing
-
-
 def _affinity_key(request):
     """The spread key for replica selection: the object number the
     request names, so a rendezvous-hash policy gives every client the
@@ -139,7 +123,7 @@ def _affinity_key(request):
     return capability.object if capability is not None else None
 
 
-def _await_reply(node, wire_reply, expect, until, read_clock=None):
+def _await_reply(node, wire_reply, expect, until, read_clock=None, call=None):
     """The one wait: take frames off a reply port until one passes
     signature screening or ``until`` (on the station's clock; None means
     do not wait at all) has passed.  Returns the reply message or None.
@@ -150,6 +134,10 @@ def _await_reply(node, wire_reply, expect, until, read_clock=None):
     deferred simulators) a dry pump means the reply can no longer arrive
     *this round*, so retransmission attempts, not wall time, bound the
     retry loop there.
+
+    ``call`` is the :class:`AsyncTrans` waiting, if any: the accepted
+    reply then settles it here — the one settle site of every wait of
+    ``poll`` and ``result`` — recorded, and its GET withdrawn.
     """
     while True:
         # Fast path first: on the synchronous simulator the reply is
@@ -164,6 +152,13 @@ def _await_reply(node, wire_reply, expect, until, read_clock=None):
                 return None
         reply = frame.message
         if expect is None or reply.signature == expect:
+            if call is not None:
+                call._reply = reply
+                if not call._cancelled:
+                    # cancel() already released the GET; unlistening the
+                    # same wire port twice would tear down a listener a
+                    # later transaction may have re-registered.
+                    node.unlisten_wire(wire_reply)
             return reply
         # A forged reply: discard it, keep waiting for the genuine one.
 
@@ -246,7 +241,7 @@ class AsyncTrans:
         self._reply = None
         self._cancelled = False
         # The pristine request and routing are kept so every
-        # transmission can take its own copy (see _outgoing).
+        # transmission can take its own copy (see Message._addressed).
         self._request = request
         self._dest = dest_port if type(dest_port) is Port else as_port(dest_port)
         self._dst_machine = dst_machine
@@ -278,8 +273,8 @@ class AsyncTrans:
         # put_owned: the copy is ours, never reused after this call, so
         # the F-box may transform it in place.
         accepted = self.node.put_owned(
-            _outgoing(self._request, self._dest, self._reply_secret,
-                      self._sig_port),
+            self._request._addressed(self._dest, self._reply_secret,
+                                     self._sig_port),
             self._dst_machine,
         )
         if not accepted and self._dst_machine is None:
@@ -292,20 +287,6 @@ class AsyncTrans:
         """True once an acceptable reply has been collected."""
         return self._reply is not None
 
-    def _await(self, until, read_clock=None):
-        """:func:`_await_reply` on this transaction's reply port; an
-        accepted reply settles the transaction and withdraws its GET."""
-        reply = _await_reply(self.node, self.wire_reply,
-                             self.expect_signature, until, read_clock)
-        if reply is not None:
-            self._reply = reply
-            if not self._cancelled:
-                # cancel() already released the GET; unlistening the
-                # same wire port twice would tear down a listener a
-                # later transaction may have re-registered.
-                self.node.unlisten_wire(self.wire_reply)
-        return reply
-
     def poll(self):
         """Non-blocking: the reply if it has arrived, else None.
 
@@ -314,7 +295,8 @@ class AsyncTrans:
         """
         if self._reply is not None:
             return self._reply
-        return self._await(None)
+        return _await_reply(self.node, self.wire_reply,
+                            self.expect_signature, None, None, self)
 
     def result(self, timeout=2.0):
         """Collect the reply, driving delivery as needed: a deferred
@@ -328,26 +310,25 @@ class AsyncTrans:
         reply = self._reply
         if reply is not None:
             return reply
-        # Fast path first, _await(None) a frame flatter: on the synchronous
-        # simulator the reply is already queued, so no clock is read.
-        reply = _await_reply(self.node, self.wire_reply, self.expect_signature, None)
+        node, wire_reply, expect = self.node, self.wire_reply, self.expect_signature
+        # Fast path first: on the synchronous simulator the reply is
+        # already queued, so no clock is read.
+        reply = _await_reply(node, wire_reply, expect, None, None, self)
         if reply is not None:
-            self._reply = reply
-            if not self._cancelled:
-                self.node.unlisten_wire(self.wire_reply)
             return reply
         # The timeout budget is spent on the station's own clock: wall
         # time for real wires, *virtual* time on a DES network (where a
         # wall-clock deadline would be meaningless — the whole wait costs
         # microseconds of host time).
-        clock = self.node.clock
+        clock = node.clock
         read_clock = time.monotonic if clock is None else lambda: clock.now
         transmissions = 1
         try:
             deadline = read_clock() + timeout
             for wait in self._waits:
-                reply = self._await(min(read_clock() + wait, deadline),
-                                    read_clock)
+                reply = _await_reply(node, wire_reply, expect,
+                                     min(read_clock() + wait, deadline),
+                                     read_clock, self)
                 if reply is not None:
                     return reply
                 if self._cancelled or read_clock() >= deadline:
@@ -357,7 +338,8 @@ class AsyncTrans:
             # Schedule exhausted (or the deadline passed inside it): one
             # final wait runs the remaining budget down to the deadline.
             if not self._cancelled:
-                reply = self._await(deadline, read_clock)
+                reply = _await_reply(node, wire_reply, expect, deadline,
+                                     read_clock, self)
                 if reply is not None:
                     return reply
         finally:
@@ -608,7 +590,7 @@ def _issue_batch(node, dest, requests, secrets, dst_machine, sig_port):
         return None
     try:
         outgoing = [
-            _outgoing(request, dest, secret, sig_port)
+            request._addressed(dest, secret, sig_port)
             for request, secret in zip(requests, secrets)
         ]
         accepted = node.put_owned_bulk(outgoing, dst_machine)

@@ -403,6 +403,8 @@ class ObjectServer:
         # The signature secret as a Port, stamped into every reply; built
         # once here instead of once per frame.
         self._signature_port = as_port(self.signature)
+        self._plain_replies = (  # see _seal_reply
+            sealer is None and self.reply_cache is None and store is None)
 
     @property
     def signature_image(self):
@@ -620,11 +622,8 @@ class ObjectServer:
                     ctx.deferred.wrote = wrote
                     store.flush()
                 return
-            # ctx.ok / ctx.error stamp the signature: with no sealer,
-            # reply cache or store, sealing would change nothing.
             if (reply.signature is not self._signature_port
-                    or self.sealer is not None or cache is not None
-                    or store is not None):
+                    or not self._plain_replies):
                 reply = self._seal_reply(frame, reply, wrote)
         if outbox is None:
             self.node.put_owned(reply, frame.src)
@@ -633,7 +632,10 @@ class ObjectServer:
 
     def _seal_reply(self, frame, reply, wrote):
         """Seal, sign and complete one reply; returns it ready for owned
-        egress.  ``wrote`` as for :meth:`_complete`."""
+        egress.  ``wrote`` as for :meth:`_complete`.  A reply already
+        signed (as ``ctx.ok``/``ctx.error`` sign) by a server with
+        ``_plain_replies`` — no sealer, reply cache or store — leaves
+        here unchanged, so :meth:`_serve_frame` skips the call."""
         if self.sealer is not None and (reply.capability or reply.extra_caps):
             reply = self.sealer.seal_message(reply, frame.src)
         # Replies are signed: the F-box will transform this secret S into

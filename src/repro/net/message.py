@@ -278,6 +278,19 @@ class Message:
         }
         return reply
 
+    def _addressed(self, dest, reply, signature=None):
+        """A trusted copy of this request (validated on construction;
+        every new value is a Port) addressed to ``dest`` with reply port
+        ``reply`` and, unless None, ``signature``.  A transaction makes
+        one per transmission: egress transforms the copy in place, so a
+        re-sent copy would double-one-way its reply/signature fields."""
+        fields = {"dest": dest, "reply": reply, "is_reply": False}
+        if signature is not None:
+            fields["signature"] = signature
+        request = object.__new__(type(self))
+        request.__dict__ = self.__dict__ | fields
+        return request
+
     def __repr__(self):
         kind = "reply" if self.is_reply else "request"
         return "Message(%s, dest=%012x, cmd=%d, status=%d, %d data bytes)" % (
