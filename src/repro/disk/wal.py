@@ -106,10 +106,6 @@ _UPDATE_HEAD = struct.Struct(">II")  # op | number, data length
 _COMMIT_HEAD = struct.Struct(">BQHII")  # op, src, reply port, reply length
 
 
-def _crc(payload):
-    return zlib.crc32(payload) & 0xFFFFFFFF
-
-
 def _pack_chain_header(buf, nxt, used):
     hcrc = zlib.crc32(struct.pack(">IH", nxt, used)) & 0xFFFF
     _CHAIN_HEADER.pack_into(buf, 0, nxt, used, hcrc)
@@ -181,7 +177,7 @@ class ChainLog:
         if not payload:
             raise ValueError("cannot append an empty record")
         record = (
-            _RECORD_HEAD.pack(_RECORD_MAGIC, len(payload), _crc(payload))
+            _RECORD_HEAD.pack(_RECORD_MAGIC, len(payload), zlib.crc32(payload))
             + payload
         )
         with self.lock:
@@ -334,7 +330,7 @@ def _scan_chain(disk, head, start_offset=0):
             scan.suspect = True
             break
         payload = bytes(stream[body: body + length])
-        if _crc(payload) != crc:
+        if zlib.crc32(payload) != crc:
             scan.suspect = True
             break
         scan.records.append(payload)
@@ -565,7 +561,8 @@ class DurableStore:
             return None
         if (magic, version, count) != (_SB_MAGIC, _SB_VERSION, 1):
             return None
-        if _crc(_SB.pack(magic, version, count, epoch, 0, *state)) != crc:
+        raw = _SB.pack(magic, version, count, epoch, 0, *state)
+        if zlib.crc32(raw) != crc:
             return None
         return (epoch, *state)
 
@@ -573,7 +570,7 @@ class DurableStore:
         self.epoch += 1
         head = (_SB_MAGIC, _SB_VERSION, 1, self.epoch)
         state = (self._snapshot, *self._position, self._high_water)
-        crc = _crc(_SB.pack(*head, 0, *state))
+        crc = zlib.crc32(_SB.pack(*head, 0, *state))
         self.disk.write(
             _SB_SLOTS[self.epoch % 2], _SB.pack(*head, crc, *state)
         )

@@ -185,7 +185,7 @@ class Locator:
         Raises :class:`PortNotLocated` when no machine answers any
         broadcast within ``timeout``.
         """
-        port = as_port(port)
+        port = port if type(port) is Port else as_port(port)
         cached = self.cache.get(port)
         if cached is not None:
             if port not in self._suspected:

@@ -18,8 +18,9 @@ second copy of the protocol:
 * **at-least-once** — a :class:`RetryPolicy` is a schedule of waits,
   each ending in a retransmission; ``retry=None`` is the empty schedule
   (zero retransmissions, one wait to the deadline);
-* **replica failover** — :func:`_failover` re-enters the public
-  :func:`trans` / :func:`trans_many` once per candidate machine;
+* **replica failover** — :func:`_failover` runs one engine per
+  candidate machine for :func:`trans`, and re-enters the public
+  :func:`trans_many` once per candidate for a batch;
 * **pipelined** — :func:`trans_many` issues every request before it
   collects the first reply.  Two stations can issue and collect a whole
   batch at once and get a lane for it (:func:`_issue_batch`, then
@@ -99,14 +100,25 @@ class RetryPolicy:
     def waits(self):
         """One transaction's backoff schedule: ``attempts`` waits, each
         the pause before the next retransmission.  Jitter is drawn from
-        the policy's seeded RNG per call — one draw per wait, in order —
-        so concurrent transactions sharing a policy get different (but
-        reproducible) schedules."""
-        jitter = self.jitter
-        if not jitter:
-            return list(self._ladder)
-        draw = self._rng.random
-        return [wait * (1.0 + draw() * jitter) for wait in self._ladder]
+        the policy's seeded RNG per call — the words one ``random()`` per
+        wait would take, in order — so concurrent transactions sharing a
+        policy get different (but reproducible) schedules."""
+        bits = self._draw()
+        return [self._wait(bits, j) for j in range(self.attempts)]
+
+    def _draw(self):
+        """The jitter of one schedule, undecoded: in one call, the
+        2·``attempts`` Mersenne words ``attempts`` ``random()`` calls
+        take (CPython packs word *i* at bit 32·*i*)."""
+        return self._rng.getrandbits(64 * self.attempts) if self.jitter else 0
+
+    def _wait(self, bits, j):
+        """Wait ``j``: words 2j and 2j+1 of ``bits`` decoded by
+        ``random()``'s own formula, so the float is bit-identical."""
+        word = bits >> 64 * j
+        draw = ((word >> 5 & 0x7FFFFFF) * 67108864.0
+                + (word >> 38 & 0x3FFFFFF)) / 9007199254740992.0
+        return self._ladder[j] * (1.0 + draw * self.jitter)
 
     def __repr__(self):
         return "RetryPolicy(attempts=%d, rto=%g, cap=%g, multiplier=%g)" % (
@@ -203,7 +215,8 @@ class AsyncTrans:
         "expect_signature",
         "_reply",
         "_cancelled",
-        "_waits",
+        "_retry",
+        "_jitter",
         "_request",
         "_dest",
         "_dst_machine",
@@ -263,7 +276,9 @@ class AsyncTrans:
         except BaseException:
             node.unlisten_wire(self.wire_reply)
             raise
-        self._waits = retry.waits() if retry is not None else ()
+        # Jitter is drawn at issue and decoded only by a wait that happens.
+        self._retry = retry
+        self._jitter = retry._draw() if retry is not None else 0
 
     def _transmit(self):
         """Put one copy of the request on the wire — the first, and
@@ -323,9 +338,11 @@ class AsyncTrans:
         clock = node.clock
         read_clock = time.monotonic if clock is None else lambda: clock.now
         transmissions = 1
+        retry = self._retry
         try:
             deadline = read_clock() + timeout
-            for wait in self._waits:
+            for j in range(retry.attempts if retry is not None else 0):
+                wait = retry._wait(self._jitter, j)
                 reply = _await_reply(node, wire_reply, expect,
                                      min(read_clock() + wait, deadline),
                                      read_clock, self)
@@ -359,7 +376,7 @@ class AsyncTrans:
         cancellation is dropped at the (now silent) wire port instead of
         leaking a listener-index entry.
         """
-        self._waits = ()
+        self._retry = None
         if self._cancelled or self._reply is not None:
             return
         self._cancelled = True
@@ -433,7 +450,7 @@ def trans(
     """
     if dst_machine is not None and getattr(dst_machine, "is_replica_set", False):
         return _failover(
-            trans, _affinity_key(request), node, dest_port, request, rng,
+            None, _affinity_key(request), node, dest_port, request, rng,
             timeout, expect_signature, dst_machine, signature, retry, locator,
         )
     return AsyncTrans(
@@ -445,8 +462,9 @@ def trans(
 def _failover(attempt, key, node, dest_port, payload, rng, timeout,
               expect_signature, replicas, signature, retry, locator):
     """The replica-failover policy of :func:`trans` and
-    :func:`trans_many` (``attempt`` is whichever of the two is failing
-    over; ``payload`` its request or request list).
+    :func:`trans_many` (``attempt`` is None for :func:`trans`, whose
+    engines are built here, or :func:`trans_many`; ``payload`` its
+    request or request list).
 
     One logical port, N machines: candidates come ordered from the
     set's spread policy (per-object rendezvous affinity when ``key`` is
@@ -461,7 +479,7 @@ def _failover(attempt, key, node, dest_port, payload, rng, timeout,
     up on must land on a dead port, not be mistaken for the current
     attempt's answer).
     """
-    dest = as_port(dest_port)
+    dest = dest_port if type(dest_port) is Port else as_port(dest_port)
     candidates = replicas.select(key)
     if not candidates:
         raise PortNotLocated(
@@ -471,6 +489,11 @@ def _failover(attempt, key, node, dest_port, payload, rng, timeout,
     last_error = None
     for machine in candidates:
         try:
+            if attempt is None:
+                return AsyncTrans(
+                    node, dest, payload, rng, expect_signature, machine,
+                    signature, None, retry,
+                ).result(slice_timeout)
             return attempt(
                 node, dest, payload, rng=rng, timeout=slice_timeout,
                 expect_signature=expect_signature, dst_machine=machine,

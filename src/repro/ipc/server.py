@@ -85,18 +85,12 @@ class DeferredReply:
         frame = ctx.frame
         server = ctx.server
         server.node.put_owned(
-            server._seal_reply(frame, reply, self.wrote), frame.src
+            server._seal_reply(frame, reply, self.wrote, ctx.slot), frame.src
         )
 
     def error(self, exc):
         """Send an error reply carrying the exception's wire code."""
         self.send(self.ctx.error(exc))
-
-
-#: In-progress marker inside a ReplyCache: the first copy of the request
-#: is still executing, so a duplicate must be *dropped* (the client's
-#: retransmission loop will ask again), never run a second time.
-_IN_PROGRESS = object()
 
 
 class ReplyCache:
@@ -125,11 +119,13 @@ class ReplyCache:
     an evicted entry simply means a sufficiently *stale* duplicate
     re-executes, which is the classic trade-off of bounded dedup.
 
-    States per entry: executing (:data:`_IN_PROGRESS` — duplicates are
-    dropped while the first copy runs, including a deferred reply's open
-    window) and completed (the cached reply is replayed verbatim;
-    error replies replay too — at-least-once applies to outcomes, not
-    just successes).
+    Each entry is a one-element slot.  Its states: executing (``[None]``
+    — duplicates are dropped while the first copy runs, including a
+    deferred reply's open window) and completed (the cached reply is
+    replayed verbatim; error replies replay too — at-least-once applies
+    to outcomes, not just successes).  :meth:`begin` hands the server a
+    first sighting's slot, and the reply tail fills it in place: no
+    second lock, no second lookup; a slot evicted first is unreachable.
     """
 
     def __init__(self, per_client=128, clients=64):
@@ -137,8 +133,7 @@ class ReplyCache:
             raise ValueError("cache bounds must be at least 1")
         self.per_client = per_client
         self.clients = clients
-        # src -> OrderedDict[reply port -> Message | _IN_PROGRESS],
-        # both levels in LRU order.
+        # src -> OrderedDict[reply port -> [Message | None]], both in LRU.
         self._clients = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -149,7 +144,7 @@ class ReplyCache:
     def _client(self, src):
         """Find or admit this client's LRU and make it the most recent;
         admission evicts the oldest client at the bound.  Caller holds
-        ``_lock``."""
+        ``_lock``.  (:meth:`begin` runs it inline.)"""
         client = self._clients.get(src)
         if client is None:
             if len(self._clients) >= self.clients:
@@ -161,25 +156,34 @@ class ReplyCache:
         return client
 
     def begin(self, src, reply_port):
-        """Admit one request copy; returns ``(verdict, cached_reply)``.
+        """Admit one request copy; returns ``(verdict, value)``.
 
-        ``"miss"`` — first sighting; the entry is marked in-progress and
-        the caller must execute the request (and later :meth:`store` or
-        :meth:`forget`).  ``"hit"`` — a completed duplicate; replay the
-        returned reply.  ``"busy"`` — a duplicate of a still-executing
-        request; drop it.
+        ``"miss"`` — first sighting; the caller must execute the request
+        and fill the returned slot (``slot[0] = reply``) or
+        :meth:`forget` it.  ``"hit"`` — a completed duplicate; replay
+        the returned reply.  ``"busy"`` — a duplicate of a
+        still-executing request; drop it.
         """
         with self._lock:
-            client = self._client(src)
-            cached = client.get(reply_port)
-            if cached is None:
+            clients = self._clients
+            client = clients.get(src)
+            if client is None:
+                if len(clients) >= self.clients:
+                    clients.popitem(last=False)
+                    self.evictions += 1
+                clients[src] = client = OrderedDict()
+            else:
+                clients.move_to_end(src)
+            slot = client.get(reply_port)
+            if slot is None:
                 if len(client) >= self.per_client:
                     client.popitem(last=False)
                     self.evictions += 1
-                client[reply_port] = _IN_PROGRESS
+                client[reply_port] = slot = [None]
                 self.misses += 1
-                return ("miss", None)
-            if cached is _IN_PROGRESS:
+                return ("miss", slot)
+            cached = slot[0]
+            if cached is None:
                 self.busy_drops += 1
                 return ("busy", None)
             client.move_to_end(reply_port)
@@ -195,8 +199,9 @@ class ReplyCache:
         """
         with self._lock:
             client = self._clients.get(src)
-            if client is not None and reply_port in client:
-                client[reply_port] = reply
+            slot = client.get(reply_port) if client is not None else None
+            if slot is not None:
+                slot[0] = reply
 
     def seed(self, src, reply_port, reply):
         """Install a *completed* entry directly — no begin() preceded it.
@@ -208,11 +213,15 @@ class ReplyCache:
         """
         with self._lock:
             client = self._client(src)
-            if reply_port not in client and len(client) >= self.per_client:
-                client.popitem(last=False)
-                self.evictions += 1
-            client[reply_port] = reply
-            client.move_to_end(reply_port)
+            slot = client.get(reply_port)
+            if slot is None:
+                if len(client) >= self.per_client:
+                    client.popitem(last=False)
+                    self.evictions += 1
+                client[reply_port] = [reply]
+            else:
+                slot[0] = reply
+                client.move_to_end(reply_port)
 
     def forget(self, src, reply_port):
         """Withdraw an entry (e.g. an in-progress marker whose deferred
@@ -243,12 +252,14 @@ class ReplyCache:
 class RequestContext:
     """Everything a handler needs about one incoming request."""
 
-    __slots__ = ("server", "frame", "request", "deferred")
+    __slots__ = ("server", "frame", "request", "deferred", "slot")
 
-    def __init__(self, server, frame, request=None):
+    def __init__(self, server, frame, request=None, slot=None):
         self.server = server
         self.frame = frame
         self.deferred = None
+        # A deduplicated request's ReplyCache slot, for its reply to fill.
+        self.slot = slot
         # The request may differ from frame.message when §2.4 sealing is
         # in use (capabilities have been decrypted back to plaintext).
         self.request = request if request is not None else frame.message
@@ -514,42 +525,6 @@ class ObjectServer:
                 self.reply_cache.seed(src, reply_port, reply)
         return report
 
-    def _complete(self, src, request, reply, wrote):
-        """The reply tail's durable half, run by :meth:`_seal_reply`
-        before any reply leaves — a deferred one included — whenever the
-        server has a reply cache or a store.
-
-        Order is the crash argument: commit record, then the
-        transaction's block write (``log_commit`` writes the group;
-        ``flush`` covers a request that logs no commit), then the reply
-        cache and — back in the caller — egress.  So a reply a client
-        has seen, or a retry can be replayed, is always on the medium
-        together with the mutation it answers; a power failure inside
-        the write raises out of here with nothing cached and nothing
-        sent.
-
-        Only requests that wrote durable state pay a commit record: an
-        idempotent read or echo re-executes harmlessly after a reboot,
-        so its reply needs no disk-backed dedup — the in-memory reply
-        cache still suppresses duplicates within the incarnation.
-        ``wrote`` is that fact, as ``DurableStore.end()`` returned it
-        when the handler left its dispatch — just now, or earlier for a
-        deferred reply.
-        """
-        reply_port = request.reply
-        # A null reply port (int 0, so falsy) marks a one-way send.
-        cached = self.reply_cache is not None and reply_port
-        store = self.store
-        if store is not None:
-            if cached and wrote:
-                # Keyed exactly like the reply cache: (src, reply port).
-                self.table.log_commit(src, reply_port, reply.pack())
-            else:
-                store.flush()
-        if cached:
-            # A pristine copy: egress transforms the outgoing one in place.
-            self.reply_cache.store(src, reply_port, reply._evolve())
-
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
@@ -566,19 +541,19 @@ class ObjectServer:
         """
         request = frame.message
         cache = self.reply_cache
-        verdict = None
+        verdict = slot = None
         # A request with no reply port (the null port is int 0, so
         # falsy) is a one-way send, not a transaction, and is never
         # deduplicated.
         if cache is not None and request.reply:
-            verdict, reply = cache.begin(frame.src, request.reply)
+            verdict, slot = cache.begin(frame.src, request.reply)
             if verdict == "busy":
                 return  # the first copy is still executing: drop
         if verdict == "hit":
             # Answer the retry from the cache — the handler does not run
             # again.  Egress transforms its message in place; the copy
             # leaves the cached reply pristine for further retries.
-            reply = reply._evolve()
+            reply = slot._evolve()  # a hit's value is the cached reply
         else:
             if self.count_requests:
                 self.request_counts[request.command] += 1
@@ -587,14 +562,14 @@ class ObjectServer:
             if store is not None:
                 # Durable: this thread's log appends wait in the tail
                 # block from here on, to reach the medium in one write
-                # on the reply path (see _complete).
+                # on the reply path (see _seal_reply).
                 store.begin()
             try:
                 if self.authorized_signatures is not None:
                     self._authenticate_sender(request)
                 if request.sealed_caps or self.require_sealed:
                     request = self._unseal_request(frame, request)
-                ctx = RequestContext(self, frame, request)
+                ctx = RequestContext(self, frame, request, slot)
                 handler = self._commands.get(request.command)
                 if handler is None:
                     raise BadRequest("%s does not implement opcode %d"
@@ -624,18 +599,38 @@ class ObjectServer:
                 return
             if (reply.signature is not self._signature_port
                     or not self._plain_replies):
-                reply = self._seal_reply(frame, reply, wrote)
+                reply = self._seal_reply(frame, reply, wrote, slot)
         if outbox is None:
             self.node.put_owned(reply, frame.src)
         else:
             outbox.append((reply, frame.src))
 
-    def _seal_reply(self, frame, reply, wrote):
+    def _seal_reply(self, frame, reply, wrote, slot):
         """Seal, sign and complete one reply; returns it ready for owned
-        egress.  ``wrote`` as for :meth:`_complete`.  A reply already
-        signed (as ``ctx.ok``/``ctx.error`` sign) by a server with
-        ``_plain_replies`` — no sealer, reply cache or store — leaves
-        here unchanged, so :meth:`_serve_frame` skips the call."""
+        egress.  A reply already signed (as ``ctx.ok``/``ctx.error``
+        sign) by a server with ``_plain_replies`` — no sealer, reply
+        cache or store — leaves here unchanged, so :meth:`_serve_frame`
+        skips the call.
+
+        Completing is the reply tail's durable half, run before any
+        reply leaves — a deferred one included.  Order is the crash
+        argument: commit record, then the transaction's block write
+        (``log_commit`` writes the group; ``flush`` covers a request
+        that logs no commit), then the reply cache and — back in the
+        caller — egress.  So a reply a client has seen, or a retry can
+        be replayed, is always on the medium together with the mutation
+        it answers; a power failure inside the write raises out of here
+        with nothing cached and nothing sent.
+
+        Only requests that wrote durable state pay a commit record: an
+        idempotent read or echo re-executes harmlessly after a reboot,
+        so its reply needs no disk-backed dedup — the in-memory reply
+        cache still suppresses duplicates within the incarnation.
+        ``wrote`` is that fact, as ``DurableStore.end()`` returned it
+        when the handler left its dispatch — just now, or earlier for a
+        deferred reply.  ``slot`` is the request's reply-cache slot, if
+        it is deduplicated.
+        """
         if self.sealer is not None and (reply.capability or reply.extra_caps):
             reply = self.sealer.seal_message(reply, frame.src)
         # Replies are signed: the F-box will transform this secret S into
@@ -644,14 +639,17 @@ class ObjectServer:
         # the private copy here, which is then ours to transform in place.
         if reply.signature is not self._signature_port:
             reply = reply._evolve(signature=self._signature_port)
-        if self.reply_cache is not None or self.store is not None:
-            # The fully formed (sealed, signed) reply is committed and
-            # cached before egress transforms the outgoing copy in place.
-            # Durable commit *before* the reply leaves: a retry arriving
-            # after a crash-and-reboot must find the record, or it would
-            # re-execute a non-idempotent operation whose first reply
-            # was already delivered.
-            self._complete(frame.src, frame.message, reply, wrote)
+        store = self.store
+        if store is not None:
+            if slot is not None and wrote:
+                # Keyed exactly like the reply cache: (src, reply port).
+                self.table.log_commit(frame.src, frame.message.reply,
+                                      reply.pack())
+            else:
+                store.flush()
+        if slot is not None:
+            # A pristine copy: egress transforms the outgoing one in place.
+            slot[0] = reply._evolve()
         return reply
 
     def _handle_frames(self, frames):

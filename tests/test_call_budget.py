@@ -15,7 +15,12 @@ the same on every supported interpreter.  The scripts:
   workload's world).  A multiple of ``REPLY_BLOCK``, so the reply-pool
   refills are counted whole;
 * ``durable_enter``: one ENTER on a durable directory server (the
-  ``durable_mutate`` workload's world), after a fixed warm-up.
+  ``durable_mutate`` workload's world), after a fixed warm-up;
+* ``retry_failover``: :data:`ECHOES` echoes the ``lossy_failover``
+  workload's way — ``trans`` through a located replica set, with a
+  jittered :class:`RetryPolicy`, against replicas with duplicate
+  suppression on — on a fault-free wire, so no wait, retransmission
+  or failover runs and the count is the at-least-once lane's toll.
 
 A change that lowers a count lowers its number in :data:`BUDGET`; one
 that must raise it raises the number in the same diff and says why.  A
@@ -31,7 +36,9 @@ import sys
 import repro
 from repro.crypto.randomsrc import RandomSource
 from repro.disk.virtualdisk import VirtualDisk
-from repro.ipc.rpc import trans
+from repro.ipc.locate import Locator
+from repro.ipc.replica import ReplicaObjectServer, ReplicatedObjectServer
+from repro.ipc.rpc import RetryPolicy, trans
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
 from repro.net.message import Message
@@ -45,8 +52,10 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(repro.__file__)), "")
 ECHOES = 400
 
 #: Exact calls into ``repro`` per script: all :data:`ECHOES` echoes
-#: (24.25 each), and the one durable ENTER.
-BUDGET = {"echo": 9700, "durable_enter": 60}
+#: (24.25 each), the one durable ENTER, and all :data:`ECHOES` retried
+#: replica echoes (31.25 each; 36.25 before the at-least-once tolls were
+#: combined).
+BUDGET = {"echo": 9700, "durable_enter": 55, "retry_failover": 12500}
 
 #: Code objects that are frames on 3.11 and inlined from 3.12 on.
 COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
@@ -104,6 +113,40 @@ def count_echo():
     return count_calls(echoes)
 
 
+class EchoReplica(ReplicaObjectServer):
+    service_name = "budget echo replica"
+
+    @command(USER_BASE)
+    def _echo(self, ctx):
+        return ctx.ok(data=ctx.request.data)
+
+
+def count_retry_failover():
+    net = SimNetwork()
+    service = ReplicatedObjectServer(
+        net, replicas=3, rng=RandomSource(seed=1), server_cls=EchoReplica,
+        server_kwargs={"dedup": True},
+    ).start()
+    for server in service.servers:
+        server.count_requests = False
+    client = Nic(net)
+    rng = RandomSource(seed=2)
+    locator = Locator(client, rng=RandomSource(seed=3))
+    policy = RetryPolicy(attempts=12, seed=1)
+    port, expect = service.put_port, service.signature.public
+    replicas = locator.locate(port)
+    request = Message(command=USER_BASE, data=b"payload")
+
+    def echoes():
+        for _ in range(ECHOES):
+            reply = trans(client, port, request, rng, expect_signature=expect,
+                          dst_machine=replicas, retry=policy, locator=locator)
+            assert reply.data == b"payload"
+
+    echoes()
+    return count_calls(echoes)
+
+
 def count_durable_enter():
     net = SimNetwork()
     server = DirectoryServer.durable(
@@ -122,7 +165,8 @@ def count_durable_enter():
     return counts
 
 
-SCRIPTS = {"echo": count_echo, "durable_enter": count_durable_enter}
+SCRIPTS = {"echo": count_echo, "durable_enter": count_durable_enter,
+           "retry_failover": count_retry_failover}
 
 
 def table(counts, per=1):
@@ -150,6 +194,10 @@ def test_durable_enter_budget():
     check("durable_enter")
 
 
+def test_retry_failover_budget():
+    check("retry_failover")
+
+
 def test_a_durable_enter_writes_its_group_once():
     """The commit record carries the ENTER's mutation to the medium in
     one tail write; no second flush follows it."""
@@ -160,7 +208,7 @@ def test_a_durable_enter_writes_its_group_once():
 
 if __name__ == "__main__":
     for name, script in SCRIPTS.items():
-        per = ECHOES if name == "echo" else 1
+        per = 1 if name == "durable_enter" else ECHOES
         print("%s — calls into repro per %s (budget %d in all)" % (
             name, "echo" if per > 1 else "ENTER", BUDGET[name]))
         print(table(script(), per))

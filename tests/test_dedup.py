@@ -17,8 +17,9 @@ import pytest
 
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import InsufficientFunds
-from repro.ipc.rpc import RetryPolicy
-from repro.ipc.server import ReplyCache
+from repro.ipc.rpc import AsyncTrans, RetryPolicy
+from repro.ipc.server import ObjectServer, ReplyCache, command
+from repro.ipc.stdops import USER_BASE
 from repro.net.faults import FaultPlan
 from repro.net.intruder import Intruder
 from repro.net.message import Message
@@ -37,7 +38,7 @@ class TestReplyCacheUnit:
     def test_miss_busy_store_hit(self):
         cache = ReplyCache()
         reply = Message(data=b"done", is_reply=True)
-        assert cache.begin(1, 0xAB) == ("miss", None)
+        assert cache.begin(1, 0xAB) == ("miss", [None])
         # While executing, duplicates are dropped, not replayed.
         assert cache.begin(1, 0xAB) == ("busy", None)
         cache.store(1, 0xAB, reply)
@@ -49,7 +50,7 @@ class TestReplyCacheUnit:
         cache = ReplyCache()
         cache.begin(1, 0xAB)
         cache.forget(1, 0xAB)
-        assert cache.begin(1, 0xAB) == ("miss", None)
+        assert cache.begin(1, 0xAB) == ("miss", [None])
 
     def test_per_client_lru_eviction(self):
         cache = ReplyCache(per_client=2)
@@ -62,7 +63,7 @@ class TestReplyCacheUnit:
         assert cache.evictions == 1
         verdict, _ = cache.begin(9, 1)  # the touched entry survived
         assert verdict == "hit"
-        assert cache.begin(9, 2) == ("miss", None)  # re-executes: stale dup
+        assert cache.begin(9, 2) == ("miss", [None])  # re-executes: stale dup
 
     def test_client_dimension_lru_eviction(self):
         cache = ReplyCache(clients=2)
@@ -72,7 +73,7 @@ class TestReplyCacheUnit:
             cache.store(src, 0xAB, reply)
         cache.begin(3, 0xAB)  # third client evicts the LRU one (src=1)
         assert cache.evictions == 1
-        assert cache.begin(1, 0xAB) == ("miss", None)
+        assert cache.begin(1, 0xAB) == ("miss", [None])
 
     def test_store_after_eviction_is_a_noop(self):
         cache = ReplyCache(per_client=1)
@@ -81,10 +82,109 @@ class TestReplyCacheUnit:
         cache.store(9, 1, Message(is_reply=True))
         assert cache.begin(9, 1)[0] == "miss"
 
+    def test_an_in_progress_slot_drops_a_duplicate(self):
+        cache = ReplyCache()
+        verdict, slot = cache.begin(1, 0xAB)
+        assert verdict == "miss" and slot == [None]
+        assert cache.begin(1, 0xAB) == ("busy", None)
+        assert cache.busy_drops == 1
+
+    def test_a_filled_slot_answers_a_duplicate(self):
+        cache = ReplyCache()
+        reply = Message(data=b"done", is_reply=True)
+        _, slot = cache.begin(1, 0xAB)
+        slot[0] = reply  # the server's reply tail: no second lookup
+        verdict, cached = cache.begin(1, 0xAB)
+        assert verdict == "hit" and cached is reply
+        assert cache.stats()["entries"] == 1
+
+    def test_a_slot_evicted_then_filled_stays_a_miss(self):
+        cache = ReplyCache(per_client=1)
+        _, slot = cache.begin(9, 1)
+        cache.begin(9, 2)  # evicts the in-progress slot for 1
+        slot[0] = Message(is_reply=True)
+        assert cache.begin(9, 1) == ("miss", [None])
+        assert cache.hits == 0
+
+    def test_a_forgotten_slot_filled_late_does_not_answer_its_successor(self):
+        cache = ReplyCache()
+        _, stale = cache.begin(1, 0xAB)
+        cache.forget(1, 0xAB)
+        _, fresh = cache.begin(1, 0xAB)
+        stale[0] = Message(data=b"stale", is_reply=True)
+        assert fresh == [None]
+        assert cache.begin(1, 0xAB) == ("busy", None)
+
+    def test_seed_fills_an_open_slot_and_counts_nothing(self):
+        cache = ReplyCache()
+        _, slot = cache.begin(1, 0xAB)
+        reply = Message(data=b"durable", is_reply=True)
+        cache.seed(1, 0xAB, reply)
+        assert slot == [reply]
+        cache.seed(2, 0xCD, reply)
+        assert cache.begin(2, 0xCD) == ("hit", reply)
+        assert (cache.misses, cache.hits) == (1, 1)
+
     def test_stats_keys(self):
         stats = ReplyCache().stats()
         assert set(stats) == {"hits", "misses", "busy_drops", "evictions",
                               "clients", "entries"}
+
+
+class Parking(ObjectServer):
+    """Defers every request; data ``b"now"`` answers inside the handler."""
+
+    service_name = "parking"
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, dedup=True, **kwargs)
+        self.parked = []
+
+    @command(USER_BASE)
+    def _park(self, ctx):
+        handle = ctx.defer()
+        if ctx.request.data == b"now":
+            handle.send(ctx.ok(data=b"now"))
+        else:
+            self.parked.append(handle)
+
+
+class TestDeferredReplyFillsItsSlot:
+    def _world(self):
+        net = SimNetwork(synchronous=False, auto_drain=False)
+        server = Parking(Nic(net), rng=RandomSource(seed=1)).start()
+        return net, server, Nic(net)
+
+    def _issue(self, net, server, client, data, seed):
+        call = AsyncTrans(client, server.put_port,
+                          Message(command=USER_BASE, data=data),
+                          rng=RandomSource(seed=seed))
+        net.run()
+        return call
+
+    def test_out_of_order_sends_fill_their_own_slots(self):
+        net, server, client = self._world()
+        first = self._issue(net, server, client, b"first", 2)
+        second = self._issue(net, server, client, b"second", 3)
+        cache = server.reply_cache
+        src = client.address
+        assert cache.begin(src, first.wire_reply) == ("busy", None)
+        second_handle, first_handle = server.parked[1], server.parked[0]
+        second_handle.send(second_handle.ctx.ok(data=b"2"))
+        first_handle.send(first_handle.ctx.ok(data=b"1"))
+        net.run()
+        assert first.poll().data == b"1" and second.poll().data == b"2"
+        for call, data in ((first, b"1"), (second, b"2")):
+            verdict, cached = cache.begin(src, call.wire_reply)
+            assert verdict == "hit" and cached.data == data
+
+    def test_a_send_inside_the_handler_fills_its_slot(self):
+        net, server, client = self._world()
+        call = self._issue(net, server, client, b"now", 2)
+        assert call.poll().data == b"now"
+        verdict, cached = server.reply_cache.begin(
+            client.address, call.wire_reply)
+        assert verdict == "hit" and cached.data == b"now"
 
 
 def bank_world(plan=None, dedup=True):

@@ -105,11 +105,13 @@ class TestPoolPartitionAndHeal:
             plan.sever(src=cut)
             assert not pool.probe(1, timeout=0.5)
             assert pool.registry.suspected(pool.put_port) == (cut,)
-            # Suspected, steered around — but NOT evicted.
+            # Suspected, steered around — but NOT evicted.  (The
+            # registry lists members in the order their JOINs arrived,
+            # a race between the children, so compare as sets.)
             assert len(pool.registry.members(pool.put_port)) == 3
-            assert tuple(pool.replica_set()) == (
+            assert set(pool.replica_set()) == {
                 pool.addresses[0], pool.addresses[2],
-            )
+            }
             # Clients locating through the arbiter see the trimmed set.
             located = locator.locate(pool.put_port)
             assert cut not in located and len(located) == 2

@@ -110,6 +110,52 @@ class TestRetryPolicy:
                 config.get("seed", 0)).getstate()
 
 
+def reference_state(seed, draws):
+    """The RNG state after ``draws`` calls of ``random()`` — what a
+    per-wait draw of every jittered schedule would leave."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        rng.random()
+    return rng.getstate()
+
+
+class TestJitterDrawnOncePerTransaction:
+    """A transaction draws its whole schedule's jitter at issue, in one
+    call, whether or not it ever waits; the stream is the per-wait
+    loop's, word for word."""
+
+    def test_two_hundred_transactions_leave_the_reference_state(self):
+        _, server, client = lossy_world(None)
+        policy = RetryPolicy(attempts=12, jitter=0.25, seed=5)
+        for i in range(200):
+            trans(client, server.put_port, Message(command=USER_BASE),
+                  rng=RandomSource(seed=i), retry=policy)
+        assert policy._rng.getstate() == reference_state(5, 200 * 12)
+
+    def test_a_waiting_transaction_draws_what_an_answered_one_does(self):
+        lossy = FaultPlan(seed=1, drop=1.0)
+        states = []
+        for plan in (None, lossy):
+            _, server, client = lossy_world(plan)
+            policy = RetryPolicy(attempts=3, rto=0.001, cap=0.001, seed=7)
+            try:
+                trans(client, server.put_port, Message(command=USER_BASE),
+                      rng=RandomSource(seed=2), timeout=0.05, retry=policy)
+            except RPCTimeout:
+                assert plan is lossy
+            states.append(policy._rng.getstate())
+        assert lossy.injected_drops == 4  # every wait ran: 1 + 3 copies
+        assert states[0] == states[1] == reference_state(7, 3)
+
+    def test_no_attempts_draw_nothing(self):
+        _, server, client = lossy_world(None)
+        policy = RetryPolicy(attempts=0, jitter=0.5, seed=9)
+        trans(client, server.put_port, Message(command=USER_BASE),
+              rng=RandomSource(seed=2), retry=policy)
+        assert policy.waits() == []
+        assert policy._rng.getstate() == reference_state(9, 0)
+
+
 class TestTransRetry:
     def test_survives_heavy_request_loss(self):
         plan = FaultPlan(seed=7, drop=0.3)

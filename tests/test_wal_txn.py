@@ -115,15 +115,31 @@ class RecordingDisk(VirtualDisk):
 def record_reply_path(server, events):
     """Log ("cache", ...) and ("egress", ...) into ``events`` when the
     server completes and sends a reply."""
-    cache_store = server.reply_cache.store if server.reply_cache else None
+    cache = server.reply_cache
     node = server.node
 
-    if cache_store is not None:
-        def store(src, reply_value, reply):
-            events.append(("cache", reply_value))
-            cache_store(src, reply_value, reply)
+    if cache is not None:
+        cache_begin = cache.begin
 
-        server.reply_cache.store = store
+        class Slot(list):
+            """The miss's slot, recording its fill (the reply tail's
+            ``slot[0] = reply``) and writing it through to the cache."""
+
+            def __init__(self, slot, reply_value):
+                super().__init__(slot)
+                self.slot, self.reply_value = slot, reply_value
+
+            def __setitem__(self, index, reply):
+                events.append(("cache", self.reply_value))
+                self.slot[index] = reply
+
+        def begin(src, reply_value):
+            verdict, value = cache_begin(src, reply_value)
+            if verdict == "miss":
+                value = Slot(value, reply_value)
+            return verdict, value
+
+        cache.begin = begin
 
     for lane in ("put_owned", "put_owned_unicast_bulk"):
         original = getattr(node, lane)
