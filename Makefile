@@ -21,8 +21,8 @@ test-fast:
 ## the same diff and says why in CHANGES.md.  benchmarks/*.py (the
 ## harness outside the suite: 3879 lines before PR 20) is held to
 ## BENCH_LOC_MAX the same way.
-WIRE_LOC_MAX := 6252
-SRC_LOC_MAX := 13846
+WIRE_LOC_MAX := 6267
+SRC_LOC_MAX := 13901
 BENCH_LOC_MAX := 2250
 loc:
 	@for package in src/repro/*/; do \
@@ -45,7 +45,7 @@ loc:
 			echo "benchmarks/*.py grew past the $(BENCH_LOC_MAX) lines the last PR left"; exit 1; }
 
 ## Python calls into src/repro per synchronous echo, per durable ENTER and
-## per retried echo through a replica set, function by function — the table tests/test_call_budget.py asserts
+## LOOKUP and per retried echo through a replica set, function by function — the table tests/test_call_budget.py asserts
 ## the totals of (a ratchet like loc: lower its BUDGET when they fall).
 calls:
 	$(PYTHON) tests/test_call_budget.py

@@ -235,7 +235,7 @@ class ObjectTable:
                 )
             effective = entry.verified.get(memo_key)
             if effective is not None:
-                if not effective.has_all(required):
+                if effective & required != required:  # has_all, inline
                     raise PermissionDenied(
                         "capability grants %s but operation requires %s"
                         % (bin(int(effective)), bin(int(required)))
@@ -466,7 +466,10 @@ class ObjectTable:
         if self._wal is None:
             return
         with self._lock:
-            self._wal.log_update(number, self._entry(number).data, delta)
+            entry = self._entries.get(number)
+            if entry is None:
+                raise NoSuchObject("no object %d on this server" % number)
+            self._wal.log_update(number, entry.data, delta)
 
     def log_commit(self, src, reply_value, reply_raw):
         """Append a transaction-commit record to the log.

@@ -11,6 +11,10 @@ from repro.util.bits import mask
 #: Width of the rights field in bits (Fig. 2).
 RIGHTS_WIDTH = 8
 
+# The field's largest value, computed once: ``Rights`` is built on every
+# capability unpack, so a ``mask()`` call per construction is a frame.
+_RIGHTS_MAX = mask(RIGHTS_WIDTH)
+
 
 class Rights(int):
     """An immutable 8-bit rights mask.
@@ -22,9 +26,9 @@ class Rights(int):
 
     WIDTH = RIGHTS_WIDTH
 
-    def __new__(cls, bits=mask(RIGHTS_WIDTH)):
+    def __new__(cls, bits=_RIGHTS_MAX):
         bits = int(bits)
-        if bits < 0 or bits > mask(RIGHTS_WIDTH):
+        if bits < 0 or bits > _RIGHTS_MAX:
             raise ValueError(
                 "rights %#x outside the %d-bit field" % (bits, RIGHTS_WIDTH)
             )
@@ -51,7 +55,7 @@ class Rights(int):
 
     def without(self, drop_mask):
         """Return the rights with every bit of ``drop_mask`` removed."""
-        return Rights(self & ~int(drop_mask) & mask(RIGHTS_WIDTH))
+        return Rights(self & ~int(drop_mask) & _RIGHTS_MAX)
 
     def set_bits(self):
         """Indices of the rights that are present, ascending."""
@@ -70,7 +74,7 @@ class Rights(int):
 
 
 #: Every operation permitted — the state of a freshly minted owner capability.
-ALL_RIGHTS = Rights(mask(RIGHTS_WIDTH))
+ALL_RIGHTS = Rights(_RIGHTS_MAX)
 
 #: No operations permitted.
 NO_RIGHTS = Rights(0)

@@ -150,7 +150,10 @@ class VirtualDisk:
         old), silently lost (acked but the medium unchanged), or may
         raise :class:`~repro.errors.PowerFailure`.
         """
-        self._check_block_no(block_no)
+        if not 0 <= block_no < self.n_blocks:  # _check_block_no, inline
+            raise ValueError(
+                "block %d outside disk of %d blocks" % (block_no, self.n_blocks)
+            )
         if len(data) > self.block_size:
             raise ValueError(
                 "%d bytes exceed the %d-byte block" % (len(data), self.block_size)

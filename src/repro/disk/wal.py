@@ -81,6 +81,7 @@ NO_BLOCK = 0xFFFFFFFF
 # into the other chain's live blocks — and tail truncation would then
 # free blocks it does not own.
 _CHAIN_HEADER = struct.Struct(">IHH")
+_CHAIN_LINK = struct.Struct(">IH")  # the six bytes the header CRC covers
 _RECORD_HEAD = struct.Struct(">BII")  # magic, payload length, crc32
 _RECORD_MAGIC = 0xA5
 
@@ -107,7 +108,7 @@ _COMMIT_HEAD = struct.Struct(">BQHII")  # op, src, reply port, reply length
 
 
 def _pack_chain_header(buf, nxt, used):
-    hcrc = zlib.crc32(struct.pack(">IH", nxt, used)) & 0xFFFF
+    hcrc = zlib.crc32(_CHAIN_LINK.pack(nxt, used)) & 0xFFFF
     _CHAIN_HEADER.pack_into(buf, 0, nxt, used, hcrc)
 
 
@@ -176,22 +177,31 @@ class ChainLog:
         this returns unless ``flush`` is false."""
         if not payload:
             raise ValueError("cannot append an empty record")
-        record = (
-            _RECORD_HEAD.pack(_RECORD_MAGIC, len(payload), zlib.crc32(payload))
-            + payload
-        )
+        length = len(payload)
+        crc = zlib.crc32(payload)
+        size = _RECORD_HEAD.size + length
         with self.lock:
-            while True:
-                space = self.capacity - self.tail_used
-                start = _CHAIN_HEADER.size + self.tail_used
-                if len(record) <= space:
-                    self._tail_buf[start:start + len(record)] = record
-                    self.tail_used += len(record)
-                    break
-                # Fill the block (with nothing, if it is full) and spill.
-                self._tail_buf[start:start + space] = record[:space]
-                record = record[space:]
-                self._roll()
+            used = self.tail_used
+            if size <= self.capacity - used:
+                # The common case, framed where it lands: no record is
+                # built only to be copied into the block.
+                start = _CHAIN_HEADER.size + used
+                buf = self._tail_buf
+                _RECORD_HEAD.pack_into(buf, start, _RECORD_MAGIC, length, crc)
+                buf[start + _RECORD_HEAD.size:start + size] = payload
+                self.tail_used = used + size
+            else:
+                record = _RECORD_HEAD.pack(_RECORD_MAGIC, length, crc) + payload
+                while len(record) > self.capacity - self.tail_used:
+                    # Fill the block (with nothing, if it is full) and spill.
+                    space = self.capacity - self.tail_used
+                    start = _CHAIN_HEADER.size + self.tail_used
+                    self._tail_buf[start:start + space] = record[:space]
+                    record = record[space:]
+                    self._roll()
+                start = _CHAIN_HEADER.size  # a fresh block: _roll emptied it
+                self._tail_buf[start:start + len(record)] = record
+                self.tail_used = len(record)
             self.records_appended += 1
             self._unflushed = True
             if flush:
@@ -199,10 +209,14 @@ class ChainLog:
 
     def flush(self):
         """Write the tail block if it holds unflushed bytes (whoever
-        appended them)."""
-        with self.lock:
-            if self._unflushed:
-                self._flush_tail()
+        appended them).  The first test takes no lock, so a reply that
+        logged nothing (a LOOKUP's) pays none: a handler mutates
+        ``entry.data`` *before* it appends, so an unlocked False hides
+        nothing a locked read would have shown."""
+        if self._unflushed:
+            with self.lock:
+                if self._unflushed:
+                    self._flush_tail()
 
     def _roll(self):
         """The tail block is full: set it aside, forward pointer and
@@ -223,11 +237,18 @@ class ChainLog:
         writes leaves the previous clean chain plus unreachable blocks
         (the attach-time reclaimer frees them): the group lands whole or
         not at all."""
-        _pack_chain_header(self._tail_buf, NO_BLOCK, self.tail_used)
-        self.disk.write(self.tail, bytes(self._tail_buf))
-        for block_no, image in reversed(self._spilled):
-            self.disk.write(block_no, image)
-        del self._spilled[:]
+        buf = self._tail_buf
+        used = self.tail_used
+        _CHAIN_HEADER.pack_into(
+            buf, 0, NO_BLOCK, used,
+            zlib.crc32(_CHAIN_LINK.pack(NO_BLOCK, used)) & 0xFFFF,
+        )
+        self.disk.write(self.tail, bytes(buf))
+        spilled = self._spilled
+        if spilled:
+            for block_no, image in reversed(spilled):
+                self.disk.write(block_no, image)
+            del spilled[:]
         self._unflushed = False
 
     def tail_position(self):
@@ -604,9 +625,7 @@ class DurableStore:
         open_dispatches = self._thread.open
         if open_dispatches:
             open_dispatches[-1] = True
-            self._log.append(payload, flush=False)
-        else:
-            self._log.append(payload)
+        self._log.append(payload, not open_dispatches)
 
     def log_create(self, entry):
         self._append(self._entry_payload(entry))

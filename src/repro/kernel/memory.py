@@ -22,9 +22,9 @@ from repro.ipc.stdops import USER_BASE
 from repro.kernel.process import Process
 
 # Rights bits for memory-server capabilities.
-R_READ = 0x01
-R_WRITE = 0x02
-R_CTL = 0x04  # start/stop a process
+R_READ = Rights(0x01)
+R_WRITE = Rights(0x02)
+R_CTL = Rights(0x04)  # start/stop a process
 
 # Operation codes.
 MEM_CREATE_SEGMENT = USER_BASE + 0
@@ -106,7 +106,7 @@ class MemoryServer(ObjectServer):
 
     @command(MEM_READ_SEGMENT)
     def _read_segment(self, ctx):
-        entry, _ = ctx.lookup(Rights(R_READ))
+        entry, _ = ctx.lookup(R_READ)
         segment = self._as_segment(entry)
         if ctx.request.size > MAX_TRANSFER:
             raise BadRequest("transfer larger than %d bytes" % MAX_TRANSFER)
@@ -115,7 +115,7 @@ class MemoryServer(ObjectServer):
 
     @command(MEM_WRITE_SEGMENT)
     def _write_segment(self, ctx):
-        entry, _ = ctx.lookup(Rights(R_WRITE))
+        entry, _ = ctx.lookup(R_WRITE)
         segment = self._as_segment(entry)
         if len(ctx.request.data) > MAX_TRANSFER:
             raise BadRequest("transfer larger than %d bytes" % MAX_TRANSFER)
@@ -143,7 +143,7 @@ class MemoryServer(ObjectServer):
                 raise InvalidCapability(
                     "segment capability %d belongs to a different server" % i
                 )
-            entry, _ = self.table.lookup(cap, Rights(R_READ))
+            entry, _ = self.table.lookup(cap, R_READ)
             if not isinstance(entry.data, Segment):
                 raise BadRequest("capability %d is not a segment" % i)
             segments["seg%d" % i] = entry.number
@@ -153,21 +153,21 @@ class MemoryServer(ObjectServer):
 
     @command(MEM_START_PROCESS)
     def _start_process(self, ctx):
-        entry, _ = ctx.lookup(Rights(R_CTL))
+        entry, _ = ctx.lookup(R_CTL)
         process = self._as_process(entry)
         process.start(segment_reader=self._segment_reader)
         return ctx.ok(data=process.state.value.encode())
 
     @command(MEM_STOP_PROCESS)
     def _stop_process(self, ctx):
-        entry, _ = ctx.lookup(Rights(R_CTL))
+        entry, _ = ctx.lookup(R_CTL)
         process = self._as_process(entry)
         process.stop()
         return ctx.ok(data=process.state.value.encode())
 
     @command(MEM_PROCESS_INFO)
     def _process_info(self, ctx):
-        entry, _ = ctx.lookup(Rights(R_READ))
+        entry, _ = ctx.lookup(R_READ)
         process = self._as_process(entry)
         info = "%s state=%s segments=%d runs=%d" % (
             process.name,

@@ -27,8 +27,8 @@ Two construction disciplines share this one layout (see
 ``docs/PERFORMANCE.md``):
 
 * the **untrusted** path — ``Message(...)``, ``copy()`` — runs the full
-  ``__post_init__`` range checks, because the values may come from a
-  hostile or buggy caller;
+  ``__init__`` range checks, because the values may come from a hostile
+  or buggy caller;
 * the **trusted** path — ``unpack``, ``reply_to``, the F-box egress copy
   — skips them.  For ``unpack`` this is sound because the fixed header is
   decoded with width-limited struct codes (``H``/``Q``/``I``) and the
@@ -62,7 +62,7 @@ _FIXED = struct.Struct(">2sBB6s6s6sHHQIHI")
 HEADER_BYTES = _FIXED.size
 
 
-@dataclass
+@dataclass(init=False)
 class Message:
     """One request or reply message.
 
@@ -89,17 +89,32 @@ class Message:
     #: capabilities; ``capability`` and ``extra_caps`` must then be empty.
     sealed_caps: bytes = b""
 
-    def __post_init__(self):
-        if not 0 <= self.command < (1 << 16):
-            raise ValueError("command %d outside u16" % self.command)
-        if not 0 <= self.status < (1 << 16):
-            raise ValueError("status %d outside u16" % self.status)
-        if not 0 <= self.offset < (1 << 64):
-            raise ValueError("offset %d outside u64" % self.offset)
-        if not 0 <= self.size < (1 << 32):
-            raise ValueError("size %d outside u32" % self.size)
-        if isinstance(self.data, str):
-            self.data = self.data.encode("utf-8")
+    def __init__(self, dest=NULL_PORT, reply=NULL_PORT, signature=NULL_PORT,
+                 command=0, status=0, offset=0, size=0, capability=None,
+                 data=b"", is_reply=False, extra_caps=(), sealed_caps=b""):
+        # By hand, in field order: one frame where the generated __init__
+        # and __post_init__ were two.  Attribute stores keep the values
+        # inline (no dict until one is asked for): faster than a literal.
+        if not 0 <= command < (1 << 16):
+            raise ValueError("command %d outside u16" % command)
+        if not 0 <= status < (1 << 16):
+            raise ValueError("status %d outside u16" % status)
+        if not 0 <= offset < (1 << 64):
+            raise ValueError("offset %d outside u64" % offset)
+        if not 0 <= size < (1 << 32):
+            raise ValueError("size %d outside u32" % size)
+        self.dest = dest
+        self.reply = reply
+        self.signature = signature
+        self.command = command
+        self.status = status
+        self.offset = offset
+        self.size = size
+        self.capability = capability
+        self.data = data.encode("utf-8") if isinstance(data, str) else data
+        self.is_reply = is_reply
+        self.extra_caps = extra_caps
+        self.sealed_caps = sealed_caps
 
     def pack(self):
         """Serialise to wire bytes: one struct call for the fixed header

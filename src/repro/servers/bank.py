@@ -25,11 +25,11 @@ from repro.ipc.client import ServiceClient
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
 
-R_INSPECT = 0x01
-R_WITHDRAW = 0x02
-R_DEPOSIT = 0x04
+R_INSPECT = Rights(0x01)
+R_WITHDRAW = Rights(0x02)
+R_DEPOSIT = Rights(0x04)
 #: Creating money from nothing: held only by the bank's own root account.
-R_MINT = 0x40
+R_MINT = Rights(0x40)
 
 BANK_OPEN = USER_BASE + 0
 BANK_BALANCE = USER_BASE + 1
@@ -116,7 +116,7 @@ class BankServer(ObjectServer):
 
     @command(BANK_BALANCE)
     def _balance(self, ctx):
-        entry, _ = ctx.lookup(Rights(R_INSPECT))
+        entry, _ = ctx.lookup(R_INSPECT)
         account = self._as_account(entry)
         listing = ",".join(
             "%s:%d" % (currency, amount)
@@ -129,14 +129,14 @@ class BankServer(ObjectServer):
     def _transfer(self, ctx):
         """Move money: payer capability in the header (withdraw right),
         payee capability as the first extra capability (deposit right)."""
-        payer_entry, _ = ctx.lookup(Rights(R_WITHDRAW))
+        payer_entry, _ = ctx.lookup(R_WITHDRAW)
         payer = self._as_account(payer_entry)
         if not ctx.request.extra_caps:
             raise BadRequest("TRANSFER requires the payee capability")
         payee_cap = ctx.request.extra_caps[0]
         if payee_cap.port != self.put_port:
             raise InvalidCapability("payee account is not at this bank")
-        payee_entry, _ = self.table.lookup(payee_cap, Rights(R_DEPOSIT))
+        payee_entry, _ = self.table.lookup(payee_cap, R_DEPOSIT)
         payee = self._as_account(payee_entry)
         currency, amount = _parse_amount(ctx.request.data.decode("utf-8"))
         payer.withdraw(currency, amount)
@@ -146,7 +146,7 @@ class BankServer(ObjectServer):
     @command(BANK_CONVERT)
     def _convert(self, ctx):
         """Exchange within one account: data is ``from:to:amount``."""
-        entry, _ = ctx.lookup(Rights(R_WITHDRAW))
+        entry, _ = ctx.lookup(R_WITHDRAW)
         account = self._as_account(entry)
         parts = ctx.request.data.decode("utf-8").split(":")
         if len(parts) != 3:
@@ -178,7 +178,7 @@ class BankServer(ObjectServer):
     @command(BANK_MINT)
     def _mint(self, ctx):
         """Create money (R_MINT only — the central bank's privilege)."""
-        entry, _ = ctx.lookup(Rights(R_MINT))
+        entry, _ = ctx.lookup(R_MINT)
         account = self._as_account(entry)
         currency, amount = _parse_amount(ctx.request.data.decode("utf-8"))
         account.deposit(currency, amount)

@@ -18,8 +18,8 @@ from repro.ipc.client import ServiceClient
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
 
-R_READ = 0x01
-R_WRITE = 0x02
+R_READ = Rights(0x01)
+R_WRITE = Rights(0x02)
 
 BLK_ALLOC = USER_BASE + 0
 BLK_READ = USER_BASE + 1
@@ -51,12 +51,12 @@ class BlockServer(ObjectServer):
 
     @command(BLK_READ)
     def _read(self, ctx):
-        entry, _ = ctx.lookup(Rights(R_READ))
+        entry, _ = ctx.lookup(R_READ)
         return ctx.ok(data=self.disk.read(entry.data))
 
     @command(BLK_WRITE)
     def _write(self, ctx):
-        entry, _ = ctx.lookup(Rights(R_WRITE))
+        entry, _ = ctx.lookup(R_WRITE)
         self.disk.write(entry.data, ctx.request.data)
         return ctx.ok()
 

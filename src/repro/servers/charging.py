@@ -15,7 +15,6 @@ file refunds the paid storage.  Running out of dollars *is* the quota.
 
 import math
 
-from repro.core.rights import Rights
 from repro.errors import BadRequest, PermissionDenied
 from repro.ipc.server import command
 from repro.servers.flatfile import (
@@ -111,7 +110,7 @@ class ChargingFlatFileServer(FlatFileServer):
 
     @command(FILE_WRITE)
     def _write(self, ctx):
-        entry, _ = ctx.lookup(Rights(R_WRITE))
+        entry, _ = ctx.lookup(R_WRITE)
         if len(ctx.request.data) > MAX_TRANSFER:
             raise BadRequest("transfer larger than %d bytes" % MAX_TRANSFER)
         f = entry.data

@@ -14,13 +14,13 @@ import struct
 
 from repro.core.capability import Capability
 from repro.core.rights import Rights
-from repro.errors import BadRequest, NameExists, NameNotFound
+from repro.errors import BadRequest, NameExists, NameNotFound, OutOfSpace
 from repro.ipc.client import ServiceClient
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
 
-R_LOOKUP = 0x01
-R_MODIFY = 0x02
+R_LOOKUP = Rights(0x01)
+R_MODIFY = Rights(0x02)
 
 DIR_CREATE = USER_BASE + 0
 DIR_LOOKUP = USER_BASE + 1
@@ -166,7 +166,7 @@ class DirectoryServer(ObjectServer):
     @command(DIR_LOOKUP)
     def _lookup(self, ctx):
         """Look up one name; the stored capability comes back verbatim."""
-        entry, _ = ctx.lookup(Rights(R_LOOKUP))
+        entry, _ = ctx.lookup(R_LOOKUP)
         directory = self._as_directory(entry)
         name = ctx.request.data.decode("utf-8", "replace")
         try:
@@ -181,7 +181,7 @@ class DirectoryServer(ObjectServer):
 
         ``size`` non-zero allows replacing an existing entry.
         """
-        entry, _ = ctx.lookup(Rights(R_MODIFY))
+        entry, _ = ctx.lookup(R_MODIFY)
         directory = self._as_directory(entry)
         name = _check_name(ctx.request.data.decode("utf-8", "replace"))
         if not ctx.request.extra_caps:
@@ -189,30 +189,42 @@ class DirectoryServer(ObjectServer):
         if name in directory.entries and not ctx.request.size:
             raise NameExists("entry %r already exists" % name)
         stored = ctx.request.extra_caps[0]
+        previous = directory.entries.get(name)
         directory.entries[name] = stored
         if self.store is not None:
-            self.table.persist(
-                entry.number, delta=DirectoryCodec.set_delta(name, stored)
-            )
+            try:
+                self.table.persist(
+                    entry.number, delta=DirectoryCodec.set_delta(name, stored)
+                )
+            except OutOfSpace:  # the log refused it: undo
+                if previous is None:
+                    del directory.entries[name]
+                else:
+                    directory.entries[name] = previous
+                raise
         return ctx.ok()
 
     @command(DIR_REMOVE)
     def _remove(self, ctx):
-        entry, _ = ctx.lookup(Rights(R_MODIFY))
+        entry, _ = ctx.lookup(R_MODIFY)
         directory = self._as_directory(entry)
         name = ctx.request.data.decode("utf-8", "replace")
         if name not in directory.entries:
             raise NameNotFound("no entry %r in this directory" % name)
-        del directory.entries[name]
+        previous = directory.entries.pop(name)
         if self.store is not None:
-            self.table.persist(
-                entry.number, delta=DirectoryCodec.delete_delta(name)
-            )
+            try:
+                self.table.persist(
+                    entry.number, delta=DirectoryCodec.delete_delta(name)
+                )
+            except OutOfSpace:
+                directory.entries[name] = previous  # as in _enter
+                raise
         return ctx.ok()
 
     @command(DIR_LIST)
     def _list(self, ctx):
-        entry, _ = ctx.lookup(Rights(R_LOOKUP))
+        entry, _ = ctx.lookup(R_LOOKUP)
         directory = self._as_directory(entry)
         listing = "\n".join(sorted(directory.entries))
         return ctx.ok(data=listing.encode("utf-8"), size=len(directory.entries))

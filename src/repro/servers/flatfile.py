@@ -19,8 +19,8 @@ from repro.ipc.client import ServiceClient
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
 
-R_READ = 0x01
-R_WRITE = 0x02
+R_READ = Rights(0x01)
+R_WRITE = Rights(0x02)
 
 FILE_CREATE = USER_BASE + 0
 FILE_READ = USER_BASE + 1
@@ -160,7 +160,7 @@ class FlatFileServer(ObjectServer):
     @command(FILE_READ)
     def _read(self, ctx):
         """READ FILE at the position given by the offset parameter."""
-        entry, _ = ctx.lookup(Rights(R_READ))
+        entry, _ = ctx.lookup(R_READ)
         if ctx.request.size > MAX_TRANSFER:
             raise BadRequest("transfer larger than %d bytes" % MAX_TRANSFER)
         data = entry.data.read(ctx.request.offset, ctx.request.size)
@@ -169,7 +169,7 @@ class FlatFileServer(ObjectServer):
     @command(FILE_WRITE)
     def _write(self, ctx):
         """WRITE FILE at the position given by the offset parameter."""
-        entry, _ = ctx.lookup(Rights(R_WRITE))
+        entry, _ = ctx.lookup(R_WRITE)
         if len(ctx.request.data) > MAX_TRANSFER:
             raise BadRequest("transfer larger than %d bytes" % MAX_TRANSFER)
         entry.data.write(ctx.request.offset, ctx.request.data)
@@ -177,7 +177,7 @@ class FlatFileServer(ObjectServer):
 
     @command(FILE_SIZE)
     def _size(self, ctx):
-        entry, _ = ctx.lookup(Rights(R_READ))
+        entry, _ = ctx.lookup(R_READ)
         return ctx.ok(size=entry.data.size)
 
     def on_destroy(self, entry):

@@ -29,8 +29,8 @@ from repro.ipc.client import ServiceClient
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
 
-R_READ = 0x01
-R_WRITE = 0x02
+R_READ = Rights(0x01)
+R_WRITE = Rights(0x02)
 
 MV_CREATE = USER_BASE + 0
 MV_NEW_VERSION = USER_BASE + 1
@@ -143,7 +143,7 @@ class MultiversionFileServer(ObjectServer):
         No pages are copied — the new page table references the committed
         blocks, and the reference counts record the sharing.
         """
-        entry, _ = ctx.lookup(Rights(R_WRITE))
+        entry, _ = ctx.lookup(R_WRITE)
         mvfile = self._as_file(entry)
         pages, size = mvfile.version(mvfile.latest_seq)
         for block in pages:
@@ -158,7 +158,7 @@ class MultiversionFileServer(ObjectServer):
     def _read(self, ctx):
         """Read from the latest committed version (file capability) or
         from a working version (version capability)."""
-        entry, _ = ctx.lookup(Rights(R_READ))
+        entry, _ = ctx.lookup(R_READ)
         if isinstance(entry.data, MVFile):
             pages, size = entry.data.version(entry.data.latest_seq)
         elif isinstance(entry.data, MVVersion):
@@ -172,7 +172,7 @@ class MultiversionFileServer(ObjectServer):
     def _read_seq(self, ctx):
         """Read any historical committed version: seq in the size field,
         transfer length as a 4-byte big-endian integer in data."""
-        entry, _ = ctx.lookup(Rights(R_READ))
+        entry, _ = ctx.lookup(R_READ)
         mvfile = self._as_file(entry)
         if len(ctx.request.data) != 4:
             raise BadRequest("READ_SEQ needs a 4-byte length in the data field")
@@ -184,7 +184,7 @@ class MultiversionFileServer(ObjectServer):
     @command(MV_WRITE)
     def _write(self, ctx):
         """Write to an *uncommitted* version; shared pages copy on write."""
-        entry, _ = ctx.lookup(Rights(R_WRITE))
+        entry, _ = ctx.lookup(R_WRITE)
         version = self._as_version(entry)
         if not version.is_open:
             raise VersionImmutable(
@@ -230,7 +230,7 @@ class MultiversionFileServer(ObjectServer):
         Optimistic concurrency: fails with :class:`VersionConflict` when
         some other version committed since this one was derived.
         """
-        entry, _ = ctx.lookup(Rights(R_WRITE))
+        entry, _ = ctx.lookup(R_WRITE)
         version = self._as_version(entry)
         if not version.is_open:
             raise VersionImmutable("version already committed or aborted")
@@ -250,7 +250,7 @@ class MultiversionFileServer(ObjectServer):
     @command(MV_ABORT)
     def _abort(self, ctx):
         """Discard a working version, releasing its private pages."""
-        entry, _ = ctx.lookup(Rights(R_WRITE))
+        entry, _ = ctx.lookup(R_WRITE)
         version = self._as_version(entry)
         if not version.is_open:
             raise VersionImmutable("version already committed or aborted")
@@ -263,7 +263,7 @@ class MultiversionFileServer(ObjectServer):
 
     @command(MV_NVERSIONS)
     def _n_versions(self, ctx):
-        entry, _ = ctx.lookup(Rights(R_READ))
+        entry, _ = ctx.lookup(R_READ)
         mvfile = self._as_file(entry)
         return ctx.ok(size=len(mvfile.versions))
 

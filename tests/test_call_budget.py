@@ -16,6 +16,9 @@ the same on every supported interpreter.  The scripts:
   refills are counted whole;
 * ``durable_enter``: one ENTER on a durable directory server (the
   ``durable_mutate`` workload's world), after a fixed warm-up;
+* ``durable_lookup``: one LOOKUP on the same server after the same
+  warm-up — the read path, whose reply flushes nothing and takes no
+  log lock;
 * ``retry_failover``: :data:`ECHOES` echoes the ``lossy_failover``
   workload's way — ``trans`` through a located replica set, with a
   jittered :class:`RetryPolicy`, against replicas with duplicate
@@ -52,10 +55,13 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(repro.__file__)), "")
 ECHOES = 400
 
 #: Exact calls into ``repro`` per script: all :data:`ECHOES` echoes
-#: (24.25 each), the one durable ENTER, and all :data:`ECHOES` retried
-#: replica echoes (31.25 each; 36.25 before the at-least-once tolls were
-#: combined).
-BUDGET = {"echo": 9700, "durable_enter": 55, "retry_failover": 12500}
+#: (24.25 each), the one durable ENTER (55 before its per-request tolls
+#: went: a ``Rights`` built per lookup, a two-frame ``Message``, the
+#: WAL's header and range-check helpers), the one durable LOOKUP, and all
+#: :data:`ECHOES` retried replica echoes (31.25 each; 36.25 before the
+#: at-least-once tolls were combined).
+BUDGET = {"echo": 9700, "durable_enter": 48, "durable_lookup": 37,
+          "retry_failover": 12500}
 
 #: Code objects that are frames on 3.11 and inlined from 3.12 on.
 COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
@@ -147,7 +153,9 @@ def count_retry_failover():
     return count_calls(echoes)
 
 
-def count_durable_enter():
+def durable_directory():
+    """A durable directory server and a client, warmed by 24 ENTERs;
+    returns ``(client, root, target)``."""
     net = SimNetwork()
     server = DirectoryServer.durable(
         Nic(net), disk=VirtualDisk(4096), rng=RandomSource(seed=1)).start()
@@ -160,12 +168,26 @@ def count_durable_enter():
     target = client.create_directory()
     for i in range(24):
         client.enter(root, "warm-%02d" % i, target)
+    return client, root, target
+
+
+def count_durable_enter():
+    client, root, target = durable_directory()
     counts = count_calls(lambda: client.enter(root, "counted", target))
     assert client.lookup(root, "counted") == target
     return counts
 
 
+def count_durable_lookup():
+    client, root, target = durable_directory()
+    found = []
+    counts = count_calls(lambda: found.append(client.lookup(root, "warm-00")))
+    assert found == [target]
+    return counts
+
+
 SCRIPTS = {"echo": count_echo, "durable_enter": count_durable_enter,
+           "durable_lookup": count_durable_lookup,
            "retry_failover": count_retry_failover}
 
 
@@ -194,6 +216,10 @@ def test_durable_enter_budget():
     check("durable_enter")
 
 
+def test_durable_lookup_budget():
+    check("durable_lookup")
+
+
 def test_retry_failover_budget():
     check("retry_failover")
 
@@ -206,10 +232,20 @@ def test_a_durable_enter_writes_its_group_once():
     assert counts["disk/wal.py:ChainLog.flush"] == 0
 
 
+def test_a_durable_lookup_writes_nothing():
+    """A read logs nothing, so its reply path's flush finds nothing to
+    write (and, testing before it locks, takes no log lock)."""
+    counts = SCRIPTS["durable_lookup"]()
+    assert counts["disk/wal.py:ChainLog.flush"] == 1
+    assert counts["disk/wal.py:ChainLog._flush_tail"] == 0
+    assert counts["disk/virtualdisk.py:VirtualDisk.write"] == 0
+
+
 if __name__ == "__main__":
     for name, script in SCRIPTS.items():
-        per = 1 if name == "durable_enter" else ECHOES
+        per = 1 if name.startswith("durable") else ECHOES
+        unit = name.split("_")[1].upper() if per == 1 else "echo"
         print("%s — calls into repro per %s (budget %d in all)" % (
-            name, "echo" if per > 1 else "ENTER", BUDGET[name]))
+            name, unit, BUDGET[name]))
         print(table(script(), per))
         print()

@@ -4,10 +4,13 @@ import pytest
 
 from repro.core.rights import Rights
 from repro.crypto.randomsrc import RandomSource
+from repro.disk.virtualdisk import VirtualDisk
+from repro.disk.wal import DurableStore
 from repro.errors import (
     BadRequest,
     NameExists,
     NameNotFound,
+    OutOfSpace,
     PermissionDenied,
 )
 from repro.net.network import SimNetwork
@@ -17,6 +20,7 @@ from repro.servers.directory import (
     R_LOOKUP,
     R_MODIFY,
     DirectoryClient,
+    DirectoryCodec,
     DirectoryServer,
     resolve_path,
 )
@@ -191,3 +195,78 @@ class TestPathResolution:
         _, _, _, client_nic, root = world
         with pytest.raises(NameNotFound):
             resolve_path(client_nic, root, "no/such", rng=RandomSource(seed=15))
+
+
+class TestLogRefusal:
+    """A mutation the write-ahead log refuses — the disk fills while the
+    ENTER or REMOVE is being logged — is undone in memory too, so a live
+    LOOKUP, a retry and a reboot from the disk all tell the same story."""
+
+    #: Long names: a delta record several times a commit record's size,
+    #: so a filling disk refuses the handler's append, not the commit.
+    NAME = "%02d" + "n" * 200
+
+    def durable_world(self):
+        net = SimNetwork()
+        disk = VirtualDisk(64)
+        server = DirectoryServer.durable(
+            Nic(net), disk=disk, rng=RandomSource(seed=1)).start()
+        client = DirectoryClient(
+            Nic(net), server.put_port, rng=RandomSource(seed=2),
+            expect_signature=server.signature_image,
+        )
+        return net, disk, server, client, server.create_root()
+
+    @staticmethod
+    def fill(disk):
+        while disk.free_blocks:
+            disk.allocate()
+
+    @staticmethod
+    def names_after_reboot(net, disk, server, number):
+        server.stop()
+        reborn = DirectoryServer(
+            Nic(net), get_port=server.get_port, rng=RandomSource(seed=3),
+            store=DurableStore(disk, codec=DirectoryCodec()), dedup=True,
+        )
+        report = reborn.reboot()
+        assert not report.suspect
+        return set(reborn.table._entry(number).data.entries)
+
+    def test_a_refused_enter_is_nowhere(self):
+        net, disk, server, client, root = self.durable_world()
+        self.fill(disk)
+        for i in range(20):
+            name = self.NAME % i
+            try:
+                client.enter(root, name, root)
+            except OutOfSpace:
+                break
+        else:
+            pytest.fail("the disk never filled")
+        with pytest.raises(NameNotFound):
+            client.lookup(root, name)
+        with pytest.raises(OutOfSpace):  # not NameExists
+            client.enter(root, name, root)
+        names = self.names_after_reboot(net, disk, server, root.object)
+        assert names == {self.NAME % j for j in range(i)}
+
+    def test_a_refused_remove_is_nowhere(self):
+        net, disk, server, client, root = self.durable_world()
+        entered = {self.NAME % i for i in range(20)}
+        for name in sorted(entered):
+            client.enter(root, name, root)
+        self.fill(disk)
+        for name in sorted(entered):
+            try:
+                client.remove(root, name)
+            except OutOfSpace:
+                break
+            entered.discard(name)
+        else:
+            pytest.fail("the disk never filled")
+        assert client.lookup(root, name) == root
+        with pytest.raises(OutOfSpace):  # not NameNotFound
+            client.remove(root, name)
+        assert self.names_after_reboot(
+            net, disk, server, root.object) == entered

@@ -199,3 +199,57 @@ class TestCopy:
         assert message.command == 1
         assert changed.command == 2
         assert changed.data == b"original"
+
+
+class TestConstructorParity:
+    """The hand-written ``Message.__init__`` keeps the generated
+    dataclass constructor's contract: fields, order, checks, messages."""
+
+    FIELDS = ["dest", "reply", "signature", "command", "status", "offset",
+              "size", "capability", "data", "is_reply", "extra_caps",
+              "sealed_caps"]
+    WIDTHS = [("command", 16), ("status", 16), ("offset", 64), ("size", 32)]
+
+    @pytest.mark.parametrize("field, width", WIDTHS)
+    @pytest.mark.parametrize("edge", ["below", "above"])
+    def test_out_of_range_is_the_same_value_error(self, field, width, edge):
+        value = -1 if edge == "below" else 1 << width
+        expected = "%s %d outside u%d" % (field, value, width)
+        with pytest.raises(ValueError) as raised:
+            Message(**{field: value})
+        assert str(raised.value) == expected
+
+    @pytest.mark.parametrize("field, width", WIDTHS)
+    def test_the_range_ends_are_accepted(self, field, width):
+        for value in (0, (1 << width) - 1):
+            assert getattr(Message(**{field: value}), field) == value
+
+    def test_str_data_is_encoded(self):
+        assert Message(data="café").data == "café".encode("utf-8")
+        assert Message(data=b"raw").data == b"raw"
+
+    def test_copy_still_validates(self):
+        message = Message(command=1)
+        with pytest.raises(ValueError, match="command -1 outside u16"):
+            message.copy(command=-1)
+        assert message.copy(data="text").data == b"text"
+
+    def test_fields_keep_their_names_and_order(self):
+        assert [f.name for f in dataclasses.fields(Message)] == self.FIELDS
+        positional = Message(*range(1, 8))
+        assert [getattr(positional, name) for name in self.FIELDS[:7]] == (
+            list(range(1, 8)))
+
+    def test_defaults_and_equality(self):
+        assert Message() == Message()
+        assert Message().__dict__ == {
+            "dest": NULL_PORT, "reply": NULL_PORT, "signature": NULL_PORT,
+            "command": 0, "status": 0, "offset": 0, "size": 0,
+            "capability": None, "data": b"", "is_reply": False,
+            "extra_caps": (), "sealed_caps": b"",
+        }
+        assert Message(command=1) != Message(command=2)
+
+    def test_unknown_keyword_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            Message(statuss=1)

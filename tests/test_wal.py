@@ -8,9 +8,13 @@ crash fail the §2.2 check cleanly.  (One log since PR 21; test ids that
 say "stripe" are kept from the 16-chain store.)
 """
 
+import random
+import threading
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ports import Port
 from repro.core.registry import ObjectTable
@@ -18,7 +22,17 @@ from repro.core.schemes import scheme_by_name
 from repro.crypto.randomsrc import RandomSource
 from repro.disk.diskfaults import DiskFaultPlan
 from repro.disk.virtualdisk import VirtualDisk
-from repro.disk.wal import ChainLog, DefaultCodec, DurableStore
+from repro.disk.wal import (
+    _CHAIN_HEADER,
+    _RECORD_HEAD,
+    _RECORD_MAGIC,
+    NO_BLOCK,
+    ChainLog,
+    DefaultCodec,
+    DurableStore,
+    _pack_chain_header,
+    _scan_chain,
+)
 from repro.errors import (
     DiskFault,
     InvalidCapability,
@@ -83,6 +97,118 @@ class TestStripeLog:
         log = ChainLog(disk)
         with pytest.raises(ValueError):
             log.append(b"")
+
+
+class NaiveChainLog(ChainLog):
+    """The reference framer: every record concatenated whole, then
+    copied into the tail block a slice at a time, spilling as it goes;
+    every flush packs its header through the shared helper."""
+
+    def append(self, payload, flush=True):
+        if not payload:
+            raise ValueError("cannot append an empty record")
+        record = (
+            _RECORD_HEAD.pack(_RECORD_MAGIC, len(payload), zlib.crc32(payload))
+            + payload
+        )
+        with self.lock:
+            while True:
+                space = self.capacity - self.tail_used
+                start = _CHAIN_HEADER.size + self.tail_used
+                if len(record) <= space:
+                    self._tail_buf[start:start + len(record)] = record
+                    self.tail_used += len(record)
+                    break
+                self._tail_buf[start:start + space] = record[:space]
+                record = record[space:]
+                self._roll()
+            self.records_appended += 1
+            self._unflushed = True
+            if flush:
+                self._flush_tail()
+
+    def _flush_tail(self):
+        _pack_chain_header(self._tail_buf, NO_BLOCK, self.tail_used)
+        self.disk.write(self.tail, bytes(self._tail_buf))
+        for block_no, image in reversed(self._spilled):
+            self.disk.write(block_no, image)
+        del self._spilled[:]
+        self._unflushed = False
+
+
+#: How a generated record's size relates to the room left in the tail
+#: block when it is appended: it fills that room exactly, straddles into
+#: one more block, spans several, or is any size at all.
+SHAPES = ("exact", "straddle", "span", "any")
+
+
+def record_length(shape, n, log):
+    room = log.capacity - log.tail_used - _RECORD_HEAD.size
+    if shape == "exact":
+        return max(1, room)
+    if shape == "straddle":
+        return max(1, room + 1 + n % log.capacity)
+    if shape == "span":
+        return max(1, room + log.capacity + 1 + n)
+    return 1 + n
+
+
+class TestFramingAgainstTheReference:
+    """The in-place framer writes the medium the naive one writes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from(SHAPES), st.integers(0, 150), st.booleans()),
+        min_size=1, max_size=25,
+    ))
+    def test_medium_matches_block_for_block(self, appends):
+        fast_disk, naive_disk = bare_disk(512, 64), bare_disk(512, 64)
+        fast, naive = ChainLog(fast_disk), NaiveChainLog(naive_disk)
+        payloads = []
+        for index, (shape, n, flush) in enumerate(appends):
+            length = record_length(shape, n, fast)
+            payload = random.Random(index).randbytes(length)
+            payloads.append(payload)
+            fast.append(payload, flush=flush)
+            naive.append(payload, flush=flush)
+            assert fast_disk._blocks == naive_disk._blocks
+            assert (fast.tail, fast.tail_used, fast._unflushed) == (
+                naive.tail, naive.tail_used, naive._unflushed)
+            assert fast._tail_buf == naive._tail_buf
+        fast.flush()
+        naive.flush()
+        assert fast_disk._blocks == naive_disk._blocks
+        assert fast_disk.writes == naive_disk.writes
+        scan = _scan_chain(fast_disk, fast.head)
+        assert scan.records == payloads and not scan.suspect
+
+    @pytest.mark.parametrize("after_writes", [0, 1, 2, 3])
+    def test_power_failure_in_a_flush_leaves_it_owed(self, after_writes):
+        disk = bare_disk(64, 64)
+        log = ChainLog(disk)
+        payloads = [b"a" * 20, b"b" * 150]  # the second spills twice
+        for payload in payloads:
+            log.append(payload, flush=False)
+        disk.faults = DiskFaultPlan(power_fail_after=after_writes)
+        with pytest.raises(PowerFailure):
+            log.flush()
+        assert log._unflushed
+        disk.faults.revive()
+        log.flush()
+        assert not log._unflushed
+        assert _scan_chain(disk, log.head).records == payloads
+
+    def test_a_flush_with_nothing_owed_takes_no_lock(self):
+        log = ChainLog(bare_disk(8))
+        with log.lock:
+            flusher = threading.Thread(target=log.flush, daemon=True)
+            flusher.start()
+            flusher.join(timeout=10)
+            assert not flusher.is_alive()  # it did not wait for the lock
+        log.append(b"owed", flush=False)
+        assert log._unflushed and not log.lock.locked()
+        log.flush()
+        assert not log._unflushed
 
 
 class TestFormatAndAttach:
