@@ -21,8 +21,8 @@ test-fast:
 ## the same diff and says why in CHANGES.md.  benchmarks/*.py (the
 ## harness outside the suite: 3879 lines before PR 20) is held to
 ## BENCH_LOC_MAX the same way.
-WIRE_LOC_MAX := 6267
-SRC_LOC_MAX := 13901
+WIRE_LOC_MAX := 6265
+SRC_LOC_MAX := 13900
 BENCH_LOC_MAX := 2250
 loc:
 	@for package in src/repro/*/; do \
@@ -93,29 +93,37 @@ bench-compare:
 
 ## A quick A/B of ONE workload while iterating: PAIRS alternating contract
 ## runs of BASE's src/ and this tree's (this directory's benchmark code on
-## both sides), cpu_us_per_trans and p50_us side by side — 3.5 minutes at
-## the default 8 pairs.  A reading, not evidence: bench-compare is that.
+## both sides), cpu_us_per_trans, p50_us and peak_rss_mb side by side,
+## then the pairs this tree won on cpu_us_per_trans and the two medians
+## — 3.5 minutes at the default 8 pairs, every run on seed SEED (a claim
+## should also hold on a seed not used while writing the change).  A
+## reading, not evidence: bench-compare is that.
 ## With BASE=<ablation tree> — a copy of this checkout with one lane
 ## edited out of its src/ (docs/PERFORMANCE.md "Lanes" lists the edit for
 ## each) — it is the lane-trial reading: the base column is what the
 ## workload costs *without* the lane.
 PAIRS ?= 8
+SEED ?= 1
 bench-ab:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || \
-		{ echo "usage: make bench-ab WORKLOAD=<name> BASE=<tree> [PAIRS=8]"; exit 2; }
-	@printf '%-4s %12s %12s %12s %12s\n' pair base_cpu_us this_cpu_us base_p50_us this_p50_us
+		{ echo "usage: make bench-ab WORKLOAD=<name> BASE=<tree> [PAIRS=8] [SEED=1]"; exit 2; }
+	@printf '%-4s %12s %12s %12s %12s %12s %12s\n' pair base_cpu_us this_cpu_us \
+		base_p50_us this_p50_us base_rss_mb this_rss_mb
 	@run() { $(PYTHON) benchmarks/suite/run.py --workload $(WORKLOAD) \
-			--seconds 12 --trace 0 --src $$1 | tail -1 | $(PYTHON) -c \
-			'import json, sys; m = json.load(sys.stdin)["metrics"]; print("%.2f %.2f" % (m["cpu_us_per_trans"]["value"], m["p50_us"]["value"]))'; }; \
+			--seed $(SEED) --seconds 12 --trace 0 --src $$1 | tail -1 | $(PYTHON) -c \
+			'import json, sys; m = json.load(sys.stdin)["metrics"]; print(" ".join("%.2f" % m[k]["value"] for k in ("cpu_us_per_trans", "p50_us", "peak_rss_mb")))'; }; \
+	cpu=; \
 	for pair in $$(seq 1 $(PAIRS)); do \
 		if [ $$((pair % 2)) -eq 1 ]; then \
 			base=$$(run $(BASE)/src); this=$$(run src); \
 		else \
 			this=$$(run src); base=$$(run $(BASE)/src); \
 		fi; \
-		printf '%-4d %12s %12s %12s %12s\n' $$pair \
-			$${base% *} $${this% *} $${base#* } $${this#* }; \
-	done
+		set -- $$base $$this; \
+		printf '%-4d %12s %12s %12s %12s %12s %12s\n' $$pair $$1 $$4 $$2 $$5 $$3 $$6; \
+		cpu="$$cpu $$1,$$4"; \
+	done; \
+	echo $$cpu | $(PYTHON) -c 'import statistics, sys; pairs = [tuple(map(float, p.split(","))) for p in sys.stdin.read().split()]; base, this = (statistics.median(side) for side in zip(*pairs)); print("this tree won %d of %d pairs on cpu_us_per_trans; medians %.2f (base) -> %.2f us (%+.1f %%)" % (sum(t < b for b, t in pairs), len(pairs), base, this, 100 * (this / base - 1)))'
 
 ## One family of bench-smoke each (benchmarks/run_bench.py --only).
 ## udp: the real-wire arm is the suite's udp_pipelined16 — echo server

@@ -67,7 +67,7 @@ import zlib
 from repro.core.registry import ObjectEntry
 from repro.crypto.randomsrc import RandomSource
 from repro.disk.virtualdisk import VirtualDisk
-from repro.errors import DiskFault, MalformedCapability
+from repro.errors import DiskFault, MalformedCapability, OutOfSpace
 from repro.util.record import Reader, pack_secret, unpack_secret
 
 __all__ = ["DurableStore", "ChainLog", "RecoveryReport", "DefaultCodec"]
@@ -191,17 +191,29 @@ class ChainLog:
                 buf[start + _RECORD_HEAD.size:start + size] = payload
                 self.tail_used = used + size
             else:
+                # Every block the spill needs is allocated before the tail
+                # is touched, so a full disk refuses the append whole.
+                blocks = []
+                try:
+                    for _ in range((used + size - 1) // self.capacity):
+                        blocks.append(self.disk.allocate())
+                except OutOfSpace:
+                    for block_no in reversed(blocks):
+                        self.disk.free(block_no)
+                    raise
                 record = _RECORD_HEAD.pack(_RECORD_MAGIC, length, crc) + payload
-                while len(record) > self.capacity - self.tail_used:
-                    # Fill the block (with nothing, if it is full) and spill.
-                    space = self.capacity - self.tail_used
-                    start = _CHAIN_HEADER.size + self.tail_used
-                    self._tail_buf[start:start + space] = record[:space]
+                buf, tail = self._tail_buf, self.tail
+                for new in blocks:
+                    # Fill the block (with nothing, if it is full) and set
+                    # it aside, forward pointer and all, for _flush_tail.
+                    space = self.capacity - used
+                    buf[_CHAIN_HEADER.size + used:] = record[:space]
                     record = record[space:]
-                    self._roll()
-                start = _CHAIN_HEADER.size  # a fresh block: _roll emptied it
-                self._tail_buf[start:start + len(record)] = record
-                self.tail_used = len(record)
+                    _pack_chain_header(buf, new, self.capacity)
+                    self._spilled.append((tail, bytes(buf)))
+                    buf, tail, used = bytearray(self.disk.block_size), new, 0
+                buf[_CHAIN_HEADER.size:_CHAIN_HEADER.size + len(record)] = record
+                self._tail_buf, self.tail, self.tail_used = buf, tail, len(record)
             self.records_appended += 1
             self._unflushed = True
             if flush:
@@ -217,17 +229,6 @@ class ChainLog:
             with self.lock:
                 if self._unflushed:
                     self._flush_tail()
-
-    def _roll(self):
-        """The tail block is full: set it aside, forward pointer and
-        all, for :meth:`_flush_tail` to write, and carry on in a fresh
-        one.  Nothing reaches the medium here."""
-        new = self.disk.allocate()
-        _pack_chain_header(self._tail_buf, new, self.capacity)
-        self._spilled.append((self.tail, bytes(self._tail_buf)))
-        self.tail = new
-        self.tail_used = 0
-        self._tail_buf = bytearray(self.disk.block_size)
 
     def _flush_tail(self):
         """Write the tail block, then any blocks spilled out of since

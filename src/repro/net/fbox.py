@@ -81,18 +81,15 @@ class FBox:
         copy but performs the identical, unconditional transformation —
         this is an ownership optimization, never an F-box bypass.
         """
-        fields = message.__dict__
         images = self._images
-        reply = fields["reply"]
-        signature = fields["signature"]
+        reply = message.reply
+        signature = message.signature
         # `is None`, never `or`: the null port's image is the null port,
         # which is falsy — and most requests carry a null signature.
         image = images.get(reply)
-        fields["reply"] = self.one_way(reply) if image is None else image
+        message.reply = self.one_way(reply) if image is None else image
         image = images.get(signature)
-        fields["signature"] = (
-            self.one_way(signature) if image is None else image
-        )
+        message.signature = self.one_way(signature) if image is None else image
         return message
 
     def one_way_batch(self, ports):

@@ -29,12 +29,13 @@ Two construction disciplines share this one layout (see
 * the **untrusted** path — ``Message(...)``, ``copy()`` — runs the full
   ``__init__`` range checks, because the values may come from a hostile
   or buggy caller;
-* the **trusted** path — ``unpack``, ``reply_to``, the F-box egress copy
-  — skips them.  For ``unpack`` this is sound because the fixed header is
-  decoded with width-limited struct codes (``H``/``Q``/``I``) and the
-  ports with exact-length interned wire decoding, so every field is in
-  range by construction; for the others the source message was already
-  validated when it was built.
+* the **trusted** path — ``unpack``, ``reply_to`` and the copies
+  ``_addressed`` / ``_evolve`` — skips them and writes the twelve slots
+  straight down (``Message`` has no instance dict).  For ``unpack`` this
+  is sound because the fixed header is decoded with width-limited struct
+  codes (``H``/``Q``/``I``) and the ports with exact-length interned wire
+  decoding, so every field is in range by construction; for the others
+  the source message was already validated when it was built.
 
 ``unpack`` validates and decodes the whole frame in one pass: every
 error a frame can produce (magic, version, lengths, capability and
@@ -62,9 +63,9 @@ _FIXED = struct.Struct(">2sBB6s6s6sHHQIHI")
 HEADER_BYTES = _FIXED.size
 
 
-@dataclass(init=False)
+@dataclass(init=False, slots=True)
 class Message:
-    """One request or reply message.
+    """One request or reply message: twelve slots, no instance dict.
 
     ``reply`` and ``signature`` hold *secrets* while the message is inside
     the sending process; the F-box replaces them with their one-way images
@@ -93,8 +94,7 @@ class Message:
                  command=0, status=0, offset=0, size=0, capability=None,
                  data=b"", is_reply=False, extra_caps=(), sealed_caps=b""):
         # By hand, in field order: one frame where the generated __init__
-        # and __post_init__ were two.  Attribute stores keep the values
-        # inline (no dict until one is asked for): faster than a literal.
+        # and __post_init__ were two.
         if not 0 <= command < (1 << 16):
             raise ValueError("command %d outside u16" % command)
         if not 0 <= status < (1 << 16):
@@ -166,29 +166,15 @@ class Message:
         """
         if len(raw) < HEADER_BYTES:
             raise BadRequest("message truncated at %d bytes" % len(raw))
-        (
-            magic,
-            version,
-            flags,
-            dest,
-            reply,
-            signature,
-            command,
-            status,
-            offset,
-            size,
-            caplen,
-            datalen,
-        ) = _FIXED.unpack_from(raw)
+        (magic, version, flags, dest, reply, signature, command, status,
+         offset, size, caplen, datalen) = _FIXED.unpack_from(raw)
         if magic != _MAGIC:
             raise BadRequest("bad magic %r" % magic)
         if version != _VERSION:
             raise BadRequest("unsupported message version %d" % version)
         if len(raw) != HEADER_BYTES + caplen + datalen:
-            raise BadRequest(
-                "length mismatch: header says %d, frame is %d"
-                % (HEADER_BYTES + caplen + datalen, len(raw))
-            )
+            raise BadRequest("length mismatch: header says %d, frame is %d"
+                             % (HEADER_BYTES + caplen + datalen, len(raw)))
         if type(raw) is not bytes:
             raw = bytes(raw)
         body = HEADER_BYTES + caplen
@@ -217,36 +203,44 @@ class Message:
                     pos += clen
                 extra_caps = tuple(caps)
         self = cls.__new__(cls)
-        self.__dict__ = {
-            "dest": Port.from_wire(dest),
-            "reply": Port.from_wire(reply),
-            "signature": Port.from_wire(signature),
-            "command": command,
-            "status": status,
-            "offset": offset,
-            "size": size,
-            "capability": capability,
-            "data": raw[pos:],
-            "is_reply": True if flags & _FLAG_REPLY else False,
-            "extra_caps": extra_caps,
-            "sealed_caps": sealed_caps,
-        }
+        self.dest = Port.from_wire(dest)
+        self.reply = Port.from_wire(reply)
+        self.signature = Port.from_wire(signature)
+        self.command = command
+        self.status = status
+        self.offset = offset
+        self.size = size
+        self.capability = capability
+        self.data = raw[pos:]
+        self.is_reply = True if flags & _FLAG_REPLY else False
+        self.extra_caps = extra_caps
+        self.sealed_caps = sealed_caps
         return self
 
     def _evolve(self, **changes):
-        """A trusted shallow copy: ``copy()`` without re-validation.
-
-        For internal paths (F-box egress, ``trans``, reply signing) whose
-        replacement values are Ports or already-validated fields.
-        """
-        clone = self.__class__.__new__(self.__class__)
-        clone.__dict__ = merged = self.__dict__ | changes
-        if len(merged) != len(self.__dict__):
-            # A stray key grew the dict: some change is not a field.
-            raise TypeError(
-                "unknown message field(s): %s"
-                % ", ".join(sorted(set(changes) - set(self.__dict__)))
-            )
+        """A trusted shallow copy: ``copy()`` without re-validation, for
+        internal paths (F-box egress, the reply cache, reply signing)
+        whose replacement values are Ports or already-validated fields."""
+        clone = object.__new__(type(self))
+        clone.dest = self.dest
+        clone.reply = self.reply
+        clone.signature = self.signature
+        clone.command = self.command
+        clone.status = self.status
+        clone.offset = self.offset
+        clone.size = self.size
+        clone.capability = self.capability
+        clone.data = self.data
+        clone.is_reply = self.is_reply
+        clone.extra_caps = self.extra_caps
+        clone.sealed_caps = self.sealed_caps
+        if changes:
+            unknown = changes.keys() - Message.__slots__
+            if unknown:
+                raise TypeError("unknown message field(s): %s"
+                                % ", ".join(sorted(unknown)))
+            for name, value in changes.items():
+                setattr(clone, name, value)
         return clone
 
     def copy(self, **changes):
@@ -262,8 +256,9 @@ class Message:
         The reply port in a received request is already the one-way image
         F(G'), i.e. a put-port the responder can use directly.  This is a
         trusted path: the request was validated on construction, so the
-        reply's fields are written straight down, in dataclass field
-        order (``tests/test_message.py`` holds the two together).  The
+        reply's twelve slots are written straight down (an unwritten one
+        would raise AttributeError on first read; ``tests/test_message.py``
+        holds every one equal to what ``Message(...)`` builds).  The
         numeric parameters are where handler-supplied values enter it;
         they are guarded so a buggy handler gets a ValueError here
         (inside the dispatch loop's try) instead of a corrupt reply or a
@@ -277,20 +272,18 @@ class Message:
             if not 0 <= size < (1 << 32):
                 raise ValueError("size %d outside u32" % size)
         reply = Message.__new__(Message)
-        reply.__dict__ = {
-            "dest": self.reply,
-            "reply": NULL_PORT,
-            "signature": signature,
-            "command": self.command,
-            "status": status,
-            "offset": offset,
-            "size": size,
-            "capability": capability,
-            "data": data.encode("utf-8") if isinstance(data, str) else data,
-            "is_reply": True,
-            "extra_caps": extra_caps,
-            "sealed_caps": sealed_caps,
-        }
+        reply.dest = self.reply
+        reply.reply = NULL_PORT
+        reply.signature = signature
+        reply.command = self.command
+        reply.status = status
+        reply.offset = offset
+        reply.size = size
+        reply.capability = capability
+        reply.data = data.encode("utf-8") if isinstance(data, str) else data
+        reply.is_reply = True
+        reply.extra_caps = extra_caps
+        reply.sealed_caps = sealed_caps
         return reply
 
     def _addressed(self, dest, reply, signature=None):
@@ -299,11 +292,19 @@ class Message:
         ``reply`` and, unless None, ``signature``.  A transaction makes
         one per transmission: egress transforms the copy in place, so a
         re-sent copy would double-one-way its reply/signature fields."""
-        fields = {"dest": dest, "reply": reply, "is_reply": False}
-        if signature is not None:
-            fields["signature"] = signature
         request = object.__new__(type(self))
-        request.__dict__ = self.__dict__ | fields
+        request.dest = dest
+        request.reply = reply
+        request.signature = self.signature if signature is None else signature
+        request.command = self.command
+        request.status = self.status
+        request.offset = self.offset
+        request.size = self.size
+        request.capability = self.capability
+        request.data = self.data
+        request.is_reply = False
+        request.extra_caps = self.extra_caps
+        request.sealed_caps = self.sealed_caps
         return request
 
     def __repr__(self):

@@ -250,12 +250,15 @@ class TestLazyUnpackParity:
     @given(messages)
     @settings(max_examples=200)
     def test_unpack_returns_a_plain_message(self, message):
-        """No subclass, no descriptor, nothing deferred: the decoded
-        message is exactly a ``Message`` and every field already sits in
-        its instance dict."""
+        """No subclass, nothing deferred: the decoded message is exactly
+        a ``Message``, a slotted record with no instance dict, and every
+        field already sits in its slot."""
         decoded = Message.unpack(reference_pack(message))
         assert type(decoded) is Message
-        assert tuple(decoded.__dict__) == _ALL_FIELDS
+        assert Message.__slots__ == _ALL_FIELDS
+        assert not hasattr(decoded, "__dict__")
+        for name in _ALL_FIELDS:
+            getattr(decoded, name)  # an unset slot raises AttributeError
         assert type(decoded.data) is bytes
 
     @given(messages)

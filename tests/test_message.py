@@ -14,6 +14,7 @@ from repro.errors import BadRequest
 from repro.ipc.rpc import trans
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
+from repro.net.fbox import FBox
 from repro.net.message import HEADER_BYTES, Message
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
@@ -40,7 +41,8 @@ messages = st.builds(
     data=st.binary(max_size=200),
     is_reply=st.booleans(),
     extra_caps=st.lists(caps, max_size=3).map(tuple),
-)
+) | st.builds(Message, dest=ports, reply=ports, signature=ports,
+              sealed_caps=st.binary(min_size=1, max_size=40))
 
 CAP = Capability(port=Port(7), object=1, rights=Rights(0xFF), check=b"c" * 6)
 OUT_OF_RANGE = [
@@ -150,12 +152,17 @@ class TestReplyTo:
         assert reply.status == 42
 
     def test_reply_fields_are_the_dataclass_fields_in_order(self):
-        # reply_to writes the reply's __dict__ down as one literal; this
-        # is what keeps that literal and the dataclass from drifting.
+        # reply_to writes the reply's slots down one by one; this is what
+        # keeps those stores and the dataclass from drifting: the slots
+        # are the fields, in order, and a reply has every one of them set
+        # (an unwritten slot raises AttributeError when read).
         request = Message(dest=Port(1), reply=Port(9), command=3)
-        names = [f.name for f in dataclasses.fields(Message)]
-        assert list(request.reply_to().__dict__) == names
-        assert list(request.__dict__) == names
+        names = tuple(f.name for f in dataclasses.fields(Message))
+        assert Message.__slots__ == names
+        for message in (request, request.reply_to()):
+            assert not hasattr(message, "__dict__")
+            for name in names:
+                getattr(message, name)
         everything = request.reply_to(
             "text", 1, CAP, 2, 3, (CAP,), Port(4), b"")
         assert everything == Message(
@@ -242,7 +249,8 @@ class TestConstructorParity:
 
     def test_defaults_and_equality(self):
         assert Message() == Message()
-        assert Message().__dict__ == {
+        assert not hasattr(Message(), "__dict__")
+        assert values(Message()) == {
             "dest": NULL_PORT, "reply": NULL_PORT, "signature": NULL_PORT,
             "command": 0, "status": 0, "offset": 0, "size": 0,
             "capability": None, "data": b"", "is_reply": False,
@@ -250,6 +258,72 @@ class TestConstructorParity:
         }
         assert Message(command=1) != Message(command=2)
 
+    def test_no_attribute_outside_the_fields(self):
+        with pytest.raises(AttributeError):
+            Message().statuss = 1
+
+
     def test_unknown_keyword_is_a_type_error(self):
         with pytest.raises(TypeError):
             Message(statuss=1)
+
+
+def values(message):
+    """A message's fields by name, read through its slots."""
+    return {name: getattr(message, name) for name in Message.__slots__}
+
+
+class TestSlottedRecord:
+    """Every trusted constructor builds the same record ``Message(...)``
+    builds from the same values: a plain ``Message``, no instance dict
+    (as ``Port``, ``tests/test_ports.py``), every slot set."""
+
+    def check(self, built, **fields):
+        assert type(built) is Message
+        assert not hasattr(built, "__dict__")
+        assert values(built) == values(Message(**fields))
+
+    @given(messages, ports, ports, st.none() | ports)
+    @settings(max_examples=100)
+    def test_trusted_constructors_build_what_the_public_one_builds(
+            self, message, dest, reply, signature):
+        fields = values(message)
+        self.check(Message.unpack(message.pack()), **fields)
+        self.check(message._evolve(), **fields)
+        self.check(message._evolve(signature=reply),
+                   **{**fields, "signature": reply})
+        self.check(message.copy(), **fields)
+        self.check(message.copy(dest=dest), **{**fields, "dest": dest})
+        self.check(message._addressed(dest, reply, signature), **{
+            **fields, "dest": dest, "reply": reply, "is_reply": False,
+            "signature": message.signature if signature is None
+            else signature})
+        self.check(message.reply_to(), dest=message.reply,
+                   command=message.command, is_reply=True)
+        self.check(
+            message.reply_to(b"answer", 1, CAP, 2, 3, (CAP,), dest, b""),
+            dest=message.reply, signature=dest, command=message.command,
+            status=1, capability=CAP, offset=2, size=3, data=b"answer",
+            is_reply=True, extra_caps=(CAP,))
+        assert values(message) == fields  # no constructor touched its source
+
+    @given(messages)
+    @settings(max_examples=50)
+    def test_the_fbox_transforms_build_what_the_public_one_builds(
+            self, message):
+        fbox = FBox()
+        fields = values(message)
+        imaged = {**fields, "reply": fbox.one_way(message.reply),
+                  "signature": fbox.one_way(message.signature)}
+        self.check(fbox.transform_egress(message), **imaged)
+        assert values(message) == fields  # a copy was transformed
+        owned = message._evolve()
+        assert fbox.transform_egress_owned(owned) is owned
+        self.check(owned, **imaged)
+
+    def test_evolve_refuses_an_unknown_field(self):
+        message = Message(command=1)
+        for changes in ({"bogus": 1}, {"dest": Port(2), "bogus": 1}):
+            with pytest.raises(TypeError, match="bogus"):
+                message._evolve(**changes)
+        assert message == Message(command=1)

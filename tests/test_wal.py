@@ -37,6 +37,7 @@ from repro.errors import (
     DiskFault,
     InvalidCapability,
     NoSuchObject,
+    OutOfSpace,
     PowerFailure,
 )
 
@@ -127,6 +128,13 @@ class NaiveChainLog(ChainLog):
             if flush:
                 self._flush_tail()
 
+    def _roll(self):
+        new = self.disk.allocate()
+        _pack_chain_header(self._tail_buf, new, self.capacity)
+        self._spilled.append((self.tail, bytes(self._tail_buf)))
+        self.tail, self.tail_used = new, 0
+        self._tail_buf = bytearray(self.disk.block_size)
+
     def _flush_tail(self):
         _pack_chain_header(self._tail_buf, NO_BLOCK, self.tail_used)
         self.disk.write(self.tail, bytes(self._tail_buf))
@@ -153,6 +161,15 @@ def record_length(shape, n, log):
     return 1 + n
 
 
+def log_state(log):
+    """Everything a refused append must leave as it found it: the log's
+    buffers and counters, and the disk's allocation and contents."""
+    disk = log.disk
+    return (log.tail, log.tail_used, bytes(log._tail_buf), list(log._spilled),
+            log._unflushed, log.records_appended, list(disk._free),
+            set(disk._allocated), dict(disk._blocks), disk.writes)
+
+
 class TestFramingAgainstTheReference:
     """The in-place framer writes the medium the naive one writes."""
 
@@ -160,18 +177,28 @@ class TestFramingAgainstTheReference:
     @given(st.lists(
         st.tuples(st.sampled_from(SHAPES), st.integers(0, 150), st.booleans()),
         min_size=1, max_size=25,
-    ))
-    def test_medium_matches_block_for_block(self, appends):
-        fast_disk, naive_disk = bare_disk(512, 64), bare_disk(512, 64)
+    ), st.integers(4, 24) | st.just(512))
+    def test_medium_matches_block_for_block(self, appends, n_blocks):
+        """On a small disk the ``OutOfSpace`` arm runs too: a spill the
+        disk cannot hold is refused whole, the log exactly as it was, and
+        the naive framer (which never sees that record) stays level."""
+        fast_disk = bare_disk(n_blocks, 64)
+        naive_disk = bare_disk(n_blocks, 64)
         fast, naive = ChainLog(fast_disk), NaiveChainLog(naive_disk)
         payloads = []
         for index, (shape, n, flush) in enumerate(appends):
             length = record_length(shape, n, fast)
             payload = random.Random(index).randbytes(length)
+            before = log_state(fast)
+            try:
+                fast.append(payload, flush=flush)
+            except OutOfSpace:
+                assert log_state(fast) == before
+                continue
             payloads.append(payload)
-            fast.append(payload, flush=flush)
             naive.append(payload, flush=flush)
             assert fast_disk._blocks == naive_disk._blocks
+            assert fast_disk._free == naive_disk._free
             assert (fast.tail, fast.tail_used, fast._unflushed) == (
                 naive.tail, naive.tail_used, naive._unflushed)
             assert fast._tail_buf == naive._tail_buf
@@ -181,6 +208,33 @@ class TestFramingAgainstTheReference:
         assert fast_disk.writes == naive_disk.writes
         scan = _scan_chain(fast_disk, fast.head)
         assert scan.records == payloads and not scan.suspect
+
+    def test_a_spill_the_disk_cannot_hold_is_refused_whole(self):
+        """Regression: the spill allocated one block per roll, so a disk
+        that filled after the first roll raised ``OutOfSpace`` with the
+        head of the record already set aside in ``_spilled``; the next
+        flush wrote it, and the next attach scanned the log as suspect
+        and re-keyed the table."""
+        disk = VirtualDisk(4, block_size=64)  # superblocks, log head, 1 free
+        store = DurableStore(disk, codec=DefaultCodec())
+        table = make_table(store)
+        first = table.create(b"a")
+        log = store._log
+        assert disk.free_blocks == 1 and log.tail_used > 0
+        before = log_state(log)
+        with pytest.raises(OutOfSpace):
+            table.create(b"z" * 100)  # needs two more blocks
+        assert log_state(log) == before
+        second = table.create(b"b")  # one roll: the free block suffices
+        assert disk.free_blocks == 0
+        store.flush()
+        scan = _scan_chain(disk, log.head)
+        assert len(scan.records) == 2 and not scan.suspect
+        _, rebooted, report = reattach(disk)
+        assert not report.suspect and report.secrets_regenerated == 0
+        assert report.entries_restored == 2
+        assert rebooted.lookup(first)[0].data == b"a"
+        assert rebooted.lookup(second)[0].data == b"b"
 
     @pytest.mark.parametrize("after_writes", [0, 1, 2, 3])
     def test_power_failure_in_a_flush_leaves_it_owed(self, after_writes):
