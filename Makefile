@@ -21,8 +21,8 @@ test-fast:
 ## the same diff and says why in CHANGES.md.  benchmarks/*.py (the
 ## harness outside the suite: 3879 lines before PR 20) is held to
 ## BENCH_LOC_MAX the same way.
-WIRE_LOC_MAX := 6265
-SRC_LOC_MAX := 13900
+WIRE_LOC_MAX := 6255
+SRC_LOC_MAX := 13829
 BENCH_LOC_MAX := 2250
 loc:
 	@for package in src/repro/*/; do \
@@ -93,11 +93,11 @@ bench-compare:
 
 ## A quick A/B of ONE workload while iterating: PAIRS alternating contract
 ## runs of BASE's src/ and this tree's (this directory's benchmark code on
-## both sides), cpu_us_per_trans, p50_us and peak_rss_mb side by side,
-## then the pairs this tree won on cpu_us_per_trans and the two medians
-## — 3.5 minutes at the default 8 pairs, every run on seed SEED (a claim
-## should also hold on a seed not used while writing the change).  A
-## reading, not evidence: bench-compare is that.
+## both sides), setup_s, cpu_us_per_trans, p50_us and peak_rss_mb side by
+## side, then the pairs this tree won and the two medians on setup_s and
+## on cpu_us_per_trans — 3.5 minutes at the default 8 pairs, every run on
+## seed SEED (a claim should also hold on a seed not used while writing
+## the change).  A reading, not evidence: bench-compare is that.
 ## With BASE=<ablation tree> — a copy of this checkout with one lane
 ## edited out of its src/ (docs/PERFORMANCE.md "Lanes" lists the edit for
 ## each) — it is the lane-trial reading: the base column is what the
@@ -107,12 +107,13 @@ SEED ?= 1
 bench-ab:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || \
 		{ echo "usage: make bench-ab WORKLOAD=<name> BASE=<tree> [PAIRS=8] [SEED=1]"; exit 2; }
-	@printf '%-4s %12s %12s %12s %12s %12s %12s\n' pair base_cpu_us this_cpu_us \
-		base_p50_us this_p50_us base_rss_mb this_rss_mb
+	@printf '%-4s %10s %10s %11s %11s %11s %11s %11s %11s\n' pair base_setup \
+		this_setup base_cpu_us this_cpu_us base_p50_us this_p50_us \
+		base_rss_mb this_rss_mb
 	@run() { $(PYTHON) benchmarks/suite/run.py --workload $(WORKLOAD) \
 			--seed $(SEED) --seconds 12 --trace 0 --src $$1 | tail -1 | $(PYTHON) -c \
-			'import json, sys; m = json.load(sys.stdin)["metrics"]; print(" ".join("%.2f" % m[k]["value"] for k in ("cpu_us_per_trans", "p50_us", "peak_rss_mb")))'; }; \
-	cpu=; \
+			'import json, sys; m = json.load(sys.stdin)["metrics"]; print(" ".join("%.4f" % m[k]["value"] for k in ("setup_s", "cpu_us_per_trans", "p50_us", "peak_rss_mb")))'; }; \
+	setup=; cpu=; \
 	for pair in $$(seq 1 $(PAIRS)); do \
 		if [ $$((pair % 2)) -eq 1 ]; then \
 			base=$$(run $(BASE)/src); this=$$(run src); \
@@ -120,10 +121,13 @@ bench-ab:
 			this=$$(run src); base=$$(run $(BASE)/src); \
 		fi; \
 		set -- $$base $$this; \
-		printf '%-4d %12s %12s %12s %12s %12s %12s\n' $$pair $$1 $$4 $$2 $$5 $$3 $$6; \
-		cpu="$$cpu $$1,$$4"; \
+		printf '%-4d %10s %10s %11.2f %11.2f %11.2f %11.2f %11.2f %11.2f\n' \
+			$$pair $$1 $$5 $$2 $$6 $$3 $$7 $$4 $$8; \
+		setup="$$setup $$1,$$5"; cpu="$$cpu $$2,$$6"; \
 	done; \
-	echo $$cpu | $(PYTHON) -c 'import statistics, sys; pairs = [tuple(map(float, p.split(","))) for p in sys.stdin.read().split()]; base, this = (statistics.median(side) for side in zip(*pairs)); print("this tree won %d of %d pairs on cpu_us_per_trans; medians %.2f (base) -> %.2f us (%+.1f %%)" % (sum(t < b for b, t in pairs), len(pairs), base, this, 100 * (this / base - 1)))'
+	for metric in "setup_s $$setup" "cpu_us_per_trans $$cpu"; do \
+		echo $$metric | $(PYTHON) -c 'import statistics, sys; name, *cells = sys.stdin.read().split(); pairs = [tuple(map(float, p.split(","))) for p in cells]; base, this = (statistics.median(side) for side in zip(*pairs)); print("this tree won %d of %d pairs on %s; medians %.4g (base) -> %.4g (%+.1f %%)" % (sum(t < b for b, t in pairs), len(pairs), name, base, this, 100 * (this / base - 1)))'; \
+	done
 
 ## One family of bench-smoke each (benchmarks/run_bench.py --only).
 ## udp: the real-wire arm is the suite's udp_pipelined16 — echo server

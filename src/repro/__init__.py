@@ -28,88 +28,69 @@ Quickstart::
     print(client.read(cap, 0, 26))
 """
 
-from repro.core import (
-    ALL_RIGHTS,
-    Capability,
-    CommutativeScheme,
-    EncryptedRightsScheme,
-    NO_RIGHTS,
-    ObjectTable,
-    Port,
-    PrivatePort,
-    Rights,
-    SimpleCheckScheme,
-    XorOneWayScheme,
-    scheme_by_name,
-)
-from repro.errors import (
-    AmoebaError,
-    CapabilityError,
-    InvalidCapability,
-    PermissionDenied,
-)
-from repro.ipc import Locator, ObjectServer, ServiceClient, command, trans
-from repro.kernel import Machine, MemoryClient, MemoryServer
-from repro.net import FBox, Intruder, Message, Nic, SimNetwork
-from repro.servers import (
-    BankClient,
-    BankServer,
-    BlockClient,
-    BlockServer,
-    ChargingFlatFileServer,
-    DirectoryClient,
-    DirectoryServer,
-    FlatFileClient,
-    FlatFileServer,
-    MultiversionClient,
-    MultiversionFileServer,
-    UnixFs,
-    resolve_path,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALL_RIGHTS",
-    "AmoebaError",
-    "BankClient",
-    "BankServer",
-    "BlockClient",
-    "BlockServer",
-    "Capability",
-    "CapabilityError",
-    "ChargingFlatFileServer",
-    "CommutativeScheme",
-    "DirectoryClient",
-    "DirectoryServer",
-    "EncryptedRightsScheme",
-    "FBox",
-    "FlatFileClient",
-    "FlatFileServer",
-    "Intruder",
-    "InvalidCapability",
-    "Locator",
-    "Machine",
-    "MemoryClient",
-    "MemoryServer",
-    "Message",
-    "MultiversionClient",
-    "MultiversionFileServer",
-    "NO_RIGHTS",
-    "Nic",
-    "ObjectServer",
-    "ObjectTable",
-    "PermissionDenied",
-    "Port",
-    "PrivatePort",
-    "Rights",
-    "ServiceClient",
-    "SimNetwork",
-    "SimpleCheckScheme",
-    "UnixFs",
-    "XorOneWayScheme",
-    "command",
-    "resolve_path",
-    "scheme_by_name",
-    "trans",
-]
+#: Defining module (relative to this package) -> the names re-exported
+#: from it, read by :func:`_lazy`.
+_EXPORTS = {
+    "core.capability": "Capability",
+    "core.ports": "Port PrivatePort",
+    "core.registry": "ObjectTable",
+    "core.rights": "ALL_RIGHTS NO_RIGHTS Rights",
+    "core.schemes": "CommutativeScheme EncryptedRightsScheme SimpleCheckScheme"
+                    " XorOneWayScheme scheme_by_name",
+    "errors": "AmoebaError CapabilityError InvalidCapability PermissionDenied",
+    "ipc.client": "ServiceClient",
+    "ipc.locate": "Locator",
+    "ipc.rpc": "trans",
+    "ipc.server": "ObjectServer command",
+    "kernel.machine": "Machine",
+    "kernel.memory": "MemoryClient MemoryServer",
+    "net.fbox": "FBox",
+    "net.intruder": "Intruder",
+    "net.message": "Message",
+    "net.network": "SimNetwork",
+    "net.nic": "Nic",
+    "servers.bank": "BankClient BankServer",
+    "servers.block": "BlockClient BlockServer",
+    "servers.charging": "ChargingFlatFileServer",
+    "servers.directory": "DirectoryClient DirectoryServer resolve_path",
+    "servers.flatfile": "FlatFileClient FlatFileServer",
+    "servers.multiversion": "MultiversionClient MultiversionFileServer",
+    "servers.unixfs": "UnixFs",
+}
+
+
+def _lazy(namespace):
+    """A package's ``__all__`` and its PEP 562 module ``__getattr__``,
+    from the package's ``_EXPORTS`` (defining module -> space-separated
+    names).
+
+    No re-export is imported until it is first read, and the read
+    imports its defining module: a process thus loads only the modules
+    it runs — the UDP echo server 23 of ``repro``'s, not every one that
+    an eager ``from ... import`` chain would drag in.  The value is not
+    bound into the package: a read always returns what the defining
+    module holds *now*, so a wrapper patched over it (the benchmark's
+    tracer probes every loaded ``repro`` module for the names it wraps)
+    is never frozen into the package after it has been taken off.
+    Nothing on a hot path reads through a package.
+    """
+    package = namespace["__name__"]
+    table = {name: "%s.%s" % (package, module)
+             for module, names in namespace["_EXPORTS"].items()
+             for name in names.split()}
+
+    def __getattr__(name):
+        module = table.get(name)
+        if module is None:
+            raise AttributeError(
+                "module %r has no attribute %r" % (package, name))
+        return getattr(importlib.import_module(module), name)
+
+    return sorted(table), __getattr__
+
+
+__all__, __getattr__ = _lazy(globals())

@@ -5,33 +5,15 @@ of §2.2, the four rights-protection algorithms of §2.3, and the server-side
 object table with random-number revocation.
 """
 
-from repro.core.capability import Capability
-from repro.core.ports import NULL_PORT, Port, PrivatePort
-from repro.core.registry import ObjectEntry, ObjectTable
-from repro.core.rights import ALL_RIGHTS, NO_RIGHTS, Rights
-from repro.core.schemes import (
-    CommutativeScheme,
-    EncryptedRightsScheme,
-    ProtectionScheme,
-    SimpleCheckScheme,
-    XorOneWayScheme,
-    scheme_by_name,
-)
+from repro import _lazy
 
-__all__ = [
-    "ALL_RIGHTS",
-    "Capability",
-    "CommutativeScheme",
-    "EncryptedRightsScheme",
-    "NO_RIGHTS",
-    "NULL_PORT",
-    "ObjectEntry",
-    "ObjectTable",
-    "Port",
-    "PrivatePort",
-    "ProtectionScheme",
-    "Rights",
-    "SimpleCheckScheme",
-    "XorOneWayScheme",
-    "scheme_by_name",
-]
+_EXPORTS = {
+    "capability": "Capability",
+    "ports": "NULL_PORT Port PrivatePort",
+    "registry": "ObjectEntry ObjectTable",
+    "rights": "ALL_RIGHTS NO_RIGHTS Rights",
+    "schemes": "CommutativeScheme EncryptedRightsScheme ProtectionScheme"
+               " SimpleCheckScheme XorOneWayScheme scheme_by_name",
+}
+
+__all__, __getattr__ = _lazy(globals())

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from repro.core.capability import OBJECT_BITS, Capability
 from repro.core.rights import ALL_RIGHTS, NO_RIGHTS, Rights
 from repro.crypto.randomsrc import RandomSource
-from repro.errors import NoSuchObject, PermissionDenied
+from repro.errors import NoSuchObject, OutOfSpace, PermissionDenied
 
 #: Bound on each entry's verified-pair memo.  An object realistically
 #: circulates as its owner capability plus a handful of restricted
@@ -174,7 +174,14 @@ class ObjectTable:
                 lifetime=self.default_lifetime,
             )
             if self._wal is not None:
-                self._wal.log_create(entry)
+                try:
+                    self._wal.log_create(entry)
+                except OutOfSpace:
+                    # The log refused the record whole and no capability
+                    # names the object: undo the insert, reissue the number.
+                    del self._entries[number]
+                    self._free.append((number, generation))
+                    raise
         return self._capability(
             number, self.scheme.mint(secret, Rights(rights))
         )

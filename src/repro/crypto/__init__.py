@@ -15,19 +15,14 @@ None of this is production cryptography; it is a faithful, testable
 reproduction of the paper's constructions.
 """
 
-from repro.crypto.commutative import CommutativeOneWayFamily
-from repro.crypto.feistel import FeistelCipher
-from repro.crypto.oneway import OneWayFunction, default_oneway
-from repro.crypto.publickey import KeyPair, PublicKey, generate_keypair
-from repro.crypto.randomsrc import RandomSource
+from repro import _lazy
 
-__all__ = [
-    "CommutativeOneWayFamily",
-    "FeistelCipher",
-    "KeyPair",
-    "OneWayFunction",
-    "PublicKey",
-    "RandomSource",
-    "default_oneway",
-    "generate_keypair",
-]
+_EXPORTS = {
+    "commutative": "CommutativeOneWayFamily",
+    "feistel": "FeistelCipher",
+    "oneway": "OneWayFunction default_oneway",
+    "publickey": "KeyPair PublicKey generate_keypair",
+    "randomsrc": "RandomSource",
+}
+
+__all__, __getattr__ = _lazy(globals())

@@ -47,7 +47,9 @@ class OneWayFunction:
         self._in_bytes = (width_bits + 7) // 8
         self._mask = mask(width_bits)
         self._memo = {}
-        self._int_prefix = tag + b"\x00"
+        # The integer domain hashes ``tag + b"\x00" + value``: the prefix
+        # is absorbed once, and ``raw`` copies that state.
+        self._int_state = hashlib.sha256(tag + b"\x00")
 
     def __call__(self, value):
         """Apply F to an integer, returning an integer of the same width."""
@@ -74,10 +76,9 @@ class OneWayFunction:
             )
         # int.to_bytes, not value.to_bytes: the F-box hands in Ports,
         # whose own to_bytes is a Python-level wrapper.
-        digest = hashlib.sha256(
-            self._int_prefix + int.to_bytes(value, self._in_bytes, "big")
-        ).digest()
-        return int.from_bytes(digest, "big") & self._mask
+        state = self._int_state.copy()
+        state.update(int.to_bytes(value, self._in_bytes, "big"))
+        return int.from_bytes(state.digest(), "big") & self._mask
 
     def apply_bytes(self, data):
         """Apply F to arbitrary bytes, returning ``width_bits`` as bytes.

@@ -2,14 +2,12 @@
 plus the write-ahead log / snapshot store and disk fault injection that
 give object tables a life across reboots."""
 
-from repro.disk.diskfaults import DiskFaultPlan
-from repro.disk.virtualdisk import VirtualDisk
-from repro.disk.wal import ChainLog, DurableStore, RecoveryReport
+from repro import _lazy
 
-__all__ = [
-    "VirtualDisk",
-    "DiskFaultPlan",
-    "DurableStore",
-    "RecoveryReport",
-    "ChainLog",
-]
+_EXPORTS = {
+    "diskfaults": "DiskFaultPlan",
+    "virtualdisk": "VirtualDisk",
+    "wal": "ChainLog DurableStore RecoveryReport",
+}
+
+__all__, __getattr__ = _lazy(globals())

@@ -6,39 +6,15 @@ operation code, and parameters — and blocking until the reply arrives.
 There are no connections or long-lived communication structures.
 """
 
-from repro.ipc.client import ServiceClient
-from repro.ipc.locate import Locator, install_locate_responder
-from repro.ipc.rpc import AsyncTrans, trans, trans_many
-from repro.ipc.server import ObjectServer, RequestContext, command
-from repro.ipc.stdops import (
-    HERE,
-    LOCATE,
-    RIGHT_ADMIN,
-    STD_DESTROY,
-    STD_INFO,
-    STD_REFRESH,
-    STD_RESTRICT,
-    STD_TOUCH,
-    USER_BASE,
-)
+from repro import _lazy
 
-__all__ = [
-    "AsyncTrans",
-    "HERE",
-    "LOCATE",
-    "Locator",
-    "ObjectServer",
-    "RIGHT_ADMIN",
-    "RequestContext",
-    "STD_DESTROY",
-    "STD_INFO",
-    "STD_REFRESH",
-    "STD_RESTRICT",
-    "STD_TOUCH",
-    "ServiceClient",
-    "USER_BASE",
-    "command",
-    "install_locate_responder",
-    "trans",
-    "trans_many",
-]
+_EXPORTS = {
+    "client": "ServiceClient",
+    "locate": "Locator install_locate_responder",
+    "rpc": "AsyncTrans trans trans_many",
+    "server": "ObjectServer RequestContext command",
+    "stdops": "HERE LOCATE RIGHT_ADMIN STD_DESTROY STD_INFO STD_REFRESH"
+              " STD_RESTRICT STD_TOUCH USER_BASE",
+}
+
+__all__, __getattr__ = _lazy(globals())

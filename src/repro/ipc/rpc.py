@@ -35,6 +35,7 @@ reply put-port is visible on the wire) then fail the signature comparison
 and are discarded.  This is the digital-signature mechanism of §2.2.
 """
 
+import queue
 import random
 import time
 
@@ -637,21 +638,30 @@ def _no_reply(dest):
 def _collect_queues(node, wires, dest, expect_signature, timeout):
     """Collect half for a :class:`SocketNode` — real pipelining.
 
-    The replies are awaited in request order with every GET still
-    admitted (each transaction keeps its own ``timeout`` budget, like
-    ``AsyncTrans.result``), and the GETs are withdrawn together at the
-    end.  While the client blocks on reply *i*, the server
-    is already working on *i+1..N* — which is where the multiplicative
-    win over serial ``trans`` comes from on a real wire.
+    The batch's sinks are taken once (``reply_queues``) and the replies
+    awaited in request order with every GET still admitted: one blocking
+    get per reply under that reply's own ``timeout`` budget (like
+    ``AsyncTrans.result``), a forged reply discarded as ``_await_reply``
+    discards it.  The GETs are withdrawn together at the end.  While the
+    client blocks on reply *i*, the server is already working on
+    *i+1..N* — which is where the multiplicative win over serial
+    ``trans`` comes from on a real wire.
     """
     clock = time.monotonic
     try:
         replies = []
-        for wire_reply in wires:
-            reply = _await_reply(node, wire_reply, expect_signature,
-                                 clock() + timeout, clock)
-            if reply is None:
+        for sink in node.reply_queues(wires):
+            if sink is None:
                 raise _no_reply(dest)
+            until = clock() + timeout
+            while True:
+                try:
+                    reply = sink.get(True, max(0.0, until - clock())).message
+                except queue.Empty:
+                    raise _no_reply(dest) from None
+                if (expect_signature is None
+                        or reply.signature == expect_signature):
+                    break
             replies.append(reply)
         return replies
     finally:

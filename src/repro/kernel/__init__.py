@@ -6,8 +6,12 @@ component that manages objects is the memory server (§3.1), and even it
 that its clients do not perceive it as being special in any way".
 """
 
-from repro.kernel.machine import Machine
-from repro.kernel.memory import MemoryClient, MemoryServer
-from repro.kernel.process import Process, ProcessState
+from repro import _lazy
 
-__all__ = ["Machine", "MemoryClient", "MemoryServer", "Process", "ProcessState"]
+_EXPORTS = {
+    "machine": "Machine",
+    "memory": "MemoryClient MemoryServer",
+    "process": "Process ProcessState",
+}
+
+__all__, __getattr__ = _lazy(globals())

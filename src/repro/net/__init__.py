@@ -7,19 +7,15 @@ receives through an F-box that one-ways the reply and signature ports on
 egress and admits only ports for which a GET was done (§2.2, Fig. 1).
 """
 
-from repro.net.fbox import FBox
-from repro.net.intruder import Intruder
-from repro.net.message import Message
-from repro.net.network import Frame, SimNetwork
-from repro.net.nic import Nic
-from repro.net.sched import EventLoop
+from repro import _lazy
 
-__all__ = [
-    "EventLoop",
-    "FBox",
-    "Frame",
-    "Intruder",
-    "Message",
-    "Nic",
-    "SimNetwork",
-]
+_EXPORTS = {
+    "fbox": "FBox",
+    "intruder": "Intruder",
+    "message": "Message",
+    "network": "Frame SimNetwork",
+    "nic": "Nic",
+    "sched": "EventLoop",
+}
+
+__all__, __getattr__ = _lazy(globals())

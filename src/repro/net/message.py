@@ -47,6 +47,7 @@ import struct
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.core import ports as _ports
 from repro.core.capability import Capability
 from repro.core.ports import NULL_PORT, PORT_BYTES, Port
 from repro.errors import BadRequest
@@ -202,10 +203,15 @@ class Message:
                     caps.append(Capability.unpack(raw[pos:pos + clen]))
                     pos += clen
                 extra_caps = tuple(caps)
+        # The intern table read inline, ``from_wire`` only on a miss.  One
+        # read of the global: a flush rebinds it, never empties this dict.
+        interned = _ports._interned
+        from_wire = Port.from_wire
         self = cls.__new__(cls)
-        self.dest = Port.from_wire(dest)
-        self.reply = Port.from_wire(reply)
-        self.signature = Port.from_wire(signature)
+        self.dest = interned[dest] if dest in interned else from_wire(dest)
+        self.reply = interned[reply] if reply in interned else from_wire(reply)
+        self.signature = (interned[signature] if signature in interned
+                          else from_wire(signature))
         self.command = command
         self.status = status
         self.offset = offset

@@ -168,18 +168,20 @@ class SocketNode:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _pack_for_wire(message, transform):
-        """The one egress serialisation: transform, pack, size-check.
+    def _pack_for_wire(messages, transform):
+        """The one egress serialisation: transform and pack a burst, then
+        one size check before anything of it is sent.
 
         Every egress path goes through here so the datagram-cap policy
         cannot drift between the single, batch, and buffered variants;
         ``transform`` is the caller's choice of F-box path (copying or
         owned — the transformation itself is identical).
         """
-        raw = transform(message).pack()
-        if len(raw) > MAX_DATAGRAM:
-            raise ValueError("message of %d bytes exceeds datagram cap" % len(raw))
-        return raw
+        raws = [transform(message).pack() for message in messages]
+        biggest = max(map(len, raws), default=0)
+        if biggest > MAX_DATAGRAM:
+            raise ValueError("message of %d bytes exceeds datagram cap" % biggest)
+        return raws
 
     def _send_run(self, raws, dst):
         """Send a run of packed frames to one destination, coalesced.
@@ -255,7 +257,7 @@ class SocketNode:
         With ``dst_machine`` (a ``(host, port)`` pair) the frame is
         unicast; otherwise it is offered to every connected peer.
         """
-        raw = self._pack_for_wire(message, self.fbox.transform_egress)
+        raw, = self._pack_for_wire((message,), self.fbox.transform_egress)
         self.sent += 1
         if not self.buffer_egress:
             return self._transmit((raw,), dst_machine)
@@ -286,9 +288,7 @@ class SocketNode:
         if self._egress:
             # Same-sender ordering: earlier buffered datagrams first.
             self.flush_egress()
-        transform = self.fbox.transform_egress_owned
-        pack = self._pack_for_wire
-        raws = [pack(message, transform) for message in messages]
+        raws = self._pack_for_wire(messages, self.fbox.transform_egress_owned)
         self.sent += len(raws)
         return len(raws) if self._transmit(raws, dst_machine) else 0
 
@@ -298,14 +298,13 @@ class SocketNode:
         transformed in place exactly as :meth:`put_owned` would."""
         if self._egress:
             self.flush_egress()
-        transform = self.fbox.transform_egress_owned
-        pack = self._pack_for_wire
-        packed = [(pack(message, transform), dst) for message, dst in pairs]
+        raws = self._pack_for_wire([message for message, _ in pairs],
+                                   self.fbox.transform_egress_owned)
         # Counted before they leave, as in put: whoever holds a reply
         # and then reads ``sent`` sees that reply counted.
-        self.sent += len(packed)
-        self._transmit_runs(packed)
-        return len(packed)
+        self.sent += len(raws)
+        self._transmit_runs(zip(raws, [dst for _, dst in pairs]))
+        return len(raws)
 
     def flush_egress(self):
         """Send every buffered datagram; returns how many went out."""
@@ -410,12 +409,14 @@ class SocketNode:
         return wires
 
     def reply_queues(self, wire_ports):
-        """The live queue sinks for a batch of wire ports.  The GETs
-        stay admitted — withdraw with :meth:`unlisten_wire_many` only
-        after the replies are in, so the pump never drops an in-flight
-        reply.  (``trans_many`` now waits on each wire port through
-        :meth:`wait_wire` instead; the benchmark's tracer still names
-        this method, so it stays until that list can change.)"""
+        """The live queue sinks for a batch of wire ports (None for one
+        with no GET), taken once for a whole ``trans_many`` collect.  The
+        GETs stay admitted — withdraw with :meth:`unlisten_wire_many`
+        only after the replies are in, so the pump never drops an
+        in-flight reply.  Our own buffered requests leave first, as
+        before any blocking :meth:`poll_wire`."""
+        if self._egress:
+            self.flush_egress()
         sinks = self._sinks
         return [sinks.get(wire_port) for wire_port in wire_ports]
 
@@ -507,6 +508,7 @@ class SocketNode:
     def _pump_loop(self):
         from repro.net.network import Frame
 
+        new = tuple.__new__  # a Frame without its namedtuple frame
         QueueType = queue.SimpleQueue
         sock = self._sock
         unpack = Message.unpack
@@ -587,7 +589,7 @@ class SocketNode:
                     # a frame); with no handlers they drop as before.
                     handlers = self._broadcast_handlers
                     if handlers:
-                        frame = Frame(src=src, dst_machine=None, message=message)
+                        frame = new(Frame, (src, None, message))
                         for handler in handlers:
                             try:
                                 handler(frame)
@@ -595,7 +597,7 @@ class SocketNode:
                                 self._handler_failed(exc)
                     continue
                 admitted += 1
-                frame = Frame(src=src, dst_machine=None, message=message)
+                frame = new(Frame, (src, None, message))
                 kind = type(sink)
                 if kind is QueueType:
                     sink.put(frame)

@@ -7,28 +7,17 @@ server, the charging file server that combines the last two (§3.6's
 quota-by-pricing), and the UNIX-like file system facade.
 """
 
-from repro.servers.bank import BankClient, BankServer
-from repro.servers.block import BlockClient, BlockServer
-from repro.servers.charging import ChargingFlatFileServer
-from repro.servers.directory import DirectoryClient, DirectoryServer, resolve_path
-from repro.servers.flatfile import FlatFileClient, FlatFileServer
-from repro.servers.multiversion import MultiversionClient, MultiversionFileServer
-from repro.servers.sweeper import ReachabilitySweeper
-from repro.servers.unixfs import UnixFs
+from repro import _lazy
 
-__all__ = [
-    "BankClient",
-    "BankServer",
-    "BlockClient",
-    "BlockServer",
-    "ChargingFlatFileServer",
-    "DirectoryClient",
-    "DirectoryServer",
-    "FlatFileClient",
-    "FlatFileServer",
-    "MultiversionClient",
-    "MultiversionFileServer",
-    "ReachabilitySweeper",
-    "UnixFs",
-    "resolve_path",
-]
+_EXPORTS = {
+    "bank": "BankClient BankServer",
+    "block": "BlockClient BlockServer",
+    "charging": "ChargingFlatFileServer",
+    "directory": "DirectoryClient DirectoryServer resolve_path",
+    "flatfile": "FlatFileClient FlatFileServer",
+    "multiversion": "MultiversionClient MultiversionFileServer",
+    "sweeper": "ReachabilitySweeper",
+    "unixfs": "UnixFs",
+}
+
+__all__, __getattr__ = _lazy(globals())

@@ -17,23 +17,13 @@ the full §2.4 stack:
   alternative the section closes with.
 """
 
-from repro.softprot.boot import Announcement, BootProtocol
-from repro.softprot.cache import (
-    ClientCapabilityCache,
-    LruCache,
-    ServerCapabilityCache,
-)
-from repro.softprot.linkcrypt import LinkCryptNode
-from repro.softprot.matrix import CapabilitySealer, KeyMatrix, MachineKeyView
+from repro import _lazy
 
-__all__ = [
-    "Announcement",
-    "BootProtocol",
-    "CapabilitySealer",
-    "ClientCapabilityCache",
-    "KeyMatrix",
-    "LinkCryptNode",
-    "LruCache",
-    "MachineKeyView",
-    "ServerCapabilityCache",
-]
+_EXPORTS = {
+    "boot": "Announcement BootProtocol",
+    "cache": "ClientCapabilityCache LruCache ServerCapabilityCache",
+    "linkcrypt": "LinkCryptNode",
+    "matrix": "CapabilitySealer KeyMatrix MachineKeyView",
+}
+
+__all__, __getattr__ = _lazy(globals())

@@ -1,17 +1,9 @@
 """Small shared utilities (bit packing, constant-time comparison)."""
 
-from repro.util.bits import (
-    bytes_to_int,
-    constant_time_eq,
-    int_to_bytes,
-    mask,
-    xor_bytes,
-)
+from repro import _lazy
 
-__all__ = [
-    "bytes_to_int",
-    "constant_time_eq",
-    "int_to_bytes",
-    "mask",
-    "xor_bytes",
-]
+_EXPORTS = {
+    "bits": "bytes_to_int constant_time_eq int_to_bytes mask xor_bytes",
+}
+
+__all__, __getattr__ = _lazy(globals())

@@ -7,6 +7,9 @@
   from the run under ``sys.setprofile``, never hand-listed) or is named
   in ``BEYOND_PAPER`` with what runs it instead — never both, never
   neither;
+* beside the ledger, the packages' lazy re-exports: a spawned echo
+  server loads only the layers it runs, and every ``__all__`` name is
+  its defining module's object;
 * the committed ``BENCH_invariants.json`` and ``docs/PAPER_MAP.md`` are
   what a full ``run_bench.py`` run writes from these rows;
 * the table has teeth: without signature checking the forged-reply row
@@ -15,8 +18,11 @@
 """
 
 import ast
+import importlib
+import inspect
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -113,7 +119,9 @@ class TestReadBackwards:
             self, table):
         modules = self._modules()
         reached = set().union(*table[1].values())
-        defining = {module for module, defines in modules.items() if defines}
+        # A package's __init__ defines nothing but its lazy re-exports.
+        defining = {module for module, defines in modules.items()
+                    if defines and not module.endswith("__init__.py")}
         assert reached <= defining
         assert reached & set(BEYOND_PAPER) == set(), "in both"
         assert defining - reached - set(BEYOND_PAPER) == set(), "on trial"
@@ -135,6 +143,66 @@ class TestReadBackwards:
                 ("servers/unixfs.py", "claim_unix_facade"),
                 ("softprot/linkcrypt.py", "claim_link_encrypted_tap")):
             assert module in table[1][name]
+
+
+PACKAGES = ["repro"] + ["repro." + name for name in (
+    "core", "crypto", "disk", "ipc", "kernel", "net", "servers", "softprot",
+    "util")]
+
+
+class TestLazyPackages:
+    """A package imports a re-export's defining module on the export's
+    first read (``repro._lazy``), so a process loads only what it runs."""
+
+    def test_the_echo_server_loads_only_the_layers_it_runs(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.crypto.randomsrc, repro.net.sockets, "
+             "repro.ipc.server; print(' '.join(sys.modules))"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, check=True).stdout.split()
+        assert {"repro.crypto.randomsrc", "repro.net.sockets",
+                "repro.ipc.server"} <= set(loaded)
+        assert [name for name in loaded if name.startswith(
+            ("repro.kernel", "repro.softprot", "repro.servers"))] == []
+        assert "repro.crypto.publickey" not in loaded
+        assert "repro.net.intruder" not in loaded
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_every_export_is_its_defining_modules_object(self, package):
+        module = importlib.import_module(package)
+        names = []
+        for defining, exported in module._EXPORTS.items():
+            source = importlib.import_module(package + "." + defining)
+            for name in exported.split():
+                value = getattr(module, name)
+                assert value is getattr(source, name), name
+                if inspect.isclass(value) or inspect.isfunction(value):
+                    assert value.__module__ == source.__name__, name
+                names.append(name)
+        assert sorted(names) == module.__all__
+
+    def test_a_read_follows_the_defining_module(self, monkeypatch):
+        """What a tracer does: wrap ``rpc.trans``, probe every package
+        for it, take the wrapper off.  The package never keeps it."""
+        rpc = importlib.import_module("repro.ipc.rpc")
+        original = rpc.trans
+
+        def wrapper(*args, **kwargs):
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rpc, "trans", wrapper)
+        assert repro.trans is wrapper and repro.ipc.trans is wrapper
+        monkeypatch.undo()
+        assert repro.trans is original and repro.ipc.trans is original
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_an_unknown_name_raises_attribute_error(self, package):
+        module = importlib.import_module(package)
+        with pytest.raises(AttributeError, match="no_such_export"):
+            module.no_such_export
+        assert not hasattr(module, "no_such_export")
 
 
 class TestCommittedRecords:

@@ -268,6 +268,54 @@ class TestSocketTransport:
         # No admission residue: every reply GET was withdrawn.
         assert client._sinks == {}
 
+    def test_trans_many_discards_a_forged_reply_ahead_of_the_genuine(
+            self, nodes):
+        """The collect lane screens each reply port's frames as
+        ``_await_reply`` does: a reply signed with the wrong secret that
+        arrives first is discarded and the genuine one returned."""
+        from repro.ipc.rpc import trans_many
+
+        server, client = nodes(), nodes()
+        signature, forger = PrivatePort(1234), PrivatePort(4321)
+
+        def handler(frame):
+            for secret in (forger, signature):
+                server.put(frame.message.reply_to(
+                    data=frame.message.data + b"/%d" % secret.secret,
+                    signature=Port(secret.secret)), dst_machine=frame.src)
+
+        wire = server.serve(PrivatePort(9), handler)
+        requests = [Message(data=b"req-%02d" % i) for i in range(16)]
+        replies = trans_many(client, wire, requests, rng=RandomSource(seed=4),
+                             dst_machine=server.address, timeout=5.0,
+                             expect_signature=signature.public)
+        assert [r.data for r in replies] == [
+            b"req-%02d/1234" % i for i in range(16)]
+        assert {r.signature for r in replies} == {signature.public}
+        assert client._sinks == {}
+
+    def test_trans_many_to_a_silent_server_times_out(self, nodes):
+        """A batch nobody answers raises RPCTimeout after about its
+        ``timeout`` and withdraws every reply GET; a reply port with no
+        GET at all is a timeout too, at once."""
+        from repro.errors import RPCTimeout
+        from repro.ipc import rpc
+
+        server, client = nodes(), nodes()
+        wire = server.serve(PrivatePort(9), lambda frame: None)
+        served = client.serve(PrivatePort(3), lambda frame: None)
+        timeout = 0.3
+        start = time.monotonic()
+        with pytest.raises(RPCTimeout):
+            rpc.trans_many(client, wire, [Message(data=b"x")] * 4,
+                           rng=RandomSource(seed=4),
+                           dst_machine=server.address, timeout=timeout)
+        assert timeout <= time.monotonic() - start < timeout + 1.5
+        assert set(client._sinks) == {served}
+        with pytest.raises(RPCTimeout):
+            rpc._collect_queues(client, [Port(77)], wire, None, timeout)
+        assert set(client._sinks) == {served}
+
     def test_serve_batch_coalesces_bursts(self, nodes):
         """serve_batch delivers each ingress burst as one handler call."""
         server, client = nodes(), nodes()

@@ -236,6 +236,27 @@ class TestFramingAgainstTheReference:
         assert rebooted.lookup(first)[0].data == b"a"
         assert rebooted.lookup(second)[0].data == b"b"
 
+    def test_a_create_the_log_refuses_leaves_no_object_behind(self):
+        """Regression: the entry went into the table before the log was
+        asked, so a refused create left an object in memory that no
+        capability named, and its number was spent."""
+        disk = VirtualDisk(4, block_size=64)  # superblocks, log head, 1 free
+        store = DurableStore(disk, codec=DefaultCodec())
+        table = make_table(store)
+        acked = [table.create(b"a")]
+        numbers = table.numbers()
+        with pytest.raises(OutOfSpace):
+            table.create(b"z" * 100)  # needs two more blocks
+        assert len(table) == 1 and table.numbers() == numbers
+        refused = numbers[-1] + 1  # the number the refused create drew
+        acked.append(table.create(b"b"))
+        assert acked[-1].object == refused
+        store.flush()
+        _, rebooted, report = reattach(disk)
+        assert not report.suspect and rebooted.numbers() == [
+            cap.object for cap in acked]
+        assert [rebooted.lookup(cap)[0].data for cap in acked] == [b"a", b"b"]
+
     @pytest.mark.parametrize("after_writes", [0, 1, 2, 3])
     def test_power_failure_in_a_flush_leaves_it_owed(self, after_writes):
         disk = bare_disk(64, 64)
