@@ -64,9 +64,8 @@ from repro.ipc.replica import (
 from repro.ipc.rpc import RetryPolicy
 from repro.ipc.server import command
 from repro.net.faults import FaultPlan, FaultSpec
-from repro.net.network import SimNetwork
-from repro.net.nic import Nic
-from repro.net.sched import LatencyModel, VirtualClock
+from repro.net.sched import LatencyModel
+from repro.testing.world import World
 
 __all__ = [
     "CMD_INCR",
@@ -174,13 +173,10 @@ class ScenarioRunner:
         self.recovered_value = None
         self.acked_at_reboot = 0
         self.plan = FaultPlan(seed=seed, drop=drop, delay=delay)
-        self.clock = VirtualClock()
-        self.net = SimNetwork(
-            clock=self.clock,
-            latency=LatencyModel(rtt_ms=rtt_ms, jitter_ms=jitter_ms,
-                                 seed=seed),
-            faults=self.plan,
-        )
+        self.world = World("des", faults=self.plan, latency=LatencyModel(
+            rtt_ms=rtt_ms, jitter_ms=jitter_ms, seed=seed))
+        self.net = self.world.net
+        self.clock = self.net.clock
         if durable and replicas != 1:
             raise ValueError("the durable scenario runs a single server")
         self.durable = durable
@@ -191,7 +187,7 @@ class ScenarioRunner:
 
             self.disk = VirtualDisk(8192)
             server = ChaosCounterServer(
-                Nic(self.net),
+                self.world.node(),
                 rng=RandomSource(seed=seed),
                 store=DurableStore(self.disk, codec=DefaultCodec()),
             ).start()
@@ -216,7 +212,7 @@ class ScenarioRunner:
             self.put_port = self.service.put_port
             self.capability = self.service.create(0)
             self._signature_image = self.servers[0].signature_image
-        client_nic = Nic(self.net)
+        client_nic = self.world.node()
         locator = None
         if not durable:
             # The locator shares the workload client's station, so
@@ -238,7 +234,7 @@ class ScenarioRunner:
                      retry_attempts=3):
         """A blocking client on its own station, fully seed-derived."""
         return ServiceClient(
-            node if node is not None else Nic(self.net),
+            node if node is not None else self.world.node(),
             self.put_port,
             rng=RandomSource(seed="%d-%s" % (self.seed, label)),
             expect_signature=self._signature_image,
@@ -368,7 +364,7 @@ class ScenarioRunner:
 
         old = self.servers[0]
         respawn = ChaosCounterServer(
-            Nic(self.net),
+            self.world.node(),
             get_port=old.get_port,
             rng=RandomSource(seed="%d-respawn" % self.seed),
             store=DurableStore(self.disk, codec=DefaultCodec()),
@@ -411,7 +407,7 @@ class ScenarioRunner:
         The §2.2 threat: same capability bytes, same reply port — only
         the unforgeable source address differs.  Counted executions from
         the intruder's machine are phantom authority."""
-        intruder = Nic(self.net)
+        intruder = self.world.node()
         self.intruder_machine = intruder.address
         replayed = self._captured if limit is None else self._captured[:limit]
         targets = [s.node.address for s in self.servers if s.running]

@@ -36,6 +36,22 @@ def port_cache_max():
 
 
 @pytest.fixture
+def worlds():
+    """``worlds(cls, station, ...)`` builds a
+    :class:`~repro.testing.world.World`, or a test's subclass of it, and
+    closes every one it built at teardown."""
+    made = []
+
+    def make(cls, *args, **kwargs):
+        made.append(cls(*args, **kwargs))
+        return made[-1]
+
+    yield make
+    for world in made:
+        world.close()
+
+
+@pytest.fixture
 def rng():
     return RandomSource(seed=0xA40EBA)
 

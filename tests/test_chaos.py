@@ -24,12 +24,10 @@ import pytest
 
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import PartitionSuspected, PermissionDenied, RPCTimeout
-from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
 from repro.net.faults import FaultPlan
 from repro.net.message import Message
 from repro.net.network import SimNetwork
-from repro.net.nic import Nic
 from repro.net.sched import LatencyModel, VirtualClock
 from repro.testing.chaos import (
     CMD_GET,
@@ -42,28 +40,14 @@ from repro.testing.chaos import (
     no_lost_authority,
     no_phantom_authority,
 )
-
-
-class EchoServer(ObjectServer):
-    service_name = "chaos test echo"
-
-    @command(USER_BASE)
-    def _echo(self, ctx):
-        return ctx.ok(data=ctx.request.data)
+from repro.testing.world import EchoServer, World
 
 
 def world(discipline, plan):
-    if discipline == "des":
-        net = SimNetwork(
-            clock=VirtualClock(),
-            latency=LatencyModel(rtt_ms=2.8, jitter_ms=0.2, seed=3),
-            faults=plan,
-        )
-    else:
-        net = SimNetwork(synchronous=(discipline == "synchronous"),
-                         faults=plan)
-    server = EchoServer(Nic(net), rng=RandomSource(seed=3)).start()
-    return net, server, Nic(net)
+    w = World(discipline, faults=plan,
+              latency=LatencyModel(rtt_ms=2.8, jitter_ms=0.2, seed=3))
+    server = EchoServer(w.node(), rng=RandomSource(seed=3)).start()
+    return w.net, server, w.node()
 
 
 def echo(client, server, payload, timeout=0.25):

@@ -28,17 +28,12 @@ from repro.crypto.randomsrc import RandomSource
 from repro.ipc.rpc import AsyncTrans
 from repro.net.faults import FaultPlan
 from repro.net.message import Message
-from repro.net.network import SimNetwork
-from repro.net.nic import Nic
-from repro.net.sched import LatencyModel, VirtualClock
+from repro.testing import world
 
-NETWORKS = {
-    "synchronous": lambda faults: SimNetwork(faults=faults),
-    "deferred": lambda faults: SimNetwork(
-        synchronous=False, auto_drain=False, faults=faults),
-    "des": lambda faults: SimNetwork(
-        clock=VirtualClock(), latency=LatencyModel(rtt_ms=2.0), faults=faults),
-}
+#: Discipline -> the world's station name.  "deferred" here is the event
+#: loop the script pumps itself (``arrive``): ``deferred-manual``.
+NETWORKS = {"synchronous": "synchronous", "deferred": "deferred-manual",
+            "des": "des"}
 ALL = tuple(NETWORKS)
 QUEUED = ("deferred", "des")  # a frame is in flight between send and arrive
 SYNCHRONOUS = ("synchronous",)  # ... and here it has already arrived
@@ -47,14 +42,13 @@ SIGNATURE = PrivatePort(0x516A7)  # the server's reply-signing secret S
 ABSENT = 99  # a machine address the network never handed out
 
 
-class World:
+class World(world.World):
     """Four stations (addresses 1-4) on one network of the discipline;
     every frame sent carries the next serial number as its payload."""
 
     def __init__(self, discipline, faults=None):
-        self.net = NETWORKS[discipline](faults)
-        self.faults = faults
-        self.nics = [Nic(self.net) for _ in range(4)]
+        super().__init__(NETWORKS[discipline], faults=faults)
+        self.nics = [self.node() for _ in range(4)]
         self.wire = self.nics[0].fbox.listen_port(PORT)
         self.verdicts = []
         self.heard = {}  # station -> serials its broadcast handler saw

@@ -30,17 +30,10 @@ from repro.net.message import Message
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 from repro.net.sched import LatencyModel, VirtualClock
+from repro.testing.world import EchoServer
 
 RTT_MS = 2.8
 RTT = RTT_MS / 1000.0
-
-
-class EchoServer(ObjectServer):
-    service_name = "des test echo"
-
-    @command(USER_BASE)
-    def _echo(self, ctx):
-        return ctx.ok(data=ctx.request.data)
 
 
 def des_network(**latency_kwargs):

@@ -32,28 +32,19 @@ from repro.core.ports import PrivatePort
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import RPCTimeout
 from repro.ipc.rpc import RetryPolicy, trans
-from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import STD_INFO, USER_BASE
 from repro.net.faults import FaultPlan, FaultSpec, faulty_sendto
 from repro.net.message import Message
 from repro.net.network import Frame, SimNetwork
 from repro.net.nic import Nic
 from repro.net.sched import LatencyModel, VirtualClock
-
-
-class EchoServer(ObjectServer):
-    service_name = "fault test echo"
-
-    @command(USER_BASE)
-    def _echo(self, ctx):
-        return ctx.ok(data=ctx.request.data)
+from repro.testing.world import EchoServer, World
 
 
 def sync_world(plan, seed=1):
-    net = SimNetwork(faults=plan)
-    server = EchoServer(Nic(net), rng=RandomSource(seed=seed)).start()
-    client = Nic(net)
-    return net, server, client
+    w = World("synchronous", faults=plan)
+    server = EchoServer(w.node(), rng=RandomSource(seed=seed)).start()
+    return w.net, server, w.node()
 
 
 class TestSpecValidation:

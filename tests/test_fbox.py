@@ -14,7 +14,7 @@ from repro.ipc.rpc import trans
 from repro.ipc.stdops import USER_BASE
 from repro.net.fbox import FBox
 from repro.net.message import Message
-from repro.net.sockets import SocketNode
+from repro.testing.world import World
 
 #: What a null header field must never become on the wire.
 F_OF_NULL = Port(default_oneway()(0))
@@ -217,7 +217,8 @@ class TestTheCacheBound:
         threads transform through each F-box while it flushes every few
         frames.  A request's null signature and a reply's two null
         fields must reach the wire null, every time."""
-        nodes = [SocketNode(), SocketNode()]
+        w = World("udp")
+        nodes = [w.node(), w.node()]
         service = PrivatePort(0x5E41CE)
         datagrams = []
         errors = []
@@ -268,10 +269,7 @@ class TestTheCacheBound:
                     assert not t.is_alive()
         finally:
             sys.setswitchinterval(interval)
-            for node in nodes:
-                node._closed.set()
-            for node in nodes:
-                node.close()
+            w.close()
         assert not errors
         assert len(datagrams) == 1600
         poisoned = [raw for raw in datagrams if F_OF_NULL.to_bytes() in raw]

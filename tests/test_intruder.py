@@ -11,29 +11,19 @@ import pytest
 from repro.core.ports import Port, PrivatePort
 from repro.crypto.randomsrc import RandomSource
 from repro.ipc.rpc import trans
-from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
 from repro.net.intruder import Intruder
 from repro.net.message import Message
-from repro.net.network import SimNetwork
-from repro.net.nic import Nic
-
-
-class EchoServer(ObjectServer):
-    service_name = "echo"
-
-    @command(USER_BASE)
-    def _echo(self, ctx):
-        return ctx.ok(data=ctx.request.data)
+from repro.testing.world import EchoServer, World
 
 
 @pytest.fixture
 def world():
-    net = SimNetwork()
-    server_nic, client_nic = Nic(net), Nic(net)
+    w = World("synchronous")
+    server_nic, client_nic = w.node(), w.node()
     server = EchoServer(server_nic, rng=RandomSource(seed=1)).start()
-    intruder = Intruder(net, rng=RandomSource(seed=2))
-    return net, server_nic, client_nic, server, intruder
+    intruder = Intruder(w.net, rng=RandomSource(seed=2))
+    return w.net, server_nic, client_nic, server, intruder
 
 
 class TestImpersonation:

@@ -27,14 +27,7 @@ from repro.net.message import Message
 from repro.net.network import Frame, SimNetwork
 from repro.net.nic import Nic
 from repro.net.sched import VirtualClock
-
-
-class Echo(ObjectServer):
-    service_name = "echo"
-
-    @command(USER_BASE)
-    def _echo(self, ctx):
-        return ctx.ok(data=ctx.request.data)
+from repro.testing.world import EchoServer as Echo
 
 
 class TestIndexMirrorsAdmission:

@@ -12,6 +12,8 @@ member is forgotten (alone) by failover, and a suspected one is steered
 around but never evicted.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.crypto.randomsrc import RandomSource
@@ -22,9 +24,7 @@ from repro.ipc.locate import Locator
 from repro.ipc.replica import ReplicatedObjectServer
 from repro.ipc.rpc import trans
 from repro.net.message import Message
-from repro.net.network import SimNetwork
-from repro.net.nic import Nic
-from repro.net.sched import LatencyModel, VirtualClock
+from repro.testing.world import World
 
 PLACEMENTS = (
     "synchronous",
@@ -49,35 +49,25 @@ EXPECTED = {
 }
 
 
-class World:
+class ReplicaWorld(World):
     """A three-member pool holding two objects, and one client station."""
 
     def __init__(self, kind):
-        net = None
-        if kind == "des":
-            net = SimNetwork(
-                clock=VirtualClock(), latency=LatencyModel(rtt_ms=2.0)
-            )
-        elif kind != "forked-udp":
-            net = SimNetwork(synchronous=(kind == "synchronous"))
+        super().__init__("udp" if kind == "forked-udp" else kind)
         self.pool = ReplicatedObjectServer(
-            net, replicas=3, rng=RandomSource(7), objects=2, payload=b"row"
-        ).start()
-        if net is None:
-            from repro.net.sockets import SocketNode
-
-            self.node = SocketNode()
-            self.node.connect(self.pool.arbiter.address)
-        else:
-            self.node = Nic(net)
+            self.net, replicas=3, rng=RandomSource(7), objects=2,
+            payload=b"row").start()
+        self.client = self.node()
+        if self.net is None:
+            self.client.connect(self.pool.arbiter.address)
         self.rng = RandomSource(11)
         self.expect = self.pool.signature.public
-        self.timeout = 4.0 if net is None else 1.0
+        self.timeout = 4.0 if self.net is None else 1.0
 
     def ask(self, member, command, capability):
         """One transaction with member ``member``, asked directly."""
         return trans(
-            self.node, self.pool.put_port,
+            self.client, self.pool.put_port,
             Message(command=command, capability=capability),
             rng=self.rng, timeout=self.timeout, expect_signature=self.expect,
             dst_machine=self.pool.addresses[member],
@@ -96,30 +86,21 @@ class World:
 
     def close(self):
         self.pool.stop()
-        if self.pool.network is None:
-            self.node.close()
+        super().close()
 
 
 @pytest.fixture
-def world():
-    made = []
-
-    def make(kind):
-        made.append(World(kind))
-        return made[-1]
-
-    yield make
-    for w in made:
-        w.close()
+def world(worlds):
+    return partial(worlds, ReplicaWorld)
 
 
 def script(w):
     pool, seen = w.pool, {}
     doomed, kept = pool.capabilities
-    locator = Locator(w.node, rng=RandomSource(3))
+    locator = Locator(w.client, rng=RandomSource(3))
     client = ServiceClient(
-        w.node, pool.put_port, rng=RandomSource(5), expect_signature=w.expect,
-        locator=locator, timeout=w.timeout,
+        w.client, pool.put_port, rng=RandomSource(5),
+        expect_signature=w.expect, locator=locator, timeout=w.timeout,
     )
     client.touch(kept)
     seen["located"] = w.indices(locator.cache.get(pool.put_port))

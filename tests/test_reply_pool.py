@@ -11,6 +11,7 @@ and deferred simulators and on real UDP.
 
 import sys
 import threading
+from functools import partial
 
 import pytest
 
@@ -22,9 +23,8 @@ from repro.ipc.rpc import AsyncTrans, trans
 from repro.ipc.stdops import USER_BASE
 from repro.net.fbox import FBox
 from repro.net.message import Message
-from repro.net.network import SimNetwork
-from repro.net.nic import REPLY_BLOCK, Nic
-from repro.net.sockets import SocketNode
+from repro.net.nic import REPLY_BLOCK
+from repro.testing.world import World
 
 pytestmark = pytest.mark.integration
 
@@ -38,21 +38,17 @@ SIMULATORS = ("synchronous", "deferred")
 STATIONS = SIMULATORS + ("udp",)
 
 
-class World:
+class PoolWorld(World):
     """A client and an echo handler on a server station.  ``reply_ports``
     is what a wiretap learns of each request: the reply field as it
     crossed the wire (on UDP, as the server received it)."""
 
     def __init__(self, kind):
+        super().__init__(kind)
         self.reply_ports = []
-        if kind == "udp":
-            self.net = None
-            self.server, self.client = SocketNode(), SocketNode()
-            # Never connect()ed: a port-addressed request finds nobody.
-            self.nodes = [self.server, self.client]
-        else:
-            self.net = SimNetwork(synchronous=(kind == "synchronous"))
-            self.server, self.client = Nic(self.net), Nic(self.net)
+        # On UDP never connect()ed: a port-addressed request finds nobody.
+        self.server, self.client = self.node(), self.node()
+        if self.net is not None:
             self.net.add_tap(self._tap)
         self.port = self.server.serve(SERVICE, self._handle)
         self.to = self.server.address
@@ -70,12 +66,7 @@ class World:
                             frame.src)
 
     def gets(self):
-        """Every GET the client has out, and (simulators) every index
-        entry beyond the server's own."""
-        if self.net is None:
-            return set(self.client._sinks)
-        return set(self.client._sinks) | (set(self.net._listeners)
-                                          - {self.port})
+        return self.reply_gets(self.client, self.port)
 
     def admitted(self, wire_port):
         if self.net is None:
@@ -83,25 +74,10 @@ class World:
         return (self.client.admits(wire_port)
                 or wire_port in self.net._listeners)
 
-    def close(self):
-        if self.net is None:
-            for node in self.nodes:
-                node._closed.set()
-            for node in self.nodes:
-                node.close()
-
 
 @pytest.fixture
-def world():
-    made = []
-
-    def make(kind):
-        made.append(World(kind))
-        return made[-1]
-
-    yield make
-    for w in made:
-        w.close()
+def world(worlds):
+    return partial(worlds, PoolWorld)
 
 
 def predicted(seed, n):

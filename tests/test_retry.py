@@ -24,28 +24,19 @@ from repro.errors import PortNotLocated, RPCTimeout
 from repro.ipc.client import ServiceClient
 from repro.ipc.locate import Locator, install_locate_responder
 from repro.ipc.rpc import AsyncTrans, RetryPolicy, trans, trans_many
-from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
 from repro.net.faults import FaultPlan, FaultSpec
 from repro.net.message import Message
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 from repro.net.sched import LatencyModel, VirtualClock
-
-
-class EchoServer(ObjectServer):
-    service_name = "retry test echo"
-
-    @command(USER_BASE)
-    def _echo(self, ctx):
-        return ctx.ok(data=ctx.request.data)
+from repro.testing.world import EchoServer, World
 
 
 def lossy_world(plan):
-    net = SimNetwork(faults=plan)
-    server = EchoServer(Nic(net), rng=RandomSource(seed=1)).start()
-    client = Nic(net)
-    return net, server, client
+    w = World("synchronous", faults=plan)
+    server = EchoServer(w.node(), rng=RandomSource(seed=1)).start()
+    return w.net, server, w.node()
 
 
 class TestRetryPolicy:

@@ -14,6 +14,7 @@ a station) and the one rule for a retransmission that finds no listener.
 """
 
 import time
+from functools import partial
 
 import pytest
 
@@ -29,10 +30,9 @@ from repro.ipc.stdops import USER_BASE
 from repro.net.faults import FaultPlan
 from repro.net.fbox import FBox
 from repro.net.message import Message
-from repro.net.network import Frame, SimNetwork
-from repro.net.nic import REPLY_BLOCK, Nic, Station
-from repro.net.sched import LatencyModel, VirtualClock
-from repro.net.sockets import SocketNode
+from repro.net.network import Frame
+from repro.net.nic import REPLY_BLOCK, Station
+from repro.testing.world import STATIONS, World
 
 pytestmark = pytest.mark.integration
 
@@ -42,83 +42,39 @@ FORGER = Port(0xBAD516)
 REQUEST = Message(command=USER_BASE, data=b"ping")
 BATCH = 3
 
-STATIONS = ("synchronous", "deferred", "deferred-manual", "des", "udp")
+
+def answer(server, behaviour, frame):
+    """The server's raw request handler: an echo, a forgery and then an
+    echo, or a forgery alone (``behaviour``; "silent" answers nothing)."""
+    request = frame.message
+    if behaviour in ("forged-first", "forged-only"):
+        server.put(request.reply_to(data=b"forged", signature=FORGER),
+                   frame.src)
+    if behaviour in ("echo", "forged-first"):
+        server.put(request.reply_to(data=request.data.upper(),
+                                    signature=as_port(SIGNATURE)), frame.src)
 
 
-class World:
-    """A client, a raw request handler on a server station, and two
+class ParityWorld(World):
+    """A client, a server station answering by ``behaviour``, and two
     stations that serve nothing (the "dead" machines)."""
 
     def __init__(self, kind, behaviour="echo", faults=None):
-        self.kind = kind
-        self.behaviour = behaviour
-        if kind == "udp":
-            self.net = None
-            self.nodes = [SocketNode(faults=faults) for _ in range(4)]
-            self.nodes[1].connect(self.nodes[0].address)
-        else:
-            if kind == "des":
-                self.net = SimNetwork(
-                    clock=VirtualClock(), latency=LatencyModel(rtt_ms=2.0),
-                    faults=faults,
-                )
-            else:
-                self.net = SimNetwork(
-                    synchronous=(kind == "synchronous"),
-                    auto_drain=(kind != "deferred-manual"),
-                    faults=faults,
-                )
-            self.nodes = [Nic(self.net) for _ in range(4)]
-        self.server, self.client = self.nodes[:2]
-        self.port = self.server.serve(SERVICE, self._handle)
-        self.live = self.server.address
-        self.dead = [node.address for node in self.nodes[2:]]
-
-    def _handle(self, frame):
-        request = frame.message
-        if self.behaviour in ("forged-first", "forged-only"):
-            self.server.put(
-                request.reply_to(data=b"forged", signature=FORGER), frame.src
-            )
-        if self.behaviour in ("echo", "forged-first"):
-            self.server.put(
-                request.reply_to(
-                    data=request.data.upper(), signature=as_port(SIGNATURE)
-                ),
-                frame.src,
-            )
-
-    def frames(self):
-        return sum(node.sent for node in self.nodes)
+        super().__init__(kind, faults=faults)
+        self.server, self.client, *dead = [self.node() for _ in range(4)]
+        if self.net is None:
+            self.client.connect(self.server.address)
+        self.port = self.server.serve(SERVICE,
+                                      partial(answer, self.server, behaviour))
+        self.live, self.dead = self.server.address, [n.address for n in dead]
 
     def reply_gets(self):
-        """Every GET outstanding beyond the server's own."""
-        if self.net is None:
-            return dict(self.client._sinks)
-        ports = set(self.net._listeners) - {self.port}
-        return ports | set(self.client._sinks)
-
-    def close(self):
-        if self.net is None:
-            # Tell every pump first, so they wind down together and not
-            # one receive timeout after another.
-            for node in self.nodes:
-                node._closed.set()
-            for node in self.nodes:
-                node.close()
+        return super().reply_gets(self.client, self.port)
 
 
 @pytest.fixture
-def world():
-    made = []
-
-    def make(kind, behaviour="echo", faults=None):
-        made.append(World(kind, behaviour, faults))
-        return made[-1]
-
-    yield make
-    for w in made:
-        w.close()
+def world(worlds):
+    return partial(worlds, ParityWorld)
 
 
 def destination(w, name, alive=True):

@@ -18,14 +18,7 @@ from repro.ipc.stdops import USER_BASE
 from repro.net.message import Message
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
-
-
-class Echo(ObjectServer):
-    service_name = "echo"
-
-    @command(USER_BASE)
-    def _echo(self, ctx):
-        return ctx.ok(data=ctx.request.data)
+from repro.testing.world import EchoServer as Echo
 
 
 class TestDeferredDelivery:

@@ -7,22 +7,15 @@ import pytest
 from repro.core.ports import Port, PrivatePort
 from repro.crypto.randomsrc import RandomSource
 from repro.ipc.rpc import trans
+from repro.ipc.stdops import USER_BASE
 from repro.net.message import Message
 from repro.net.sockets import SocketNode
+from repro.testing.world import EchoServer, World
 
 
 @pytest.fixture
-def nodes():
-    created = []
-
-    def make():
-        node = SocketNode()
-        created.append(node)
-        return node
-
-    yield make
-    for node in created:
-        node.close()
+def nodes(worlds):
+    return worlds(World, "udp").node
 
 
 pytestmark = pytest.mark.integration
@@ -536,3 +529,22 @@ class TestPumpCountsWhatItDrops:
         wire = server.serve_batch(PrivatePort(32), self._boom)
         client.put(Message(dest=wire), dst_machine=server.address)
         self._assert_counted(server, client)
+
+
+class TestWorldShutdown:
+    def test_close_leaves_no_pump_and_no_socket(self, worlds):
+        """``SocketNode.close`` waits 2 s at most for its pump and does
+        not say when the pump outlives that: after the world's close,
+        every pump has stopped and every socket is closed."""
+        w = worlds(World, "udp")
+        server = EchoServer(w.node(), rng=RandomSource(seed=1)).start()
+        client, _ = w.node(), w.node()
+        reply = trans(client, server.put_port,
+                      Message(command=USER_BASE, data=b"echo"),
+                      RandomSource(seed=2), timeout=3.0,
+                      dst_machine=server.node.address)
+        assert reply.data == b"echo"
+        w.close()
+        for node in w.nodes:
+            assert not node._pump.is_alive()
+            assert node._sock.fileno() == -1

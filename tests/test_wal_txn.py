@@ -63,6 +63,7 @@ from repro.servers.directory import (
     DirectoryCodec,
     DirectoryServer,
 )
+from repro.testing.world import World
 
 PORT = Port(0x0D15C0FFEE00)
 SCHEME = scheme_by_name("xor-oneway")
@@ -883,17 +884,17 @@ def sweep_script(seed=SWEEP_SEED, length=80):
     return ops, states
 
 
-class SweepWorld:
+class SweepWorld(World):
     """A durable directory server, a scripted client whose every
     transaction uses a reply secret the test chose (so the *same*
     transaction can be retried against the next incarnation), and a
     disk whose fault plan is armed only after set-up."""
 
     def __init__(self):
-        self.net = SimNetwork()
+        super().__init__("synchronous")
         self.disk = VirtualDisk(4096, block_size=SWEEP_BLOCK)
         self.server = DirectoryServer.durable(
-            Nic(self.net), self.disk, rng=RandomSource(seed=1)
+            self.node(), self.disk, rng=RandomSource(seed=1)
         ).start()
         self.root = self.server.create_root()
         self.target = self.server.create_root()
@@ -901,7 +902,7 @@ class SweepWorld:
         #: capability since refreshed away or destroyed.
         self.scratch = None
         self.revoked = []
-        self.client_nic = Nic(self.net)
+        self.client_nic = self.node()
         self.secrets = RandomSource(seed=7)
         self.incarnations = 0
         self.setup_writes = self.disk.writes
@@ -960,7 +961,7 @@ class SweepWorld:
         # refreshes, and a capability revoked by one validate again.
         self.incarnations += 1
         self.server = DirectoryServer(
-            Nic(self.net), get_port=self.server.get_port,
+            self.node(), get_port=self.server.get_port,
             rng=RandomSource(seed=98 + self.incarnations),
             store=DurableStore(self.disk, codec=DirectoryCodec()),
             dedup=True,
