@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast loc calls bench bench-invariants bench-smoke bench-suite-smoke bench-compare bench-ab bench-udp-smoke bench-des-smoke bench-shard-smoke bench-fault-smoke bench-recovery-smoke bench-replica-smoke bench-chaos-smoke bench-claims-smoke
+.PHONY: test test-fast loc calls reach bench bench-invariants bench-smoke bench-suite-smoke bench-compare bench-ab bench-udp-smoke bench-des-smoke bench-flood-smoke bench-fault-smoke bench-recovery-smoke bench-replica-smoke bench-chaos-smoke bench-claims-smoke
 
 ## Tier-1 verification: the full test suite, fail-fast.
 test:
@@ -23,10 +23,10 @@ test-fast:
 ## BENCH_LOC_MAX the same way, and the test code — tests/ plus
 ## src/repro/testing/, 18610 lines before the shared World — to
 ## TEST_LOC_MAX.
-WIRE_LOC_MAX := 6255
-SRC_LOC_MAX := 13931
-BENCH_LOC_MAX := 2250
-TEST_LOC_MAX := 18582
+WIRE_LOC_MAX := 6097
+SRC_LOC_MAX := 13663
+BENCH_LOC_MAX := 2247
+TEST_LOC_MAX := 19082
 loc:
 	@for package in src/repro/*/; do \
 		case $$package in *__pycache__/) continue;; esac; \
@@ -58,6 +58,13 @@ loc:
 ## the totals of (a ratchet like loc: lower its BUDGET when they fall).
 calls:
 	$(PYTHON) tests/test_call_budget.py
+
+## Reach at function grain (tests/test_reach.py): every function of
+## src/repro with the first claim row, arm or suite workload that runs
+## it, then UNREACHED by reason.  TESTS=1 also runs tier-1 under the
+## hook (~2 min) and fails on an "API a test names" entry no test reaches.
+reach:
+	$(PYTHON) tests/test_reach.py $(if $(TESTS),--tests)
 
 ## The committed trajectory, in three steps.  (1) The trusted benchmark
 ## (BENCHMARK.json, benchmarks/suite/), every workload plus the traced
@@ -150,10 +157,10 @@ bench-udp-smoke:
 bench-des-smoke:
 	$(PYTHON) benchmarks/run_bench.py --smoke --only des
 
-## shard: the ingress-queue flood — the bounded queue drops and counts
+## flood: the ingress-queue flood — the bounded queue drops and counts
 ## at its bound, the unbounded one absorbs, both serve afterwards.
-bench-shard-smoke:
-	$(PYTHON) benchmarks/run_bench.py --smoke --only shard
+bench-flood-smoke:
+	$(PYTHON) benchmarks/run_bench.py --smoke --only flood
 
 ## fault: the lossy DES arm deterministic by double run, goodput at 10%
 ## loss >= 50% of lossless, the retry storm recovers every overflow-

@@ -83,8 +83,7 @@ from repro.testing.chaos import (
     no_lost_authority,
     no_phantom_authority,
 )
-
-from bench_shard import EchoServer
+from repro.testing.world import EchoServer
 
 
 # ----------------------------------------------------------------------

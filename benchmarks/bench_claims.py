@@ -485,6 +485,25 @@ CLAIMS = (
 ARMS = {row.name: (row.run, row.check, row.smoke) for row in CLAIMS}
 
 
+def show(*names):
+    """Print the rows named (``claim_`` left off) at CI size — the claim,
+    each count against what the claim needs, each failure — then ``OK``
+    if none failed; returns the exit status.  ``examples/`` is these
+    calls."""
+    failed = False
+    for row in CLAIMS:
+        if row.name[len("claim_"):] in names:
+            result = row.run(**row.smoke)
+            print("%s (%s): %s" % (row.name, row.section, row.claim))
+            for key, (got, want) in result.items():
+                print("  %-32s %r (needs %r)" % (key, got, want))
+            for failure in row.check(result):
+                print("  FAIL: %s" % failure)
+                failed = True
+    print("FAILED" if failed else "OK")
+    return int(failed)
+
+
 def paper_map(results):
     """``docs/PAPER_MAP.md``, the view of ``CLAIMS`` and ``EXECUTED``."""
     lines = ["# The paper, claim by claim", "",

@@ -28,37 +28,25 @@ same numbers on any host, at any load.
     afterwards holds at most the bound in F-box images, no sink but its
     served port, and the network no index entry but the servers' —
     nor *during* a transaction: ``index_entries_in_flight_max`` is the
-    index as the echo handler sees it, the caller's reply GET still out.
+    index as each request and reply leaves, the caller's reply GET out.
     ``retained_entries`` is the count of everything left, seed-exact.
 """
 
 from repro.core.ports import PORT_CACHE_MAX
 from repro.crypto.randomsrc import RandomSource
 from repro.ipc.rpc import trans, trans_many
-from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
 from repro.net.message import Message
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 from repro.net.sched import LatencyModel, VirtualClock
+from repro.testing.world import EchoServer
 
 #: The paper-era round trip: §4's measured locate+RPC figures are in the
 #: low milliseconds on 1986 hardware and a 10 Mbit/s segment.
 PAPER_RTT_MS = 2.8
 #: The acceptance bar on ``vs_serial_x``.
 AMORTIZATION_BAR = 8.0
-
-
-class EchoServer(ObjectServer):
-    service_name = "des bench echo"
-    #: des_retention's set of routing-index sizes seen mid-transaction.
-    index_sizes = None
-
-    @command(USER_BASE)
-    def _echo(self, ctx):
-        if self.index_sizes is not None:
-            self.index_sizes.add(len(self.node.network._listeners))
-        return ctx.ok(data=ctx.request.data)
 
 
 def _virtual_seconds(inflight, batches, seed):
@@ -127,9 +115,8 @@ def des_retention(stations=20, transactions=2200, seed=42):
                for i, nic in enumerate(nics)]
     rngs = [RandomSource(seed=seed + stations + i) for i in range(stations)]
     request = Message(command=USER_BASE, data=b"payload")
-    index_sizes = set()
-    for server in servers:
-        server.index_sizes = index_sizes
+    index_sizes = set()  # the routing index as each frame leaves
+    net.add_tap(lambda frame: index_sizes.add(len(net._listeners)))
     for _ in range(transactions):
         for i, nic in enumerate(nics):
             trans(nic, servers[(i + 1) % stations].put_port, request, rngs[i])

@@ -47,9 +47,9 @@ from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 from repro.net.sched import LatencyModel, VirtualClock
 from repro.servers.bank import BankClient, BankServer
+from repro.testing.world import EchoServer
 
 from bench_des import PAPER_RTT_MS
-from bench_shard import EchoServer
 
 
 # ----------------------------------------------------------------------

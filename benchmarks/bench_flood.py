@@ -17,19 +17,11 @@ drives the same queue); this arm reports no rate.
 
 from repro.crypto.randomsrc import RandomSource
 from repro.ipc.rpc import trans_many
-from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
 from repro.net.message import Message
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
-
-
-class EchoServer(ObjectServer):
-    service_name = "bench echo"
-
-    @command(USER_BASE)
-    def _echo(self, ctx):
-        return ctx.ok(data=ctx.request.data)
+from repro.testing.world import EchoServer
 
 
 def flood(net, client, put_port, offered):

@@ -13,7 +13,7 @@ Arms (keys in ``BENCH_invariants.json``):
     those verdicts are recorded.
 
 ``replica_sim_flood``
-    The overload experiment of :mod:`bench_shard` run against an
+    The overload experiment of :mod:`bench_flood` run against an
     in-process replica pool: a port-addressed flood into a bounded
     ingress queue (the simulated network round-robins the logical port
     across all replicas), drop-and-count at the bound, and a full
@@ -43,7 +43,7 @@ from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 from repro.net.sockets import SocketNode
 
-from bench_shard import flood, served_after
+from bench_flood import flood, served_after
 
 #: Generous per-transaction budget: failover burns candidate timeout
 #: slices before succeeding, and CI boxes stall; a real loss still

@@ -44,7 +44,7 @@ HISTORY_SCHEMA = "bench_history/v2"
 
 #: ``--only`` name -> the module whose ``ARMS`` table it runs; each
 #: ``make bench-<name>-smoke`` is ``--smoke --only <name>``.
-FAMILIES = ("des", "shard", "fault", "recovery", "replica", "chaos", "claims")
+FAMILIES = ("des", "flood", "fault", "recovery", "replica", "chaos", "claims")
 
 #: What a v2 history row copies from the suite's stamp.
 STAMP_KEYS = ("git_sha", "git_dirty", "nproc", "python", "seed", "seconds",

@@ -1,91 +1,18 @@
-"""The modular Amoeba file stack (§3.2-§3.4) across three machines.
+"""The modular file stack (§3.2-§3.5) and the UNIX facade over it.
 
-block server (storage machine)
-   ^ capability interface
-flat file server (storage machine) - a *client* of the block server
-   ^ capability interface
-directory servers (two different machines!)
-   ^ capability interface
-UNIX-like facade (workstation) - paths, fds, read/write/seek
+A flat file server is a client of the block server, a multiversion file
+copies no page for a new version, and UNIX paths are a library over the
+directory and file servers.  Prints those rows of
+``benchmarks/bench_claims.py`` at CI size, then OK if each holds.
 
-The path walk in the middle hops between directory servers on different
-machines without the user noticing: "The distribution is completely
-transparent."
-
-Run:  python examples/distributed_filesystem.py
+Run:  PYTHONPATH=src python examples/distributed_filesystem.py
 """
 
-from repro import (
-    BlockClient,
-    BlockServer,
-    DirectoryClient,
-    DirectoryServer,
-    FlatFileClient,
-    FlatFileServer,
-    Machine,
-    SimNetwork,
-    UnixFs,
-    resolve_path,
-)
-from repro.disk.virtualdisk import VirtualDisk
-from repro.servers.directory import DIR_CREATE
+import os
+import sys
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, os.pardir, "benchmarks"))
+from bench_claims import show  # noqa: E402
 
-def main():
-    net = SimNetwork()
-    storage = Machine(net, name="storage")
-    naming = Machine(net, name="naming")
-    workstation = Machine(net, name="workstation", with_memory_server=False)
-
-    # --- storage machine: block server + flat file server on top --------
-    disk = VirtualDisk(n_blocks=4096, block_size=512)
-    blocks = BlockServer(storage.nic, disk=disk).start()
-    files = FlatFileServer(
-        storage.nic,
-        block_client=BlockClient(storage.nic, blocks.put_port),
-    ).start()
-    print("storage machine: block server + flat file server (disk: %r)" % disk)
-
-    # --- two directory servers on two machines --------------------------
-    dirs_a = DirectoryServer(naming.nic).start()
-    dirs_b = DirectoryServer(storage.nic).start()
-    root = dirs_a.create_root()
-
-    dclient_a = DirectoryClient(workstation.nic, dirs_a.put_port)
-    dclient_b = DirectoryClient(workstation.nic, dirs_b.put_port)
-    fclient = FlatFileClient(workstation.nic, files.put_port)
-
-    # /home lives on naming machine; /home/shared on the storage machine.
-    home = dclient_a.create_directory(root, "home")
-    shared = dclient_b.call(DIR_CREATE).capability
-    dclient_a.enter(home, "shared", shared)
-
-    paper = fclient.create(b"Using Sparse Capabilities in a DOS, 1986")
-    dclient_b.enter(shared, "paper.txt", paper)
-
-    # --- transparent path walk across both servers ----------------------
-    found = resolve_path(workstation.nic, root, "home/shared/paper.txt")
-    print("resolve('home/shared/paper.txt') crossed %d directory servers"
-          % len({dirs_a.put_port, dirs_b.put_port}))
-    print("  -> %r" % found)
-    print("  contents: %r" % fclient.read(found, 0, 40))
-
-    # --- the UNIX facade over the same stack -----------------------------
-    fs = UnixFs(workstation.nic, root, files.put_port)
-    fd = fs.open("home/shared/paper.txt", "r")
-    print("unixfs read: %r" % fs.read(fd, 25))
-    fs.mkdir("home/ast")
-    fd = fs.open("home/ast/notes.txt", "a")
-    fs.write(fd, b"the kernel knows nothing about any of this\n")
-    print("unixfs tree under /home: %s" % fs.listdir("home"))
-    print("stat: %s" % fs.stat("home/ast/notes.txt"))
-
-    # --- the file bytes really live on raw disk blocks -------------------
-    print("disk after all that: %r (reads=%d writes=%d)"
-          % (disk, disk.reads, disk.writes))
-    print("wire traffic: %s" % net.stats())
-    print("OK")
-
-
-if __name__ == "__main__":
-    main()
+sys.exit(show("modular_file_stack", "unix_facade"))

@@ -1,92 +1,19 @@
-"""Figure 1, live: clients, servers, intruders, and F-boxes.
+"""Figure 1 (§2.2-§2.3): an intruder on the wire, and what stops it.
 
-Walks through every attack the paper's threat model allows and shows
-which defence stops it:
+Impersonation by GET(P) fails on the one-way F-box, a forged reply
+lacks F(S), and a stolen capability dies when its owner refreshes it.
+Prints the four rows of ``benchmarks/bench_claims.py`` that count this
+at CI size, then OK if each holds.
 
-  1. impersonation via GET(P)      -> stopped by the one-way F-box
-  2. forged replies                -> stopped by F(S) signatures
-  3. request replay                -> reply port corrupted by double-F
-  4. capability theft by wiretap   -> the residual risk that motivates
-                                      the software protection of §2.4
-                                      (see examples/software_protection.py)
-
-Run:  python examples/fig1_intruder.py
+Run:  PYTHONPATH=src python examples/fig1_intruder.py
 """
 
-from repro import Intruder, Machine, ObjectServer, ServiceClient, SimNetwork, command
-from repro.core.rights import Rights
-from repro.ipc.stdops import USER_BASE
+import os
+import sys
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, os.pardir, "benchmarks"))
+from bench_claims import show  # noqa: E402
 
-class PayrollServer(ObjectServer):
-    service_name = "payroll"
-
-    @command(USER_BASE)
-    def _salary(self, ctx):
-        entry, _ = ctx.lookup(Rights(0x01))
-        return ctx.ok(data=entry.data)
-
-
-def main():
-    net = SimNetwork()
-    server_machine = Machine(net, name="server")
-    client_machine = Machine(net, name="client", with_memory_server=False)
-
-    payroll = PayrollServer(server_machine.nic).start()
-    cap = payroll.table.create(b"salary: 3000 guilders")
-    client = ServiceClient(
-        client_machine.nic, payroll.put_port,
-        expect_signature=payroll.signature_image,
-    )
-    intruder = Intruder(net)
-    intruder.start_capture()
-
-    # --- Attack 1: impersonate the server by listening on its put-port --
-    listened = intruder.attempt_get(payroll.put_port)
-    print("attack 1: intruder GET(P) actually listens on %r (P is %r)"
-          % (listened, payroll.put_port))
-    for _ in range(5):
-        client.call(USER_BASE, capability=cap)
-    print("  requests intercepted by intruder: %d (server handled %d)"
-          % (intruder.intercepted_count(payroll.put_port),
-             payroll.request_counts[USER_BASE]))
-
-    # --- Attack 2: forge a reply faster than the server ------------------
-    forged_delivered = []
-
-    def race(frame):
-        if not frame.message.is_reply and frame.message.command == USER_BASE:
-            forged_delivered.append(intruder.forge_reply(frame, data=b"POISON"))
-
-    net.add_tap(race)
-    reply = client.call(USER_BASE, capability=cap)
-    print("attack 2: forged reply was delivered=%s, but client accepted %r"
-          % (any(forged_delivered), reply.data))
-    net.remove_tap(race)
-
-    # --- Attack 3: replay a captured request -----------------------------
-    request = intruder.captured_requests()[0]
-    before = payroll.request_counts[USER_BASE]
-    intruder.replay(request)
-    replayed_on_wire = intruder.nic.fbox.transform_egress(request.message)
-    print("attack 3: replay re-ran the operation (server count %d -> %d)"
-          % (before, payroll.request_counts[USER_BASE]))
-    print("  but the reply port was double-one-wayed: %r != %r"
-          % (replayed_on_wire.reply, request.message.reply))
-
-    # --- Attack 4: steal the capability bytes off the wire ---------------
-    stolen = next(f.message.capability for f in intruder.captured_requests()
-                  if f.message.capability)
-    reply_private, _ = intruder.steal_capability(intruder.captured_requests()[0])
-    hijacked = intruder.nic.poll(reply_private)
-    print("attack 4: stolen capability worked=%s (bearer token!)"
-          % (hijacked is not None and hijacked.message.status == 0))
-    print("  -> this is exactly why §2.4 encrypts capabilities per")
-    print("     (source, destination); see examples/software_protection.py")
-
-    print("wire traffic: %s" % net.stats())
-    print("OK")
-
-
-if __name__ == "__main__":
-    main()
+sys.exit(show("intruder_present", "impersonation_campaign", "forged_replies",
+              "stolen_then_revoked"))

@@ -1,87 +1,19 @@
-"""The four rights-protection algorithms of §2.3, side by side.
+"""Fig. 2 and the four rights-protection schemes of §2.3, side by side.
 
-For each scheme: mint an owner capability, verify it, try to tamper with
-it, and — where supported — fabricate a weaker sub-capability.  The
-commutative scheme does the last step entirely client-side, which is the
-paper's distinctive third algorithm.
+The 128-bit layout; which schemes notice a tampered rights field; which
+restrict through the server and which (commutative) on the client; and
+that an exact copy needs no server.  Prints those rows of
+``benchmarks/bench_claims.py`` at CI size, then OK if each holds.
 
-Run:  python examples/four_schemes.py
+Run:  PYTHONPATH=src python examples/four_schemes.py
 """
 
-from repro import ObjectTable, PrivatePort, Rights, scheme_by_name
-from repro.core.schemes import all_scheme_names
-from repro.crypto.randomsrc import RandomSource
-from repro.errors import BadRequest, InvalidCapability
+import os
+import sys
 
-R_READ = 0x01
-R_WRITE = 0x02
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, os.pardir, "benchmarks"))
+from bench_claims import show  # noqa: E402
 
-
-def demonstrate(name):
-    print("=" * 64)
-    scheme = scheme_by_name(name)
-    print("scheme %r  (check field: %d bytes, client-restrictable: %s)"
-          % (scheme.name, scheme.check_bytes, scheme.client_restrictable))
-
-    rng = RandomSource(seed=42)
-    port = PrivatePort.generate(rng).public
-    table = ObjectTable(scheme, port, rng=rng)
-
-    owner = table.create({"file": "annual-report"})
-    print("  owner capability: %r" % owner)
-    entry, rights = table.lookup(owner)
-    print("  verifies with rights %s" % format(int(rights), "08b"))
-
-    # Tamper with the rights field.
-    forged = owner.with_rights(int(owner.rights) ^ 0x40)
-    try:
-        table.lookup(forged)
-        print("  tampered rights ACCEPTED (the simple scheme cannot tell:")
-        print("   it grants all-or-nothing and ignores the rights field)")
-    except InvalidCapability:
-        print("  tampered rights rejected")
-
-    # Fabricate a read-only sub-capability.
-    try:
-        read_only = table.restrict(owner, Rights(R_READ))
-        _, weak_rights = table.lookup(read_only)
-        print("  server-side restrict -> rights %s"
-              % format(int(weak_rights), "08b"))
-    except BadRequest as exc:
-        print("  restrict refused: %s" % exc)
-
-    if scheme.client_restrictable:
-        local = scheme.client_restrict(owner, Rights(R_READ))
-        _, local_rights = table.lookup(local)
-        print("  CLIENT-side restrict (0 messages!) -> rights %s"
-              % format(int(local_rights), "08b"))
-        # Order independence: drop write then read == drop read then write.
-        a = scheme.client_restrict(
-            scheme.client_restrict(owner, Rights(0xFF ^ R_WRITE)),
-            Rights(0xFF ^ R_READ),
-        )
-        b = scheme.client_restrict(
-            scheme.client_restrict(owner, Rights(0xFF ^ R_READ)),
-            Rights(0xFF ^ R_WRITE),
-        )
-        print("  commutativity: same capability either order -> %s"
-              % (a == b))
-
-    # Revocation works identically everywhere.
-    fresh = table.refresh(owner)
-    try:
-        table.lookup(owner)
-    except InvalidCapability:
-        print("  revocation: owner capability invalidated, fresh one works: %s"
-              % (table.lookup(fresh) is not None))
-
-
-def main():
-    for name in all_scheme_names():
-        demonstrate(name)
-    print("=" * 64)
-    print("OK")
-
-
-if __name__ == "__main__":
-    main()
+sys.exit(show("fig2_layout", "scheme_tampers", "server_restrict",
+              "client_restrict", "exact_copy"))

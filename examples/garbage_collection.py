@@ -1,72 +1,17 @@
-"""Mark-and-age garbage collection for capability-named storage.
+"""Touch and age (§3): garbage collection without holder records.
 
-Sparse capabilities are bearer tokens with no holder records, so a
-storage server can never know which objects are still wanted.  The cure
-is the STD_TOUCH operation plus aging: a sweeper walks everything
-reachable from the naming roots and touches it; each server then ages its
-table and collects whatever went unproven.  Objects whose capabilities
-were simply forgotten — the classic distributed storage leak — disappear
-on their own.
+A sweeper touches what the directory roots reach; aging then collects
+the objects whose capabilities were forgotten.  Prints that row of
+``benchmarks/bench_claims.py`` at CI size, then OK if it holds.
 
-Run:  python examples/garbage_collection.py
+Run:  PYTHONPATH=src python examples/garbage_collection.py
 """
 
-from repro import (
-    DirectoryClient,
-    DirectoryServer,
-    FlatFileClient,
-    FlatFileServer,
-    Machine,
-    SimNetwork,
-)
-from repro.errors import NoSuchObject
-from repro.servers.sweeper import ReachabilitySweeper
+import os
+import sys
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, os.pardir, "benchmarks"))
+from bench_claims import show  # noqa: E402
 
-def main():
-    net = SimNetwork()
-    storage = Machine(net, name="storage")
-    ws = Machine(net, name="workstation", with_memory_server=False)
-
-    dirs = DirectoryServer(storage.nic).start()
-    files = FlatFileServer(storage.nic).start()
-    # Policy: objects must prove liveness within three sweeps.
-    dirs.table.default_lifetime = 3
-    files.table.default_lifetime = 3
-
-    dclient = DirectoryClient(ws.nic, dirs.put_port)
-    fclient = FlatFileClient(ws.nic, files.put_port)
-    root = dirs.create_root()
-
-    # A healthy tree...
-    project = dclient.create_directory(root, "project")
-    report = fclient.create(b"quarterly report")
-    dclient.enter(project, "report.txt", report)
-
-    # ...and two classic leaks:
-    orphan = fclient.create(b"capability was lost in a crashed process")
-    unlinked = fclient.create(b"entry removed, object forgotten")
-    dclient.enter(project, "tmp", unlinked)
-    dclient.remove(project, "tmp")
-
-    print("objects on the file server before GC: %d" % len(files.table))
-
-    sweeper = ReachabilitySweeper(ws.nic, [root])
-    for cycle in range(1, 5):
-        touched, expired = sweeper.collect([dirs, files])
-        print("cycle %d: touched %d reachable objects, collected %d"
-              % (cycle, touched, expired))
-
-    print("objects on the file server after GC: %d" % len(files.table))
-    print("the named file is untouched: %r" % fclient.read(report, 0, 16))
-    for label, cap in (("orphan", orphan), ("unlinked", unlinked)):
-        try:
-            fclient.read(cap, 0, 1)
-            print("%s SURVIVED (bug!)" % label)
-        except NoSuchObject:
-            print("%s was collected" % label)
-    print("OK")
-
-
-if __name__ == "__main__":
-    main()
+sys.exit(show("touch_and_age"))

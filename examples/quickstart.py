@@ -1,72 +1,18 @@
-"""Quickstart: sparse capabilities in five minutes.
+"""Quickstart: the paper's running example (§2.2-§2.3) as two counts.
 
-Reproduces the paper's running example (§2.3): a client creates a file,
-writes data into it, and gives another client permission to read (but not
-modify) the file — then revokes everything with one call.
+A client finds a server's put-port with one broadcast, and one refresh
+revokes every outstanding copy of a capability.  Prints those rows of
+``benchmarks/bench_claims.py`` at CI size, then OK if each holds; the
+other examples print the rest of the table.
 
-Run:  python examples/quickstart.py
+Run:  PYTHONPATH=src python examples/quickstart.py
 """
 
-from repro import FlatFileClient, FlatFileServer, Machine, SimNetwork
-from repro.errors import InvalidCapability, PermissionDenied
+import os
+import sys
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, os.pardir, "benchmarks"))
+from bench_claims import show  # noqa: E402
 
-def main():
-    # One simulated Ethernet segment; every machine sits behind an F-box.
-    net = SimNetwork()
-    server_machine = Machine(net, name="file-server")
-    alice_machine = Machine(net, name="alice", with_memory_server=False)
-    bob_machine = Machine(net, name="bob", with_memory_server=False)
-
-    # The file server is an ordinary user process with a secret get-port.
-    files = FlatFileServer(server_machine.nic).start()
-    print("file server listening on put-port %r" % files.put_port)
-
-    # --- Alice creates a file and writes into it -----------------------
-    alice = FlatFileClient(
-        alice_machine.nic, files.put_port,
-        expect_signature=files.signature_image,
-    )
-    cap = alice.create()
-    alice.write(cap, 0, b"The five deliverables are on schedule.")
-    print("alice created file: %r" % cap)
-
-    # --- She fabricates a read-only sub-capability for Bob -------------
-    # (XOR-one-way scheme: this is a server round-trip; the commutative
-    # scheme in examples/four_schemes.py does it without one.)
-    read_only = alice.restrict(cap, keep_mask=0x01)
-    print("read-only capability for bob: %r" % read_only)
-
-    # --- Bob reads, but cannot write ------------------------------------
-    bob = FlatFileClient(
-        bob_machine.nic, files.put_port,
-        expect_signature=files.signature_image,
-    )
-    print("bob reads: %r" % bob.read(read_only, 0, 38))
-    try:
-        bob.write(read_only, 0, b"bob was here")
-    except PermissionDenied as exc:
-        print("bob's write refused: %s" % exc)
-
-    # --- Bob tampers with the rights field; the server notices ----------
-    forged = read_only.with_rights(0xFF)
-    try:
-        bob.write(forged, 0, b"bob was here")
-    except InvalidCapability as exc:
-        print("bob's forgery refused: %s" % exc)
-
-    # --- Alice revokes: every outstanding capability dies at once -------
-    fresh = alice.refresh(cap)
-    try:
-        bob.read(read_only, 0, 1)
-    except InvalidCapability:
-        print("after revocation bob's capability is dead")
-    print("alice still reads via the fresh capability: %r"
-          % alice.read(fresh, 0, 8))
-
-    print("wire traffic: %s" % net.stats())
-    print("OK")
-
-
-if __name__ == "__main__":
-    main()
+sys.exit(show("locate_frames", "revocation"))

@@ -1,75 +1,17 @@
-"""The memory server (§3.1): segments, remote process creation, and the
-electronic disk.
+"""The memory server (§3.1): a parent builds its child on any machine.
 
-"By directing the CREATE SEGMENT requests to a memory server on a remote
-machine, the parent can create the child wherever it wants to, providing
-a more convenient and efficient interface than the traditional
-FORK + EXEC."
+Segments and a process made on a remote memory server, controlled by
+the process capability alone.  Prints that row of
+``benchmarks/bench_claims.py`` at CI size, then OK if it holds.
 
-Run:  python examples/remote_process.py
+Run:  PYTHONPATH=src python examples/remote_process.py
 """
 
-from repro import Machine, SimNetwork
-from repro.errors import PermissionDenied
-from repro.kernel.memory import R_READ
+import os
+import sys
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, os.pardir, "benchmarks"))
+from bench_claims import show  # noqa: E402
 
-def main():
-    net = SimNetwork()
-    parent_ws = Machine(net, name="parent-workstation",
-                        memory_capacity=1 << 20)
-    big_server = Machine(net, name="big-compute-server",
-                         memory_capacity=64 << 20)
-
-    # --- the parent builds the child ON THE REMOTE MACHINE ---------------
-    remote = parent_ws.memory_client(remote_port=big_server.memory_port)
-    text = remote.create_segment(4096, initial=b"\x90" * 64 + b"; program text")
-    data = remote.create_segment(2048, initial=b"initialised globals")
-    stack = remote.create_segment(8192)
-    print("created text/data/stack segments on %r" % big_server.name)
-
-    child = remote.make_process("worker", [text, data, stack])
-    print("MAKE PROCESS -> %r" % child)
-    print("  started: %s" % remote.start(child))
-    print("  info: %s" % remote.process_info(child))
-    print("  stopped: %s" % remote.stop(child))
-
-    # The process capability is the handle for ALL manipulation; hand a
-    # colleague a read-only one and they can observe but not control:
-    observer = remote.restrict(child, R_READ)
-    try:
-        remote.start(observer)
-    except PermissionDenied:
-        print("  observer capability cannot start/stop the process")
-
-    # --- the electronic disk ----------------------------------------------
-    # "An electronic disk of the required size is created using CREATE
-    # SEGMENT, and then can be read and written, either by local or
-    # remote processes using READ and WRITE."
-    edisk = remote.create_segment(256 * 512)  # 256 sectors of 512 bytes
-    sector = 512
-
-    def write_sector(n, payload):
-        remote.write(edisk, n * sector, payload)
-
-    def read_sector(n, length):
-        return remote.read(edisk, n * sector, length)
-
-    write_sector(0, b"boot sector of the electronic disk")
-    write_sector(17, b"somewhere in the middle")
-    print("electronic disk sector 0:  %r" % read_sector(0, 34))
-    print("electronic disk sector 17: %r" % read_sector(17, 23))
-
-    # The segment capability is a normal capability: restrict, revoke...
-    ro_disk = remote.restrict(edisk, R_READ)
-    print("read-only disk capability reads sector 0: %r"
-          % remote.read(ro_disk, 0, 11))
-
-    used = big_server.memory_server.used
-    print("remote memory in use: %d bytes across %d objects"
-          % (used, len(big_server.memory_server.table)))
-    print("OK")
-
-
-if __name__ == "__main__":
-    main()
+sys.exit(show("process_lifecycle"))

@@ -1,138 +1,19 @@
-"""Protection without F-boxes (§2.4): matrix, caches, bootstrap, links.
+"""Protection without F-boxes (§2.4): key matrix, boot, link encryption.
 
-The scenario: the same wiretapping thief from examples/fig1_intruder.py
-tries again — but this deployment encrypts every capability under the
-(source, destination) key matrix, so the stolen bytes are useless from
-any other machine.  The keys themselves come from the paper's public-key
-bootstrap handshake, and the capability caches remove the per-message
-cipher cost.
+A sealed capability validates only from the machine it was sealed for,
+the public-key boot agrees fresh keys, and a wiretap on an encrypted
+link sees no capability bytes.  Prints those rows of
+``benchmarks/bench_claims.py`` at CI size, then OK if each holds.
 
-Run:  python examples/software_protection.py
+Run:  PYTHONPATH=src python examples/software_protection.py
 """
 
-from repro import Intruder, Machine, ObjectServer, ServiceClient, SimNetwork, command
-from repro.core.rights import Rights
-from repro.crypto.publickey import generate_keypair
-from repro.crypto.randomsrc import RandomSource
-from repro.ipc.stdops import USER_BASE
-from repro.softprot.boot import BootProtocol, establish_matrix_keys
-from repro.softprot.cache import ClientCapabilityCache, ServerCapabilityCache
-from repro.softprot.linkcrypt import LinkCryptNode
-from repro.softprot.matrix import CapabilitySealer, KeyMatrix
+import os
+import sys
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, os.pardir, "benchmarks"))
+from bench_claims import show  # noqa: E402
 
-class VaultServer(ObjectServer):
-    service_name = "vault"
-
-    @command(USER_BASE)
-    def _open_vault(self, ctx):
-        entry, _ = ctx.lookup(Rights(0x01))
-        return ctx.ok(data=entry.data)
-
-
-def main():
-    rng = RandomSource(seed=2024)
-    net = SimNetwork()
-    server_machine = Machine(net, name="vault-server")
-    client_machine = Machine(net, name="client", with_memory_server=False)
-
-    # --- 1. the public-key bootstrap establishes the matrix keys ---------
-    server_keys = generate_keypair(bits=512, rng=rng)
-    print("vault server boots, broadcasts (name, put-port, public key)")
-    client_matrix = KeyMatrix(rng=RandomSource(seed=1))
-    server_matrix = KeyMatrix(rng=RandomSource(seed=2))
-    forward, reverse = establish_matrix_keys(
-        client_matrix.view(client_machine.address),
-        server_matrix.view(server_machine.address),
-        server_keys,
-        rng=rng,
-    )
-    print("bootstrap handshake done: fresh conventional keys both ways")
-
-    # A replayed reply from an earlier boot is rejected:
-    offer, fresh_key = BootProtocol.client_offer(server_keys.public, rng)
-    old_reply, _, _ = BootProtocol.server_accept(server_keys, offer, rng)
-    offer2, fresh_key2 = BootProtocol.client_offer(server_keys.public, rng)
-    try:
-        BootProtocol.client_confirm(server_keys.public, fresh_key2, old_reply)
-    except Exception as exc:
-        print("replayed old-boot reply rejected: %s" % exc)
-
-    # --- 2. matrix-sealed RPC ---------------------------------------------
-    vault = VaultServer(
-        server_machine.nic,
-        rng=RandomSource(seed=3),
-        sealer=CapabilitySealer(
-            server_matrix.view(server_machine.address),
-            server_cache=ServerCapabilityCache(),
-        ),
-        require_sealed=True,
-    ).start()
-    gold = vault.table.create(b"1000 bars of gold")
-
-    client_sealer = CapabilitySealer(
-        client_matrix.view(client_machine.address),
-        client_cache=ClientCapabilityCache(),
-    )
-    client = ServiceClient(
-        client_machine.nic,
-        vault.put_port,
-        rng=RandomSource(seed=4),
-        locator=client_machine.locator,
-        sealer=client_sealer,
-        expect_signature=vault.signature_image,
-    )
-    print("client opens the vault: %r"
-          % client.call(USER_BASE, capability=gold).data)
-
-    # --- 3. the thief tries the fig1 attack again --------------------------
-    intruder = Intruder(net, rng=RandomSource(seed=5))
-    intruder.start_capture()
-    client.call(USER_BASE, capability=gold)
-    sealed_frames = [f for f in intruder.captured_requests()
-                     if f.message.sealed_caps]
-    print("thief captured %d sealed request(s); capability bytes visible: %s"
-          % (len(sealed_frames),
-             gold.check in (sealed_frames[0].message.sealed_caps if sealed_frames else b"")))
-    reply_private, _ = intruder.steal_capability(sealed_frames[0])
-    answer = intruder.nic.poll(reply_private)
-    print("thief replays from machine %d: server says status=%s (%s)"
-          % (intruder.address,
-             answer.message.status if answer else "no reply",
-             answer.message.data.decode("utf-8", "replace") if answer else ""))
-
-    # --- 4. the caches remove the cipher cost ------------------------------
-    before = client_sealer.cipher_ops
-    for _ in range(20):
-        client.call(USER_BASE, capability=gold)
-    print("20 more calls cost %d new cipher ops (client cache: %r)"
-          % (client_sealer.cipher_ops - before, client_sealer.client_cache))
-
-    # --- 5. link-level encryption, the other alternative --------------------
-    a = LinkCryptNode(Machine(net, name="link-a",
-                              with_memory_server=False).nic,
-                      rng=RandomSource(seed=6))
-    b = LinkCryptNode(Machine(net, name="link-b",
-                              with_memory_server=False).nic,
-                      rng=RandomSource(seed=7))
-    key = RandomSource(seed=8).bytes(16)
-    a.add_line(b.nic.address, b.endpoint[1], key)
-    b.add_line(a.nic.address, a.endpoint[1], key)
-    from repro.core.ports import PrivatePort
-    from repro.net.message import Message
-
-    g = PrivatePort.generate(RandomSource(seed=9))
-    wire = b.nic.listen(g)
-    sniffed = []
-    net.add_tap(lambda f: sniffed.append(f.message.data))
-    a.put(Message(dest=wire, data=b"capability inside the tunnel"),
-          dst_machine=b.nic.address)
-    got = b.nic.poll(g)
-    print("link crypt delivered %r; plaintext on the wire: %s"
-          % (got.message.data,
-             any(b"capability inside" in d for d in sniffed)))
-    print("OK")
-
-
-if __name__ == "__main__":
-    main()
+sys.exit(show("matrix_replay_and_cache", "boot_handshake",
+              "link_encrypted_tap"))

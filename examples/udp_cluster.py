@@ -1,56 +1,20 @@
-"""Sparse capabilities over real UDP sockets ("hashlib and sockets").
+"""§3's flat file server over real UDP datagrams on localhost: a restricted
+capability reads, and its write is refused across the wire.
 
-Everything in the other examples runs on the in-process simulator; this
-one runs the same servers over genuine datagrams on localhost, proving
-the RPC layer and the capability schemes are transport-independent.
-
-Run:  python examples/udp_cluster.py
+Run:  PYTHONPATH=src python examples/udp_cluster.py
 """
 
-from repro import FlatFileClient, FlatFileServer
-from repro.errors import PermissionDenied
+from repro import FlatFileClient, FlatFileServer, PermissionDenied
 from repro.net.sockets import SocketNode
 
-
-def main():
-    with SocketNode() as server_node, SocketNode() as alice_node, \
-            SocketNode() as bob_node:
-        print("three UDP endpoints: server=%s alice=%s bob=%s"
-              % (server_node.address, alice_node.address, bob_node.address))
-
-        files = FlatFileServer(server_node).start()
-        print("flat file server on put-port %r" % files.put_port)
-
-        alice = FlatFileClient(
-            alice_node, files.put_port,
-            expect_signature=files.signature_image,
-            timeout=5.0,
-        )
-        # Over UDP there is no broadcast segment, so clients address the
-        # server's socket directly (the LOCATE cache would normally have
-        # resolved this).
-        alice.locator = None
-        alice_node.connect(server_node.address)
-
-        cap = alice.create(b"bytes carried by real datagrams")
-        print("alice created %r" % cap)
-        print("alice reads: %r" % alice.read(cap, 0, 31))
-
-        read_only = alice.restrict(cap, 0x01)
-        bob = FlatFileClient(
-            bob_node, files.put_port,
-            expect_signature=files.signature_image,
-            timeout=5.0,
-        )
-        bob_node.connect(server_node.address)
-        print("bob reads with the restricted capability: %r"
-              % bob.read(read_only, 0, 5))
-        try:
-            bob.write(read_only, 0, b"nope")
-        except PermissionDenied as exc:
-            print("bob's write refused across the real network: %s" % exc)
-        print("OK")
-
-
-if __name__ == "__main__":
-    main()
+with SocketNode() as server, SocketNode() as client:
+    files = FlatFileServer(server).start()
+    client.connect(server.address)  # no broadcast segment to LOCATE on
+    alice = FlatFileClient(client, files.put_port, timeout=5.0,
+                           expect_signature=files.signature_image)
+    read_only = alice.restrict(alice.create(b"real datagrams"), 0x01)
+    print("read with the restricted capability:", alice.read(read_only))
+    try:
+        alice.write(read_only, 0, b"nope")
+    except PermissionDenied as refused:
+        print("write refused: %s\nOK" % refused)

@@ -331,21 +331,22 @@ class ObjectTable:
         """
         with self._lock:
             entry, _ = self.lookup(capability, required)
-            secret = entry.secret = self.scheme.new_secret(self._rng)
-            entry.generation += 1
-            entry.verified.clear()
-            number, generation = entry.number, entry.generation
-            if self._wal is not None:
+            secret = self.scheme.new_secret(self._rng)
+            number, generation = entry.number, entry.generation + 1
+            if self._wal is not None:  # a refused record changes nothing
                 self._wal.log_refresh(number, secret, generation)
+            entry.secret, entry.generation = secret, generation
+            entry.verified.clear()
         self._notify_revocation(number, generation)
         return self._capability(number, self.scheme.mint(secret, ALL_RIGHTS))
 
     def _remove(self, entry):
-        """Drop a row, free its number, log it (caller holds the lock)."""
-        del self._entries[entry.number]
-        self._free.append((entry.number, entry.generation + 1))
+        """Log a row's removal, then drop it and free its number (caller
+        holds the lock); a record the log refuses changes nothing."""
         if self._wal is not None:
             self._wal.log_destroy(entry.number)
+        del self._entries[entry.number]
+        self._free.append((entry.number, entry.generation + 1))
 
     def destroy(self, capability, required=ALL_RIGHTS):
         """Validate and remove an object, recycling its number."""
@@ -374,11 +375,11 @@ class ObjectTable:
             entry = self._entries.get(number)
             if entry is None or generation <= entry.generation:
                 return False
+            if self._wal is not None:
+                self._wal.log_refresh(number, secret, generation)
             entry.secret = secret
             entry.generation = generation
             entry.verified.clear()
-            if self._wal is not None:
-                self._wal.log_refresh(number, secret, generation)
         self._notify_revocation(number, generation)
         return True
 
@@ -406,8 +407,10 @@ class ObjectTable:
         """One garbage-collection sweep (Amoeba's touch-based GC).
 
         Decrements every aging object's lifetime; objects that reach zero
-        are removed (``on_expire(entry)`` is called first, so a server
-        can release disk blocks etc.).  Returns the expired entries.
+        are removed, then passed to ``on_expire(entry)`` so a server can
+        release disk blocks etc.  Returns the removed entries.  A removal
+        the log refuses raises ``OutOfSpace`` once the rows removed
+        before it have been passed on; the rest expire at a later sweep.
 
         Because no record exists of who holds capabilities, liveness can
         only be proven by *use*: any successful lookup — including the
@@ -422,21 +425,26 @@ class ObjectTable:
         a row whose lifetime was just reset.  ``on_expire`` and the
         revocation fan-out run after the lock is released.
         """
-        expired = []
-        with self._lock:
-            for entry in self._entries.values():
-                if entry.lifetime is None:
-                    continue
-                entry.lifetime -= 1
-                if entry.lifetime <= 0:
-                    expired.append(entry)
-            for entry in expired:
-                self._remove(entry)
-        for entry in expired:
-            if on_expire is not None:
-                on_expire(entry)
-            self._notify_revocation(entry.number, entry.generation)
-        return expired
+        expired, removed = [], []
+        try:
+            with self._lock:
+                for entry in self._entries.values():
+                    if entry.lifetime is None:
+                        continue
+                    entry.lifetime -= 1
+                    if entry.lifetime <= 0:
+                        expired.append(entry)
+                for entry in expired:
+                    self._remove(entry)
+                    removed.append(entry)
+        finally:
+            # A removal the log refused ends the sweep; the rows already
+            # removed still release what they held.
+            for entry in removed:
+                if on_expire is not None:
+                    on_expire(entry)
+                self._notify_revocation(entry.number, entry.generation)
+        return removed
 
     # ------------------------------------------------------------------
     # durability hooks (no-ops without a write-ahead log)

@@ -95,9 +95,6 @@ class ProtectionScheme(ABC):
         effective = self.verify(secret, rights_field, check)
         return self.mint(secret, effective.restrict(keep_mask))
 
-    def __repr__(self):
-        return "%s(name=%r)" % (type(self).__name__, self.name)
-
 
 class SimpleCheckScheme(ProtectionScheme):
     """§2.3's simplest system: CHECK is the object's random number.

@@ -114,9 +114,3 @@ class CommutativeOneWayFamily:
     def _check_element(self, x):
         if not 0 <= x < self.modulus:
             raise ValueError("element %#x outside the group" % x)
-
-    def __repr__(self):
-        return "CommutativeOneWayFamily(n_functions=%d, modulus_bits=%d)" % (
-            self.n_functions,
-            self.modulus.bit_length(),
-        )

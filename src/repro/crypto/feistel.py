@@ -120,12 +120,6 @@ class FeistelCipher:
         value = int.from_bytes(data, "big")
         return op(value).to_bytes(block_bytes, "big")
 
-    def __repr__(self):
-        return "FeistelCipher(block_bits=%d, rounds=%d)" % (
-            self.block_bits,
-            self.rounds,
-        )
-
 
 class WideBlockCipher:
     """A length-preserving permutation over byte strings of any length >= 2.
@@ -213,9 +207,6 @@ class WideBlockCipher:
                 left,
             )
         return left + right
-
-    def __repr__(self):
-        return "WideBlockCipher(rounds=%d)" % self.rounds
 
 
 # ----------------------------------------------------------------------

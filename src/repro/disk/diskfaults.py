@@ -136,8 +136,3 @@ class DiskFaultPlan:
                 "lost_writes": self.lost_writes,
                 "powered_off": self.failed,
             }
-
-    def __repr__(self):
-        return ("DiskFaultPlan(seed=%r, torn=%g, lost=%g, "
-                "power_fail_after=%r)" % (
-                    self.seed, self.torn, self.lost, self.power_fail_after))

@@ -190,11 +190,3 @@ class VirtualDisk:
             raise ValueError(
                 "block %d outside disk of %d blocks" % (block_no, self.n_blocks)
             )
-
-    def __repr__(self):
-        return "VirtualDisk(%d/%d blocks used, %d-byte blocks%s)" % (
-            self.used_blocks,
-            self.n_blocks,
-            self.block_size,
-            ", write-once" if self.write_once else "",
-        )

@@ -454,9 +454,6 @@ class RecoveryReport:
             "blocks_reclaimed": self.blocks_reclaimed,
         }
 
-    def __repr__(self):
-        return "RecoveryReport(%r)" % (self.as_dict(),)
-
 
 class _ThreadState(threading.local):
     """What one thread owes the store (``__init__`` runs per thread)."""
@@ -872,6 +869,3 @@ class DurableStore:
             "used_blocks": self.disk.used_blocks,
             "blocks_reclaimed": self.blocks_reclaimed,
         }
-
-    def __repr__(self):
-        return "DurableStore(epoch=%d, %r)" % (self.epoch, self.disk)

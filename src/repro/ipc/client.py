@@ -181,6 +181,3 @@ class ServiceClient:
     def touch(self, capability):
         """STD_TOUCH: validate and mark the object as recently used."""
         self.call(stdops.STD_TOUCH, capability=capability)
-
-    def __repr__(self):
-        return "ServiceClient(port=%012x)" % self.put_port

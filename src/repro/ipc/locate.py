@@ -280,10 +280,3 @@ class Locator:
         """Forget one dead replica of a cached replica set, keeping the
         members that are still answering."""
         return self.cache.invalidate_member(as_port(port), machine)
-
-    def __repr__(self):
-        return "Locator(cached=%d, hits=%d, misses=%d)" % (
-            len(self.cache),
-            self.hits,
-            self.misses,
-        )

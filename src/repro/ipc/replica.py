@@ -44,7 +44,6 @@ across the pool, never double-executed on any one replica.
 
 import hashlib
 import itertools
-import json
 import threading
 import time
 
@@ -242,9 +241,6 @@ class ReplicaSet:
             return NotImplemented
         return self.members == other.members and self.policy == other.policy
 
-    def __repr__(self):
-        return "ReplicaSet(%r, policy=%r)" % (list(self.members), self.policy)
-
 
 # ----------------------------------------------------------------------
 # membership
@@ -339,10 +335,6 @@ class ReplicaRegistry:
                 trusted or tuple(members),
                 policy=self._policies.get(port, self.default_policy),
             )
-
-    def ports(self):
-        with self._lock:
-            return tuple(self._members)
 
     def __len__(self):
         with self._lock:
@@ -545,20 +537,6 @@ class ReplicaObjectServer(ObjectServer):
             applied = self.table.apply_refresh(number, secret, generation)
         return ctx.ok(data=b"\x01" if applied else b"\x00")
 
-    @command(stdops.CTL_HEALTH)
-    def _ctl_health(self, ctx):
-        stats = {
-            "service": self.service_name,
-            "objects": len(self.table),
-            "peers": len(self.peers),
-            "fanout_sent": self.fanout_sent,
-            "fanout_failures": len(self.fanout_failures),
-            "fanout_pending": self.fanout_pending,
-        }
-        if self.reply_cache is not None:
-            stats["dedup"] = self.reply_cache.stats()
-        return ctx.ok(data=json.dumps(stats, sort_keys=True).encode("utf-8"))
-
 
 # ----------------------------------------------------------------------
 # the pool, and the two places its members can run
@@ -642,13 +620,6 @@ class ReplicatedObjectServer:
         through timeout and failover, exactly like a real crash."""
         return self.placement.kill(self, index)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.stop()
-        return False
-
     # -- objects --------------------------------------------------------
 
     def create(self, data, rights=None):
@@ -693,11 +664,6 @@ class ReplicatedObjectServer:
         call after a partition heals; returns total repairs delivered."""
         return sum(
             server.reconcile() for server in self.servers if server.running
-        )
-
-    def __repr__(self):
-        return "ReplicatedObjectServer(port=%012x, replicas=%d)" % (
-            self.put_port, len(self.addresses),
         )
 
 

@@ -121,11 +121,6 @@ class RetryPolicy:
                 + (word >> 38 & 0x3FFFFFF)) / 9007199254740992.0
         return self._ladder[j] * (1.0 + draw * self.jitter)
 
-    def __repr__(self):
-        return "RetryPolicy(attempts=%d, rto=%g, cap=%g, multiplier=%g)" % (
-            self.attempts, self.rto, self.cap, self.multiplier,
-        )
-
 
 def _affinity_key(request):
     """The spread key for replica selection: the object number the
@@ -297,11 +292,6 @@ class AsyncTrans:
             raise PortNotLocated(
                 "no server is listening on port %r" % (self._dest,)
             )
-
-    @property
-    def done(self):
-        """True once an acceptable reply has been collected."""
-        return self._reply is not None
 
     def poll(self):
         """Non-blocking: the reply if it has arrived, else None.

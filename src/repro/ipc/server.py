@@ -66,10 +66,6 @@ class DeferredReply:
         # mutation (set at handler exit; the commit is logged by send()).
         self.wrote = None
 
-    @property
-    def sent(self):
-        return self._sent
-
     def send(self, reply=None):
         """Send the (possibly out-of-order) reply; at most once.
 
@@ -87,10 +83,6 @@ class DeferredReply:
         server.node.put_owned(
             server._seal_reply(frame, reply, self.wrote, ctx.slot), frame.src
         )
-
-    def error(self, exc):
-        """Send an error reply carrying the exception's wire code."""
-        self.send(self.ctx.error(exc))
 
 
 class ReplyCache:
@@ -242,11 +234,6 @@ class ReplyCache:
                 "clients": len(self._clients),
                 "entries": sum(len(c) for c in self._clients.values()),
             }
-
-    def __repr__(self):
-        return "ReplyCache(hits=%d, misses=%d, busy_drops=%d)" % (
-            self.hits, self.misses, self.busy_drops,
-        )
 
 
 class RequestContext:
@@ -730,8 +717,8 @@ class ObjectServer:
         if ctx.capability is None:
             raise BadRequest("DESTROY requires a capability")
         entry, _ = self.table.lookup(ctx.capability, self.admin_rights)
-        self.on_destroy(entry)
         self.table.destroy(ctx.capability, required=self.admin_rights)
+        self.on_destroy(entry)  # only once the log has taken the destroy
         return ctx.ok()
 
     @command(stdops.STD_TOUCH)
@@ -748,11 +735,5 @@ class ObjectServer:
         return "%s object %d" % (self.service_name, entry.number)
 
     def on_destroy(self, entry):
-        """Release any resources held by an object about to be destroyed."""
-
-    def __repr__(self):
-        return "%s(port=%012x, objects=%d)" % (
-            type(self).__name__,
-            self.put_port,
-            len(self.table),
-        )
+        """Release the resources of an object the table has just destroyed
+        (STD_DESTROY) or expired (:meth:`sweep`)."""

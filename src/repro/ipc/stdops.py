@@ -37,10 +37,6 @@ HERE = 11
 #: secret for a refresh — or nothing, for a destruction.
 CTL_APPLY = 40
 
-#: Liveness/introspection probe answered by any replica with a small
-#: JSON stats blob (objects held, dedup counters, fan-out failures).
-CTL_HEALTH = 42
-
 #: First command number available to individual servers.
 USER_BASE = 100
 

@@ -112,6 +112,3 @@ class Machine:
             self.last_error = exc
             return
         self.heard_announcements[announcement.name] = announcement
-
-    def __repr__(self):
-        return "Machine(%r, address=%d)" % (self.name, self.address)

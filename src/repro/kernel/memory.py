@@ -155,7 +155,7 @@ class MemoryServer(ObjectServer):
     def _start_process(self, ctx):
         entry, _ = ctx.lookup(R_CTL)
         process = self._as_process(entry)
-        process.start(segment_reader=self._segment_reader)
+        process.start()  # a process made here has no program to run
         return ctx.ok(data=process.state.value.encode())
 
     @command(MEM_STOP_PROCESS)
@@ -180,10 +180,6 @@ class MemoryServer(ObjectServer):
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-
-    def _segment_reader(self, segment_number):
-        entry = self.table._entry(segment_number)
-        return bytes(entry.data.memory)
 
     @staticmethod
     def _as_segment(entry):

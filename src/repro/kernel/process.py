@@ -66,10 +66,3 @@ class Process:
         """Any state -> DEAD (idempotent)."""
         self.state = ProcessState.DEAD
         return self
-
-    def __repr__(self):
-        return "Process(%r, %s, %d segments)" % (
-            self.name,
-            self.state.value,
-            len(self.segments),
-        )

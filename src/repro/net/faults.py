@@ -101,11 +101,6 @@ class FaultSpec:
         self.reorder = reorder
         self.silent = not (drop or duplicate or corrupt or delay or reorder)
 
-    def __repr__(self):
-        return ("FaultSpec(drop=%g, duplicate=%g, corrupt=%g, delay=%g, "
-                "reorder=%g)" % (self.drop, self.duplicate, self.corrupt,
-                                 self.delay, self.reorder))
-
 
 class FaultPlan:
     """One seeded fault schedule shared by a network's frames.
@@ -435,14 +430,6 @@ class FaultPlan:
             if out is None:
                 out = [(raw, 0.0)]
             return [payload for payload, _ in out + held]
-
-    def __repr__(self):
-        return "FaultPlan(seed=%r, default=%r, links=%d, seen=%d)" % (
-            self.seed,
-            self.default,
-            len(self.links),
-            self.frames_seen,
-        )
 
 
 def faulty_sendto(sock_sendto, plan):

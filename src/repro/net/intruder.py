@@ -122,9 +122,3 @@ class Intruder:
         hijacked = request_frame.message.copy(reply=as_port(reply_private))
         sent = self.nic.put(hijacked)
         return reply_private, sent
-
-    def __repr__(self):
-        return "Intruder(address=%d, captured=%d frames)" % (
-            self.address,
-            len(self.captured),
-        )

@@ -312,13 +312,3 @@ class Message:
         request.extra_caps = self.extra_caps
         request.sealed_caps = self.sealed_caps
         return request
-
-    def __repr__(self):
-        kind = "reply" if self.is_reply else "request"
-        return "Message(%s, dest=%012x, cmd=%d, status=%d, %d data bytes)" % (
-            kind,
-            self.dest,
-            self.command,
-            self.status,
-            len(self.data),
-        )

@@ -516,18 +516,6 @@ class SimNetwork:
         return self._clock
 
     @property
-    def latency(self):
-        """The :class:`~repro.net.sched.LatencyModel`, or None outside
-        DES mode."""
-        return self._latency
-
-    @property
-    def faults(self):
-        """The :class:`~repro.net.faults.FaultPlan`, or None on a
-        perfect wire (the default)."""
-        return self._faults
-
-    @property
     def pending(self):
         """Frames queued for later dispatch (always 0 when synchronous)."""
         return self._loop.pending if self._loop is not None else 0
@@ -601,9 +589,3 @@ class SimNetwork:
         if self._faults is not None:
             counters["faults"] = self._faults.stats()
         return counters
-
-    def __repr__(self):
-        return "SimNetwork(machines=%d, frames_sent=%d)" % (
-            len(self._nics),
-            self.frames_sent,
-        )

@@ -84,9 +84,6 @@ class Station(Protocol):
         blocked that long) or nothing more can arrive (a simulator that
         delivers only during put()/pump() has drained)."""
 
-    def pump(self):
-        """Drive deferred delivery / flush buffered egress."""
-
     def put(self, message, dst_machine=None):
         """PUT through the F-box."""
 

@@ -252,10 +252,6 @@ class EventLoop:
             self.dropped_dead += dead
         return dispatched
 
-    def run(self):
-        """Drain until no frames are pending; returns frames dispatched."""
-        return self.pump(None)
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
@@ -288,12 +284,6 @@ class EventLoop:
         self.dropped_dead = 0
         self.max_depth_seen = self.pending and max(
             len(q) for q in self._queues.values()
-        )
-
-    def __repr__(self):
-        return "EventLoop(pending=%d, dispatched=%d)" % (
-            self.pending,
-            self.dispatched,
         )
 
 
@@ -329,9 +319,6 @@ class VirtualClock:
         """Move time forward by a duration (e.g. a timed-out wait)."""
         if seconds > 0:
             self.now += seconds
-
-    def __repr__(self):
-        return "VirtualClock(now=%.6f)" % self.now
 
 
 class LatencyModel:
@@ -373,12 +360,6 @@ class LatencyModel:
         if self.jitter:
             d += self._rng.random() * self.jitter
         return d
-
-    def __repr__(self):
-        return "LatencyModel(rtt_ms=%g, jitter_ms=%g)" % (
-            self.rtt_ms,
-            self.jitter * 1000.0,
-        )
 
 
 class VirtualTimeLoop:
@@ -542,9 +523,3 @@ class VirtualTimeLoop:
         self.dispatched = 0
         self.dropped_dead = 0
         self.timers_fired = 0
-
-    def __repr__(self):
-        return "VirtualTimeLoop(now=%.6f, pending=%d)" % (
-            self.clock.now,
-            self.pending,
-        )

@@ -318,12 +318,6 @@ class SocketNode:
         self._transmit_runs(drained)
         return len(drained)
 
-    def pump(self, budget=None):
-        """Station-API parity with :class:`~repro.net.nic.Nic`: ingress is
-        pumped by the background thread, so this only flushes buffered
-        egress."""
-        return self.flush_egress()
-
     # ------------------------------------------------------------------
     # control-plane lane (join/leave/health)
     # ------------------------------------------------------------------

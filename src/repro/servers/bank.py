@@ -204,12 +204,6 @@ class BankServer(ObjectServer):
             raise BadRequest("object %d is not an account" % entry.number)
         return entry.data
 
-    def describe(self, entry):
-        account = entry.data
-        if isinstance(account, Account):
-            return "bank account, %d currencies" % len(account.balances)
-        return super().describe(entry)
-
 
 class BankClient(ServiceClient):
     """Typed client for the bank server."""

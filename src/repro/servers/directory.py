@@ -48,9 +48,6 @@ class Directory:
     def __init__(self):
         self.entries = {}
 
-    def __len__(self):
-        return len(self.entries)
-
 
 class DirectoryCodec:
     """On-disk form of a :class:`Directory` for the durable store.
@@ -234,9 +231,6 @@ class DirectoryServer(ObjectServer):
         if not isinstance(entry.data, Directory):
             raise BadRequest("object %d is not a directory" % entry.number)
         return entry.data
-
-    def describe(self, entry):
-        return "directory with %d entries" % len(entry.data)
 
     def create_root(self):
         """Mint a root directory locally (bootstrap; not a wire operation)."""

@@ -183,9 +183,6 @@ class FlatFileServer(ObjectServer):
     def on_destroy(self, entry):
         entry.data.release()
 
-    def describe(self, entry):
-        return "flat file of %d bytes" % entry.data.size
-
 
 class FlatFileClient(ServiceClient):
     """Typed client for the flat file server."""

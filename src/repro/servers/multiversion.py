@@ -312,20 +312,6 @@ class MultiversionFileServer(ObjectServer):
             for block in entry.data.pages:
                 self._unref(block)
 
-    def describe(self, entry):
-        if isinstance(entry.data, MVFile):
-            return "multiversion file, %d committed versions" % len(
-                entry.data.versions
-            )
-        if isinstance(entry.data, MVVersion):
-            state = (
-                "open"
-                if entry.data.is_open
-                else ("committed" if entry.data.committed_as is not None else "aborted")
-            )
-            return "working version (base %d, %s)" % (entry.data.base_seq, state)
-        return super().describe(entry)
-
 
 class MultiversionClient(ServiceClient):
     """Typed client for the multiversion file server."""

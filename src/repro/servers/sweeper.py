@@ -119,9 +119,3 @@ class ReachabilitySweeper:
         touched = self.mark()
         expired = sum(len(server.sweep()) for server in servers)
         return touched, expired
-
-    def __repr__(self):
-        return "ReachabilitySweeper(roots=%d, touched=%d)" % (
-            len(self.roots),
-            self.touched,
-        )

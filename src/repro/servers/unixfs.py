@@ -206,6 +206,3 @@ class UnixFs:
 
     def _client_for(self, capability):
         return self._file_client(capability)
-
-    def __repr__(self):
-        return "UnixFs(open fds=%d)" % len(self._fds)

@@ -80,14 +80,6 @@ class LruCache:
         with self._lock:
             self._entries.clear()
 
-    def __repr__(self):
-        return "%s(%d/%d entries, %.0f%% hits)" % (
-            type(self).__name__,
-            len(self._entries),
-            self.max_entries,
-            100 * self.hit_rate,
-        )
-
 
 class _CapabilityCache(LruCache):
     """An LRU of §2.4 triples that can forget one object's without a sweep.

@@ -99,9 +99,3 @@ class LinkCryptNode:
         # Re-inject through the normal admission path so listeners,
         # handlers, and RPC behave exactly as on a plaintext segment.
         self.nic.accept(Frame(src=frame.src, dst_machine=None, message=inner))
-
-    def __repr__(self):
-        return "LinkCryptNode(machine=%r, lines=%d)" % (
-            self.nic.address,
-            len(self._line_keys),
-        )

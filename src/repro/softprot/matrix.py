@@ -58,9 +58,6 @@ class KeyMatrix:
         """The row-and-column slice machine ``machine`` is allowed to know."""
         return MachineKeyView(self, machine)
 
-    def __len__(self):
-        return len(self._keys)
-
 
 class MachineKeyView:
     """One machine's knowledge of the matrix: its row and its column.
@@ -242,10 +239,4 @@ class CapabilitySealer:
         header_cap = caps.pop(0) if has_header_cap and caps else None
         return message.copy(
             capability=header_cap, extra_caps=tuple(caps), sealed_caps=b""
-        )
-
-    def __repr__(self):
-        return "CapabilitySealer(machine=%r, cipher_ops=%d)" % (
-            self.view.machine,
-            self.cipher_ops,
         )

@@ -278,12 +278,6 @@ class ScenarioRunner:
 
     # -- fault actions (close over the runner; use them inside at()) ----
 
-    def sever(self, src=None, dst=None):
-        self.plan.sever(src=src, dst=dst)
-
-    def heal(self, src=None, dst=None):
-        self.plan.heal(src=src, dst=dst)
-
     def partition_client(self, symmetric=True):
         """Cut the client's station off from every server."""
         self.plan.partition([self.client_machine], self.machines,

@@ -336,15 +336,9 @@ class TestRecordedDigests:
     def _bench():
         import importlib.util
         import os
-        import sys
 
-        # The arm modules import each other by plain name (bench_chaos
-        # takes bench_shard's EchoServer).
-        benchmarks = os.path.abspath(os.path.join(
-            os.path.dirname(__file__), os.pardir, "benchmarks"))
-        if benchmarks not in sys.path:
-            sys.path.insert(0, benchmarks)
-        path = os.path.join(benchmarks, "bench_chaos.py")
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "benchmarks", "bench_chaos.py")
         spec = importlib.util.spec_from_file_location("bench_chaos", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)

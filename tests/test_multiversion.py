@@ -208,6 +208,22 @@ class TestCopyOnWrite:
         client.abort(v)
         assert disk.used_blocks == 0
 
+    def test_destroy_releases_every_page(self):
+        """``on_destroy``: a destroyed file gives back its committed
+        versions' pages, a destroyed open version its private ones."""
+        _, disk, _, client = make_world(block_size=64)
+        f = client.create_file()
+        for fill in (b"a" * 200, b"b" * 64):
+            v, _ = client.new_version(f)
+            client.write(v, 0, fill)
+            client.commit(v)
+        open_version, _ = client.new_version(f)
+        client.write(open_version, 64, b"c" * 128)
+        client.destroy(f)
+        assert 0 < disk.used_blocks
+        client.destroy(open_version)
+        assert disk.used_blocks == 0
+
 
 class TestWriteOnceMedia:
     def test_full_lifecycle_on_write_once_disk(self):

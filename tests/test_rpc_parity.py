@@ -349,9 +349,6 @@ class LoopbackStation:
     def wait_wire(self, wire_port, remaining):
         return self.poll_wire(wire_port)
 
-    def pump(self):
-        return 0
-
     def put(self, message, dst_machine=None):
         return self._send(self._fbox.transform_egress(message), dst_machine)
 

@@ -40,6 +40,10 @@ from repro.errors import (
     OutOfSpace,
     PowerFailure,
 )
+from repro.ipc.client import ServiceClient
+from repro.ipc.server import ObjectServer
+from repro.net.network import SimNetwork
+from repro.net.nic import Nic
 
 PORT = Port(0x0D15C0FFEE00)
 SCHEME = scheme_by_name("xor-oneway")
@@ -256,6 +260,88 @@ class TestFramingAgainstTheReference:
         assert not report.suspect and rebooted.numbers() == [
             cap.object for cap in acked]
         assert [rebooted.lookup(cap)[0].data for cap in acked] == [b"a", b"b"]
+
+    def _full_log(self, *sizes, **options):
+        """A table whose log takes objects of ``sizes`` and then nothing
+        more: ``(disk, store, table, capabilities)``."""
+        disk = VirtualDisk(4, block_size=64)  # superblocks, log head, 1 free
+        store = DurableStore(disk, codec=DefaultCodec())
+        table = ObjectTable(SCHEME, PORT, rng=RandomSource(seed=44),
+                            wal=store, **options)
+        caps = [table.create(b"x" * size) for size in sizes]
+        with pytest.raises(OutOfSpace):
+            table.create(b"")
+        return disk, store, table, caps
+
+    def test_a_refresh_the_log_refuses_revokes_nothing(self):
+        """Regression: the new secret went in before the log was asked,
+        so a refused refresh locked the owner out in memory, while a
+        reboot brought back the capability it meant to revoke."""
+        disk, store, table, (owner, *_) = self._full_log(0, 0, 0)
+        for _ in range(2):  # the refusal, and a retry
+            with pytest.raises(OutOfSpace):
+                table.refresh(owner)
+            entry, _ = table.lookup(owner)
+            assert entry.generation == 0 and entry.data == b""
+        store.flush()
+        _, rebooted, report = reattach(disk)
+        assert not report.suspect
+        assert rebooted.lookup(owner)[0].generation == 0
+
+    def test_a_destroy_the_log_refuses_destroys_nothing(self):
+        """Regression: the row was dropped and its number freed before
+        the log was asked, so a refused destroy left an object that was
+        gone in memory, live after a reboot, and a number to reissue."""
+        disk, store, table, caps = self._full_log(20, 20)
+        numbers = table.numbers()
+        for _ in range(2):  # the refusal, and a retry
+            with pytest.raises(OutOfSpace):
+                table.destroy(caps[0])
+            assert table.numbers() == numbers
+            assert table.lookup(caps[0])[0].data == b"x" * 20
+        with pytest.raises(OutOfSpace):  # and no number was freed for it
+            table.create(b"")
+        store.flush()
+        _, rebooted, report = reattach(disk)
+        assert not report.suspect and rebooted.numbers() == numbers
+        assert rebooted.lookup(caps[0])[0].data == b"x" * 20
+
+    def test_a_std_destroy_the_log_refuses_releases_nothing(self):
+        """Regression: ``on_destroy`` ran before the table asked the log,
+        so a refused STD_DESTROY released what a live object still held."""
+        released = []
+
+        class Releasing(ObjectServer):
+            def on_destroy(self, entry):
+                released.append(entry.number)
+
+        net = SimNetwork()
+        store = DurableStore(VirtualDisk(4, block_size=64),
+                             codec=DefaultCodec())
+        server = Releasing(Nic(net), rng=RandomSource(seed=1),
+                           store=store).start()
+        caps = [server.table.create(b"x" * 20) for _ in range(2)]
+        client = ServiceClient(Nic(net), server.put_port,
+                               rng=RandomSource(seed=2))
+        with pytest.raises(OutOfSpace):
+            client.destroy(caps[0])
+        assert released == [] and server.table.numbers() == [0, 1]
+
+    def test_an_age_the_log_refuses_part_way_releases_what_it_removed(self):
+        """The sweep stops at the first removal the log refuses; the rows
+        it removed before that still go through ``on_expire``, and the
+        refused one stays, in memory and after a reboot."""
+        disk, store, table, caps = self._full_log(0, 20, default_lifetime=1)
+        expired = []
+        with pytest.raises(OutOfSpace):
+            table.age(on_expire=expired.append)
+        assert [entry.number for entry in expired] == [caps[0].object]
+        assert table.numbers() == [caps[1].object]
+        with pytest.raises(NoSuchObject):
+            table.lookup(caps[0])
+        store.flush()
+        _, rebooted, report = reattach(disk)
+        assert not report.suspect and rebooted.numbers() == [caps[1].object]
 
     @pytest.mark.parametrize("after_writes", [0, 1, 2, 3])
     def test_power_failure_in_a_flush_leaves_it_owed(self, after_writes):
