@@ -116,7 +116,7 @@ class Capability:
         capability.
         """
         if len(data) == CAPABILITY_BYTES:
-            port = Port.from_wire(bytes(data[:PORT_BYTES]))
+            port = Port.from_wire(data[:PORT_BYTES])
             obj = int.from_bytes(data[PORT_BYTES:PORT_BYTES + OBJECT_BYTES], "big")
             rights = Rights(data[PORT_BYTES + OBJECT_BYTES])
             check = data[PORT_BYTES + OBJECT_BYTES + 1:]
@@ -127,7 +127,7 @@ class Capability:
             raise MalformedCapability(
                 "capability too short: %d bytes" % len(data)
             )
-        port = Port.from_wire(bytes(data[:PORT_BYTES]))
+        port = Port.from_wire(data[:PORT_BYTES])
         obj = int.from_bytes(data[PORT_BYTES:PORT_BYTES + OBJECT_BYTES], "big")
         rights = Rights(data[PORT_BYTES + OBJECT_BYTES])
         check_len = int.from_bytes(

@@ -22,12 +22,12 @@ PORT_BYTES = PORT_BITS // 8
 
 _PORT_MAX = mask(PORT_BITS)
 
-#: Bound on both per-frame port caches, the wire-decode intern table
-#: below and each F-box's image cache: a transaction leaves one
-#: single-use entry (its fresh reply port) in each and <= 3 keys a
-#: station are ever hit again (``docs/PERFORMANCE.md`` "Station memory").
-#: A full table is dropped wholesale by *rebinding* to a fresh dict born
-#: with its null seed, never ``clear()``: no thread sees one without it.
+#: Bound on each F-box's port-image cache (:mod:`repro.net.fbox`): a
+#: transaction leaves one single-use entry (its fresh reply port) in it
+#: and <= 3 keys a station are ever hit again (``docs/PERFORMANCE.md``
+#: "Station memory").  A full cache is dropped wholesale by *rebinding*
+#: to a fresh dict born with its null seed, never ``clear()``: no thread
+#: sees one without it.
 PORT_CACHE_MAX = 1 << 10
 
 
@@ -43,7 +43,7 @@ class Port(int):
     It also makes the null port falsy, so ``cache.get(port) or compute()``
     is a trap (test ``is None``); ``port.is_null`` is the supported
     spelling of the null test.  Instances carry no state of their own
-    (``__slots__ = ()``): every interned port stays int-sized.
+    (``__slots__ = ()``): every port stays int-sized.
     """
 
     __slots__ = ()
@@ -73,27 +73,18 @@ class Port(int):
             raise ValueError(
                 "port needs exactly %d bytes, got %d" % (PORT_BYTES, len(data))
             )
-        return cls.from_wire(bytes(data))
+        return cls.from_wire(data)
 
     @classmethod
     def from_wire(cls, data):
-        """Decode exactly :data:`PORT_BYTES` trusted wire bytes, interned.
+        """Decode exactly :data:`PORT_BYTES` trusted wire bytes.
 
         The per-frame decode path: ``Message.unpack`` and
         ``Capability.unpack`` hand this exact-length slices of a validated
         frame, so the length check and the range check (any 6 bytes are
-        < 2**48) are both skipped.  Equal wire images yield the *same*
-        ``Port`` object — identity comparisons against ``NULL_PORT`` and
-        repeated service ports are pointer checks.
+        < 2**48) are both skipped.
         """
-        global _interned
-        port = _interned.get(data)
-        if port is None:
-            port = int.__new__(cls, int.from_bytes(data, "big"))
-            if len(_interned) >= PORT_CACHE_MAX:
-                _interned = {_NULL_WIRE: NULL_PORT}
-            _interned[data] = port
-        return port
+        return int.__new__(cls, int.from_bytes(data, "big"))
 
     # ``Port._unchecked(value)``: wrap a value known to be in range,
     # skipping the range check — ``int.__new__(cls, value)`` with no
@@ -123,11 +114,6 @@ class Port(int):
 
 #: The all-zero port, used for unused header fields.
 NULL_PORT = Port(0)
-
-#: The intern table, ``6 wire bytes -> Port``, seeded so every decoded
-#: null field IS ``NULL_PORT`` — the hottest identity test on the wire.
-_NULL_WIRE = NULL_PORT.to_bytes()
-_interned = {_NULL_WIRE: NULL_PORT}
 
 
 def draw_ports(rng, n):

@@ -31,8 +31,9 @@ binding plural end to end:
   port and a *control* station for outbound fan-out (a server handler
   runs on its station's pump thread, so a blocking peer transaction
   must leave through a second station or it would deadlock waiting on
-  its own pump), registering with the pool's arbiter station over the
-  socket control lane (join/leave/health).
+  its own pump).  The forking parent joins each member into the pool's
+  registry as it reports ready; a member's health is one signed
+  transaction answered by its server.
 
 Failover contract (the part clients rely on): ``trans`` against a
 ReplicaSet tries candidates in policy order and fails over on
@@ -45,7 +46,6 @@ across the pool, never double-executed on any one replica.
 import hashlib
 import itertools
 import threading
-import time
 
 from repro.core.ports import PORT_BYTES, Port, PrivatePort, as_port
 from repro.core.registry import ObjectEntry, ObjectTable
@@ -74,7 +74,7 @@ _POLICY_NAMES = {code: name for name, code in _POLICY_CODES.items()}
 # ----------------------------------------------------------------------
 #
 # Machines are ints on the simulators and (host, udp_port) pairs over
-# sockets; HERE answers and membership messages need both on the wire.
+# sockets; HERE answers need both on the wire.
 # Tagged encoding: 0x01 + u64 for ints, 0x02 + len + host + u16 port.
 
 
@@ -125,19 +125,6 @@ def unpack_here_payload(data):
     members = [read_machine(reader) for _ in range(reader.u8())]
     reader.end()
     return port, ReplicaSet(members, policy=_POLICY_NAMES[code])
-
-
-def pack_membership(port, machine):
-    """JOIN/LEAVE control payload: which machine serves which port."""
-    return port.to_bytes() + pack_machine(machine)
-
-
-def unpack_membership(payload):
-    reader = Reader(payload)
-    port = Port.from_bytes(reader.take(PORT_BYTES))
-    machine = read_machine(reader)
-    reader.end()
-    return port, machine
 
 
 def pack_revocation(number, generation, secret=None):
@@ -341,54 +328,6 @@ class ReplicaRegistry:
             return len(self._members)
 
 
-def install_membership_handler(node, registry):
-    """Wire a station's control lane (JOIN/LEAVE datagrams) into a
-    registry — the arbiter side of replica registration over sockets."""
-    from repro.net.sockets import CTL_JOIN, CTL_LEAVE
-
-    def handler(kind, payload, _src):
-        if kind != CTL_JOIN and kind != CTL_LEAVE:
-            return
-        try:
-            port, machine = unpack_membership(payload)
-        except ValueError:
-            return
-        if kind == CTL_JOIN:
-            registry.join(port, machine)
-        else:
-            registry.leave(port, machine)
-
-    node.on_control(handler)
-    return handler
-
-
-def probe_liveness(node, dst, timeout=1.0, token=None):
-    """One control-lane PING round trip; True when the pong arrives.
-
-    The pong is answered by the *station* (its pump), not by any server
-    — this reports "the OS process and its pump are alive", the cheapest
-    health signal the pool's arbiter can ask for.
-    """
-    import os
-
-    from repro.net.sockets import CTL_PING, CTL_PONG
-
-    if token is None:
-        token = os.urandom(8)
-    event = threading.Event()
-
-    def handler(kind, payload, _src):
-        if kind == CTL_PONG and payload == token:
-            event.set()
-
-    node.on_control(handler)
-    try:
-        node.send_control(CTL_PING, token, dst)
-        return event.wait(timeout)
-    finally:
-        node.off_control(handler)
-
-
 # ----------------------------------------------------------------------
 # the replica-aware server
 # ----------------------------------------------------------------------
@@ -446,13 +385,13 @@ class ReplicaObjectServer(ObjectServer):
         is a liveness problem, not a correctness rollback)."""
         record = pack_revocation(entry.number, entry.generation, secret)
         for peer in self.peers:
-            if self._send_control(peer, record):
+            if self._send_apply(peer, record):
                 self.fanout_sent += 1
             else:
                 self.fanout_failures.append((peer, op_name, entry.number))
                 self._fanout_pending.append((peer, record))
 
-    def _send_control(self, peer, record):
+    def _send_apply(self, peer, record):
         """One CTL_APPLY transaction; True only when the peer *obeyed* —
         an error reply (its handler raised, or it refused our signature)
         is as much a failed delivery as silence."""
@@ -483,7 +422,7 @@ class ReplicaObjectServer(ObjectServer):
         pending, self._fanout_pending = self._fanout_pending, []
         repaired = 0
         for peer, record in pending:
-            if self._send_control(peer, record):
+            if self._send_apply(peer, record):
                 self.fanout_sent += 1
                 repaired += 1
             else:
@@ -645,8 +584,9 @@ class ReplicatedObjectServer:
         return replicas
 
     def health(self, index, timeout=1.0):
-        """Is member ``index`` answering?  (Forked: a control-lane ping
-        to its data station, answered by the child's pump.)"""
+        """Is member ``index`` answering?  (Forked: one transaction to
+        its server, whose reply only an F-box holding the pool's
+        signature secret can sign.)"""
         return self.placement.alive(self, index, timeout)
 
     def probe(self, index, timeout=1.0):
@@ -714,11 +654,10 @@ _HANDSHAKE_S = 10.0
 def _serve_forked(pool, index, conn):
     """Child process body (entered via fork): two stations + one replica.
 
-    Handshake: send (data address) → receive (every data address, the
-    arbiter's) → JOIN over the control lane → send "ready" → serve
-    until the parent sends "stop" (or dies: EOF).
+    Handshake: send (data address) → receive (every data address) →
+    send "ready" → serve until the parent sends "stop" (or dies: EOF).
     """
-    from repro.net.sockets import CTL_JOIN, SocketNode
+    from repro.net.sockets import SocketNode
 
     data_node = SocketNode(buffer_egress=True)
     control_node = SocketNode()
@@ -727,11 +666,8 @@ def _serve_forked(pool, index, conn):
     ).start()
     conn.send(data_node.address)
     try:
-        peers, arbiter = conn.recv()
+        peers = conn.recv()
         server.peers = [peer for peer in peers if peer != data_node.address]
-        control_node.send_control(
-            CTL_JOIN, pack_membership(pool.put_port, data_node.address), arbiter
-        )
         conn.send("ready")
         conn.recv()
     except EOFError:
@@ -744,9 +680,10 @@ def _serve_forked(pool, index, conn):
 class _Forked:
     """Members are forked OS processes over loopback UDP — each builds
     its stations *after* the fork (threads do not survive one) from the
-    pool object the fork snapshot handed it.  Membership flows over the
-    socket control lane to the parent's arbiter station; ``kill`` is a
-    SIGKILL mid-flight, the failover scenario's crash."""
+    pool object the fork snapshot handed it.  The parent joins each
+    member into the registry when it reports ready, so membership is in
+    replica order and never crosses the wire; ``kill`` is a SIGKILL
+    mid-flight, the failover scenario's crash."""
 
     def __init__(self):
         self.processes = []
@@ -782,21 +719,12 @@ class _Forked:
         # children (threads die at fork; a pre-fork station would leave
         # the children inheriting its dead locks).
         pool.arbiter = SocketNode()
-        install_membership_handler(pool.arbiter, pool.registry)
         install_locate_responder(pool.arbiter, pool._here)
         for conn in self.pipes:
-            conn.send((addresses, pool.arbiter.address))
-        for index in range(replicas):
+            conn.send(addresses)
+        for index, address in enumerate(addresses):
             self._hear(index, '"ready"')
-        # JOINs travel the real control lane; wait for all of them.
-        deadline = time.monotonic() + _HANDSHAKE_S
-        while len(pool.registry.members(pool.put_port)) < replicas:
-            if time.monotonic() > deadline:
-                raise RuntimeError(
-                    "only %d of %d replicas joined the arbiter"
-                    % (len(pool.registry.members(pool.put_port)), replicas)
-                )
-            time.sleep(0.01)
+            pool.registry.join(pool.put_port, address)
         return addresses
 
     def _hear(self, index, what):
@@ -831,4 +759,14 @@ class _Forked:
             pool.arbiter.close()
 
     def alive(self, pool, index, timeout):
-        return probe_liveness(pool.arbiter, pool.addresses[index], timeout)
+        """One capability-less STD_INFO from the arbiter: the member is
+        alive when a reply signed with F(S) comes back (its status, a
+        refusal, does not matter — only an S-holder could sign it)."""
+        try:
+            trans(pool.arbiter, pool.put_port, Message(command=stdops.STD_INFO),
+                  rng=pool.rng, timeout=timeout,
+                  expect_signature=pool.signature.public,
+                  dst_machine=pool.addresses[index])
+        except RPCTimeout:
+            return False
+        return True

@@ -33,7 +33,7 @@ Two construction disciplines share this one layout (see
   ``_addressed`` / ``_evolve`` — skips them and writes the twelve slots
   straight down (``Message`` has no instance dict).  For ``unpack`` this
   is sound because the fixed header is decoded with width-limited struct
-  codes (``H``/``Q``/``I``) and the ports with exact-length interned wire
+  codes (``H``/``Q``/``I``) and the ports with exact-length wire
   decoding, so every field is in range by construction; for the others
   the source message was already validated when it was built.
 
@@ -47,7 +47,6 @@ import struct
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.core import ports as _ports
 from repro.core.capability import Capability
 from repro.core.ports import NULL_PORT, PORT_BYTES, Port
 from repro.errors import BadRequest
@@ -203,15 +202,11 @@ class Message:
                     caps.append(Capability.unpack(raw[pos:pos + clen]))
                     pos += clen
                 extra_caps = tuple(caps)
-        # The intern table read inline, ``from_wire`` only on a miss.  One
-        # read of the global: a flush rebinds it, never empties this dict.
-        interned = _ports._interned
         from_wire = Port.from_wire
         self = cls.__new__(cls)
-        self.dest = interned[dest] if dest in interned else from_wire(dest)
-        self.reply = interned[reply] if reply in interned else from_wire(reply)
-        self.signature = (interned[signature] if signature in interned
-                          else from_wire(signature))
+        self.dest = from_wire(dest)
+        self.reply = from_wire(reply)
+        self.signature = from_wire(signature)
         self.command = command
         self.status = status
         self.offset = offset

@@ -11,6 +11,12 @@ A :class:`SocketNode` mirrors the :class:`~repro.net.nic.Nic` interface —
 software on egress.  The "unforgeable source address" is the UDP source
 address reported by ``recvfrom``; adequate on a loopback interface, and
 the simulator remains the reference for security experiments.
+
+There is one wire format.  Every datagram is a codec message that left
+its sender through an F-box, or an aggregate carrier of such messages;
+the pump decodes each and admits it through the sink table, and counts
+anything else as garbage.  Replica membership and health checks are
+ordinary transactions too (:mod:`repro.ipc.replica`).
 """
 
 import queue
@@ -33,27 +39,9 @@ MAX_DATAGRAM = 60000
 #: transformed message that went through the normal admission path on
 #: arrival; aggregation changes how many syscalls a burst costs, never
 #: what is on the wire inside them.  Cannot collide with a plain message
-#: (those start with the codec magic ``b"AM"``).
+#: (those start with the codec magic ``b"AM"``); no other prefix is read.
 _AGG_MAGIC = b"AB1"
 _AGG_HEADER = len(_AGG_MAGIC)
-
-#: Magic prefix of a *control-plane* datagram: a tiny out-of-band lane
-#: (replica join/leave, liveness pings) that never carries capabilities
-#: and never enters the message codec or admission path.  One kind byte
-#: follows the magic, then an opaque payload.  Cannot collide with plain
-#: messages (``b"AM"``) or aggregate carriers (``b"AB1"``).
-_CTL_MAGIC = b"AC1"
-_CTL_HEADER = len(_CTL_MAGIC)
-
-#: Control kinds: liveness probe and its kernel-level answer.  The pump
-#: answers PING itself — health checking a station must not depend on
-#: any server being registered on it.
-CTL_PING = b"P"
-CTL_PONG = b"O"
-#: Replica membership kinds, interpreted by whoever registered an
-#: ``on_control`` handler (see :mod:`repro.ipc.replica`).
-CTL_JOIN = b"J"
-CTL_LEAVE = b"L"
 
 
 class SocketNode:
@@ -134,14 +122,11 @@ class SocketNode:
         self._egress = deque()
         self.sent = 0
         self.received = 0
-        # Broadcast fallback and control-lane sinks: snapshot tuples,
-        # replaced wholesale under _lock, read lock-free by the pump.
+        # Broadcast fallback sinks: a snapshot tuple, replaced wholesale
+        # under _lock, read lock-free by the pump.
         self._broadcast_handlers = ()
-        self._control_handlers = ()
-        self.control_sent = 0
-        self.control_received = 0
         #: What the pump dropped instead of dying: exceptions out of a
-        #: control, broadcast or server handler, and datagrams the codec
+        #: broadcast or server handler, and datagrams the codec
         #: refused; ``last_error`` keeps the most recent exception.
         self.handler_errors = 0
         self.garbage_dropped = 0
@@ -317,39 +302,6 @@ class SocketNode:
                 break
         self._transmit_runs(drained)
         return len(drained)
-
-    # ------------------------------------------------------------------
-    # control-plane lane (join/leave/health)
-    # ------------------------------------------------------------------
-
-    def send_control(self, kind, payload=b"", dst=None):
-        """Transmit one control datagram (``kind`` is a single byte).
-
-        Bypasses the egress buffer deliberately: membership and health
-        traffic must not queue behind a data burst.  Without ``dst`` the
-        datagram is offered to every connected peer.
-        """
-        if len(kind) != 1:
-            raise ValueError("control kind must be a single byte")
-        raw = _CTL_MAGIC + kind + payload
-        if len(raw) > MAX_DATAGRAM:
-            raise ValueError("control payload exceeds datagram cap")
-        self.control_sent += 1
-        return self._transmit((raw,), dst)
-
-    def on_control(self, handler):
-        """Register ``handler(kind, payload, src)`` for inbound control
-        datagrams; runs on the pump thread.  Returns the handler so a
-        caller can later :meth:`off_control` it."""
-        with self._lock:
-            self._control_handlers = self._control_handlers + (handler,)
-        return handler
-
-    def off_control(self, handler):
-        with self._lock:
-            self._control_handlers = tuple(
-                h for h in self._control_handlers if h is not handler
-            )
 
     # ------------------------------------------------------------------
     # ingress
@@ -542,29 +494,8 @@ class SocketNode:
                         and faults.link_severed(src, None)):
                     # Ingress half of a severed link: the plan only sees
                     # this node's egress, so cuts *toward* us are
-                    # enforced here, before the control lane — a
-                    # partitioned peer cannot even answer PING.
+                    # enforced here, before anything is decoded.
                     faults.note_partition_drop(src, None)
-                    continue
-                if raw[:_CTL_HEADER] == _CTL_MAGIC:
-                    # Control lane: one kind byte + opaque payload, never
-                    # unpacked as a message.  PING is answered by the
-                    # station itself — liveness must not depend on any
-                    # server being registered here.
-                    kind = raw[_CTL_HEADER:_CTL_HEADER + 1]
-                    payload = raw[_CTL_HEADER + 1:]
-                    self.control_received += 1
-                    if kind == CTL_PING:
-                        try:
-                            self._sendto(_CTL_MAGIC + CTL_PONG + payload, src)
-                        except OSError:
-                            pass
-                    for handler in self._control_handlers:
-                        try:
-                            handler(kind, payload, src)
-                        except Exception as exc:
-                            # A crashing handler must not kill the pump.
-                            self._handler_failed(exc)
                     continue
                 try:
                     message = unpack(raw)

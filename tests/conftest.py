@@ -9,7 +9,6 @@ from unittest import mock
 
 import pytest
 
-from repro.core import ports
 from repro.crypto.randomsrc import RandomSource
 from repro.ipc.client import ServiceClient
 from repro.kernel.machine import Machine
@@ -20,16 +19,15 @@ from repro.net.nic import Nic
 
 @pytest.fixture(scope="session")
 def port_cache_max():
-    """``with port_cache_max(4): ...`` — the bound of both per-frame port
-    caches (the intern table, every F-box's images) for the block, set in
-    the two modules that read it.  Nothing in the program can set it;
-    tests shrink it so that a flush happens every few frames.  Session
-    scope (it holds no state) so Hypothesis tests may take it."""
+    """``with port_cache_max(4): ...`` — the bound of every F-box's
+    port-image cache for the block, set where :mod:`repro.net.fbox`
+    reads it.  Nothing in the program can set it; tests shrink it so
+    that a flush happens every few frames.  Session scope (it holds no
+    state) so Hypothesis tests may take it."""
 
     @contextmanager
     def patched(bound):
-        with mock.patch.object(ports, "PORT_CACHE_MAX", bound), \
-                mock.patch.object(fbox, "PORT_CACHE_MAX", bound):
+        with mock.patch.object(fbox, "PORT_CACHE_MAX", bound):
             yield
 
     return patched

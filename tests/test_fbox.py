@@ -246,8 +246,8 @@ class TestTheCacheBound:
                     reply = trans(node, port, request, rng, timeout=10.0,
                                   dst_machine=peer.address)
                     assert reply.data == b"PING"
-                    assert reply.reply is NULL_PORT
-                    assert reply.signature is NULL_PORT
+                    assert reply.reply == NULL_PORT
+                    assert reply.signature == NULL_PORT
             except Exception as exc:  # pragma: no cover - reported below
                 errors.append(exc)
 

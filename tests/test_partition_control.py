@@ -1,12 +1,12 @@
-"""Forked replica-pool membership (JOIN/LEAVE/PING) under partition-and-heal.
+"""Forked replica-pool membership and health under partition-and-heal.
 
-The control-lane half of the partition story: a pool member that goes
+The membership half of the partition story: a pool member that goes
 silent behind a network cut is *suspected* — steered around by the
 locate responder — but never evicted, because eviction would throw
 away state (revocation generations, mirrored secrets) that is intact
-behind the partition.  When the cut heals, one answered PING clears
-the suspicion and the member is back in rotation with that state
-untouched.
+behind the partition.  When the cut heals, one answered health
+transaction (a reply signed with the pool's F(S)) clears the suspicion
+and the member is back in rotation with that state untouched.
 
 Covers the registry's suspicion contract as units, and a real
 fork-per-replica :class:`ReplicatedObjectServer` over loopback UDP whose arbiter
@@ -100,14 +100,14 @@ class TestPoolPartitionAndHeal:
             cut = pool.addresses[1]
 
             # The arbiter's side of the partition: everything *from*
-            # member 1 is dropped at ingress — its PONGs go dark.
+            # member 1 is dropped at ingress — its signed health replies
+            # go dark.
             pool.arbiter.faults = plan
             plan.sever(src=cut)
             assert not pool.probe(1, timeout=0.5)
             assert pool.registry.suspected(pool.put_port) == (cut,)
-            # Suspected, steered around — but NOT evicted.  (The
-            # registry lists members in the order their JOINs arrived,
-            # a race between the children, so compare as sets.)
+            # Suspected, steered around — but NOT evicted.  (Compared
+            # as sets: the steering, not the order, is under test.)
             assert len(pool.registry.members(pool.put_port)) == 3
             assert set(pool.replica_set()) == {
                 pool.addresses[0], pool.addresses[2],
@@ -121,7 +121,8 @@ class TestPoolPartitionAndHeal:
             # cut does not touch.
             fresh = _refresh(client_node, pool, cap, locator)
 
-            # Heal: one answered PING re-admits the member...
+            # Heal: one answered health transaction re-admits the
+            # member...
             plan.heal(src=cut)
             assert pool.probe(1, timeout=2.0)
             assert pool.registry.suspected(pool.put_port) == ()

@@ -89,12 +89,11 @@ UNREACHED = _unreached(
     ("ipc/replica.py", TEST_API,
      "ReplicaObjectServer._std_destroy ReplicaObjectServer.fanout_pending "
      "ReplicaObjectServer.sweep ReplicaRegistry.__len__ "
-     "ReplicaRegistry.leave ReplicaRegistry.suspect "
+     "ReplicaRegistry.leave ReplicaRegistry.members ReplicaRegistry.suspect "
      "ReplicaRegistry.suspected ReplicaRegistry.unsuspect ReplicaSet.__eq__ "
      "ReplicatedObjectServer.health ReplicatedObjectServer.probe "
      "ReplicatedObjectServer.replica_set _Forked.alive _InProcess.alive "
-     "_rendezvous_weight pack_membership probe_liveness "
-     "probe_liveness.<locals>.handler"),
+     "_rendezvous_weight"),
     ("ipc/rpc.py", TEST_API,
      "AsyncTrans.__repr__ AsyncTrans.poll RetryPolicy.waits"),
     ("ipc/server.py", COMPAT, "ReplyCache.store"),
@@ -131,8 +130,7 @@ UNREACHED = _unreached(
     ("net/sockets.py", ERROR_PATH, "SocketNode._handler_failed"),
     ("net/sockets.py", TEST_API,
      "SocketNode.__enter__ SocketNode.__exit__ SocketNode.__repr__ "
-     "SocketNode._transmit_runs SocketNode.off_control SocketNode.poll "
-     "SocketNode.send_control SocketNode.unlisten"),
+     "SocketNode._transmit_runs SocketNode.poll SocketNode.unlisten"),
     ("servers/bank.py", TEST_API,
      "BankClient.convert BankClient.mint BankServer._convert "
      "BankServer._mint"),
@@ -163,7 +161,7 @@ UNREACHED = _unreached(
      "CapabilitySealer.unseal_message KeyMatrix.set_key MachineKeyView.key"),
     ("util/bits.py", TEST_API, "bytes_to_int int_to_bytes xor_bytes"),
 )
-UNREACHED_MAX = 163
+UNREACHED_MAX = 159
 
 
 # -- the universe ---------------------------------------------------------

@@ -4,8 +4,8 @@ Covers the replica set and its spread policies, the wire codecs, the
 membership registry, peer-applied revocation on the object table, the
 epoch-guarded location cache, revocation fan-out (including under
 fault injection on the control links), failover with member-wise
-invalidation, per-replica duplicate suppression, and the socket control
-lane / OS-process pool.
+invalidation, per-replica duplicate suppression, and the OS-process
+pool over UDP (forged membership datagrams included).
 """
 
 import subprocess
@@ -34,11 +34,9 @@ from repro.ipc.replica import (
     ReplicatedObjectServer,
     pack_here_payload,
     pack_machine,
-    pack_membership,
     pack_revocation,
     read_machine,
     unpack_here_payload,
-    unpack_membership,
     unpack_revocation,
 )
 from repro.ipc.rpc import RetryPolicy, trans
@@ -184,17 +182,6 @@ class TestWireCodecs:
         unknown_policy[6] = 9
         with pytest.raises(ValueError):
             unpack_here_payload(bytes(unknown_policy))
-
-    def test_membership_round_trip(self):
-        port = Port(42)
-        raw = pack_membership(port, ("127.0.0.1", 6000))
-        back_port, machine = unpack_membership(raw)
-        assert back_port == port and machine == ("127.0.0.1", 6000)
-        assert unpack_membership(pack_membership(port, 9)) == (port, 9)
-        with pytest.raises(ValueError):
-            unpack_membership(raw + b"!")
-        with pytest.raises(ValueError):
-            unpack_membership(raw[:-1])
 
     def test_refresh_payload_round_trip_int_secret(self):
         raw = pack_revocation(7, 3, 0xDEADBEEF)
@@ -624,7 +611,7 @@ class TestTheGuardSurvivesRecycling:
 
 class TestARefusedFanOutIsAFailure:
     def test_an_error_reply_is_queued_for_reconcile(self, sim_pool, monkeypatch):
-        """Regression: ``_send_control`` used to discard the peer's
+        """Regression: the fan-out sender used to discard the peer's
         reply, so a peer whose handler raised was counted as told and
         the revoked capability lived on there, with nothing queued."""
         net, pool, _client, _locator = sim_pool
@@ -778,48 +765,47 @@ class TestPerReplicaDedup:
 
 
 # ----------------------------------------------------------------------
-# sockets: control lane and the OS-process pool
+# sockets: the OS-process pool
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.integration
-class TestSocketControlLane:
-    def test_ping_pong_and_membership(self):
-        from repro.ipc.replica import (
-            install_membership_handler,
-            probe_liveness,
-        )
-        from repro.net.sockets import CTL_JOIN, CTL_LEAVE, SocketNode
+class TestForgedMembershipDatagrams:
+    def test_a_third_station_cannot_rewrite_the_pool(self):
+        """Negative control for the removed socket control lane: the
+        datagrams that once joined and evicted members (``AC1`` + kind +
+        put-port + packed machine) are garbage to the arbiter now, so a
+        loopback intruder can neither evict a member nor join itself."""
+        import socket
+        import time
 
-        arbiter = SocketNode()
-        member = SocketNode()
+        pool = ReplicatedObjectServer(replicas=2)
+        intruder = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        intruder.bind(("127.0.0.1", 0))
         try:
-            registry = ReplicaRegistry()
-            install_membership_handler(arbiter, registry)
-            port = Port(77)
-            member.send_control(
-                CTL_JOIN, pack_membership(port, member.address), arbiter.address
+            arbiter = pool.arbiter
+            members = pool.registry.members(pool.put_port)
+            replicas = pool.replica_set()
+            port = pool.put_port.to_bytes()
+            forged = (
+                b"AC1L" + port + pack_machine(pool.addresses[0]),
+                b"AC1J" + port + pack_machine(intruder.getsockname()),
             )
-            deadline = 50
-            import time
-
-            while not registry.members(port) and deadline:
-                time.sleep(0.02)
-                deadline -= 1
-            assert registry.members(port) == (member.address,)
-            assert probe_liveness(member, arbiter.address, timeout=2.0)
-            member.send_control(
-                CTL_LEAVE, pack_membership(port, member.address), arbiter.address
-            )
-            deadline = 50
-            while registry.members(port) and deadline:
-                time.sleep(0.02)
-                deadline -= 1
-            assert registry.members(port) == ()
-            assert arbiter.control_received >= 2
+            for raw in forged:
+                intruder.sendto(raw, arbiter.address)
+            deadline = time.monotonic() + 2.0
+            while (arbiter.garbage_dropped < len(forged)
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert pool.registry.members(pool.put_port) == members
+            assert pool.replica_set() == replicas
+            assert arbiter.garbage_dropped == len(forged)
+            assert all(pool.health(i) for i in range(2))
+            # The forking parent joined them, in replica order.
+            assert members == tuple(pool.addresses)
         finally:
-            arbiter.close()
-            member.close()
+            intruder.close()
+            pool.stop()
 
 
 @pytest.mark.integration

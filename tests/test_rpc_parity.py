@@ -222,11 +222,10 @@ def test_failover_is_one_policy(world, station, retry):
 @pytest.mark.parametrize("station", STATIONS)
 def test_a_port_cache_flush_every_few_frames_costs_no_transaction(
         world, station, lane, port_cache_max):
-    """Both port caches bounded at 4 — the F-box images and, on UDP, the
-    decode intern table are dropped every few frames — and three times
-    that many transactions per lane, from two alternating randomness
-    sources so that one source's refill flushes the other's undealt
-    images.  The retried lane runs under a lossy, duplicating wire: a
+    """The F-box image cache bounded at 4 — dropped every few frames —
+    and three times that many transactions per lane, from two
+    alternating randomness sources so that one source's refill flushes
+    the other's undealt images.  The retried lane runs under a lossy, duplicating wire: a
     retransmission after a flush recomputes the same F(G')."""
     lossy = lane == "retried"
     faults = FaultPlan(seed=22, drop=0.2, duplicate=0.1) if lossy else None

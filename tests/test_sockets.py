@@ -494,15 +494,6 @@ class TestPumpCountsWhatItDrops:
         assert (server.handler_errors, server.garbage_dropped,
                 server.last_error) == (0, 0, None)
 
-    def test_control_handler(self, nodes):
-        from repro.net.sockets import CTL_JOIN
-
-        server, client = nodes(), nodes()
-        server.on_control(self._boom)
-        client.send_control(CTL_JOIN, b"x", dst=server.address)
-        self._assert_counted(server, client)
-        assert isinstance(server.last_error, RuntimeError)
-
     def test_undecodable_datagram(self, nodes):
         import socket
 
