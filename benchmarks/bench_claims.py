@@ -12,8 +12,10 @@ ledger of ``tests/test_claims.py`` and of ``docs/PAPER_MAP.md``.
 """
 
 import collections
+import importlib
 import inspect
 import os
+import pkgutil
 import sys
 
 import repro
@@ -29,6 +31,7 @@ from repro.core.schemes import all_scheme_names
 from repro.crypto import RandomSource, generate_keypair
 from repro.disk import VirtualDisk
 from repro.ipc import install_locate_responder
+from repro.ipc.server import ObjectServer
 from repro.servers import ReachabilitySweeper
 from repro.servers.flatfile import FILE_CREATE, FILE_WRITE, MAX_TRANSFER
 from repro.softprot import (
@@ -518,4 +521,33 @@ def paper_map(results):
             "**FAILS**" if row.check(result) else "holds: " + ", ".join(
                 "%s %s" % (key, got) for key, (got, _) in result.items()),
             ", ".join("`%s`" % module for module in EXECUTED[row.name])))
+    lines += ["", "## §2.3: the rights each operation declares", "",
+              "Generated from `ObjectServer.rights_table()` of every server",
+              "under `src/repro`, each listing the operations it defines",
+              "itself (it inherits the rest).  Dispatch admits the header",
+              "capability against `needs` and every extra capability against",
+              "`extra` before the handler runs; `-` is no capability there.",
+              "", "| server | operation | needs | extra |", "|---|---|---|---|"]
+    for server in object_servers():
+        for opcode, name, needs, extra in server.rights_table():
+            if name in vars(server):
+                lines.append("| `%s` | %d `%s` | %s | %s |" % (
+                    server.__name__, opcode, name, _mask(needs), _mask(extra)))
     return "\n".join(lines) + "\n"
+
+
+def _mask(rights):
+    return "-" if rights is None else "`0x%02x`" % int(rights)
+
+
+def object_servers():
+    """Every ``ObjectServer`` class defined under ``src/repro``, by name."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+    found, stack = {ObjectServer}, [ObjectServer]
+    while stack:
+        for subclass in stack.pop().__subclasses__():
+            stack.append(subclass)
+            if subclass.__module__.startswith("repro."):
+                found.add(subclass)
+    return sorted(found, key=lambda server: server.__name__)

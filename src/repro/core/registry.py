@@ -289,12 +289,18 @@ class ObjectTable:
         The §2.3 round-trip: "send the capability back to the server along
         with a bit mask and a request to fabricate a new capability with
         fewer rights."
+
+        The capability is validated (a memo hit after the server's
+        admission) and the secret read under one hold, so the new
+        capability is minted under the very secret that validated its
+        parent: a racing :meth:`refresh` cannot hand a just-revoked
+        capability a live sub-capability.
         """
-        number = capability.object
-        return self._capability(number, self.scheme.restrict(
-            self._entry(number).secret,
-            capability.rights, capability.check, Rights(keep_mask),
-        ))
+        with self._lock:
+            entry, effective = self.lookup(capability)
+            secret = entry.secret
+        return self._capability(capability.object, self.scheme.restrict(
+            secret, effective, Rights(keep_mask)))
 
     # ------------------------------------------------------------------
     # revocation

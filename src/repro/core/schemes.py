@@ -86,13 +86,14 @@ class ProtectionScheme(ABC):
         a forged check field was.
         """
 
-    def restrict(self, secret, rights_field, check, keep_mask):
+    def restrict(self, secret, effective, keep_mask):
         """Server-side fabrication of a sub-capability (fewer rights).
 
-        Default implementation: verify, intersect, re-mint.  Schemes that
-        cannot express reduced rights override this to refuse.
+        ``effective`` is what :meth:`verify` granted the parent
+        capability; the object table validates before it calls here.
+        Default implementation: intersect, re-mint.  Schemes that cannot
+        express reduced rights override this to refuse.
         """
-        effective = self.verify(secret, rights_field, check)
         return self.mint(secret, effective.restrict(keep_mask))
 
 
@@ -120,7 +121,7 @@ class SimpleCheckScheme(ProtectionScheme):
             raise InvalidCapability("check field does not match object secret")
         return ALL_RIGHTS
 
-    def restrict(self, secret, rights_field, check, keep_mask):
+    def restrict(self, secret, effective, keep_mask):
         raise BadRequest(
             "the simple scheme cannot mint capabilities with fewer rights"
         )

@@ -55,7 +55,7 @@ from repro.errors import PortNotLocated, RPCTimeout, SecurityError
 from repro.ipc import stdops
 from repro.ipc.locate import install_locate_responder
 from repro.ipc.rpc import RetryPolicy, trans
-from repro.ipc.server import ObjectServer, command
+from repro.ipc.server import ADMIN, ObjectServer, command
 from repro.net.message import Message
 from repro.net.nic import Nic
 from repro.util.record import Reader, pack_secret, unpack_secret
@@ -434,22 +434,16 @@ class ReplicaObjectServer(ObjectServer):
         """Count of failed fan-outs awaiting :meth:`reconcile`."""
         return len(self._fanout_pending)
 
-    @command(stdops.STD_REFRESH)
+    @command(stdops.STD_REFRESH, needs=ADMIN)
     def _std_refresh(self, ctx):
         reply = super()._std_refresh(ctx)
-        entry = self.table._entry(reply.capability.object)
-        self._fan_out("refresh", entry, entry.secret)
+        self._fan_out("refresh", ctx.entry, ctx.entry.secret)
         return reply
 
-    @command(stdops.STD_DESTROY)
+    @command(stdops.STD_DESTROY, needs=ADMIN)
     def _std_destroy(self, ctx):
-        # The row is gone once super() returns, so hold it first; a
-        # missing capability is super()'s to refuse.
-        entry = None if ctx.capability is None else self.table._entry(
-            ctx.capability.object
-        )
         reply = super()._std_destroy(ctx)
-        self._fan_out("destroy", entry)
+        self._fan_out("destroy", ctx.entry)
         return reply
 
     def sweep(self):

@@ -31,15 +31,23 @@ from repro.ipc import stdops
 from repro.net.message import Message
 
 
-def command(opcode):
+#: The rights bit that guards REFRESH (revocation) and DESTROY.
+ADMIN = Rights(stdops.RIGHT_ADMIN)
+
+
+def command(opcode, needs=None, extra=None):
     """Declare a method as the handler for operation code ``opcode``.
 
-    The method receives a :class:`RequestContext` and returns a reply
-    :class:`Message` (usually via :meth:`RequestContext.ok`).
+    ``needs`` is the rights mask its header capability must hold (None:
+    it takes none), ``extra`` the mask every extra capability must hold
+    (None: they are not this server's).  Dispatch admits both before the
+    handler runs; the handler reads the rows as ``ctx.entry`` and
+    ``ctx.extras`` and returns a reply :class:`Message` (usually via
+    :meth:`RequestContext.ok`).
     """
 
     def decorate(fn):
-        fn._amoeba_command = opcode
+        fn._amoeba_command = (opcode, needs, extra)
         return fn
 
     return decorate
@@ -239,14 +247,18 @@ class ReplyCache:
 class RequestContext:
     """Everything a handler needs about one incoming request."""
 
-    __slots__ = ("server", "frame", "request", "deferred", "slot")
+    __slots__ = ("server", "frame", "request", "deferred", "slot", "entry",
+                 "extras")
 
-    def __init__(self, server, frame, request=None, slot=None):
+    def __init__(self, server, frame, request=None, slot=None, entry=None,
+                 extras=()):
         self.server = server
         self.frame = frame
         self.deferred = None
         # A deduplicated request's ReplyCache slot, for its reply to fill.
         self.slot = slot
+        # The rows of the capabilities admission validated (command()).
+        self.entry, self.extras = entry, extras
         # The request may differ from frame.message when §2.4 sealing is
         # in use (capabilities have been decrypted back to plaintext).
         self.request = request if request is not None else frame.message
@@ -255,16 +267,6 @@ class RequestContext:
     def capability(self):
         """The capability in the request header (may be ``None``)."""
         return self.request.capability
-
-    def lookup(self, required=NO_RIGHTS):
-        """Validate the request's capability against the object table.
-
-        The single enforcement point: raises if the capability is absent,
-        forged, revoked, or lacks the ``required`` rights.
-        """
-        if self.request.capability is None:
-            raise BadRequest("operation requires a capability")
-        return self.server.table.lookup(self.request.capability, required)
 
     def ok(self, data=b"", capability=None, offset=0, size=0, extra_caps=()):
         """Build a success reply to this request.
@@ -320,9 +322,6 @@ class ObjectServer:
 
     #: Human-readable service name, reported by STD_INFO.
     service_name = "object server"
-
-    #: Rights mask required for REFRESH (revocation) and DESTROY.
-    admin_rights = Rights(stdops.RIGHT_ADMIN)
 
     def __init__(
         self,
@@ -389,8 +388,8 @@ class ObjectServer:
                     sealer.invalidate_object(port, number)
                 )
             )
-        self._commands = {}
-        self._collect_commands()
+        self._commands = {op: (getattr(self, name), needs, extra)
+                          for op, name, needs, extra in self.rights_table()}
         self._running = False
         #: Count of requests handled, by opcode (experiment bookkeeping).
         #: A Counter, so reading a never-seen opcode yields 0.
@@ -409,18 +408,19 @@ class ObjectServer:
         """F(S), the published verifier for this server's replies."""
         return self.signature.public
 
-    def _collect_commands(self):
-        for name in dir(type(self)):
-            member = getattr(type(self), name, None)
-            opcode = getattr(member, "_amoeba_command", None)
-            if opcode is None:
-                continue
-            if opcode in self._commands:
-                raise ValueError(
-                    "duplicate handler for opcode %d in %s"
-                    % (opcode, type(self).__name__)
-                )
-            self._commands[opcode] = getattr(self, name)
+    @classmethod
+    def rights_table(cls):
+        """The §2.3 rights table, ``(opcode, handler name, needs, extra)``
+        sorted by opcode: what dispatch admits, as data."""
+        table = {}
+        for name in dir(cls):
+            declared = getattr(getattr(cls, name), "_amoeba_command", None)
+            if declared is not None:
+                if declared[0] in table:
+                    raise ValueError("duplicate handler for opcode %d in %s"
+                                     % (declared[0], cls.__name__))
+                table[declared[0]] = (declared[0], name) + declared[1:]
+        return sorted(table.values())
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -556,11 +556,24 @@ class ObjectServer:
                     self._authenticate_sender(request)
                 if request.sealed_caps or self.require_sealed:
                     request = self._unseal_request(frame, request)
-                ctx = RequestContext(self, frame, request, slot)
-                handler = self._commands.get(request.command)
-                if handler is None:
+                declared = self._commands.get(request.command)
+                if declared is None:
                     raise BadRequest("%s does not implement opcode %d"
                                      % (self.service_name, request.command))
+                handler, needs, extra = declared
+                entry, extras = None, ()  # admission, before any handler
+                if needs is not None:
+                    if request.capability is None:
+                        raise BadRequest("operation requires a capability")
+                    entry = self.table.lookup(request.capability, needs)[0]
+                if extra is not None:
+                    extras = []
+                    for capability in request.extra_caps:
+                        if capability.port != self.put_port:
+                            raise InvalidCapability(
+                                "extra capability for another server")
+                        extras.append(self.table.lookup(capability, extra)[0])
+                ctx = RequestContext(self, frame, request, slot, entry, extras)
                 reply = handler(ctx)
                 if reply is None and ctx.deferred is None:
                     reply = ctx.ok()
@@ -692,38 +705,30 @@ class ObjectServer:
     # standard operations (§2.3)
     # ------------------------------------------------------------------
 
-    @command(stdops.STD_INFO)
+    @command(stdops.STD_INFO, needs=NO_RIGHTS)
     def _std_info(self, ctx):
-        entry, rights = ctx.lookup()
-        return ctx.ok(data=self.describe(entry).encode("utf-8"))
+        return ctx.ok(data=self.describe(ctx.entry).encode("utf-8"))
 
-    @command(stdops.STD_RESTRICT)
+    @command(stdops.STD_RESTRICT, needs=NO_RIGHTS)
     def _std_restrict(self, ctx):
-        if ctx.capability is None:
-            raise BadRequest("RESTRICT requires a capability")
-        keep_mask = Rights(ctx.request.size & 0xFF)
-        restricted = self.table.restrict(ctx.capability, keep_mask)
-        return ctx.ok(capability=restricted)
+        keep = Rights(ctx.request.size & 0xFF)
+        return ctx.ok(capability=self.table.restrict(ctx.capability, keep))
 
-    @command(stdops.STD_REFRESH)
+    # REFRESH and DESTROY validate again inside the table, under the hold
+    # that re-keys or removes the row: a refresh racing in since admission
+    # must not let a capability it has just revoked re-key or remove it.
+    @command(stdops.STD_REFRESH, needs=ADMIN)
     def _std_refresh(self, ctx):
-        if ctx.capability is None:
-            raise BadRequest("REFRESH requires a capability")
-        fresh = self.table.refresh(ctx.capability, required=self.admin_rights)
-        return ctx.ok(capability=fresh)
+        return ctx.ok(capability=self.table.refresh(ctx.capability, ADMIN))
 
-    @command(stdops.STD_DESTROY)
+    @command(stdops.STD_DESTROY, needs=ADMIN)
     def _std_destroy(self, ctx):
-        if ctx.capability is None:
-            raise BadRequest("DESTROY requires a capability")
-        entry, _ = self.table.lookup(ctx.capability, self.admin_rights)
-        self.table.destroy(ctx.capability, required=self.admin_rights)
-        self.on_destroy(entry)  # only once the log has taken the destroy
+        self.table.destroy(ctx.capability, ADMIN)
+        self.on_destroy(ctx.entry)  # only once the log has taken the destroy
         return ctx.ok()
 
-    @command(stdops.STD_TOUCH)
+    @command(stdops.STD_TOUCH, needs=NO_RIGHTS)
     def _std_touch(self, ctx):
-        ctx.lookup()
         return ctx.ok()
 
     # ------------------------------------------------------------------

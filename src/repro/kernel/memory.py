@@ -14,8 +14,8 @@ server creates the child there — the paper's alternative to FORK+EXEC —
 and a big segment read and written at offsets is the "electronic disk".
 """
 
-from repro.core.rights import Rights
-from repro.errors import BadRequest, InvalidCapability, OutOfSpace
+from repro.core.rights import NO_RIGHTS, Rights
+from repro.errors import BadRequest, OutOfSpace
 from repro.ipc.client import ServiceClient
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
@@ -104,46 +104,37 @@ class MemoryServer(ObjectServer):
         cap = self.table.create(segment)
         return ctx.ok(capability=cap)
 
-    @command(MEM_READ_SEGMENT)
+    @command(MEM_READ_SEGMENT, needs=R_READ)
     def _read_segment(self, ctx):
-        entry, _ = ctx.lookup(R_READ)
-        segment = self._as_segment(entry)
+        segment = self._as_segment(ctx.entry)
         if ctx.request.size > MAX_TRANSFER:
             raise BadRequest("transfer larger than %d bytes" % MAX_TRANSFER)
         data = segment.read(ctx.request.offset, ctx.request.size)
         return ctx.ok(data=data)
 
-    @command(MEM_WRITE_SEGMENT)
+    @command(MEM_WRITE_SEGMENT, needs=R_WRITE)
     def _write_segment(self, ctx):
-        entry, _ = ctx.lookup(R_WRITE)
-        segment = self._as_segment(entry)
+        segment = self._as_segment(ctx.entry)
         if len(ctx.request.data) > MAX_TRANSFER:
             raise BadRequest("transfer larger than %d bytes" % MAX_TRANSFER)
         segment.write(ctx.request.offset, ctx.request.data)
         return ctx.ok()
 
-    @command(MEM_SEGMENT_SIZE)
+    @command(MEM_SEGMENT_SIZE, needs=NO_RIGHTS)
     def _segment_size(self, ctx):
-        entry, _ = ctx.lookup()
-        segment = self._as_segment(entry)
-        return ctx.ok(size=segment.size)
+        return ctx.ok(size=self._as_segment(ctx.entry).size)
 
     # ------------------------------------------------------------------
     # processes
     # ------------------------------------------------------------------
 
-    @command(MEM_MAKE_PROCESS)
+    @command(MEM_MAKE_PROCESS, extra=R_READ)
     def _make_process(self, ctx):
         """MAKE PROCESS: segment capabilities arrive as extra capabilities;
         the process name rides in the data field."""
         name = ctx.request.data.decode("utf-8", "replace") or "process"
         segments = {}
-        for i, cap in enumerate(ctx.request.extra_caps):
-            if cap.port != self.put_port:
-                raise InvalidCapability(
-                    "segment capability %d belongs to a different server" % i
-                )
-            entry, _ = self.table.lookup(cap, R_READ)
+        for i, entry in enumerate(ctx.extras):
             if not isinstance(entry.data, Segment):
                 raise BadRequest("capability %d is not a segment" % i)
             segments["seg%d" % i] = entry.number
@@ -151,24 +142,21 @@ class MemoryServer(ObjectServer):
         cap = self.table.create(process)
         return ctx.ok(capability=cap)
 
-    @command(MEM_START_PROCESS)
+    @command(MEM_START_PROCESS, needs=R_CTL)
     def _start_process(self, ctx):
-        entry, _ = ctx.lookup(R_CTL)
-        process = self._as_process(entry)
+        process = self._as_process(ctx.entry)
         process.start()  # a process made here has no program to run
         return ctx.ok(data=process.state.value.encode())
 
-    @command(MEM_STOP_PROCESS)
+    @command(MEM_STOP_PROCESS, needs=R_CTL)
     def _stop_process(self, ctx):
-        entry, _ = ctx.lookup(R_CTL)
-        process = self._as_process(entry)
+        process = self._as_process(ctx.entry)
         process.stop()
         return ctx.ok(data=process.state.value.encode())
 
-    @command(MEM_PROCESS_INFO)
+    @command(MEM_PROCESS_INFO, needs=R_READ)
     def _process_info(self, ctx):
-        entry, _ = ctx.lookup(R_READ)
-        process = self._as_process(entry)
+        process = self._as_process(ctx.entry)
         info = "%s state=%s segments=%d runs=%d" % (
             process.name,
             process.state.value,

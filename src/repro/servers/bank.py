@@ -18,7 +18,6 @@ from repro.errors import (
     BadRequest,
     InconvertibleCurrency,
     InsufficientFunds,
-    InvalidCapability,
     UnknownCurrency,
 )
 from repro.ipc.client import ServiceClient
@@ -114,10 +113,9 @@ class BankServer(ObjectServer):
         restricted = self.table.restrict(cap, Rights(0xFF).without(R_MINT))
         return ctx.ok(capability=restricted)
 
-    @command(BANK_BALANCE)
+    @command(BANK_BALANCE, needs=R_INSPECT)
     def _balance(self, ctx):
-        entry, _ = ctx.lookup(R_INSPECT)
-        account = self._as_account(entry)
+        account = self._as_account(ctx.entry)
         listing = ",".join(
             "%s:%d" % (currency, amount)
             for currency, amount in sorted(account.balances.items())
@@ -125,29 +123,23 @@ class BankServer(ObjectServer):
         )
         return ctx.ok(data=listing.encode("utf-8"))
 
-    @command(BANK_TRANSFER)
+    @command(BANK_TRANSFER, needs=R_WITHDRAW, extra=R_DEPOSIT)
     def _transfer(self, ctx):
         """Move money: payer capability in the header (withdraw right),
         payee capability as the first extra capability (deposit right)."""
-        payer_entry, _ = ctx.lookup(R_WITHDRAW)
-        payer = self._as_account(payer_entry)
-        if not ctx.request.extra_caps:
+        payer = self._as_account(ctx.entry)
+        if not ctx.extras:
             raise BadRequest("TRANSFER requires the payee capability")
-        payee_cap = ctx.request.extra_caps[0]
-        if payee_cap.port != self.put_port:
-            raise InvalidCapability("payee account is not at this bank")
-        payee_entry, _ = self.table.lookup(payee_cap, R_DEPOSIT)
-        payee = self._as_account(payee_entry)
+        payee = self._as_account(ctx.extras[0])
         currency, amount = _parse_amount(ctx.request.data.decode("utf-8"))
         payer.withdraw(currency, amount)
         payee.deposit(currency, amount)
         return ctx.ok()
 
-    @command(BANK_CONVERT)
+    @command(BANK_CONVERT, needs=R_WITHDRAW)
     def _convert(self, ctx):
         """Exchange within one account: data is ``from:to:amount``."""
-        entry, _ = ctx.lookup(R_WITHDRAW)
-        account = self._as_account(entry)
+        account = self._as_account(ctx.entry)
         parts = ctx.request.data.decode("utf-8").split(":")
         if len(parts) != 3:
             raise BadRequest("expected 'from:to:amount'")
@@ -175,11 +167,10 @@ class BankServer(ObjectServer):
         self.minted[dst] = self.minted.get(dst, 0) + converted
         return ctx.ok(data=("%s:%d" % (dst, converted)).encode("utf-8"))
 
-    @command(BANK_MINT)
+    @command(BANK_MINT, needs=R_MINT)
     def _mint(self, ctx):
         """Create money (R_MINT only — the central bank's privilege)."""
-        entry, _ = ctx.lookup(R_MINT)
-        account = self._as_account(entry)
+        account = self._as_account(ctx.entry)
         currency, amount = _parse_amount(ctx.request.data.decode("utf-8"))
         account.deposit(currency, amount)
         self.minted[currency] = self.minted.get(currency, 0) + amount

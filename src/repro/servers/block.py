@@ -11,7 +11,7 @@ above this interface — which is exactly what
 a block-server backend.
 """
 
-from repro.core.rights import Rights
+from repro.core.rights import NO_RIGHTS, Rights
 from repro.disk.virtualdisk import VirtualDisk
 from repro.errors import BadRequest
 from repro.ipc.client import ServiceClient
@@ -49,20 +49,17 @@ class BlockServer(ObjectServer):
         cap = self.table.create(block_no)
         return ctx.ok(capability=cap, size=self.disk.block_size)
 
-    @command(BLK_READ)
+    @command(BLK_READ, needs=R_READ)
     def _read(self, ctx):
-        entry, _ = ctx.lookup(R_READ)
-        return ctx.ok(data=self.disk.read(entry.data))
+        return ctx.ok(data=self.disk.read(ctx.entry.data))
 
-    @command(BLK_WRITE)
+    @command(BLK_WRITE, needs=R_WRITE)
     def _write(self, ctx):
-        entry, _ = ctx.lookup(R_WRITE)
-        self.disk.write(entry.data, ctx.request.data)
+        self.disk.write(ctx.entry.data, ctx.request.data)
         return ctx.ok()
 
-    @command(BLK_SIZE)
+    @command(BLK_SIZE, needs=NO_RIGHTS)
     def _size(self, ctx):
-        ctx.lookup()
         return ctx.ok(size=self.disk.block_size)
 
     def on_destroy(self, entry):

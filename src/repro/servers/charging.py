@@ -108,12 +108,11 @@ class ChargingFlatFileServer(FlatFileServer):
         self._billing[id(f)] = [payer_cap, paid]
         return ctx.ok(capability=cap)
 
-    @command(FILE_WRITE)
+    @command(FILE_WRITE, needs=R_WRITE)
     def _write(self, ctx):
-        entry, _ = ctx.lookup(R_WRITE)
         if len(ctx.request.data) > MAX_TRANSFER:
             raise BadRequest("transfer larger than %d bytes" % MAX_TRANSFER)
-        f = entry.data
+        f = ctx.entry.data
         new_end = ctx.request.offset + len(ctx.request.data)
         if new_end > f.size:
             billing = self._billing.get(id(f))

@@ -160,11 +160,10 @@ class DirectoryServer(ObjectServer):
         cap = self.table.create(Directory())
         return ctx.ok(capability=cap)
 
-    @command(DIR_LOOKUP)
+    @command(DIR_LOOKUP, needs=R_LOOKUP)
     def _lookup(self, ctx):
         """Look up one name; the stored capability comes back verbatim."""
-        entry, _ = ctx.lookup(R_LOOKUP)
-        directory = self._as_directory(entry)
+        directory = self._as_directory(ctx.entry)
         name = ctx.request.data.decode("utf-8", "replace")
         try:
             stored = directory.entries[name]
@@ -172,13 +171,13 @@ class DirectoryServer(ObjectServer):
             raise NameNotFound("no entry %r in this directory" % name) from None
         return ctx.ok(capability=stored)
 
-    @command(DIR_ENTER)
+    @command(DIR_ENTER, needs=R_MODIFY)
     def _enter(self, ctx):
         """Enter (name, capability); the capability rides as an extra cap.
 
         ``size`` non-zero allows replacing an existing entry.
         """
-        entry, _ = ctx.lookup(R_MODIFY)
+        entry = ctx.entry
         directory = self._as_directory(entry)
         name = _check_name(ctx.request.data.decode("utf-8", "replace"))
         if not ctx.request.extra_caps:
@@ -201,9 +200,9 @@ class DirectoryServer(ObjectServer):
                 raise
         return ctx.ok()
 
-    @command(DIR_REMOVE)
+    @command(DIR_REMOVE, needs=R_MODIFY)
     def _remove(self, ctx):
-        entry, _ = ctx.lookup(R_MODIFY)
+        entry = ctx.entry
         directory = self._as_directory(entry)
         name = ctx.request.data.decode("utf-8", "replace")
         if name not in directory.entries:
@@ -219,10 +218,9 @@ class DirectoryServer(ObjectServer):
                 raise
         return ctx.ok()
 
-    @command(DIR_LIST)
+    @command(DIR_LIST, needs=R_LOOKUP)
     def _list(self, ctx):
-        entry, _ = ctx.lookup(R_LOOKUP)
-        directory = self._as_directory(entry)
+        directory = self._as_directory(ctx.entry)
         listing = "\n".join(sorted(directory.entries))
         return ctx.ok(data=listing.encode("utf-8"), size=len(directory.entries))
 

@@ -157,28 +157,26 @@ class FlatFileServer(ObjectServer):
         cap = self.table.create(f)
         return ctx.ok(capability=cap)
 
-    @command(FILE_READ)
+    @command(FILE_READ, needs=R_READ)
     def _read(self, ctx):
         """READ FILE at the position given by the offset parameter."""
-        entry, _ = ctx.lookup(R_READ)
         if ctx.request.size > MAX_TRANSFER:
             raise BadRequest("transfer larger than %d bytes" % MAX_TRANSFER)
-        data = entry.data.read(ctx.request.offset, ctx.request.size)
+        data = ctx.entry.data.read(ctx.request.offset, ctx.request.size)
         return ctx.ok(data=data)
 
-    @command(FILE_WRITE)
+    @command(FILE_WRITE, needs=R_WRITE)
     def _write(self, ctx):
         """WRITE FILE at the position given by the offset parameter."""
-        entry, _ = ctx.lookup(R_WRITE)
+        entry = ctx.entry
         if len(ctx.request.data) > MAX_TRANSFER:
             raise BadRequest("transfer larger than %d bytes" % MAX_TRANSFER)
         entry.data.write(ctx.request.offset, ctx.request.data)
         return ctx.ok(size=entry.data.size)
 
-    @command(FILE_SIZE)
+    @command(FILE_SIZE, needs=R_READ)
     def _size(self, ctx):
-        entry, _ = ctx.lookup(R_READ)
-        return ctx.ok(size=entry.data.size)
+        return ctx.ok(size=ctx.entry.data.size)
 
     def on_destroy(self, entry):
         entry.data.release()

@@ -136,14 +136,14 @@ class MultiversionFileServer(ObjectServer):
         cap = self.table.create(MVFile())
         return ctx.ok(capability=cap)
 
-    @command(MV_NEW_VERSION)
+    @command(MV_NEW_VERSION, needs=R_WRITE)
     def _new_version(self, ctx):
         """Branch a working version off the latest committed version.
 
         No pages are copied — the new page table references the committed
         blocks, and the reference counts record the sharing.
         """
-        entry, _ = ctx.lookup(R_WRITE)
+        entry = ctx.entry
         mvfile = self._as_file(entry)
         pages, size = mvfile.version(mvfile.latest_seq)
         for block in pages:
@@ -154,11 +154,11 @@ class MultiversionFileServer(ObjectServer):
         cap = self.table.create(version)
         return ctx.ok(capability=cap, size=mvfile.latest_seq)
 
-    @command(MV_READ)
+    @command(MV_READ, needs=R_READ)
     def _read(self, ctx):
         """Read from the latest committed version (file capability) or
         from a working version (version capability)."""
-        entry, _ = ctx.lookup(R_READ)
+        entry = ctx.entry
         if isinstance(entry.data, MVFile):
             pages, size = entry.data.version(entry.data.latest_seq)
         elif isinstance(entry.data, MVVersion):
@@ -168,12 +168,11 @@ class MultiversionFileServer(ObjectServer):
         data = self._read_range(pages, size, ctx.request.offset, ctx.request.size)
         return ctx.ok(data=data)
 
-    @command(MV_READ_SEQ)
+    @command(MV_READ_SEQ, needs=R_READ)
     def _read_seq(self, ctx):
         """Read any historical committed version: seq in the size field,
         transfer length as a 4-byte big-endian integer in data."""
-        entry, _ = ctx.lookup(R_READ)
-        mvfile = self._as_file(entry)
+        mvfile = self._as_file(ctx.entry)
         if len(ctx.request.data) != 4:
             raise BadRequest("READ_SEQ needs a 4-byte length in the data field")
         length = int.from_bytes(ctx.request.data, "big")
@@ -181,11 +180,10 @@ class MultiversionFileServer(ObjectServer):
         data = self._read_range(pages, size, ctx.request.offset, length)
         return ctx.ok(data=data)
 
-    @command(MV_WRITE)
+    @command(MV_WRITE, needs=R_WRITE)
     def _write(self, ctx):
         """Write to an *uncommitted* version; shared pages copy on write."""
-        entry, _ = ctx.lookup(R_WRITE)
-        version = self._as_version(entry)
+        version = self._as_version(ctx.entry)
         if not version.is_open:
             raise VersionImmutable(
                 "version is %s and can no longer be modified"
@@ -223,15 +221,14 @@ class MultiversionFileServer(ObjectServer):
         version.size = max(version.size, end)
         return ctx.ok(size=version.size)
 
-    @command(MV_COMMIT)
+    @command(MV_COMMIT, needs=R_WRITE)
     def _commit(self, ctx):
         """Atomically make the working version the file's newest version.
 
         Optimistic concurrency: fails with :class:`VersionConflict` when
         some other version committed since this one was derived.
         """
-        entry, _ = ctx.lookup(R_WRITE)
-        version = self._as_version(entry)
+        version = self._as_version(ctx.entry)
         if not version.is_open:
             raise VersionImmutable("version already committed or aborted")
         mvfile_entry = self.table._entry(version.file_number)
@@ -247,11 +244,10 @@ class MultiversionFileServer(ObjectServer):
         # version object keeps reading through its (now frozen) table.
         return ctx.ok(size=version.committed_as)
 
-    @command(MV_ABORT)
+    @command(MV_ABORT, needs=R_WRITE)
     def _abort(self, ctx):
         """Discard a working version, releasing its private pages."""
-        entry, _ = ctx.lookup(R_WRITE)
-        version = self._as_version(entry)
+        version = self._as_version(ctx.entry)
         if not version.is_open:
             raise VersionImmutable("version already committed or aborted")
         for block in version.pages:
@@ -261,11 +257,9 @@ class MultiversionFileServer(ObjectServer):
         version.size = 0
         return ctx.ok()
 
-    @command(MV_NVERSIONS)
+    @command(MV_NVERSIONS, needs=R_READ)
     def _n_versions(self, ctx):
-        entry, _ = ctx.lookup(R_READ)
-        mvfile = self._as_file(entry)
-        return ctx.ok(size=len(mvfile.versions))
+        return ctx.ok(size=len(self._as_file(ctx.entry).versions))
 
     # ------------------------------------------------------------------
     # helpers

@@ -113,9 +113,9 @@ class ChaosCounterServer(ReplicaObjectServer):
         #: (frame.src, request.reply.value, op) per authorized execution.
         self.execution_log = []
 
-    @command(CMD_INCR)
+    @command(CMD_INCR, needs=RIGHT_WRITE)
     def _cmd_incr(self, ctx):
-        entry, _ = self.table.lookup(ctx.capability, RIGHT_WRITE)
+        entry = ctx.entry
         entry.data = entry.data + 1
         if self.store is not None:
             # Re-log the mutated payload so the WAL carries it and the
@@ -126,13 +126,12 @@ class ChaosCounterServer(ReplicaObjectServer):
         )
         return ctx.ok(data=b"%d" % entry.data)
 
-    @command(CMD_GET)
+    @command(CMD_GET, needs=RIGHT_READ)
     def _cmd_get(self, ctx):
-        entry, _ = self.table.lookup(ctx.capability, RIGHT_READ)
         self.execution_log.append(
             (ctx.frame.src, ctx.request.reply.value, "get")
         )
-        return ctx.ok(data=b"%d" % entry.data)
+        return ctx.ok(data=b"%d" % ctx.entry.data)
 
 
 # ----------------------------------------------------------------------

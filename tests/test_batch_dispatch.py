@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.core.rights import NO_RIGHTS
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import STATUS_OK, PortNotLocated
 from repro.ipc import stdops
@@ -54,14 +55,13 @@ class RecordingServer(ObjectServer):
         with self._probe_lock:
             self.active_by_object[number] -= 1
 
-    @command(OP_RECORD)
+    @command(OP_RECORD, needs=NO_RIGHTS)
     def _record(self, ctx):
-        entry, _ = ctx.lookup()
-        self._enter(entry.number)
+        self._enter(ctx.entry.number)
         try:
             return ctx.ok(data=ctx.request.data)
         finally:
-            self._exit(entry.number)
+            self._exit(ctx.entry.number)
 
 
 @pytest.fixture
@@ -259,22 +259,19 @@ class TestDeferredRepliesUnderPool:
                 super().__init__(*args, **kwargs)
                 self.parked = []
 
-            @command(OP_PARK)
+            @command(OP_PARK, needs=NO_RIGHTS)
             def _park(self, ctx):
-                ctx.lookup()
                 self.parked.append(ctx.defer())
                 return None
 
-            @command(OP_RELEASE)
+            @command(OP_RELEASE, needs=NO_RIGHTS)
             def _release(self, ctx):
-                ctx.lookup()
                 while self.parked:
                     self.parked.pop(0).send()
                 return ctx.ok(data=b"released")
 
-            @command(OP_RECORD)
+            @command(OP_RECORD, needs=NO_RIGHTS)
             def _echo(self, ctx):
-                ctx.lookup()
                 return ctx.ok(data=ctx.request.data)
 
         net = SimNetwork(synchronous=False, auto_drain=False)

@@ -60,7 +60,7 @@ ECHOES = 400
 #: WAL's header and range-check helpers), the one durable LOOKUP, and all
 #: :data:`ECHOES` retried replica echoes (31.25 each; 36.25 before the
 #: at-least-once tolls were combined).
-BUDGET = {"echo": 9700, "durable_enter": 48, "durable_lookup": 37,
+BUDGET = {"echo": 9700, "durable_enter": 47, "durable_lookup": 36,
           "retry_failover": 12500}
 
 #: Code objects that are frames on 3.11 and inlined from 3.12 on.

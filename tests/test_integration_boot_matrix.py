@@ -37,10 +37,9 @@ BOOT_KEYEX = 22
 class VaultServer(ObjectServer):
     service_name = "vault"
 
-    @command(USER_BASE)
+    @command(USER_BASE, needs=Rights(0x01))
     def _read(self, ctx):
-        entry, _ = ctx.lookup(Rights(0x01))
-        return ctx.ok(data=entry.data)
+        return ctx.ok(data=ctx.entry.data)
 
 
 @pytest.fixture(scope="module")

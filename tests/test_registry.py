@@ -319,6 +319,50 @@ class TestCapacityAndConcurrency:
         assert not thread.is_alive()
         assert outcome == ["revoked"]
 
+    def test_restrict_racing_refresh_mints_nothing_live(self):
+        """RESTRICT validates and reads the secret under one hold: a
+        refresh that lands between the two must not mint a live
+        sub-capability for the owner capability it has just revoked."""
+        looked_up, refreshed = threading.Event(), threading.Event()
+
+        class GatedTable(ObjectTable):
+            def lookup(self, capability, required=Rights(0)):
+                found = super().lookup(capability, required)
+                if (threading.current_thread() is restricter
+                        and not looked_up.is_set()):
+                    looked_up.set()  # let the refresh in, if it can be
+                    refreshed.wait(timeout=0.2)
+                return found
+
+        table = GatedTable(scheme_by_name("xor-oneway"), PORT,
+                           rng=RandomSource(seed=47))
+        owner = table.create("restricted")
+        subs = []
+
+        def restrict_loop():
+            for _ in range(20):
+                try:
+                    subs.append(table.restrict(owner, Rights(0x01)))
+                except InvalidCapability:
+                    pass  # revoked: nothing minted
+
+        def refresh_once():
+            assert looked_up.wait(timeout=5.0)
+            table.refresh(owner)
+            refreshed.set()
+
+        restricter = threading.Thread(target=restrict_loop)
+        refresher = threading.Thread(target=refresh_once)
+        restricter.start()
+        refresher.start()
+        restricter.join(timeout=5.0)
+        refresher.join(timeout=5.0)
+        assert not restricter.is_alive() and not refresher.is_alive()
+        assert refreshed.is_set() and subs
+        for sub in subs:
+            with pytest.raises(InvalidCapability):
+                table.lookup(sub)
+
 
 class TestSchemeIntegration:
     @pytest.mark.parametrize("name", ["simple", "encrypted", "xor-oneway", "commutative"])

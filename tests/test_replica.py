@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro.core.ports import Port, PrivatePort
+from repro.core.rights import NO_RIGHTS
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import (
     InvalidCapability,
@@ -719,9 +720,8 @@ class _CountingServer(ReplicaObjectServer):
         super().__init__(*args, **kwargs)
         self.executions = 0
 
-    @command(stdops.USER_BASE)
+    @command(stdops.USER_BASE, needs=NO_RIGHTS)
     def _user_increment(self, ctx):
-        entry, _rights = ctx.lookup()
         self.executions += 1
         return ctx.ok(data=b"%d" % self.executions)
 

@@ -74,8 +74,9 @@ class TestCommonContract:
     def test_restrict_yields_verifiable_subset(self, name):
         scheme, secret = fresh(name)
         rights_field, check = scheme.mint(secret, ALL_RIGHTS)
+        effective = scheme.verify(secret, rights_field, check)
         new_rights, new_check = scheme.restrict(
-            secret, rights_field, check, Rights(0b0011)
+            secret, effective, Rights(0b0011)
         )
         assert scheme.verify(secret, new_rights, new_check) == Rights(0b0011)
 
@@ -107,8 +108,9 @@ class TestRightsTampering:
     def test_cannot_upgrade_restricted_capability(self, name):
         scheme, secret = fresh(name)
         rights_field, check = scheme.mint(secret, ALL_RIGHTS)
+        effective = scheme.verify(secret, rights_field, check)
         weak_rights, weak_check = scheme.restrict(
-            secret, rights_field, check, Rights(0x01)
+            secret, effective, Rights(0x01)
         )
         # Claiming all rights with the weak check must fail.
         with pytest.raises(InvalidCapability):
@@ -127,9 +129,8 @@ class TestSimpleScheme:
 
     def test_restriction_refused(self):
         scheme, secret = fresh("simple")
-        rights_field, check = scheme.mint(secret, ALL_RIGHTS)
         with pytest.raises(BadRequest):
-            scheme.restrict(secret, rights_field, check, Rights(0x01))
+            scheme.restrict(secret, ALL_RIGHTS, Rights(0x01))
 
     def test_flags(self):
         scheme = SimpleCheckScheme()

@@ -22,16 +22,15 @@ from tests.conftest import make_client
 class CounterServer(ObjectServer):
     service_name = "counter"
 
-    @command(USER_BASE)
+    @command(USER_BASE, needs=Rights(0x02))
     def _increment(self, ctx):
-        entry, _ = ctx.lookup(Rights(0x02))
+        entry = ctx.entry
         entry.data["count"] += ctx.request.size
         return ctx.ok(size=entry.data["count"])
 
-    @command(USER_BASE + 1)
+    @command(USER_BASE + 1, needs=Rights(0x01))
     def _get(self, ctx):
-        entry, _ = ctx.lookup(Rights(0x01))
-        return ctx.ok(size=entry.data["count"])
+        return ctx.ok(size=ctx.entry.data["count"])
 
     @command(USER_BASE + 2)
     def _boom(self, ctx):

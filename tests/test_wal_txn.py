@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.core.ports import Port
 from repro.core.registry import ObjectTable
+from repro.core.rights import NO_RIGHTS
 from repro.core.schemes import scheme_by_name
 from repro.crypto.randomsrc import RandomSource
 from repro.disk.diskfaults import DiskFaultPlan
@@ -549,10 +550,9 @@ class ScriptedDirectoryServer(DirectoryServer):
             entry.number, delta=DirectoryCodec.set_delta(name, stored)
         )
 
-    @command(OP_NOTE_DEFER)
+    @command(OP_NOTE_DEFER, needs=NO_RIGHTS)
     def _note_defer(self, ctx):
-        entry, _ = ctx.lookup()
-        self._note(entry, ctx.request.data.decode())
+        self._note(ctx.entry, ctx.request.data.decode())
         self.parked = ctx.defer()
 
     @command(OP_RELEASE)
@@ -560,20 +560,19 @@ class ScriptedDirectoryServer(DirectoryServer):
         self.parked.send()
         return ctx.ok()
 
-    @command(OP_NESTED)
+    @command(OP_NESTED, needs=NO_RIGHTS)
     def _nested(self, ctx):
-        entry, _ = ctx.lookup()
+        entry = ctx.entry
         self._note(entry, "outer-before")
         nic, request = self.inner
         assert trans(nic, self.put_port, request).status == 0
         self._note(entry, "outer-after")
         return ctx.ok()
 
-    @command(OP_WRITE_THEN_CALL)
+    @command(OP_WRITE_THEN_CALL, needs=NO_RIGHTS)
     def _write_then_call(self, ctx):
         """Every write comes *before* the nested call."""
-        entry, _ = ctx.lookup()
-        self._note(entry, "outer-before")
+        self._note(ctx.entry, "outer-before")
         self.executions += 1
         nic, request = self.inner
         assert trans(nic, self.put_port, request).status == 0
