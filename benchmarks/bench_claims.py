@@ -153,9 +153,8 @@ def scheme_tampers():
         secret = scheme.new_secret(rng(5))
         rights, check = scheme.mint(secret, ALL_RIGHTS)
         out[name + "_tampers_rejected"] = (
-            sum(_refused(InvalidCapability, scheme.verify, secret,
-                         Rights(int(rights) ^ flip), check)
-                for flip in range(1, 256)), 255 * (name != "simple"))
+            sum(scheme.verify(secret, Rights(int(rights) ^ flip), check)
+                is None for flip in range(1, 256)), 255 * (name != "simple"))
     return out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.ports import PORT_BYTES, Port
 from repro.core.rights import Rights
-from repro.errors import MalformedCapability
+from repro.errors import Verdict, refuse
 from repro.util.bits import constant_time_eq
 
 #: Width of the object-number field (Fig. 2: 24 bits).
@@ -111,40 +111,27 @@ class Capability:
     def unpack(cls, data):
         """Parse bytes produced by :meth:`pack`.
 
-        Raises :class:`~repro.errors.MalformedCapability` on any size or
+        Refuses :attr:`~repro.errors.Verdict.MALFORMED` on any size or
         framing violation — a server must never guess at a mangled
         capability.
         """
-        if len(data) == CAPABILITY_BYTES:
-            port = Port.from_wire(data[:PORT_BYTES])
-            obj = int.from_bytes(data[PORT_BYTES:PORT_BYTES + OBJECT_BYTES], "big")
-            rights = Rights(data[PORT_BYTES + OBJECT_BYTES])
-            check = data[PORT_BYTES + OBJECT_BYTES + 1:]
-            # _trusted is sound: every field above came from a fixed-width
-            # slice of a 16-byte frame, so each is in range by construction.
-            return cls._trusted(port, obj, rights, bytes(check))
-        if len(data) < _EXTENDED_HEADER:
-            raise MalformedCapability(
-                "capability too short: %d bytes" % len(data)
-            )
-        port = Port.from_wire(data[:PORT_BYTES])
-        obj = int.from_bytes(data[PORT_BYTES:PORT_BYTES + OBJECT_BYTES], "big")
-        rights = Rights(data[PORT_BYTES + OBJECT_BYTES])
-        check_len = int.from_bytes(
-            data[_EXTENDED_HEADER - 2:_EXTENDED_HEADER], "big"
+        size = len(data)
+        if size == CAPABILITY_BYTES:
+            check = data[CAPABILITY_BYTES - CHECK_BYTES:]
+        elif (size >= _EXTENDED_HEADER + _MIN_EXTENDED_CHECK
+              and size - _EXTENDED_HEADER == int.from_bytes(
+                  data[_EXTENDED_HEADER - 2:_EXTENDED_HEADER], "big")):
+            check = data[_EXTENDED_HEADER:]
+        else:
+            refuse(Verdict.MALFORMED)
+        # _trusted is sound: each field is a fixed-width slice of a frame
+        # whose length was just checked, so it is in range by construction.
+        return cls._trusted(
+            Port.from_wire(data[:PORT_BYTES]),
+            int.from_bytes(data[PORT_BYTES:PORT_BYTES + OBJECT_BYTES], "big"),
+            Rights(data[PORT_BYTES + OBJECT_BYTES]),
+            bytes(check),
         )
-        if check_len < _MIN_EXTENDED_CHECK:
-            raise MalformedCapability(
-                "extended check length %d below minimum %d"
-                % (check_len, _MIN_EXTENDED_CHECK)
-            )
-        check = data[_EXTENDED_HEADER:_EXTENDED_HEADER + check_len]
-        if len(check) != check_len or len(data) != _EXTENDED_HEADER + check_len:
-            raise MalformedCapability(
-                "capability length %d does not match declared check length %d"
-                % (len(data), check_len)
-            )
-        return cls._trusted(port, obj, rights, bytes(check))
 
     def with_rights(self, rights):
         """A copy with a different rights field (check unchanged).

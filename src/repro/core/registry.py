@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from repro.core.capability import OBJECT_BITS, Capability
 from repro.core.rights import ALL_RIGHTS, NO_RIGHTS, Rights
 from repro.crypto.randomsrc import RandomSource
-from repro.errors import NoSuchObject, OutOfSpace, PermissionDenied
+from repro.errors import OutOfSpace, Verdict, refuse
 
 #: Bound on each entry's verified-pair memo.  An object realistically
 #: circulates as its owner capability plus a handful of restricted
@@ -153,7 +153,7 @@ class ObjectTable:
             return self._free.pop()
         number = self.high_water
         if number >= self._max_objects:
-            raise NoSuchObject(
+            raise OutOfSpace(
                 "object table full (%d objects)" % self._max_objects
             )
         self.high_water = number + 1
@@ -203,19 +203,20 @@ class ObjectTable:
         like the bank's conservation sum reach for rows they already
         know exist).  One dict probe, no lock: CPython dict reads are
         atomic against the locked writers."""
-        try:
-            return self._entries[number]
-        except KeyError:
-            raise NoSuchObject("no object %d on this server" % number) from None
+        entry = self._entries.get(number)
+        if entry is None:
+            refuse(Verdict.NO_SUCH_OBJECT)
+        return entry
 
     def lookup(self, capability, required=NO_RIGHTS):
         """Validate a capability and return ``(entry, effective_rights)``.
 
-        Raises :class:`NoSuchObject` for unknown object numbers,
-        :class:`InvalidCapability` for tampered fields, and
-        :class:`PermissionDenied` when the (validated) rights lack any bit
-        of ``required``.  This is the single enforcement point every server
-        operation funnels through.
+        The one place a capability check is decided: it refuses
+        ``BAD_CHECK`` for a capability of another server's port or
+        fields the scheme does not validate, ``NO_SUCH_OBJECT`` for an
+        unknown object number and ``RIGHTS`` when the validated rights
+        lack any bit of ``required`` (:class:`~repro.errors.Verdict`).
+        A refused lookup touches nothing.
 
         Locking: a (rights, check) pair already proven against the *live*
         secret hits the entry's verified memo and returns under a single
@@ -229,54 +230,37 @@ class ObjectTable:
         or destroy-and-recreate), the stale verdict is discarded and the
         capability is re-validated against the live secret.
         """
+        if capability.port != self.port:
+            refuse(Verdict.BAD_CHECK)
         number = capability.object
         entries = self._entries
-        if type(required) is not Rights:
-            required = Rights(required)
         memo_key = (capability.rights, capability.check)
-        with self._lock:
-            entry = entries.get(number)
-            if entry is None:
-                raise NoSuchObject(
-                    "no object %d on this server" % number
-                )
-            effective = entry.verified.get(memo_key)
-            if effective is not None:
-                if effective & required != required:  # has_all, inline
-                    raise PermissionDenied(
-                        "capability grants %s but operation requires %s"
-                        % (bin(int(effective)), bin(int(required)))
-                    )
-                entry.touches += 1
-                entry.lifetime = self.default_lifetime
-                return entry, effective
-            secret = entry.secret
+        checked = secret = None  # the row and secret verify ran against
         while True:
+            with self._lock:
+                entry = entries.get(number)
+                if entry is None:
+                    refuse(Verdict.NO_SUCH_OBJECT)
+                fresh = entry is checked and entry.secret is secret
+                if not fresh:
+                    effective = entry.verified.get(memo_key)
+                if effective is not None:
+                    if effective & required != required:
+                        refuse(Verdict.RIGHTS)
+                    if fresh:
+                        memo = entry.verified
+                        if len(memo) >= VERIFIED_MEMO_MAX:
+                            memo.pop(next(iter(memo)))  # oldest; re-verifies
+                        memo[memo_key] = effective
+                    entry.touches += 1
+                    entry.lifetime = self.default_lifetime  # use proves liveness
+                    return entry, effective
+                checked, secret = entry, entry.secret
             effective = self.scheme.verify(
                 secret, capability.rights, capability.check
             )
-            if not effective.has_all(required):
-                raise PermissionDenied(
-                    "capability grants %s but operation requires %s"
-                    % (bin(int(effective)), bin(int(required)))
-                )
-            with self._lock:
-                live = entries.get(number)
-                if live is None:
-                    raise NoSuchObject(
-                        "no object %d on this server" % number
-                    )
-                if live is entry and live.secret is secret:
-                    live.touches += 1
-                    live.lifetime = self.default_lifetime  # use proves liveness
-                    memo = live.verified
-                    if len(memo) >= VERIFIED_MEMO_MAX:
-                        # Drop the oldest proven pair; it re-verifies on
-                        # its next use.
-                        memo.pop(next(iter(memo)))
-                    memo[memo_key] = effective
-                    return live, effective
-                entry, secret = live, live.secret  # raced; re-validate
+            if effective is None:
+                refuse(Verdict.BAD_CHECK)
 
     def data(self, capability, required=NO_RIGHTS):
         """Shorthand for ``lookup(...)[0].data``."""
@@ -489,7 +473,7 @@ class ObjectTable:
         with self._lock:
             entry = self._entries.get(number)
             if entry is None:
-                raise NoSuchObject("no object %d on this server" % number)
+                refuse(Verdict.NO_SUCH_OBJECT)
             self._wal.log_update(number, entry.data, delta)
 
     def log_commit(self, src, reply_value, reply_raw):

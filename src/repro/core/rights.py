@@ -40,11 +40,6 @@ class Rights(int):
             raise IndexError("rights bit %d outside [0, %d)" % (bit_index, RIGHTS_WIDTH))
         return bool((self >> bit_index) & 1)
 
-    def has_all(self, required):
-        """True if every bit of ``required`` is present in this mask."""
-        required = int(required)
-        return (self & required) == required
-
     def restrict(self, keep_mask):
         """Return the rights retained after intersecting with ``keep_mask``.
 

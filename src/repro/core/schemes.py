@@ -1,10 +1,10 @@
 """The four rights-protection algorithms of §2.3.
 
 All four share one contract: the server stores a per-object *secret*; a
-capability carries a RIGHTS field and a CHECK field; and ``verify`` either
-returns the effective rights or raises
-:class:`~repro.errors.InvalidCapability`.  They differ in how tampering is
-detected and in where a capability with fewer rights can be fabricated:
+capability carries a RIGHTS field and a CHECK field; and ``verify``
+returns the effective rights, or None for the object table to refuse.
+They differ in how tampering is detected and in where a capability with
+fewer rights can be fabricated:
 
 ``SimpleCheckScheme`` (the paper's "simplest" system)
     CHECK is the stored random number itself.  Easy, but all-or-nothing:
@@ -36,7 +36,7 @@ from repro.core.rights import ALL_RIGHTS, RIGHTS_WIDTH, Rights
 from repro.crypto.commutative import CommutativeOneWayFamily
 from repro.crypto.feistel import RIGHTS_CHECK_BLOCK_BITS, feistel_for_key
 from repro.crypto.oneway import OneWayFunction
-from repro.errors import BadRequest, InvalidCapability
+from repro.errors import BadRequest
 from repro.util.bits import constant_time_eq, mask
 
 #: Width of the canonical check field in bits.
@@ -81,9 +81,9 @@ class ProtectionScheme(ABC):
     def verify(self, secret, rights_field, check):
         """Validate the protected fields against the stored secret.
 
-        Returns the effective :class:`Rights` or raises
-        :class:`InvalidCapability`.  Must not leak timing about how close
-        a forged check field was.
+        Returns the effective :class:`Rights`, or None when the fields
+        do not validate.  Must not leak timing about how close a forged
+        check field was.
         """
 
     def restrict(self, secret, effective, keep_mask):
@@ -117,9 +117,8 @@ class SimpleCheckScheme(ProtectionScheme):
         return ALL_RIGHTS, secret.to_bytes(CHECK_BYTES, "big")
 
     def verify(self, secret, rights_field, check):
-        if not constant_time_eq(check, secret.to_bytes(CHECK_BYTES, "big")):
-            raise InvalidCapability("check field does not match object secret")
-        return ALL_RIGHTS
+        valid = constant_time_eq(check, secret.to_bytes(CHECK_BYTES, "big"))
+        return ALL_RIGHTS if valid else None
 
     def restrict(self, secret, effective, keep_mask):
         raise BadRequest(
@@ -163,16 +162,15 @@ class EncryptedRightsScheme(ProtectionScheme):
 
     def verify(self, secret, rights_field, check):
         if len(check) != CHECK_BYTES:
-            raise InvalidCapability("wrong check-field width for this scheme")
+            return None
         ct = (int(rights_field) << CHECK_BITS) | int.from_bytes(check, "big")
         pt = self._cipher(secret).decrypt(ct)
         constant = pt & mask(CHECK_BITS)
         rights = pt >> CHECK_BITS
         # Compare via bytes so the check is constant-time like the others.
         expected = self.KNOWN_CONSTANT.to_bytes(CHECK_BYTES, "big")
-        if not constant_time_eq(constant.to_bytes(CHECK_BYTES, "big"), expected):
-            raise InvalidCapability("decryption did not yield the known constant")
-        return Rights(rights)
+        valid = constant_time_eq(constant.to_bytes(CHECK_BYTES, "big"), expected)
+        return Rights(rights) if valid else None
 
 
 class XorOneWayScheme(ProtectionScheme):
@@ -199,11 +197,10 @@ class XorOneWayScheme(ProtectionScheme):
         return rights, self._image(secret, rights)
 
     def verify(self, secret, rights_field, check):
-        if len(check) != CHECK_BYTES:
-            raise InvalidCapability("wrong check-field width for this scheme")
-        if not constant_time_eq(check, self._image(secret, rights_field)):
-            raise InvalidCapability("rights or check field has been tampered with")
-        return Rights(rights_field)
+        if len(check) == CHECK_BYTES and constant_time_eq(
+                check, self._image(secret, rights_field)):
+            return Rights(rights_field)
+        return None
 
 
 class CommutativeScheme(ProtectionScheme):
@@ -238,13 +235,11 @@ class CommutativeScheme(ProtectionScheme):
     def _encode(self, element):
         return element.to_bytes(self.family.element_bytes, "big")
 
-    def _decode(self, check):
+    def _decode(self, check):  # the group element, or None
         if len(check) != self.family.element_bytes:
-            raise InvalidCapability("wrong check-field width for this scheme")
+            return None
         value = int.from_bytes(check, "big")
-        if value >= self.family.modulus:
-            raise InvalidCapability("check field is not a group element")
-        return value
+        return value if value < self.family.modulus else None
 
     def mint(self, secret, rights):
         rights = Rights(rights)
@@ -253,10 +248,11 @@ class CommutativeScheme(ProtectionScheme):
 
     def verify(self, secret, rights_field, check):
         presented = self._decode(check)
+        if presented is None:
+            return None
         expected = self.family.apply_many(Rights(rights_field).clear_bits(), secret)
-        if not constant_time_eq(self._encode(presented), self._encode(expected)):
-            raise InvalidCapability("rights or check field has been tampered with")
-        return Rights(rights_field)
+        valid = constant_time_eq(self._encode(presented), self._encode(expected))
+        return Rights(rights_field) if valid else None
 
     def client_restrict(self, capability, keep_mask):
         """Fabricate a weaker capability *without the server* (the paper's
@@ -272,6 +268,8 @@ class CommutativeScheme(ProtectionScheme):
         new_rights = old_rights.restrict(keep_mask)
         dropped = [k for k in old_rights.set_bits() if not new_rights.has(k)]
         element = self._decode(capability.check)
+        if element is None:
+            raise ValueError("check field is not a group element")
         for k in dropped:
             element = self.family.apply(k, element)
         return Capability(
@@ -287,15 +285,17 @@ class CommutativeScheme(ProtectionScheme):
         The paper observes that "in theory at least, the RIGHTS field is
         not even needed, since the server could try all 2**N combinations";
         this method implements that observation so the benchmarks can show
-        why the plaintext field is kept (it is a 256x speedup).
+        why the plaintext field is kept (it is a 256x speedup).  None
+        when no combination validates.
         """
         presented = self._decode(check)
+        if presented is None:
+            return None
         for bits in range(1 << RIGHTS_WIDTH):
             rights = Rights(bits)
-            expected = self.family.apply_many(rights.clear_bits(), secret)
-            if expected == presented:
+            if self.family.apply_many(rights.clear_bits(), secret) == presented:
                 return rights
-        raise InvalidCapability("no rights combination validates this check field")
+        return None
 
 
 _SCHEMES = {

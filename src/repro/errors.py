@@ -3,8 +3,11 @@
 Amoeba RPC replies carry a small integer status; servers map exceptions to
 codes when replying and clients map codes back to exceptions, so the same
 exception types flow end to end whether a server is called in-process or
-over the (simulated or real) network.
+over the (simulated or real) network.  A capability check ends in one
+decision (§2.2-2.3): admit, or :func:`refuse` one :class:`Verdict`.
 """
+
+from enum import Enum
 
 
 class AmoebaError(Exception):
@@ -42,6 +45,27 @@ class MalformedCapability(CapabilityError):
     """The capability bytes cannot be parsed into the Fig. 2 layout."""
 
     code = 14
+
+
+class Verdict(Enum):
+    """The closed set of capability refusals, each one error class and
+    one fixed text.  A forged capability and a revoked one both fail the
+    check, and the server cannot tell them apart: both are BAD_CHECK."""
+
+    MALFORMED = (MalformedCapability, "capability does not parse")
+    NO_SUCH_OBJECT = (NoSuchObject, "no such object")
+    BAD_CHECK = (InvalidCapability, "check field does not validate")
+    RIGHTS = (PermissionDenied, "capability lacks a required right")
+    SEAL_REJECTED = (InvalidCapability, "sealed capability rejected")
+
+    def __init__(self, error, text):
+        self.error = error
+        self.text = text
+
+
+def refuse(verdict):
+    """The one raise of a :class:`CapabilityError`."""
+    raise verdict.error(verdict.text)
 
 
 class RPCError(AmoebaError):

@@ -23,9 +23,10 @@ from repro.crypto.randomsrc import RandomSource
 from repro.errors import (
     AmoebaError,
     BadRequest,
-    InvalidCapability,
     SecurityError,
+    Verdict,
     error_to_code,
+    refuse,
 )
 from repro.ipc import stdops
 from repro.net.message import Message
@@ -567,12 +568,8 @@ class ObjectServer:
                         raise BadRequest("operation requires a capability")
                     entry = self.table.lookup(request.capability, needs)[0]
                 if extra is not None:
-                    extras = []
-                    for capability in request.extra_caps:
-                        if capability.port != self.put_port:
-                            raise InvalidCapability(
-                                "extra capability for another server")
-                        extras.append(self.table.lookup(capability, extra)[0])
+                    extras = [self.table.lookup(capability, extra)[0]
+                              for capability in request.extra_caps]
                 ctx = RequestContext(self, frame, request, slot, entry, extras)
                 reply = handler(ctx)
                 if reply is None and ctx.deferred is None:
@@ -696,9 +693,7 @@ class ObjectServer:
         if self.require_sealed and (
             request.capability is not None or request.extra_caps
         ):
-            raise InvalidCapability(
-                "%s only accepts matrix-sealed capabilities" % self.service_name
-            )
+            refuse(Verdict.SEAL_REJECTED)
         return request
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ a block-server backend.
 
 from repro.core.rights import NO_RIGHTS, Rights
 from repro.disk.virtualdisk import VirtualDisk
-from repro.errors import BadRequest
+from repro.errors import BadRequest, OutOfSpace
 from repro.ipc.client import ServiceClient
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
@@ -46,7 +46,11 @@ class BlockServer(ObjectServer):
         block_no = self.disk.allocate()
         if ctx.request.data:
             self.disk.write(block_no, ctx.request.data)
-        cap = self.table.create(block_no)
+        try:
+            cap = self.table.create(block_no)
+        except OutOfSpace:  # the table is full or its log refused
+            self.disk.free(block_no)
+            raise
         return ctx.ok(capability=cap, size=self.disk.block_size)
 
     @command(BLK_READ, needs=R_READ)

@@ -21,7 +21,7 @@ from repro.crypto.feistel import (
     wide_cipher_for_key,
 )
 from repro.crypto.randomsrc import RandomSource
-from repro.errors import InvalidCapability, SecurityError
+from repro.errors import MalformedCapability, SecurityError, Verdict, refuse
 
 #: Conventional key length in the matrix, in bytes.
 KEY_BYTES = 16
@@ -149,7 +149,8 @@ class CapabilitySealer:
         """Decrypt one capability received from machine ``src``.
 
         A blob sealed by any other (source, destination) pair decrypts to
-        garbage; structural garbage raises :class:`InvalidCapability`
+        garbage; structural garbage — a blob the cipher cannot take, or
+        plaintext that does not unpack — is refused ``SEAL_REJECTED``
         here, and semantic garbage (a well-formed but wrong capability)
         is rejected later by the server's check-field validation — the
         two layers the paper's argument rests on.
@@ -159,15 +160,12 @@ class CapabilitySealer:
             if cached is not None:
                 return cached
         key = self.view.key_from(src)
-        packed = _decrypt_capability(key, sealed)
-        self.cipher_ops += 1
         try:
+            packed = _decrypt_capability(key, sealed)
+            self.cipher_ops += 1
             capability = Capability.unpack(packed)
-        except Exception:
-            raise InvalidCapability(
-                "capability from machine %r did not decrypt to a valid layout"
-                % (src,)
-            ) from None
+        except (MalformedCapability, ValueError):
+            refuse(Verdict.SEAL_REJECTED)
         if self.server_cache is not None:
             self.server_cache.remember(sealed, src, capability)
         return capability
@@ -221,22 +219,18 @@ class CapabilitySealer:
         blob = message.sealed_caps
         if not blob:
             return message
-        if len(blob) < 2:
-            raise InvalidCapability("sealed capability area truncated")
-        has_header_cap = bool(blob[0])
-        count = blob[1]
-        pos = 2
-        caps = []
-        for _ in range(count):
-            if pos + 2 > len(blob):
-                raise InvalidCapability("sealed capability area truncated")
-            length = int.from_bytes(blob[pos:pos + 2], "big")
-            pos += 2
-            if pos + length > len(blob):
-                raise InvalidCapability("sealed capability area truncated")
-            caps.append(self.unseal(blob[pos:pos + length], src))
-            pos += length
-        header_cap = caps.pop(0) if has_header_cap and caps else None
+        size = len(blob)
+        count = blob[1] if size > 1 else -1  # a 1-byte area is truncated
+        caps, pos = [], 2
+        while len(caps) != count and pos + 2 <= size:
+            end = pos + 2 + int.from_bytes(blob[pos:pos + 2], "big")
+            if end > size:
+                break
+            caps.append(self.unseal(blob[pos + 2:end], src))
+            pos = end
+        if len(caps) != count:  # the area ends before its count
+            refuse(Verdict.SEAL_REJECTED)
+        header_cap = caps.pop(0) if blob[0] and caps else None
         return message.copy(
             capability=header_cap, extra_caps=tuple(caps), sealed_caps=b""
         )

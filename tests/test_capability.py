@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core.capability import CAPABILITY_BYTES, Capability
 from repro.core.ports import Port
 from repro.core.rights import Rights
-from repro.errors import MalformedCapability
+from repro.errors import MalformedCapability, Verdict
 
 ports = st.integers(min_value=0, max_value=(1 << 48) - 1).map(Port)
 objects = st.integers(min_value=0, max_value=(1 << 24) - 1)
@@ -89,6 +89,24 @@ class TestUnpackRejectsGarbage:
         raw += (5).to_bytes(2, "big") + b"\x00" * 5
         with pytest.raises(MalformedCapability):
             Capability.unpack(raw)
+
+    @given(st.one_of(
+        st.binary(max_size=40),
+        # extended-shaped: a 10-byte head, a declared check length near
+        # the true one, then the check bytes
+        st.tuples(st.binary(min_size=10, max_size=10),
+                  st.binary(max_size=24), st.integers(-2, 2)).map(
+            lambda t: t[0] + max(0, len(t[1]) + t[2]).to_bytes(2, "big")
+            + t[1])))
+    def test_any_bytes_parse_or_are_refused_malformed(self, raw):
+        """Nothing but MalformedCapability, with the verdict's own text,
+        escapes ``unpack``: the sealer's ``except`` relies on it."""
+        try:
+            cap = Capability.unpack(raw)
+        except MalformedCapability as exc:
+            assert str(exc) == Verdict.MALFORMED.text
+        else:
+            assert cap.pack() == raw
 
     def test_sixteen_bytes_always_parse_as_canonical(self):
         # Any 16-byte string is structurally a canonical capability —

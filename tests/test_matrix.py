@@ -18,9 +18,11 @@ from repro.errors import (
     InvalidCapability,
     NoSuchObject,
     SecurityError,
+    Verdict,
 )
 from repro.ipc.client import ServiceClient
 from repro.ipc.locate import Locator, install_locate_responder
+from repro.ipc.rpc import trans
 from repro.ipc.server import ObjectServer
 from repro.ipc.stdops import STD_INFO
 from repro.net.intruder import Intruder
@@ -330,6 +332,32 @@ def sealed_world():
     )
     intruder = Intruder(net, rng=RandomSource(seed=8))
     return net, server, client, intruder
+
+
+class TestShortSealedAreas:
+    """Regression: a sealed entry of 0 or 1 bytes made the wide cipher
+    raise ``ValueError`` outside ``unseal``'s ``try``, and the client got
+    status 1, "internal error", instead of a refusal.  A blob the cipher
+    cannot take, a layout that does not unpack and a truncated area are
+    all the one verdict."""
+
+    AREAS = [bytes([1, 1]) + n.to_bytes(2, "big") + b"\x5a" * n
+             for n in range(4)] + [
+        b"\x01",  # no count
+        bytes([1, 1]),  # a count and no entry
+        bytes([1, 1, 0]),  # half a length
+        bytes([1, 1]) + (16).to_bytes(2, "big") + b"\x5a" * 15,
+        bytes([1, 2]) + (16).to_bytes(2, "big") + b"\x5a" * 16,
+    ]
+
+    @pytest.mark.parametrize("area", AREAS, ids=bytes.hex)
+    def test_every_short_area_is_refused_sealed(self, sealed_world, area):
+        net, server, _, _ = sealed_world
+        reply = trans(Nic(net), server.put_port,
+                      Message(command=STD_INFO, sealed_caps=area),
+                      RandomSource(seed=10))
+        assert reply.status == InvalidCapability.code
+        assert reply.data.decode() == Verdict.SEAL_REJECTED.text
 
 
 class TestSealedRPC:

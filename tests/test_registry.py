@@ -10,7 +10,12 @@ from repro.core.registry import ObjectEntry, ObjectTable
 from repro.core.rights import ALL_RIGHTS, Rights
 from repro.core.schemes import scheme_by_name
 from repro.crypto.randomsrc import RandomSource
-from repro.errors import InvalidCapability, NoSuchObject, PermissionDenied
+from repro.errors import (
+    InvalidCapability,
+    NoSuchObject,
+    OutOfSpace,
+    PermissionDenied,
+)
 
 PORT = Port(0x0BADC0FFEE00)
 
@@ -190,7 +195,7 @@ class TestCapacityAndConcurrency:
         )
         table.create(1)
         table.create(2)
-        with pytest.raises(NoSuchObject):
+        with pytest.raises(OutOfSpace):
             table.create(3)
 
     def test_bad_capacity(self):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.rights import ALL_RIGHTS, NO_RIGHTS, Rights
+from repro.core.rights import ALL_RIGHTS, Rights
 
 rights_bits = st.integers(min_value=0, max_value=0xFF)
 
@@ -35,12 +35,6 @@ class TestQueries:
         with pytest.raises(IndexError):
             Rights().has(8)
 
-    def test_has_all(self):
-        r = Rights(0b0111)
-        assert r.has_all(0b0101)
-        assert not r.has_all(0b1000)
-        assert r.has_all(NO_RIGHTS)
-
     def test_set_and_clear_bits_partition(self):
         r = Rights(0b10100101)
         assert r.set_bits() == (0, 2, 5, 7)
@@ -60,7 +54,7 @@ class TestRestriction:
     @given(rights_bits, rights_bits)
     def test_restrict_never_grows(self, a, b):
         restricted = Rights(a).restrict(b)
-        assert Rights(a).has_all(restricted)
+        assert Rights(a) & restricted == restricted
 
     @given(rights_bits, rights_bits)
     def test_restrict_idempotent(self, a, b):

@@ -20,7 +20,7 @@ from repro.core.schemes import (
     scheme_by_name,
 )
 from repro.crypto.randomsrc import RandomSource
-from repro.errors import BadRequest, InvalidCapability
+from repro.errors import BadRequest
 
 RIGHTS_PROTECTING = ("encrypted", "xor-oneway", "commutative")
 ALL_SCHEMES = all_scheme_names()
@@ -52,23 +52,20 @@ class TestCommonContract:
         scheme, secret = fresh(name, seed=1)
         other_secret = scheme.new_secret(RandomSource(seed=2))
         rights_field, check = scheme.mint(secret, ALL_RIGHTS)
-        with pytest.raises(InvalidCapability):
-            scheme.verify(other_secret, rights_field, check)
+        assert scheme.verify(other_secret, rights_field, check) is None
 
     @pytest.mark.parametrize("name", ALL_SCHEMES)
     def test_corrupted_check_rejected(self, name):
         scheme, secret = fresh(name)
         rights_field, check = scheme.mint(secret, ALL_RIGHTS)
         corrupted = bytes([check[0] ^ 0x01]) + check[1:]
-        with pytest.raises(InvalidCapability):
-            scheme.verify(secret, rights_field, corrupted)
+        assert scheme.verify(secret, rights_field, corrupted) is None
 
     @pytest.mark.parametrize("name", ALL_SCHEMES)
     def test_wrong_width_check_rejected(self, name):
         scheme, secret = fresh(name)
         rights_field, check = scheme.mint(secret, ALL_RIGHTS)
-        with pytest.raises(InvalidCapability):
-            scheme.verify(secret, rights_field, check + b"\x00")
+        assert scheme.verify(secret, rights_field, check + b"\x00") is None
 
     @pytest.mark.parametrize("name", RIGHTS_PROTECTING)
     def test_restrict_yields_verifiable_subset(self, name):
@@ -101,8 +98,7 @@ class TestRightsTampering:
         scheme, secret = fresh(name)
         rights_field, check = scheme.mint(secret, Rights(0b00001111))
         tampered = Rights(int(rights_field) ^ flip)
-        with pytest.raises(InvalidCapability):
-            scheme.verify(secret, tampered, check)
+        assert scheme.verify(secret, tampered, check) is None
 
     @pytest.mark.parametrize("name", RIGHTS_PROTECTING)
     def test_cannot_upgrade_restricted_capability(self, name):
@@ -113,8 +109,7 @@ class TestRightsTampering:
             secret, effective, Rights(0x01)
         )
         # Claiming all rights with the weak check must fail.
-        with pytest.raises(InvalidCapability):
-            scheme.verify(secret, ALL_RIGHTS, weak_check)
+        assert scheme.verify(secret, ALL_RIGHTS, weak_check) is None
 
 
 class TestSimpleScheme:
@@ -155,16 +150,14 @@ class TestEncryptedScheme:
         scheme, secret = fresh("encrypted")
         # A random rights/check pair decrypts to a random constant:
         # 2**-48 acceptance probability.
-        with pytest.raises(InvalidCapability):
-            scheme.verify(secret, Rights(0x5A), b"\xa5" * 6)
+        assert scheme.verify(secret, Rights(0x5A), b"\xa5" * 6) is None
 
     def test_per_object_keys_differ(self):
         scheme = EncryptedRightsScheme()
         s1 = scheme.new_secret(RandomSource(seed=1))
         s2 = scheme.new_secret(RandomSource(seed=2))
         f1, c1 = scheme.mint(s1, ALL_RIGHTS)
-        with pytest.raises(InvalidCapability):
-            scheme.verify(s2, f1, c1)
+        assert scheme.verify(s2, f1, c1) is None
 
 
 class TestXorOneWayScheme:
@@ -230,8 +223,7 @@ class TestCommutativeScheme:
         scheme, secret, cap = setup
         weaker = scheme.client_restrict(cap, Rights(0b11111110))
         forged = weaker.with_rights(ALL_RIGHTS)
-        with pytest.raises(InvalidCapability):
-            scheme.verify(secret, forged.rights, forged.check)
+        assert scheme.verify(secret, forged.rights, forged.check) is None
 
     def test_restrict_to_same_rights_is_identity(self, setup):
         scheme, _, cap = setup
@@ -246,14 +238,14 @@ class TestCommutativeScheme:
 
     def test_recover_rights_rejects_garbage(self, setup):
         scheme, secret, _ = setup
-        with pytest.raises(InvalidCapability):
-            scheme.recover_rights(secret, b"\x01" * scheme.check_bytes)
+        assert scheme.recover_rights(secret, b"\x01" * scheme.check_bytes) is None
 
     def test_check_not_a_group_element_rejected(self, setup):
         scheme, secret, cap = setup
         too_big = b"\xff" * scheme.check_bytes
-        with pytest.raises(InvalidCapability):
-            scheme.verify(secret, cap.rights, too_big)
+        assert scheme.verify(secret, cap.rights, too_big) is None
+        with pytest.raises(ValueError):  # client misuse, not a verdict
+            scheme.client_restrict(cap.with_check(too_big), Rights(0x0F))
 
     def test_extended_capability_roundtrips(self, setup):
         _, _, cap = setup

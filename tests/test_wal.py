@@ -44,6 +44,7 @@ from repro.ipc.client import ServiceClient
 from repro.ipc.server import ObjectServer
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
+from repro.servers.block import BlockClient, BlockServer
 
 PORT = Port(0x0D15C0FFEE00)
 SCHEME = scheme_by_name("xor-oneway")
@@ -326,6 +327,21 @@ class TestFramingAgainstTheReference:
         with pytest.raises(OutOfSpace):
             client.destroy(caps[0])
         assert released == [] and server.table.numbers() == [0, 1]
+
+    def test_a_blk_alloc_the_log_refuses_keeps_no_block(self):
+        """Regression: a BLK_ALLOC whose create the log refused kept the
+        disk block it had allocated for the object."""
+        net = SimNetwork()
+        store = DurableStore(VirtualDisk(4, block_size=64),
+                             codec=DefaultCodec())
+        server = BlockServer(Nic(net), disk=VirtualDisk(16, block_size=32),
+                             rng=RandomSource(seed=1), store=store).start()
+        client = BlockClient(Nic(net), server.put_port,
+                             rng=RandomSource(seed=2))
+        with pytest.raises(OutOfSpace):
+            for _ in range(16):
+                client.alloc()
+        assert server.disk.used_blocks == len(server.table) > 0
 
     def test_an_age_the_log_refuses_part_way_releases_what_it_removed(self):
         """The sweep stops at the first removal the log refuses; the rows
