@@ -175,7 +175,7 @@ def replica_kill_failover(replicas=4, client_threads=4, per_thread=24,
         audit_node = SocketNode()
         try:
             multiplicities = []
-            for index, address in enumerate(pool.addresses):
+            for index, address in enumerate(pool.members):
                 if index == kill_index:
                     continue
                 reply = trans(
@@ -194,7 +194,7 @@ def replica_kill_failover(replicas=4, client_threads=4, per_thread=24,
 
         # Location-cache audit: every client discovered the crash by
         # timeout and forgot exactly the dead member.
-        dead = pool.addresses[kill_index]
+        dead = pool.members[kill_index]
         cached = [locator.cache.get(pool.put_port) or ()
                   for locator in locators]
         result["clients_still_mapping_the_dead"] = sum(

@@ -50,11 +50,6 @@ class RandomSource:
             return seed.to_bytes((seed.bit_length() + 8) // 8, "big", signed=True)
         raise TypeError("seed must be bytes, str, or int, got %r" % type(seed))
 
-    @property
-    def deterministic(self):
-        """True when this source replays a seed-derived stream."""
-        return self._state is not None
-
     def bytes(self, n):
         """Return ``n`` uniformly random bytes."""
         if n < 0:
@@ -101,17 +96,3 @@ class RandomSource:
             candidate = self.bits(nbits)
             if candidate < span:
                 return lo + candidate
-
-    def choice(self, seq):
-        """Return a uniformly chosen element of a non-empty sequence."""
-        if not seq:
-            raise ValueError("cannot choose from an empty sequence")
-        return seq[self.randint(0, len(seq) - 1)]
-
-    def shuffle(self, items):
-        """Return a new list with the items in uniformly random order."""
-        items = list(items)
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(0, i)
-            items[i], items[j] = items[j], items[i]
-        return items

@@ -8,10 +8,6 @@ binding plural end to end:
   pool of machine addresses plus a *spread policy* (round-robin, or a
   rendezvous hash on the object number so every client computes the same
   per-object home replica without coordination).
-* :class:`ReplicaRegistry` — the membership side: replicas join/leave a
-  port's pool, and the pool's LOCATE responder answers broadcasts with
-  the whole membership (wire-compatible with the legacy single-machine
-  HERE).
 * :class:`ReplicaObjectServer` — a full :class:`ObjectServer` data plane
   that additionally *fans out* every revocation (STD_REFRESH,
   STD_DESTROY, aging) to its peer replicas over a signature-
@@ -31,8 +27,10 @@ binding plural end to end:
   port and a *control* station for outbound fan-out (a server handler
   runs on its station's pump thread, so a blocking peer transaction
   must leave through a second station or it would deadlock waiting on
-  its own pump).  The forking parent joins each member into the pool's
-  registry as it reports ready; a member's health is one signed
+  its own pump).  The pool's ``members`` tuple, in replica order, is
+  its membership: set once when every member has started, and answered
+  whole to a LOCATE broadcast for the pool's port (wire-compatible with
+  the legacy single-machine HERE).  A member's health is one signed
   transaction answered by its server.
 
 Failover contract (the part clients rely on): ``trans`` against a
@@ -45,13 +43,12 @@ across the pool, never double-executed on any one replica.
 
 import hashlib
 import itertools
-import threading
 
-from repro.core.ports import PORT_BYTES, Port, PrivatePort, as_port
+from repro.core.ports import PORT_BYTES, Port, PrivatePort
 from repro.core.registry import ObjectEntry, ObjectTable
 from repro.core.schemes import XorOneWayScheme
 from repro.crypto.randomsrc import RandomSource
-from repro.errors import PortNotLocated, RPCTimeout, SecurityError
+from repro.errors import AmoebaError, PortNotLocated, RPCTimeout, SecurityError
 from repro.ipc import stdops
 from repro.ipc.locate import install_locate_responder
 from repro.ipc.rpc import RetryPolicy, trans
@@ -230,105 +227,6 @@ class ReplicaSet:
 
 
 # ----------------------------------------------------------------------
-# membership
-# ----------------------------------------------------------------------
-
-
-class ReplicaRegistry:
-    """Thread-safe port → replica membership, for locate responders.
-
-    Members keep join order (that order *is* the round-robin sequence
-    every client sees in HERE answers).  ``replica_set`` snapshots are
-    fresh objects, so a client mutating nothing can cache them safely.
-    """
-
-    def __init__(self, policy=ROUND_ROBIN):
-        if policy not in _POLICY_CODES:
-            raise ValueError("unknown spread policy %r" % (policy,))
-        self.default_policy = policy
-        self._lock = threading.Lock()
-        # port -> {machine: suspected}, in join order.  Suspected means
-        # unreachable (a partition symptom, NOT a crash): suspicion is
-        # advisory — the member keeps its membership (and its generation
-        # state) and is merely steered around until unsuspected or
-        # re-joined.
-        self._members = {}
-        self._policies = {}  # port -> policy override
-
-    def join(self, port, machine, policy=None):
-        port = as_port(port)
-        with self._lock:
-            # A (re)join is proof of reachability, and keeps its place.
-            self._members.setdefault(port, {})[machine] = False
-            if policy is not None:
-                self._policies[port] = policy
-        return machine
-
-    def leave(self, port, machine):
-        port = as_port(port)
-        with self._lock:
-            members = self._members.get(port, ())
-            if machine not in members:
-                return False
-            del members[machine]
-            if not members:
-                del self._members[port]
-        return True
-
-    def suspect(self, port, machine):
-        """Mark a *member* as unreachable-but-not-evicted.  Unknown
-        machines are ignored (suspicion cannot invent members)."""
-        with self._lock:
-            members = self._members.get(as_port(port), ())
-            if machine not in members:
-                return False
-            members[machine] = True
-        return True
-
-    def unsuspect(self, port, machine):
-        """Clear one suspicion (the member answered again)."""
-        with self._lock:
-            members = self._members.get(as_port(port), {})
-            if not members.get(machine):
-                return False
-            members[machine] = False
-        return True
-
-    def suspected(self, port):
-        """The currently-suspected members of ``port`` (a fresh tuple,
-        in join order)."""
-        with self._lock:
-            members = self._members.get(as_port(port), {})
-            return tuple(m for m, suspect in members.items() if suspect)
-
-    def members(self, port):
-        with self._lock:
-            return tuple(self._members.get(as_port(port), ()))
-
-    def replica_set(self, port):
-        """A fresh :class:`ReplicaSet` for ``port``, or None.
-
-        Suspected members are steered around — omitted from the set —
-        *unless* that would leave it empty: suspicion is advisory, and
-        an all-suspected pool must still be tried (the suspicion may be
-        our side of the partition, not theirs)."""
-        port = as_port(port)
-        with self._lock:
-            members = self._members.get(port)
-            if not members:
-                return None
-            trusted = tuple(m for m, suspect in members.items() if not suspect)
-            return ReplicaSet(
-                trusted or tuple(members),
-                policy=self._policies.get(port, self.default_policy),
-            )
-
-    def __len__(self):
-        with self._lock:
-            return len(self._members)
-
-
-# ----------------------------------------------------------------------
 # the replica-aware server
 # ----------------------------------------------------------------------
 
@@ -483,11 +381,11 @@ class ReplicatedObjectServer:
     keeps a *template* object table whose rows every member is seeded
     with (``objects`` of them, holding ``payload``; their owner
     capabilities are ``capabilities``), builds the members through its
-    placement, and answers LOCATE with the whole membership from its
-    :class:`ReplicaRegistry`.  With a ``network`` the members are
-    stations on it in this process (``servers``); with none they are
-    forked OS processes over loopback UDP, found through ``arbiter`` —
-    the station a client connects to and broadcasts LOCATE at.
+    placement, and answers LOCATE with the whole membership, its
+    ``members`` tuple.  With a ``network`` the members are stations on
+    it in this process (``servers``); with none they are forked OS
+    processes over loopback UDP, found through ``arbiter`` — the station
+    a client connects to and broadcasts LOCATE at.
 
     The replicated-state story is "shared secret, mirrored rows", which
     is all the paper's capability checks need; data mutation consistency
@@ -500,6 +398,8 @@ class ReplicatedObjectServer:
                  objects=0, payload=b""):
         if replicas < 1:
             raise ValueError("a replicated service needs at least one replica")
+        if policy not in _POLICY_CODES:
+            raise ValueError("unknown spread policy %r" % (policy,))
         self.network = network
         self.rng = rng or RandomSource()
         self.get_port = PrivatePort.generate(self.rng)
@@ -507,7 +407,6 @@ class ReplicatedObjectServer:
         self.put_port = self.get_port.public
         self.policy = policy
         self.scheme = scheme if scheme is not None else XorOneWayScheme()
-        self.registry = ReplicaRegistry(policy=policy)
         self.table = ObjectTable(self.scheme, self.put_port, self.rng)
         self.capabilities = [self.table.create(payload) for _ in range(objects)]
         self._server_cls = server_cls
@@ -518,8 +417,11 @@ class ReplicatedObjectServer:
         )
         self.servers = []    # the members that live in this process
         self.arbiter = None  # the forked members' rendezvous station
+        #: The members' addresses in replica order, set once by the
+        #: placement when launch completes.
+        self.members = ()
         self.placement = _Forked() if network is None else _InProcess()
-        self.addresses = self.placement.launch(self, replicas)
+        self.placement.launch(self, replicas)
 
     def _replica(self, node, control_node=None, rng=None):
         """What a replica *is*, wherever it runs: one server on ``node``
@@ -533,9 +435,11 @@ class ReplicatedObjectServer:
         return server
 
     def _here(self, port):
-        """The LOCATE answer: the packed membership, or None (silence)."""
-        replicas = self.registry.replica_set(port)
-        return None if replicas is None else pack_here_payload(port, replicas)
+        """The LOCATE answer: the packed membership for the pool's own
+        port, None (silence) for any other."""
+        if port != self.put_port:
+            return None
+        return pack_here_payload(port, self.replica_set())
 
     # -- lifecycle ------------------------------------------------------
 
@@ -549,7 +453,7 @@ class ReplicatedObjectServer:
 
     def kill(self, index):
         """Crash one replica: it stops serving and answering, but stays
-        in the registry — clients are supposed to *discover* the death
+        in ``members`` — clients are supposed to *discover* the death
         through timeout and failover, exactly like a real crash."""
         return self.placement.kill(self, index)
 
@@ -559,6 +463,10 @@ class ReplicatedObjectServer:
         """Create an object on every replica in this process (forked
         ones take their rows at the fork: ``objects=``); one owner
         capability."""
+        if not self.servers:
+            raise AmoebaError("create() reaches only members in this "
+                              "process; a forked pool takes its rows at "
+                              "the fork: pass objects= to the constructor")
         primary = self.servers[0].table
         if rights is None:
             capability = primary.create(data)
@@ -571,27 +479,14 @@ class ReplicatedObjectServer:
     # -- membership -----------------------------------------------------
 
     def replica_set(self):
-        """The pool as clients see it (from the registry)."""
-        replicas = self.registry.replica_set(self.put_port)
-        if replicas is None:
-            raise PortNotLocated("no replicas joined the pool")
-        return replicas
+        """The pool as clients see it."""
+        return ReplicaSet(self.members, self.policy)
 
     def health(self, index, timeout=1.0):
         """Is member ``index`` answering?  (Forked: one transaction to
         its server, whose reply only an F-box holding the pool's
         signature secret can sign.)"""
         return self.placement.alive(self, index, timeout)
-
-    def probe(self, index, timeout=1.0):
-        """Health-check one replica and update the registry's suspicion
-        state: a silent member is *suspected* (steered around, never
-        evicted — its generation state is intact behind the partition),
-        an answering one unsuspected.  Returns the verdict."""
-        alive = self.health(index, timeout)
-        mark = self.registry.unsuspect if alive else self.registry.suspect
-        mark(self.put_port, self.addresses[index])
-        return alive
 
     def reconcile(self):
         """Re-drive failed revocation fan-outs on every live replica —
@@ -620,12 +515,11 @@ class _InProcess:
         machines = [server.node.address for server in pool.servers]
         for server, machine in zip(pool.servers, machines):
             server.peers = [m for m in machines if m != machine]
-            pool.registry.join(pool.put_port, machine)
             install_locate_responder(
                 server.node,
                 lambda port, s=server: pool._here(port) if s.running else None,
             )
-        return machines
+        pool.members = tuple(machines)
 
     def kill(self, pool, index):
         server = pool.servers[index]
@@ -674,9 +568,9 @@ def _serve_forked(pool, index, conn):
 class _Forked:
     """Members are forked OS processes over loopback UDP — each builds
     its stations *after* the fork (threads do not survive one) from the
-    pool object the fork snapshot handed it.  The parent joins each
-    member into the registry when it reports ready, so membership is in
-    replica order and never crosses the wire; ``kill`` is a SIGKILL
+    pool object the fork snapshot handed it.  The parent sets the
+    pool's ``members`` once every member reports ready, so membership is
+    in replica order and never crosses the wire; ``kill`` is a SIGKILL
     mid-flight, the failover scenario's crash."""
 
     def __init__(self):
@@ -685,7 +579,7 @@ class _Forked:
 
     def launch(self, pool, replicas):
         try:
-            return self._launch(pool, replicas)
+            self._launch(pool, replicas)
         except BaseException:
             for proc in self.processes:
                 proc.kill()
@@ -713,13 +607,12 @@ class _Forked:
         # children (threads die at fork; a pre-fork station would leave
         # the children inheriting its dead locks).
         pool.arbiter = SocketNode()
-        install_locate_responder(pool.arbiter, pool._here)
         for conn in self.pipes:
             conn.send(addresses)
-        for index, address in enumerate(addresses):
+        for index in range(replicas):
             self._hear(index, '"ready"')
-            pool.registry.join(pool.put_port, address)
-        return addresses
+        pool.members = tuple(addresses)
+        install_locate_responder(pool.arbiter, pool._here)
 
     def _hear(self, index, what):
         """The next message from child ``index``, or a RuntimeError that
@@ -760,7 +653,7 @@ class _Forked:
             trans(pool.arbiter, pool.put_port, Message(command=stdops.STD_INFO),
                   rng=pool.rng, timeout=timeout,
                   expect_signature=pool.signature.public,
-                  dst_machine=pool.addresses[index])
+                  dst_machine=pool.members[index])
         except RPCTimeout:
             return False
         return True

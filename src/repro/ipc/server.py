@@ -54,46 +54,6 @@ def command(opcode, needs=None, extra=None):
     return decorate
 
 
-class DeferredReply:
-    """A handle for answering a request after its handler has returned.
-
-    Obtained via :meth:`RequestContext.defer`.  The dispatch loop sends
-    nothing for a deferred request; the server calls :meth:`send` later —
-    from another request's handler, after a pump, on a timer — and the
-    reply then re-enters the dispatch step at its seal stage
-    (:meth:`ObjectServer._seal_reply`), the identical path a synchronous
-    reply takes.  This is what lets one server answer out of order while
-    many transactions are in flight against it.
-    """
-
-    __slots__ = ("ctx", "_sent", "wrote")
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self._sent = False
-        # Durable servers: whether the deferring handler logged a
-        # mutation (set at handler exit; the commit is logged by send()).
-        self.wrote = None
-
-    def send(self, reply=None):
-        """Send the (possibly out-of-order) reply; at most once.
-
-        ``reply`` defaults to a bare success built from the original
-        request, exactly like a handler returning None.
-        """
-        if self._sent:
-            raise AmoebaError("deferred reply already sent")
-        self._sent = True
-        ctx = self.ctx
-        if reply is None:
-            reply = ctx.ok()
-        frame = ctx.frame
-        server = ctx.server
-        server.node.put_owned(
-            server._seal_reply(frame, reply, self.wrote, ctx.slot), frame.src
-        )
-
-
 class ReplyCache:
     """Bounded per-client reply cache: server-side duplicate suppression.
 
@@ -121,12 +81,12 @@ class ReplyCache:
     re-executes, which is the classic trade-off of bounded dedup.
 
     Each entry is a one-element slot.  Its states: executing (``[None]``
-    — duplicates are dropped while the first copy runs, including a
-    deferred reply's open window) and completed (the cached reply is
-    replayed verbatim; error replies replay too — at-least-once applies
-    to outcomes, not just successes).  :meth:`begin` hands the server a
-    first sighting's slot, and the reply tail fills it in place: no
-    second lock, no second lookup; a slot evicted first is unreachable.
+    — duplicates are dropped while the first copy runs) and completed
+    (the cached reply is replayed verbatim; error replies replay too —
+    at-least-once applies to outcomes, not just successes).
+    :meth:`begin` hands the server a first sighting's slot, and the
+    reply tail fills it in place: no second lock, no second lookup; a
+    slot evicted first is unreachable.
     """
 
     def __init__(self, per_client=128, clients=64):
@@ -160,10 +120,9 @@ class ReplyCache:
         """Admit one request copy; returns ``(verdict, value)``.
 
         ``"miss"`` — first sighting; the caller must execute the request
-        and fill the returned slot (``slot[0] = reply``) or
-        :meth:`forget` it.  ``"hit"`` — a completed duplicate; replay
-        the returned reply.  ``"busy"`` — a duplicate of a
-        still-executing request; drop it.
+        and fill the returned slot (``slot[0] = reply``).  ``"hit"`` — a
+        completed duplicate; replay the returned reply.  ``"busy"`` — a
+        duplicate of a still-executing request; drop it.
         """
         with self._lock:
             clients = self._clients
@@ -224,14 +183,6 @@ class ReplyCache:
                 slot[0] = reply
                 client.move_to_end(reply_port)
 
-    def forget(self, src, reply_port):
-        """Withdraw an entry (e.g. an in-progress marker whose deferred
-        reply was abandoned), so a future retry re-executes."""
-        with self._lock:
-            client = self._clients.get(src)
-            if client is not None:
-                client.pop(reply_port, None)
-
     def stats(self):
         """Cache counters as a dict (stable keys for benchmarks)."""
         with self._lock:
@@ -248,16 +199,11 @@ class ReplyCache:
 class RequestContext:
     """Everything a handler needs about one incoming request."""
 
-    __slots__ = ("server", "frame", "request", "deferred", "slot", "entry",
-                 "extras")
+    __slots__ = ("server", "frame", "request", "entry", "extras")
 
-    def __init__(self, server, frame, request=None, slot=None, entry=None,
-                 extras=()):
+    def __init__(self, server, frame, request=None, entry=None, extras=()):
         self.server = server
         self.frame = frame
-        self.deferred = None
-        # A deduplicated request's ReplyCache slot, for its reply to fill.
-        self.slot = slot
         # The rows of the capabilities admission validated (command()).
         self.entry, self.extras = entry, extras
         # The request may differ from frame.message when §2.4 sealing is
@@ -292,19 +238,6 @@ class RequestContext:
             str(exc).encode("utf-8"), error_to_code(exc),
             signature=self.server._signature_port,
         )
-
-    def defer(self):
-        """Answer this request later: returns a :class:`DeferredReply`.
-
-        The handler must still return None; the dispatch loop then skips
-        its reply step entirely, and the transaction stays open until
-        ``send()`` is called on the handle.  The requesting client is
-        simply blocked in (or polling) its reply GET meanwhile — no
-        protocol change is visible on the wire.
-        """
-        if self.deferred is None:
-            self.deferred = DeferredReply(self)
-        return self.deferred
 
 
 class ObjectServer:
@@ -523,9 +456,10 @@ class ObjectServer:
         at once to ``frame.src`` as the per-frame handler :meth:`start`
         registers, or into :meth:`_handle_frames`'s ``outbox`` for that
         run's one bulk egress (batching is the loop, not a second copy).
-        A dropped duplicate or a deferred reply sends nothing now.
-        Re-entrant under deferred delivery: everything per-request lives
-        in locals and the RequestContext.
+        Each request leaves by one exit: its reply, a cached reply
+        replayed, or nothing for a dropped duplicate.  Re-entrant under
+        deferred delivery: everything per-request lives in locals and
+        the RequestContext.
         """
         request = frame.message
         cache = self.reply_cache
@@ -570,9 +504,9 @@ class ObjectServer:
                 if extra is not None:
                     extras = [self.table.lookup(capability, extra)[0]
                               for capability in request.extra_caps]
-                ctx = RequestContext(self, frame, request, slot, entry, extras)
+                ctx = RequestContext(self, frame, request, entry, extras)
                 reply = handler(ctx)
-                if reply is None and ctx.deferred is None:
+                if reply is None:
                     reply = ctx.ok()
             except AmoebaError as exc:
                 reply = RequestContext(self, frame, request).error(exc)
@@ -585,15 +519,6 @@ class ObjectServer:
             finally:
                 if store is not None:
                     wrote = store.end()
-            if reply is None:
-                if store is not None:
-                    # The handler took a DeferredReply handle and the
-                    # transaction stays open until it sends; no reply
-                    # path follows this dispatch, so what the handler
-                    # logged is flushed here.
-                    ctx.deferred.wrote = wrote
-                    store.flush()
-                return
             if (reply.signature is not self._signature_port
                     or not self._plain_replies):
                 reply = self._seal_reply(frame, reply, wrote, slot)
@@ -610,23 +535,22 @@ class ObjectServer:
         skips the call.
 
         Completing is the reply tail's durable half, run before any
-        reply leaves — a deferred one included.  Order is the crash
-        argument: commit record, then the transaction's block write
-        (``log_commit`` writes the group; ``flush`` covers a request
-        that logs no commit), then the reply cache and — back in the
-        caller — egress.  So a reply a client has seen, or a retry can
-        be replayed, is always on the medium together with the mutation
-        it answers; a power failure inside the write raises out of here
-        with nothing cached and nothing sent.
+        reply leaves.  Order is the crash argument: commit record, then
+        the transaction's block write (``log_commit`` writes the group;
+        ``flush`` covers a request that logs no commit), then the reply
+        cache and — back in the caller — egress.  So a reply a client
+        has seen, or a retry can be replayed, is always on the medium
+        together with the mutation it answers; a power failure inside
+        the write raises out of here with nothing cached and nothing
+        sent.
 
         Only requests that wrote durable state pay a commit record: an
         idempotent read or echo re-executes harmlessly after a reboot,
         so its reply needs no disk-backed dedup — the in-memory reply
         cache still suppresses duplicates within the incarnation.
         ``wrote`` is that fact, as ``DurableStore.end()`` returned it
-        when the handler left its dispatch — just now, or earlier for a
-        deferred reply.  ``slot`` is the request's reply-cache slot, if
-        it is deduplicated.
+        when the handler left its dispatch.  ``slot`` is the request's
+        reply-cache slot, if it is deduplicated.
         """
         if self.sealer is not None and (reply.capability or reply.extra_caps):
             reply = self.sealer.seal_message(reply, frame.src)

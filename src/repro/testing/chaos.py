@@ -303,7 +303,7 @@ class ScenarioRunner:
         self.plan.links.pop(src if dst is None else (src, dst), None)
 
     def kill_replica(self, index):
-        """Crash one replica (stays in the registry: clients discover)."""
+        """Crash one replica (it stays a member: clients discover)."""
         self.service.kill(index)
 
     def reconcile(self):

@@ -1,9 +1,9 @@
-"""Small shared utilities (bit packing, constant-time comparison)."""
+"""Small shared utilities (bit masks, constant-time comparison)."""
 
 from repro import _lazy
 
 _EXPORTS = {
-    "bits": "bytes_to_int constant_time_eq int_to_bytes mask xor_bytes",
+    "bits": "constant_time_eq mask",
 }
 
 __all__, __getattr__ = _lazy(globals())

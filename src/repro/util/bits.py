@@ -21,38 +21,6 @@ def mask(bits):
     return (1 << bits) - 1
 
 
-def int_to_bytes(value, length):
-    """Pack a non-negative integer into exactly ``length`` big-endian bytes.
-
-    Raises ``ValueError`` if the value does not fit (a truncating pack would
-    silently weaken a check field, so overflow is always an error).
-    """
-    if value < 0:
-        raise ValueError("cannot pack negative value %d" % value)
-    if value >> (8 * length):
-        raise ValueError(
-            "value %#x does not fit in %d bytes" % (value, length)
-        )
-    return value.to_bytes(length, "big")
-
-
-def bytes_to_int(data):
-    """Unpack big-endian bytes into a non-negative integer."""
-    return int.from_bytes(data, "big")
-
-
-def xor_bytes(a, b):
-    """XOR two equal-length byte strings.
-
-    Used by the XOR-one-way rights scheme and the Feistel round mixing.
-    """
-    if len(a) != len(b):
-        raise ValueError(
-            "xor_bytes requires equal lengths, got %d and %d" % (len(a), len(b))
-        )
-    return bytes(x ^ y for x, y in zip(a, b))
-
-
 def constant_time_eq(a, b):
     """Compare two byte strings without leaking a timing side channel.
 

@@ -2,10 +2,10 @@
 
 These tests were written against ``ObjectServer(workers=N)``.  The pool
 is gone; what they checked that was not about threads — every reply of a
-batch correct, exact request counts, revocation and deferred replies
-inside a batch, sealed and multi-capability requests in a batch — they
-now check on the one dispatch path that is left.  The class and test
-names are the historical ones.
+batch correct, exact request counts, revocation inside a batch, sealed
+and multi-capability requests in a batch — they now check on the one
+dispatch path that is left.  The class and test names are the
+historical ones.
 """
 
 import threading
@@ -241,59 +241,4 @@ class TestMultiObjectRequestsStaySerial:
         assert all(r.status == STATUS_OK for r in replies)
         assert server.max_active_global == 1
         assert server.handled_threads == {threading.get_ident()}
-        server.stop()
-
-
-class TestDeferredRepliesUnderPool:
-    def test_park_and_release_from_pool_threads(self):
-        """DeferredReply.send() fired from a later handler of the same
-        batch: the parked replies leave ahead of the batch's bulk
-        egress, and all replies arrive."""
-        OP_PARK = USER_BASE + 7
-        OP_RELEASE = USER_BASE + 8
-
-        class ParkingServer(ObjectServer):
-            service_name = "parking"
-
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.parked = []
-
-            @command(OP_PARK, needs=NO_RIGHTS)
-            def _park(self, ctx):
-                self.parked.append(ctx.defer())
-                return None
-
-            @command(OP_RELEASE, needs=NO_RIGHTS)
-            def _release(self, ctx):
-                while self.parked:
-                    self.parked.pop(0).send()
-                return ctx.ok(data=b"released")
-
-            @command(OP_RECORD, needs=NO_RIGHTS)
-            def _echo(self, ctx):
-                return ctx.ok(data=ctx.request.data)
-
-        net = SimNetwork(synchronous=False, auto_drain=False)
-        server = ParkingServer(Nic(net), rng=RandomSource(seed=32)).start()
-        client = Nic(net)
-        cap = server.table.create("lot")
-        # The parked handles exist before the release handler runs, and
-        # its sends fire mid-batch.
-        requests = [
-            Message(command=OP_PARK, capability=cap),
-            Message(command=OP_PARK, capability=cap),
-            Message(command=OP_RELEASE, capability=cap),
-        ]
-        other = server.table.create("busy")
-        requests += [
-            Message(command=OP_RECORD, capability=other, data=b"x")
-            for _ in range(5)
-        ]
-        replies = trans_many(
-            client, server.put_port, requests, RandomSource(seed=33),
-        )
-        assert len(replies) == 8
-        assert all(r.status == STATUS_OK for r in replies)
-        assert replies[2].data == b"released"
         server.stop()

@@ -1,16 +1,10 @@
-"""Unit tests for the bit/byte helpers everything else leans on."""
+"""Unit tests for the bit mask and the constant-time comparison."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.bits import (
-    bytes_to_int,
-    constant_time_eq,
-    int_to_bytes,
-    mask,
-    xor_bytes,
-)
+from repro.util.bits import constant_time_eq, mask
 
 
 class TestMask:
@@ -23,54 +17,6 @@ class TestMask:
     def test_negative_width_rejected(self):
         with pytest.raises(ValueError):
             mask(-1)
-
-
-class TestIntBytes:
-    def test_roundtrip_examples(self):
-        assert int_to_bytes(0, 6) == b"\x00" * 6
-        assert int_to_bytes(0xABCD, 2) == b"\xab\xcd"
-        assert bytes_to_int(b"\xab\xcd") == 0xABCD
-
-    def test_big_endian_order(self):
-        assert int_to_bytes(1, 4) == b"\x00\x00\x00\x01"
-
-    def test_overflow_is_error_not_truncation(self):
-        with pytest.raises(ValueError):
-            int_to_bytes(256, 1)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            int_to_bytes(-1, 4)
-
-    @given(st.integers(min_value=0, max_value=2**48 - 1))
-    def test_roundtrip_48bit(self, value):
-        assert bytes_to_int(int_to_bytes(value, 6)) == value
-
-    @given(st.binary(min_size=1, max_size=32))
-    def test_roundtrip_from_bytes(self, data):
-        value = bytes_to_int(data)
-        assert int_to_bytes(value, len(data)) == data.rjust(len(data), b"\x00")
-
-
-class TestXorBytes:
-    def test_basic(self):
-        assert xor_bytes(b"\x0f\xf0", b"\xff\xff") == b"\xf0\x0f"
-
-    def test_identity_and_self_inverse(self):
-        data = b"amoeba"
-        zeros = bytes(len(data))
-        assert xor_bytes(data, zeros) == data
-        assert xor_bytes(data, data) == zeros
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            xor_bytes(b"ab", b"abc")
-
-    @given(st.binary(min_size=1, max_size=64), st.binary(min_size=1, max_size=64))
-    def test_involution(self, a, b):
-        n = min(len(a), len(b))
-        a, b = a[:n], b[:n]
-        assert xor_bytes(xor_bytes(a, b), b) == a
 
 
 class TestConstantTimeEq:

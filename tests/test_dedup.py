@@ -17,9 +17,8 @@ import pytest
 
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import InsufficientFunds
-from repro.ipc.rpc import AsyncTrans, RetryPolicy
-from repro.ipc.server import ObjectServer, ReplyCache, command
-from repro.ipc.stdops import USER_BASE
+from repro.ipc.rpc import RetryPolicy
+from repro.ipc.server import ReplyCache
 from repro.net.faults import FaultPlan
 from repro.net.intruder import Intruder
 from repro.net.message import Message
@@ -45,12 +44,6 @@ class TestReplyCacheUnit:
         verdict, cached = cache.begin(1, 0xAB)
         assert verdict == "hit" and cached is reply
         assert (cache.misses, cache.busy_drops, cache.hits) == (1, 1, 1)
-
-    def test_forget_reopens_the_slot(self):
-        cache = ReplyCache()
-        cache.begin(1, 0xAB)
-        cache.forget(1, 0xAB)
-        assert cache.begin(1, 0xAB) == ("miss", [None])
 
     def test_per_client_lru_eviction(self):
         cache = ReplyCache(per_client=2)
@@ -106,15 +99,6 @@ class TestReplyCacheUnit:
         assert cache.begin(9, 1) == ("miss", [None])
         assert cache.hits == 0
 
-    def test_a_forgotten_slot_filled_late_does_not_answer_its_successor(self):
-        cache = ReplyCache()
-        _, stale = cache.begin(1, 0xAB)
-        cache.forget(1, 0xAB)
-        _, fresh = cache.begin(1, 0xAB)
-        stale[0] = Message(data=b"stale", is_reply=True)
-        assert fresh == [None]
-        assert cache.begin(1, 0xAB) == ("busy", None)
-
     def test_seed_fills_an_open_slot_and_counts_nothing(self):
         cache = ReplyCache()
         _, slot = cache.begin(1, 0xAB)
@@ -129,62 +113,6 @@ class TestReplyCacheUnit:
         stats = ReplyCache().stats()
         assert set(stats) == {"hits", "misses", "busy_drops", "evictions",
                               "clients", "entries"}
-
-
-class Parking(ObjectServer):
-    """Defers every request; data ``b"now"`` answers inside the handler."""
-
-    service_name = "parking"
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, dedup=True, **kwargs)
-        self.parked = []
-
-    @command(USER_BASE)
-    def _park(self, ctx):
-        handle = ctx.defer()
-        if ctx.request.data == b"now":
-            handle.send(ctx.ok(data=b"now"))
-        else:
-            self.parked.append(handle)
-
-
-class TestDeferredReplyFillsItsSlot:
-    def _world(self):
-        net = SimNetwork(synchronous=False, auto_drain=False)
-        server = Parking(Nic(net), rng=RandomSource(seed=1)).start()
-        return net, server, Nic(net)
-
-    def _issue(self, net, server, client, data, seed):
-        call = AsyncTrans(client, server.put_port,
-                          Message(command=USER_BASE, data=data),
-                          rng=RandomSource(seed=seed))
-        net.run()
-        return call
-
-    def test_out_of_order_sends_fill_their_own_slots(self):
-        net, server, client = self._world()
-        first = self._issue(net, server, client, b"first", 2)
-        second = self._issue(net, server, client, b"second", 3)
-        cache = server.reply_cache
-        src = client.address
-        assert cache.begin(src, first.wire_reply) == ("busy", None)
-        second_handle, first_handle = server.parked[1], server.parked[0]
-        second_handle.send(second_handle.ctx.ok(data=b"2"))
-        first_handle.send(first_handle.ctx.ok(data=b"1"))
-        net.run()
-        assert first.poll().data == b"1" and second.poll().data == b"2"
-        for call, data in ((first, b"1"), (second, b"2")):
-            verdict, cached = cache.begin(src, call.wire_reply)
-            assert verdict == "hit" and cached.data == data
-
-    def test_a_send_inside_the_handler_fills_its_slot(self):
-        net, server, client = self._world()
-        call = self._issue(net, server, client, b"now", 2)
-        assert call.poll().data == b"now"
-        verdict, cached = server.reply_cache.begin(
-            client.address, call.wire_reply)
-        assert verdict == "hit" and cached.data == b"now"
 
 
 def bank_world(plan=None, dedup=True):

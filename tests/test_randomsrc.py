@@ -25,10 +25,6 @@ class TestDeterminism:
         with pytest.raises(TypeError):
             RandomSource(seed=3.14)
 
-    def test_unseeded_is_nondeterministic_flagged(self):
-        assert not RandomSource().deterministic
-        assert RandomSource(seed=1).deterministic
-
 
 class TestBits:
     def test_width_respected(self):
@@ -76,25 +72,3 @@ class TestRandint:
         rng = RandomSource(seed=13)
         seen = {rng.randint(0, 3) for _ in range(200)}
         assert seen == {0, 1, 2, 3}
-
-
-class TestChoiceShuffle:
-    def test_choice(self):
-        rng = RandomSource(seed=3)
-        items = ["a", "b", "c"]
-        assert all(rng.choice(items) in items for _ in range(50))
-
-    def test_choice_empty(self):
-        with pytest.raises(ValueError):
-            RandomSource(seed=1).choice([])
-
-    def test_shuffle_is_permutation(self):
-        rng = RandomSource(seed=4)
-        items = list(range(20))
-        shuffled = rng.shuffle(items)
-        assert sorted(shuffled) == items
-        assert items == list(range(20))  # original untouched
-
-    def test_shuffle_actually_shuffles(self):
-        rng = RandomSource(seed=4)
-        assert any(rng.shuffle(list(range(20))) != list(range(20)) for _ in range(5))

@@ -71,8 +71,6 @@ UNREACHED = _unreached(
      "CommutativeOneWayFamily.indices_for_deleted_rights"),
     ("crypto/oneway.py", COMPAT, "OneWayFunction.apply_bytes"),
     ("crypto/oneway.py", TEST_API, "OneWayFunction.__repr__"),
-    ("crypto/randomsrc.py", TEST_API,
-     "RandomSource.choice RandomSource.deterministic RandomSource.shuffle"),
     ("disk/diskfaults.py", TEST_API,
      "DiskFaultPlan.silent DiskFaultPlan.stats"),
     ("disk/virtualdisk.py", TEST_API, "VirtualDisk.free_blocks"),
@@ -88,21 +86,16 @@ UNREACHED = _unreached(
     ("ipc/replica.py", FORKED, "_serve_forked"),
     ("ipc/replica.py", TEST_API,
      "ReplicaObjectServer._std_destroy ReplicaObjectServer.fanout_pending "
-     "ReplicaObjectServer.sweep ReplicaRegistry.__len__ "
-     "ReplicaRegistry.leave ReplicaRegistry.members ReplicaRegistry.suspect "
-     "ReplicaRegistry.suspected ReplicaRegistry.unsuspect ReplicaSet.__eq__ "
-     "ReplicatedObjectServer.health ReplicatedObjectServer.probe "
-     "ReplicatedObjectServer.replica_set _Forked.alive _InProcess.alive "
+     "ReplicaObjectServer.sweep ReplicaSet.__eq__ "
+     "ReplicatedObjectServer.health _Forked.alive _InProcess.alive "
      "_rendezvous_weight"),
     ("ipc/rpc.py", TEST_API,
      "AsyncTrans.__repr__ AsyncTrans.poll RetryPolicy.waits"),
     ("ipc/server.py", COMPAT, "ReplyCache.store"),
     ("ipc/server.py", TEST_API,
-     "DeferredReply.__init__ DeferredReply.send "
      "ObjectServer._authenticate_sender ObjectServer._std_info "
      "ObjectServer._unseal_request ObjectServer.authorize_client "
-     "ObjectServer.describe ObjectServer.on_destroy ReplyCache.forget "
-     "RequestContext.defer"),
+     "ObjectServer.describe ObjectServer.on_destroy"),
     ("kernel/machine.py", TEST_API,
      "Machine.address Machine.announce Machine.client_for"),
     ("kernel/memory.py", TEST_API,
@@ -159,9 +152,8 @@ UNREACHED = _unreached(
     ("softprot/matrix.py", TEST_API,
      "CapabilitySealer.invalidate_object CapabilitySealer.seal_message "
      "CapabilitySealer.unseal_message KeyMatrix.set_key MachineKeyView.key"),
-    ("util/bits.py", TEST_API, "bytes_to_int int_to_bytes xor_bytes"),
 )
-UNREACHED_MAX = 159
+UNREACHED_MAX = 141
 
 
 # -- the universe ---------------------------------------------------------

@@ -1,7 +1,7 @@
 """Tests for replicated services: one logical port, N server processes.
 
 Covers the replica set and its spread policies, the wire codecs, the
-membership registry, peer-applied revocation on the object table, the
+pool's LOCATE answer, peer-applied revocation on the object table, the
 epoch-guarded location cache, revocation fan-out (including under
 fault injection on the control links), failover with member-wise
 invalidation, per-replica duplicate suppression, and the OS-process
@@ -18,8 +18,10 @@ from repro.core.ports import Port, PrivatePort
 from repro.core.rights import NO_RIGHTS
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import (
+    AmoebaError,
     InvalidCapability,
     NoSuchObject,
+    PortNotLocated,
     RPCTimeout,
     SecurityError,
 )
@@ -30,7 +32,6 @@ from repro.ipc.replica import (
     RENDEZVOUS,
     ROUND_ROBIN,
     ReplicaObjectServer,
-    ReplicaRegistry,
     ReplicaSet,
     ReplicatedObjectServer,
     pack_here_payload,
@@ -46,6 +47,7 @@ from repro.net.faults import FaultPlan, FaultSpec
 from repro.net.message import Message
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
+from repro.testing.world import World
 from repro.util.record import Reader
 
 
@@ -227,34 +229,37 @@ class TestWireCodecs:
 
 
 # ----------------------------------------------------------------------
-# membership registry
+# membership: the pool's LOCATE answer
 # ----------------------------------------------------------------------
 
 
-class TestReplicaRegistry:
-    def test_join_and_members_keep_order(self):
-        reg = ReplicaRegistry()
-        port = Port(5)
-        reg.join(port, 30)
-        reg.join(port, 10)
-        reg.join(port, 30)  # idempotent
-        assert reg.members(port) == (30, 10)
+class TestPoolLocateAnswer:
+    @pytest.mark.parametrize("policy", [ROUND_ROBIN, RENDEZVOUS])
+    @pytest.mark.parametrize("station", ["synchronous", "deferred", "des"])
+    def test_the_pool_answers_its_own_port_only(self, worlds, station,
+                                                policy):
+        """LOCATE for the pool's put-port answers ``members`` in replica
+        order under the pool's policy; LOCATE for any other port gets
+        no HERE from any member."""
+        world = worlds(World, station)
+        pool = ReplicatedObjectServer(world.net, replicas=3, policy=policy,
+                                      rng=RandomSource(7)).start()
+        client = world.node()
+        try:
+            assert pool.members == tuple(
+                server.node.address for server in pool.servers)
+            located = Locator(client, rng=RandomSource(9)).locate(
+                pool.put_port)
+            assert located == ReplicaSet(pool.members, policy)
 
-    def test_leave(self):
-        reg = ReplicaRegistry()
-        port = Port(5)
-        reg.join(port, 1)
-        assert reg.leave(port, 1) is True
-        assert reg.leave(port, 1) is False
-        assert reg.replica_set(port) is None
-        assert len(reg) == 0
-
-    def test_replica_set_policy_override(self):
-        reg = ReplicaRegistry()
-        reg.join(Port(1), 10)
-        reg.join(Port(2), 20, policy=RENDEZVOUS)
-        assert reg.replica_set(Port(1)).policy == ROUND_ROBIN
-        assert reg.replica_set(Port(2)).policy == RENDEZVOUS
+            sent = sum(server.node.sent for server in pool.servers)
+            other = PrivatePort.generate(RandomSource(11)).public
+            with pytest.raises(PortNotLocated):
+                Locator(client, rng=RandomSource(13)).locate(
+                    other, timeout=0.05)
+            assert sum(server.node.sent for server in pool.servers) == sent
+        finally:
+            pool.stop()
 
 
 # ----------------------------------------------------------------------
@@ -784,11 +789,11 @@ class TestForgedMembershipDatagrams:
         intruder.bind(("127.0.0.1", 0))
         try:
             arbiter = pool.arbiter
-            members = pool.registry.members(pool.put_port)
+            members = pool.members
             replicas = pool.replica_set()
             port = pool.put_port.to_bytes()
             forged = (
-                b"AC1L" + port + pack_machine(pool.addresses[0]),
+                b"AC1L" + port + pack_machine(members[0]),
                 b"AC1J" + port + pack_machine(intruder.getsockname()),
             )
             for raw in forged:
@@ -797,12 +802,10 @@ class TestForgedMembershipDatagrams:
             while (arbiter.garbage_dropped < len(forged)
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
-            assert pool.registry.members(pool.put_port) == members
+            assert pool.members == members
             assert pool.replica_set() == replicas
             assert arbiter.garbage_dropped == len(forged)
             assert all(pool.health(i) for i in range(2))
-            # The forking parent joined them, in replica order.
-            assert members == tuple(pool.addresses)
         finally:
             intruder.close()
             pool.stop()
@@ -820,7 +823,7 @@ class TestReplicaPoolUDP:
         pool = ReplicatedObjectServer(replicas=3, objects=1, payload=b"udp")
         client_node = SocketNode()
         try:
-            assert len(pool.registry.members(pool.put_port)) == 3
+            assert len(pool.members) == 3
             assert all(pool.health(i) for i in range(3))
             client_node.connect(pool.arbiter.address)
             locator = Locator(client_node, rng=RandomSource(3))
@@ -841,7 +844,7 @@ class TestReplicaPoolUDP:
             fresh = client.refresh(cap)
             # Every replica process — asked directly, not via the set —
             # must reject the revoked capability and accept the fresh.
-            for i, addr in enumerate(pool.addresses):
+            for i, addr in enumerate(pool.members):
                 old = trans(
                     client_node,
                     pool.put_port,
@@ -868,10 +871,23 @@ class TestReplicaPoolUDP:
             for _ in range(6):
                 client.touch(fresh)  # failover keeps the service up
             cached = locator.cache.get(pool.put_port)
-            assert pool.addresses[0] not in cached
+            assert pool.members[0] not in cached
             assert len(cached) == 2
         finally:
             client_node.close()
+            pool.stop()
+
+
+@pytest.mark.integration
+class TestForkedPoolCreate:
+    def test_create_points_to_objects(self):
+        """A forked pool has no member in this process to create on: it
+        takes its rows at the fork, from ``objects=``."""
+        pool = ReplicatedObjectServer(replicas=1)
+        try:
+            with pytest.raises(AmoebaError, match="objects="):
+                pool.create(b"row")
+        finally:
             pool.stop()
 
 

@@ -7,9 +7,9 @@ processes over loopback UDP.  This is the reference the placements are
 checked against: one script, run against the pool in each of them, must
 give the verdicts written out in ``EXPECTED`` — locate resolves to the
 whole pool, a refresh through one member revokes at every member, a
-destroy through another removes the object at every member, a killed
-member is forgotten (alone) by failover, and a suspected one is steered
-around but never evicted.
+destroy through another removes the object at every member, and a
+killed member is forgotten (alone) by failover but never evicted from
+the pool's membership.
 """
 
 from functools import partial
@@ -43,9 +43,7 @@ EXPECTED = {
     "other object, each member": [0, 0, 0],
     "health after the kill": [True, False, True],
     "cached after failover": (0, 2),
-    "registry after the kill": (0, 1, 2),
-    "steered around the suspect": (0, 2),
-    "after unsuspect": (0, 1, 2),
+    "members after the kill": (0, 1, 2),
 }
 
 
@@ -70,7 +68,7 @@ class ReplicaWorld(World):
             self.client, self.pool.put_port,
             Message(command=command, capability=capability),
             rng=self.rng, timeout=self.timeout, expect_signature=self.expect,
-            dst_machine=self.pool.addresses[member],
+            dst_machine=self.pool.members[member],
         )
 
     def each_member(self, capability):
@@ -80,9 +78,8 @@ class ReplicaWorld(World):
         ]
 
     def indices(self, machines):
-        """Which members, by pool index — not in what order: forked
-        members join in the order their JOIN datagrams land."""
-        return tuple(sorted(self.pool.addresses.index(m) for m in machines))
+        """Which members, by pool index, in the order given."""
+        return tuple(self.pool.members.index(m) for m in machines)
 
     def close(self):
         self.pool.stop()
@@ -124,13 +121,8 @@ def script(w):
     seen["cached after failover"] = w.indices(
         locator.cache.get(pool.put_port)
     )
-    # Death is the clients' to discover: the registry keeps the member,
-    # and a failed probe only steers around it.
-    seen["registry after the kill"] = w.indices(pool.replica_set())
-    assert not pool.probe(1, timeout=0.5) and pool.probe(2, timeout=2.0)
-    seen["steered around the suspect"] = w.indices(pool.replica_set())
-    pool.registry.unsuspect(pool.put_port, pool.addresses[1])
-    seen["after unsuspect"] = w.indices(pool.replica_set())
+    # Death is the clients' to discover: the pool keeps the member.
+    seen["members after the kill"] = w.indices(pool.replica_set())
     return seen
 
 

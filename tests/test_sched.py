@@ -12,7 +12,7 @@ import pytest
 from repro.core.ports import Port, PrivatePort
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import RPCTimeout
-from repro.ipc.rpc import AsyncTrans, trans, trans_many
+from repro.ipc.rpc import trans, trans_many
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
 from repro.net.message import Message
@@ -270,90 +270,6 @@ class TestAutoDrainCompat:
                       RandomSource(seed=1))
         assert reply.is_reply
         assert depths == [True]
-
-
-class TestDeferredServerReplies:
-    def test_deferred_reply_answers_later(self):
-        net = SimNetwork(synchronous=False, auto_drain=False)
-
-        class Parked(ObjectServer):
-            service_name = "parked"
-
-            def __init__(self, *a, **k):
-                super().__init__(*a, **k)
-                self.parked = []
-
-            @command(USER_BASE)
-            def _park(self, ctx):
-                self.parked.append(ctx.defer())
-
-        server = Parked(Nic(net), rng=RandomSource(seed=1)).start()
-        client = Nic(net)
-        call = AsyncTrans(client, server.put_port, Message(command=USER_BASE),
-                          rng=RandomSource(seed=2))
-        net.run()
-        assert call.poll() is None  # request handled, reply parked
-        assert len(server.parked) == 1
-        server.parked[0].send()
-        net.run()
-        assert call.poll() is not None
-
-    def test_out_of_order_replies_land_on_right_ports(self):
-        net = SimNetwork(synchronous=False, auto_drain=False)
-
-        class LIFO(ObjectServer):
-            service_name = "lifo"
-
-            def __init__(self, *a, **k):
-                super().__init__(*a, **k)
-                self.parked = []
-
-            @command(USER_BASE)
-            def _park(self, ctx):
-                self.parked.append((ctx.defer(), ctx.request.data))
-
-            @command(USER_BASE + 1)
-            def _release(self, ctx):
-                # Answer everything parked, newest first.
-                while self.parked:
-                    handle, data = self.parked.pop()
-                    handle.send(handle.ctx.ok(data=data))
-                return ctx.ok()
-
-        server = LIFO(Nic(net), rng=RandomSource(seed=1)).start()
-        client = Nic(net)
-        rng = RandomSource(seed=2)
-        calls = [
-            AsyncTrans(client, server.put_port,
-                       Message(command=USER_BASE, data=b"c%d" % i), rng=rng)
-            for i in range(3)
-        ]
-        net.run()
-        trans(client, server.put_port, Message(command=USER_BASE + 1),
-              RandomSource(seed=3))
-        # Replies were sent in reverse order, yet each lands on its own
-        # transaction's fresh reply port.
-        assert [c.result().data for c in calls] == [b"c0", b"c1", b"c2"]
-
-    def test_deferred_reply_sends_once(self):
-        net = SimNetwork(synchronous=False)
-        handles = []
-
-        class Once(ObjectServer):
-            service_name = "once"
-
-            @command(USER_BASE)
-            def _park(self, ctx):
-                handles.append(ctx.defer())
-
-        server = Once(Nic(net), rng=RandomSource(seed=1)).start()
-        client = Nic(net)
-        call = AsyncTrans(client, server.put_port, Message(command=USER_BASE),
-                          rng=RandomSource(seed=2))
-        handles[0].send()
-        assert call.result().is_reply
-        with pytest.raises(Exception):
-            handles[0].send()
 
 
 class TestPipelinedTimeout:

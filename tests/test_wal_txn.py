@@ -4,7 +4,7 @@ The write-ahead log buffers what a request's handler logs and writes it
 with the commit record, once, before the reply leaves (ISSUE PR 12).
 These tests pin the rules that make that safe:
 
-* acked implies flushed, on every dispatch path and for deferred replies;
+* acked implies flushed, on every dispatch path;
 * delta records are idempotent assignments (a snapshot may already hold
   the change) and an undecodable one re-keys the table;
 * a snapshot never records a replay position beyond the medium;
@@ -529,17 +529,14 @@ class TestDeltaRecords:
 # the server: acked implies flushed, on every path
 # ----------------------------------------------------------------------
 
-OP_NOTE_DEFER = USER_BASE + 40
-OP_RELEASE = USER_BASE + 41
 OP_NESTED = USER_BASE + 42
 OP_WRITE_THEN_CALL = USER_BASE + 43
 
 
 class ScriptedDirectoryServer(DirectoryServer):
-    """DirectoryServer plus handlers that defer a durable mutation and
-    that re-enter dispatch on their own thread."""
+    """DirectoryServer plus handlers that re-enter dispatch on their own
+    thread."""
 
-    parked = None
     inner = None  # (nic, request) the nested handler sends
     executions = 0  # runs of the write-then-call handler
 
@@ -549,16 +546,6 @@ class ScriptedDirectoryServer(DirectoryServer):
         self.table.persist(
             entry.number, delta=DirectoryCodec.set_delta(name, stored)
         )
-
-    @command(OP_NOTE_DEFER, needs=NO_RIGHTS)
-    def _note_defer(self, ctx):
-        self._note(ctx.entry, ctx.request.data.decode())
-        self.parked = ctx.defer()
-
-    @command(OP_RELEASE)
-    def _release(self, ctx):
-        self.parked.send()
-        return ctx.ok()
 
     @command(OP_NESTED, needs=NO_RIGHTS)
     def _nested(self, ctx):
@@ -679,36 +666,6 @@ class TestReplyPathOrdering:
         table, report = recover_directories(disk)
         assert not report.commits
         assert table._entry(root.object).data.entries == {"name": target}
-
-    def test_deferred_reply_flushes_at_handler_exit_and_commits_on_send(self):
-        net, disk, server, client = server_world()
-        root = server.create_root()
-        events = disk.events
-        record_reply_path(server, events)
-        del events[:]
-        parked = AsyncTrans(
-            client.node, server.put_port,
-            Message(command=OP_NOTE_DEFER, capability=root, data=b"noted"),
-            rng=RandomSource(seed=5),
-            expect_signature=server.signature_image,
-        )
-        # Handler returned, no reply yet: its mutation is on the medium
-        # (nothing would ever flush it otherwise) and no commit exists.
-        assert kinds(events) == ["write"]
-        assert parked.poll() is None
-        table, report = recover_directories(disk)
-        assert list(table._entry(root.object).data.entries) == ["noted"]
-        assert not report.commits
-
-        del events[:]
-        client.call(OP_RELEASE, capability=root)
-        # send() from inside RELEASE's dispatch: commit + write + cache
-        # + egress for the parked transaction, then RELEASE's own reply
-        # (it logged nothing: no write).
-        assert kinds(events) == ["write", "cache", "egress", "cache", "egress"]
-        assert parked.result().status == 0
-        table, report = recover_directories(disk)
-        assert len(report.commits) == 1
 
     def test_nested_dispatch_on_one_thread(self):
         net, disk, server, client = server_world()
