@@ -23,10 +23,10 @@ test-fast:
 ## BENCH_LOC_MAX the same way, and the test code — tests/ plus
 ## src/repro/testing/, 18610 lines before the shared World — to
 ## TEST_LOC_MAX.
-WIRE_LOC_MAX := 5772
-SRC_LOC_MAX := 13232
+WIRE_LOC_MAX := 5633
+SRC_LOC_MAX := 13009
 BENCH_LOC_MAX := 2278
-TEST_LOC_MAX := 19086
+TEST_LOC_MAX := 18974
 loc:
 	@for package in src/repro/*/; do \
 		case $$package in *__pycache__/) continue;; esac; \
@@ -42,8 +42,10 @@ loc:
 		printf '%-22s %6d  (tests/ %d + src/repro/testing/ %d)\n' \
 		"tests/ + testing/" "$$((tests + testing))" "$$tests" "$$testing"; \
 		printf '%-22s %6d\n' "src/repro total" "$$total"; \
-		printf '%-22s %6d  (round start 7300, item-7 bar <= 5840: %d to go)\n' \
-		"net/ + ipc/" "$$wire" "$$((wire - 5840))"; \
+		if [ $$wire -le 5840 ]; then bar="met, $$((5840 - wire)) under"; \
+		else bar="$$((wire - 5840)) to go"; fi; \
+		printf '%-22s %6d  (round start 7300, item-7 bar <= 5840: %s)\n' \
+		"net/ + ipc/" "$$wire" "$$bar"; \
 		test $$total -le $(SRC_LOC_MAX) || { \
 			echo "src/repro grew past the $(SRC_LOC_MAX) lines the last PR left"; exit 1; }; \
 		test $$wire -le $(WIRE_LOC_MAX) || { \

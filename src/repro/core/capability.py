@@ -65,11 +65,6 @@ class Capability:
                 % (CHECK_BYTES, _MIN_EXTENDED_CHECK, len(self.check))
             )
 
-    @property
-    def is_canonical(self):
-        """True when this capability packs to the 128-bit Fig. 2 layout."""
-        return len(self.check) == CHECK_BYTES
-
     def pack(self):
         """Serialise to bytes (16 bytes canonical, longer for extended).
 
@@ -133,22 +128,9 @@ class Capability:
             bytes(check),
         )
 
-    def with_rights(self, rights):
-        """A copy with a different rights field (check unchanged).
-
-        Only meaningful for schemes whose rights field is plaintext; the
-        protection schemes produce these, user code normally should not.
-        """
-        return replace(self, rights=Rights(rights))
-
     def with_check(self, check):
         """A copy with a different check field."""
         return replace(self, check=bytes(check))
-
-    def same_object(self, other):
-        """True when two capabilities name the same object on the same server
-        (regardless of rights or check value)."""
-        return self.port == other.port and self.object == other.object
 
     def __eq__(self, other):
         if not isinstance(other, Capability):

@@ -41,8 +41,8 @@ class Port(int):
     ``{Port(5): x}[5]`` finds ``x`` — a recovered commit record's plain
     integer and the retry's reply port name the same reply-cache entry.
     It also makes the null port falsy, so ``cache.get(port) or compute()``
-    is a trap (test ``is None``); ``port.is_null`` is the supported
-    spelling of the null test.  Instances carry no state of their own
+    is a trap (test ``is None``); ``port == NULL_PORT`` is the null
+    test.  Instances carry no state of their own
     (``__slots__ = ()``): every port stays int-sized.
     """
 
@@ -103,10 +103,6 @@ class Port(int):
         """
         rng = rng or RandomSource()
         return cls(rng.bits(PORT_BITS))
-
-    @property
-    def is_null(self):
-        return self == 0
 
     def __repr__(self):
         return "Port(%012x)" % self

@@ -133,9 +133,6 @@ class ObjectTable:
     def __len__(self):
         return len(self._entries)
 
-    def __contains__(self, number):
-        return number in self._entries
-
     def numbers(self):
         """Snapshot of the allocated object numbers, sorted."""
         with self._lock:
@@ -261,11 +258,6 @@ class ObjectTable:
             )
             if effective is None:
                 refuse(Verdict.BAD_CHECK)
-
-    def data(self, capability, required=NO_RIGHTS):
-        """Shorthand for ``lookup(...)[0].data``."""
-        entry, _ = self.lookup(capability, required)
-        return entry.data
 
     def restrict(self, capability, keep_mask):
         """Server-side sub-capability fabrication (schemes 1–3).

@@ -73,12 +73,6 @@ class DiskFaultPlan:
         self.lost_writes = 0
         self.failed = False
 
-    @property
-    def silent(self):
-        """True when this plan can never fire (skip all RNG draws)."""
-        return not (self.torn or self.lost or self.torn_at or self.lost_at
-                    or self.power_fail_after is not None or self.failed)
-
     def apply_write(self, block_no, new, old):
         """Decide one write's fate; called by ``VirtualDisk.write`` with
         the padded new contents and the block's current contents (None

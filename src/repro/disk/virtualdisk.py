@@ -69,10 +69,6 @@ class VirtualDisk:
     # ------------------------------------------------------------------
 
     @property
-    def free_blocks(self):
-        return len(self._free)
-
-    @property
     def used_blocks(self):
         return self.n_blocks - len(self._free)
 

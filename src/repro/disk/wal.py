@@ -442,18 +442,6 @@ class RecoveryReport:
         self.commits_unreplayable = 0
         self.commit_error = None
 
-    def as_dict(self):
-        return {
-            "entries_restored": self.entries_restored,
-            "records_replayed": self.records_replayed,
-            "suspect": self.suspect,
-            "secrets_regenerated": self.secrets_regenerated,
-            "high_water": self.high_water,
-            "commits": len(self.commits),
-            "commits_unreplayable": self.commits_unreplayable,
-            "blocks_reclaimed": self.blocks_reclaimed,
-        }
-
 
 class _ThreadState(threading.local):
     """What one thread owes the store (``__init__`` runs per thread)."""

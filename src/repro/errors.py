@@ -98,9 +98,9 @@ class PartitionSuspected(RPCTimeout):
     One dead member is a crash; the *whole* pool timing out in a single
     transaction is the signature of an unreachable network, so the retry
     layer raises this RPCTimeout subclass instead.  Callers that only
-    know RPCTimeout keep working; callers that care (failover policies,
-    locate caches) can suspect a partition and re-probe after heal
-    rather than writing the service off as dead.
+    know RPCTimeout keep working.  Either way the client's locate cache
+    is left with nothing for the port, so its next call broadcasts
+    LOCATE and finds the pool again once the network heals.
     """
 
     code = 24

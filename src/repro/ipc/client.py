@@ -8,12 +8,7 @@ like calling its object table directly.
 
 from repro.core.rights import Rights
 from repro.crypto.randomsrc import RandomSource
-from repro.errors import (
-    PartitionSuspected,
-    RPCTimeout,
-    SecurityError,
-    code_to_error,
-)
+from repro.errors import RPCTimeout, SecurityError, code_to_error
 from repro.ipc import stdops
 from repro.ipc.rpc import trans
 from repro.net.message import Message
@@ -93,13 +88,10 @@ class ServiceClient:
         if self.sealer is not None:
             if getattr(dst_machine, "is_replica_set", False):
                 # Sealing is per destination machine: bind the call to
-                # the policy's first choice.  (Failover would need a
+                # the set's next in rotation.  (Failover would need a
                 # re-seal per candidate; a sealed deployment trades it
                 # for the §2.4 cache economics.)
-                members = dst_machine.select(
-                    capability.object if capability is not None else None
-                )
-                dst_machine = members[0] if members else None
+                dst_machine = next(iter(dst_machine.select()), None)
             request = self.sealer.seal_message(request, dst_machine)
         try:
             reply = trans(
@@ -114,14 +106,8 @@ class ServiceClient:
                 retry=self.retry,
                 locator=self.locator,
             )
-        except RPCTimeout as exc:
+        except RPCTimeout:
             if self.locator is not None:
-                if isinstance(exc, PartitionSuspected):
-                    # The whole pool went silent at once: keep nothing
-                    # warm, but also *remember* the suspicion so the
-                    # next locate re-broadcasts — the heal is observed
-                    # by the HERE answer coming back.
-                    self.locator.suspect(self.put_port)
                 # The cached mapping may be the whole problem — a crashed
                 # or migrated server (with a replica set, trans already
                 # forgot each dead member on the way here, so this drops

@@ -138,16 +138,6 @@ class LocationCache:
             self.epoch += 1
         return True
 
-    def clear(self):
-        with self._lock:
-            self._machines.clear()
-
-    def __len__(self):
-        return len(self._machines)
-
-    def __contains__(self, port):
-        return port in self._machines
-
 
 class Locator:
     """Resolve put-ports to machine addresses, through a LocationCache."""
@@ -161,12 +151,6 @@ class Locator:
         #: can lose an increment (best-effort accounting).
         self.hits = 0
         self.misses = 0
-        # Ports whose whole replica pool went silent (PartitionSuspected):
-        # the next locate() skips the warm cache and re-broadcasts, which
-        # is how a healed partition is *observed* rather than waited out.
-        self._suspected = set()
-        #: Broadcasts forced by a partition suspicion (experiment counter).
-        self.suspicion_probes = 0
 
     def locate(self, port, timeout=1.0, retries=2):
         """Return the machine address serving ``port``.
@@ -188,14 +172,8 @@ class Locator:
         port = port if type(port) is Port else as_port(port)
         cached = self.cache.get(port)
         if cached is not None:
-            if port not in self._suspected:
-                self.hits += 1
-                return cached
-            # Suspected partition: the cached mapping may be stale on
-            # the far side of a cut.  Fall through to a fresh broadcast
-            # — a HERE answer proves the pool reachable again and
-            # clears the suspicion.
-            self.suspicion_probes += 1
+            self.hits += 1
+            return cached
         self.misses += 1
         # Snapshot the invalidation epoch *before* broadcasting: if a
         # crash is detected while the round trip is in flight, the
@@ -236,7 +214,6 @@ class Locator:
                     # for *this* call, it just must not repopulate the
                     # cache (it may predate the detected crash).
                     self.cache.put(port, located, epoch=epoch)
-                    self._suspected.discard(port)
                     return located
                 wait *= 2
                 if read_clock() >= deadline and attempt < retries:
@@ -248,7 +225,7 @@ class Locator:
     def _parse_here(self, port, frame):
         """Decode a HERE answer: the legacy 6-byte form names the
         answering machine itself; the extended form carries a packed
-        replica set (policy + members) for the logical port."""
+        replica set (member count + members) for the logical port."""
         data = frame.message.data
         if len(data) == len(port.to_bytes()):
             return frame.src  # legacy single-machine HERE
@@ -261,16 +238,6 @@ class Locator:
         if answered_port != port:
             return None
         return replicas
-
-    def suspect(self, port):
-        """Flag a port as possibly partitioned away: keep the cached
-        mapping (the members are not known dead) but force the next
-        :meth:`locate` to re-broadcast.  An answer clears the flag."""
-        self._suspected.add(as_port(port))
-
-    def suspects(self, port):
-        """True while ``port`` awaits a post-partition re-broadcast."""
-        return as_port(port) in self._suspected
 
     def invalidate(self, port):
         """Forget a cached location (server crashed or migrated)."""

@@ -5,9 +5,8 @@ port — nothing in §2 ties a port to one machine.  This module makes the
 binding plural end to end:
 
 * :class:`ReplicaSet` — the value a locate now resolves to: an ordered
-  pool of machine addresses plus a *spread policy* (round-robin, or a
-  rendezvous hash on the object number so every client computes the same
-  per-object home replica without coordination).
+  pool of machine addresses, each transaction starting one member further
+  round (a rotating cursor spreads the load with no coordination).
 * :class:`ReplicaObjectServer` — a full :class:`ObjectServer` data plane
   that additionally *fans out* every revocation (STD_REFRESH,
   STD_DESTROY, aging) to its peer replicas over a signature-
@@ -34,14 +33,13 @@ binding plural end to end:
   transaction answered by its server.
 
 Failover contract (the part clients rely on): ``trans`` against a
-ReplicaSet tries candidates in policy order and fails over on
+ReplicaSet tries candidates in rotation order and fails over on
 RPCTimeout, telling the locator to forget *only* the dead member.  Each
 replica runs its own PR 6 ReplyCache, so a retry that lands on the
 replica that already executed replays the cached reply — at-least-once
 across the pool, never double-executed on any one replica.
 """
 
-import hashlib
 import itertools
 
 from repro.core.ports import PORT_BYTES, Port, PrivatePort
@@ -56,13 +54,6 @@ from repro.ipc.server import ADMIN, ObjectServer, command
 from repro.net.message import Message
 from repro.net.nic import Nic
 from repro.util.record import Reader, pack_secret, unpack_secret
-
-#: Spread policies a :class:`ReplicaSet` understands.
-ROUND_ROBIN = "round_robin"
-RENDEZVOUS = "rendezvous"
-
-_POLICY_CODES = {ROUND_ROBIN: 0, RENDEZVOUS: 1}
-_POLICY_NAMES = {code: name for name, code in _POLICY_CODES.items()}
 
 
 # ----------------------------------------------------------------------
@@ -98,17 +89,17 @@ def read_machine(reader):
 
 
 def pack_here_payload(port, replicas):
-    """The extended HERE body: port, policy, member count, members.
+    """The extended HERE body: port, member count, members.
 
-    Deliberately longer than :data:`PORT_BYTES` even for one member, so
-    :class:`~repro.ipc.locate.Locator` can tell it from the legacy
+    Longer than :data:`PORT_BYTES` even with no member (the count byte),
+    so :class:`~repro.ipc.locate.Locator` can tell it from the legacy
     single-machine form by length alone.
     """
     members = tuple(replicas)
     if len(members) > 255:
         raise ValueError("replica set too large to encode")
-    head = bytes((_POLICY_CODES[replicas.policy], len(members)))
-    return port.to_bytes() + head + b"".join(map(pack_machine, members))
+    return (port.to_bytes() + bytes((len(members),))
+            + b"".join(map(pack_machine, members)))
 
 
 def unpack_here_payload(data):
@@ -116,12 +107,9 @@ def unpack_here_payload(data):
     framing defect (the locator then ignores the answer)."""
     reader = Reader(data)
     port = Port.from_bytes(reader.take(PORT_BYTES))
-    code = reader.u8()
-    if code not in _POLICY_NAMES:
-        raise ValueError("unknown spread policy code %d" % code)
     members = [read_machine(reader) for _ in range(reader.u8())]
     reader.end()
-    return port, ReplicaSet(members, policy=_POLICY_NAMES[code])
+    return port, ReplicaSet(members)
 
 
 def pack_revocation(number, generation, secret=None):
@@ -145,22 +133,6 @@ def unpack_revocation(data):
 # ----------------------------------------------------------------------
 
 
-def _rendezvous_weight(member, key):
-    """Highest-random-weight score for (member, key).
-
-    Uses a real hash, never Python's ``hash()``: per-process hash
-    randomization would give every client process a different per-object
-    home replica, which is exactly the affinity the policy exists to
-    provide.  ``repr`` of an int or a (host, port) pair is stable across
-    processes and Python versions.
-    """
-    digest = hashlib.blake2b(
-        repr(member).encode("utf-8") + b"|" + repr(key).encode("utf-8"),
-        digest_size=8,
-    ).digest()
-    return int.from_bytes(digest, "big")
-
-
 class ReplicaSet:
     """An ordered pool of machines serving one logical port.
 
@@ -175,41 +147,25 @@ class ReplicaSet:
     #: importing the class, keeping the layering acyclic.
     is_replica_set = True
 
-    __slots__ = ("members", "policy", "_cursor")
+    __slots__ = ("members", "_cursor")
 
-    def __init__(self, members, policy=ROUND_ROBIN):
-        if policy not in _POLICY_CODES:
-            raise ValueError("unknown spread policy %r" % (policy,))
+    def __init__(self, members):
         self.members = tuple(members)
-        self.policy = policy
         self._cursor = itertools.count()
 
-    def select(self, key=None):
-        """Candidates in preference order for one transaction.
-
-        ``rendezvous`` with a key ranks members by highest random
-        weight — every process computes the same order, so per-object
-        affinity survives across clients, and the runner-up list doubles
-        as the failover order.  ``round_robin`` (or a keyless rendezvous
-        lookup) rotates the start point per call.
-        """
+    def select(self):
+        """Candidates in preference order for one transaction: every
+        member, the start point rotating one further per call — so the
+        failover order of one call is the rotation from its start."""
         members = self.members
         if not members:
             return []
-        if self.policy == RENDEZVOUS and key is not None:
-            return sorted(
-                members,
-                key=lambda m: _rendezvous_weight(m, key),
-                reverse=True,
-            )
         start = next(self._cursor) % len(members)
         return list(members[start:]) + list(members[:start])
 
     def without(self, machine):
-        """A new set minus one (dead) member; same policy."""
-        return ReplicaSet(
-            tuple(m for m in self.members if m != machine), policy=self.policy
-        )
+        """A new set minus one (dead) member."""
+        return ReplicaSet(m for m in self.members if m != machine)
 
     def __contains__(self, machine):
         return machine in self.members
@@ -219,11 +175,6 @@ class ReplicaSet:
 
     def __len__(self):
         return len(self.members)
-
-    def __eq__(self, other):
-        if not isinstance(other, ReplicaSet):
-            return NotImplemented
-        return self.members == other.members and self.policy == other.policy
 
 
 # ----------------------------------------------------------------------
@@ -393,19 +344,16 @@ class ReplicatedObjectServer:
     """
 
     def __init__(self, network=None, replicas=4, scheme=None, rng=None,
-                 policy=ROUND_ROBIN, server_cls=ReplicaObjectServer,
+                 server_cls=ReplicaObjectServer,
                  fanout_retry=None, fanout_timeout=2.0, server_kwargs=None,
                  objects=0, payload=b""):
         if replicas < 1:
             raise ValueError("a replicated service needs at least one replica")
-        if policy not in _POLICY_CODES:
-            raise ValueError("unknown spread policy %r" % (policy,))
         self.network = network
         self.rng = rng or RandomSource()
         self.get_port = PrivatePort.generate(self.rng)
         self.signature = PrivatePort.generate(self.rng)
         self.put_port = self.get_port.public
-        self.policy = policy
         self.scheme = scheme if scheme is not None else XorOneWayScheme()
         self.table = ObjectTable(self.scheme, self.put_port, self.rng)
         self.capabilities = [self.table.create(payload) for _ in range(objects)]
@@ -416,7 +364,7 @@ class ReplicatedObjectServer:
             fanout_timeout=fanout_timeout,
         )
         self.servers = []    # the members that live in this process
-        self.arbiter = None  # the forked members' rendezvous station
+        self.arbiter = None  # the station clients reach a forked pool at
         #: The members' addresses in replica order, set once by the
         #: placement when launch completes.
         self.members = ()
@@ -480,7 +428,7 @@ class ReplicatedObjectServer:
 
     def replica_set(self):
         """The pool as clients see it."""
-        return ReplicaSet(self.members, self.policy)
+        return ReplicaSet(self.members)
 
     def health(self, index, timeout=1.0):
         """Is member ``index`` answering?  (Forked: one transaction to

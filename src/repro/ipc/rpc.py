@@ -122,15 +122,6 @@ class RetryPolicy:
         return self._ladder[j] * (1.0 + draw * self.jitter)
 
 
-def _affinity_key(request):
-    """The spread key for replica selection: the object number the
-    request names, so a rendezvous-hash policy gives every client the
-    same per-object home replica.  Header-only requests spread by
-    policy default."""
-    capability = request.capability
-    return capability.object if capability is not None else None
-
-
 def _await_reply(node, wire_reply, expect, until, read_clock=None, call=None):
     """The one wait: take frames off a reply port until one passes
     signature screening or ``until`` (on the station's clock; None means
@@ -235,10 +226,10 @@ class AsyncTrans:
         if dst_machine is not None and getattr(
                 dst_machine, "is_replica_set", False):
             # A pipelined issue binds to one replica up front — failover
-            # mid-flight is the blocking path's job — but the spread
-            # policy still decides *which* one, so a burst of issues
+            # mid-flight is the blocking path's job — but the set's
+            # rotation still decides *which* one, so a burst of issues
             # load-balances like blocking calls do.
-            candidates = dst_machine.select(_affinity_key(request))
+            candidates = dst_machine.select()
             if not candidates:
                 raise PortNotLocated(
                     "replica set for port %r has no members"
@@ -441,8 +432,8 @@ def trans(
     """
     if dst_machine is not None and getattr(dst_machine, "is_replica_set", False):
         return _failover(
-            None, _affinity_key(request), node, dest_port, request, rng,
-            timeout, expect_signature, dst_machine, signature, retry, locator,
+            None, node, dest_port, request, rng, timeout, expect_signature,
+            dst_machine, signature, retry, locator,
         )
     return AsyncTrans(
         node, dest_port, request, rng, expect_signature, dst_machine,
@@ -450,28 +441,27 @@ def trans(
     ).result(timeout)
 
 
-def _failover(attempt, key, node, dest_port, payload, rng, timeout,
+def _failover(attempt, node, dest_port, payload, rng, timeout,
               expect_signature, replicas, signature, retry, locator):
     """The replica-failover policy of :func:`trans` and
     :func:`trans_many` (``attempt`` is None for :func:`trans`, whose
     engines are built here, or :func:`trans_many`; ``payload`` its
     request or request list).
 
-    One logical port, N machines: candidates come ordered from the
-    set's spread policy (per-object rendezvous affinity when ``key`` is
-    an object number); each gets an equal slice of the timeout budget (a
-    dead replica must not consume the whole deadline, and any ``retry``
-    schedule runs inside its slice), and a timed-out candidate is
-    reported to the locator — which forgets only that member — before
-    the next one is tried.  Each attempt is an ordinary transaction (or
-    batch) with *fresh* reply secrets; at-least-once semantics across
-    replicas come from the per-replica ReplyCache contract, not from
-    sharing G' across machines (a reply from a replica we already gave
-    up on must land on a dead port, not be mistaken for the current
-    attempt's answer).
+    One logical port, N machines: candidates come in the set's rotation
+    order (:meth:`~repro.ipc.replica.ReplicaSet.select`); each gets an
+    equal slice of the timeout budget (a dead replica must not consume
+    the whole deadline, and any ``retry`` schedule runs inside its
+    slice), and a timed-out candidate is reported to the locator — which
+    forgets only that member — before the next one is tried.  Each
+    attempt is an ordinary transaction (or batch) with *fresh* reply
+    secrets; at-least-once semantics across replicas come from the
+    per-replica ReplyCache contract, not from sharing G' across machines
+    (a reply from a replica we already gave up on must land on a dead
+    port, not be mistaken for the current attempt's answer).
     """
     dest = dest_port if type(dest_port) is Port else as_port(dest_port)
-    candidates = replicas.select(key)
+    candidates = replicas.select()
     if not candidates:
         raise PortNotLocated(
             "replica set for port %r has no members" % (dest,)
@@ -530,8 +520,8 @@ def trans_many(
     read, so issuing is O(N) dict work plus exactly N F-box transforms.
 
     A replica-set ``dst_machine`` binds the whole batch to one replica
-    (chosen by the set's spread policy on the first request's object) so
-    the batch lanes keep their single-destination shape; an
+    (the set's next in rotation) so the batch lanes keep their
+    single-destination shape; an
     ``RPCTimeout`` fails the *batch* over to the next replica, reporting
     the dead member to ``locator`` like :func:`trans` does.
 
@@ -544,9 +534,8 @@ def trans_many(
         return []
     if getattr(dst_machine, "is_replica_set", False):
         return _failover(
-            trans_many, _affinity_key(requests[0]), node, dest_port,
-            requests, rng, timeout, expect_signature, dst_machine,
-            signature, retry, locator,
+            trans_many, node, dest_port, requests, rng, timeout,
+            expect_signature, dst_machine, signature, retry, locator,
         )
     dest = as_port(dest_port)
     rng = rng or _DEFAULT_RNG

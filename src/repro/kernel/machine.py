@@ -7,9 +7,7 @@ interface, the kernel's LOCATE responder, a port-location cache, an
 announcements heard on the wire.
 """
 
-from repro.core.ports import as_port
 from repro.crypto.randomsrc import RandomSource
-from repro.ipc.client import ServiceClient
 from repro.ipc.locate import Locator, install_locate_responder
 from repro.kernel.memory import MemoryClient, MemoryServer
 from repro.net.nic import Nic
@@ -50,11 +48,6 @@ class Machine:
             ).start()
 
     @property
-    def address(self):
-        """The unforgeable source address of this machine's NIC."""
-        return self.nic.address
-
-    @property
     def memory_port(self):
         """Public put-port of this machine's memory server."""
         if self.memory_server is None:
@@ -64,15 +57,6 @@ class Machine:
     # ------------------------------------------------------------------
     # clients
     # ------------------------------------------------------------------
-
-    def client_for(self, port_or_capability, **kwargs):
-        """A :class:`ServiceClient` for a put-port or a capability's server."""
-        port = getattr(port_or_capability, "port", None) or as_port(
-            port_or_capability
-        )
-        kwargs.setdefault("rng", self.rng)
-        kwargs.setdefault("locator", self.locator)
-        return ServiceClient(self.nic, port, **kwargs)
 
     def memory_client(self, remote_port=None, **kwargs):
         """A typed memory client for this or a *remote* machine.

@@ -157,10 +157,6 @@ class SimNetwork:
             if tap in self._taps:
                 self._taps.remove(tap)
 
-    def addresses(self):
-        """Snapshot of attached machine addresses."""
-        return sorted(self._nics)
-
     # ------------------------------------------------------------------
     # routing index (maintained by NICs)
     # ------------------------------------------------------------------
@@ -497,11 +493,6 @@ class SimNetwork:
     # ------------------------------------------------------------------
 
     @property
-    def synchronous(self):
-        """True when delivery recurses into accept() during send()."""
-        return self._loop is None
-
-    @property
     def loop(self):
         """The :class:`~repro.net.sched.EventLoop` /
         :class:`~repro.net.sched.VirtualTimeLoop`, or None when
@@ -527,10 +518,6 @@ class SimNetwork:
         which discipline the network runs.
         """
         return self._loop.pump(budget) if self._loop is not None else 0
-
-    def run(self):
-        """Drain every deferred frame; returns the number dispatched."""
-        return self.pump(None)
 
     # ------------------------------------------------------------------
     # intruder instrumentation

@@ -496,12 +496,6 @@ class Nic:
                 and wire_port in self.network._listeners):
             self.network.unregister_listener(self.address, wire_port)
 
-    def pending(self, port):
-        """Number of queued frames for GET(port)."""
-        wire_port = self.fbox.listen_port(as_port(port))
-        sink = self._sinks.get(wire_port)
-        return len(sink) if type(sink) is deque else 0
-
     def __repr__(self):
         return "Nic(address=%d, listening=%d ports)" % (
             self.address,

@@ -261,11 +261,6 @@ class EventLoop:
         """Total frames currently queued across all ports."""
         return sum(len(q) for q in self._queues.values())
 
-    def depth(self, wire_port):
-        """Queue depth for one wire port (0 if nothing is pending)."""
-        q = self._queues.get(wire_port)
-        return len(q) if q is not None else 0
-
     def stats(self):
         """Scheduler counters as a dict (stable keys for benchmarks)."""
         return {
@@ -314,11 +309,6 @@ class VirtualClock:
         the clock already passed it)."""
         if instant > self.now:
             self.now = instant
-
-    def advance(self, seconds):
-        """Move time forward by a duration (e.g. a timed-out wait)."""
-        if seconds > 0:
-            self.now += seconds
 
 
 class LatencyModel:

@@ -100,11 +100,12 @@ class ChargingFlatFileServer(FlatFileServer):
         if len(ctx.request.data) > MAX_TRANSFER:
             raise BadRequest("initial contents exceed %d bytes" % MAX_TRANSFER)
         payer_cap = self._payer_from(ctx)
-        f = self._new_file(b"")
         paid = self._charge(payer_cap, 0, max(len(ctx.request.data), 1))
-        if ctx.request.data:
-            f.write(0, ctx.request.data)
-        cap = self.table.create(f)
+        try:
+            cap, f = self._create_file(ctx.request.data)
+        except BaseException:
+            self._refund(payer_cap, paid)  # a refused create costs nothing
+            raise
         self._billing[id(f)] = [payer_cap, paid]
         return ctx.ok(capability=cap)
 
@@ -132,21 +133,23 @@ class ChargingFlatFileServer(FlatFileServer):
     def on_destroy(self, entry):
         """Disk blocks come back, and so does the money (§3.6)."""
         billing = self._billing.pop(id(entry.data), None)
-        if billing is not None and self.refund_on_destroy and billing[1] > 0:
-            payer_cap, paid = billing
-            # Refund flows from the server's account back to the payer.
-            # The payer capability must allow deposits for this to work;
-            # a withdraw-only capability simply forfeits the refund.
-            try:
-                self._pay(self.revenue_cap, payer_cap, paid)
-            except PermissionDenied:
-                pass
-            except Exception:
-                # A dead or unreachable bank must not fail the destroy,
-                # and must not cost the payer the money either.
-                self.refunds_failed += 1
-                self.refunds_owed.append((payer_cap, paid))
+        if billing is not None and self.refund_on_destroy:
+            self._refund(*billing)
         super().on_destroy(entry)
+
+    def _refund(self, payer_cap, dollars):
+        """Pay ``dollars`` back to the payer; never raises.  A withdraw-
+        only payer capability forfeits the refund; any other failure (a
+        dead bank) leaves the debt in ``refunds_owed`` for :meth:`sweep`."""
+        if dollars <= 0:
+            return
+        try:
+            self._pay(self.revenue_cap, payer_cap, dollars)
+        except PermissionDenied:
+            pass
+        except Exception:
+            self.refunds_failed += 1
+            self.refunds_owed.append((payer_cap, dollars))
 
     def sweep(self):
         """Retry each owed refund, then age the table; a debt leaves

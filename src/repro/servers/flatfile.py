@@ -34,8 +34,8 @@ MAX_TRANSFER = 48 * 1024
 class MemoryFile:
     """A file as a growable byte array."""
 
-    def __init__(self, initial=b""):
-        self.content = bytearray(initial)
+    def __init__(self):
+        self.content = bytearray()
 
     @property
     def size(self):
@@ -140,21 +140,29 @@ class FlatFileServer(ObjectServer):
         #: When set, files live on the block server behind this client.
         self.block_client = block_client
 
-    def _new_file(self, initial):
+    def _new_file(self):
         if self.block_client is None:
-            return MemoryFile(initial)
-        f = BlockFile(self.block_client)
-        if initial:
-            f.write(0, initial)
-        return f
+            return MemoryFile()
+        return BlockFile(self.block_client)
+
+    def _create_file(self, initial):
+        """Its row's owner capability and a new file holding ``initial``;
+        a refusal on the way (a full disk or table) releases the file."""
+        f = self._new_file()
+        try:
+            if initial:
+                f.write(0, initial)
+            return self.table.create(f), f
+        except BaseException:
+            f.release()
+            raise
 
     @command(FILE_CREATE)
     def _create(self, ctx):
         """CREATE FILE with optional initial contents."""
         if len(ctx.request.data) > MAX_TRANSFER:
             raise BadRequest("initial contents exceed %d bytes" % MAX_TRANSFER)
-        f = self._new_file(ctx.request.data)
-        cap = self.table.create(f)
+        cap, _ = self._create_file(ctx.request.data)
         return ctx.ok(capability=cap)
 
     @command(FILE_READ, needs=R_READ)

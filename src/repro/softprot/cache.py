@@ -59,26 +59,10 @@ class LruCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
 
-    def __len__(self):
-        return len(self._entries)
-
-    def __contains__(self, key):
-        return key in self._entries
-
     def stats(self):
         """One consistent ``(hits, misses)`` snapshot."""
         with self._lock:
             return self.hits, self.misses
-
-    @property
-    def hit_rate(self):
-        hits, misses = self.stats()
-        total = hits + misses
-        return hits / total if total else 0.0
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
 
 
 class _CapabilityCache(LruCache):
@@ -135,11 +119,6 @@ class _CapabilityCache(LruCache):
             self._keys_of.setdefault(owner, set()).add(key)
             while len(entries) > self.max_entries:
                 self._unfile(*entries.popitem(last=False))
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-            self._keys_of.clear()
 
     def forget_object(self, port, number):
         """Drop every triple whose unencrypted capability names one

@@ -49,18 +49,13 @@ from repro.crypto.randomsrc import RandomSource
 from repro.errors import (
     AmoebaError,
     CapabilityError,
-    PartitionSuspected,
     PortNotLocated,
     RPCTimeout,
 )
 from repro.ipc import stdops
 from repro.ipc.client import ServiceClient
 from repro.ipc.locate import Locator
-from repro.ipc.replica import (
-    ReplicaObjectServer,
-    ReplicatedObjectServer,
-    ROUND_ROBIN,
-)
+from repro.ipc.replica import ReplicaObjectServer, ReplicatedObjectServer
 from repro.ipc.rpc import RetryPolicy
 from repro.ipc.server import command
 from repro.net.faults import FaultPlan, FaultSpec
@@ -158,7 +153,7 @@ class ScenarioRunner:
     """
 
     def __init__(self, name, seed, replicas=3, durable=False,
-                 policy=ROUND_ROBIN, rtt_ms=2.8, jitter_ms=0.2,
+                 rtt_ms=2.8, jitter_ms=0.2,
                  client_timeout=1.2, drop=0.0, delay=0.0,
                  retry_attempts=3):
         self.name = name
@@ -201,7 +196,6 @@ class ScenarioRunner:
                 self.net,
                 replicas=replicas,
                 rng=RandomSource(seed=seed),
-                policy=policy,
                 server_cls=ChaosCounterServer,
                 fanout_retry=RetryPolicy(attempts=1, rto=0.02, cap=0.1,
                                          seed=seed),

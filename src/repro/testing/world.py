@@ -9,7 +9,7 @@ knows what each station name means —
   delivers inside ``send``;
 * ``deferred``: the event loop, drained by every top-level send;
 * ``deferred-manual``: the event loop, drained only when the caller
-  pumps it (``net.run()``);
+  pumps it (``net.pump()``);
 * ``des``: discrete-event virtual time over a
   :class:`~repro.net.sched.LatencyModel` (2 ms round trip unless the
   caller brings its own);

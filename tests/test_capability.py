@@ -29,13 +29,13 @@ class TestLayout:
     @given(ports, objects, rights, canonical_checks)
     def test_canonical_roundtrip(self, port, obj, r, check):
         cap = Capability(port=port, object=obj, rights=r, check=check)
-        assert cap.is_canonical
+        assert len(cap.pack()) == 16
         assert Capability.unpack(cap.pack()) == cap
 
     @given(ports, objects, rights, extended_checks)
     def test_extended_roundtrip(self, port, obj, r, check):
         cap = Capability(port=port, object=obj, rights=r, check=check)
-        assert not cap.is_canonical
+        assert len(cap.pack()) > 16
         assert Capability.unpack(cap.pack()) == cap
 
     def test_field_positions(self):
@@ -113,26 +113,10 @@ class TestUnpackRejectsGarbage:
         # garbage is caught semantically by the check field, exactly the
         # §2.4 "decrypts to make sense" argument.
         cap = Capability.unpack(bytes(range(16)))
-        assert cap.is_canonical
+        assert len(cap.pack()) == 16
 
 
 class TestSemantics:
-    def test_same_object_ignores_rights_and_check(self):
-        a = make_cap(r=0xFF, check=b"\x01" * 6)
-        b = make_cap(r=0x01, check=b"\x02" * 6)
-        assert a.same_object(b)
-
-    def test_same_object_distinguishes_servers(self):
-        a = make_cap(port=Port(1))
-        b = make_cap(port=Port(2))
-        assert not a.same_object(b)
-
-    def test_with_rights_preserves_rest(self):
-        cap = make_cap(r=0xFF)
-        weaker = cap.with_rights(0x01)
-        assert weaker.rights == Rights(0x01)
-        assert weaker.check == cap.check and weaker.same_object(cap)
-
     def test_with_check(self):
         cap = make_cap()
         other = cap.with_check(b"\xfe" * 6)

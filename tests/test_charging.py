@@ -3,7 +3,9 @@
 import pytest
 
 from repro.crypto.randomsrc import RandomSource
-from repro.errors import BadRequest, InsufficientFunds, NoSuchObject
+from repro.errors import (
+    BadRequest, InsufficientFunds, NoSuchObject, OutOfSpace,
+)
 from repro.net.faults import FaultPlan
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
@@ -56,7 +58,7 @@ class TestCharging:
         file_client.call(FILE_CREATE, data=b"x" * 100, extra_caps=(pay_cap,))
         # 100 bytes -> 1 unit -> 2 dollars.
         assert bank_client.balance(wallet)["USD"] == 98
-        assert bank.table.data(revenue).balances == {"USD": 2}
+        assert bank.table.lookup(revenue)[0].data.balances == {"USD": 2}
 
     def test_growth_charges_by_kiloblock(self, world):
         _, bank_client, _, file_client, wallet, pay_cap, _ = world
@@ -174,6 +176,20 @@ class TestRefund:
         assert bank_client.balance(wallet)["USD"] == 9
         file_client.destroy(cap)
         assert bank_client.balance(wallet)["USD"] == 9  # no refund
+
+
+class TestRefusedCreate:
+    def test_a_create_the_table_refuses_is_refunded(self, world):
+        """The charge is taken before the table is asked for a row; a
+        full table gives the money back, through the path a destroy's
+        refund takes."""
+        _, bank_client, files, file_client, wallet, pay_cap, _ = world
+        files.table._max_objects = len(files.table)
+        with pytest.raises(OutOfSpace):
+            file_client.call(FILE_CREATE, data=b"x" * 2048,
+                             extra_caps=(pay_cap,))
+        assert bank_client.balance(wallet)["USD"] == 100
+        assert files.refunds_owed == []
 
 
 class TestRefundThatCannotBePaid:

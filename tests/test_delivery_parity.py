@@ -74,7 +74,7 @@ class World(world.World):
 
     def arrive(self):
         """Let everything in flight arrive (synchronous: it already has)."""
-        self.net.run()
+        self.net.pump()
 
     def outcome(self):
         received = dict(self.heard)

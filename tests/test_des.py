@@ -55,7 +55,7 @@ class TestVirtualClock:
         clock.advance_to(5.0)
         clock.advance_to(2.0)  # time never runs backwards
         assert clock.now == 5.0
-        clock.advance(1.5)
+        clock.advance_to(clock.now + 1.5)
         assert clock.now == 6.5
 
     def test_latency_model_rejects_negative(self):
@@ -65,7 +65,7 @@ class TestVirtualClock:
     def test_latency_only_implies_a_clock(self):
         net = SimNetwork(latency=LatencyModel(rtt_ms=2.0))
         assert net.clock is not None
-        assert not net.synchronous
+        assert net.loop is not None
 
     def test_max_queue_depth_rejected_in_des_mode(self):
         # The DES wire has no per-port ingress queues to bound; silently

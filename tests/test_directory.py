@@ -219,7 +219,7 @@ class TestLogRefusal:
 
     @staticmethod
     def fill(disk):
-        while disk.free_blocks:
+        while disk.used_blocks < disk.n_blocks:
             disk.allocate()
 
     @staticmethod

@@ -18,12 +18,6 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             DiskFaultPlan(power_fail_after=-1)
 
-    def test_silent(self):
-        assert DiskFaultPlan().silent
-        assert not DiskFaultPlan(torn=0.1).silent
-        assert not DiskFaultPlan(lost_at={3}).silent
-        assert not DiskFaultPlan(power_fail_after=5).silent
-
 
 class TestTornWrites:
     def test_torn_write_mixes_old_and_new(self):

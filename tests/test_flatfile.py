@@ -4,7 +4,7 @@ import pytest
 
 from repro.crypto.randomsrc import RandomSource
 from repro.disk.virtualdisk import VirtualDisk
-from repro.errors import NoSuchObject, PermissionDenied
+from repro.errors import NoSuchObject, OutOfSpace, PermissionDenied
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 from repro.servers.block import BlockClient, BlockServer
@@ -132,6 +132,22 @@ class TestDestroy:
         assert used >= 10
         client.destroy(cap)
         assert disk.used_blocks == 0
+
+    def test_a_refused_create_keeps_no_blocks(self):
+        """The initial contents are written before the table is asked
+        for a row: a full table, or a block server that runs out of
+        disk half-way through the contents, gives the blocks back."""
+        _, disk, server, client = make_world("block")
+        client.create(b"kept")
+        used = disk.used_blocks
+        limit, server.table._max_objects = server.table._max_objects, 1
+        with pytest.raises(OutOfSpace):
+            client.create(b"x" * 3000)
+        assert disk.used_blocks == used
+        server.table._max_objects = limit
+        with pytest.raises(OutOfSpace):
+            client.create(b"x" * disk.block_size * disk.n_blocks)
+        assert disk.used_blocks == used
 
 
 class TestRevocation:

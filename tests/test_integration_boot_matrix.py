@@ -52,6 +52,8 @@ def test_full_lifecycle(server_keys):
     server_machine = Machine(net, rng=RandomSource(seed=1), name="vault")
     client_machine = Machine(net, rng=RandomSource(seed=2), name="user",
                              with_memory_server=False)
+    server_at = server_machine.nic.address
+    client_at = client_machine.nic.address
     intruder = Intruder(net, rng=RandomSource(seed=3))
     intruder.start_capture()
 
@@ -66,8 +68,8 @@ def test_full_lifecycle(server_keys):
         reply_blob, forward, reverse = BootProtocol.server_accept(
             server_keys, frame.message.data, server_rng
         )
-        server_matrix.set_key(frame.src, server_machine.address, forward)
-        server_matrix.set_key(server_machine.address, frame.src, reverse)
+        server_matrix.set_key(frame.src, server_at, forward)
+        server_matrix.set_key(server_at, frame.src, reverse)
         server_machine.nic.put(frame.message.reply_to(data=reply_blob),
                                dst_machine=frame.src)
 
@@ -91,22 +93,19 @@ def test_full_lifecycle(server_keys):
     assert frame is not None
     reverse = BootProtocol.client_confirm(heard.public_key, forward,
                                           frame.message.data)
-    client_matrix.set_key(client_machine.address, server_machine.address,
-                          forward)
-    client_matrix.set_key(server_machine.address, client_machine.address,
-                          reverse)
+    client_matrix.set_key(client_at, server_at, forward)
+    client_matrix.set_key(server_at, client_at, reverse)
 
     # Both sides now agree without ever putting a key on the wire.
-    assert (client_matrix.key(client_machine.address, server_machine.address)
-            == server_matrix.key(client_machine.address,
-                                 server_machine.address))
+    assert (client_matrix.key(client_at, server_at)
+            == server_matrix.key(client_at, server_at))
 
     # --- step 3: matrix-sealed RPC ----------------------------------------
     vault = VaultServer(
         server_machine.nic,
         rng=RandomSource(seed=9),
         sealer=CapabilitySealer(
-            server_matrix.view(server_machine.address),
+            server_matrix.view(server_at),
             server_cache=ServerCapabilityCache(),
         ),
         require_sealed=True,
@@ -118,7 +117,7 @@ def test_full_lifecycle(server_keys):
         rng=RandomSource(seed=10),
         locator=client_machine.locator,
         sealer=CapabilitySealer(
-            client_matrix.view(client_machine.address),
+            client_matrix.view(client_at),
             client_cache=ClientCapabilityCache(),
         ),
         expect_signature=vault.signature_image,

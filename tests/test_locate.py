@@ -243,11 +243,11 @@ class TestShardedLocationCache:
         ports = [Port(1000 + i) for i in range(32)]
         for i, port in enumerate(ports):
             cache.put(port, i)
-        assert len(cache) == 32
+        assert len(cache._machines) == 32
         assert all(cache.get(port) == i for i, port in enumerate(ports))
         cache.invalidate(ports[5])
         assert cache.get(ports[5]) is None
-        assert len(cache) == 31
+        assert len(cache._machines) == 31
         # Neighbours are untouched.
         assert cache.get(ports[5 + 8]) == 13
         assert cache.get(ports[6]) == 6
@@ -273,15 +273,6 @@ class TestShardedLocationCache:
         assert locator.cache.get(wire) is None
         assert locator.locate(wire) == server_nic.address  # asks again
         assert (locator.hits, locator.misses) == (0, 2)
-
-    def test_contains_and_clear(self):
-        from repro.ipc.locate import LocationCache
-
-        cache = LocationCache()
-        cache.put(Port(7), 1)
-        assert Port(7) in cache and Port(8) not in cache
-        cache.clear()
-        assert len(cache) == 0 and Port(7) not in cache
 
     def test_concurrent_readers_and_invalidators(self):
         """Read-mostly discipline: lock-free gets race locked

@@ -29,22 +29,12 @@ class TestMachine:
         b = Machine(net, rng=RandomSource(seed=2))
         assert a.name == "fileserver"
         assert b.name.startswith("machine-")
-        assert a.address != b.address
-
-    def test_client_for_port_and_capability(self, net):
-        server = Machine(net, rng=RandomSource(seed=1))
-        client = Machine(net, rng=RandomSource(seed=2), with_memory_server=False)
-        memory = client.memory_client(remote_port=server.memory_port)
-        seg = memory.create_segment(16)
-        by_cap = client.client_for(seg)
-        assert by_cap.put_port == server.memory_port
-        by_port = client.client_for(server.memory_port)
-        assert by_port.put_port == server.memory_port
+        assert a.nic.address != b.nic.address
 
     def test_locate_answers_for_memory_server(self, net):
         server = Machine(net, rng=RandomSource(seed=1))
         client = Machine(net, rng=RandomSource(seed=2), with_memory_server=False)
-        assert client.locator.locate(server.memory_port) == server.address
+        assert client.locator.locate(server.memory_port) == server.nic.address
 
 
 class TestAnnouncements:

@@ -184,8 +184,8 @@ class TestCaches:
         assert client.invalidate_object(cap.port, cap.object) == 1
         assert server.invalidate_object(cap.port, cap.object) == 1
         # The revoked object's triples are gone; unrelated ones remain.
-        assert len(client.client_cache) == 1
-        assert len(server.server_cache) == 0
+        assert len(client.client_cache._entries) == 1
+        assert len(server.server_cache._entries) == 0
         # Re-sealing and re-unsealing must hit the cipher again.
         ops = client.cipher_ops
         client.seal(cap, dst=2)
@@ -254,11 +254,11 @@ class TestRevokeThenReplay:
         aged = table.create("aged out")
         for cap in (doomed, aged):
             server.unseal(client.seal(cap, dst=2), src=1)
-        assert len(server.server_cache) == 2
+        assert len(server.server_cache._entries) == 2
         table.destroy(doomed)
-        assert len(server.server_cache) == 1
+        assert len(server.server_cache._entries) == 1
         table.age()  # first sweep expires "aged out" (lifetime=1)
-        assert len(server.server_cache) == 0
+        assert len(server.server_cache._entries) == 0
 
     def test_service_client_refresh_purges_client_cache(self, sealed_world):
         _, server, client, _ = sealed_world

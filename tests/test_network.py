@@ -17,12 +17,12 @@ class TestTopology:
     def test_addresses_assigned_sequentially(self, net):
         a, b = Nic(net), Nic(net)
         assert a.address != b.address
-        assert net.addresses() == [a.address, b.address]
+        assert sorted(net._nics) == [a.address, b.address]
 
     def test_detach(self, net):
         a = Nic(net)
         net.detach(a.address)
-        assert net.addresses() == []
+        assert not net._nics
 
 
 class TestSourceStamping:
@@ -79,8 +79,7 @@ class TestRouting:
         s2.listen(g)
         for _ in range(4):
             a.put(Message(dest=wire))
-        assert s1.pending(g) == 2
-        assert s2.pending(g) == 2
+        assert len(s1._sinks[wire]) == len(s2._sinks[wire]) == 2
 
 
 class TestTaps:

@@ -55,9 +55,9 @@ class TestListen:
         a, b = pair
         g = PrivatePort(7)
         wire = b.listen(g)
-        assert b.pending(g) == 0
+        assert len(b._sinks[wire]) == 0
         a.put(Message(dest=wire))
-        assert b.pending(g) == 1
+        assert len(b._sinks[wire]) == 1
 
 
 class TestServe:

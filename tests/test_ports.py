@@ -34,8 +34,8 @@ class TestPort:
             Port.from_bytes(b"\x00" * 5)
 
     def test_null(self):
-        assert NULL_PORT.is_null
-        assert not Port(1).is_null
+        assert NULL_PORT == Port(0) == 0
+        assert Port(1) != NULL_PORT
 
     def test_random_ports_distinct(self):
         rng = RandomSource(seed=1)
@@ -100,10 +100,10 @@ class TestPortIsAnInt:
         assert Port(1) < 2 <= Port(2)
 
     def test_null_port_is_falsy(self):
-        # The trap `x or default` walks into; is_null is the spelling.
+        # The trap `x or default` walks into; == NULL_PORT is the spelling.
         assert bool(NULL_PORT) is False
         assert bool(Port(1)) is True
-        assert NULL_PORT.is_null and not Port(1).is_null
+        assert NULL_PORT == Port(0) and Port(1) != NULL_PORT
 
     def test_unchecked_skips_only_the_range_check(self):
         port = Port._unchecked(0xABC)

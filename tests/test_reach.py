@@ -57,38 +57,29 @@ def _unreached(*lines):
 
 #: ``module::qualname`` -> why no source reaches it.
 UNREACHED = _unreached(
-    ("core/capability.py", TEST_API,
-     "Capability.__repr__ Capability.is_canonical Capability.same_object "
-     "Capability.with_rights"),
+    ("core/capability.py", TEST_API, "Capability.__repr__"),
     ("core/ports.py", COMPAT, "Port.random"),
-    ("core/ports.py", TEST_API, "Port.is_null PrivatePort.__repr__"),
+    ("core/ports.py", TEST_API, "PrivatePort.__repr__"),
     ("core/registry.py", TEST_API,
-     "ObjectTable.__contains__ ObjectTable.apply_destroy ObjectTable.data "
-     "ObjectTable.mint_for ObjectTable.on_revocation"),
+     "ObjectTable.apply_destroy ObjectTable.mint_for "
+     "ObjectTable.on_revocation"),
     ("core/rights.py", TEST_API, "Rights.__repr__"),
     ("core/schemes.py", TEST_API, "CommutativeScheme.recover_rights"),
     ("crypto/commutative.py", TEST_API,
      "CommutativeOneWayFamily.indices_for_deleted_rights"),
     ("crypto/oneway.py", COMPAT, "OneWayFunction.apply_bytes"),
     ("crypto/oneway.py", TEST_API, "OneWayFunction.__repr__"),
-    ("disk/diskfaults.py", TEST_API,
-     "DiskFaultPlan.silent DiskFaultPlan.stats"),
-    ("disk/virtualdisk.py", TEST_API, "VirtualDisk.free_blocks"),
+    ("disk/diskfaults.py", TEST_API, "DiskFaultPlan.stats"),
     ("disk/wal.py", COMPAT, "DurableStore.log_destroy"),
     ("disk/wal.py", ERROR_PATH, "ChainLog.repair_tail"),
-    ("disk/wal.py", TEST_API,
-     "DefaultCodec.apply_delta RecoveryReport.as_dict"),
+    ("disk/wal.py", TEST_API, "DefaultCodec.apply_delta"),
     ("ipc/client.py", TEST_API, "ServiceClient.info ServiceClient.touch"),
-    ("ipc/locate.py", TEST_API,
-     "LocationCache.__contains__ LocationCache.__len__ LocationCache.clear "
-     "Locator.suspects"),
     # the replica_kill_failover arm forks its pool's members
     ("ipc/replica.py", FORKED, "_serve_forked"),
     ("ipc/replica.py", TEST_API,
      "ReplicaObjectServer._std_destroy ReplicaObjectServer.fanout_pending "
-     "ReplicaObjectServer.sweep ReplicaSet.__eq__ "
-     "ReplicatedObjectServer.health _Forked.alive _InProcess.alive "
-     "_rendezvous_weight"),
+     "ReplicaObjectServer.sweep ReplicatedObjectServer.health "
+     "_Forked.alive _InProcess.alive"),
     ("ipc/rpc.py", TEST_API,
      "AsyncTrans.__repr__ AsyncTrans.poll RetryPolicy.waits"),
     ("ipc/server.py", COMPAT, "ReplyCache.store"),
@@ -96,8 +87,7 @@ UNREACHED = _unreached(
      "ObjectServer._authenticate_sender ObjectServer._std_info "
      "ObjectServer._unseal_request ObjectServer.authorize_client "
      "ObjectServer.describe ObjectServer.on_destroy"),
-    ("kernel/machine.py", TEST_API,
-     "Machine.address Machine.announce Machine.client_for"),
+    ("kernel/machine.py", TEST_API, "Machine.announce"),
     ("kernel/memory.py", TEST_API,
      "MemoryClient.process_info MemoryClient.read MemoryClient.segment_size "
      "MemoryClient.write MemoryServer._as_segment "
@@ -110,13 +100,12 @@ UNREACHED = _unreached(
     ("net/fbox.py", TEST_API, "FBox.__repr__"),
     ("net/intruder.py", TEST_API, "Intruder.replay Intruder.stop_capture"),
     ("net/network.py", TEST_API,
-     "SimNetwork.addresses SimNetwork.pending SimNetwork.remove_tap "
-     "SimNetwork.run SimNetwork.synchronous"),
+     "SimNetwork.pending SimNetwork.remove_tap"),
     ("net/nic.py", COMPAT, "Nic.put_many"),
-    ("net/nic.py", TEST_API, "Nic.__repr__ Nic.pending"),
+    ("net/nic.py", TEST_API, "Nic.__repr__"),
     ("net/sched.py", TEST_API,
-     "EventLoop.depth VirtualClock.advance VirtualTimeLoop.pending "
-     "VirtualTimeLoop.reset_stats VirtualTimeLoop.stats"),
+     "VirtualTimeLoop.pending VirtualTimeLoop.reset_stats "
+     "VirtualTimeLoop.stats"),
     ("net/sockets.py", COMPAT,
      "SocketNode.flush_egress SocketNode.put_owned_unicast_bulk "
      "SocketNode.serve_batch"),
@@ -144,16 +133,14 @@ UNREACHED = _unreached(
     ("softprot/boot.py", TEST_API,
      "Announcement.pack Announcement.unpack establish_matrix_keys"),
     ("softprot/cache.py", TEST_API,
-     "LruCache.__contains__ LruCache.__len__ LruCache.clear "
-     "LruCache.hit_rate LruCache.put LruCache.stats "
-     "ServerCapabilityCache.lookup ServerCapabilityCache.remember "
-     "_CapabilityCache._unfile _CapabilityCache.clear "
+     "LruCache.put LruCache.stats ServerCapabilityCache.lookup "
+     "ServerCapabilityCache.remember _CapabilityCache._unfile "
      "_CapabilityCache.forget_object"),
     ("softprot/matrix.py", TEST_API,
      "CapabilitySealer.invalidate_object CapabilitySealer.seal_message "
      "CapabilitySealer.unseal_message KeyMatrix.set_key MachineKeyView.key"),
 )
-UNREACHED_MAX = 141
+UNREACHED_MAX = 113
 
 
 # -- the universe ---------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -42,7 +43,7 @@ class TestCreateLookup:
 
     def test_lookup_unknown_object(self, table):
         cap = table.create("x")
-        ghost = cap.with_rights(cap.rights)  # copy
+        ghost = replace(cap)  # copy
         table.destroy(cap)
         with pytest.raises(NoSuchObject):
             table.lookup(ghost)
@@ -57,11 +58,11 @@ class TestCreateLookup:
     def test_lookup_rejects_tampering(self, table):
         cap = table.create("x")
         with pytest.raises(InvalidCapability):
-            table.lookup(cap.with_rights(0x0F))
+            table.lookup(replace(cap, rights=0x0F))
 
     def test_data_shorthand(self, table):
         cap = table.create("hello")
-        assert table.data(cap) == "hello"
+        assert table.lookup(cap)[0].data == "hello"
 
     def test_touch_counting(self, table):
         cap = table.create("x")
@@ -125,7 +126,7 @@ class TestRevocation:
     def test_data_survives_refresh(self, table):
         owner = table.create([1, 2, 3])
         fresh = table.refresh(owner)
-        assert table.data(fresh) == [1, 2, 3]
+        assert table.lookup(fresh)[0].data == [1, 2, 3]
 
 
 class TestDestroy:
@@ -162,8 +163,9 @@ class TestDestroy:
         ))
         fresh = table.create("local")
         assert fresh.object != doomed.object
-        assert table.data(table.mint_for(doomed.object)) == "mirrored"
-        assert table.data(fresh) == "local"
+        mirrored, _ = table.lookup(table.mint_for(doomed.object))
+        assert mirrored.data == "mirrored"
+        assert table.lookup(fresh)[0].data == "local"
         assert len(table) == 2
 
     def test_destroy_requires_rights(self, table):
@@ -284,7 +286,7 @@ class TestCapacityAndConcurrency:
         assert not thread.is_alive()
         # Whatever the reader observed (a validated entry just before the
         # destroy, or NoSuchObject just after), the object stays dead.
-        assert cap.object not in table
+        assert cap.object not in table.numbers()
         with pytest.raises(NoSuchObject):
             table.lookup(cap)
 
@@ -457,7 +459,7 @@ class TestVerifiedMemo:
         cap = table.create("x")
         table.lookup(cap)  # memoized
         with pytest.raises(InvalidCapability):
-            table.lookup(cap.with_rights(0x0F))
+            table.lookup(replace(cap, rights=0x0F))
 
     def test_memo_cleared_on_refresh(self, table):
         cap = table.create("x")
@@ -636,9 +638,9 @@ class TestShardedAging:
         # 100 sweeps < lifetime 150: the untouched survivor must still be
         # there (a double-decrementing stale-snapshot bug kills it early);
         # 100 sweeps > lifetime 50: the doomed object must be gone.
-        assert survivor.object in table
-        assert hot.object in table
-        assert doomed_cap.object not in doomed
+        assert survivor.object in table.numbers()
+        assert hot.object in table.numbers()
+        assert doomed_cap.object not in doomed.numbers()
 
 
 class TestConcurrentShardedOps:
@@ -667,7 +669,7 @@ class TestConcurrentShardedOps:
                     if i % 3 == 0:
                         assert table.destroy(fresh) == (tid, i)
                     else:
-                        assert table.data(fresh) == (tid, i)
+                        assert table.lookup(fresh)[0].data == (tid, i)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 

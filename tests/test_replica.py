@@ -1,6 +1,6 @@
 """Tests for replicated services: one logical port, N server processes.
 
-Covers the replica set and its spread policies, the wire codecs, the
+Covers the replica set and its rotation, the wire codecs, the
 pool's LOCATE answer, peer-applied revocation on the object table, the
 epoch-guarded location cache, revocation fan-out (including under
 fault injection on the control links), failover with member-wise
@@ -8,8 +8,6 @@ invalidation, per-replica duplicate suppression, and the OS-process
 pool over UDP (forged membership datagrams included).
 """
 
-import subprocess
-import sys
 import threading
 
 import pytest
@@ -29,8 +27,6 @@ from repro.ipc import stdops
 from repro.ipc.client import ServiceClient
 from repro.ipc.locate import LocationCache, Locator
 from repro.ipc.replica import (
-    RENDEZVOUS,
-    ROUND_ROBIN,
     ReplicaObjectServer,
     ReplicaSet,
     ReplicatedObjectServer,
@@ -52,7 +48,7 @@ from repro.util.record import Reader
 
 
 # ----------------------------------------------------------------------
-# replica sets and spread policies
+# replica sets and their rotation
 # ----------------------------------------------------------------------
 
 
@@ -68,29 +64,6 @@ class TestReplicaSet:
         assert rs.select() == [2, 3, 1]
         assert rs.select() == [3, 1, 2]
 
-    def test_rendezvous_affinity_is_per_key(self):
-        rs = ReplicaSet([10, 20, 30, 40], policy=RENDEZVOUS)
-        # The same key always maps to the same preference order.
-        for key in range(32):
-            assert rs.select(key) == rs.select(key)
-        # Different keys spread across members (not all on one home).
-        homes = {rs.select(key)[0] for key in range(64)}
-        assert len(homes) > 1
-
-    def test_rendezvous_failover_order_is_stable(self):
-        rs = ReplicaSet([10, 20, 30, 40], policy=RENDEZVOUS)
-        order = rs.select(7)
-        survivor = ReplicaSet(
-            [m for m in rs.members if m != order[0]], policy=RENDEZVOUS
-        )
-        # Removing the home replica promotes the runner-up: the other
-        # members keep their relative order.
-        assert survivor.select(7) == order[1:]
-
-    def test_rendezvous_without_key_rotates(self):
-        rs = ReplicaSet([1, 2], policy=RENDEZVOUS)
-        assert {rs.select()[0], rs.select()[0]} == {1, 2}
-
     def test_without_and_empty(self):
         rs = ReplicaSet([1, 2])
         smaller = rs.without(1)
@@ -98,38 +71,12 @@ class TestReplicaSet:
         empty = smaller.without(2)
         assert len(empty) == 0
         assert empty.select() == []
-        assert empty.select(5) == []
 
     def test_container_protocol(self):
         rs = ReplicaSet([1, 2, 3])
         assert 2 in rs and 9 not in rs
         assert len(rs) == 3
-        assert rs == ReplicaSet([1, 2, 3])
-        assert rs != ReplicaSet([1, 2, 3], policy=RENDEZVOUS)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            ReplicaSet([1], policy="mystery")
-
-    def test_rendezvous_is_stable_across_processes(self):
-        """Per-object affinity must survive across *client processes*:
-        the weights use a real hash, not per-process-randomized
-        ``hash()``.  A fresh interpreter must compute the same order."""
-        members = [("10.0.0.1", 7000), ("10.0.0.2", 7000), ("10.0.0.3", 7000)]
-        rs = ReplicaSet(members, policy=RENDEZVOUS)
-        local = [rs.select(key) for key in range(8)]
-        script = (
-            "import sys; sys.path.insert(0, %r)\n"
-            "from repro.ipc.replica import ReplicaSet, RENDEZVOUS\n"
-            "rs = ReplicaSet(%r, policy=RENDEZVOUS)\n"
-            "print(repr([rs.select(key) for key in range(8)]))\n"
-            % ("src", members)
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, check=True, cwd=".",
-        ).stdout.strip()
-        assert out == repr(local)
+        assert rs.members == ReplicaSet([1, 2, 3]).members
 
 
 # ----------------------------------------------------------------------
@@ -158,21 +105,23 @@ class TestWireCodecs:
         with pytest.raises(ValueError):
             read_machine(Reader(b"\x09"))  # unknown tag
 
-    @pytest.mark.parametrize("policy", [ROUND_ROBIN, RENDEZVOUS])
-    def test_here_payload_round_trip(self, policy):
+    def test_here_payload_round_trip(self):
         port = Port(0xABCDEF012345)
-        rs = ReplicaSet([3, ("h", 9), 7], policy=policy)
+        rs = ReplicaSet([3, ("h", 9), 7])
         payload = pack_here_payload(port, rs)
+        assert payload[6] == 3  # port, then the member count
         back_port, back_rs = unpack_here_payload(payload)
         assert back_port == port
-        assert back_rs == rs
+        assert back_rs.members == rs.members
 
     def test_here_payload_never_looks_legacy(self):
         # The locator distinguishes the extended HERE from the legacy
-        # 6-byte one purely by length: even a single-member set must
-        # encode longer than a bare port.
-        payload = pack_here_payload(Port(1), ReplicaSet([2]))
-        assert len(payload) > len(Port(1).to_bytes())
+        # 6-byte one purely by length: even an empty set encodes longer
+        # than a bare port (the count byte), and still decodes.
+        for members in ([], [2]):
+            payload = pack_here_payload(Port(1), ReplicaSet(members))
+            assert len(payload) > len(Port(1).to_bytes())
+            assert unpack_here_payload(payload)[1].members == tuple(members)
 
     def test_here_payload_trailing_bytes_rejected(self):
         payload = pack_here_payload(Port(1), ReplicaSet([2, 3]))
@@ -181,10 +130,10 @@ class TestWireCodecs:
         for cut in range(len(payload)):
             with pytest.raises(ValueError):
                 unpack_here_payload(payload[:cut])
-        unknown_policy = bytearray(payload)
-        unknown_policy[6] = 9
+        too_many = bytearray(payload)
+        too_many[6] = 3  # a count the members do not fill
         with pytest.raises(ValueError):
-            unpack_here_payload(bytes(unknown_policy))
+            unpack_here_payload(bytes(too_many))
 
     def test_refresh_payload_round_trip_int_secret(self):
         raw = pack_revocation(7, 3, 0xDEADBEEF)
@@ -234,15 +183,12 @@ class TestWireCodecs:
 
 
 class TestPoolLocateAnswer:
-    @pytest.mark.parametrize("policy", [ROUND_ROBIN, RENDEZVOUS])
     @pytest.mark.parametrize("station", ["synchronous", "deferred", "des"])
-    def test_the_pool_answers_its_own_port_only(self, worlds, station,
-                                                policy):
+    def test_the_pool_answers_its_own_port_only(self, worlds, station):
         """LOCATE for the pool's put-port answers ``members`` in replica
-        order under the pool's policy; LOCATE for any other port gets
-        no HERE from any member."""
+        order; LOCATE for any other port gets no HERE from any member."""
         world = worlds(World, station)
-        pool = ReplicatedObjectServer(world.net, replicas=3, policy=policy,
+        pool = ReplicatedObjectServer(world.net, replicas=3,
                                       rng=RandomSource(7)).start()
         client = world.node()
         try:
@@ -250,7 +196,7 @@ class TestPoolLocateAnswer:
                 server.node.address for server in pool.servers)
             located = Locator(client, rng=RandomSource(9)).locate(
                 pool.put_port)
-            assert located == ReplicaSet(pool.members, policy)
+            assert located.members == pool.members
 
             sent = sum(server.node.sent for server in pool.servers)
             other = PrivatePort.generate(RandomSource(11)).public
@@ -790,7 +736,6 @@ class TestForgedMembershipDatagrams:
         try:
             arbiter = pool.arbiter
             members = pool.members
-            replicas = pool.replica_set()
             port = pool.put_port.to_bytes()
             forged = (
                 b"AC1L" + port + pack_machine(members[0]),
@@ -803,7 +748,7 @@ class TestForgedMembershipDatagrams:
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
             assert pool.members == members
-            assert pool.replica_set() == replicas
+            assert pool.replica_set().members == members
             assert arbiter.garbage_dropped == len(forged)
             assert all(pool.health(i) for i in range(2))
         finally:

@@ -59,7 +59,9 @@ def _charging(world):
 
 
 def _file(server):
-    return server._new_file(b"x")
+    file = server._new_file()
+    file.write(0, b"x")
+    return file
 
 
 #: Server class -> (build it on a world, a payload for one of its rows).

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.ports import Port, PrivatePort
+from repro.core.ports import NULL_PORT, Port, PrivatePort
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import PortNotLocated, RPCTimeout
 from repro.ipc.rpc import trans
@@ -97,7 +97,7 @@ class TestTrans:
         assert request.dest == wire
         assert not request.is_reply
         assert (request.command, request.offset, request.size) == (9, 7, 3)
-        assert not request.reply.is_null
+        assert request.reply != NULL_PORT
 
     def test_client_signature_transmitted(self, net):
         captured = []

@@ -4,6 +4,8 @@ The common contract is tested across all four schemes parametrically;
 each scheme's distinctive properties get their own test classes.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -222,7 +224,7 @@ class TestCommutativeScheme:
     def test_cannot_regain_dropped_right(self, setup):
         scheme, secret, cap = setup
         weaker = scheme.client_restrict(cap, Rights(0b11111110))
-        forged = weaker.with_rights(ALL_RIGHTS)
+        forged = replace(weaker, rights=ALL_RIGHTS)
         assert scheme.verify(secret, forged.rights, forged.check) is None
 
     def test_restrict_to_same_rights_is_identity(self, setup):
@@ -250,7 +252,7 @@ class TestCommutativeScheme:
     def test_extended_capability_roundtrips(self, setup):
         _, _, cap = setup
         assert Capability.unpack(cap.pack()) == cap
-        assert not cap.is_canonical
+        assert len(cap.pack()) > 16
 
 
 class TestFactory:

@@ -1,5 +1,7 @@
 """Tests for the ObjectServer skeleton: dispatch, std ops, error replies."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.rights import Rights
@@ -99,7 +101,7 @@ class TestErrorReplies:
         _, server, client = world
         cap = server.table.create({"count": 0})
         with pytest.raises(InvalidCapability):
-            client.call(USER_BASE + 1, capability=cap.with_rights(0x55))
+            client.call(USER_BASE + 1, capability=replace(cap, rights=0x55))
 
     def test_missing_capability(self, world):
         _, server, client = world

@@ -13,7 +13,7 @@ class TestBasics:
         disk = VirtualDisk(n_blocks=10, block_size=128)
         assert disk.n_blocks == 10
         assert disk.block_size == 128
-        assert disk.free_blocks == 10
+        assert disk.used_blocks == 0
 
     def test_allocate_unique(self):
         disk = VirtualDisk(n_blocks=5)
@@ -111,7 +111,7 @@ class TestThreadSafety:
             t.join()
         assert not errors
         assert disk.used_blocks == 0
-        assert disk.free_blocks == 256
+        assert len(disk._free) == 256
 
     def test_concurrent_allocation_is_unique(self):
         disk = VirtualDisk(n_blocks=512)

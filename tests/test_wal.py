@@ -225,13 +225,13 @@ class TestFramingAgainstTheReference:
         table = make_table(store)
         first = table.create(b"a")
         log = store._log
-        assert disk.free_blocks == 1 and log.tail_used > 0
+        assert disk.used_blocks == disk.n_blocks - 1 and log.tail_used > 0
         before = log_state(log)
         with pytest.raises(OutOfSpace):
             table.create(b"z" * 100)  # needs two more blocks
         assert log_state(log) == before
         second = table.create(b"b")  # one roll: the free block suffices
-        assert disk.free_blocks == 0
+        assert disk.used_blocks == disk.n_blocks
         store.flush()
         scan = _scan_chain(disk, log.head)
         assert len(scan.records) == 2 and not scan.suspect

@@ -459,7 +459,7 @@ class TestDeltaRecords:
         table.destroy(cap)
         store.log_update(cap.object, None, DirectoryCodec.delete_delta("x"))
         recovered, report = recover_directories(disk)
-        assert cap.object not in recovered and not report.suspect
+        assert cap.object not in recovered.numbers() and not report.suspect
 
     @pytest.mark.parametrize(
         "delta",
@@ -767,7 +767,7 @@ class TestReplyPathOrdering:
         root = server.create_root()
         direct = server.table.create(Directory())
         table, _ = recover_directories(disk)
-        assert root.object in table and direct.object in table
+        assert {root.object, direct.object} <= set(table.numbers())
 
 
 class TestRebootObservability:
@@ -786,7 +786,6 @@ class TestRebootObservability:
         assert len(report.commits) == 2
         assert report.commits_unreplayable == 1
         assert report.commit_error is not None
-        assert report.as_dict()["commits_unreplayable"] == 1
         assert reborn.reply_cache.stats()["entries"] == 1
 
 
@@ -930,12 +929,13 @@ class SweepWorld(World):
         """``(names in the root directory, the scratch row as (number,
         generation) or None)`` — or None when the root did not survive."""
         table = server.table
-        if self.root.object not in table:
+        numbers = table.numbers()
+        if self.root.object not in numbers:
             return None
         names = dict.fromkeys(table._entry(self.root.object).data.entries, True)
         scratch = [
             (number, table._entry(number).generation)
-            for number in table.numbers()
+            for number in numbers
             if number not in (self.root.object, self.target.object)
         ]
         assert len(scratch) <= 1
