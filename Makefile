@@ -24,9 +24,9 @@ test-fast:
 ## src/repro/testing/, 18610 lines before the shared World — to
 ## TEST_LOC_MAX.
 WIRE_LOC_MAX := 5633
-SRC_LOC_MAX := 13009
+SRC_LOC_MAX := 13000
 BENCH_LOC_MAX := 2278
-TEST_LOC_MAX := 18974
+TEST_LOC_MAX := 19104
 loc:
 	@for package in src/repro/*/; do \
 		case $$package in *__pycache__/) continue;; esac; \

@@ -122,7 +122,7 @@ class Capability:
         # _trusted is sound: each field is a fixed-width slice of a frame
         # whose length was just checked, so it is in range by construction.
         return cls._trusted(
-            Port.from_wire(data[:PORT_BYTES]),
+            int.__new__(Port, int.from_bytes(data[:PORT_BYTES], "big")),
             int.from_bytes(data[PORT_BYTES:PORT_BYTES + OBJECT_BYTES], "big"),
             Rights(data[PORT_BYTES + OBJECT_BYTES]),
             bytes(check),

@@ -69,21 +69,12 @@ class Port(int):
 
     @classmethod
     def from_bytes(cls, data):
+        """Decode exactly :data:`PORT_BYTES` big-endian bytes; any 6
+        bytes are < 2**48, so only the length is checked."""
         if len(data) != PORT_BYTES:
             raise ValueError(
                 "port needs exactly %d bytes, got %d" % (PORT_BYTES, len(data))
             )
-        return cls.from_wire(data)
-
-    @classmethod
-    def from_wire(cls, data):
-        """Decode exactly :data:`PORT_BYTES` trusted wire bytes.
-
-        The per-frame decode path: ``Message.unpack`` and
-        ``Capability.unpack`` hand this exact-length slices of a validated
-        frame, so the length check and the range check (any 6 bytes are
-        < 2**48) are both skipped.
-        """
         return int.__new__(cls, int.from_bytes(data, "big"))
 
     # ``Port._unchecked(value)``: wrap a value known to be in range,

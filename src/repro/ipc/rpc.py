@@ -618,13 +618,13 @@ def _collect_queues(node, wires, dest, expect_signature, timeout):
     """Collect half for a :class:`SocketNode` — real pipelining.
 
     The batch's sinks are taken once (``reply_queues``) and the replies
-    awaited in request order with every GET still admitted: one blocking
-    get per reply under that reply's own ``timeout`` budget (like
-    ``AsyncTrans.result``), a forged reply discarded as ``_await_reply``
-    discards it.  The GETs are withdrawn together at the end.  While the
-    client blocks on reply *i*, the server is already working on
-    *i+1..N* — which is where the multiplicative win over serial
-    ``trans`` comes from on a real wire.
+    awaited in request order with every GET still admitted: a queued
+    reply is taken at once; an empty sink starts that reply's own
+    ``timeout`` budget (like ``AsyncTrans.result``) and a timed get.  A
+    forged reply is discarded as ``_await_reply`` discards it.  The GETs
+    are withdrawn together at the end.  While the client blocks on reply
+    *i*, the server is already working on *i+1..N* — which is where the
+    multiplicative win over serial ``trans`` comes from on a real wire.
     """
     clock = time.monotonic
     try:
@@ -632,16 +632,20 @@ def _collect_queues(node, wires, dest, expect_signature, timeout):
         for sink in node.reply_queues(wires):
             if sink is None:
                 raise _no_reply(dest)
-            until = clock() + timeout
+            until = None
             while True:
                 try:
-                    reply = sink.get(True, max(0.0, until - clock())).message
+                    frame = sink.get_nowait()
                 except queue.Empty:
-                    raise _no_reply(dest) from None
+                    until = until or clock() + timeout  # the budget starts
+                    try:
+                        frame = sink.get(True, max(0.0, until - clock()))
+                    except queue.Empty:
+                        raise _no_reply(dest) from None
                 if (expect_signature is None
-                        or reply.signature == expect_signature):
+                        or frame.message.signature == expect_signature):
                     break
-            replies.append(reply)
+            replies.append(frame.message)
         return replies
     finally:
         node.unlisten_wire_many(wires)

@@ -32,15 +32,10 @@ Two construction disciplines share this one layout (see
 * the **trusted** path — ``unpack``, ``reply_to`` and the copies
   ``_addressed`` / ``_evolve`` — skips them and writes the twelve slots
   straight down (``Message`` has no instance dict).  For ``unpack`` this
-  is sound because the fixed header is decoded with width-limited struct
-  codes (``H``/``Q``/``I``) and the ports with exact-length wire
-  decoding, so every field is in range by construction; for the others
-  the source message was already validated when it was built.
-
-``unpack`` validates and decodes the whole frame in one pass: every
-error a frame can produce (magic, version, lengths, capability and
-extra-cap framing) is raised by ``unpack`` itself, and what it returns
-is a plain ``Message`` with every field decoded.
+  is sound because one struct call decodes the fixed header with
+  width-limited codes, each port as an ``H`` + ``I`` pair (< 2**48), so
+  every field is in range by construction; for the others the source
+  message was already validated when it was built.
 """
 
 import struct
@@ -48,7 +43,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.core.capability import Capability
-from repro.core.ports import NULL_PORT, PORT_BYTES, Port
+from repro.core.ports import NULL_PORT, Port
 from repro.errors import BadRequest
 
 _MAGIC = b"AM"
@@ -57,7 +52,7 @@ _FLAG_REPLY = 0x01
 #: The capability area holds matrix-encrypted blobs (§2.4), not plaintext.
 _FLAG_SEALED = 0x02
 
-_FIXED = struct.Struct(">2sBB6s6s6sHHQIHI")
+_FIXED = struct.Struct(">2sBBHIHIHIHHQIHI")
 
 #: Serialized size of the fixed header, in bytes.
 HEADER_BYTES = _FIXED.size
@@ -117,12 +112,10 @@ class Message:
         self.sealed_caps = sealed_caps
 
     def pack(self):
-        """Serialise to wire bytes: one struct call for the fixed header
-        and a single ``bytes.join`` — measured faster than packing into
-        a preallocated buffer, whose slice splices cost more than the
-        joins they avoid.  The ports are encoded with the C-level
-        ``int.to_bytes``; ``Port.to_bytes()`` is a Python wrapper
-        around it.
+        """Serialise to wire bytes: one struct call for the fixed header,
+        each port as its high 16 and low 32 bits, and a single
+        ``bytes.join`` — measured faster than packing into a preallocated
+        buffer, whose slice splices cost more than the joins they avoid.
         """
         flags = _FLAG_REPLY if self.is_reply else 0
         if self.sealed_caps:
@@ -140,16 +133,16 @@ class Message:
             parts = [bytes((len(extra_caps),))]
             for cap in extra_caps:
                 packed = cap.pack()
-                parts.append(len(packed).to_bytes(2, "big"))
-                parts.append(packed)
+                parts += (len(packed).to_bytes(2, "big"), packed)
             extras = b"".join(parts)
         else:
             extras = b"\x00"
+        dest, reply, signature = self.dest, self.reply, self.signature
         head = _FIXED.pack(
             _MAGIC, _VERSION, flags,
-            int.to_bytes(self.dest, PORT_BYTES, "big"),
-            int.to_bytes(self.reply, PORT_BYTES, "big"),
-            int.to_bytes(self.signature, PORT_BYTES, "big"),
+            dest >> 32, dest & 0xFFFFFFFF,
+            reply >> 32, reply & 0xFFFFFFFF,
+            signature >> 32, signature & 0xFFFFFFFF,
             self.command, self.status, self.offset, self.size,
             len(cap_bytes), len(extras) + len(data),
         )
@@ -166,8 +159,9 @@ class Message:
         """
         if len(raw) < HEADER_BYTES:
             raise BadRequest("message truncated at %d bytes" % len(raw))
-        (magic, version, flags, dest, reply, signature, command, status,
-         offset, size, caplen, datalen) = _FIXED.unpack_from(raw)
+        (magic, version, flags, dest_hi, dest_lo, reply_hi, reply_lo,
+         signature_hi, signature_lo, command, status, offset, size, caplen,
+         datalen) = _FIXED.unpack_from(raw)
         if magic != _MAGIC:
             raise BadRequest("bad magic %r" % magic)
         if version != _VERSION:
@@ -202,11 +196,11 @@ class Message:
                     caps.append(Capability.unpack(raw[pos:pos + clen]))
                     pos += clen
                 extra_caps = tuple(caps)
-        from_wire = Port.from_wire
+        new_port = int.__new__
         self = cls.__new__(cls)
-        self.dest = from_wire(dest)
-        self.reply = from_wire(reply)
-        self.signature = from_wire(signature)
+        self.dest = new_port(Port, dest_hi << 32 | dest_lo)
+        self.reply = new_port(Port, reply_hi << 32 | reply_lo)
+        self.signature = new_port(Port, signature_hi << 32 | signature_lo)
         self.command = command
         self.status = status
         self.offset = offset

@@ -21,6 +21,7 @@ ordinary transactions too (:mod:`repro.ipc.replica`).
 
 import queue
 import socket
+import struct
 import threading
 from collections import deque
 
@@ -42,6 +43,7 @@ MAX_DATAGRAM = 60000
 #: (those start with the codec magic ``b"AM"``); no other prefix is read.
 _AGG_MAGIC = b"AB1"
 _AGG_HEADER = len(_AGG_MAGIC)
+_AGG_LENGTH = struct.Struct(">I")  # an inner frame's length prefix
 
 
 class SocketNode:
@@ -200,8 +202,7 @@ class SocketNode:
                 sendto(_AGG_MAGIC + b"".join(parts), dst)
                 parts = []
                 size = _AGG_HEADER
-            parts.append(len(raw).to_bytes(4, "big"))
-            parts.append(raw)
+            parts += (_AGG_LENGTH.pack(len(raw)), raw)
             size += need
         if parts:
             sendto(_AGG_MAGIC + b"".join(parts), dst)
@@ -458,6 +459,7 @@ class SocketNode:
         QueueType = queue.SimpleQueue
         sock = self._sock
         unpack = Message.unpack
+        length_at = _AGG_LENGTH.unpack_from
         while not self._closed.is_set():
             try:
                 datagram, src = sock.recvfrom(MAX_DATAGRAM + 1)
@@ -480,7 +482,7 @@ class SocketNode:
                 pos = _AGG_HEADER
                 end = len(datagram)
                 while pos + 4 <= end:
-                    flen = int.from_bytes(datagram[pos:pos + 4], "big")
+                    (flen,) = length_at(datagram, pos)
                     pos += 4
                     if pos + flen > end:
                         break

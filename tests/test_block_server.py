@@ -9,8 +9,6 @@ from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 from repro.servers.block import R_READ, R_WRITE, BlockClient, BlockServer
 
-from tests.conftest import make_client
-
 
 @pytest.fixture
 def world():

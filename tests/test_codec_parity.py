@@ -12,12 +12,14 @@ field-for-field agreement.
 
 import struct
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.capability import Capability
 from repro.core.ports import Port
 from repro.core.rights import Rights
+from repro.errors import BadRequest
 from repro.net.message import HEADER_BYTES, Message
 
 _MAGIC = b"AM"
@@ -120,7 +122,11 @@ def reference_unpack(raw):
 # message space
 # ----------------------------------------------------------------------
 
-ports = st.integers(min_value=0, max_value=(1 << 48) - 1).map(Port)
+#: The port values where an ``H`` + ``I`` split can go wrong.
+EDGE_PORTS = (0, (1 << 32) - 1, 1 << 32, (1 << 48) - 1)
+ports = st.one_of(
+    st.sampled_from(EDGE_PORTS), st.integers(min_value=0, max_value=(1 << 48) - 1)
+).map(Port)
 
 canonical_checks = st.binary(min_size=6, max_size=6)
 extended_checks = st.binary(min_size=8, max_size=72)
@@ -271,8 +277,6 @@ class TestLazyUnpackParity:
     def test_framing_errors_are_eager(self):
         """Every error a frame can produce raises from unpack itself
         (servers route/reply from the header before touching the body)."""
-        import pytest
-
         from repro.errors import MalformedCapability
 
         cap = Capability(port=Port(1), object=1, rights=Rights(1), check=b"c" * 6)
@@ -305,3 +309,74 @@ class TestLazyUnpackParity:
         assert clone2.data == b"swapped"
         assert clone2.dest == source.dest
         assert decoded == source
+
+
+# ----------------------------------------------------------------------
+# differential: the header field by field, at the module docstring's
+# offsets, with no struct call at all
+# ----------------------------------------------------------------------
+
+#: (field, offset, width) after magic (0-1), version (2) and flags (3).
+_OFFSETS = (
+    ("dest", 4, 6), ("reply", 10, 6), ("signature", 16, 6),
+    ("command", 22, 2), ("status", 24, 2), ("offset", 26, 8),
+    ("size", 34, 4), ("caplen", 38, 2), ("datalen", 40, 4),
+)
+
+
+def naive_header(message):
+    """The 44 header bytes, written one field at a time."""
+    if message.sealed_caps:
+        caplen = len(message.sealed_caps)
+    else:
+        caplen = len(message.capability.pack()) if message.capability else 0
+    datalen = 1 + len(message.data) + sum(
+        2 + len(cap.pack()) for cap in message.extra_caps)
+    values = {name: getattr(message, name) for name, _, _ in _OFFSETS[:7]}
+    values.update(caplen=caplen, datalen=datalen)
+    head = bytearray(HEADER_BYTES)
+    head[0:3] = b"AM\x01"
+    head[3] = ((_FLAG_REPLY if message.is_reply else 0)
+               | (_FLAG_SEALED if message.sealed_caps else 0))
+    for name, at, width in _OFFSETS:
+        head[at:at + width] = int(values[name]).to_bytes(width, "big")
+    return bytes(head)
+
+
+def naive_fields(raw):
+    """Each header field read back as ``int.from_bytes(raw[a:b], "big")``."""
+    return {name: int.from_bytes(raw[at:at + width], "big")
+            for name, at, width in _OFFSETS}
+
+
+class TestHeaderAgainstNaiveOffsets:
+    def test_the_offsets_tile_the_header(self):
+        assert _OFFSETS[-1][1] + _OFFSETS[-1][2] == HEADER_BYTES == 44
+
+    @given(messages)
+    @settings(max_examples=400)
+    def test_pack_writes_the_naive_header(self, message):
+        raw = message.pack()
+        assert raw[:HEADER_BYTES] == naive_header(message)
+        assert raw == reference_pack(message)
+
+    @given(messages)
+    @settings(max_examples=400)
+    def test_unpack_reads_the_naive_fields(self, message):
+        raw = naive_header(message) + reference_pack(message)[HEADER_BYTES:]
+        decoded = Message.unpack(raw)
+        fields = naive_fields(raw)
+        for name in ("dest", "reply", "signature"):
+            port = getattr(decoded, name)
+            assert type(port) is Port, name
+            assert port == fields[name] == getattr(message, name), name
+        for name in ("command", "status", "offset", "size"):
+            assert getattr(decoded, name) == fields[name], name
+        assert decoded.is_reply is message.is_reply
+        assert decoded == message
+
+    @given(messages, st.integers(min_value=0, max_value=HEADER_BYTES - 1))
+    @settings(max_examples=200)
+    def test_a_short_frame_is_a_bad_request(self, message, keep):
+        with pytest.raises(BadRequest):  # never struct.error
+            Message.unpack(message.pack()[:keep])

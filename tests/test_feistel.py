@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.crypto.feistel import (
     CAPABILITY_BLOCK_BITS,
-    RIGHTS_CHECK_BLOCK_BITS,
     FeistelCipher,
     WideBlockCipher,
 )

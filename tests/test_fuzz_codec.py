@@ -5,13 +5,11 @@ denial-of-service hole; these property tests pin the failure mode of
 every unpack path to the documented exceptions.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.capability import Capability
 from repro.core.ports import Port
-from repro.core.rights import Rights
 from repro.errors import AmoebaError, BadRequest, MalformedCapability
 from repro.net.message import Message
 from repro.softprot.boot import Announcement

@@ -10,7 +10,6 @@ from repro.crypto.randomsrc import RandomSource
 from repro.errors import InsufficientFunds, InvalidCapability, PermissionDenied
 from repro.kernel.machine import Machine
 from repro.net.network import SimNetwork
-from repro.net.nic import Nic
 from repro.servers.bank import BankClient, BankServer
 from repro.servers.block import BlockClient, BlockServer
 from repro.servers.directory import DirectoryClient, DirectoryServer, resolve_path

@@ -16,7 +16,6 @@ from repro.crypto.randomsrc import RandomSource
 from repro.errors import (
     AmoebaError,
     InvalidCapability,
-    NoSuchObject,
     SecurityError,
     Verdict,
 )
@@ -30,7 +29,7 @@ from repro.net.message import Message
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 from repro.softprot.cache import ClientCapabilityCache, ServerCapabilityCache
-from repro.softprot.matrix import CapabilitySealer, KeyMatrix, MachineKeyView
+from repro.softprot.matrix import CapabilitySealer, KeyMatrix
 
 
 def make_cap(check=b"\x11" * 6):

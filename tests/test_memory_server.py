@@ -11,7 +11,7 @@ from repro.errors import (
     ProcessStateError,
 )
 from repro.kernel.machine import Machine
-from repro.kernel.memory import R_CTL, R_READ, R_WRITE, MemoryClient
+from repro.kernel.memory import R_READ, R_WRITE
 from repro.net.network import SimNetwork
 
 

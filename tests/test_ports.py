@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.ports import NULL_PORT, Port, PrivatePort, as_port, draw_ports
 from repro.crypto.oneway import default_oneway
 from repro.crypto.randomsrc import RandomSource
+from repro.net.message import Message
 
 port_values = st.integers(min_value=0, max_value=(1 << 48) - 1)
 
@@ -59,9 +60,13 @@ class TestPort:
         )
 
     @given(port_values)
-    def test_from_wire_matches_from_bytes(self, value):
+    def test_from_bytes_matches_message_unpack(self, value):
+        # The two wire decodes of a port: the exact-length one, and the
+        # header's H + I pair inside Message.unpack's one struct call.
         wire = Port(value).to_bytes()
-        assert Port.from_wire(wire) == Port.from_bytes(wire) == Port(value)
+        header = Message.unpack(Message(dest=Port(value)).pack())
+        assert Port.from_bytes(wire) == header.dest == Port(value)
+        assert type(Port.from_bytes(wire)) is Port and type(header.dest) is Port
 
 
 class TestPortIsAnInt:
@@ -80,7 +85,9 @@ class TestPortIsAnInt:
             port.cached = b"x"
         with pytest.raises(AttributeError):
             port.value = 8
-        assert Port.from_wire(b"\x00\x00\x00\x00\x01\x02").__class__ is Port
+        assert Port.from_bytes(b"\x00\x00\x00\x00\x01\x02").__class__ is Port
+        decoded = Message.unpack(Message(dest=Port(0x102)).pack()).dest
+        assert decoded.__class__ is Port and not hasattr(decoded, "__dict__")
         assert not hasattr(Port._unchecked(9), "__dict__")
 
     def test_value_is_a_plain_int(self):

@@ -20,7 +20,6 @@ from repro.errors import (
     InvalidCapability,
     NoSuchObject,
     PortNotLocated,
-    RPCTimeout,
     SecurityError,
 )
 from repro.ipc import stdops

@@ -106,7 +106,7 @@ class TestDeferredDelivery:
         assert net.pump() == 4
 
     def test_overflow_not_misreported_as_port_not_located(self):
-        from repro.errors import PortNotLocated, RPCTimeout
+        from repro.errors import RPCTimeout
 
         net = SimNetwork(synchronous=False, auto_drain=False, max_queue_depth=1)
         nic = Nic(net)

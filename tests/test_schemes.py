@@ -17,7 +17,6 @@ from repro.core.schemes import (
     CommutativeScheme,
     EncryptedRightsScheme,
     SimpleCheckScheme,
-    XorOneWayScheme,
     all_scheme_names,
     scheme_by_name,
 )

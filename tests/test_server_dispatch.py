@@ -12,7 +12,6 @@ from repro.errors import (
     NoSuchObject,
     PermissionDenied,
 )
-from repro.ipc.client import ServiceClient
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import STD_INFO, USER_BASE
 from repro.net.network import SimNetwork

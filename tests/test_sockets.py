@@ -224,6 +224,27 @@ class TestSocketTransport:
         assert frame is not None and frame.message.data == b"whole"
         assert server.poll(g, timeout=0.2) is None
 
+    @pytest.mark.parametrize("stray", [b"\x00", b"\x00\x00", b"\x00\x00\x01"])
+    def test_carrier_ending_in_a_stray_length_prefix(self, nodes, stray):
+        """1-3 bytes after the last whole frame are too short to be a
+        length prefix: the frames before them arrive, the rest drops."""
+        import socket
+
+        from repro.net.sockets import _AGG_MAGIC
+
+        server = nodes()
+        g = PrivatePort(5)
+        wire = server.listen(g)
+        inners = [Message(dest=wire, data=d).pack() for d in (b"one", b"two")]
+        carrier = _AGG_MAGIC + b"".join(
+            len(inner).to_bytes(4, "big") + inner for inner in inners) + stray
+        raw_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        raw_sock.sendto(carrier, server.address)
+        raw_sock.close()
+        got = [server.poll(g, timeout=2.0) for _ in inners]
+        assert [f and f.message.data for f in got] == [b"one", b"two"]
+        assert server.poll(g, timeout=0.2) is None
+
     def test_listen_fresh_and_unlisten_wire_many(self, nodes):
         node = nodes()
         secrets = [Port(100 + i) for i in range(8)]
