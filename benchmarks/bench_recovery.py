@@ -18,7 +18,8 @@ Arms (keys in ``BENCH_invariants.json``)
     frame loss *and* seeded disk faults: a durable directory server
     loses power mid-snapshot, is respawned on the same disk, and the
     client fleet's retried non-idempotent writes land effectively once
-    — zero double-executions, deterministic by double run.
+    — zero double-executions, the rebooted table what the naive model
+    (:mod:`repro.testing.model`) says, deterministic by double run.
 """
 
 from repro.core.ports import Port
@@ -37,6 +38,7 @@ from repro.net.sched import LatencyModel, VirtualClock
 from repro.servers.directory import (
     DirectoryClient, DirectoryCodec, DirectoryServer,
 )
+from repro.testing.model import Model
 
 from bench_des import PAPER_RTT_MS
 
@@ -101,8 +103,17 @@ def _kill_reboot_run(n_pre, n_post, seed):
         expect_signature=server.signature_image,
         timeout=5.0, retry=RetryPolicy(attempts=10, rto=0.01, seed=seed),
     )
+    # The naive model states what the rebooted table must hold.
+    model = Model("xor-oneway")
+    model.create(root.object)
+
+    def create(name):
+        cap = client.create_directory(root, name)
+        model.create(cap.object)
+        model.enter(0, name, cap)
+
     for i in range(n_pre):
-        client.create_directory(root, "pre-%04d" % i)
+        create("pre-%04d" % i)
 
     # Power fails mid-snapshot: a half-written snapshot chain is left
     # on the disk, linked into nothing.
@@ -129,10 +140,13 @@ def _kill_reboot_run(n_pre, n_post, seed):
     # Old capabilities keep working (a power failure re-keys nothing);
     # the retried, non-idempotent writes must land exactly once each.
     for i in range(n_post):
-        client.create_directory(root, "post-%04d" % i)
+        create("post-%04d" % i)
     listing = client.list(root)
     double_executions = len(listing) - len(set(listing))
-    return {
+    agrees = model.view() == {
+        number: (generation, dict(data.entries))
+        for number, _, data, generation in respawn.table.snapshot_entries()}
+    return agrees, {
         "seed": seed,
         "pre_crash_creates": n_pre,
         "post_crash_creates": n_post,
@@ -150,11 +164,11 @@ def _kill_reboot_run(n_pre, n_post, seed):
 
 def recovery_kill_reboot(n_pre=60, n_post=60, seed=43):
     """Kill-and-reboot on the DES wire; deterministic by double run."""
-    result = _kill_reboot_run(n_pre, n_post, seed)
-    again = _kill_reboot_run(n_pre, n_post, seed)
+    agrees, result = _kill_reboot_run(n_pre, n_post, seed)
+    _, again = _kill_reboot_run(n_pre, n_post, seed)
     result["deterministic"] = again == result
     result["recovered"] = (
-        result["power_failed_mid_snapshot"]
+        agrees and result["power_failed_mid_snapshot"]
         and result["entries_recovered"] == n_pre + 1
         and result["final_entries"] == n_pre + n_post
         and result["double_executions"] == 0

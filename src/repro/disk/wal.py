@@ -607,11 +607,14 @@ class DurableStore:
     # ------------------------------------------------------------------
 
     def _append(self, payload):
-        """The one append path for table mutations."""
+        """The one append path for table mutations.  The dispatch is
+        marked as having written only once the log has taken the record:
+        a record the log refuses (``OutOfSpace``) must not earn its
+        error reply a commit record."""
         open_dispatches = self._thread.open
+        self._log.append(payload, not open_dispatches)
         if open_dispatches:
             open_dispatches[-1] = True
-        self._log.append(payload, not open_dispatches)
 
     def log_create(self, entry):
         self._append(self._entry_payload(entry))

@@ -98,6 +98,11 @@ class Message:
             raise ValueError("offset %d outside u64" % offset)
         if not 0 <= size < (1 << 32):
             raise ValueError("size %d outside u32" % size)
+        if (dest | reply | signature) >> 48:  # negatives shift to -1
+            for name, port in (("dest", dest), ("reply", reply),
+                               ("signature", signature)):
+                if port >> 48:
+                    raise ValueError("%s %d outside u48" % (name, port))
         self.dest = dest
         self.reply = reply
         self.signature = signature

@@ -50,6 +50,7 @@ BEYOND_PAPER = {
     "net/sched.py": "sim_pipelined16",
     "net/sockets.py": "udp_pipelined16",
     "testing/chaos.py": "chaos_matrix",
+    "testing/model.py": "recovery_kill_reboot",
     "testing/world.py": "chaos_matrix",
     "util/record.py": "durable_mutate",
 }

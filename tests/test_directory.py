@@ -4,27 +4,17 @@ import pytest
 
 from repro.core.rights import Rights
 from repro.crypto.randomsrc import RandomSource
-from repro.disk.virtualdisk import VirtualDisk
-from repro.disk.wal import DurableStore
-from repro.errors import (
-    BadRequest,
-    NameExists,
-    NameNotFound,
-    OutOfSpace,
-    PermissionDenied,
-)
+from repro.errors import BadRequest, NameNotFound
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 from repro.servers.directory import (
     DIR_CREATE,
-    R_LOOKUP,
-    R_MODIFY,
     DirectoryClient,
-    DirectoryCodec,
     DirectoryServer,
     resolve_path,
 )
 from repro.servers.flatfile import FlatFileClient, FlatFileServer
+from test_wal_txn import history
 
 
 @pytest.fixture
@@ -43,54 +33,19 @@ def world():
 
 
 class TestEntries:
-    def test_enter_lookup(self, world):
-        _, server, client, _, root = world
-        target = server.table.create("some object")
-        client.enter(root, "thing", target)
-        assert client.lookup(root, "thing") == target
-
-    def test_lookup_missing(self, world):
-        _, _, client, _, root = world
-        with pytest.raises(NameNotFound):
-            client.lookup(root, "ghost")
-
-    def test_enter_duplicate_refused(self, world):
-        _, server, client, _, root = world
-        target = server.table.create("x")
-        client.enter(root, "name", target)
-        with pytest.raises(NameExists):
-            client.enter(root, "name", target)
-
-    def test_enter_overwrite(self, world):
-        _, server, client, _, root = world
-        a = server.table.create("a")
-        b = server.table.create("b")
-        client.enter(root, "name", a)
-        client.enter(root, "name", b, overwrite=True)
-        assert client.lookup(root, "name") == b
-
-    def test_remove(self, world):
-        _, server, client, _, root = world
-        target = server.table.create("x")
-        client.enter(root, "doomed", target)
-        client.remove(root, "doomed")
-        with pytest.raises(NameNotFound):
-            client.lookup(root, "doomed")
-
-    def test_remove_missing(self, world):
-        _, _, client, _, root = world
-        with pytest.raises(NameNotFound):
-            client.remove(root, "ghost")
-
-    def test_list_sorted(self, world):
-        _, server, client, _, root = world
-        for name in ("zebra", "alpha", "monkey"):
-            client.enter(root, name, server.table.create(name))
-        assert client.list(root) == ["alpha", "monkey", "zebra"]
-
-    def test_list_empty(self, world):
-        _, _, client, _, root = world
-        assert client.list(root) == []
+    # Histories the model referees (test_wal_txn.py).
+    test_enter_lookup = history(("enter", 0, "a", 1), ("lookup", 0, "a"))
+    test_lookup_missing = history(("lookup", 0, "a"))
+    test_enter_duplicate_refused = history(
+        ("enter", 0, "a", 1), ("enter", 0, "a", 0))
+    test_enter_overwrite = history(
+        ("enter", 0, "a", 0), ("enter", 0, "a", 1, True), ("lookup", 0, "a"))
+    test_remove = history(
+        ("enter", 0, "a", 1), ("remove", 0, "a"), ("lookup", 0, "a"))
+    test_remove_missing = history(("remove", 0, "a"))
+    test_list_sorted = history(*[("enter", 0, name, 1) for name in "cab"],
+                               ("listing", 0))
+    test_list_empty = history(("listing", 0))
 
     def test_name_validation(self, world):
         _, server, client, _, root = world
@@ -104,24 +59,12 @@ class TestEntries:
 
 
 class TestRights:
-    def test_lookup_only_capability(self, world):
-        _, server, client, _, root = world
-        target = server.table.create("x")
-        client.enter(root, "entry", target)
-        reader = client.restrict(root, R_LOOKUP)
-        assert client.lookup(reader, "entry") == target
-        with pytest.raises(PermissionDenied):
-            client.enter(reader, "new", target)
-        with pytest.raises(PermissionDenied):
-            client.remove(reader, "entry")
-
-    def test_modify_only_capability(self, world):
-        _, server, client, _, root = world
-        target = server.table.create("x")
-        writer = client.restrict(root, R_MODIFY)
-        client.enter(writer, "new", target)
-        with pytest.raises(PermissionDenied):
-            client.lookup(writer, "new")
+    test_lookup_only_capability = history(
+        ("enter", 0, "a", 1), ("restrict", 0, 0x01), ("lookup", 2, "a"),
+        ("enter", 2, "b", 1), ("remove", 2, "a"), ("listing", 2))
+    test_modify_only_capability = history(
+        ("restrict", 0, 0x02), ("enter", 2, "a", 1), ("lookup", 2, "a"),
+        ("listing", 2))
 
 
 class TestStoredCapabilitiesAreOpaque:
@@ -202,71 +145,10 @@ class TestLogRefusal:
     ENTER or REMOVE is being logged — is undone in memory too, so a live
     LOOKUP, a retry and a reboot from the disk all tell the same story."""
 
-    #: Long names: a delta record several times a commit record's size,
-    #: so a filling disk refuses the handler's append, not the commit.
-    NAME = "%02d" + "n" * 200
-
-    def durable_world(self):
-        net = SimNetwork()
-        disk = VirtualDisk(64)
-        server = DirectoryServer.durable(
-            Nic(net), disk=disk, rng=RandomSource(seed=1)).start()
-        client = DirectoryClient(
-            Nic(net), server.put_port, rng=RandomSource(seed=2),
-            expect_signature=server.signature_image,
-        )
-        return net, disk, server, client, server.create_root()
-
-    @staticmethod
-    def fill(disk):
-        while disk.used_blocks < disk.n_blocks:
-            disk.allocate()
-
-    @staticmethod
-    def names_after_reboot(net, disk, server, number):
-        server.stop()
-        reborn = DirectoryServer(
-            Nic(net), get_port=server.get_port, rng=RandomSource(seed=3),
-            store=DurableStore(disk, codec=DirectoryCodec()), dedup=True,
-        )
-        report = reborn.reboot()
-        assert not report.suspect
-        return set(reborn.table._entry(number).data.entries)
-
-    def test_a_refused_enter_is_nowhere(self):
-        net, disk, server, client, root = self.durable_world()
-        self.fill(disk)
-        for i in range(20):
-            name = self.NAME % i
-            try:
-                client.enter(root, name, root)
-            except OutOfSpace:
-                break
-        else:
-            pytest.fail("the disk never filled")
-        with pytest.raises(NameNotFound):
-            client.lookup(root, name)
-        with pytest.raises(OutOfSpace):  # not NameExists
-            client.enter(root, name, root)
-        names = self.names_after_reboot(net, disk, server, root.object)
-        assert names == {self.NAME % j for j in range(i)}
-
-    def test_a_refused_remove_is_nowhere(self):
-        net, disk, server, client, root = self.durable_world()
-        entered = {self.NAME % i for i in range(20)}
-        for name in sorted(entered):
-            client.enter(root, name, root)
-        self.fill(disk)
-        for name in sorted(entered):
-            try:
-                client.remove(root, name)
-            except OutOfSpace:
-                break
-            entered.discard(name)
-        else:
-            pytest.fail("the disk never filled")
-        assert client.lookup(root, name) == root
-        with pytest.raises(OutOfSpace):  # not NameNotFound
-            client.remove(root, name)
-        assert self.names_after_reboot(
-            net, disk, server, root.object) == entered
+    test_a_refused_enter_is_nowhere = history(
+        ("fill", 0), *[("enter", 0, "d" * 160, 1, True)] * 4,
+        ("lookup", 0, "d" * 160), ("reboot",))
+    test_a_refused_remove_is_nowhere = history(
+        *[("enter", 0, name, 1) for name in ("a", "b", "c" * 24)],
+        ("fill", 0), *[("remove", 0, name) for name in ("a", "b", "c" * 24)],
+        ("lookup", 0, "c" * 24), ("reboot",))

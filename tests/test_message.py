@@ -215,7 +215,8 @@ class TestConstructorParity:
     FIELDS = ["dest", "reply", "signature", "command", "status", "offset",
               "size", "capability", "data", "is_reply", "extra_caps",
               "sealed_caps"]
-    WIDTHS = [("command", 16), ("status", 16), ("offset", 64), ("size", 32)]
+    WIDTHS = [("dest", 48), ("reply", 48), ("signature", 48),
+              ("command", 16), ("status", 16), ("offset", 64), ("size", 32)]
 
     @pytest.mark.parametrize("field, width", WIDTHS)
     @pytest.mark.parametrize("edge", ["below", "above"])

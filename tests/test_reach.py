@@ -139,8 +139,14 @@ UNREACHED = _unreached(
     ("softprot/matrix.py", TEST_API,
      "CapabilitySealer.invalidate_object CapabilitySealer.seal_message "
      "CapabilitySealer.unseal_message KeyMatrix.set_key MachineKeyView.key"),
+    # The generated histories of tests/test_wal_txn.py run these; no
+    # arm does until the claim rows reproduce their counts through the
+    # model (ROADMAP 1(a)'s next instalment).
+    ("testing/model.py", TEST_API,
+     "Model.destroy Model.listing Model.lookup Model.refresh Model.remove "
+     "Model.restrict"),
 )
-UNREACHED_MAX = 113
+UNREACHED_MAX = 119
 
 
 # -- the universe ---------------------------------------------------------

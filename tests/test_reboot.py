@@ -27,6 +27,7 @@ from repro.servers.directory import (
     DirectoryCodec,
     DirectoryServer,
 )
+from test_wal_txn import history
 
 
 def durable_world(plan_kwargs=None):
@@ -90,51 +91,13 @@ class TestRebootProtocol:
         with pytest.raises(AmoebaError):
             plain.reboot()
 
-    def test_state_survives_kill_and_reboot(self):
-        _, net, disk, server, client_nic = durable_world()
-        client = DirectoryClient(
-            client_nic, server.put_port, rng=RandomSource(seed=4),
-            expect_signature=server.signature_image,
-        )
-        root = server.create_root()
-        sub = client.create_directory(root, "projects")
-        client.enter(root, "also", sub)
-        server.stop()
-
-        incarnation, report = respawn_on(net, disk, server)
-        assert report.entries_restored == 2
-        assert not report.suspect
-        client2 = DirectoryClient(
-            client_nic, incarnation.put_port, rng=RandomSource(seed=5),
-            expect_signature=incarnation.signature_image,
-        )
-        # Capabilities minted by the dead incarnation still validate.
-        assert sorted(client2.list(root)) == ["also", "projects"]
-        assert client2.lookup(root, "also") == sub
-        client2.enter(sub, "post-reboot", root)
-        assert client2.list(sub) == ["post-reboot"]
-
-    def test_checkpoint_then_reboot(self):
-        _, net, disk, server, client_nic = durable_world()
-        root = server.create_root()
-        client = DirectoryClient(
-            client_nic, server.put_port, rng=RandomSource(seed=4),
-            expect_signature=server.signature_image,
-        )
-        for i in range(10):
-            client.create_directory(root, "pre-%d" % i)
-        server.checkpoint()
-        for i in range(3):
-            client.create_directory(root, "post-%d" % i)
-        server.stop()
-
-        incarnation, report = respawn_on(net, disk, server)
-        assert report.entries_restored == 14  # root + 10 + 3
-        client2 = DirectoryClient(
-            client_nic, incarnation.put_port, rng=RandomSource(seed=5),
-            expect_signature=incarnation.signature_image,
-        )
-        assert len(client2.list(root)) == 13
+    # Histories the model referees (test_wal_txn.py).
+    test_state_survives_kill_and_reboot = history(
+        ("create",), ("enter", 0, "a", 2), ("enter", 0, "b", 2), ("reboot",),
+        ("lookup", 0, "b"), ("enter", 2, "c", 0), ("listing", 2))
+    test_checkpoint_then_reboot = history(
+        *[("create",)] * 3, ("enter", 0, "a", 2), ("checkpoint",),
+        ("create",), ("enter", 0, "b", 5), ("reboot",), ("listing", 0))
 
 
 class TestDedupAcrossReboot:

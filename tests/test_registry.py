@@ -17,6 +17,7 @@ from repro.errors import (
     OutOfSpace,
     PermissionDenied,
 )
+from test_wal_txn import history
 
 PORT = Port(0x0BADC0FFEE00)
 
@@ -29,31 +30,16 @@ def table():
 
 
 class TestCreateLookup:
-    def test_create_returns_owner_capability(self, table):
-        cap = table.create({"payload": 1})
-        assert cap.port == PORT
-        entry, rights = table.lookup(cap)
-        assert entry.data == {"payload": 1}
-        assert rights == ALL_RIGHTS
+    test_create_returns_owner_capability = history(("create",))
 
     def test_object_numbers_sequential(self, table):
         caps = [table.create(i) for i in range(5)]
         assert [c.object for c in caps] == [0, 1, 2, 3, 4]
         assert len(table) == 5
 
-    def test_lookup_unknown_object(self, table):
-        cap = table.create("x")
-        ghost = replace(cap)  # copy
-        table.destroy(cap)
-        with pytest.raises(NoSuchObject):
-            table.lookup(ghost)
-
-    def test_lookup_requires_rights(self, table):
-        cap = table.create("x")
-        weak = table.restrict(cap, Rights(0x01))
-        table.lookup(weak, required=Rights(0x01))  # fine
-        with pytest.raises(PermissionDenied):
-            table.lookup(weak, required=Rights(0x02))
+    test_lookup_unknown_object = history(("destroy", 1), ("lookup", 1, "a"))
+    test_lookup_requires_rights = history(
+        ("restrict", 0, 0x01), ("lookup", 2, "a"), ("remove", 2, "a"))
 
     def test_lookup_rejects_tampering(self, table):
         cap = table.create("x")
@@ -72,83 +58,39 @@ class TestCreateLookup:
         assert entry.touches == before + 1
 
 
+# Histories the model referees through a durable server (test_wal_txn.py).
 class TestRestrict:
-    def test_restricted_capability_works(self, table):
-        cap = table.create("x")
-        weak = table.restrict(cap, Rights(0b0101))
-        _, rights = table.lookup(weak)
-        assert rights == Rights(0b0101)
-
-    def test_restrict_of_restrict_shrinks(self, table):
-        cap = table.create("x")
-        weaker = table.restrict(table.restrict(cap, Rights(0b0111)), Rights(0b0011))
-        _, rights = table.lookup(weaker)
-        assert rights == Rights(0b0011)
-
-    def test_restrict_unknown_object(self, table):
-        cap = table.create("x")
-        table.destroy(cap)
-        with pytest.raises(NoSuchObject):
-            table.restrict(cap, Rights(1))
+    test_restricted_capability_works = history(("restrict", 0, 0x03))
+    test_restrict_of_restrict_shrinks = history(
+        ("restrict", 0, 0x83), ("restrict", 2, 0x03))
+    test_restrict_unknown_object = history(("destroy", 1), ("restrict", 1, 1))
 
 
 class TestRevocation:
     """§2.3: changing the stored random number instantly invalidates every
     outstanding capability."""
 
-    def test_refresh_kills_all_outstanding(self, table):
-        owner = table.create("precious")
-        shared_a = table.restrict(owner, Rights(0x01))
-        shared_b = table.restrict(owner, Rights(0x03))
-        fresh = table.refresh(owner)
-        for dead in (owner, shared_a, shared_b):
-            with pytest.raises(InvalidCapability):
-                table.lookup(dead)
-        entry, rights = table.lookup(fresh)
-        assert entry.data == "precious"
-        assert rights == ALL_RIGHTS
-
-    def test_refresh_requires_rights(self, table):
-        owner = table.create("x")
-        weak = table.restrict(owner, Rights(0x01))
-        with pytest.raises(PermissionDenied):
-            table.refresh(weak)  # default requires ALL rights
-
-    def test_refresh_bumps_generation(self, table):
-        owner = table.create("x")
-        entry, _ = table.lookup(owner)
-        assert entry.generation == 0
-        fresh = table.refresh(owner)
-        assert entry.generation == 1
-        table.refresh(fresh)
-        assert entry.generation == 2
-
-    def test_data_survives_refresh(self, table):
-        owner = table.create([1, 2, 3])
-        fresh = table.refresh(owner)
-        assert table.lookup(fresh)[0].data == [1, 2, 3]
+    test_refresh_kills_all_outstanding = history(
+        ("restrict", 0, 0x01), ("restrict", 0, 0x03), ("refresh", 0))
+    test_refresh_requires_rights = history(
+        ("restrict", 0, 0x01), ("refresh", 2))
+    test_refresh_bumps_generation = history(("refresh", 0), ("refresh", 2))
+    test_data_survives_refresh = history(
+        ("enter", 0, "a", 1), ("refresh", 0), ("lookup", 2, "a"))
 
 
 class TestDestroy:
-    def test_destroy_removes(self, table):
-        cap = table.create("x")
-        assert table.destroy(cap) == "x"
-        assert len(table) == 0
+    test_destroy_removes = history(("destroy", 1))
+    test_stale_capability_after_recycle_rejected = history(
+        ("destroy", 1), ("create",))
+    test_destroy_requires_rights = history(
+        ("restrict", 1, 0x01), ("destroy", 2))
 
     def test_numbers_recycled(self, table):
         cap = table.create("a")
         table.destroy(cap)
         again = table.create("b")
         assert again.object == cap.object
-
-    def test_stale_capability_after_recycle_rejected(self, table):
-        # The recycled object gets a fresh random number, so the old
-        # capability for the same object number must not validate.
-        cap = table.create("old")
-        table.destroy(cap)
-        table.create("new")
-        with pytest.raises(InvalidCapability):
-            table.lookup(cap)
 
     def test_restored_row_takes_its_number_off_the_free_list(self, table):
         """A replica applied a peer's destroy, then had the recycled
@@ -167,12 +109,6 @@ class TestDestroy:
         assert mirrored.data == "mirrored"
         assert table.lookup(fresh)[0].data == "local"
         assert len(table) == 2
-
-    def test_destroy_requires_rights(self, table):
-        cap = table.create("x")
-        weak = table.restrict(cap, Rights(0x01))
-        with pytest.raises(PermissionDenied):
-            table.destroy(weak)
 
 
 class TestMintFor:
@@ -374,16 +310,8 @@ class TestCapacityAndConcurrency:
 class TestSchemeIntegration:
     @pytest.mark.parametrize("name", ["simple", "encrypted", "xor-oneway", "commutative"])
     def test_full_lifecycle_per_scheme(self, name):
-        table = ObjectTable(
-            scheme_by_name(name), PORT, rng=RandomSource(seed=7)
-        )
-        cap = table.create("obj")
-        entry, rights = table.lookup(cap)
-        assert entry.data == "obj"
-        fresh = table.refresh(cap)
-        with pytest.raises(InvalidCapability):
-            table.lookup(cap)
-        assert table.destroy(fresh) == "obj"
+        history(("lookup", 0, "a"), ("refresh", 0), ("destroy", 2),
+                scheme=name)(self)
 
 
 class TestSharding:

@@ -45,6 +45,7 @@ from repro.ipc.server import ObjectServer
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 from repro.servers.block import BlockClient, BlockServer
+from test_wal_txn import history
 
 PORT = Port(0x0D15C0FFEE00)
 SCHEME = scheme_by_name("xor-oneway")
@@ -241,26 +242,14 @@ class TestFramingAgainstTheReference:
         assert rebooted.lookup(first)[0].data == b"a"
         assert rebooted.lookup(second)[0].data == b"b"
 
-    def test_a_create_the_log_refuses_leaves_no_object_behind(self):
-        """Regression: the entry went into the table before the log was
-        asked, so a refused create left an object in memory that no
-        capability named, and its number was spent."""
-        disk = VirtualDisk(4, block_size=64)  # superblocks, log head, 1 free
-        store = DurableStore(disk, codec=DefaultCodec())
-        table = make_table(store)
-        acked = [table.create(b"a")]
-        numbers = table.numbers()
-        with pytest.raises(OutOfSpace):
-            table.create(b"z" * 100)  # needs two more blocks
-        assert len(table) == 1 and table.numbers() == numbers
-        refused = numbers[-1] + 1  # the number the refused create drew
-        acked.append(table.create(b"b"))
-        assert acked[-1].object == refused
-        store.flush()
-        _, rebooted, report = reattach(disk)
-        assert not report.suspect and rebooted.numbers() == [
-            cap.object for cap in acked]
-        assert [rebooted.lookup(cap)[0].data for cap in acked] == [b"a", b"b"]
+    # Regressions (the row changed before the log was asked), as histories.
+    test_a_create_the_log_refuses_leaves_no_object_behind = history(
+        ("fill", 0), *[("create",)] * 6, ("reboot",), ("create",))
+    test_a_refresh_the_log_refuses_revokes_nothing = history(
+        ("fill", 0), *[("refresh", -1)] * 6, ("reboot",))
+    test_a_destroy_the_log_refuses_destroys_nothing = history(
+        *[("create",)] * 6, ("fill", 0), *[("destroy", n) for n in range(8)],
+        ("reboot",), ("create",))
 
     def _full_log(self, *sizes, **options):
         """A table whose log takes objects of ``sizes`` and then nothing
@@ -273,39 +262,6 @@ class TestFramingAgainstTheReference:
         with pytest.raises(OutOfSpace):
             table.create(b"")
         return disk, store, table, caps
-
-    def test_a_refresh_the_log_refuses_revokes_nothing(self):
-        """Regression: the new secret went in before the log was asked,
-        so a refused refresh locked the owner out in memory, while a
-        reboot brought back the capability it meant to revoke."""
-        disk, store, table, (owner, *_) = self._full_log(0, 0, 0)
-        for _ in range(2):  # the refusal, and a retry
-            with pytest.raises(OutOfSpace):
-                table.refresh(owner)
-            entry, _ = table.lookup(owner)
-            assert entry.generation == 0 and entry.data == b""
-        store.flush()
-        _, rebooted, report = reattach(disk)
-        assert not report.suspect
-        assert rebooted.lookup(owner)[0].generation == 0
-
-    def test_a_destroy_the_log_refuses_destroys_nothing(self):
-        """Regression: the row was dropped and its number freed before
-        the log was asked, so a refused destroy left an object that was
-        gone in memory, live after a reboot, and a number to reissue."""
-        disk, store, table, caps = self._full_log(20, 20)
-        numbers = table.numbers()
-        for _ in range(2):  # the refusal, and a retry
-            with pytest.raises(OutOfSpace):
-                table.destroy(caps[0])
-            assert table.numbers() == numbers
-            assert table.lookup(caps[0])[0].data == b"x" * 20
-        with pytest.raises(OutOfSpace):  # and no number was freed for it
-            table.create(b"")
-        store.flush()
-        _, rebooted, report = reattach(disk)
-        assert not report.suspect and rebooted.numbers() == numbers
-        assert rebooted.lookup(caps[0])[0].data == b"x" * 20
 
     def test_a_std_destroy_the_log_refuses_releases_nothing(self):
         """Regression: ``on_destroy`` ran before the table asked the log,

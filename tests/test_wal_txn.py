@@ -18,19 +18,27 @@ These tests pin the rules that make that safe:
 16-chain store.)
 """
 
+import copy
 import random
 import struct
 import sys
 import threading
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, seed, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.core.ports import Port
 from repro.core.registry import ObjectTable
 from repro.core.rights import NO_RIGHTS
-from repro.core.schemes import scheme_by_name
+from repro.core.schemes import all_scheme_names, scheme_by_name
 from repro.crypto.randomsrc import RandomSource
 from repro.disk.diskfaults import DiskFaultPlan
 from repro.disk.virtualdisk import VirtualDisk
@@ -42,21 +50,24 @@ from repro.disk.wal import (
     _scan_chain,
 )
 from repro.errors import (
+    CapabilityError,
     InvalidCapability,
     NameExists,
     NameNotFound,
     NoSuchObject,
+    OutOfSpace,
     PowerFailure,
 )
 from repro.ipc.rpc import AsyncTrans, trans
 from repro.ipc.server import command
-from repro.ipc.stdops import STD_DESTROY, STD_REFRESH, USER_BASE
+from repro.ipc.stdops import STD_DESTROY, STD_REFRESH, STD_RESTRICT, USER_BASE
 from repro.net.message import Message
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 from repro.servers.directory import (
     DIR_CREATE,
     DIR_ENTER,
+    DIR_LIST,
     DIR_LOOKUP,
     DIR_REMOVE,
     Directory,
@@ -64,6 +75,7 @@ from repro.servers.directory import (
     DirectoryCodec,
     DirectoryServer,
 )
+from repro.testing.model import Model
 from repro.testing.world import World
 
 PORT = Port(0x0D15C0FFEE00)
@@ -845,11 +857,12 @@ class SweepWorld(World):
     transaction can be retried against the next incarnation), and a
     disk whose fault plan is armed only after set-up."""
 
-    def __init__(self):
-        super().__init__("synchronous")
+    def __init__(self, station="synchronous", scheme="xor-oneway"):
+        super().__init__(station)
         self.disk = VirtualDisk(4096, block_size=SWEEP_BLOCK)
         self.server = DirectoryServer.durable(
-            self.node(), self.disk, rng=RandomSource(seed=1)
+            self.node(), self.disk, rng=RandomSource(seed=1),
+            scheme=scheme_by_name(scheme),
         ).start()
         self.root = self.server.create_root()
         self.target = self.server.create_root()
@@ -917,6 +930,7 @@ class SweepWorld(World):
         self.incarnations += 1
         self.server = DirectoryServer(
             self.node(), get_port=self.server.get_port,
+            scheme=self.server.scheme,
             rng=RandomSource(seed=98 + self.incarnations),
             store=DurableStore(self.disk, codec=DirectoryCodec()),
             dedup=True,
@@ -941,13 +955,6 @@ class SweepWorld(World):
         assert len(scratch) <= 1
         return names, (scratch[0] if scratch else None)
 
-    def rows(self, server):
-        return sorted(
-            (number, secret, generation, dict(data.entries))
-            for number, secret, data, generation
-            in server.table.snapshot_entries()
-        )
-
     def check_capabilities(self, server, scratch=True):
         """What the client holds still validates — nothing was re-keyed
         — and what was refreshed away or destroyed stays refused."""
@@ -960,6 +967,12 @@ class SweepWorld(World):
         for capability in self.revoked:
             with pytest.raises((InvalidCapability, NoSuchObject)):
                 table.lookup(capability)
+
+
+def rows(table):
+    """``{number: (secret, generation, names)}`` of every live row."""
+    return {number: (secret, generation, dict(data.entries))
+            for number, secret, data, generation in table.snapshot_entries()}
 
 
 def _sweep_length():
@@ -1020,10 +1033,10 @@ class TestCrashPointSweep:
         world.check_capabilities(reborn, scratch=False)
 
         # A second reboot straight after the first is a fixed point.
-        rows = world.rows(reborn)
+        rows_before = rows(reborn.table)
         reborn, second = world.reboot()
         assert not second.suspect and second.commits == report.commits
-        assert world.rows(reborn) == rows
+        assert rows(reborn.table) == rows_before
         assert second.high_water == report.high_water
         if op[0] == "checkpoint":
             assert state == states[index]
@@ -1089,129 +1102,246 @@ class TestCrashPointSweep:
 
 
 # ----------------------------------------------------------------------
-# generated sequences against a plain dict
+# generated histories against the naive model
 # ----------------------------------------------------------------------
 
-NAMES = ["a", "b", "c", "d"]
+#: Short names fit where a commit record does not (ROADMAP (xiii)); the
+#: long one is refused where a commit still fits.
+NAMES = ("a", "b", "c" * 24, "d" * 160)
+#: Indexes into the capabilities held and the names a directory holds.
+HELD, NAME = st.integers(0, 2), st.integers(0, 3) | st.sampled_from(NAMES)
 
-STEPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("enter"), st.sampled_from(NAMES)),
-        st.tuples(st.just("remove"), st.sampled_from(NAMES)),
-        st.tuples(st.just("create"), st.none()),
-        st.tuples(st.just("refresh"), st.none()),
-        st.tuples(st.just("destroy"), st.none()),
-        st.tuples(st.just("checkpoint"), st.none()),
-        st.tuples(st.just("reboot"), st.none()),
-        st.tuples(st.just("power"), st.integers(0, 4)),
-    ),
-    max_size=30,
-)
+
+def view(table):
+    return {number: (generation, names)
+            for number, (_, generation, names) in rows(table).items()}
+
+
+@seed(10)  # tier-1's histories; make model-soak draws its own
+class DirectoryMachine(RuleBasedStateMachine):
+    """A durable directory server against :class:`Model`.  After every
+    step: the reply's status is the model's verdict, each held capability
+    is judged as the model says, memory is the model, and a recovery of
+    the medium is memory.  A replied ``OutOfSpace`` changed nothing; a
+    raised one is ROADMAP (xiii), a mutation that landed."""
+
+    station = "synchronous"
+
+    @initialize(scheme=st.sampled_from(all_scheme_names()))
+    def boot(self, scheme):
+        self.world = SweepWorld(self.station, scheme)
+        self.model, self.caps, self.filled = Model(scheme), [], []
+        for cap in (self.world.root, self.world.target):
+            self.model.create(cap.object)
+            self.caps.append(cap)
+
+    def held(self, index):
+        return index % len(self.caps)
+
+    def name(self, index, name):
+        names = sorted(self.model.objects[self.model.held[index][0]][1])
+        names = names or NAMES
+        return name if isinstance(name, str) else names[name % len(names)]
+
+    def transact(self, verdict, before, opcode, index=None, **fields):
+        """The reply to a request the model judged (``before``: the model
+        as it was), or None when memory decided the outcome."""
+        world = self.world
+        server, table = world.server, world.server.table
+        untouched = before.full and (rows(table), world.disk.writes)
+        request = Message(command=opcode, **fields, capability=(
+            None if index is None else self.caps[index]))
+        try:
+            reply = AsyncTrans(
+                world.client_nic, server.put_port, request,
+                reply_secret=Port.random(world.secrets),
+                expect_signature=server.signature_image,
+            ).result(timeout=2.0)
+        except PowerFailure:
+            return self.crashed(before)
+        except OutOfSpace:
+            assert before.full
+            self.resolve(None)
+            try:
+                server.store.flush()  # what the next reply would write
+            except PowerFailure:
+                self.crashed(before)
+            return None
+        if reply.status == OutOfSpace.code and before.full and not verdict:
+            assert (rows(table), world.disk.writes) == untouched
+            self.model = before
+            return None
+        assert reply.status == (verdict.code if verdict else 0)
+        return reply
+
+    def resolve(self, before):
+        """Memory says how a request without a reply ended: a new number
+        is a create, else the model as judged or (``before``) as it was."""
+        table = self.world.server.table
+        memory = view(table)
+        for number in sorted(memory.keys() - self.model.view().keys()):
+            self.model.create(number)
+        if memory != self.model.view():
+            assert before is not None and memory == before.view()
+            self.model = before
+            del self.caps[len(before.held):]
+        for number, _, rights in self.model.held[len(self.caps):]:
+            self.caps.append(table.mint_for(number, rights))
+
+    def crashed(self, before):  # the power failed in a request
+        self.reboot()
+        before.full = False
+        self.resolve(before)
+
+    def judge(self, rule, opcode, index=None, **fields):
+        """Apply ``rule`` to a copy of the model, then the request."""
+        before, self.model = self.model, copy.deepcopy(self.model)
+        reply = self.transact(rule(self.model), before, opcode, index,
+                              **fields)
+        if reply is not None and reply.capability is not None:
+            self.caps.append(reply.capability)
+
+    @rule()
+    def create(self):
+        reply = self.transact(None, self.model, DIR_CREATE)
+        if reply is not None:
+            self.model.create(reply.capability.object)
+            self.caps.append(reply.capability)
+
+    @rule(index=HELD, keep=st.sampled_from((0x01, 0x02, 0x03, 0x80, 0xFF)))
+    def restrict(self, index, keep):
+        index = self.held(index)
+        self.judge(lambda model: model.restrict(index, keep), STD_RESTRICT,
+                   index, size=keep)
+
+    @rule(index=HELD)
+    def refresh(self, index):
+        index = self.held(index)
+        self.judge(lambda model: model.refresh(index), STD_REFRESH, index)
+
+    @rule(index=HELD)
+    def destroy(self, index):
+        index = self.held(index)
+        self.judge(lambda model: model.destroy(index), STD_DESTROY, index)
+
+    @rule(index=HELD, name=st.sampled_from(NAMES), stored=HELD,
+          overwrite=st.booleans())
+    def enter(self, index, name, stored, overwrite=False):
+        index, stored = self.held(index), self.caps[self.held(stored)]
+        self.judge(lambda model: model.enter(index, name, stored, overwrite),
+                   DIR_ENTER, index, data=name.encode(),
+                   extra_caps=(stored,), size=int(overwrite))
+
+    @rule(index=HELD, name=NAME)
+    def remove(self, index, name):
+        index = self.held(index)
+        name = self.name(index, name)
+        self.judge(lambda model: model.remove(index, name), DIR_REMOVE,
+                   index, data=name.encode())
+
+    @rule(index=HELD, name=NAME)
+    def lookup(self, index, name):
+        index = self.held(index)
+        name = self.name(index, name)
+        verdict, stored = self.model.lookup(index, name)
+        reply = self.transact(verdict, self.model, DIR_LOOKUP, index,
+                              data=name.encode())
+        assert reply.capability == stored
+
+    @rule(index=HELD)
+    def listing(self, index):
+        index = self.held(index)
+        verdict, names = self.model.listing(index)
+        reply = self.transact(verdict, self.model, DIR_LIST, index)
+        assert verdict or reply.data.decode().split("\n") == (names or [""])
+
+    @rule()
+    def checkpoint(self):
+        try:
+            self.world.server.checkpoint()
+        except OutOfSpace:
+            assert self.model.full
+        except PowerFailure:
+            self.reboot()
+
+    @rule(writes=st.integers(0, 4))
+    def power_cut(self, writes):
+        """The power fails ``writes`` block writes from now."""
+        self.world.disk.faults = DiskFaultPlan(power_fail_after=writes)
+
+    @rule()
+    def reboot(self):
+        """A new incarnation on the disk; its reclaimer frees the blocks
+        filled (allocated, linked into nothing)."""
+        _, report = self.world.reboot()
+        assert not report.suspect and not report.secrets_regenerated
+        assert not self.world.disk.allocated_blocks() & set(self.filled)
+        self.filled, self.model.full = [], False
+
+    @rule(free=st.integers(0, 2))
+    def fill(self, free):
+        """The disk's own allocator takes all but ``free`` blocks."""
+        disk = self.world.disk
+        while disk.n_blocks - disk.used_blocks > free:
+            self.filled.append(disk.allocate())
+        self.model.full = True
+
+    @rule()
+    def drain(self):
+        for block in self.filled:
+            self.world.disk.free(block)
+        self.filled, self.model.full = [], False
+
+    @invariant()
+    def agrees(self):
+        table = self.world.server.table
+        assert view(table) == self.model.view()
+        for index, cap in enumerate(self.caps):
+            verdict, _ = self.model.refusal(index, 0)
+            try:
+                _, rights = table.lookup(cap)
+            except CapabilityError as refused:
+                assert type(refused) is verdict
+            else:
+                assert not verdict and rights == self.model.held[index][2]
+        recovered, report = recover_directories(self.world.disk)
+        assert not report.suspect and rows(recovered) == rows(table)
+
+
+class DesDirectoryMachine(DirectoryMachine):
+    station = "des"
+
+
+#: Tier-1's profile, bounded and repeatable (the machines' seed); a
+#: failure prints the ``@reproduce_failure`` line that replays it.
+CI = settings(max_examples=60, stateful_step_count=25, deadline=None,
+              database=None, print_blob=True,
+              suppress_health_check=[HealthCheck.too_slow])
+#: ``make model-soak``: the same machines, far longer and unseeded.
+SOAK = settings(CI, max_examples=2000, stateful_step_count=60)
+
+
+def history(*steps, scheme="xor-oneway"):
+    """A test running ``steps``, each ``(rule, *arguments)``, through the
+    machine with its checks after each: a hand-written scenario's name."""
+
+    def test(self):
+        machine = DirectoryMachine()
+        machine.boot(scheme)
+        for name, *arguments in steps:
+            getattr(machine, name)(*arguments)
+            machine.agrees()
+
+    return test
 
 
 class TestGeneratedSequences:
-    @settings(
-        max_examples=60, deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(STEPS)
-    def test_directory_matches_a_dict_across_crashes(self, steps):
-        """The model: the root's names as a dict, and at most one
-        scratch directory as ``(number, generation)`` — created,
-        refreshed, destroyed and re-created like the sweep's."""
-        world = SweepWorld()
-        names, scratch = {}, None
-        last_generation = {}  # number -> the highest its rows ever had
+    def test_directory_matches_a_dict_across_crashes(self):
+        """The model's dicts, on both stations."""
+        for machine in (DirectoryMachine, DesDirectoryMachine):
+            run_state_machine_as_test(machine, settings=CI)
 
-        client_seeds = iter(range(100, 200))
 
-        def client_for(server):
-            # A fresh seed each time: reusing one would reissue old
-            # reply ports, which the (durable) reply cache answers.
-            return DirectoryClient(
-                world.client_nic, server.put_port,
-                rng=RandomSource(seed=next(client_seeds)),
-                expect_signature=server.signature_image,
-            )
-
-        def reboot():
-            # No power cut leaves a torn tail, so nothing is ever
-            # re-keyed: the capabilities in hand stay good.
-            server, report = world.reboot()
-            assert not report.suspect and not report.secrets_regenerated
-            return client_for(server)
-
-        def matches(state, expected):
-            return state == expected or (
-                # A create lands on whatever number the table picks.
-                expected[1] == "new" and state[0] == expected[0]
-                and state[1] is not None
-            )
-
-        client = client_for(world.server)
-        for kind, arg in steps:
-            if kind == "power":
-                # Power fails ``arg`` writes from now; whatever was in
-                # flight then may or may not have landed.
-                world.disk.faults = DiskFaultPlan(power_fail_after=arg)
-                continue
-            if kind in ("refresh", "destroy") and scratch is None:
-                continue
-            if kind == "create" and scratch is not None:
-                continue
-            before, after = (names, scratch), (dict(names), scratch)
-            acked = True
-            try:
-                if kind == "enter":
-                    after[0][arg] = True
-                    client.enter(world.root, arg, world.target,
-                                 overwrite=True)
-                elif kind == "remove":
-                    if after[0].pop(arg, None):
-                        client.remove(world.root, arg)
-                    else:
-                        with pytest.raises(NameNotFound):
-                            client.remove(world.root, arg)
-                elif kind == "create":
-                    after = (names, "new")
-                    world.settle((kind,), client.call(DIR_CREATE))
-                elif kind == "refresh":
-                    after = (names, (scratch[0], scratch[1] + 1))
-                    world.settle((kind,), client.call(
-                        STD_REFRESH, capability=world.scratch))
-                elif kind == "destroy":
-                    after = (names, None)
-                    world.settle((kind,), client.call(
-                        STD_DESTROY, capability=world.scratch))
-                elif kind == "checkpoint":
-                    world.server.checkpoint()
-                else:
-                    client = reboot()
-            except PowerFailure:
-                acked = False
-                client = reboot()
-            state = world.recovered_state(world.server)
-            assert matches(state, after) or (
-                not acked and matches(state, before)
-            )
-            if state[1] != scratch:
-                if not acked:
-                    # It landed but its reply never arrived: re-obtain
-                    # what the reply carried.
-                    if world.scratch is not None:
-                        world.revoked.append(world.scratch)
-                    world.scratch = state[1] and (
-                        world.server.table.mint_for(state[1][0])
-                    )
-                if state[1] is not None:
-                    # The guard that keeps a dead object's revocation
-                    # off a new one, reboots or not: a number's rows
-                    # only ever rise in generation.
-                    number, generation = state[1]
-                    assert generation > last_generation.get(number, -1)
-                    last_generation[number] = generation
-            names, scratch = state
-            world.check_capabilities(world.server)
-        client = reboot()
-        assert sorted(client.list(world.root)) == sorted(names)
-        world.check_capabilities(world.server)
+if __name__ == "__main__":
+    for machine in (DirectoryMachine, DesDirectoryMachine):
+        run_state_machine_as_test(lambda: machine(), settings=SOAK)
