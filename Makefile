@@ -32,9 +32,9 @@ model-soak:
 ## src/repro/testing/, 18610 lines before the shared World — to
 ## TEST_LOC_MAX.
 WIRE_LOC_MAX := 5638
-SRC_LOC_MAX := 13138
-BENCH_LOC_MAX := 2292
-TEST_LOC_MAX := 19101
+SRC_LOC_MAX := 13136
+BENCH_LOC_MAX := 2315
+TEST_LOC_MAX := 19094
 loc:
 	@for package in src/repro/*/; do \
 		case $$package in *__pycache__/) continue;; esac; \

@@ -18,8 +18,10 @@ Arms (keys in ``BENCH_invariants.json``)
     frame loss *and* seeded disk faults: a durable directory server
     loses power mid-snapshot, is respawned on the same disk, and the
     client fleet's retried non-idempotent writes land effectively once
-    — zero double-executions, the rebooted table what the naive model
-    (:mod:`repro.testing.model`) says, deterministic by double run.
+    — zero double-executions, deterministic by double run.  Then the
+    rebooted server narrows, removes, revokes and destroys, and the
+    naive model (:mod:`repro.testing.model`) judges every reply and the
+    table left.
 """
 
 from repro.core.ports import Port
@@ -29,16 +31,16 @@ from repro.crypto.randomsrc import RandomSource
 from repro.disk.diskfaults import DiskFaultPlan
 from repro.disk.virtualdisk import VirtualDisk
 from repro.disk.wal import DefaultCodec, DurableStore
-from repro.errors import PowerFailure
+from repro.errors import AmoebaError, PowerFailure
 from repro.ipc.rpc import RetryPolicy
 from repro.net.faults import FaultPlan
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 from repro.net.sched import LatencyModel, VirtualClock
 from repro.servers.directory import (
-    DirectoryClient, DirectoryCodec, DirectoryServer,
+    R_LOOKUP, DirectoryClient, DirectoryCodec, DirectoryServer,
 )
-from repro.testing.model import Model
+from repro.testing.model import LOOKUP, Model
 
 from bench_des import PAPER_RTT_MS
 
@@ -103,7 +105,7 @@ def _kill_reboot_run(n_pre, n_post, seed):
         expect_signature=server.signature_image,
         timeout=5.0, retry=RetryPolicy(attempts=10, rto=0.01, seed=seed),
     )
-    # The naive model states what the rebooted table must hold.
+    # The naive model: what the server must answer.
     model = Model("xor-oneway")
     model.create(root.object)
 
@@ -111,9 +113,9 @@ def _kill_reboot_run(n_pre, n_post, seed):
         cap = client.create_directory(root, name)
         model.create(cap.object)
         model.enter(0, name, cap)
+        return cap
 
-    for i in range(n_pre):
-        create("pre-%04d" % i)
+    first = [create("pre-%04d" % i) for i in range(n_pre)][0]
 
     # Power fails mid-snapshot: a half-written snapshot chain is left
     # on the disk, linked into nothing.
@@ -143,10 +145,7 @@ def _kill_reboot_run(n_pre, n_post, seed):
         create("post-%04d" % i)
     listing = client.list(root)
     double_executions = len(listing) - len(set(listing))
-    agrees = model.view() == {
-        number: (generation, dict(data.entries))
-        for number, _, data, generation in respawn.table.snapshot_entries()}
-    return agrees, {
+    counts = {
         "seed": seed,
         "pre_crash_creates": n_pre,
         "post_crash_creates": n_post,
@@ -160,6 +159,30 @@ def _kill_reboot_run(n_pre, n_post, seed):
         "virtual_seconds": round(net.clock.now, 9),
         "faults": plan.stats(),
     }
+
+    # After the counts, every reply as the model judges it.
+    reader, name = client.restrict(root, R_LOOKUP), "pre-0000"
+    agreed = [model.restrict(0, LOOKUP) is None,
+              model.listing(0) == (None, listing)]
+    narrowed = len(model.held) - 1
+    for verdict, call, *args in (
+            (model.remove(narrowed, name), client.remove, reader, name),
+            (model.remove(0, name), client.remove, root, name),
+            (model.lookup(narrowed, name)[0], client.lookup, reader, name),
+            (model.refresh(0), client.refresh, root),
+            (model.listing(narrowed)[0], client.list, reader),
+            (model.destroy(1), client.destroy, first),
+            (model.lookup(1, name)[0], client.lookup, first, name)):
+        try:
+            call(*args)
+        except AmoebaError as refused:
+            agreed.append(type(refused) is verdict)
+        else:
+            agreed.append(verdict is None)
+    agrees = all(agreed) and model.view() == {
+        number: (generation, dict(data.entries))
+        for number, _, data, generation in respawn.table.snapshot_entries()}
+    return agrees, counts
 
 
 def recovery_kill_reboot(n_pre=60, n_post=60, seed=43):

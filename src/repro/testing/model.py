@@ -11,8 +11,7 @@ A held capability is ``(number, generation at mint, rights)``; it
 validates iff its object is alive at that generation, and admits an
 operation iff its rights cover the operation's needs (§2.2-2.3).
 Rights only narrow; under ``simple`` a capability has them all and
-cannot be narrowed.  While ``full`` (the disk) is set, a mutation the
-model accepts may instead be refused whole with ``OutOfSpace``.
+cannot be narrowed.
 
 An operation returns its verdict, the error class the server must reply
 with or None, and changes the state only on None.  Its docstring names
@@ -45,7 +44,6 @@ class Model:
     objects: dict = field(default_factory=dict)
     #: (number, generation at mint, rights), in the order minted.
     held: list = field(default_factory=list)
-    full: bool = False
 
     def refusal(self, index, needs):
         """``(verdict, row)`` for capability ``index`` on an operation

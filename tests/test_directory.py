@@ -147,8 +147,8 @@ class TestLogRefusal:
 
     test_a_refused_enter_is_nowhere = history(
         ("fill", 0), *[("enter", 0, "d" * 160, 1, True)] * 4,
-        ("lookup", 0, "d" * 160), ("reboot",))
+        ("lookup", 0, "d" * 160), ("reboot",), refused=True)
     test_a_refused_remove_is_nowhere = history(
         *[("enter", 0, name, 1) for name in ("a", "b", "c" * 24)],
         ("fill", 0), *[("remove", 0, name) for name in ("a", "b", "c" * 24)],
-        ("lookup", 0, "c" * 24), ("reboot",))
+        ("lookup", 0, "c" * 24), ("reboot",), refused=True)

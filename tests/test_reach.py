@@ -70,7 +70,6 @@ UNREACHED = _unreached(
     ("crypto/oneway.py", COMPAT, "OneWayFunction.apply_bytes"),
     ("crypto/oneway.py", TEST_API, "OneWayFunction.__repr__"),
     ("disk/diskfaults.py", TEST_API, "DiskFaultPlan.stats"),
-    ("disk/wal.py", COMPAT, "DurableStore.log_destroy"),
     ("disk/wal.py", ERROR_PATH, "ChainLog.repair_tail"),
     ("disk/wal.py", TEST_API, "DefaultCodec.apply_delta"),
     ("ipc/client.py", TEST_API, "ServiceClient.info ServiceClient.touch"),
@@ -86,7 +85,7 @@ UNREACHED = _unreached(
     ("ipc/server.py", TEST_API,
      "ObjectServer._authenticate_sender ObjectServer._std_info "
      "ObjectServer._unseal_request ObjectServer.authorize_client "
-     "ObjectServer.describe ObjectServer.on_destroy"),
+     "ObjectServer.describe"),
     ("kernel/machine.py", TEST_API, "Machine.announce"),
     ("kernel/memory.py", TEST_API,
      "MemoryClient.process_info MemoryClient.read MemoryClient.segment_size "
@@ -139,14 +138,8 @@ UNREACHED = _unreached(
     ("softprot/matrix.py", TEST_API,
      "CapabilitySealer.invalidate_object CapabilitySealer.seal_message "
      "CapabilitySealer.unseal_message KeyMatrix.set_key MachineKeyView.key"),
-    # The generated histories of tests/test_wal_txn.py run these; no
-    # arm does until the claim rows reproduce their counts through the
-    # model (ROADMAP 1(a)'s next instalment).
-    ("testing/model.py", TEST_API,
-     "Model.destroy Model.listing Model.lookup Model.refresh Model.remove "
-     "Model.restrict"),
 )
-UNREACHED_MAX = 119
+UNREACHED_MAX = 111
 
 
 # -- the universe ---------------------------------------------------------
