@@ -27,12 +27,18 @@ one-way-function evaluation.  The memo can never outlive the secret it
 was computed from: :meth:`refresh` clears it under the same hold that
 replaces the secret, and :meth:`destroy`/:meth:`age` drop the entry
 (memo and all) outright.
+
+A mutation decided elsewhere (a peer's refresh or destroy, a row
+mirrored into a pool member) is a :mod:`repro.core.record` record that
+:meth:`ObjectTable.apply` installs.  Reboot recovery replays the log
+through the same :func:`admits` and :func:`mutate` on a plain dict.
 """
 
 import threading
 from dataclasses import dataclass, field
 
 from repro.core.capability import OBJECT_BITS, Capability
+from repro.core.record import DELTA, DESTROY, ENTRY, REFRESH, UPDATE
 from repro.core.rights import ALL_RIGHTS, NO_RIGHTS, Rights
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import OutOfSpace, Verdict, refuse
@@ -62,6 +68,40 @@ class ObjectEntry:
     #: secret (§2.4 server-side capability cache).  Mutated only under the
     #: table lock; cleared whenever the secret is replaced.
     verified: dict = field(default_factory=dict, repr=False)
+
+
+def admits(record, entry):
+    """The one generation guard, for a peer's record and a replayed one:
+    is ``record`` news where its number's row is ``entry`` (or None)?  An
+    entry installs only over an absent or older row, a refresh only a
+    newer generation, a destroy never removes a newer row; so duplicates,
+    late copies and a recycled number's old records change nothing."""
+    if record.op == ENTRY:
+        return entry is None or entry.generation < record.generation
+    if entry is None:
+        return False
+    if record.op == REFRESH:
+        return entry.generation < record.generation
+    return record.op != DESTROY or entry.generation <= record.generation
+
+
+def mutate(entries, record, codec=None):
+    """Make an admitted ``record``'s change to ``entries`` (a table's or
+    recovery's); returns the row it touched.  ``codec`` applies deltas."""
+    op, number = record.op, record.number
+    if op == ENTRY:
+        entries[number] = ObjectEntry(
+            number, record.secret, record.data, record.generation,
+            lifetime=record.lifetime)
+    entry = entries.pop(number) if op == DESTROY else entries[number]
+    if op == REFRESH:
+        entry.secret, entry.generation = record.secret, record.generation
+        entry.verified.clear()
+    elif op == UPDATE:
+        entry.data = record.data
+    elif op == DELTA:
+        entry.data = codec.apply_delta(entry.data, record.data)
+    return entry
 
 
 class ObjectTable:
@@ -114,9 +154,9 @@ class ObjectTable:
         self._entries = {}
         #: One past the highest object number ever issued.  Fresh numbers
         #: come from here and it only ever rises — a checkpoint records
-        #: it and recovery restores it (:meth:`raise_high_water`), so a
-        #: reboot can never hand out, at generation 0, a number some dead
-        #: object once carried at a higher one.
+        #: it and recovery restores it, so a reboot can never hand out,
+        #: at generation 0, a number some dead object once carried at a
+        #: higher one.
         self.high_water = 0
         # (number, next generation): a recycled number resumes *above*
         # its last incarnation's generation, so a revocation still in
@@ -124,11 +164,7 @@ class ObjectTable:
         # Volatile: the numbers freed before a reboot are not reissued
         # after it (a leak of number space, never a reuse).
         self._free = []
-        # Callbacks fired after a secret dies (refresh/destroy/age) with
-        # (port, object number, generation) — e.g. a sealer purging its
-        # §2.4 capability caches so a revoked capability's sealed form
-        # cannot be served from cache.  Fired outside the table lock.
-        self._revocation_listeners = []
+        self._revocation_listeners = []  # see on_revocation
 
     def __len__(self):
         return len(self._entries)
@@ -166,19 +202,17 @@ class ObjectTable:
         with self._lock:
             number, generation = self._allocate()
             secret = self.scheme.new_secret(self._rng)
-            entry = self._entries[number] = ObjectEntry(
-                number, secret, data, generation,
-                lifetime=self.default_lifetime,
-            )
-            if self._wal is not None:
+            entry = ObjectEntry(number, secret, data, generation,
+                                lifetime=self.default_lifetime)
+            if self._wal is not None:  # logged first, then made
                 try:
                     self._wal.log_create(entry)
                 except OutOfSpace:
-                    # The log refused the record whole and no capability
-                    # names the object: undo the insert, reissue the number.
-                    del self._entries[number]
+                    # Refused whole, and no capability names the object:
+                    # the number is reissued.
                     self._free.append((number, generation))
                     raise
+            self._entries[number] = entry
         return self._capability(
             number, self.scheme.mint(secret, Rights(rights))
         )
@@ -326,7 +360,7 @@ class ObjectTable:
         """Log a row's removal, then drop it and free its number (caller
         holds the lock); a record the log refuses changes nothing."""
         if self._wal is not None:
-            self._wal.log_destroy(entry.number)
+            self._wal.log_destroy(entry.number, entry.generation)
         del self._entries[entry.number]
         self._free.append((entry.number, entry.generation + 1))
 
@@ -338,51 +372,27 @@ class ObjectTable:
         self._notify_revocation(entry.number, entry.generation)
         return entry.data
 
-    def apply_refresh(self, number, secret, generation):
-        """Install a revocation decided by a *peer replica*.
-
-        The replica control plane is at-least-once: a fan-out
-        CTL_APPLY record may arrive twice (retransmission) or late
-        (after a newer local refresh).  The generation guard makes both
-        safe — a secret is installed only if it is strictly newer than
-        the live row's, so duplicates and stale deliveries are no-ops.
-        Returns True when the secret was installed; an absent object is
-        also a no-op (a racing destroy won), returning False.
-
-        Like :meth:`refresh`, the verified memo is cleared under the same
-        hold that swaps the secret, and the revocation listeners (the
-        §2.4 cache purge) fire after the lock is released.
-        """
+    def apply(self, record):
+        """Install a peer replica's refresh or destroy, or a row the pool
+        mirrors into this member, if :func:`admits` says it is news (the
+        control plane is at-least-once); returns whether it did.  The
+        peer validated the capability and its message is signed.  Logged
+        first, then made; listeners fire after the lock.  An installed
+        row's number leaves the free list: no create may overwrite it."""
+        op, number = record.op, record.number
         with self._lock:
-            entry = self._entries.get(number)
-            if entry is None or generation <= entry.generation:
+            if not admits(record, self._entries.get(number)):
                 return False
-            if self._wal is not None:
-                self._wal.log_refresh(number, secret, generation)
-            entry.secret = secret
-            entry.generation = generation
-            entry.verified.clear()
-        self._notify_revocation(number, generation)
-        return True
-
-    def apply_destroy(self, number, generation):
-        """Remove an object destroyed by a peer replica (idempotent).
-
-        No capability validation: the peer already validated the owner
-        capability before fanning out, and the control message itself is
-        signature-authenticated at the server layer.  ``generation`` is
-        the row's at the peer when it died: a row *newer* than that is a
-        later refresh or — the number having been recycled — another
-        object altogether, and is left alone.  A duplicate or a destroy
-        for an object this replica never had is a no-op.
-        Returns True when a row was removed.
-        """
-        with self._lock:
-            entry = self._entries.get(number)
-            if entry is None or entry.generation > generation:
-                return False
-            self._remove(entry)
-        self._notify_revocation(number, entry.generation)
+            if self._wal is not None:  # a refused record changes nothing
+                self._wal.log(record)
+            entry = mutate(self._entries, record)
+            if op == DESTROY:  # above refreshes this row never saw
+                self._free.append((number, record.generation + 1))
+            elif op == ENTRY:
+                self.high_water = max(self.high_water, number + 1)
+                self._free = [f for f in self._free if f[0] != number]
+        if op != ENTRY:
+            self._notify_revocation(number, entry.generation)
         return True
 
     def age(self, on_expire=None):
@@ -482,28 +492,6 @@ class ObjectTable:
             return
         with self._lock:
             self._wal.log_commit(src, reply_value, reply_raw)
-
-    def restore_entry(self, entry):
-        """Install a recovered row, bypassing the WAL (recovery must not
-        re-log what it replays).  The high-water mark is raised past the
-        recovered number so later creates cannot collide with it, and a
-        number this table had freed (a peer's destroy applied here, the
-        recycled number then mirrored back) comes off the free list, so
-        a later local create cannot pop it and overwrite the row."""
-        number = entry.number
-        with self._lock:
-            self._entries[number] = entry
-            self.raise_high_water(number + 1)
-            self._free[:] = [
-                freed for freed in self._free if freed[0] != number
-            ]
-
-    def raise_high_water(self, mark):
-        """Never issue a number below ``mark`` as fresh (recovery hands
-        in what the dead incarnation's checkpoint and log recorded)."""
-        with self._lock:
-            if self.high_water < mark:
-                self.high_water = mark
 
     def snapshot_entries(self):
         """A consistent copy of every live row, as ``(number, secret,

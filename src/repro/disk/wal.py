@@ -24,11 +24,14 @@ On-disk layout (over a :class:`~repro.disk.virtualdisk.VirtualDisk`):
   payload.  Records span block boundaries, so block size never bounds
   record size.
 * **Records** — ``[1B magic 0xA5][4B length][4B crc32]`` + payload.
-  The CRC is what detects a *torn* tail; a whole lost block at the tail
-  is deliberately undetectable (the log is shorter but clean) and
-  recovery then yields a consistent-but-older state — clients holding
-  capabilities for the lost objects get ``NoSuchObject`` and re-create
-  through the retry + re-locate path.
+  A payload is a table-mutation record in :mod:`repro.core.record`'s
+  one byte form (the bytes a replica ships its peers) or a commit
+  record (``OP_COMMIT``, server dedup state).  The CRC is what detects
+  a *torn* tail; a whole lost block at the tail is deliberately
+  undetectable (the log is shorter but clean) and recovery then yields
+  a consistent-but-older state — clients holding capabilities for the
+  lost objects get ``NoSuchObject`` and re-create through the retry +
+  re-locate path.
 
 Flush rule: a record always enters the log's tail block under the table
 lock, and that block is written before the append returns — except
@@ -45,10 +48,12 @@ first and the old tail — whose forward pointer is what makes them
 reachable — *last* (:meth:`ChainLog._flush_tail`), so a power failure
 leaves the whole group on the medium or none of it, never a torn tail.
 A mutation costs what it changed: a server that can describe its change
-logs a small ``OP_DELTA`` record instead of the whole row image.
+logs a small delta record instead of the whole row image.
 
 Recovery (:meth:`DurableStore.recover`, driven by
-``ObjectServer.reboot()``) replays snapshot + log.  A *suspect* medium
+``ObjectServer.reboot()``) replays snapshot + log through the table's
+own generation guard (:func:`~repro.core.registry.admits`), on a plain
+dict, and installs the rows without logging them.  A *suspect* medium
 (bad magic, bad CRC, truncated record, broken chain — what a torn
 sector leaves, never a plain power failure) keeps its parsed prefix but
 has every secret regenerated and every generation bumped — exactly the
@@ -64,11 +69,12 @@ import struct
 import threading
 import zlib
 
-from repro.core.registry import ObjectEntry
+from repro.core.record import DELTA, DESTROY, ENTRY, HEAD, REFRESH, UPDATE
+from repro.core.record import Record, image, pack, unpack
+from repro.core.registry import admits, mutate
 from repro.crypto.randomsrc import RandomSource
 from repro.disk.virtualdisk import VirtualDisk
 from repro.errors import DiskFault, MalformedCapability, OutOfSpace
-from repro.util.record import Reader, pack_secret, unpack_secret
 
 __all__ = ["DurableStore", "ChainLog", "RecoveryReport", "DefaultCodec"]
 
@@ -87,23 +93,17 @@ _RECORD_MAGIC = 0xA5
 
 _SB_SLOTS = (0, 1)
 _SB_MAGIC = b"AWAL"
-_SB_VERSION = 2  # 1 had a record per stripe and no high-water mark
+# 1 had a record per stripe and no high-water mark; 2 had destroy
+# records without a generation.
+_SB_VERSION = 3
 # magic, version, chain count (always 1), epoch, crc; then snapshot
 # head, log head, replay offset, high-water mark.
 _SB = struct.Struct(">4sBBQIIIII")
 
-# Record operation tags.
-OP_ENTRY = 1  # full row image: create *and* snapshot records
-OP_REFRESH = 2
-OP_DESTROY = 3
-OP_UPDATE = 4  # re-logged row payload (a durable server mutated data)
-OP_COMMIT = 5  # completed transaction: (src, reply port, packed reply)
-OP_DELTA = 6  # a change to a row payload, in the codec's delta form
-
-# Payload heads.  Row records open ``[1B op][3B object number]`` (one
-# big-endian word); a commit's 48-bit reply port packs as 16 + 32 bits.
-_ROW_HEAD = struct.Struct(">I")
-_UPDATE_HEAD = struct.Struct(">II")  # op | number, data length
+# The one record that is not a table mutation (those are
+# repro.core.record's): a completed transaction, (src, reply port,
+# packed reply), whose 48-bit reply port packs as 16 + 32 bits.
+OP_COMMIT = 5
 _COMMIT_HEAD = struct.Struct(">BQHII")  # op, src, reply port, reply length
 
 
@@ -482,6 +482,7 @@ class DurableStore:
         self._thread = _ThreadState()
         self.snapshots_taken = 0
         self.blocks_reclaimed = 0
+        self.commits_refused = 0
         self._pending = None
         if any(self.disk.is_written(slot) for slot in _SB_SLOTS):
             self._attach()
@@ -583,26 +584,6 @@ class DurableStore:
         )
 
     # ------------------------------------------------------------------
-    # record payloads
-    # ------------------------------------------------------------------
-
-    def _entry_payload(self, entry):
-        data_raw = self.codec.encode(entry.data)
-        parts = [
-            bytes([OP_ENTRY]),
-            entry.number.to_bytes(3, "big"),
-            entry.generation.to_bytes(4, "big"),
-        ]
-        if entry.lifetime is None:
-            parts.append(b"\xff")
-        else:
-            parts.append(b"\x01" + int(entry.lifetime).to_bytes(4, "big"))
-        parts.append(pack_secret(entry.secret))
-        parts.append(len(data_raw).to_bytes(4, "big"))
-        parts.append(data_raw)
-        return b"".join(parts)
-
-    # ------------------------------------------------------------------
     # logging (callers hold the table lock)
     # ------------------------------------------------------------------
 
@@ -616,46 +597,49 @@ class DurableStore:
         if open_dispatches:
             open_dispatches[-1] = True
 
+    def log(self, record):
+        """Append one table-mutation record (:mod:`repro.core.record`)."""
+        self._append(pack(record, self.codec))
+
     def log_create(self, entry):
-        self._append(self._entry_payload(entry))
+        self.log(image(entry))
 
     def log_update(self, number, data, delta=None):
         """Log a row's new payload: the full image, or — when the caller
         can describe the change in the codec's delta form — just the
-        ``delta`` bytes (``[1B OP_DELTA][3B number]`` + delta, replayed
-        through ``codec.apply_delta``)."""
-        if delta is not None:
-            record = _ROW_HEAD.pack(OP_DELTA << 24 | number) + delta
-        else:
-            data_raw = self.codec.encode(data)
-            record = (
-                _UPDATE_HEAD.pack(OP_UPDATE << 24 | number, len(data_raw))
-                + data_raw
-            )
-        self._append(record)
+        ``delta`` bytes, replayed through ``codec.apply_delta``."""
+        if delta is None:
+            self.log(Record(UPDATE, number, data=data))
+        else:  # a delta record, framed here: the durable ENTER's path
+            self._append(HEAD.pack(DELTA << 24 | number) + delta)
 
     def log_refresh(self, number, secret, generation):
-        self._append(
-            bytes([OP_REFRESH])
-            + number.to_bytes(3, "big")
-            + generation.to_bytes(4, "big")
-            + pack_secret(secret)
-        )
+        self.log(Record(REFRESH, number, generation, secret))
 
-    def log_destroy(self, number):
-        self._append(_ROW_HEAD.pack(OP_DESTROY << 24 | number))
+    def log_destroy(self, number, generation):
+        self.log(Record(DESTROY, number, generation))
 
     def log_commit(self, src, reply_value, reply_raw):
         """Log a transaction's commit record and end its deferral: the
         commit joins whatever the log holds unflushed — the mutations it
         vouches for, appended before it — and all of it is written now,
-        in the one block write they share."""
-        self._log.append(
-            _COMMIT_HEAD.pack(
-                OP_COMMIT, src, reply_value >> 32, reply_value & 0xFFFFFFFF,
-                len(reply_raw),
-            ) + reply_raw
-        )
+        in the one block write they share.
+
+        A commit the log refuses (``OutOfSpace``: it was refused whole,
+        before it touched the tail) costs the transaction only its
+        dedup across a reboot.  The mutations are written all the same
+        and the reply goes out and is cached; the refusal is counted in
+        ``commits_refused``."""
+        try:
+            self._log.append(
+                _COMMIT_HEAD.pack(
+                    OP_COMMIT, src, reply_value >> 32,
+                    reply_value & 0xFFFFFFFF, len(reply_raw),
+                ) + reply_raw
+            )
+        except OutOfSpace:
+            self.commits_refused += 1
+            self._log.flush()
 
     # ------------------------------------------------------------------
     # the dispatch scope (ObjectServer brackets each handler with it)
@@ -705,7 +689,7 @@ class DurableStore:
                 "recover() first"
             )
         def grab(entries):
-            payloads = [self._entry_payload(e) for e in entries.values()]
+            payloads = [pack(image(e), self.codec) for e in entries.values()]
             return payloads, table.high_water, self._log.tail_position()
 
         with self._lock:
@@ -713,8 +697,13 @@ class DurableStore:
             new_head = NO_BLOCK
             if payloads:
                 snap = ChainLog(self.disk)
-                for payload in payloads:
-                    snap.append(payload)
+                try:
+                    for payload in payloads:
+                        snap.append(payload)
+                except OutOfSpace:
+                    # Refused by a full disk: give back the blocks taken.
+                    _free_chain(self.disk, snap.head)
+                    raise
                 new_head = snap.head
             old_snap, self._snapshot = self._snapshot, new_head
             self._position = position
@@ -759,8 +748,27 @@ class DurableStore:
         report.high_water = self._high_water
         entries = {}
         for payload in records:
-            if not self._apply_record(payload, entries, report):
+            try:
+                if payload[0] == OP_COMMIT:
+                    _, src, high, low, size = _COMMIT_HEAD.unpack_from(payload)
+                    reply = payload[_COMMIT_HEAD.size:]
+                    if len(reply) != size:
+                        raise ValueError("commit record length mismatch")
+                    report.commits[(src, high << 32 | low)] = reply
+                else:
+                    record = unpack(payload, self.codec)
+                    if record.op == ENTRY:
+                        report.high_water = max(report.high_water,
+                                                record.number + 1)
+                    if admits(record, entries.get(record.number)):
+                        mutate(entries, record, self.codec)
+            except (ValueError, TypeError, OverflowError, IndexError,
+                    struct.error, MalformedCapability):
+                # CRC-clean yet undecodable, or a delta its codec cannot
+                # apply: tampering or a codec mismatch, so re-key.
                 suspect = True
+                continue
+            report.records_replayed += 1
         if suspect:
             report.suspect = True
             report.commits.clear()
@@ -769,81 +777,13 @@ class DurableStore:
                 entry.secret = table.scheme.new_secret(rng)
                 entry.generation += 1
                 report.secrets_regenerated += 1
-        for entry in entries.values():
-            table.restore_entry(entry)
-        table.raise_high_water(report.high_water)
+        table.locked(lambda rows: rows.update(entries))  # logs nothing
+        table.high_water = max(table.high_water, report.high_water)
         if suspect:
             self.snapshot(table)
             self._log.repair_tail()
         report.entries_restored = len(entries)
         return report
-
-    def _apply_record(self, payload, entries, report):
-        """Apply one parsed record; False marks the medium suspect (a
-        CRC-clean record that still fails to decode — or a delta its
-        codec cannot apply — means tampering or a codec mismatch;
-        either way, re-key the table)."""
-        try:
-            reader = Reader(payload)
-            op = reader.u8()
-            if op == OP_ENTRY:
-                number = reader.uint(3)
-                generation = reader.uint(4)
-                lifetime_tag = reader.u8()
-                lifetime = None
-                if lifetime_tag == 0x01:
-                    lifetime = reader.uint(4)
-                elif lifetime_tag != 0xFF:
-                    raise ValueError("bad lifetime tag")
-                secret = unpack_secret(reader)
-                data = self.codec.decode(bytes(reader.take(reader.uint(4))))
-                entries[number] = ObjectEntry(
-                    number=number,
-                    secret=secret,
-                    data=data,
-                    generation=generation,
-                    lifetime=lifetime,
-                )
-                report.high_water = max(report.high_water, number + 1)
-            elif op == OP_REFRESH:
-                number = reader.uint(3)
-                generation = reader.uint(4)
-                secret = unpack_secret(reader)
-                entry = entries.get(number)
-                if entry is not None:
-                    entry.secret = secret
-                    entry.generation = generation
-            elif op == OP_DESTROY:
-                entries.pop(reader.uint(3), None)
-            elif op == OP_UPDATE:
-                number = reader.uint(3)
-                data = self.codec.decode(bytes(reader.take(reader.uint(4))))
-                entry = entries.get(number)
-                if entry is not None:
-                    entry.data = data
-            elif op == OP_DELTA:
-                # An idempotent state assignment, so replaying it over a
-                # snapshot that already holds the change is a no-op.
-                entry = entries.get(reader.uint(3))
-                if entry is not None:
-                    entry.data = self.codec.apply_delta(
-                        entry.data, payload[reader.pos:]
-                    )
-            elif op == OP_COMMIT:
-                src = reader.uint(8)
-                reply_value = reader.uint(6)
-                report.commits[(src, reply_value)] = bytes(
-                    reader.take(reader.uint(4))
-                )
-            else:
-                raise ValueError("unknown record op %d" % op)
-        except (ValueError, TypeError, OverflowError, IndexError,
-                struct.error, MalformedCapability):
-            # The last three: a codec unpacking a short or mismatched
-            # payload.
-            return False
-        report.records_replayed += 1
-        return True
 
     # ------------------------------------------------------------------
     # introspection
@@ -859,4 +799,5 @@ class DurableStore:
             "disk_reads": self.disk.reads,
             "used_blocks": self.disk.used_blocks,
             "blocks_reclaimed": self.blocks_reclaimed,
+            "commits_refused": self.commits_refused,
         }

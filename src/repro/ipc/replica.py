@@ -13,10 +13,11 @@ binding plural end to end:
   authenticated control channel, so a capability revoked anywhere is
   rejected everywhere — including each replica's §2.4 caches, which are
   purged through the same ``on_revocation`` hook a local revocation
-  fires.  The fan-out is at-least-once (:class:`RetryPolicy`) and the
-  application side (:meth:`ObjectTable.apply_refresh` /
-  :meth:`~ObjectTable.apply_destroy`) is generation-guarded and
-  idempotent, so duplicates and reordering are harmless.
+  fires.  What crosses the wire is the write-ahead log's own refresh or
+  destroy record (:mod:`repro.core.record`).  The fan-out is
+  at-least-once (:class:`RetryPolicy`) and the peer applies the record
+  through :meth:`ObjectTable.apply`, generation-guarded and idempotent,
+  so duplicates and reordering are harmless.
 * :class:`ReplicatedObjectServer` — the pool: N replica servers sharing
   one get-port, signature, scheme and seeded rows.  *Where* they run is
   an argument, not a second class: given a ``SimNetwork`` the members
@@ -43,17 +44,19 @@ across the pool, never double-executed on any one replica.
 import itertools
 
 from repro.core.ports import PORT_BYTES, Port, PrivatePort
-from repro.core.registry import ObjectEntry, ObjectTable
+from repro.core.record import DESTROY, REFRESH, Record, image, pack, unpack
+from repro.core.registry import ObjectTable
 from repro.core.schemes import XorOneWayScheme
 from repro.crypto.randomsrc import RandomSource
-from repro.errors import AmoebaError, PortNotLocated, RPCTimeout, SecurityError
+from repro.errors import AmoebaError, BadRequest, PortNotLocated
+from repro.errors import RPCTimeout, SecurityError
 from repro.ipc import stdops
 from repro.ipc.locate import install_locate_responder
 from repro.ipc.rpc import RetryPolicy, trans
 from repro.ipc.server import ADMIN, ObjectServer, command
 from repro.net.message import Message
 from repro.net.nic import Nic
-from repro.util.record import Reader, pack_secret, unpack_secret
+from repro.util.record import Reader
 
 
 # ----------------------------------------------------------------------
@@ -110,22 +113,6 @@ def unpack_here_payload(data):
     members = [read_machine(reader) for _ in range(reader.u8())]
     reader.end()
     return port, ReplicaSet(members)
-
-
-def pack_revocation(number, generation, secret=None):
-    """The one fan-out record: which object, at which generation, and
-    the new secret (an int for the check-field schemes, raw bytes for
-    encrypted rights) when it was refreshed — none when it was destroyed."""
-    head = number.to_bytes(4, "big") + generation.to_bytes(4, "big")
-    return head if secret is None else head + pack_secret(secret)
-
-
-def unpack_revocation(data):
-    reader = Reader(data)
-    number, generation = reader.uint(4), reader.uint(4)
-    secret = unpack_secret(reader) if reader.pos < len(data) else None
-    reader.end()
-    return number, generation, secret
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +219,8 @@ class ReplicaObjectServer(ObjectServer):
         revocation has already happened and must be reported to the
         client regardless (the capability is dead here; a lagging peer
         is a liveness problem, not a correctness rollback)."""
-        record = pack_revocation(entry.number, entry.generation, secret)
+        op = DESTROY if secret is None else REFRESH
+        record = pack(Record(op, entry.number, entry.generation, secret))
         for peer in self.peers:
             if self._send_apply(peer, record):
                 self.fanout_sent += 1
@@ -297,8 +285,8 @@ class ReplicaObjectServer(ObjectServer):
 
     def sweep(self):
         """Aging is a revocation too: expiries propagate to the peers
-        (whose own sweeps may lag — apply_destroy is idempotent when
-        both sides expire the same object)."""
+        (whose own sweeps may lag — a destroy record is a no-op where
+        the object already expired)."""
         expired = super().sweep()
         for entry in expired:
             self._fan_out("age", entry)
@@ -312,11 +300,10 @@ class ReplicaObjectServer(ObjectServer):
             raise SecurityError(
                 "replica control requires the service signature"
             )
-        number, generation, secret = unpack_revocation(ctx.request.data)
-        if secret is None:
-            applied = self.table.apply_destroy(number, generation)
-        else:
-            applied = self.table.apply_refresh(number, secret, generation)
+        record = unpack(ctx.request.data)
+        if record.op not in (REFRESH, DESTROY):
+            raise BadRequest("a peer ships only refresh and destroy records")
+        applied = self.table.apply(record)
         return ctx.ok(data=b"\x01" if applied else b"\x00")
 
 
@@ -379,7 +366,7 @@ class ReplicatedObjectServer:
             **self._server_kwargs,
         )
         for capability in self.capabilities:
-            _mirror(self.table._entry(capability.object), server.table)
+            server.table.apply(image(self.table._entry(capability.object)))
         return server
 
     def _here(self, port):
@@ -420,8 +407,9 @@ class ReplicatedObjectServer:
             capability = primary.create(data)
         else:
             capability = primary.create(data, rights)
+        row = image(primary._entry(capability.object))
         for server in self.servers[1:]:
-            _mirror(primary._entry(capability.object), server.table)
+            server.table.apply(row)
         return capability
 
     # -- membership -----------------------------------------------------
@@ -442,14 +430,6 @@ class ReplicatedObjectServer:
         return sum(
             server.reconcile() for server in self.servers if server.running
         )
-
-
-def _mirror(entry, table):
-    """Install a copy of one row in another member's table."""
-    table.restore_entry(ObjectEntry(
-        number=entry.number, secret=entry.secret, data=entry.data,
-        generation=entry.generation, lifetime=entry.lifetime,
-    ))
 
 
 class _InProcess:

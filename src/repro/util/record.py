@@ -1,7 +1,7 @@
 """One record cursor and one tagged secret, for every byte format here.
 
-The write-ahead log's records (:mod:`repro.disk.wal`) and the replica
-control plane's payloads (:mod:`repro.ipc.replica`) are both small
+The table-mutation records (:mod:`repro.core.record`) and the replica
+pool's membership payloads (:mod:`repro.ipc.replica`) are both small
 big-endian records read front to back.  Every framing defect — short,
 over-long, unknown tag — is a ``ValueError``, never an ``IndexError`` or
 ``struct.error``, so one ``except ValueError`` guards each boundary.

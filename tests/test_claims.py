@@ -43,6 +43,7 @@ ROWS = {row.name: row for row in bench_claims.CLAIMS}
 #: Modules no claim of the paper reaches -> the suite workload
 #: (``BENCHMARK.json``) or ``run_bench.py`` arm that runs them instead.
 BEYOND_PAPER = {
+    "core/record.py": "durable_mutate",
     "disk/diskfaults.py": "recovery_kill_reboot",
     "disk/wal.py": "durable_mutate",
     "ipc/replica.py": "lossy_failover",

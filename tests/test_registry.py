@@ -7,7 +7,8 @@ from dataclasses import replace
 import pytest
 
 from repro.core.ports import Port
-from repro.core.registry import ObjectEntry, ObjectTable
+from repro.core.record import ENTRY, Record
+from repro.core.registry import ObjectTable
 from repro.core.rights import ALL_RIGHTS, Rights
 from repro.core.schemes import scheme_by_name
 from repro.crypto.randomsrc import RandomSource
@@ -103,15 +104,13 @@ class TestDestroy:
 
     def test_restored_row_takes_its_number_off_the_free_list(self, table):
         """A replica applied a peer's destroy, then had the recycled
-        number mirrored back (``restore_entry``): a later local create
+        number mirrored back (an entry record): a later local create
         must not pop that number and overwrite the live row."""
         doomed = table.create("doomed")
         table.destroy(doomed)
         secret = table.scheme.new_secret(RandomSource(seed=5))
-        table.restore_entry(ObjectEntry(
-            number=doomed.object, secret=secret, data="mirrored",
-            generation=1,
-        ))
+        assert table.apply(
+            Record(ENTRY, doomed.object, 1, secret, None, "mirrored"))
         fresh = table.create("local")
         assert fresh.object != doomed.object
         mirrored, _ = table.lookup(table.mint_for(doomed.object))

@@ -11,12 +11,21 @@ pool over UDP (forged membership datagrams included).
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ports import Port, PrivatePort
+from repro.core.record import DELTA, DESTROY, ENTRY, REFRESH, UPDATE
+from repro.core.record import Record, pack, unpack
 from repro.core.rights import NO_RIGHTS
+from repro.core.registry import ObjectTable
+from repro.core.schemes import XorOneWayScheme
 from repro.crypto.randomsrc import RandomSource
+from repro.disk.virtualdisk import VirtualDisk
+from repro.disk.wal import DefaultCodec, DurableStore, _scan_chain
 from repro.errors import (
     AmoebaError,
+    BadRequest,
     InvalidCapability,
     NoSuchObject,
     PortNotLocated,
@@ -31,10 +40,8 @@ from repro.ipc.replica import (
     ReplicatedObjectServer,
     pack_here_payload,
     pack_machine,
-    pack_revocation,
     read_machine,
     unpack_here_payload,
-    unpack_revocation,
 )
 from repro.ipc.rpc import RetryPolicy, trans
 from repro.ipc.server import command
@@ -134,46 +141,70 @@ class TestWireCodecs:
         with pytest.raises(ValueError):
             unpack_here_payload(bytes(too_many))
 
+    # The fan-out ships the write-ahead log's records (core/record.py).
+    RECORDS = [
+        Record(ENTRY, 7, 3, 0xDEADBEEF, None, b"row"),
+        Record(ENTRY, 7, 3, b"\x00" * 16, 5, b""),
+        Record(REFRESH, 7, 3, 0xDEADBEEF),
+        Record(REFRESH, 7, 3, 0),
+        Record(REFRESH, 7, 3, b"\x00" * 16),
+        Record(DESTROY, 9, 2),
+        Record(UPDATE, 0xFFFFFF, data=b"payload"),
+        Record(DELTA, 4, data=b"\x01delta"),
+    ]
+
     def test_refresh_payload_round_trip_int_secret(self):
-        raw = pack_revocation(7, 3, 0xDEADBEEF)
-        assert unpack_revocation(raw) == (7, 3, 0xDEADBEEF)
-        assert unpack_revocation(pack_revocation(7, 3, 0)) == (7, 3, 0)
+        for record in self.RECORDS:
+            if not isinstance(record.secret, bytes):
+                assert unpack(pack(record)) == record
 
     def test_refresh_payload_round_trip_bytes_secret(self):
-        raw = pack_revocation(7, 3, b"\x00" * 16)
-        assert unpack_revocation(raw) == (7, 3, b"\x00" * 16)
+        for record in self.RECORDS:
+            if isinstance(record.secret, bytes):
+                assert unpack(pack(record)) == record
+
+    def test_row_data_round_trips_through_the_codec_given(self):
+        codec = DefaultCodec()
+        for data in (None, "text", 12, True, b"raw"):
+            for record in (Record(ENTRY, 1, 2, 5, None, data),
+                           Record(UPDATE, 1, data=data)):
+                assert unpack(pack(record, codec), codec) == record
 
     def test_destroy_payload_round_trip(self):
-        raw = pack_revocation(9, 2)
-        assert unpack_revocation(raw) == (9, 2, None)
+        raw = pack(Record(DESTROY, 9, 2))
+        assert raw == bytes([DESTROY, 0, 0, 9, 0, 0, 0, 2])
+        assert unpack(raw) == (DESTROY, 9, 2, None, None, None)
         with pytest.raises(ValueError):
-            unpack_revocation(raw + b"\x00")
+            unpack(raw + b"\x00")
 
     def test_short_or_mistagged_revocation_is_value_error(self):
-        """Every framing defect of the fan-out record is ValueError —
-        never the ``struct.error`` a short head used to raise — so the
-        one ``except`` at the dispatch boundary covers them all."""
-        raw = pack_revocation(7, 3, 0xDEADBEEF)
-        for cut in range(len(raw)):
-            if cut == 8:
-                continue  # exactly the head: a well-formed destroy
-            with pytest.raises(ValueError):
-                unpack_revocation(raw[:cut])
-        with pytest.raises(ValueError):
-            unpack_revocation(raw + b"\x00")
-        unknown_tag = bytearray(raw)
+        """Every framing defect of a record is ValueError — never the
+        ``struct.error`` a short head used to raise — so one ``except``
+        at each boundary covers them all.  (A delta is the rest of its
+        record, so only its head can be cut short.)"""
+        for record in self.RECORDS:
+            raw = pack(record)
+            for cut in range(4 if record.op == DELTA else len(raw)):
+                with pytest.raises(ValueError):
+                    unpack(raw[:cut])
+            if record.op != DELTA:
+                with pytest.raises(ValueError):
+                    unpack(raw + b"\x00")
+        unknown_tag = bytearray(pack(Record(REFRESH, 7, 3, 0xDEADBEEF)))
         unknown_tag[8] = 9
-        with pytest.raises(ValueError):
-            unpack_revocation(bytes(unknown_tag))
+        for mangled in (unknown_tag, b"\x05\x00\x00\x07", b"\x09" * 8):
+            with pytest.raises(ValueError):
+                unpack(bytes(mangled))
 
     def test_the_wire_secret_is_the_logs_secret(self):
-        """One tagged secret for the replica wire and the write-ahead
-        log: same module, same bytes."""
+        """One record for the replica wire and the write-ahead log: the
+        same function, the same tagged secret."""
         from repro.disk import wal
+        from repro.ipc import replica
         from repro.util import record
 
-        assert wal.pack_secret is record.pack_secret
-        assert pack_revocation(1, 2, 5)[8:] == record.pack_secret(5)
+        assert wal.pack is replica.pack is pack
+        assert pack(Record(REFRESH, 1, 2, 5))[8:] == record.pack_secret(5)
 
 
 # ----------------------------------------------------------------------
@@ -214,33 +245,30 @@ class TestPoolLocateAnswer:
 
 class TestApplyRevocation:
     def _table(self):
-        from repro.core.registry import ObjectTable
-        from repro.core.schemes import XorOneWayScheme
-
         rng = RandomSource(1)
         return ObjectTable(XorOneWayScheme(), PrivatePort.generate(rng).public, rng)
 
     def test_apply_refresh_installs_peer_secret(self):
         table = self._table()
         cap = table.create(b"x")
-        assert table.apply_refresh(cap.object, 0x123456, 1) is True
+        assert table.apply(Record(REFRESH, cap.object, 1, 0x123456)) is True
         with pytest.raises(InvalidCapability):
             table.lookup(cap)
 
     def test_apply_refresh_rejects_stale_generation(self):
         table = self._table()
         cap = table.create(b"x")
-        assert table.apply_refresh(cap.object, 0x1, 1) is True
+        assert table.apply(Record(REFRESH, cap.object, 1, 0x1)) is True
         # A duplicate or reordered copy of the same (or older) refresh
         # must be a no-op: the guard is the generation number.
-        assert table.apply_refresh(cap.object, 0x2, 1) is False
-        assert table.apply_refresh(cap.object, 0x2, 0) is False
+        assert table.apply(Record(REFRESH, cap.object, 1, 0x2)) is False
+        assert table.apply(Record(REFRESH, cap.object, 0, 0x2)) is False
 
     def test_apply_destroy_is_idempotent(self):
         table = self._table()
         cap = table.create(b"x")
-        assert table.apply_destroy(cap.object, 0) is True
-        assert table.apply_destroy(cap.object, 0) is False
+        assert table.apply(Record(DESTROY, cap.object, 0)) is True
+        assert table.apply(Record(DESTROY, cap.object, 0)) is False
         with pytest.raises(NoSuchObject):
             table.lookup(cap)
 
@@ -249,17 +277,29 @@ class TestApplyRevocation:
         cap = table.create(b"x")
         fired = []
         table.on_revocation(lambda *args: fired.append(args))
-        table.apply_refresh(cap.object, 0x9, 1)
-        table.apply_destroy(cap.object, 1)
+        table.apply(Record(REFRESH, cap.object, 1, 0x9))
+        table.apply(Record(DESTROY, cap.object, 1))
         assert len(fired) == 2
 
     def test_apply_destroy_refuses_a_row_newer_than_the_record(self):
         table = self._table()
         cap = table.create(b"x")
         fresh = table.refresh(cap)  # generation 1
-        assert table.apply_destroy(cap.object, 0) is False
+        assert table.apply(Record(DESTROY, cap.object, 0)) is False
         table.lookup(fresh)
-        assert table.apply_destroy(cap.object, 1) is True
+        assert table.apply(Record(DESTROY, cap.object, 1)) is True
+
+    def test_a_number_a_peer_destroyed_resumes_above_the_record(self):
+        """The peer destroyed at a generation this row never reached:
+        the number's next object starts above it, so the refreshes still
+        queued for the dead one bounce off the new one."""
+        table = self._table()
+        cap = table.create(b"x")
+        assert table.apply(Record(DESTROY, cap.object, 2))
+        again = table.create(b"y")
+        assert again.object == cap.object
+        assert not table.apply(Record(REFRESH, cap.object, 2, 0xBAD))
+        assert table.lookup(again)[0].data == b"y"
 
     def test_a_recycled_number_resumes_above_its_last_generation(self):
         table = self._table()
@@ -270,9 +310,54 @@ class TestApplyRevocation:
         assert second.object == first.object
         assert table._entry(second.object).generation == 2
         # What was still in flight for the first object bounces off.
-        assert table.apply_refresh(second.object, 0xBAD, 1) is False
-        assert table.apply_destroy(second.object, 1) is False
+        assert table.apply(Record(REFRESH, second.object, 1, 0xBAD)) is False
+        assert table.apply(Record(DESTROY, second.object, 1)) is False
         assert table.lookup(second)[0].data == b"y"
+
+
+class TestOneRecordStreamConverges:
+    """Replicas that apply one deterministic, idempotent record stream
+    converge: a peer fed a primary's refresh and destroy records,
+    duplicated and in any order, over rows mirrored by entry records,
+    ends with the primary's rows; so does a recovery of the primary's
+    disk, and one of a log that holds the peer's stream."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(ops=st.lists(st.tuples(
+        st.sampled_from(("create", "refresh", "destroy")),
+        st.integers(0, 3)), max_size=30), shuffle=st.randoms())
+    def test_peer_and_recovery_end_with_the_primarys_rows(self, ops, shuffle):
+        scheme, port = XorOneWayScheme(), Port(0x5EED)
+        disk = VirtualDisk(1024)
+        store = DurableStore(disk)
+        primary = ObjectTable(scheme, port, RandomSource(1), wal=store)
+        caps = []
+        for op, index in ops:  # a create after a destroy recycles
+            if op == "create" or not caps:
+                caps.append(primary.create(b"row %d" % len(caps)))
+            elif op == "refresh":
+                index %= len(caps)
+                caps[index] = primary.refresh(caps[index])
+            else:
+                primary.destroy(caps.pop(index % len(caps)))
+        expected = sorted(primary.snapshot_entries())
+        records = [unpack(raw, store.codec)
+                   for raw in _scan_chain(disk, store._log.head).records]
+        entries = [record for record in records if record.op == ENTRY]
+        stream = [record for record in records if record.op != ENTRY] * 2
+        shuffle.shuffle(stream)
+
+        peer = ObjectTable(scheme, port)
+        for record in entries + stream:
+            peer.apply(record)
+        assert sorted(peer.snapshot_entries()) == expected
+        replayed = DurableStore(VirtualDisk(1024))
+        for record in entries + stream:
+            replayed.log(record)
+        for medium in (replayed.disk, disk):
+            table = ObjectTable(scheme, port, wal=DurableStore(medium))
+            table._wal.recover(table)
+            assert sorted(table.snapshot_entries()) == expected
 
 
 # ----------------------------------------------------------------------
@@ -461,7 +546,7 @@ class TestReplicatedService:
         intruder = Nic(net)
         forged = Message(
             command=stdops.CTL_APPLY,
-            data=pack_revocation(cap.object, 0),
+            data=pack(Record(DESTROY, cap.object, 0)),
         )
         reply = trans(
             intruder,
@@ -474,6 +559,23 @@ class TestReplicatedService:
         assert reply.status == SecurityError.code
         # The forgery changed nothing: the object is still there.
         pool.servers[0].table.lookup(cap)
+
+    def test_a_peer_ships_only_refresh_and_destroy(self, sim_pool):
+        """A signed CTL_APPLY carrying any other record — a row to
+        install, a payload to overwrite — is refused whole."""
+        net, pool, _client, _locator = sim_pool
+        cap = pool.create(b"payload")
+        member = pool.servers[0]
+        for record in (Record(ENTRY, cap.object, 9, 1, None, b"seeded"),
+                       Record(UPDATE, cap.object, data=b"overwritten")):
+            reply = trans(
+                Nic(net), pool.put_port,
+                Message(command=stdops.CTL_APPLY, data=pack(record)),
+                rng=RandomSource(13), timeout=1.0, signature=pool.signature,
+                dst_machine=member.node.address,
+            )
+            assert reply.status == BadRequest.code
+        assert member.table.lookup(cap)[0].data == b"payload"
 
     def test_fanout_failure_is_recorded_not_raised(self, sim_pool):
         _net, pool, client, _locator = sim_pool
@@ -572,7 +674,7 @@ class TestARefusedFanOutIsAFailure:
         def broken(*args):
             raise RuntimeError("disk full")
 
-        monkeypatch.setattr(lagging.table, "apply_refresh", broken)
+        monkeypatch.setattr(lagging.table, "apply", broken)
         fresh = _ask(net, pool, stdops.STD_REFRESH, cap, 0, 1).capability
         assert origin.fanout_sent == 2  # the two peers that obeyed
         assert origin.fanout_pending == 1

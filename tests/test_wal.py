@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ports import Port
+from repro.core.record import REFRESH, Record
 from repro.core.registry import ObjectTable
 from repro.core.schemes import scheme_by_name
 from repro.crypto.randomsrc import RandomSource
@@ -381,6 +382,21 @@ class TestFormatAndAttach:
             with pytest.raises(DiskFault):
                 DurableStore(disk)
 
+    def test_a_version_2_medium_is_refused_whole(self):
+        """Version 2 logged destroy records without a generation: its
+        medium is refused at attach, not half-replayed as suspect."""
+        from repro.disk.wal import _SB
+
+        disk = VirtualDisk(64)
+        store = DurableStore(disk)
+        fields = list(_SB.unpack_from(disk.read(store.epoch % 2)))
+        fields[1], fields[4] = 2, 0
+        fields[4] = zlib.crc32(_SB.pack(*fields))
+        for slot in (0, 1):
+            disk.write(slot, _SB.pack(*fields))
+        with pytest.raises(DiskFault):
+            DurableStore(disk)
+
     def test_too_small_disk_rejected(self):
         # Two superblock slots, the log's head, one block of snapshot.
         with pytest.raises(ValueError):
@@ -422,7 +438,7 @@ class TestRecovery:
         # Above every number the dead incarnation ever used: the free
         # list is not durable, so 2 is leaked rather than reused.
         assert sorted(c.object for c in reborn) == list(range(3, 23))
-        assert not table2.apply_refresh(2, stale_secret, 3)
+        assert not table2.apply(Record(REFRESH, 2, 3, stale_secret))
         for new in reborn:
             table2.lookup(new)
 

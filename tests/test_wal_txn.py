@@ -36,19 +36,14 @@ from hypothesis.stateful import (
 )
 
 from repro.core.ports import Port
+from repro.core.record import DESTROY, ENTRY, REFRESH, Record
 from repro.core.registry import ObjectTable
 from repro.core.rights import NO_RIGHTS
 from repro.core.schemes import all_scheme_names, scheme_by_name
 from repro.crypto.randomsrc import RandomSource
 from repro.disk.diskfaults import DiskFaultPlan
 from repro.disk.virtualdisk import VirtualDisk
-from repro.disk.wal import (
-    OP_ENTRY,
-    ChainLog,
-    DefaultCodec,
-    DurableStore,
-    _scan_chain,
-)
+from repro.disk.wal import ChainLog, DefaultCodec, DurableStore, _scan_chain
 from repro.errors import (
     CapabilityError,
     InvalidCapability,
@@ -348,8 +343,8 @@ class TestFlushRule:
         [
             lambda table, cap: table.refresh(cap),
             lambda table, cap: table.destroy(cap),
-            lambda table, cap: table.apply_refresh(cap.object, 12345, 9),
-            lambda table, cap: table.apply_destroy(cap.object, 0),
+            lambda table, cap: table.apply(Record(REFRESH, cap.object, 9, 1)),
+            lambda table, cap: table.apply(Record(DESTROY, cap.object, 0)),
             lambda table, cap: table.age(),
             lambda table, cap: table.persist(cap.object),
         ],
@@ -513,7 +508,7 @@ class TestDeltaRecords:
 
     @pytest.mark.parametrize("keep", [3, 5, 9, 20, 27])
     def test_truncated_directory_image_is_suspect_not_a_traceback(self, keep):
-        """A CRC-clean OP_ENTRY whose directory payload is short: the
+        """A CRC-clean entry record whose directory payload is short: the
         codec raises struct.error / MalformedCapability, neither of
         which recovery used to catch."""
         disk = VirtualDisk(1024)
@@ -525,7 +520,7 @@ class TestDeltaRecords:
         image = DirectoryCodec().encode(directory)[:keep]
         secret = entry.secret.to_bytes(8, "big")
         store._log.append(
-            bytes([OP_ENTRY]) + cap.object.to_bytes(3, "big")
+            bytes([ENTRY]) + cap.object.to_bytes(3, "big")
             + (0).to_bytes(4, "big") + b"\xff"
             + b"\x00" + len(secret).to_bytes(2, "big") + secret
             + len(image).to_bytes(4, "big") + image
@@ -799,6 +794,24 @@ class TestRebootObservability:
         assert report.commits_unreplayable == 1
         assert report.commit_error is not None
         assert reborn.reply_cache.stats()["entries"] == 1
+
+    def test_a_refused_commit_still_replies_and_caches(self):
+        """The mutation's record fits the full disk, the commit record
+        after it does not: the mutation is written, the reply sent and
+        cached, and a retry on the same reply port replays it."""
+        world = SweepWorld()
+        server, disk = world.server, world.disk
+        while disk.used_blocks < disk.n_blocks:
+            disk.allocate()
+        for i in range(40):  # until a commit record spills
+            op, secret = ("enter", "%02d" % i), Port.random(world.secrets)
+            assert world.issue(server, op, secret).status == 0
+            if server.store.stats()["commits_refused"]:
+                break
+        assert op[1] in names_on_medium(disk, world.root.object)
+        assert world.issue(server, op, secret).status == 0  # not NameExists
+        assert server.reply_cache.stats()["hits"] == 1
+        assert server.reply_cache.stats()["busy_drops"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -1122,8 +1135,8 @@ class DirectoryMachine(RuleBasedStateMachine):
     """A durable directory server against :class:`Model`.  After every
     step: the reply's status is the model's verdict, each held capability
     is judged as the model says, memory is the model, and a recovery of
-    the medium is memory.  A replied ``OutOfSpace`` changed nothing; a
-    raised one is ROADMAP (xiii), a mutation that landed."""
+    the medium is memory.  A replied ``OutOfSpace`` changed nothing, and
+    a refused checkpoint gave back every block it took."""
 
     station = "synchronous"
 
@@ -1131,7 +1144,8 @@ class DirectoryMachine(RuleBasedStateMachine):
     def boot(self, scheme):
         self.world = SweepWorld(self.station, scheme)
         self.model, self.caps, self.filled = Model(scheme), [], []
-        #: Whether the disk is filled, and the replied refusals seen.
+        #: Whether the disk is filled, and the refusals seen (replied, or
+        #: a checkpoint's).
         self.full, self.refused = False, 0
         for cap in (self.world.root, self.world.target):
             self.model.create(cap.object)
@@ -1161,14 +1175,6 @@ class DirectoryMachine(RuleBasedStateMachine):
             ).result(timeout=2.0)
         except PowerFailure:
             return self.crashed(before)
-        except OutOfSpace:
-            assert full
-            self.resolve(None)
-            try:
-                server.store.flush()  # what the next reply would write
-            except PowerFailure:
-                self.crashed(before)
-            return None
         if reply.status == OutOfSpace.code and full and not verdict:
             assert (rows(table), world.disk.writes) == untouched
             self.model, self.refused = before, self.refused + 1
@@ -1184,7 +1190,7 @@ class DirectoryMachine(RuleBasedStateMachine):
         for number in sorted(memory.keys() - self.model.view().keys()):
             self.model.create(number)
         if memory != self.model.view():
-            assert before is not None and memory == before.view()
+            assert memory == before.view()
             self.model = before
             del self.caps[len(before.held):]
         for number, _, rights in self.model.held[len(self.caps):]:
@@ -1204,8 +1210,7 @@ class DirectoryMachine(RuleBasedStateMachine):
 
     @rule()
     def create(self):
-        # A copy: a create that raised OutOfSpace is folded into the
-        # model before its owed flush, which a power cut may still undo.
+        # A copy: resolving a crash may fold the create into the model.
         reply = self.transact(None, copy.deepcopy(self.model), DIR_CREATE)
         if reply is not None:
             self.model.create(reply.capability.object)
@@ -1260,10 +1265,12 @@ class DirectoryMachine(RuleBasedStateMachine):
 
     @rule()
     def checkpoint(self):
+        used = self.world.disk.used_blocks
         try:
             self.world.server.checkpoint()
         except OutOfSpace:
-            assert self.full
+            assert self.full and self.world.disk.used_blocks == used
+            self.refused += 1
         except PowerFailure:
             self.reboot()
 
@@ -1338,8 +1345,9 @@ def replay(*steps, scheme="xor-oneway"):
 
 def history(*steps, scheme="xor-oneway", refused=False):
     """A test replaying ``steps``: a hand-written scenario's name.  With
-    ``refused``, some step must get a replied ``OutOfSpace``, so a change
-    of record or block sizes cannot leave the scenario testing nothing."""
+    ``refused``, some step must be refused (a replied ``OutOfSpace``, or
+    a checkpoint's), so a change of record or block sizes cannot leave
+    the scenario testing nothing."""
 
     def test(self):
         assert replay(*steps, scheme=scheme).refused or not refused
@@ -1353,10 +1361,15 @@ class TestGeneratedSequences:
         for machine in (DirectoryMachine, DesDirectoryMachine):
             run_state_machine_as_test(machine, settings=CI)
 
-    # Found by make model-soak: a create raises (xiii), then the power
-    # fails in the flush it owes, and the reboot undoes it.
+    # Found by make model-soak: a create's commit record is refused,
+    # then the power fails in the flush still owed, and the reboot
+    # undoes the create.
     test_a_create_whose_owed_flush_dies_with_the_power = history(
         ("destroy", 0), ("fill", 0), ("power_cut", 0), ("create",))
+    # The snapshot chain runs out of blocks part way.
+    test_a_refused_checkpoint_gives_back_its_blocks = history(
+        ("create",), *[("enter", i, NAMES[3], 0) for i in range(3)],
+        ("fill", 2), ("checkpoint",), refused=True)
 
 
 if __name__ == "__main__":
