@@ -29,15 +29,20 @@ from repro import (
 )
 from repro.core.schemes import all_scheme_names
 from repro.crypto import RandomSource, generate_keypair
+from repro.crypto.commutative import CommutativeOneWayFamily
 from repro.disk import VirtualDisk
+from repro.errors import BadRequest, SecurityError
 from repro.ipc import install_locate_responder
 from repro.ipc.server import ObjectServer
 from repro.servers import ReachabilitySweeper
-from repro.servers.flatfile import FILE_CREATE, FILE_WRITE, MAX_TRANSFER
+from repro.servers.flatfile import (
+    FILE_CREATE, FILE_READ, FILE_WRITE, MAX_TRANSFER,
+)
 from repro.softprot import (
     BootProtocol, CapabilitySealer, ClientCapabilityCache, KeyMatrix,
-    LinkCryptNode,
+    LinkCryptNode, ServerCapabilityCache,
 )
+from repro.softprot.boot import establish_matrix_keys
 
 SECRET = b"top secret payload"
 READ = Rights(0x01)  # the read right, on every server used here
@@ -132,6 +137,25 @@ def stolen_then_revoked():
             "thief_served_after_refresh": (_served(thief.read, stolen), 0)}
 
 
+def replayed_request():
+    """A replayed request executes again, but its reply port is one-wayed
+    twice: the reply reaches no station, the intruder included."""
+    net, server, client, intruder, cap = _cast()
+    client.read(cap)
+    request = intruder.captured_requests()[0]
+    executed = server.request_counts[FILE_READ]
+    net.reset_stats()
+    intruder.replay(request)
+    replayed = intruder.captured_requests()[-1].message
+    return {"replay_executed": (server.request_counts[FILE_READ] - executed,
+                                1),
+            "reply_port_one_wayed_again": (
+                replayed.reply == intruder.nic.fbox.one_way(
+                    request.message.reply), True),
+            "replies_received": (net.frames_delivered, 1),  # the request
+            "replies_dropped": (net.frames_dropped, 1)}
+
+
 def fig2_layout(guesses=100_000):
     """A capability is 48+24+8+48 bits; its check field is not guessable."""
     draw = rng(4)
@@ -180,6 +204,32 @@ def client_restrict():
     frames, weaker = _frames(net, server.scheme.client_restrict, cap, READ)
     return {"frames": (frames, 0),
             "weaker_served": (_served(client.read, weaker), 1)}
+
+
+class _CountedFamily(CommutativeOneWayFamily):
+    applied = 0  # verifications: one F-chain per rights combination
+
+    def apply_many(self, indices, x):
+        self.applied += 1
+        return super().apply_many(indices, x)
+
+
+def rights_by_brute_force(rights=(0x00, 0x5A, 0xFF)):
+    """Without the plaintext rights field the server could still find the
+    rights by trying all 2^8 combinations; the field makes it one try."""
+    scheme = scheme_by_name("commutative", family=_CountedFamily())
+    secret = scheme.new_secret(rng(5))
+    recovered, tries = 0, []
+    for bits in rights:
+        field, check = scheme.mint(secret, Rights(bits))
+        before = scheme.family.applied
+        recovered += scheme.recover_rights(secret, check) == field
+        tries.append(scheme.family.applied - before)
+    before = scheme.family.applied
+    scheme.verify(secret, field, check)
+    return {"recovered_without_field": (recovered, len(rights)),
+            "most_tries_without_field": (max(tries), 256),
+            "tries_with_field": (scheme.family.applied - before, 1)}
 
 
 def exact_copy():
@@ -246,6 +296,57 @@ def boot_handshake(replays=20):
                     impostor.public.encrypt(fresh, rng=draw)), draw)[0]), 1)}
 
 
+def sealed_service():
+    """A booted server announces its key, the key exchange fills the
+    matrix, and it serves only sealed capabilities, from their own
+    machine, to admitted clients; a refresh drops the cached triples."""
+    net = SimNetwork()
+    vault, user = (Machine(net, rng=rng(seed)) for seed in (70, 71))
+    at, keys = (vault.nic.address, user.nic.address), (
+        generate_keypair(bits=512, rng=rng(72)))
+    views = [KeyMatrix(rng=rng(73 + i)).view(at[i]) for i in (0, 1)]
+    sealer = CapabilitySealer(views[0], server_cache=ServerCapabilityCache())
+    files = FlatFileServer(vault.nic, sealer=sealer, require_sealed=True,
+                           rng=rng(75)).start()
+    vault.announce("vault", files.put_port, keys.public)
+    heard = user.heard_announcements["vault"]
+    establish_matrix_keys(views[1], views[0], keys, rng(76))
+    intruder = Intruder(net, rng=rng(77))
+    intruder.start_capture()
+    signature = PrivatePort.generate(rng(78))
+
+    def client(seed, sealed=True, **kwargs):
+        return FlatFileClient(user.nic, files.put_port, rng=rng(seed),
+                              locator=user.locator, sealer=CapabilitySealer(
+                                  views[1], client_cache=(
+                                      ClientCapabilityCache())) if sealed
+                              else None, **kwargs)
+
+    owner = client(79, signature=signature)
+    cap = owner.create(SECRET)
+    out = {"announced_key_heard": (heard.public_key == keys.public, True),
+           "matrix_keys_agree": (all(
+               views[0].key(*pair) == views[1].key(*pair)
+               for pair in (at, at[::-1])), True),
+           "sealed_read_served": (_served(owner.read, cap), 1),
+           "plaintext_refused": (_refused(
+               InvalidCapability, client(80, sealed=False).read, cap), 1)}
+    request = [f for f in intruder.captured_requests()
+               if f.message.sealed_caps][-1]
+    reply_port, _ = intruder.steal_capability(request)
+    answer = intruder.nic.poll(reply_port)
+    out["replay_from_another_machine_served"] = (
+        int(answer is not None and answer.message.status == 0), 0)
+    files.authorize_client(signature.public)
+    out["admitted_client_served"] = (_served(owner.read, cap), 1)
+    out["unadmitted_client_refused"] = (
+        _refused(SecurityError, client(81).read, cap), 1)
+    owner.refresh(cap)
+    out["server_triples_dropped_by_refresh"] = (
+        sealer.server_cache.forgotten, 1)
+    return out
+
+
 def link_encrypted_tap():
     """On a link-encrypted line a wiretap sees no capability bytes."""
     net = SimNetwork()
@@ -282,23 +383,36 @@ def process_lifecycle():
     net = SimNetwork()
     parent, big = (Machine(net, rng=rng(seed)) for seed in (40, 41))
     remote = parent.memory_client(remote_port=big.memory_port)
-    child = remote.make_process("worker", [
-        remote.create_segment(4096, initial=b"; program text"),
-        remote.create_segment(2048, initial=b"initialised globals"),
-        remote.create_segment(8192)])
+    segments = [remote.create_segment(4096, initial=b"; program text"),
+                remote.create_segment(2048, initial=b"initialised globals"),
+                remote.create_segment(8192)]
+    child = remote.make_process("worker", segments)
     states = [remote.start(child), remote.stop(child), remote.start(child)]
     observer = remote.restrict(child, READ)
-    return {"objects_on_remote_machine": (len(big.memory_server.table), 4),
-            "objects_on_parent_machine": (len(parent.memory_server.table), 0),
-            "states": (states, ["running", "stopped", "running"]),
-            "observer_controls_refused": (
-                sum(_refused(PermissionDenied, step, observer)
-                    for step in (remote.start, remote.stop)), 2)}
+    out = {"objects_on_remote_machine": (len(big.memory_server.table), 4),
+           "objects_on_parent_machine": (len(parent.memory_server.table), 0),
+           "states": (states, ["running", "stopped", "running"]),
+           "observer_controls_refused": (
+               sum(_refused(PermissionDenied, step, observer)
+                   for step in (remote.start, remote.stop)), 2)}
+    data = segments[1]
+    remote.write(data, 12, b"rewritten")
+    out["segment_read_back"] = (remote.read(data, 0, 21).decode(),
+                                "initialised rewritten")
+    out["segment_size"] = (remote.segment_size(data), 2048)
+    out["observer_reads_info"] = (remote.process_info(observer),
+                                  "worker state=running segments=3 runs=2")
+    process = big.memory_server.table._entry(child.object).data
+    remote.destroy(child)
+    out["destroyed_process_state"] = (process.state.value, "dead")
+    out["objects_left_on_remote_machine"] = (len(big.memory_server.table), 3)
+    return out
 
 
 def modular_file_stack():
     """A file server on the block server pays that server's frames on top
-    of its own two; a new version of a file copies no page."""
+    of its own two, and gives the blocks back; a new version of a file
+    copies no page, and the old version still reads its own bytes."""
     net = SimNetwork()
     server_nic, files_nic, ws = Nic(net), Nic(net), Nic(net)
     blocks = BlockServer(server_nic, disk=VirtualDisk(n_blocks=1 << 14),
@@ -314,6 +428,7 @@ def modular_file_stack():
         asked = sum(blocks.request_counts.values()) - asked
         out[label + "_8k_write_block_asks"] = (asked, 32 if backend else 0)
         out[label + "_8k_write_frames"] = (frames, 2 + 2 * asked)
+    on_blocks = fclient, cap
     mv = MultiversionFileServer(server_nic, rng=rng(22),
                                 disk=VirtualDisk(n_blocks=1 << 14)).start()
     mvc = MultiversionClient(ws, mv.put_port, rng=rng(23))
@@ -322,8 +437,26 @@ def modular_file_stack():
     mvc.write(version, 0, b"p" * (32 * 512))
     mvc.commit(version)
     written = mv.disk.writes
-    out["branch_32_pages_frames"] = (_frames(net, mvc.new_version, doc)[0], 2)
+    frames, (branch, _) = _frames(net, mvc.new_version, doc)
+    out["branch_32_pages_frames"] = (frames, 2)
     out["branch_32_pages_copied"] = (mv.disk.writes - written, 0)
+    fclient, cap = on_blocks
+    out["on_blocks_8k_read_back"] = (
+        fclient.read(cap, 0, 8192) == b"f" * 8192, True)
+    fclient.destroy(cap)
+    out["on_blocks_blocks_left"] = (blocks.disk.used_blocks, 0)
+    mvc.write(branch, 0, b"q" * 512)
+    mvc.commit(branch)
+    aborted, _ = mvc.new_version(doc)
+    mvc.abort(aborted)
+    out["old_version_reads_p"] = (mvc.read(version, 0, 512) == b"p" * 512,
+                                  True)
+    out["version_1_reads_p"] = (
+        mvc.read_version(doc, 1, 0, 512) == b"p" * 512, True)
+    out["newest_reads_q"] = (mvc.read(doc, 0, 512) == b"q" * 512, True)
+    out["versions_after_an_abort"] = (mvc.n_versions(doc), 3)
+    mvc.destroy(doc)
+    out["pages_left_after_destroy"] = (mv.disk.used_blocks, 0)
     return out
 
 
@@ -358,7 +491,8 @@ def touch_and_age(lifetime=3, cycles=4):
 
 
 def unix_facade():
-    """The UNIX file system is a library over directory and file servers."""
+    """The UNIX file system — open, seek, read, stat, close — is a library
+    over directory and file servers."""
     net = SimNetwork()
     ws, dirs, files, root, _, _ = _storage(net, 60)
     fs = UnixFs(ws, root, files.put_port, rng=rng(64))
@@ -373,15 +507,32 @@ def unix_facade():
     out["listing_after_unlink"] = (fs.listdir("home"), [])
     del asked[dirs.put_port], asked[files.put_port]
     out["requests_to_anything_else"] = (sum(asked.values()), 0)
+    text = b"0123456789 sparse capabilities"
+    fd = fs.open("home/log.txt", "w")
+    fs.write(fd, text)
+    fs.lseek(fd, 4, os.SEEK_SET)
+    out["read_after_seek_set"] = (fs.read(fd, 6).decode(), "456789")
+    end = fs.lseek(fd, 0, os.SEEK_END)
+    out["seek_end_position"] = (end, len(text))
+    fs.lseek(fd, end - 12)
+    out["read_to_end"] = (fs.read(fd, 100).decode(), "capabilities")
+    out["stat_size"] = (fs.stat("home/log.txt")["size"], len(text))
+    fs.close(fd)
+    out["closed_fd_refused"] = (_refused(BadRequest, fs.read, fd, 1), 1)
+    out["requests_to_anything_else_after_reads"] = (
+        sum(n for port, n in asked.items()
+            if port not in (dirs.put_port, files.put_port)), 0)
     return out
 
 
 def bank_economy(transfers=200, unit=512):
     """Money is conserved, dollars are the quota, a refusal costs nothing,
-    and returned blocks return the money — once the bank is up to take it."""
+    and returned blocks return the money — once the bank is up to take it.
+    Currencies convert at the bank's rate; only the mint right mints."""
     net = SimNetwork()
     storage, ws = Nic(net), Nic(net)
-    bank = BankServer(Nic(net), rng=rng(24)).start()
+    bank = BankServer(Nic(net), exchange_rates={("USD", "DM"): (9, 4)},
+                      rng=rng(24)).start()
     bclient = BankClient(ws, bank.put_port, rng=rng(25))
     central = bank.create_account({"USD": 10_000}, mint_right=True)
     alice = bclient.open_account()
@@ -421,14 +572,21 @@ def bank_economy(transfers=200, unit=512):
     bank.start()
     charging.sweep()
     charging.sweep()  # pays nothing: the debt left with the first payment
-    return {"bytes_bought_with_20_usd": (bought, 19 * unit),
-            "boundary_writes_refused": (refusals, 7),
-            "refused_writes_that_moved_money": (moved, 0),
-            "refunds_owed_while_bank_down": (owed, 1),
-            "refunds_paid_by_sweeps": (charging.refunds_paid, 1),
-            "usd_refunded": (balance(alice), 20),
-            "usd_in_circulation": (bank.total_in_circulation("USD"),
-                                   bank.minted["USD"])}
+    out = {"bytes_bought_with_20_usd": (bought, 19 * unit),
+           "boundary_writes_refused": (refusals, 7),
+           "refused_writes_that_moved_money": (moved, 0),
+           "refunds_owed_while_bank_down": (owed, 1),
+           "refunds_paid_by_sweeps": (charging.refunds_paid, 1),
+           "usd_refunded": (balance(alice), 20),
+           "usd_in_circulation": (bank.total_in_circulation("USD"),
+                                  bank.minted["USD"])}
+    out["dm_for_100_usd_at_9_to_4"] = (
+        bclient.convert(central, "USD", "DM", 100), 225)
+    out["mint_without_the_right_refused"] = (
+        _refused(PermissionDenied, bclient.mint, alice, "USD", 1000), 1)
+    bclient.mint(central, "DM", 1000)
+    out["dm_in_circulation"] = (bank.total_in_circulation("DM"), 1225)
+    return out
 
 
 Claim = collections.namedtuple("Claim", "name section claim run check smoke")
@@ -466,14 +624,17 @@ CLAIMS = (
     _row(impersonation_campaign, "Fig. 1, §2.2", rounds=10),
     _row(forged_replies, "Fig. 1, §2.2", n=25),
     _row(stolen_then_revoked, "Fig. 1, §2.3"),
+    _row(replayed_request, "Fig. 1, §2.2"),
     _row(fig2_layout, "Fig. 2, §2.2", guesses=5_000),
     _row(scheme_tampers, "§2.3"),
     _row(server_restrict, "§2.3"),
     _row(client_restrict, "§2.3"),
+    _row(rights_by_brute_force, "§2.3"),
     _row(exact_copy, "§2.3"),
     _row(revocation, "§2.3", outstanding=(1, 100, 1_000)),
     _row(matrix_replay_and_cache, "§2.4", sources=50),
     _row(boot_handshake, "§2.4", replays=5),
+    _row(sealed_service, "§2.2, §2.4"),
     _row(link_encrypted_tap, "§2.4"),
     _row(locate_frames, "§2.2", lookups=100),
     _row(process_lifecycle, "§3.1"),

@@ -16,4 +16,4 @@ sys.path.insert(0, os.path.join(HERE, os.pardir, "benchmarks"))
 from bench_claims import show  # noqa: E402
 
 sys.exit(show("intruder_present", "impersonation_campaign", "forged_replies",
-              "stolen_then_revoked"))
+              "stolen_then_revoked", "replayed_request"))

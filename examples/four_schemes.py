@@ -16,4 +16,4 @@ sys.path.insert(0, os.path.join(HERE, os.pardir, "benchmarks"))
 from bench_claims import show  # noqa: E402
 
 sys.exit(show("fig2_layout", "scheme_tampers", "server_restrict",
-              "client_restrict", "exact_copy"))
+              "client_restrict", "rights_by_brute_force", "exact_copy"))

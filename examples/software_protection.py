@@ -16,4 +16,4 @@ sys.path.insert(0, os.path.join(HERE, os.pardir, "benchmarks"))
 from bench_claims import show  # noqa: E402
 
 sys.exit(show("matrix_replay_and_cache", "boot_handshake",
-              "link_encrypted_tap"))
+              "sealed_service", "link_encrypted_tap"))

@@ -502,15 +502,3 @@ class ObjectTable:
                 (e.number, e.secret, e.data, e.generation)
                 for e in self._entries.values()
             ]
-
-    def mint_for(self, number, rights=ALL_RIGHTS):
-        """Mint a capability for an existing object *without* validation.
-
-        Servers use this internally (e.g. the directory server re-minting
-        a stored capability is wrong — it stores whole capabilities — but
-        the memory server minting a process capability after MAKE PROCESS
-        is exactly this).  Never expose this over the wire.
-        """
-        return self._capability(number, self.scheme.mint(
-            self._entry(number).secret, Rights(rights)
-        ))

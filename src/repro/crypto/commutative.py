@@ -22,7 +22,6 @@ scheme-3 capabilities carry an extended check field (the extended
 encoding of :mod:`repro.core.capability`).
 """
 
-from repro.util.bits import mask
 
 #: 512-bit RSA modulus with unknown factorisation; p-1 and q-1 are coprime
 #: to all of DEFAULT_EXPONENTS, making each F_k a permutation of Z_n*.
@@ -81,21 +80,6 @@ class CommutativeOneWayFamily:
         if exponent == 1:
             return x
         return pow(x, exponent, self.modulus)
-
-    def indices_for_deleted_rights(self, rights_bits, width):
-        """Return the function indices for the rights *absent* from a mask.
-
-        The server applies the functions "corresponding to the deleted
-        rights" (§2.3); this maps a plaintext rights field to those indices.
-        """
-        if width > self.n_functions:
-            raise ValueError(
-                "rights width %d exceeds the %d available functions"
-                % (width, self.n_functions)
-            )
-        if rights_bits < 0 or rights_bits > mask(width):
-            raise ValueError("rights %#x outside %d-bit field" % (rights_bits, width))
-        return [k for k in range(width) if not (rights_bits >> k) & 1]
 
     def random_element(self, rng):
         """Draw a uniformly random group element suitable as an object secret.

@@ -13,8 +13,8 @@ _EXPORTS = {
     "locate": "Locator install_locate_responder",
     "rpc": "AsyncTrans trans trans_many",
     "server": "ObjectServer RequestContext command",
-    "stdops": "HERE LOCATE RIGHT_ADMIN STD_DESTROY STD_INFO STD_REFRESH"
-              " STD_RESTRICT STD_TOUCH USER_BASE",
+    "stdops": "HERE LOCATE RIGHT_ADMIN STD_DESTROY STD_REFRESH STD_RESTRICT"
+              " STD_TOUCH USER_BASE",
 }
 
 __all__, __getattr__ = _lazy(globals())

@@ -130,10 +130,6 @@ class ServiceClient:
     # the standard operations every server offers
     # ------------------------------------------------------------------
 
-    def info(self, capability):
-        """STD_INFO: a one-line description of the object."""
-        return self.call(stdops.STD_INFO, capability=capability).data.decode("utf-8")
-
     def restrict(self, capability, keep_mask):
         """STD_RESTRICT: fabricate a sub-capability server-side (§2.3).
 

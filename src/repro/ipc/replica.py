@@ -418,12 +418,6 @@ class ReplicatedObjectServer:
         """The pool as clients see it."""
         return ReplicaSet(self.members)
 
-    def health(self, index, timeout=1.0):
-        """Is member ``index`` answering?  (Forked: one transaction to
-        its server, whose reply only an F-box holding the pool's
-        signature secret can sign.)"""
-        return self.placement.alive(self, index, timeout)
-
     def reconcile(self):
         """Re-drive failed revocation fan-outs on every live replica —
         call after a partition heals; returns total repairs delivered."""
@@ -458,9 +452,6 @@ class _InProcess:
     def stop(self, pool):
         for index in range(len(pool.servers)):
             self.kill(pool, index)
-
-    def alive(self, pool, index, _timeout):
-        return pool.servers[index].running
 
 
 #: How long the forking parent waits on each step of a child's start-up.
@@ -572,16 +563,3 @@ class _Forked:
             conn.close()
         if pool.arbiter is not None:
             pool.arbiter.close()
-
-    def alive(self, pool, index, timeout):
-        """One capability-less STD_INFO from the arbiter: the member is
-        alive when a reply signed with F(S) comes back (its status, a
-        refusal, does not matter — only an S-holder could sign it)."""
-        try:
-            trans(pool.arbiter, pool.put_port, Message(command=stdops.STD_INFO),
-                  rng=pool.rng, timeout=timeout,
-                  expect_signature=pool.signature.public,
-                  dst_machine=pool.members[index])
-        except RPCTimeout:
-            return False
-        return True

@@ -254,7 +254,7 @@ class ObjectServer:
         Randomness for ports, signatures, and object secrets.
     """
 
-    #: Human-readable service name, reported by STD_INFO.
+    #: Human-readable service name, for error messages.
     service_name = "object server"
 
     def __init__(
@@ -266,7 +266,6 @@ class ObjectServer:
         signature=None,
         sealer=None,
         require_sealed=False,
-        authorized_signatures=None,
         dedup=None,
         store=None,
     ):
@@ -294,14 +293,12 @@ class ObjectServer:
         #: When True, plaintext capabilities are refused outright (a
         #: matrix-protected deployment).
         self.require_sealed = require_sealed
-        #: Optional sender authentication (§2.2 digital signatures): a set
-        #: of published client images F(S).  When set, requests whose
-        #: signature field is not in the set are refused — and since the
-        #: F-box one-ways the field, only the true owner of S can produce
-        #: a matching value.
-        self.authorized_signatures = (
-            set(authorized_signatures) if authorized_signatures is not None else None
-        )
+        #: Optional sender authentication (§2.2 digital signatures): the
+        #: published client images F(S) :meth:`authorize_client` admitted.
+        #: Once one is, requests whose signature field is not in the set
+        #: are refused — and since the F-box one-ways the field, only the
+        #: true owner of S can produce a matching value.
+        self.authorized_signatures = None
         #: Optional durability (:class:`~repro.disk.wal.DurableStore`):
         #: the object table write-ahead-logs every surviving mutation to
         #: it, :meth:`checkpoint` snapshots through it, and
@@ -584,8 +581,6 @@ class ObjectServer:
             self.node.put_owned_unicast_bulk(outbox)
 
     def _authenticate_sender(self, request):
-        if self.authorized_signatures is None:
-            return
         if request.signature not in self.authorized_signatures:
             raise SecurityError(
                 "%s requires an authorized client signature" % self.service_name
@@ -624,10 +619,6 @@ class ObjectServer:
     # standard operations (§2.3)
     # ------------------------------------------------------------------
 
-    @command(stdops.STD_INFO, needs=NO_RIGHTS)
-    def _std_info(self, ctx):
-        return ctx.ok(data=self.describe(ctx.entry).encode("utf-8"))
-
     @command(stdops.STD_RESTRICT, needs=NO_RIGHTS)
     def _std_restrict(self, ctx):
         keep = Rights(ctx.request.size & 0xFF)
@@ -653,10 +644,6 @@ class ObjectServer:
     # ------------------------------------------------------------------
     # subclass hooks
     # ------------------------------------------------------------------
-
-    def describe(self, entry):
-        """One-line object description for STD_INFO."""
-        return "%s object %d" % (self.service_name, entry.number)
 
     def on_destroy(self, entry):
         """Release the resources of an object the table has just destroyed

@@ -6,9 +6,6 @@ generic capability manipulations of §2.3 (fabricating sub-capabilities,
 revocation by refreshing the random number, destruction).
 """
 
-#: Ask the server to describe an object (no rights required).
-STD_INFO = 1
-
 #: "Send the capability back to the server along with a bit mask and a
 #: request to fabricate a new capability with fewer rights" (§2.3).  The
 #: keep-mask travels in the request's ``size`` field.

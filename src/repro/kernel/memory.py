@@ -187,13 +187,6 @@ class MemoryServer(ObjectServer):
         elif isinstance(entry.data, Process):
             entry.data.kill()
 
-    def describe(self, entry):
-        if isinstance(entry.data, Segment):
-            return "segment of %d bytes" % entry.data.size
-        if isinstance(entry.data, Process):
-            return "process %r (%s)" % (entry.data.name, entry.data.state.value)
-        return super().describe(entry)
-
 
 class MemoryClient(ServiceClient):
     """Typed client for a (possibly remote) memory server."""

@@ -52,11 +52,6 @@ class Intruder:
             self.network.add_tap(self._tap, owner=self.address)
             self._tapping = True
 
-    def stop_capture(self):
-        if self._tapping:
-            self.network.remove_tap(self._tap)
-            self._tapping = False
-
     def _tap(self, frame):
         self.captured.append(frame)
 

@@ -534,17 +534,6 @@ class SimNetwork:
         if owner is not None:
             self._tap_owners.setdefault(owner, []).append(callback)
 
-    def remove_tap(self, callback):
-        """Remove a tap; a no-op if it is already gone (e.g. its owning
-        machine detached first)."""
-        if callback in self._taps:
-            self._taps.remove(callback)
-        for owner, taps in list(self._tap_owners.items()):
-            if callback in taps:
-                taps.remove(callback)
-                if not taps:
-                    del self._tap_owners[owner]
-
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------

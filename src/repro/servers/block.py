@@ -11,7 +11,7 @@ above this interface — which is exactly what
 a block-server backend.
 """
 
-from repro.core.rights import NO_RIGHTS, Rights
+from repro.core.rights import Rights
 from repro.disk.virtualdisk import VirtualDisk
 from repro.errors import BadRequest, OutOfSpace
 from repro.ipc.client import ServiceClient
@@ -24,7 +24,6 @@ R_WRITE = Rights(0x02)
 BLK_ALLOC = USER_BASE + 0
 BLK_READ = USER_BASE + 1
 BLK_WRITE = USER_BASE + 2
-BLK_SIZE = USER_BASE + 3
 
 
 class BlockServer(ObjectServer):
@@ -62,16 +61,9 @@ class BlockServer(ObjectServer):
         self.disk.write(ctx.entry.data, ctx.request.data)
         return ctx.ok()
 
-    @command(BLK_SIZE, needs=NO_RIGHTS)
-    def _size(self, ctx):
-        return ctx.ok(size=self.disk.block_size)
-
     def on_destroy(self, entry):
         """Deallocation: the block returns to the free pool."""
         self.disk.free(entry.data)
-
-    def describe(self, entry):
-        return "disk block %d (%d bytes)" % (entry.data, self.disk.block_size)
 
 
 class BlockClient(ServiceClient):
@@ -87,9 +79,6 @@ class BlockClient(ServiceClient):
 
     def write(self, block_cap, data):
         self.call(BLK_WRITE, capability=block_cap, data=data)
-
-    def block_size(self, block_cap):
-        return self.call(BLK_SIZE, capability=block_cap).size
 
     def free(self, block_cap):
         """Deallocate: the standard DESTROY releases the disk block."""

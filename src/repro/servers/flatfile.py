@@ -14,7 +14,7 @@ Two storage backends exist:
 """
 
 from repro.core.rights import Rights
-from repro.errors import BadRequest
+from repro.errors import AmoebaError, BadRequest, CapabilityError
 from repro.ipc.client import ServiceClient
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
@@ -55,7 +55,9 @@ class MemoryFile:
         self.content[offset:end] = data
 
     def release(self):
+        """Empty the file; returns the block capabilities to free: none."""
         self.content = bytearray()
+        return ()
 
 
 class BlockFile:
@@ -124,10 +126,9 @@ class BlockFile:
         self.size = max(self.size, offset + len(data))
 
     def release(self):
-        for cap in self._blocks:
-            self._client.free(cap)
-        self._blocks = []
-        self.size = 0
+        """Empty the file; returns the block capabilities to free."""
+        blocks, self._blocks, self.size = self._blocks, [], 0
+        return blocks
 
 
 class FlatFileServer(ObjectServer):
@@ -139,6 +140,10 @@ class FlatFileServer(ObjectServer):
         super().__init__(node, **kwargs)
         #: When set, files live on the block server behind this client.
         self.block_client = block_client
+        #: Block capabilities whose free failed (the block server was
+        #: unreachable): the file is gone either way, the blocks are
+        #: not, so :meth:`sweep` retries each.
+        self.frees_owed = []
 
     def _new_file(self):
         if self.block_client is None:
@@ -154,7 +159,7 @@ class FlatFileServer(ObjectServer):
                 f.write(0, initial)
             return self.table.create(f), f
         except BaseException:
-            f.release()
+            self._free(f.release())
             raise
 
     @command(FILE_CREATE)
@@ -187,7 +192,25 @@ class FlatFileServer(ObjectServer):
         return ctx.ok(size=ctx.entry.data.size)
 
     def on_destroy(self, entry):
-        entry.data.release()
+        self._free(entry.data.release())
+
+    def _free(self, blocks):
+        """Give blocks back; never raises, so a destroy still replies OK
+        and a refused create still reports its refusal.  A block already
+        gone is forgotten; any other failure leaves it in ``frees_owed``."""
+        for cap in blocks:
+            try:
+                self.block_client.free(cap)
+            except CapabilityError:
+                pass
+            except AmoebaError:
+                self.frees_owed.append(cap)
+
+    def sweep(self):
+        """Retry each owed free, then age the table."""
+        owed, self.frees_owed = self.frees_owed, []
+        self._free(owed)
+        return super().sweep()
 
 
 class FlatFileClient(ServiceClient):

@@ -15,7 +15,6 @@ of keeping capability management out of the kernel.
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import AmoebaError
 from repro.ipc.client import ServiceClient
-from repro.ipc.stdops import STD_TOUCH
 from repro.servers.directory import DIR_LIST, DIR_LOOKUP
 
 
@@ -78,7 +77,7 @@ class ReachabilitySweeper:
             visited.add(key)
             client = self._client(capability.port)
             try:
-                client.call(STD_TOUCH, capability=capability)
+                client.touch(capability)
                 self.touched += 1
             except AmoebaError:
                 # Dead entry (stale capability in some directory): skip.

@@ -21,7 +21,7 @@ from repro import _lazy
 
 _EXPORTS = {
     "boot": "Announcement BootProtocol",
-    "cache": "ClientCapabilityCache LruCache ServerCapabilityCache",
+    "cache": "ClientCapabilityCache ServerCapabilityCache",
     "linkcrypt": "LinkCryptNode",
     "matrix": "CapabilitySealer KeyMatrix MachineKeyView",
 }

@@ -19,54 +19,14 @@ import threading
 from collections import OrderedDict
 
 
-class LruCache:
-    """A bounded least-recently-used map with hit/miss accounting.
+class _CapabilityCache:
+    """A bounded LRU of §2.4 triples, with hit/miss counts, that can
+    forget one object's triples without a sweep.
 
     Thread-safe: a server's request path reads and writes its cache while
     revocation (``ObjectTable.on_revocation``) fires from whichever
     thread refreshed, destroyed, or swept the object — OrderedDict
     relinking is not atomic, so every operation takes the internal lock.
-    ``hits`` and ``misses`` move under that lock; :meth:`stats` reads the
-    pair under it, so an aggregator never sees a torn (new hits, old
-    misses) mix.
-    """
-
-    def __init__(self, max_entries=1024):
-        if max_entries < 1:
-            raise ValueError("cache needs at least one entry")
-        self.max_entries = max_entries
-        self._entries = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key):
-        """Return the cached value or ``None``, updating recency."""
-        with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(self, key, value):
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def stats(self):
-        """One consistent ``(hits, misses)`` snapshot."""
-        with self._lock:
-            return self.hits, self.misses
-
-
-class _CapabilityCache(LruCache):
-    """An LRU of §2.4 triples that can forget one object's without a sweep.
 
     Beside the map it keeps, under the same lock, an *exact* index
     ``(port, object) -> {keys}`` of the triples whose unencrypted
@@ -84,7 +44,13 @@ class _CapabilityCache(LruCache):
     _capability_in_key = None
 
     def __init__(self, max_entries=1024):
-        super().__init__(max_entries)
+        if max_entries < 1:
+            raise ValueError("cache needs at least one entry")
+        self.max_entries = max_entries
+        self._entries = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
         self._keys_of = {}
         #: Revocation observability: sweeps requested / triples dropped.
         #: The replica fan-out tests read these to prove every replica's
@@ -92,6 +58,18 @@ class _CapabilityCache(LruCache):
         #: client happened to talk to.
         self.forget_calls = 0
         self.forgotten = 0
+
+    def get(self, key):
+        """Return the cached value or ``None``, updating recency."""
+        with self._lock:
+            try:
+                value = self._entries[key]
+            except KeyError:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return value
 
     def _unfile(self, key, value):
         """Take a triple that just left the map out of the index."""

@@ -96,7 +96,7 @@ class TestWorkerPool:
         requests = [
             Message(command=OP_RECORD, capability=cap, data=b"with-cap"),
             Message(command=OP_RECORD, data=b"no-cap"),  # BadRequest path
-            Message(command=stdops.STD_INFO, capability=cap),
+            Message(command=stdops.STD_TOUCH, capability=cap),
         ] * 4
         replies = trans_many(
             client, server.put_port, requests, RandomSource(seed=6)

@@ -68,11 +68,6 @@ class TestReadWrite:
         with pytest.raises(PermissionDenied):
             client.read(write_only)
 
-    def test_block_size_query(self, world):
-        _, _, _, client = world
-        cap, _ = client.alloc()
-        assert client.block_size(cap) == 64
-
 
 class TestFree:
     def test_free_returns_block_to_pool(self, world):
@@ -90,8 +85,3 @@ class TestFree:
         client.free(cap)
         with pytest.raises(NoSuchObject):
             client.read(cap)
-
-    def test_info(self, world):
-        _, _, _, client = world
-        cap, _ = client.alloc()
-        assert "block" in client.info(cap)

@@ -8,7 +8,6 @@ from repro.core.ports import Port
 from repro.core.rights import Rights
 from repro.softprot.cache import (
     ClientCapabilityCache,
-    LruCache,
     ServerCapabilityCache,
 )
 
@@ -20,42 +19,43 @@ def cap(n):
 
 
 class TestLruCache:
+    """The bounded LRU map under both triple caches."""
+
     def test_get_put(self):
-        cache = LruCache(max_entries=4)
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        assert cache.get("missing") is None
-        assert cache.stats() == (1, 1)  # (hits, misses)
+        cache = ClientCapabilityCache(max_entries=4)
+        cache.remember(cap(1), 7, b"a")
+        assert cache.lookup(cap(1), 7) == b"a"
+        assert cache.lookup(cap(2), 7) is None
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_eviction_order(self):
-        cache = LruCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("c", 3)  # evicts "a"
-        assert cache.get("a") is None
-        assert cache.get("b") == 2
+        cache = ClientCapabilityCache(max_entries=2)
+        for n in (1, 2, 3):  # 3 evicts 1
+            cache.remember(cap(n), 7, bytes([n]))
+        assert cache.lookup(cap(1), 7) is None
+        assert cache.lookup(cap(2), 7) == b"\x02"
 
     def test_get_refreshes_recency(self):
-        cache = LruCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # "b" is now least recent
-        cache.put("c", 3)
-        assert cache.get("a") == 1
-        assert cache.get("b") is None
+        cache = ClientCapabilityCache(max_entries=2)
+        cache.remember(cap(1), 7, b"a")
+        cache.remember(cap(2), 7, b"b")
+        cache.lookup(cap(1), 7)  # 2 is now least recent
+        cache.remember(cap(3), 7, b"c")
+        assert cache.lookup(cap(1), 7) == b"a"
+        assert cache.lookup(cap(2), 7) is None
 
     def test_overwrite(self):
-        cache = LruCache()
-        cache.put("a", 1)
-        cache.put("a", 2)
-        assert cache.get("a") == 2
+        cache = ClientCapabilityCache()
+        cache.remember(cap(1), 7, b"a")
+        cache.remember(cap(1), 7, b"b")
+        assert cache.lookup(cap(1), 7) == b"b"
         assert len(cache._entries) == 1
 
     def test_min_size(self):
         import pytest
 
         with pytest.raises(ValueError):
-            LruCache(max_entries=0)
+            ServerCapabilityCache(max_entries=0)
 
 
 class TestCapabilityCaches:

@@ -29,11 +29,8 @@ class MembersOnly(ObjectServer):
 def world():
     net = SimNetwork()
     alice_sig = PrivatePort.generate(RandomSource(seed=1))
-    server = MembersOnly(
-        Nic(net),
-        rng=RandomSource(seed=2),
-        authorized_signatures={alice_sig.public},
-    ).start()
+    server = MembersOnly(Nic(net), rng=RandomSource(seed=2)).start()
+    server.authorize_client(alice_sig.public)
     return net, server, alice_sig
 
 

@@ -76,24 +76,6 @@ class TestOneWayness:
         assert len(seen) == 30
 
 
-class TestDeletedRightsIndices:
-    def test_all_rights_deletes_nothing(self, family):
-        assert family.indices_for_deleted_rights(0xFF, 8) == []
-
-    def test_no_rights_deletes_everything(self, family):
-        assert family.indices_for_deleted_rights(0x00, 8) == list(range(8))
-
-    def test_mixed(self, family):
-        # rights 0b10100101: bits 0,2,5,7 kept; 1,3,4,6 deleted.
-        assert family.indices_for_deleted_rights(0b10100101, 8) == [1, 3, 4, 6]
-
-    def test_width_bounds(self, family):
-        with pytest.raises(ValueError):
-            family.indices_for_deleted_rights(0, 9)
-        with pytest.raises(ValueError):
-            family.indices_for_deleted_rights(0x100, 8)
-
-
 class TestValidation:
     def test_default_modulus_is_large(self):
         assert DEFAULT_MODULUS.bit_length() >= 512

@@ -32,7 +32,7 @@ from repro.core.ports import PrivatePort
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import RPCTimeout
 from repro.ipc.rpc import RetryPolicy, trans
-from repro.ipc.stdops import STD_INFO, USER_BASE
+from repro.ipc.stdops import STD_TOUCH, USER_BASE
 from repro.net.faults import FaultPlan, FaultSpec, faulty_sendto
 from repro.net.message import Message
 from repro.net.network import Frame, SimNetwork
@@ -280,7 +280,7 @@ class TestCorruption:
                 try:
                     reply = trans(
                         client, server.put_port,
-                        Message(command=STD_INFO, capability=cap),
+                        Message(command=STD_TOUCH, capability=cap),
                         rng=RandomSource(seed=500 + i), timeout=0.05,
                     )
                 except RPCTimeout:

@@ -12,10 +12,14 @@ from repro.servers.flatfile import R_READ, R_WRITE, FlatFileClient, FlatFileServ
 
 
 def make_world(backend):
+    return blocks_world(backend)[:4]
+
+
+def blocks_world(backend):
+    """:func:`make_world` and its block server (None in memory)."""
     net = SimNetwork()
     server_nic = Nic(net)
-    block_client = None
-    disk = None
+    block_client = block_server = disk = None
     if backend == "block":
         disk = VirtualDisk(n_blocks=256, block_size=64)
         block_server = BlockServer(
@@ -33,7 +37,7 @@ def make_world(backend):
         rng=RandomSource(seed=4),
         expect_signature=server.signature_image,
     )
-    return net, disk, server, client
+    return net, disk, server, client, block_server
 
 
 @pytest.fixture(params=["memory", "block"])
@@ -148,6 +152,28 @@ class TestDestroy:
         with pytest.raises(OutOfSpace):
             client.create(b"x" * disk.block_size * disk.n_blocks)
         assert disk.used_blocks == used
+
+    def test_blocks_a_dead_block_server_cannot_free_are_owed(self):
+        """The block server stops between a refused create's writes and
+        their release: the client still hears OutOfSpace, and the blocks
+        come back at the first sweep after the block server returns."""
+        _, disk, server, client, blocks = blocks_world("block")
+        client.create(b"kept")
+        used = disk.used_blocks
+        server.table._max_objects = 1
+        create = server.table.create
+
+        def refused_while_blocks_stop(data):
+            blocks.stop()
+            return create(data)
+
+        server.table.create = refused_while_blocks_stop
+        with pytest.raises(OutOfSpace):
+            client.create(b"x" * 3000)
+        assert disk.used_blocks > used
+        blocks.start()
+        server.sweep()
+        assert (disk.used_blocks, server.frees_owed) == (used, [])
 
 
 class TestRevocation:

@@ -11,7 +11,7 @@ import pytest
 from repro.core.ports import Port, PrivatePort
 from repro.crypto.randomsrc import RandomSource
 from repro.ipc.rpc import trans
-from repro.ipc.stdops import USER_BASE
+from repro.ipc.stdops import STD_TOUCH, USER_BASE
 from repro.net.intruder import Intruder
 from repro.net.message import Message
 from repro.testing.world import EchoServer, World
@@ -154,7 +154,7 @@ class TestWiretapping:
         trans(
             client_nic,
             server.put_port,
-            Message(command=1, capability=cap),  # STD_INFO
+            Message(command=STD_TOUCH, capability=cap),
             rng=RandomSource(seed=10),
         )
         request = intruder.captured_requests()[0]

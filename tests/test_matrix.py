@@ -23,7 +23,7 @@ from repro.ipc.client import ServiceClient
 from repro.ipc.locate import Locator, install_locate_responder
 from repro.ipc.rpc import trans
 from repro.ipc.server import ObjectServer
-from repro.ipc.stdops import STD_INFO
+from repro.ipc.stdops import STD_TOUCH
 from repro.net.intruder import Intruder
 from repro.net.message import Message
 from repro.net.network import SimNetwork
@@ -262,15 +262,15 @@ class TestRevokeThenReplay:
     def test_service_client_refresh_purges_client_cache(self, sealed_world):
         _, server, client, _ = sealed_world
         cap = server.table.create("revocable")
-        client.info(cap)  # seals the capability -> client cache entry
+        client.touch(cap)  # seals the capability -> client cache entry
         cache = client.sealer.client_cache
         assert cache.lookup(cap, server.node.address) is not None
         fresh = client.refresh(cap)
         assert cache.lookup(cap, server.node.address) is None
         # The stale capability is dead end to end; the fresh one works.
         with pytest.raises(InvalidCapability):
-            client.info(cap)
-        assert "object" in client.info(fresh)
+            client.touch(cap)
+        client.touch(fresh)
 
     def test_server_cache_purged_end_to_end(self, sealed_world):
         """The full replay: client uses a capability (server caches its
@@ -279,11 +279,11 @@ class TestRevokeThenReplay:
         net, server, client, intruder = sealed_world
         cap = server.table.create("loot")
         intruder.start_capture()
-        client.info(cap)
+        client.touch(cap)
         sealed_requests = [
             f
             for f in intruder.captured_requests()
-            if f.message.sealed_caps and f.message.command == STD_INFO
+            if f.message.sealed_caps and f.message.command == STD_TOUCH
         ]
         assert sealed_requests
         client.refresh(cap)
@@ -353,7 +353,7 @@ class TestShortSealedAreas:
     def test_every_short_area_is_refused_sealed(self, sealed_world, area):
         net, server, _, _ = sealed_world
         reply = trans(Nic(net), server.put_port,
-                      Message(command=STD_INFO, sealed_caps=area),
+                      Message(command=STD_TOUCH, sealed_caps=area),
                       RandomSource(seed=10))
         assert reply.status == InvalidCapability.code
         assert reply.data.decode() == Verdict.SEAL_REJECTED.text
@@ -363,14 +363,14 @@ class TestSealedRPC:
     def test_sealed_round_trip(self, sealed_world):
         _, server, client, _ = sealed_world
         cap = server.table.create("sealed object")
-        assert "object" in client.info(cap)
+        client.touch(cap)
 
     def test_sealed_reply_capabilities(self, sealed_world):
         _, server, client, _ = sealed_world
         cap = server.table.create("x")
         weak = client.restrict(cap, 0x01)
         assert weak.rights == Rights(0x01)
-        assert "object" in client.info(weak)
+        client.touch(weak)
 
     def test_plaintext_capability_refused(self, sealed_world):
         net, server, _, _ = sealed_world
@@ -380,18 +380,18 @@ class TestSealedRPC:
         )
         cap = server.table.create("x")
         with pytest.raises(InvalidCapability):
-            bare.call(STD_INFO, capability=cap)
+            bare.call(STD_TOUCH, capability=cap)
 
     def test_stolen_sealed_capability_useless(self, sealed_world):
         """The §2.4 replay defence, end to end."""
         net, server, client, intruder = sealed_world
         cap = server.table.create("loot")
         intruder.start_capture()
-        client.info(cap)
+        client.touch(cap)
         sealed_requests = [
             f
             for f in intruder.captured_requests()
-            if f.message.sealed_caps and f.message.command == STD_INFO
+            if f.message.sealed_caps and f.message.command == STD_TOUCH
         ]
         assert sealed_requests, "expected to capture the sealed request"
         # Replay with the intruder's own reply port (the full §2.4 attack).
@@ -405,7 +405,7 @@ class TestSealedRPC:
         net, server, client, intruder = sealed_world
         cap = server.table.create("loot")
         intruder.start_capture()
-        client.info(cap)
+        client.touch(cap)
         for frame in intruder.captured_requests():
             if frame.message.sealed_caps:
                 assert cap.check not in frame.message.sealed_caps
@@ -426,7 +426,7 @@ class TestSealedRPC:
         )
         cap = server.table.create("x")
         with pytest.raises(AmoebaError):
-            client.call(STD_INFO, capability=cap)
+            client.call(STD_TOUCH, capability=cap)
 
     def test_sealer_requires_locator(self):
         net = SimNetwork()

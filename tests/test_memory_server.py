@@ -157,12 +157,3 @@ class TestRemoteProcessCreation:
             assert memory.start(proc) == "running"
             # The process object lives in the *target* machine's table.
             assert proc.port == target.memory_port
-
-
-class TestDescribe:
-    def test_info_distinguishes_kinds(self, world):
-        _, _, _, memory = world
-        seg = memory.create_segment(64)
-        proc = memory.make_process("p", [seg])
-        assert "segment" in memory.info(seg)
-        assert "process" in memory.info(proc)

@@ -89,7 +89,7 @@ class TestReplicatedService:
         outcomes = set()
         for _ in range(6):
             try:
-                client.info(cap)
+                client.touch(cap)
                 outcomes.add("ok")
             except AmoebaError:
                 outcomes.add("err")

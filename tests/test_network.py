@@ -101,14 +101,6 @@ class TestTaps:
         a.put(Message(dest=Port(404)))
         assert len(captured) == 1
 
-    def test_remove_tap(self, net):
-        a = Nic(net)
-        captured = []
-        net.add_tap(captured.append)
-        net.remove_tap(captured.append)
-        a.put(Message(dest=Port(1)))
-        assert captured == []
-
 
 class TestBroadcast:
     def test_broadcast_reaches_handlers(self, net):

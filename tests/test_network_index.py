@@ -294,25 +294,6 @@ class TestLeakPruning:
         sender.put(Message(dest=Port(1)))
         assert len(seen) == 1
 
-    def test_remove_tap_clears_ownership(self):
-        net = SimNetwork()
-        nic = Nic(net)
-        seen = []
-        net.add_tap(seen.append, owner=nic.address)
-        net.remove_tap(seen.append)
-        assert net._taps == []
-        assert net._tap_owners == {}
-
-    def test_stop_capture_after_detach_is_noop(self):
-        # detach() already removed the owned tap; stop_capture must not
-        # crash on the second removal.
-        net = SimNetwork()
-        intruder = Intruder(net)
-        intruder.start_capture()
-        net.detach(intruder.address)
-        intruder.stop_capture()
-        assert net._taps == []
-
 
 class TestServeBacklog:
     def test_serve_drains_frames_queued_by_listen(self):

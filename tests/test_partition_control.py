@@ -24,6 +24,7 @@ from repro.ipc.locate import Locator
 from repro.ipc.rpc import trans
 from repro.net.faults import FaultPlan
 from repro.net.message import Message
+from test_replica import answers
 
 
 @pytest.mark.integration
@@ -42,7 +43,7 @@ class TestPoolPartitionAndHeal:
         try:
             members = pool.members
             assert len(members) == 3
-            assert all(pool.health(i, timeout=2.0) for i in range(3))
+            assert all(answers(pool, i, timeout=2.0) for i in range(3))
 
             client_node.connect(pool.arbiter.address)
             locator = Locator(client_node, rng=RandomSource(3))
@@ -54,7 +55,7 @@ class TestPoolPartitionAndHeal:
             # go dark.
             pool.arbiter.faults = plan
             plan.sever(src=cut)
-            assert not pool.health(1, timeout=0.5)
+            assert not answers(pool, 1, timeout=0.5)
             # Silent, but NOT evicted: clients locating through the
             # arbiter still get the whole pool, in replica order.
             assert pool.members == members
@@ -66,7 +67,7 @@ class TestPoolPartitionAndHeal:
 
             # Heal: the member answers its health transaction again...
             plan.heal(src=cut)
-            assert pool.health(1, timeout=2.0)
+            assert answers(pool, 1, timeout=2.0)
             assert pool.members == members
 
             # ...with its generation state intact from behind the cut:

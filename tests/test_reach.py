@@ -60,85 +60,37 @@ UNREACHED = _unreached(
     ("core/capability.py", TEST_API, "Capability.__repr__"),
     ("core/ports.py", COMPAT, "Port.random"),
     ("core/ports.py", TEST_API, "PrivatePort.__repr__"),
-    ("core/registry.py", TEST_API,
-     "ObjectTable.mint_for ObjectTable.on_revocation"),
     ("core/rights.py", TEST_API, "Rights.__repr__"),
-    ("core/schemes.py", TEST_API, "CommutativeScheme.recover_rights"),
-    ("crypto/commutative.py", TEST_API,
-     "CommutativeOneWayFamily.indices_for_deleted_rights"),
     ("crypto/oneway.py", COMPAT, "OneWayFunction.apply_bytes"),
     ("crypto/oneway.py", TEST_API, "OneWayFunction.__repr__"),
     ("disk/diskfaults.py", TEST_API, "DiskFaultPlan.stats"),
-    ("disk/wal.py", ERROR_PATH, "ChainLog.repair_tail"),
-    ("disk/wal.py", TEST_API, "DefaultCodec.apply_delta"),
-    ("ipc/client.py", TEST_API, "ServiceClient.info ServiceClient.touch"),
+    ("disk/wal.py", ERROR_PATH, "ChainLog.repair_tail DefaultCodec.apply_delta"),
     # the replica_kill_failover arm forks its pool's members
     ("ipc/replica.py", FORKED, "_serve_forked"),
     ("ipc/replica.py", TEST_API,
      "ReplicaObjectServer._std_destroy ReplicaObjectServer.fanout_pending "
-     "ReplicaObjectServer.sweep ReplicatedObjectServer.health "
-     "_Forked.alive _InProcess.alive"),
+     "ReplicaObjectServer.sweep"),
     ("ipc/rpc.py", TEST_API,
      "AsyncTrans.__repr__ AsyncTrans.poll RetryPolicy.waits"),
     ("ipc/server.py", COMPAT, "ReplyCache.store"),
-    ("ipc/server.py", TEST_API,
-     "ObjectServer._authenticate_sender ObjectServer._std_info "
-     "ObjectServer._unseal_request ObjectServer.authorize_client "
-     "ObjectServer.describe"),
-    ("kernel/machine.py", TEST_API, "Machine.announce"),
-    ("kernel/memory.py", TEST_API,
-     "MemoryClient.process_info MemoryClient.read MemoryClient.segment_size "
-     "MemoryClient.write MemoryServer._as_segment "
-     "MemoryServer._process_info MemoryServer._read_segment "
-     "MemoryServer._segment_size MemoryServer._write_segment "
-     "MemoryServer.describe MemoryServer.on_destroy Segment.read "
-     "Segment.size"),
-    ("kernel/process.py", TEST_API, "Process.kill"),
     ("net/faults.py", ERROR_PATH, "FaultPlan._corrupt FaultPlan._flip"),
     ("net/fbox.py", TEST_API, "FBox.__repr__"),
-    ("net/intruder.py", TEST_API, "Intruder.replay Intruder.stop_capture"),
-    ("net/network.py", TEST_API,
-     "SimNetwork.pending SimNetwork.remove_tap"),
+    ("net/network.py", TEST_API, "SimNetwork.pending"),
     ("net/nic.py", COMPAT, "Nic.put_many"),
     ("net/nic.py", TEST_API, "Nic.__repr__"),
     ("net/sched.py", TEST_API,
      "VirtualTimeLoop.pending VirtualTimeLoop.reset_stats "
      "VirtualTimeLoop.stats"),
     ("net/sockets.py", COMPAT,
-     "SocketNode.flush_egress SocketNode.put_owned_unicast_bulk "
-     "SocketNode.serve_batch"),
+     "SocketNode._transmit_runs SocketNode.flush_egress "
+     "SocketNode.put_owned_unicast_bulk SocketNode.serve_batch"),
     ("net/sockets.py", ERROR_PATH, "SocketNode._handler_failed"),
     ("net/sockets.py", TEST_API,
      "SocketNode.__enter__ SocketNode.__exit__ SocketNode.__repr__ "
-     "SocketNode._transmit_runs SocketNode.poll SocketNode.unlisten"),
-    ("servers/bank.py", TEST_API,
-     "BankClient.convert BankClient.mint BankServer._convert "
-     "BankServer._mint"),
-    ("servers/block.py", TEST_API,
-     "BlockClient.block_size BlockClient.free BlockClient.read "
-     "BlockServer._read BlockServer._size BlockServer.describe "
-     "BlockServer.on_destroy"),
-    ("servers/flatfile.py", TEST_API, "BlockFile.read BlockFile.release"),
-    ("servers/multiversion.py", TEST_API,
-     "MultiversionClient.abort MultiversionClient.n_versions "
-     "MultiversionClient.read MultiversionClient.read_version "
-     "MultiversionFileServer._abort MultiversionFileServer._n_versions "
-     "MultiversionFileServer._read MultiversionFileServer._read_page "
-     "MultiversionFileServer._read_range MultiversionFileServer._read_seq "
-     "MultiversionFileServer.on_destroy"),
-    ("servers/unixfs.py", TEST_API,
-     "UnixFs.close UnixFs.lseek UnixFs.read UnixFs.stat"),
-    ("softprot/boot.py", TEST_API,
-     "Announcement.pack Announcement.unpack establish_matrix_keys"),
-    ("softprot/cache.py", TEST_API,
-     "LruCache.put LruCache.stats ServerCapabilityCache.lookup "
-     "ServerCapabilityCache.remember _CapabilityCache._unfile "
-     "_CapabilityCache.forget_object"),
-    ("softprot/matrix.py", TEST_API,
-     "CapabilitySealer.invalidate_object CapabilitySealer.seal_message "
-     "CapabilitySealer.unseal_message KeyMatrix.set_key MachineKeyView.key"),
+     "SocketNode.poll SocketNode.unlisten"),
+    ("softprot/cache.py", TEST_API, "_CapabilityCache._unfile"),
 )
-UNREACHED_MAX = 110
+UNREACHED_MAX = 37
 
 
 # -- the universe ---------------------------------------------------------

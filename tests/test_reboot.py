@@ -27,7 +27,7 @@ from repro.servers.directory import (
     DirectoryCodec,
     DirectoryServer,
 )
-from test_wal_txn import history
+from test_wal_txn import history, mint
 
 
 def durable_world(plan_kwargs=None):
@@ -191,7 +191,7 @@ class TestDedupAcrossReboot:
 
         # The pre-crash mutation itself was logged before the tear and
         # survived — still exactly one entry, no double-execution.
-        fresh_root = incarnation.table.mint_for(root.object)
+        fresh_root = mint(incarnation.table, root.object)
         entries = incarnation.table.lookup(fresh_root)[0].data.entries
         assert list(entries) == ["paid"]
 

@@ -18,7 +18,7 @@ from repro.errors import (
     OutOfSpace,
     PermissionDenied,
 )
-from test_wal_txn import history
+from test_wal_txn import history, mint
 
 PORT = Port(0x0BADC0FFEE00)
 
@@ -113,22 +113,10 @@ class TestDestroy:
             Record(ENTRY, doomed.object, 1, secret, None, "mirrored"))
         fresh = table.create("local")
         assert fresh.object != doomed.object
-        mirrored, _ = table.lookup(table.mint_for(doomed.object))
+        mirrored, _ = table.lookup(mint(table, doomed.object))
         assert mirrored.data == "mirrored"
         assert table.lookup(fresh)[0].data == "local"
         assert len(table) == 2
-
-
-class TestMintFor:
-    def test_mint_for_existing(self, table):
-        cap = table.create("x")
-        reminted = table.mint_for(cap.object, Rights(0x03))
-        _, rights = table.lookup(reminted)
-        assert rights == Rights(0x03)
-
-    def test_mint_for_missing(self, table):
-        with pytest.raises(NoSuchObject):
-            table.mint_for(123)
 
 
 class TestCapacityAndConcurrency:

@@ -29,6 +29,7 @@ from repro.errors import (
     InvalidCapability,
     NoSuchObject,
     PortNotLocated,
+    RPCTimeout,
     SecurityError,
 )
 from repro.ipc import stdops
@@ -477,7 +478,7 @@ class TestReplicatedService:
     def test_locate_resolves_to_replica_set(self, sim_pool):
         _net, pool, client, locator = sim_pool
         cap = pool.create(b"payload")
-        client.info(cap)
+        client.touch(cap)
         located = locator.cache.get(pool.put_port)
         assert getattr(located, "is_replica_set", False)
         assert len(located) == 4
@@ -822,6 +823,20 @@ class TestPerReplicaDedup:
 
 
 @pytest.mark.integration
+def answers(pool, index, timeout=1.0):
+    """Does forked member ``index`` answer the arbiter?  A capability-less
+    STD_TOUCH: its refusal comes back signed with F(S), which only a
+    holder of the pool's S can produce."""
+    try:
+        trans(pool.arbiter, pool.put_port, Message(command=stdops.STD_TOUCH),
+              rng=pool.rng, timeout=timeout,
+              expect_signature=pool.signature.public,
+              dst_machine=pool.members[index])
+    except RPCTimeout:
+        return False
+    return True
+
+
 class TestForgedMembershipDatagrams:
     def test_a_third_station_cannot_rewrite_the_pool(self):
         """Negative control for the removed socket control lane: the
@@ -851,7 +866,7 @@ class TestForgedMembershipDatagrams:
             assert pool.members == members
             assert pool.replica_set().members == members
             assert arbiter.garbage_dropped == len(forged)
-            assert all(pool.health(i) for i in range(2))
+            assert all(answers(pool, i) for i in range(2))
         finally:
             intruder.close()
             pool.stop()
@@ -870,7 +885,7 @@ class TestReplicaPoolUDP:
         client_node = SocketNode()
         try:
             assert len(pool.members) == 3
-            assert all(pool.health(i) for i in range(3))
+            assert all(answers(pool, i) for i in range(3))
             client_node.connect(pool.arbiter.address)
             locator = Locator(client_node, rng=RandomSource(3))
             client = ServiceClient(
@@ -882,7 +897,7 @@ class TestReplicaPoolUDP:
                 timeout=4.0,
             )
             cap = pool.capabilities[0]
-            assert "object 0" in client.info(cap)
+            client.touch(cap)
             located = locator.cache.get(pool.put_port)
             assert getattr(located, "is_replica_set", False)
             assert len(located) == 3
@@ -913,7 +928,7 @@ class TestReplicaPoolUDP:
                 assert good.status == 0
 
             pool.kill(0)
-            assert not pool.health(0, timeout=0.5)
+            assert not answers(pool, 0, timeout=0.5)
             for _ in range(6):
                 client.touch(fresh)  # failover keeps the service up
             cached = locator.cache.get(pool.put_port)

@@ -38,7 +38,10 @@ class TestQueries:
     def test_set_and_clear_bits_partition(self):
         r = Rights(0b10100101)
         assert r.set_bits() == (0, 2, 5, 7)
+        # The deleted rights, whose functions §2.3's server applies.
         assert r.clear_bits() == (1, 3, 4, 6)
+        assert Rights(0xFF).clear_bits() == ()
+        assert Rights(0).clear_bits() == tuple(range(8))
 
     @given(rights_bits)
     def test_partition_property(self, bits):

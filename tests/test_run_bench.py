@@ -199,6 +199,18 @@ PLANTED = {
         (_set(("thief_served_after_refresh", 0), 1),
          "thief_served_after_refresh is 1, not 0"),
     ],
+    "claim_replayed_request": [
+        (_set(("replies_dropped", 0), 0), "replies_dropped is 0, not 1"),
+    ],
+    "claim_rights_by_brute_force": [
+        (_set(("tries_with_field", 0), 256), "tries_with_field is 256, not 1"),
+    ],
+    "claim_sealed_service": [
+        (_set(("unadmitted_client_refused", 0), 0),
+         "unadmitted_client_refused is 0, not 1"),
+        (_set(("replay_from_another_machine_served", 0), 1),
+         "replay_from_another_machine_served is 1, not 0"),
+    ],
     "claim_fig2_layout": [
         (_set(("guesses_refused", 0), 99_999),
          "guesses_refused is 99999, not 100000"),

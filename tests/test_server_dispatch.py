@@ -13,7 +13,7 @@ from repro.errors import (
     PermissionDenied,
 )
 from repro.ipc.server import ObjectServer, command
-from repro.ipc.stdops import STD_INFO, USER_BASE
+from repro.ipc.stdops import STD_TOUCH, USER_BASE
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 
@@ -85,7 +85,7 @@ class TestDispatch:
         from repro.errors import PortNotLocated
 
         with pytest.raises(PortNotLocated):
-            client.call(STD_INFO)
+            client.call(STD_TOUCH)
 
 
 class TestErrorReplies:
@@ -124,11 +124,6 @@ class TestErrorReplies:
 
 
 class TestStdOps:
-    def test_info(self, world):
-        _, server, client = world
-        cap = server.table.create({"count": 1})
-        assert "counter" in client.info(cap)
-
     def test_restrict_refresh_destroy_flow(self, world):
         _, server, client = world
         cap = server.table.create({"count": 0})
@@ -139,7 +134,7 @@ class TestStdOps:
             client.call(USER_BASE + 1, capability=weak)
         client.destroy(fresh)
         with pytest.raises(NoSuchObject):
-            client.info(fresh)
+            client.touch(fresh)
 
     def test_refresh_needs_admin_bit(self, world):
         _, server, client = world
@@ -170,6 +165,6 @@ class TestSignedReplies:
         net.add_tap(lambda f: f.message.is_reply and captured.append(f.message))
         client = make_client(Nic(net), server, RandomSource(seed=3))
         cap = server.table.create({"count": 0})
-        client.info(cap)
+        client.touch(cap)
         assert captured
         assert all(m.signature == server.signature_image for m in captured)

@@ -153,18 +153,18 @@ def _no_such_object(world):
     owner = server.table.create("x")
     client = _client(world, server)
     client.destroy(owner)
-    client.info(owner)
+    client.touch(owner)
 
 
 def _forged_check(world):
     server = _server(world)
-    _client(world, server).info(server.table.create("x").with_check(bytes(6)))
+    _client(world, server).touch(server.table.create("x").with_check(bytes(6)))
 
 
 def _foreign_port(world):
     server = _server(world)
     owner = server.table.create("x")
-    _client(world, server).info(replace(owner, port=Port(7)))
+    _client(world, server).touch(replace(owner, port=Port(7)))
 
 
 def _rights(world):
@@ -179,7 +179,7 @@ def _plaintext_to_a_sealed_server(world):
     server = ObjectServer(node, rng=RandomSource(seed=2),
                           sealer=CapabilitySealer(matrix.view(node.address)),
                           require_sealed=True).start()
-    _client(world, server).info(server.table.create("x"))
+    _client(world, server).touch(server.table.create("x"))
 
 
 STIMULI = [

@@ -46,7 +46,7 @@ from repro.ipc.server import ObjectServer
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 from repro.servers.block import BlockClient, BlockServer
-from test_wal_txn import history, replay
+from test_wal_txn import history, mint, replay
 
 PORT = Port(0x0D15C0FFEE00)
 SCHEME = scheme_by_name("xor-oneway")
@@ -616,7 +616,7 @@ class TestSuspectTails:
         DurableStore(disk, codec=DefaultCodec())
         _, table1, first = reattach(disk)
         assert first.suspect
-        reissued = table1.mint_for(held[0].object)
+        reissued = mint(table1, held[0].object)
 
         _, table2, second = reattach(disk)
         # Nothing is suspect any more, nothing is re-keyed again — and

@@ -38,7 +38,7 @@ from hypothesis.stateful import (
 from repro.core.ports import Port
 from repro.core.record import DESTROY, ENTRY, REFRESH, Record
 from repro.core.registry import ObjectTable
-from repro.core.rights import NO_RIGHTS
+from repro.core.rights import ALL_RIGHTS, NO_RIGHTS, Rights
 from repro.core.schemes import all_scheme_names, scheme_by_name
 from repro.crypto.randomsrc import RandomSource
 from repro.disk.diskfaults import DiskFaultPlan
@@ -75,6 +75,13 @@ from repro.testing.world import World
 
 PORT = Port(0x0D15C0FFEE00)
 SCHEME = scheme_by_name("xor-oneway")
+
+
+def mint(table, number, rights=ALL_RIGHTS):
+    """A capability for a live row, minted without validation: a
+    capability its holder re-obtained (or a server re-mints to store)."""
+    return table._capability(number, table.scheme.mint(
+        table._entry(number).secret, Rights(rights)))
 
 
 def clone_disk(disk):
@@ -548,7 +555,7 @@ class ScriptedDirectoryServer(DirectoryServer):
     executions = 0  # runs of the write-then-call handler
 
     def _note(self, entry, name):
-        stored = self.table.mint_for(entry.number)
+        stored = mint(self.table, entry.number)
         entry.data.entries[name] = stored
         self.table.persist(
             entry.number, delta=DirectoryCodec.set_delta(name, stored)
@@ -1106,7 +1113,7 @@ class TestCrashPointSweep:
                 reborn.table.lookup(capability)
         if state is not None:
             # Service continues under a re-obtained capability.
-            fresh = reborn.table.mint_for(world.root.object)
+            fresh = mint(reborn.table, world.root.object)
             client = DirectoryClient(
                 world.client_nic, reborn.put_port, rng=RandomSource(seed=6),
                 expect_signature=reborn.signature_image,
@@ -1194,7 +1201,7 @@ class DirectoryMachine(RuleBasedStateMachine):
             self.model = before
             del self.caps[len(before.held):]
         for number, _, rights in self.model.held[len(self.caps):]:
-            self.caps.append(table.mint_for(number, rights))
+            self.caps.append(mint(table, number, rights))
 
     def crashed(self, before):  # the power failed in a request
         self.reboot()
